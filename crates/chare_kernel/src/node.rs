@@ -1247,6 +1247,7 @@ impl NodeProgram for CkNode {
         if let Some(rel) = &self.rel {
             c.rel_inflight_end = rel.counted_inflight() as u64;
             c.rel_reorder_end = rel.parked() as u64;
+            c.rel_unacked_end = rel.in_flight() as u64;
         }
         c.to_node_stats()
     }

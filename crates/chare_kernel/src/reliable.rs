@@ -584,8 +584,10 @@ impl RelState {
         &self.suspect
     }
 
-    /// Number of unacknowledged frames (for tests/diagnostics).
-    #[cfg(test)]
+    /// Unacknowledged frames of any kind, control frames included — the
+    /// end-of-run snapshot behind the `rel_unacked_end` counter. Only a
+    /// frame still in here can be the gap a receiver's reorder buffer
+    /// waits on (a parked arrival itself is acked when it is buffered).
     pub(crate) fn in_flight(&self) -> usize {
         self.outstanding.len()
     }

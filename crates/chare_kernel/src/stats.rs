@@ -105,6 +105,13 @@ kernel_counters! {
     /// must be zero: QD declaring over a parked user message is exactly
     /// the unsoundness the desim quiescence oracle hunts.
     rel_reorder_end,
+    /// Reliable frames of any kind, control frames included,
+    /// unacknowledged at run end (snapshot). Zero everywhere means no
+    /// link has an open sequence gap, so `rel_reorder_end` must be zero
+    /// too; `rel_inflight_end` cannot say that, because the frame a
+    /// buffer waits on may be an uncounted one (a load report, a QD
+    /// poll) while everything parked behind it is already acked.
+    rel_unacked_end,
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   time and message statistics. This is how we reproduce speedup curves
 //!   up to 256 PEs on a laptop;
 //! * [`thread`] — a real-parallel backend ([`thread::ThreadMachine`]) with
-//!   one OS thread per PE and channel-based message transport, standing in
+//!   one OS thread per PE and a shared-memory inbox per PE, standing in
 //!   for the shared-memory ports and used for wall-clock benchmarks.
 //!
 //! The runtime built on top (the `chare_kernel` crate) is written against

@@ -71,14 +71,14 @@ pub struct Packet {
     /// representation would have.
     pub bytes: u32,
     /// Arrival timestamp in nanoseconds: simulated arrival time on the
-    /// simulator, elapsed send time on the thread backend (which has no
-    /// arrival instant distinct from delivery). Feeds receive-side
-    /// tracing; carries no protocol meaning.
+    /// simulator; on the thread backend the elapsed time at which the
+    /// receiving PE drained the batch this packet was in. Feeds
+    /// receive-side tracing; carries no protocol meaning.
     pub at_ns: u64,
     /// Send timestamp in nanoseconds: when the sending handler handed
     /// the packet to the network. `at_ns - sent_ns` is the end-to-end
-    /// delivery latency (including NIC/link queueing); zero on the
-    /// thread backend, where send and delivery share a clock reading.
+    /// delivery latency (including NIC/link queueing); zero for a
+    /// self-send on the thread backend, which never leaves its thread.
     /// Host-side metadata for metrics, like `at_ns`; carries no
     /// protocol meaning.
     pub sent_ns: u64,
@@ -100,8 +100,8 @@ impl std::fmt::Debug for Packet {
 /// handler.
 ///
 /// Implemented once per backend ([`crate::sim::SimMachine`] buffers sends
-/// and accounts simulated time; [`crate::thread::ThreadMachine`] pushes
-/// straight into channels and ignores charges).
+/// and accounts simulated time; [`crate::thread::ThreadMachine`] appends
+/// straight to the destination PE's inbox and ignores charges).
 pub trait NetCtx {
     /// The PE this node runs on.
     fn me(&self) -> Pe;

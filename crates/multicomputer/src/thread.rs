@@ -1,24 +1,52 @@
 //! Real-parallel backend: one OS thread per PE.
 //!
 //! This is the stand-in for the paper's shared-memory ports (Sequent
-//! Symmetry, Encore Multimax): every PE is an OS thread, message
-//! transport is a channel per PE, and wall-clock time is the metric. The
-//! same [`NodeProgram`] that runs on the simulator runs here unchanged —
-//! the machine-independence the paper demonstrates by porting one kernel
-//! across machines.
+//! Symmetry, Encore Multimax): every PE is an OS thread, the
+//! interconnect is one inbox per PE in shared memory, and wall-clock
+//! time is the metric. The same [`NodeProgram`] that runs on the
+//! simulator runs here unchanged — the machine-independence the paper
+//! demonstrates by porting one kernel across machines.
+//!
+//! # Inbox protocol
+//!
+//! * **Send to another PE**: append the packet to the destination's
+//!   `Mutex<Vec<Packet>>`, then wake its owner *only if it has published
+//!   that it is parked*. The common send is a short critical section and
+//!   no syscall.
+//! * **Send to self**: push onto a `VecDeque` private to the sending
+//!   thread; shared memory is never touched.
+//! * **Receive**: once per loop turn the owner swaps the whole shared
+//!   vector for an empty reused one (one lock per batch, skipped while
+//!   the `has_mail` hint is clear) and stamps the batch's arrival time
+//!   with a single clock read.
+//! * **Idle**: a PE with neither work nor mail spins on the hint for a
+//!   bounded number of turns, provided every PE can have a core to itself
+//!   (`npes <= available_parallelism()`), and then parks.
+//!
+//! The one ordering obligation is the park/wake handshake, a Dekker
+//! pattern over two flags. The owner publishes `parked`, issues a
+//! `SeqCst` fence, re-checks `has_mail` (and the stop flag), and only
+//! then parks. A sender pushes (setting `has_mail` under the lock),
+//! issues a `SeqCst` fence, and only then reads `parked`. Whichever
+//! fence comes second in the single total order sees the other side's
+//! write: either the owner finds the mail and does not park, or the
+//! sender finds `parked` and unparks it. [`NetCtx::stop`] follows the
+//! sender's half with the stop flag in place of the push. The flags
+//! publish no data themselves (the mutex does that), so they are
+//! `Relaxed` around those fences.
 //!
 //! Unlike the simulator, the thread machine cannot observe global
 //! quiescence for free; programs end by calling [`NetCtx::stop`] (the
 //! kernel's `CkExit`, possibly triggered by its quiescence-detection
-//! module). A watchdog deadline ([`ThreadConfig::watchdog`]) guards tests
-//! and benchmarks against programs that never stop.
+//! module), which unparks every PE and the launching thread. A watchdog
+//! deadline ([`ThreadConfig::watchdog`]) guards tests and benchmarks
+//! against programs that never stop.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Replayable};
@@ -83,17 +111,126 @@ impl ThreadReport {
     }
 }
 
+/// Turns an idle PE spins on its mail hint before parking (≈10 ns each):
+/// about the time a futex wake and reschedule would cost, so a reply
+/// that is already on its way is met without a syscall on either side.
+const SPIN_TURNS: u32 = 2_000;
+
+/// Backstop on a park. Every event that ends idleness (a push, a stop)
+/// unparks the PE, so this only bounds the damage of a lost wake-up, and
+/// is long enough that one would show in the tests and the ledger.
+const IDLE_PARK: Duration = Duration::from_secs(1);
+
+/// One PE's mailbox. Cache-line aligned (two lines, for the adjacent-line
+/// prefetcher) so senders to neighbouring PEs do not false-share.
+#[derive(Default)]
+#[repr(align(128))]
+struct Inbox {
+    queue: Mutex<Vec<Packet>>,
+    /// Hint that `queue` is non-empty; written under the queue lock, read
+    /// without it so an empty drain and the idle spin stay off the lock.
+    has_mail: AtomicBool,
+    /// Published by the owner before it parks (see the module doc).
+    parked: AtomicBool,
+    /// The owning PE thread, registered before it first publishes `parked`.
+    owner: OnceLock<Thread>,
+}
+
+impl Inbox {
+    fn push(&self, pkt: Packet) {
+        {
+            let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
+            queue.push(pkt);
+            self.has_mail.store(true, Ordering::Relaxed);
+        }
+        self.wake_if_parked();
+    }
+
+    /// The waker's half of the handshake; the caller has already written
+    /// what the owner re-checks (`has_mail` or the stop flag).
+    fn wake_if_parked(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            self.owner.get().expect("owner registers before parking").unpark();
+        }
+    }
+
+    /// Move everything queued into `batch` (which must be empty; its
+    /// allocation is handed to the senders). True if there was anything.
+    fn take(&self, batch: &mut Vec<Packet>) -> bool {
+        if !self.has_mail.load(Ordering::Relaxed) {
+            return false;
+        }
+        let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
+        std::mem::swap(&mut *queue, batch);
+        self.has_mail.store(false, Ordering::Relaxed);
+        true
+    }
+
+    /// Wait (owner only) until there may be mail or `stop` is set.
+    fn idle(&self, stop: &AtomicBool, spin: bool) {
+        let roused = || self.has_mail.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed);
+        if spin {
+            for _ in 0..SPIN_TURNS {
+                if roused() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if !roused() {
+            std::thread::park_timeout(IDLE_PARK);
+        }
+        self.parked.store(false, Ordering::Relaxed);
+    }
+}
+
 struct Shared {
     stop: AtomicBool,
     result: Mutex<Option<Payload>>,
     start: Instant,
+    inboxes: Box<[Inbox]>,
+    /// The thread that called [`ThreadMachine::run`], parked until stop.
+    launcher: Thread,
+}
+
+impl Shared {
+    fn new(npes: usize) -> Self {
+        Shared {
+            stop: AtomicBool::new(false),
+            result: Mutex::new(None),
+            start: Instant::now(),
+            inboxes: (0..npes).map(|_| Inbox::default()).collect(),
+            launcher: std::thread::current(),
+        }
+    }
+
+    fn halt(&self) {
+        self.stop.store(true, Ordering::Release);
+        for inbox in self.inboxes.iter() {
+            inbox.wake_if_parked();
+        }
+        self.launcher.unpark();
+    }
 }
 
 struct ThreadCtx {
     me: Pe,
-    npes: usize,
-    senders: Arc<Vec<Sender<Packet>>>,
     shared: Arc<Shared>,
+    /// Self-sends: never leave this thread.
+    loopback: VecDeque<Packet>,
+}
+
+impl ThreadCtx {
+    fn new(me: Pe, shared: Arc<Shared>) -> Self {
+        ThreadCtx {
+            me,
+            shared,
+            loopback: VecDeque::new(),
+        }
+    }
 }
 
 impl NetCtx for ThreadCtx {
@@ -101,42 +238,39 @@ impl NetCtx for ThreadCtx {
         self.me
     }
     fn num_pes(&self) -> usize {
-        self.npes
+        self.shared.inboxes.len()
     }
     fn now_ns(&self) -> u64 {
         self.shared.start.elapsed().as_nanos() as u64
     }
     fn send(&mut self, to: Pe, bytes: u32, payload: Payload) {
-        assert!(to.index() < self.npes, "send to PE out of range");
+        assert!(to.index() < self.num_pes(), "send to PE out of range");
         let now = self.now_ns();
         let pkt = Packet {
             from: self.me,
             bytes,
-            // No distinct arrival instant on real channels; stamp the
-            // send time (delivery follows almost immediately), so
-            // metrics see a zero send→deliver latency here.
+            // The arrival time of a remote packet is stamped by the
+            // receiver when it drains; a loopback packet keeps this one.
             at_ns: now,
             sent_ns: now,
             payload,
         };
-        // A send after shutdown has begun may find the receiver gone;
-        // that is benign (the machine is being torn down).
-        let _ = self.senders[to.index()].send(pkt);
+        if to == self.me {
+            self.loopback.push_back(pkt);
+        } else {
+            self.shared.inboxes[to.index()].push(pkt);
+        }
     }
     fn charge(&mut self, _cost: Cost) {
         // Real work takes real time on this backend.
     }
     fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.halt();
     }
     fn deposit(&mut self, result: Payload) {
-        *self.shared.result.lock() = Some(result);
+        *self.shared.result.lock().expect("a PE panicked mid-deposit") = Some(result);
     }
 }
-
-/// How long an idle PE blocks waiting for a packet before re-checking the
-/// stop flag.
-const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// Resolve replayable payload generators into concrete payloads before a
 /// node sees them (the simulator does the same at arrival time).
@@ -145,24 +279,31 @@ fn deliver<N: NodeProgram>(node: &mut N, mut pkt: Packet) {
     node.incoming(pkt);
 }
 
-fn pe_loop<N: NodeProgram>(mut node: N, rx: Receiver<Packet>, mut ctx: ThreadCtx) -> NodeStats {
+fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> NodeStats {
+    let shared = Arc::clone(&ctx.shared);
+    let inbox = &shared.inboxes[ctx.me.index()];
+    inbox
+        .owner
+        .set(std::thread::current())
+        .expect("one thread per inbox");
+    let mut batch = Vec::new();
     node.boot(&mut ctx);
-    loop {
-        if ctx.shared.stop.load(Ordering::Acquire) {
-            break;
-        }
+    while !shared.stop.load(Ordering::Acquire) {
         // Drain arrivals first so priorities act on everything available.
-        while let Ok(pkt) = rx.try_recv() {
+        if inbox.take(&mut batch) {
+            let now = ctx.now_ns();
+            for mut pkt in batch.drain(..) {
+                pkt.at_ns = now;
+                deliver(&mut node, pkt);
+            }
+        }
+        while let Some(pkt) = ctx.loopback.pop_front() {
             deliver(&mut node, pkt);
         }
         if node.has_work() {
             let _ = node.step(&mut ctx);
         } else {
-            match rx.recv_timeout(IDLE_POLL) {
-                Ok(pkt) => deliver(&mut node, pkt),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            inbox.idle(&shared.stop, spin);
         }
     }
     node.stats()
@@ -180,55 +321,45 @@ impl ThreadMachine {
         F::Node: 'static,
     {
         let npes = cfg.npes;
-        let mut senders = Vec::with_capacity(npes);
-        let mut receivers = Vec::with_capacity(npes);
-        for _ in 0..npes {
-            let (tx, rx) = unbounded::<Packet>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            result: Mutex::new(None),
-            start: Instant::now(),
-        });
+        let shared = Arc::new(Shared::new(npes));
+        // Spinning only pays while every PE can hold a core; beyond that
+        // a spinner burns the time slice the sender needs.
+        let spin = npes <= std::thread::available_parallelism().map_or(1, |n| n.get());
 
         let mut handles = Vec::with_capacity(npes);
-        for (i, rx) in receivers.into_iter().enumerate() {
+        for i in 0..npes {
             let pe = Pe::from(i);
             let node = factory.build(pe, npes);
-            let ctx = ThreadCtx {
-                me: pe,
-                npes,
-                senders: Arc::clone(&senders),
-                shared: Arc::clone(&shared),
-            };
+            let ctx = ThreadCtx::new(pe, Arc::clone(&shared));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("pe-{i}"))
-                    .spawn(move || pe_loop(node, rx, ctx))
+                    .spawn(move || pe_loop(node, ctx, spin))
                     .expect("spawn PE thread"),
             );
         }
 
-        // Watchdog: wait for stop, then join. The PE loops poll the flag
-        // at IDLE_POLL granularity.
+        // Watchdog: park until `halt` unparks us or the deadline passes.
         let mut timed_out = false;
         while !shared.stop.load(Ordering::Acquire) {
-            if shared.start.elapsed() > cfg.watchdog {
-                shared.stop.store(true, Ordering::Release);
+            let left = cfg.watchdog.saturating_sub(shared.start.elapsed());
+            if left.is_zero() {
                 timed_out = true;
+                shared.halt();
                 break;
             }
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::park_timeout(left);
         }
         let node_stats: Vec<NodeStats> = handles
             .into_iter()
             .map(|h| h.join().expect("PE thread panicked"))
             .collect();
         let wall = shared.start.elapsed();
-        let result = shared.result.lock().take();
+        let result = shared
+            .result
+            .lock()
+            .expect("a PE panicked mid-deposit")
+            .take();
         ThreadReport {
             wall,
             result,
@@ -340,6 +471,152 @@ mod tests {
         let rep = ThreadMachine::run(cfg, &FnFactory(|_, _| Forever));
         assert!(rep.timed_out);
         assert!(rep.result.is_none());
+    }
+
+    fn parcel(from: usize, payload: Payload) -> Packet {
+        Packet {
+            from: Pe::from(from),
+            bytes: 8,
+            at_ns: 0,
+            sent_ns: 0,
+            payload,
+        }
+    }
+
+    #[test]
+    fn inbox_keeps_every_packet_once_and_in_sender_order() {
+        const PRODUCERS: usize = 4;
+        const EACH: u64 = 5_000;
+        let inbox = Inbox::default();
+        inbox
+            .owner
+            .set(std::thread::current())
+            .expect("fresh inbox");
+        let stop = AtomicBool::new(false);
+        let mut next = [0u64; PRODUCERS];
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let inbox = &inbox;
+                s.spawn(move || {
+                    for i in 0..EACH {
+                        inbox.push(parcel(p, Box::new(i)));
+                    }
+                });
+            }
+            // The consumer is the owner: it drains as the PE loop does,
+            // parking in between, so the wake path is exercised too.
+            let mut batch = Vec::new();
+            let mut got = 0;
+            while got < PRODUCERS as u64 * EACH {
+                if !inbox.take(&mut batch) {
+                    inbox.idle(&stop, false);
+                    continue;
+                }
+                for pkt in batch.drain(..) {
+                    let i = *pkt.payload.downcast::<u64>().expect("payload type");
+                    assert_eq!(i, next[pkt.from.index()], "lost, duplicated or reordered");
+                    next[pkt.from.index()] += 1;
+                    got += 1;
+                }
+            }
+        });
+        assert_eq!(next, [EACH; PRODUCERS]);
+        assert!(!inbox.take(&mut Vec::new()), "nothing beyond what was sent");
+    }
+
+    #[test]
+    fn dropping_an_inbox_frees_what_is_still_queued() {
+        let token = Arc::new(());
+        let inbox = Inbox::default();
+        for _ in 0..100 {
+            inbox.push(parcel(1, Box::new(Arc::clone(&token))));
+        }
+        assert_eq!(Arc::strong_count(&token), 101);
+        drop(inbox);
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    /// A ring hands one token round, so every hop depends on the wake of
+    /// the one before: a lost wake-up costs a whole [`IDLE_PARK`], and a
+    /// score of them would push the run past the bound.
+    fn ring_finishes_promptly(npes: usize) {
+        let laps = (20_000 / npes) as u32;
+        let mut rep = ThreadMachine::run(ThreadConfig::new(npes), &relay(laps));
+        assert!(!rep.timed_out);
+        assert_eq!(rep.take_result::<u64>(), Some(laps as u64 * npes as u64));
+        assert!(
+            rep.wall < Duration::from_secs(15),
+            "{npes}-PE ring took {:?}",
+            rep.wall
+        );
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_on_a_two_pe_ring() {
+        ring_finishes_promptly(2);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_when_oversubscribed() {
+        // More PEs than cores: nobody spins, every hop is a park and a wake.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ring_finishes_promptly(4 * cores);
+    }
+
+    #[test]
+    fn stop_rouses_parked_pes() {
+        /// PE 0 keeps itself busy long enough for the idle PEs to have
+        /// parked, then stops the machine.
+        struct BusyThenStop {
+            busy: bool,
+            began: Instant,
+        }
+        const BUSY: Duration = Duration::from_millis(30);
+        impl NodeProgram for BusyThenStop {
+            fn boot(&mut self, _net: &mut dyn NetCtx) {}
+            fn incoming(&mut self, _pkt: Packet) {}
+            fn step(&mut self, net: &mut dyn NetCtx) -> Option<StepKind> {
+                if self.began.elapsed() >= BUSY {
+                    self.busy = false;
+                    net.stop();
+                }
+                Some(StepKind::User)
+            }
+            fn has_work(&self) -> bool {
+                self.busy
+            }
+        }
+        let began = Instant::now();
+        let factory = FnFactory(move |pe, _| BusyThenStop {
+            busy: pe == Pe::ZERO,
+            began,
+        });
+        let rep = ThreadMachine::run(ThreadConfig::new(4), &factory);
+        assert!(!rep.timed_out);
+        // Woken, not timed out of the park: the backstop alone would
+        // hold the join for the rest of IDLE_PARK.
+        assert!(
+            rep.wall < IDLE_PARK / 2,
+            "stop took {:?} to reach parked PEs",
+            rep.wall
+        );
+    }
+
+    #[test]
+    fn self_sends_stay_off_the_shared_inbox() {
+        let shared = Arc::new(Shared::new(1));
+        let mut ctx = ThreadCtx::new(Pe::ZERO, Arc::clone(&shared));
+        ctx.send(Pe::ZERO, 8, Box::new(7u64));
+        assert_eq!(ctx.loopback.len(), 1);
+        let inbox = &shared.inboxes[0];
+        assert!(!inbox.has_mail.load(Ordering::Relaxed));
+        let queue = inbox.queue.lock().unwrap();
+        assert_eq!((queue.len(), queue.capacity()), (0, 0));
+        drop(queue);
+
+        let mut rep = ThreadMachine::run(ThreadConfig::new(1), &relay(20_000));
+        assert!(!rep.timed_out);
+        assert_eq!(rep.take_result::<u64>(), Some(20_000));
     }
 
     #[test]

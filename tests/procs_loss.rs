@@ -66,14 +66,26 @@ fn assert_exactly_once(rep: &CkReport, what: &str) {
     // A CkExit-terminated run can halt while a late retransmit gap is
     // still open on some link; frames parked behind it are post-answer
     // stragglers (the answer assertions above prove nothing user-visible
-    // was behind them). Parked arrivals are only a bug once the
-    // transport has drained: no unacked frame in flight means no open
-    // gap to park behind — the same gate the desim oracle uses.
-    if rep.counter_total("rel_inflight_end") == 0 {
-        assert_eq!(
-            rep.counter_total("rel_reorder_end"),
-            0,
-            "{what}: transport drained yet arrivals still parked behind a sequence gap"
+    // was behind them). Parked arrivals are only a bug when no gap can
+    // be open: a PE's reorder buffers wait on frames that other PEs
+    // still hold unacknowledged, so arrivals parked on one PE while no
+    // other PE has anything unacked are stranded. This must count
+    // *every* unacked frame (`rel_unacked_end`), not only user-counted
+    // ones (`rel_inflight_end`): under ACWN the gap is usually a lost
+    // load report, and whatever parked behind it was acked on arrival.
+    let per_pe = |name| -> Vec<u64> {
+        let stats = rep.node_stats.iter();
+        stats.map(|s| s.get(name).unwrap_or(0)).collect()
+    };
+    let (unacked, parked) = (per_pe("rel_unacked_end"), per_pe("rel_reorder_end"));
+    let unacked_total: u64 = unacked.iter().sum();
+    for pe in 0..parked.len() {
+        assert!(
+            parked[pe] == 0 || unacked_total > unacked[pe],
+            "{what}: PE {pe} has arrivals parked behind a sequence gap that no other PE \
+             can still fill; per PE, rel_inflight_end {:?} rel_unacked_end {unacked:?} \
+             rel_reorder_end {parked:?}",
+            per_pe("rel_inflight_end")
         );
     }
 }
