@@ -29,9 +29,8 @@
 //! time, no scheduler perturbation. A metrics-on run is byte-identical
 //! (end time, event count, packets, bytes, counters, result) to the
 //! same run with metrics off — asserted by
-//! `ck_apps/tests/metrics_invariants.rs` and re-checked in CI. The
-//! recording path can be compiled out entirely by dropping the default
-//! `metrics` cargo feature.
+//! `ck_apps/tests/metrics_invariants.rs` and re-checked in CI. With
+//! metrics *not configured* each recording site is one `Option` test.
 //!
 //! ## Interval semantics
 //!

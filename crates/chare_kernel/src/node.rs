@@ -130,14 +130,11 @@ pub struct CkNode {
     /// Structured event recording (`None` = tracing off). Recording is
     /// passive — no sends, no charges — so enabling it never changes a
     /// run's schedule.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     tracer: Option<PeTracer>,
     /// Streaming-metrics recording (`None` = metrics off). Same
     /// discipline as `tracer`: passive, never perturbs the schedule.
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
     metrics: Option<PeMetrics>,
     /// Last queue length recorded, so samples fire only on change.
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     last_q_sample: Option<u32>,
     last_advertised: Option<u32>,
     awaiting_work: bool,
@@ -198,10 +195,8 @@ impl CkNode {
         }
     }
 
-    /// Record one trace event, timestamped now. One `Option` test when
-    /// tracing is configured off; compiled out entirely (closure never
-    /// built) without the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// Record one trace event, timestamped now. One `Option` test (the
+    /// closure is never built) when tracing is off.
     #[inline]
     fn trace(&self, net: &dyn NetCtx, make: impl FnOnce() -> EventKind) {
         if let Some(t) = &self.tracer {
@@ -209,13 +204,8 @@ impl CkNode {
         }
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace(&self, _net: &dyn NetCtx, _make: impl FnOnce() -> EventKind) {}
-
     /// Record one trace event at an explicit timestamp (receive side,
     /// where the packet's arrival instant is the honest time).
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace_at(&self, at_ns: u64, make: impl FnOnce() -> EventKind) {
         if let Some(t) = &self.tracer {
@@ -223,13 +213,8 @@ impl CkNode {
         }
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace_at(&self, _at_ns: u64, _make: impl FnOnce() -> EventKind) {}
-
     /// Record a queue-length sample if the backlog changed since the
     /// last sample (keeps the counter track step-shaped, not per-event).
-    #[cfg(feature = "trace")]
     fn sample_queue(&mut self, net: &dyn NetCtx) {
         let Some(t) = &self.tracer else {
             return;
@@ -244,23 +229,10 @@ impl CkNode {
         }
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn sample_queue(&mut self, _net: &dyn NetCtx) {}
-
-    /// The metrics recording handle, or `None` — a compile-time
-    /// constant `None` without the `metrics` feature, so every
-    /// `if let Some(m) = self.m()` recording site folds away.
-    #[cfg(feature = "metrics")]
+    /// The metrics recording handle (`None` = metrics off).
     #[inline]
     fn m(&self) -> Option<&PeMetrics> {
         self.metrics.as_ref()
-    }
-
-    #[cfg(not(feature = "metrics"))]
-    #[inline(always)]
-    fn m(&self) -> Option<&PeMetrics> {
-        None
     }
 
     /// Runnable user backlog (queued messages + pooled seeds).
@@ -1168,11 +1140,9 @@ impl NodeProgram for CkNode {
     }
 
     fn step(&mut self, net: &mut dyn NetCtx) -> Option<StepKind> {
-        #[cfg(feature = "metrics")]
         let (step_start, charged_before) = (net.now_ns(), net.charged_ns());
         let r = self.step_inner(net);
         self.flush_outbuf(net);
-        #[cfg(feature = "metrics")]
         if let Some(m) = &self.metrics {
             let charged = net.charged_ns() - charged_before;
             match r {
@@ -1199,7 +1169,6 @@ impl NodeProgram for CkNode {
             return;
         };
         let now = net.now_ns();
-        #[cfg(feature = "metrics")]
         let charged_before = net.charged_ns();
         let actions = rel.on_alarm(now);
         for rt in actions.retransmits {
@@ -1223,7 +1192,6 @@ impl NodeProgram for CkNode {
         if let Some(after) = self.rel.as_mut().expect("checked above").rearm(now) {
             net.set_alarm(after);
         }
-        #[cfg(feature = "metrics")]
         if let Some(m) = &self.metrics {
             // Alarm handlers run as pure control time (the machine
             // charges them no dispatch overhead).

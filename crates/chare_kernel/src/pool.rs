@@ -14,23 +14,15 @@
 //! allocation at all.
 //!
 //! Pooling is **invisible to simulated results**: the same values flow
-//! through the same code paths, only the host allocations differ. The
-//! `perf_invariants` suite pins this down by diffing whole experiment
-//! tables with pooling on and off.
+//! through the same code paths, only the host allocations differ.
 //!
-//! Two switches:
-//! * the `msgpool` cargo feature (default on) compiles the pool; without
-//!   it every function below degenerates to plain allocation, and
-//! * [`set_pooling`] toggles recycling at runtime on the current thread
-//!   (used by the A/B determinism tests).
-//!
-//! Free lists are thread-local, which makes them safe on both backends:
+//! Free lists are thread-local, which makes them safe on every backend:
 //! the discrete-event simulator runs a whole machine on one thread (one
 //! pool), the thread backend runs one PE per thread (one pool each —
 //! envelopes allocated by a sender and reclaimed by a receiver simply
-//! migrate between lists).
+//! migrate between lists), and a procs worker is one PE per process.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use multicomputer::Payload;
 
@@ -68,7 +60,6 @@ pub struct PoolStats {
 
 thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::default());
-    static ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
 fn batch_class(cap: usize) -> usize {
@@ -76,20 +67,6 @@ fn batch_class(cap: usize) -> usize {
         .iter()
         .position(|&c| cap <= c)
         .unwrap_or(BATCH_CLASS_CAPS.len())
-}
-
-/// Enable or disable recycling on the current thread. Off, every call
-/// allocates and every reclaim frees — the unpooled A/B baseline.
-/// No-op without the `msgpool` feature (pooling is then always off).
-pub fn set_pooling(on: bool) {
-    let _ = on;
-    #[cfg(feature = "msgpool")]
-    ENABLED.with(|e| e.set(on));
-}
-
-/// Whether recycling is active on the current thread.
-pub fn pooling() -> bool {
-    cfg!(feature = "msgpool") && ENABLED.with(|e| e.get())
 }
 
 /// This thread's pool counters.
@@ -106,192 +83,186 @@ pub fn stats() -> PoolStats {
 /// Box `sys` as a machine-layer payload, reusing a recycled envelope
 /// allocation when one is free.
 pub fn payload(sys: SysMsg) -> Payload {
-    #[cfg(feature = "msgpool")]
-    if pooling() {
-        return POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            match p.envelopes.pop() {
-                Some(mut bx) => {
-                    p.recycled += 1;
-                    *bx = sys;
-                    bx
-                }
-                None => {
-                    p.allocated += 1;
-                    Box::new(sys)
-                }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        match p.envelopes.pop() {
+            Some(mut bx) => {
+                p.recycled += 1;
+                *bx = sys;
+                bx
             }
-        });
-    }
-    Box::new(sys)
+            None => {
+                p.allocated += 1;
+                Box::new(sys)
+            }
+        }
+    })
 }
 
 /// Take the message out of a received envelope and return the box's
 /// allocation to the free list.
-pub fn reclaim(bx: Box<SysMsg>) -> SysMsg {
-    #[cfg(feature = "msgpool")]
-    if pooling() {
-        let mut bx = bx;
-        // `WorkNack` is the unit variant: a placeholder that costs one
-        // enum-sized move and drops nothing.
-        let sys = std::mem::replace(&mut *bx, SysMsg::WorkNack);
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.envelopes.len() < ENVELOPE_KEEP {
-                p.envelopes.push(bx);
-            }
-        });
-        return sys;
-    }
-    *bx
+pub fn reclaim(mut bx: Box<SysMsg>) -> SysMsg {
+    // `WorkNack` is the unit variant: a placeholder that costs one
+    // enum-sized move and drops nothing.
+    let sys = std::mem::replace(&mut *bx, SysMsg::WorkNack);
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.envelopes.len() < ENVELOPE_KEEP {
+            p.envelopes.push(bx);
+        }
+    });
+    sys
 }
 
 /// An empty wire buffer with at least `cap_hint` capacity if a recycled
 /// one is available (larger classes are searched before allocating).
 pub fn batch(cap_hint: usize) -> Vec<SysMsg> {
-    #[cfg(feature = "msgpool")]
-    if pooling() {
-        return POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            for class in batch_class(cap_hint)..p.batches.len() {
-                if let Some(v) = p.batches[class].pop() {
-                    p.recycled += 1;
-                    return v;
-                }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        for class in batch_class(cap_hint)..p.batches.len() {
+            if let Some(v) = p.batches[class].pop() {
+                p.recycled += 1;
+                return v;
             }
-            p.allocated += 1;
-            Vec::with_capacity(cap_hint)
-        });
-    }
-    Vec::with_capacity(cap_hint)
+        }
+        p.allocated += 1;
+        Vec::with_capacity(cap_hint)
+    })
 }
 
-/// Return an emptied wire buffer to its size class.
+/// Return an emptied wire buffer to its size class. A buffer that never
+/// allocated has nothing worth keeping.
 pub fn recycle_batch(v: Vec<SysMsg>) {
-    #[cfg(feature = "msgpool")]
-    if pooling() && v.capacity() > 0 {
-        debug_assert!(v.is_empty(), "recycled wire buffer must be drained");
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            let class = batch_class(v.capacity());
-            if p.batches[class].len() < BATCH_KEEP {
-                p.batches[class].push(v);
-            }
-        });
+    if v.capacity() == 0 {
         return;
     }
-    drop(v);
+    debug_assert!(v.is_empty(), "recycled wire buffer must be drained");
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        let class = batch_class(v.capacity());
+        if p.batches[class].len() < BATCH_KEEP {
+            p.batches[class].push(v);
+        }
+    });
 }
 
 /// An empty ack-sequence buffer (reliable-delivery wire traffic).
 pub fn seq_vec() -> Vec<u64> {
-    #[cfg(feature = "msgpool")]
-    if pooling() {
-        return POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            match p.seqs.pop() {
-                Some(v) => {
-                    p.recycled += 1;
-                    v
-                }
-                None => {
-                    p.allocated += 1;
-                    Vec::new()
-                }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        match p.seqs.pop() {
+            Some(v) => {
+                p.recycled += 1;
+                v
             }
-        });
-    }
-    Vec::new()
+            None => {
+                p.allocated += 1;
+                Vec::new()
+            }
+        }
+    })
 }
 
-/// Return an ack-sequence buffer to the free list.
+/// Return an ack-sequence buffer to the free list (zero-capacity
+/// buffers are dropped, as in [`recycle_batch`]).
 pub fn recycle_seq_vec(mut v: Vec<u64>) {
-    #[cfg(feature = "msgpool")]
-    if pooling() && v.capacity() > 0 {
-        v.clear();
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.seqs.len() < SEQ_KEEP {
-                p.seqs.push(v);
-            }
-        });
+    if v.capacity() == 0 {
         return;
     }
-    drop(v);
+    v.clear();
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.seqs.len() < SEQ_KEEP {
+            p.seqs.push(v);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// RAII guard: run a closure with pooling forced to a given state,
-    /// restoring the previous state after.
-    fn with_pooling<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        let before = pooling();
-        set_pooling(on);
-        let r = f();
-        set_pooling(before);
-        r
+    /// Run `f` on a new thread, whose thread-local pool starts empty
+    /// with zeroed counters.
+    fn on_fresh_pool(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().expect("pool test thread");
     }
 
     #[test]
     fn envelope_round_trip_preserves_value() {
-        for on in [false, true] {
-            with_pooling(on, || {
-                let p = payload(SysMsg::QdPoll { wave: 42 });
-                let bx = p.downcast::<SysMsg>().unwrap();
-                match reclaim(bx) {
-                    SysMsg::QdPoll { wave } => assert_eq!(wave, 42),
-                    _ => panic!("wrong message came back"),
-                }
-            });
+        let p = payload(SysMsg::QdPoll { wave: 42 });
+        let bx = p.downcast::<SysMsg>().unwrap();
+        match reclaim(bx) {
+            SysMsg::QdPoll { wave } => assert_eq!(wave, 42),
+            _ => panic!("wrong message came back"),
         }
     }
 
-    #[cfg(feature = "msgpool")]
     #[test]
     fn recycled_envelope_allocation_is_reused() {
-        with_pooling(true, || {
+        let before = stats();
+        let p = payload(SysMsg::WorkNack);
+        let _ = reclaim(p.downcast::<SysMsg>().unwrap());
+        let p2 = payload(SysMsg::QdPoll { wave: 1 });
+        let after = stats();
+        assert!(
+            after.recycled > before.recycled,
+            "second allocation must come from the free list"
+        );
+        let _ = reclaim(p2.downcast::<SysMsg>().unwrap());
+    }
+
+    #[test]
+    fn envelope_free_list_is_bounded() {
+        on_fresh_pool(|| {
+            let n = ENVELOPE_KEEP + 100;
+            let live: Vec<Payload> = (0..n).map(|_| payload(SysMsg::WorkNack)).collect();
+            for p in live {
+                let _ = reclaim(p.downcast::<SysMsg>().unwrap());
+            }
             let before = stats();
-            let p = payload(SysMsg::WorkNack);
-            let _ = reclaim(p.downcast::<SysMsg>().unwrap());
-            let p2 = payload(SysMsg::QdPoll { wave: 1 });
+            let again: Vec<Payload> = (0..n).map(|_| payload(SysMsg::WorkNack)).collect();
             let after = stats();
-            assert!(
-                after.recycled > before.recycled,
-                "second allocation must come from the free list"
-            );
-            let _ = reclaim(p2.downcast::<SysMsg>().unwrap());
+            assert_eq!(after.recycled - before.recycled, ENVELOPE_KEEP as u64);
+            assert_eq!(after.allocated - before.allocated, 100);
+            drop(again);
         });
     }
 
     #[test]
     fn batch_classes_round_trip() {
-        for on in [false, true] {
-            with_pooling(on, || {
-                let mut v = batch(4);
-                v.push(SysMsg::WorkNack);
-                v.clear();
-                recycle_batch(v);
-                let v2 = batch(100);
-                assert!(v2.is_empty());
-                recycle_batch(v2);
-            });
-        }
+        let mut v = batch(4);
+        v.push(SysMsg::WorkNack);
+        v.clear();
+        recycle_batch(v);
+        let v2 = batch(100);
+        assert!(v2.is_empty());
+        recycle_batch(v2);
     }
 
     #[test]
     fn seq_vec_round_trip() {
-        for on in [false, true] {
-            with_pooling(on, || {
-                let mut v = seq_vec();
-                v.extend([1u64, 2, 3]);
-                recycle_seq_vec(v);
-                let v2 = seq_vec();
-                assert!(v2.is_empty(), "recycled seq buffers come back empty");
-                recycle_seq_vec(v2);
-            });
-        }
+        let mut v = seq_vec();
+        v.extend([1u64, 2, 3]);
+        recycle_seq_vec(v);
+        let v2 = seq_vec();
+        assert!(v2.is_empty(), "recycled seq buffers come back empty");
+        recycle_seq_vec(v2);
+    }
+
+    #[test]
+    fn zero_capacity_buffers_are_not_kept() {
+        on_fresh_pool(|| {
+            recycle_batch(Vec::new());
+            recycle_seq_vec(Vec::new());
+            let before = stats();
+            let v = batch(4);
+            let s = seq_vec();
+            let after = stats();
+            assert_eq!(after.recycled, before.recycled, "nothing was kept to reuse");
+            assert_eq!(after.allocated - before.allocated, 2);
+            assert!(v.capacity() >= 4 && s.is_empty());
+        });
     }
 
     #[test]

@@ -19,10 +19,7 @@
 //! count, packets, bytes, counters and program result) to the same run
 //! with tracing off — asserted by `ck_apps/tests/trace_invariants.rs`.
 //! When tracing is *not configured* the recording path is a single
-//! `Option` test per site, and the whole path can additionally be
-//! compiled out by building `chare_kernel` with
-//! `--no-default-features --features threads` (dropping the default
-//! `trace` feature), leaving zero code behind.
+//! `Option` test per site.
 //!
 //! Events land in fixed-capacity per-PE ring buffers (oldest events are
 //! overwritten, with a drop counter), so tracing a long run costs

@@ -9,33 +9,19 @@
 //! cargo run --release -p ck_bench --bin tables -- --matrix fib --quick
 //! cargo run --release -p ck_bench --bin tables -- --export-trace fib --out fib.json
 //! cargo run --release -p ck_bench --bin tables -- --all --jobs 4
-//! cargo run --release -p ck_bench --bin tables -- --host-perf --bench-out BENCH_5.json
 //! cargo run --release -p ck_bench --bin tables -- --table m --quick
 //! cargo run --release -p ck_bench --bin tables -- --timeline fib --quick --out fib_tl.json
-//! cargo run --release -p ck_bench --bin tables -- --metrics-perf --quick
 //! ```
 
 use std::io::Write as _;
 
 use ck_bench::{Scale, Table};
 
-/// Internal id for `--table r`.
-const TABLE_R: u32 = 100;
-/// Internal id for `--table p`.
-const TABLE_P: u32 = 101;
-/// Internal id for `--table m`.
-const TABLE_M: u32 = 102;
-/// Internal id for `--table b`.
-const TABLE_B: u32 = 103;
-/// Internal id for `--table h`.
-const TABLE_H: u32 = 104;
-
 fn usage() -> ! {
     eprintln!(
         "usage: tables [--all | --table N | --fig N | --matrix APP | --export-trace APP]\n\
          \x20              [--timeline APP] [--quick] [--csv | --md] [--out PATH]\n\
          \x20              [--jobs N | --serial] [--no-cache]\n\
-         \x20              [--host-perf [--bench-out PATH]] [--metrics-perf]\n\
          tables: 1..=8, r (resilience), p (overhead attribution),\n\
          \x20        m (streaming time profiles), b (cross-backend conformance),\n\
          \x20        h (hash-tree & pipelined table-fill workloads)\n\
@@ -45,13 +31,10 @@ fn usage() -> ! {
          \x20                  (open at https://ui.perfetto.dev); --out writes to a file\n\
          --timeline APP      streaming-metrics utilization timeline for one benchmark;\n\
          \x20                  ASCII to stdout, JSON to --out if given\n\
+         --out PATH          takes the JSON of exactly one --timeline or --export-trace\n\
          --jobs N            regenerate tables on N worker threads (default: host CPUs);\n\
          \x20                  output is byte-identical to --serial\n\
-         --no-cache          disable the deterministic run memo (slower, same bytes)\n\
-         --host-perf         run --all, report per-table host cost, and write a\n\
-         \x20                  BENCH JSON baseline (default BENCH_5.json)\n\
-         --metrics-perf      A/B metrics-on vs -off (asserts byte-identical results),\n\
-         \x20                  measure overhead and write BENCH_7.json (--bench-out overrides)"
+         --no-cache          disable the deterministic run memo (slower, same bytes)"
     );
     std::process::exit(2);
 }
@@ -64,7 +47,7 @@ fn main() {
     let mut scale = Scale::Full;
     let mut csv = false;
     let mut md = false;
-    let mut which: Vec<(bool, u32)> = Vec::new(); // (is_table, id)
+    let mut which: Vec<fn(Scale) -> Table> = Vec::new();
     let mut matrices: Vec<String> = Vec::new();
     let mut exports: Vec<String> = Vec::new();
     let mut timelines: Vec<String> = Vec::new();
@@ -72,9 +55,6 @@ fn main() {
     let mut all = false;
     let mut jobs: Option<usize> = None;
     let mut cache = true;
-    let mut host_perf = false;
-    let mut metrics_perf = false;
-    let mut bench_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -92,28 +72,18 @@ fn main() {
                 jobs = Some(n.max(1));
             }
             "--no-cache" => cache = false,
-            "--host-perf" => {
-                host_perf = true;
-                all = true;
-            }
-            "--metrics-perf" => metrics_perf = true,
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
             "--table" | "--fig" => {
-                let is_table = args[i] == "--table";
+                // `--table 3` -> table3, `--table p` -> table_p, `--fig 6` -> fig6:
+                // the job names of `ck_bench::table_jobs()`.
+                let kind = &args[i][2..];
                 i += 1;
-                let id = match args.get(i).map(String::as_str) {
-                    Some("r") | Some("R") if is_table => TABLE_R,
-                    Some("p") | Some("P") if is_table => TABLE_P,
-                    Some("m") | Some("M") if is_table => TABLE_M,
-                    Some("b") | Some("B") if is_table => TABLE_B,
-                    Some("h") | Some("H") if is_table => TABLE_H,
-                    Some(a) => a.parse().unwrap_or_else(|_| usage()),
-                    None => usage(),
+                let arg = args.get(i).unwrap_or_else(|| usage());
+                let name = match arg.parse::<u32>() {
+                    Ok(n) => format!("{kind}{n}"),
+                    Err(_) => format!("{kind}_{}", arg.to_ascii_lowercase()),
                 };
-                which.push((is_table, id));
+                let job = ck_bench::table_jobs().into_iter().find(|(n, _)| *n == name);
+                which.push(job.unwrap_or_else(|| usage()).1);
             }
             "--matrix" => {
                 i += 1;
@@ -140,37 +110,14 @@ fn main() {
         && matrices.is_empty()
         && exports.is_empty()
         && timelines.is_empty()
-        && !metrics_perf
     {
         all = true;
     }
 
-    let run = |is_table: bool, id: u32| -> Table {
-        match (is_table, id) {
-            (true, 1) => ck_bench::table1(scale),
-            (true, 2) => ck_bench::table2(scale),
-            (true, 3) => ck_bench::table3(scale),
-            (true, 4) => ck_bench::table4(scale),
-            (true, 5) => ck_bench::table5(scale),
-            (true, 6) => ck_bench::table6(scale),
-            (true, 7) => ck_bench::table7(scale),
-            (true, 8) => ck_bench::table8(scale),
-            (true, TABLE_R) => ck_bench::table_r(scale),
-            (true, TABLE_P) => ck_bench::table_p(scale),
-            (true, TABLE_M) => ck_bench::table_m(scale),
-            (true, TABLE_B) => ck_bench::table_b(scale),
-            (true, TABLE_H) => ck_bench::table_h(scale),
-            (false, 1) => ck_bench::fig1(scale),
-            (false, 2) => ck_bench::fig2(scale),
-            (false, 3) => ck_bench::fig3(scale),
-            (false, 4) => ck_bench::fig4(scale),
-            (false, 5) => ck_bench::fig5(scale),
-            (false, 6) => ck_bench::fig6(scale),
-            (false, 7) => ck_bench::fig7(scale),
-            (false, 8) => ck_bench::fig8(scale),
-            _ => usage(),
-        }
-    };
+    if out.is_some() && timelines.len() + exports.len() > 1 {
+        eprintln!("--out names one file: give it exactly one --timeline or --export-trace");
+        usage();
+    }
 
     let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -178,16 +125,11 @@ fn main() {
             .unwrap_or(1)
     });
     ck_bench::runner::set_caching(cache);
-    let start = std::time::Instant::now();
-    let mut bench: Option<(Vec<ck_bench::BenchRecord>, ck_bench::runner::CacheStats)> = None;
     let mut tables: Vec<Table> = if all {
-        let (tables, records, stats) = ck_bench::driver::run_all_recording(scale, jobs, cache);
-        bench = Some((records, stats));
-        tables
+        ck_bench::driver::run_all_recording(scale, jobs, cache).0
     } else {
-        which.iter().map(|&(t, id)| run(t, id)).collect()
+        which.iter().map(|job| job(scale)).collect()
     };
-    let total_wall_ns = start.elapsed().as_nanos() as u64;
     tables.extend(matrices.iter().map(|m| ck_bench::comm_matrix_table(scale, m)));
     for t in tables {
         if csv {
@@ -198,49 +140,6 @@ fn main() {
         } else {
             println!("{t}");
         }
-    }
-
-    if host_perf {
-        let (records, stats) = bench.expect("--host-perf implies --all");
-        let json =
-            ck_bench::driver::bench_json(scale, jobs, cache, total_wall_ns, &records, stats);
-        ck_trace::json_lint::validate(&json)
-            .unwrap_or_else(|e| panic!("generated bench JSON failed lint: {e}"));
-        let path = bench_out.clone().unwrap_or_else(|| "BENCH_5.json".into());
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!(
-            "host-perf: {:.1} ms wall on {jobs} job thread(s); {} runs simulated, {} memoized; wrote {path}",
-            total_wall_ns as f64 / 1e6,
-            stats.misses,
-            stats.hits,
-        );
-    }
-
-    if metrics_perf {
-        let reps = match scale {
-            Scale::Quick => 3,
-            Scale::Full => 5,
-        };
-        let rows = ck_bench::metrics_ab(scale, reps);
-        let json = ck_bench::metrics_bench_json(scale, reps, &rows);
-        ck_trace::json_lint::validate(&json)
-            .unwrap_or_else(|e| panic!("generated metrics bench JSON failed lint: {e}"));
-        let path = bench_out.clone().unwrap_or_else(|| "BENCH_7.json".into());
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        for r in &rows {
-            eprintln!(
-                "metrics-perf: {} threads {:.2} -> {:.2} ms ({:+.1}%), \
-                 sim {:.2} -> {:.2} ms ({:+.1}%); results byte-identical",
-                r.name,
-                r.thr_off_ns as f64 / 1e6,
-                r.thr_on_ns as f64 / 1e6,
-                r.overhead() * 100.0,
-                r.off_ns as f64 / 1e6,
-                r.on_ns as f64 / 1e6,
-                r.sim_overhead() * 100.0,
-            );
-        }
-        eprintln!("metrics-perf: wrote {path}");
     }
 
     for app in &timelines {

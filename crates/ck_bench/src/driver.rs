@@ -1,7 +1,8 @@
 //! Table driver: the ordered job list behind `tables --all`, an
-//! optional thread-parallel runner, and the `--host-perf` harness that
-//! records host-side cost (wall-clock, simulator events/sec, peak RSS)
-//! into a `BENCH_*.json` baseline.
+//! optional thread-parallel runner, and per-job host-cost records
+//! (wall-clock, simulator events) plus peak RSS, which the benchmark
+//! (`benchmark/`) reads for its `tables.*.ms`, `runner.*` and
+//! `mem.peak_rss_mb` rows.
 //!
 //! Each job regenerates one table/figure and is independent of every
 //! other: tables share no mutable state (the run memo in
@@ -154,61 +155,6 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Render the `BENCH_*.json` document: per-table wall-clock and
-/// events/sec plus whole-process totals. Hand-built JSON (the repo
-/// vendors no serializer); `ck_trace::json_lint` checks it before it
-/// is written.
-pub fn bench_json(
-    scale: Scale,
-    jobs: usize,
-    cache_on: bool,
-    total_wall_ns: u64,
-    records: &[BenchRecord],
-    stats: crate::runner::CacheStats,
-) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"tables\",\n");
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"run_memo\": {cache_on},\n"));
-    out.push_str(&format!(
-        "  \"runs_simulated\": {},\n  \"runs_memoized\": {},\n",
-        stats.misses, stats.hits
-    ));
-    let total_events: u64 = records.iter().map(|r| r.events).sum();
-    out.push_str(&format!(
-        "  \"total_wall_ms\": {:.1},\n",
-        total_wall_ns as f64 / 1e6
-    ));
-    out.push_str(&format!("  \"total_events\": {total_events},\n"));
-    out.push_str(&format!(
-        "  \"events_per_sec\": {:.0},\n",
-        total_events as f64 / (total_wall_ns.max(1) as f64 / 1e9)
-    ));
-    out.push_str(&format!("  \"peak_rss_kb\": {},\n", peak_rss_kb()));
-    out.push_str("  \"tables\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let evps = r.events as f64 / (r.wall_ns.max(1) as f64 / 1e9);
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}}}{}\n",
-            r.name,
-            r.wall_ns as f64 / 1e6,
-            r.events,
-            evps,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,47 +170,6 @@ mod tests {
         assert_eq!(names[18], "table_m");
         assert_eq!(names[19], "table_b");
         assert_eq!(names[20], "table_h");
-    }
-
-    #[test]
-    fn bench_json_is_valid_and_complete() {
-        let records = [
-            BenchRecord {
-                name: "table1",
-                wall_ns: 1_234_567,
-                events: 1000,
-            },
-            BenchRecord {
-                name: "table2",
-                wall_ns: 7_654_321,
-                events: 2000,
-            },
-        ];
-        let json = bench_json(
-            Scale::Quick,
-            2,
-            true,
-            10_000_000,
-            &records,
-            crate::runner::CacheStats {
-                hits: 3,
-                misses: 5,
-                entries: 5,
-            },
-        );
-        ck_trace::json_lint::validate(&json).expect("bench JSON must lint");
-        for key in [
-            "\"bench\"",
-            "\"scale\"",
-            "\"jobs\"",
-            "\"total_wall_ms\"",
-            "\"events_per_sec\"",
-            "\"peak_rss_kb\"",
-            "\"tables\"",
-            "\"runs_memoized\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Regenerates every table and figure of the SC '91 evaluation (as
 //! reconstructed in `DESIGN.md` §4). The [`experiments`] module holds
 //! one function per table/figure, each returning a formatted [`Table`];
-//! the `tables` binary prints them, and the Criterion benches measure
-//! the real-parallel (thread backend) counterparts.
+//! the `tables` binary prints them. Host-side cost (wall-clock, events
+//! per second, per-layer ns/op) is measured by the repository's
+//! benchmark, `benchmark/` + `BENCHMARK.json`, which calls
+//! [`driver::run_all_recording`].
 //!
 //! All simulator experiments are deterministic: the same binary produces
 //! the same numbers on every run.
@@ -18,6 +20,6 @@ pub mod trace_view;
 
 pub use driver::{run_all, table_jobs, BenchRecord};
 pub use experiments::*;
-pub use metrics_view::{metrics_ab, metrics_bench_json, table_m, timeline_view, GrainClass, MetricsAb};
+pub use metrics_view::{table_m, timeline_view};
 pub use table::Table;
 pub use trace_view::{comm_matrix_table, export_trace, table_p};

@@ -1,6 +1,5 @@
-//! Metrics-driven experiment views: Table M (streaming time profiles),
-//! the `--timeline` chart, and the metrics-overhead A/B harness behind
-//! `--metrics-perf` / `BENCH_7.json`.
+//! Metrics-driven experiment views: Table M (streaming time profiles)
+//! and the `--timeline` chart.
 //!
 //! Everything here runs on the *streaming* telemetry of
 //! [`chare_kernel::metrics`] — bounded-memory interval slices and
@@ -126,217 +125,6 @@ pub fn timeline_view(scale: Scale, name: &str) -> (String, String) {
     (text, json)
 }
 
-/// Apps measured by the overhead A/B, tagged by grain class: the two
-/// zero-grain tree searches stress the hooks at the highest event rates
-/// the machines can generate (tens of millions of hook firings per
-/// second of host time), while jacobi and matmul have realistic
-/// (µs-scale) entry grains like the paper's production workloads.
-/// Overhead is only meaningful relative to task grain — the Task-Bench
-/// methodology the metrics design follows (see docs/METRICS.md) — so
-/// `BENCH_7.json` reports both classes separately.
-const AB_APPS: [(&str, GrainClass); 4] = [
-    ("fib", GrainClass::Stress),
-    ("nqueens", GrainClass::Stress),
-    ("jacobi", GrainClass::Production),
-    ("matmul", GrainClass::Production),
-];
-
-/// Whether an A/B app's entry grains are realistic or deliberately zero.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GrainClass {
-    /// Near-zero entry grain: a pure hook-rate stress test.
-    Stress,
-    /// Realistic µs-scale entry grain, like the paper's workloads.
-    Production,
-}
-
-/// PEs used for the threads-machine leg of the A/B experiment (matches
-/// the app crates' own thread tests; the machine multiplexes fine on
-/// small hosts).
-const THREAD_NPES: usize = 4;
-
-/// Result of the metrics-overhead A/B experiment.
-#[derive(Clone, Debug)]
-pub struct MetricsAb {
-    /// App measured.
-    pub name: &'static str,
-    /// Stress (zero-grain) or production (realistic-grain) workload.
-    pub grain: GrainClass,
-    /// Best-of-k simulator wall-clock with metrics off, ns.
-    pub off_ns: u64,
-    /// Best-of-k simulator wall-clock with metrics on, ns.
-    pub on_ns: u64,
-    /// Best-of-k threads-machine wall-clock with metrics off, ns.
-    pub thr_off_ns: u64,
-    /// Best-of-k threads-machine wall-clock with metrics on, ns.
-    pub thr_on_ns: u64,
-    /// Simulated completion time (identical on both sides — asserted).
-    pub time_ns: u64,
-    /// Simulator events (identical on both sides — asserted).
-    pub events: u64,
-}
-
-fn ratio(on: u64, off: u64) -> f64 {
-    if off == 0 {
-        return 0.0;
-    }
-    on as f64 / off as f64 - 1.0
-}
-
-impl MetricsAb {
-    /// Metering overhead on the *threads machine* — the real runtime,
-    /// where per-event cost includes queues, channels and scheduling.
-    /// This is the headline figure: it answers "what does leaving
-    /// telemetry on cost a production run".
-    pub fn overhead(&self) -> f64 {
-        ratio(self.thr_on_ns, self.thr_off_ns)
-    }
-
-    /// Metering overhead against the *discrete-event simulator's* bare
-    /// event loop (~150 ns/event of host work, zero-cost entry
-    /// bodies). A synthetic upper bound: every hook is measured against
-    /// a machine that does almost nothing else.
-    pub fn sim_overhead(&self) -> f64 {
-        ratio(self.on_ns, self.off_ns)
-    }
-}
-
-/// Assert that a metered run is byte-identical to an unmetered one and
-/// measure the host-side cost of metering: best-of-`reps` wall-clock
-/// for each side. Panics if metrics perturb anything observable — this
-/// is the same guarantee `ck_apps/tests/metrics_invariants.rs` pins,
-/// re-checked on every `--metrics-perf` invocation.
-pub fn metrics_ab(scale: Scale, reps: usize) -> Vec<MetricsAb> {
-    let reps = reps.max(1);
-    let mut out = Vec::new();
-    for (name, grain) in AB_APPS {
-        let case = case_named(scale, name);
-        let run_off = || case.build_default().run_sim(SimConfig::preset(NPES, PRESET));
-        let run_on = || metered_run(case.build_default());
-
-        let a = run_off();
-        let b = run_on();
-        assert_eq!(a.time_ns, b.time_ns, "{name}: metrics changed completion time");
-        let (sa, sb) = (a.sim.as_ref().unwrap(), b.sim.as_ref().unwrap());
-        assert_eq!(sa.events, sb.events, "{name}: metrics changed event count");
-        assert_eq!(sa.packets, sb.packets, "{name}: metrics changed packet count");
-        assert_eq!(sa.bytes, sb.bytes, "{name}: metrics changed byte count");
-        for c in ["user_sent", "user_recv", "entries_executed", "seeds_forwarded"] {
-            assert_eq!(
-                a.counter_total(c),
-                b.counter_total(c),
-                "{name}: metrics changed counter {c}"
-            );
-        }
-        assert!(a.metrics.is_none());
-        assert!(b.metrics.is_some());
-
-        let thr_cfg = || multicomputer::ThreadConfig::new(THREAD_NPES);
-        let thr_off = || {
-            case.build_default()
-                .run_threads_cfg(thr_cfg(), multicomputer::Topology::Hypercube)
-        };
-        let thr_on = || {
-            case.build_default()
-                .with_metrics(MetricsConfig::default())
-                .run_threads_cfg(thr_cfg(), multicomputer::Topology::Hypercube)
-        };
-
-        let time_one = |f: &dyn Fn() -> CkReport| {
-            let t = std::time::Instant::now();
-            let _ = f();
-            t.elapsed().as_nanos() as u64
-        };
-        // Interleave off/on repetitions so slow drift on the host (cache
-        // state, other processes) biases both sides equally; keep the
-        // minimum per side — noise only ever inflates a measurement.
-        let best_pair = |off: &dyn Fn() -> CkReport, on: &dyn Fn() -> CkReport| {
-            let (mut bo, mut bn) = (u64::MAX, u64::MAX);
-            for _ in 0..reps {
-                bo = bo.min(time_one(off));
-                bn = bn.min(time_one(on));
-            }
-            (bo, bn)
-        };
-        let (off_ns, on_ns) = best_pair(&run_off, &run_on);
-        let (thr_off_ns, thr_on_ns) = best_pair(&thr_off, &thr_on);
-        out.push(MetricsAb {
-            name,
-            grain,
-            off_ns,
-            on_ns,
-            thr_off_ns,
-            thr_on_ns,
-            time_ns: a.time_ns,
-            events: sa.events,
-        });
-    }
-    out
-}
-
-/// Render the `BENCH_7.json` document: the measured cost of leaving
-/// streaming metrics on, per app, plus the A/B identity verdict.
-pub fn metrics_bench_json(scale: Scale, reps: usize, rows: &[MetricsAb]) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"metrics_overhead\",\n");
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    out.push_str(&format!("  \"npes\": {NPES},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str("  \"byte_identical\": true,\n");
-    let worst_of = |class: GrainClass| {
-        rows.iter()
-            .filter(|r| r.grain == class)
-            .map(MetricsAb::overhead)
-            .fold(0.0f64, f64::max)
-    };
-    out.push_str(&format!(
-        "  \"worst_overhead_pct\": {:.2},\n",
-        worst_of(GrainClass::Production) * 100.0
-    ));
-    out.push_str(&format!(
-        "  \"stress_worst_overhead_pct\": {:.2},\n",
-        worst_of(GrainClass::Stress) * 100.0
-    ));
-    out.push_str(
-        "  \"note\": \"overhead_pct = threads machine (real runtime); headline \
-         worst_overhead_pct covers production-grain apps, stress_* the zero-grain \
-         hook-rate stress tests; sim_* = vs the bare simulator event loop, a \
-         synthetic upper bound. Overhead is grain-relative (Task Bench); \
-         methodology in docs/METRICS.md\",\n",
-    );
-    out.push_str("  \"apps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"grain\": \"{}\", \
-             \"threads_off_ms\": {:.3}, \"threads_on_ms\": {:.3}, \
-             \"overhead_pct\": {:.2}, \"sim_off_ms\": {:.3}, \"sim_on_ms\": {:.3}, \
-             \"sim_overhead_pct\": {:.2}, \"sim_events\": {}}}{}\n",
-            r.name,
-            match r.grain {
-                GrainClass::Stress => "stress",
-                GrainClass::Production => "production",
-            },
-            r.thr_off_ns as f64 / 1e6,
-            r.thr_on_ns as f64 / 1e6,
-            r.overhead() * 100.0,
-            r.off_ns as f64 / 1e6,
-            r.on_ns as f64 / 1e6,
-            r.sim_overhead() * 100.0,
-            r.events,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,15 +159,5 @@ mod tests {
         assert!(text.contains("overall utilization"));
         ck_trace::json_lint::validate(&json).unwrap();
         assert!(json.contains("\"imbalance_pct\""));
-    }
-
-    #[test]
-    fn metrics_ab_is_identical_and_json_lints() {
-        let rows = metrics_ab(Scale::Quick, 1);
-        assert_eq!(rows.len(), AB_APPS.len());
-        let json = metrics_bench_json(Scale::Quick, 1, &rows);
-        ck_trace::json_lint::validate(&json).unwrap();
-        assert!(json.contains("\"byte_identical\": true"));
-        assert!(json.contains("\"worst_overhead_pct\""));
     }
 }

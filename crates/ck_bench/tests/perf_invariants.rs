@@ -1,6 +1,6 @@
 //! A/B determinism invariants for the host-performance machinery:
-//! message pooling, the run memo, and thread-parallel table generation
-//! change wall-clock only — never a byte of table output.
+//! the run memo and thread-parallel table generation change wall-clock
+//! only — never a byte of table output.
 //!
 //! Tables 1, 2 and 4 cover the three report shapes the optimizations
 //! touch: counters + sim detail (Table 1), the speedup sweep with its
@@ -23,20 +23,6 @@ fn tables_124(scale: Scale) -> Vec<Table> {
         ck_bench::table2(scale),
         ck_bench::table4(scale),
     ]
-}
-
-/// The quick-fit message pool recycles envelopes and wire buffers; with
-/// it forced off every allocation is fresh. Both modes must produce the
-/// same bytes. Run memoization is disabled so each arm really simulates.
-#[test]
-fn pooled_vs_unpooled_byte_identical() {
-    runner::set_caching(false);
-    chare_kernel::pool::set_pooling(false);
-    let unpooled = render(&tables_124(Scale::Quick));
-    chare_kernel::pool::set_pooling(true);
-    let pooled = render(&tables_124(Scale::Quick));
-    runner::set_caching(true);
-    assert_eq!(unpooled, pooled);
 }
 
 /// Serving repeated scenarios from the deterministic run memo must give

@@ -20,7 +20,7 @@ const FLIGHT_TAIL: usize = 40;
 /// Render the forensics block for one failing run: flight-recorder
 /// tail first (the "what just happened"), then the per-PE snapshot
 /// (the "where the run's effort went"). Empty when the run carried no
-/// metrics (feature compiled out).
+/// metrics.
 pub fn render(rep: &CkReport) -> Vec<String> {
     let Some(log) = rep.metrics.as_ref() else {
         return Vec::new();
