@@ -63,6 +63,7 @@ pub mod msg;
 pub mod node;
 pub mod pool;
 pub mod priority;
+pub mod probe;
 pub mod proc;
 pub mod program;
 pub mod queueing;

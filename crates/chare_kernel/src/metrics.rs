@@ -3,9 +3,11 @@
 //! The [`trace`](crate::trace) module retains an *event log* and defers
 //! analysis to post-mortem tooling; that cannot survive the planned
 //! 100× machine scale-up, where even per-PE ring buffers of raw events
-//! are too much state to keep or to ship. This module computes the
-//! interesting aggregates *online*, at the same hook points `trace.rs`
-//! uses, in O(PEs × buckets) memory independent of run length:
+//! are too much state to keep or to ship. The metrics side of a PE's
+//! [`probe`](crate::probe) folds the same events *online* into
+//! aggregates that take O(PEs × buckets) memory independent of run
+//! length; this module owns their data model, the exact shard merge
+//! and the drained [`MetricsLog`]:
 //!
 //! * **interval time slices** — per-PE work / dispatch / control time,
 //!   messages and bytes sent/received, seed load-balancing decisions
@@ -23,15 +25,6 @@
 //!   every run, dumped when something goes wrong (`ck_desim` attaches
 //!   it to oracle failures).
 //!
-//! ## Cost discipline
-//!
-//! Like tracing, recording is strictly passive: no messages, no charged
-//! time, no scheduler perturbation. A metrics-on run is byte-identical
-//! (end time, event count, packets, bytes, counters, result) to the
-//! same run with metrics off — asserted by
-//! `ck_apps/tests/metrics_invariants.rs` and re-checked in CI. With
-//! metrics *not configured* each recording site is one `Option` test.
-//!
 //! ## Interval semantics
 //!
 //! A scheduling step that starts at `t` and charges `c` ns is split in
@@ -46,14 +39,9 @@
 //! width when drained — and the drained log itself respects the
 //! `max_slices` budget over `[0, end_ns)`, whatever each PE saw.
 
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
-
 use multicomputer::Pe;
 
-use crate::envelope::SysMsg;
-use crate::ids::{ChareKind, EpId};
-use crate::trace::{EntryWhat, EventKind, MsgClass, RingLog, TraceEvent};
+use crate::trace::{EntryWhat, EventKind, TraceEvent};
 
 /// Metrics knobs, handed to
 /// [`ProgramBuilder::metrics`](crate::program::ProgramBuilder::metrics).
@@ -255,7 +243,7 @@ impl Slice {
 #[derive(Clone, Debug)]
 pub struct TimeSlices {
     width_ns: u64,
-    /// `width_ns == 1 << shift` (maintained by `coalesce`/`absorb`).
+    /// `width_ns == 1 << shift` (maintained by `coalesce`).
     shift: u32,
     cap: usize,
     slices: Vec<Slice>,
@@ -336,328 +324,6 @@ impl TimeSlices {
             t += take;
         }
     }
-
-    /// Fold another slice set in, re-bucketing both sides to the
-    /// coarser of the two widths first (exact because widths nest).
-    fn absorb(&mut self, other: &TimeSlices) {
-        let w = self.width_ns.max(other.width_ns);
-        if w > self.width_ns {
-            self.slices = self.rebucket_to(w);
-            self.width_ns = w;
-            self.shift = w.trailing_zeros();
-        }
-        let os = other.rebucket_to(w);
-        if self.slices.len() < os.len() {
-            self.slices.resize(os.len(), Slice::default());
-        }
-        for (a, b) in self.slices.iter_mut().zip(os.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// Re-bucket to a coarser width (`target` must be `width · 2^k`;
-    /// exact because widths nest).
-    fn rebucket_to(&self, target: u64) -> Vec<Slice> {
-        debug_assert!(target >= self.width_ns && target.is_multiple_of(self.width_ns));
-        let ratio = (target / self.width_ns) as usize;
-        let n = self.slices.len().div_ceil(ratio.max(1));
-        let mut out = vec![Slice::default(); n];
-        for (i, s) in self.slices.iter().enumerate() {
-            out[i / ratio].merge(s);
-        }
-        out
-    }
-}
-
-/// Everything one PE accumulated. Lives inside that PE's
-/// [`PeMetrics`] handle (lock-free) while the node runs, and is
-/// flushed into the sink's slot exactly once when the handle drops.
-#[derive(Debug)]
-struct PeState {
-    slices: TimeSlices,
-    latency: Histogram,
-    grain: Histogram,
-    queue_hwm: u64,
-    flight: RingLog,
-}
-
-impl PeState {
-    fn new(cfg: &MetricsConfig) -> Self {
-        PeState {
-            slices: TimeSlices::new(cfg.slice_ns, cfg.max_slices),
-            latency: Histogram::new(),
-            grain: Histogram::new(),
-            queue_hwm: 0,
-            flight: RingLog::new(cfg.flight_cap),
-        }
-    }
-
-    /// Fold another PE-state in. Only reached if `recorder_for` was
-    /// called more than once for a PE — the kernel builds one node
-    /// (one recorder) per PE, so in practice the sink slot is empty
-    /// when a recorder flushes. Exact for slices, histograms and the
-    /// watermark; flight events are re-pushed through the ring (the
-    /// other ring's overwrite count is not carried over).
-    fn absorb(&mut self, mut other: PeState) {
-        self.slices.absorb(&other.slices);
-        self.latency.merge(&other.latency);
-        self.grain.merge(&other.grain);
-        self.queue_hwm = self.queue_hwm.max(other.queue_hwm);
-        let (events, _) = other.flight.drain();
-        for ev in events {
-            self.flight.push(ev);
-        }
-    }
-}
-
-/// Per-run collection point: one state block per PE. Created by
-/// [`Program::run_sim`](crate::program::Program::run_sim) when metrics
-/// are configured; each node records through its own [`PeMetrics`].
-pub struct MetricsSink {
-    cfg: MetricsConfig,
-    /// User-step dispatch overhead of the hosting machine's cost model
-    /// (0 on the thread backend). The node cannot see the machine's
-    /// cost model, so the per-step split into dispatch vs. work is
-    /// parameterized here, matching `ck_trace`'s attribution.
-    dispatch_ns: u64,
-    /// Control-step dispatch overhead, ditto.
-    ctl_dispatch_ns: u64,
-    /// One flush slot per PE, filled when that PE's [`PeMetrics`]
-    /// handle drops. The mutex is touched once per run per PE, never
-    /// on the recording hot path.
-    state: Vec<Mutex<Option<PeState>>>,
-}
-
-impl MetricsSink {
-    /// A sink for `npes` PEs on a machine with the given dispatch
-    /// overheads.
-    pub fn shared(npes: usize, cfg: MetricsConfig, dispatch_ns: u64, ctl_dispatch_ns: u64) -> Arc<Self> {
-        Arc::new(MetricsSink {
-            cfg,
-            dispatch_ns,
-            ctl_dispatch_ns,
-            state: (0..npes).map(|_| Mutex::new(None)).collect(),
-        })
-    }
-
-    /// The recording handle for one PE. The handle accumulates
-    /// lock-free and flushes into this sink's slot when dropped — drop
-    /// all recorders before calling [`MetricsSink::drain`].
-    pub fn recorder_for(self: &Arc<Self>, pe: Pe) -> PeMetrics {
-        PeMetrics {
-            pe,
-            st: RefCell::new(PeState::new(&self.cfg)),
-            sink: Arc::clone(self),
-        }
-    }
-
-    /// Collect everything recorded into a snapshot, re-bucketing all
-    /// PEs to the coarsest common interval width. `end_ns` is the
-    /// run's end time (needed to derive idle time per interval).
-    pub fn drain(&self, end_ns: u64) -> MetricsLog {
-        let mut width = self
-            .state
-            .iter()
-            .map(|m| {
-                m.lock()
-                    .expect("metrics lock")
-                    .as_ref()
-                    .map_or(self.cfg.slice_ns, |st| st.slices.width_ns())
-            })
-            .max()
-            .unwrap_or(self.cfg.slice_ns)
-            .max(1)
-            .next_power_of_two();
-        // A PE coarsens only up to its *own* last event; a mostly-idle
-        // PE can leave the common width far finer than the run is
-        // long. Enforce the bucket budget over the whole run so the
-        // drained log is O(PEs × max_slices) no matter what.
-        let budget = self.cfg.max_slices.max(2) as u64;
-        while end_ns.div_ceil(width) > budget {
-            width *= 2;
-        }
-        let nslices = (end_ns.div_ceil(width) as usize).max(1);
-        let per_pe = self
-            .state
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let pe = Pe(i as u32);
-                // Take the state out of the slot rather than cloning:
-                // drain is terminal for a run, and the histograms and
-                // flight ring move for free.
-                match m.lock().expect("metrics lock").take() {
-                    None => {
-                        // No recorder flushed for this PE (or none was
-                        // ever created): an all-idle metric set, still
-                        // padded so every PE has `nslices` intervals.
-                        let mut set = PeMetricSet::empty(pe);
-                        set.slices = vec![Slice::default(); nslices];
-                        set
-                    }
-                    Some(mut st) => {
-                        let mut slices = st.slices.rebucket_to(width);
-                        slices.resize(nslices, Slice::default());
-                        let (flight, flight_dropped) = st.flight.drain();
-                        PeMetricSet {
-                            pe,
-                            slices,
-                            latency: st.latency,
-                            grain: st.grain,
-                            queue_hwm: st.queue_hwm,
-                            flight,
-                            flight_dropped,
-                        }
-                    }
-                }
-            })
-            .collect();
-        MetricsLog {
-            npes: self.state.len(),
-            end_ns,
-            slice_ns: width,
-            per_pe,
-        }
-    }
-}
-
-/// One PE's recording handle. Recording is plain arithmetic on state
-/// owned by this handle (a `RefCell`, no lock) — no messages, no
-/// simulated cost, and at ~100 ns per `Mutex` round-trip against
-/// simulator events costing about the same, no per-event locking
-/// either: the accumulated state is flushed into the sink exactly
-/// once, when the handle drops. Deliberately not `Clone` — a second
-/// handle would split the accumulation and double-flush.
-pub struct PeMetrics {
-    pe: Pe,
-    st: RefCell<PeState>,
-    sink: Arc<MetricsSink>,
-}
-
-impl Drop for PeMetrics {
-    fn drop(&mut self) {
-        let st = std::mem::replace(self.st.get_mut(), PeState::new(&self.sink.cfg));
-        let mut slot = self.sink.state[self.pe.index()].lock().expect("metrics lock");
-        match slot.as_mut() {
-            None => *slot = Some(st),
-            Some(cur) => cur.absorb(st),
-        }
-    }
-}
-
-impl PeMetrics {
-    fn with(&self, f: impl FnOnce(&mut PeState)) {
-        f(&mut self.st.borrow_mut());
-    }
-
-    fn flight(&self, st: &mut PeState, at_ns: u64, kind: EventKind) {
-        st.flight.push(TraceEvent {
-            at_ns,
-            pe: self.pe,
-            kind,
-        });
-    }
-
-    /// A kernel envelope was posted.
-    pub fn on_send(&self, at: u64, to: Pe, sys: &SysMsg, hops: u32) {
-        let class = MsgClass::of(sys);
-        let bytes = sys.wire_bytes();
-        self.with(|st| {
-            st.slices.bump(at, |s| {
-                s.msgs_sent += 1;
-                s.bytes_sent += bytes as u64;
-            });
-            self.flight(st, at, EventKind::MsgSend { to, class, bytes, hops });
-        });
-    }
-
-    /// A kernel envelope arrived (after batch/frame unpacking);
-    /// `sent_ns` is the machine-stamped send instant.
-    pub fn on_recv(&self, at: u64, sent_ns: u64, from: Pe, class: MsgClass, bytes: u32) {
-        self.with(|st| {
-            st.slices.bump(at, |s| {
-                s.msgs_recv += 1;
-                s.bytes_recv += bytes as u64;
-            });
-            st.latency.record(at.saturating_sub(sent_ns));
-            self.flight(st, at, EventKind::MsgRecv { from, class, bytes });
-        });
-    }
-
-    /// An entry method ran, charging `grain_ns` of user work.
-    pub fn on_entry(&self, at: u64, what: EntryWhat, ep: Option<EpId>, grain_ns: u64) {
-        self.with(|st| {
-            st.grain.record(grain_ns);
-            self.flight(st, at, EventKind::EntryBegin { what, ep });
-        });
-    }
-
-    /// A user scheduling step ran at `start`, charging `charged_ns`.
-    /// Attributed dispatch-first, then work, clipped across intervals.
-    pub fn on_user_step(&self, start: u64, charged_ns: u64) {
-        let dispatch = self.sink.dispatch_ns;
-        self.with(|st| {
-            st.slices.add_span(start, dispatch, |s, ns| s.dispatch_ns += ns);
-            st.slices
-                .add_span(start + dispatch, charged_ns, |s, ns| s.work_ns += ns);
-        });
-    }
-
-    /// A control scheduling step ran at `start`, charging `charged_ns`.
-    pub fn on_ctl_step(&self, start: u64, charged_ns: u64) {
-        let dur = self.sink.ctl_dispatch_ns + charged_ns;
-        self.with(|st| {
-            st.slices.add_span(start, dur, |s, ns| s.ctl_ns += ns);
-        });
-    }
-
-    /// An alarm handler ran at `start`, charging `charged_ns` (the
-    /// machine charges alarms no dispatch overhead).
-    pub fn on_alarm(&self, start: u64, charged_ns: u64) {
-        self.with(|st| {
-            st.slices.add_span(start, charged_ns, |s, ns| s.ctl_ns += ns);
-        });
-    }
-
-    /// The load balancer kept a seed here.
-    pub fn on_seed_kept(&self, at: u64, kind: ChareKind, hops: u32) {
-        self.with(|st| {
-            st.slices.bump(at, |s| s.seeds_kept += 1);
-            self.flight(st, at, EventKind::SeedKept { kind, hops });
-        });
-    }
-
-    /// The load balancer forwarded a seed away.
-    pub fn on_seed_forwarded(&self, at: u64, kind: ChareKind, to: Pe, hops: u32) {
-        self.with(|st| {
-            st.slices.bump(at, |s| s.seeds_forwarded += 1);
-            self.flight(st, at, EventKind::SeedForwarded { kind, to, hops });
-        });
-    }
-
-    /// The reliable layer re-homed a seed off an unresponsive PE.
-    pub fn on_seed_redirected(&self, at: u64, to: Pe) {
-        self.with(|st| {
-            self.flight(st, at, EventKind::SeedRedirected { to });
-        });
-    }
-
-    /// The reliable layer retransmitted a frame.
-    pub fn on_retransmit(&self, at: u64, to: Pe, seq: u64) {
-        self.with(|st| {
-            st.slices.bump(at, |s| s.retransmits += 1);
-            self.flight(st, at, EventKind::Retransmit { to, seq });
-        });
-    }
-
-    /// The runnable backlog reached a new depth.
-    pub fn on_queue_depth(&self, len: u64) {
-        self.with(|st| {
-            if len > st.queue_hwm {
-                st.queue_hwm = len;
-            }
-        });
-    }
 }
 
 /// One PE's drained metrics.
@@ -700,7 +366,8 @@ impl PeMetricSet {
 // Worker processes drain their own sink and ship the one populated
 // `PeMetricSet` to the parent, which re-buckets every shard to the
 // coarsest width and rebuilds a machine-wide `MetricsLog` — the same
-// exact (power-of-two widths nest) merge `drain` performs in-process.
+// exact (power-of-two widths nest) `merge_shards` an in-process drain
+// runs over its PEs.
 
 impl crate::wire::Wire for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -798,9 +465,9 @@ fn rebucket_slices(slices: &[Slice], from: u64, to: u64) -> Vec<Slice> {
     out
 }
 
-/// Rebuild a machine-wide [`MetricsLog`] from per-worker shards
-/// (`(shard_slice_ns, set)` pairs, one per PE that reported), exactly as
-/// [`MetricsSink::drain`] would have: all shards re-bucketed to the
+/// Build the machine-wide [`MetricsLog`] from per-PE shards
+/// (`(shard_slice_ns, set)` pairs, one per PE that reported — in-process
+/// probes and worker processes alike): all shards re-bucketed to the
 /// coarsest common power-of-two width, the `max_slices` budget enforced
 /// over `[0, end_ns)`, and missing PEs padded with all-idle sets.
 pub(crate) fn merge_shards(
@@ -816,6 +483,10 @@ pub(crate) fn merge_shards(
         .unwrap_or(cfg.slice_ns)
         .max(1)
         .next_power_of_two();
+    // A PE coarsens only up to its *own* last event; a mostly-idle PE
+    // can leave the common width far finer than the run is long.
+    // Enforce the bucket budget over the whole run so the drained log
+    // is O(PEs × max_slices) no matter what.
     let budget = cfg.max_slices.max(2) as u64;
     while end_ns.div_ceil(width) > budget {
         width *= 2;
@@ -1032,63 +703,5 @@ mod tests {
         let work: u64 = ts.slices().iter().map(|s| s.work_ns).sum();
         assert_eq!(msgs, 100);
         assert_eq!(work, 700);
-    }
-
-    #[test]
-    fn drain_rebuckets_pes_to_common_width() {
-        let cfg = MetricsConfig {
-            slice_ns: 10,
-            max_slices: 4,
-            flight_cap: 8,
-        };
-        let sink = MetricsSink::shared(2, cfg, 5, 1);
-        let m0 = sink.recorder_for(Pe(0));
-        let m1 = sink.recorder_for(Pe(1));
-        // PE1 records far in the future, forcing its width to grow;
-        // PE0 stays fine-grained until drain.
-        m0.on_user_step(0, 10);
-        m1.on_user_step(395, 5);
-        drop((m0, m1)); // flush into the sink
-        let log = sink.drain(400);
-        assert_eq!(log.npes, 2);
-        assert!(log.slice_ns >= 100, "PE1 forced coarsening, got {}", log.slice_ns);
-        assert_eq!(log.per_pe[0].slices.len(), log.per_pe[1].slices.len());
-        // Busy totals survived the re-bucketing (dispatch 5 + work 10 / 5).
-        let busy0: u64 = log.per_pe[0].slices.iter().map(|s| s.busy_ns()).sum();
-        let busy1: u64 = log.per_pe[1].slices.iter().map(|s| s.busy_ns()).sum();
-        assert_eq!(busy0, 15);
-        assert_eq!(busy1, 10);
-    }
-
-    #[test]
-    fn flight_recorder_is_bounded_and_keeps_newest() {
-        let cfg = MetricsConfig {
-            flight_cap: 4,
-            ..MetricsConfig::default()
-        };
-        let sink = MetricsSink::shared(1, cfg, 0, 0);
-        let m = sink.recorder_for(Pe(0));
-        for i in 0..10u64 {
-            m.on_retransmit(i, Pe(0), i);
-        }
-        drop(m);
-        let log = sink.drain(10);
-        assert_eq!(log.per_pe[0].flight.len(), 4);
-        assert_eq!(log.per_pe[0].flight_dropped, 6);
-        let tail = log.flight_tail(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[1].at_ns, 9);
-        assert_eq!(log.flight_dropped(), 6);
-    }
-
-    #[test]
-    fn queue_hwm_tracks_maximum() {
-        let sink = MetricsSink::shared(1, MetricsConfig::default(), 0, 0);
-        let m = sink.recorder_for(Pe(0));
-        m.on_queue_depth(3);
-        m.on_queue_depth(7);
-        m.on_queue_depth(5);
-        drop(m);
-        assert_eq!(sink.drain(1).queue_hwm_max(), 7);
     }
 }

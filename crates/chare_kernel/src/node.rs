@@ -21,9 +21,9 @@ use crate::chare::Chare;
 use crate::ctx::{Ctx, Current};
 use crate::envelope::{CastGen, MsgBody, SysMsg, WorkItem, PLACED};
 use crate::ids::{AccId, BocId, ChareId, ChareKind, Notify, WoId};
-use crate::metrics::PeMetrics;
 use crate::msg::Message;
 use crate::priority::Priority;
+use crate::probe::Probe;
 use crate::queueing::SchedQueue;
 use crate::quiescence::{QdAction, QdCoordinator};
 use crate::registry::Registry;
@@ -33,7 +33,7 @@ use crate::reliable::{
 };
 use crate::shared::{QuiescenceMsg, TableAck, WoReady};
 use crate::stats::KernelCounters;
-use crate::trace::{EntryWhat, EventKind, MsgClass, PeTracer};
+use crate::trace::{EntryWhat, EventKind, MsgClass};
 
 /// Give up requesting work after this many consecutive NACKs; arrival of
 /// any new seed resets the budget.
@@ -65,10 +65,8 @@ pub(crate) struct NodeOptions {
     /// Wrap remote messages in acked, retransmitted frames (for lossy
     /// machine configurations).
     pub reliable: Option<ReliableConfig>,
-    /// Structured event recording handle (`None` = tracing off).
-    pub tracer: Option<PeTracer>,
-    /// Streaming-metrics recording handle (`None` = metrics off).
-    pub metrics: Option<PeMetrics>,
+    /// This PE's recorder (`None` = neither tracing nor metrics on).
+    pub probe: Option<Probe>,
 }
 
 pub(crate) struct CollectState {
@@ -127,13 +125,14 @@ pub struct CkNode {
     rel: Option<RelState>,
     pub(crate) rng: StdRng,
     pub(crate) counters: KernelCounters,
-    /// Structured event recording (`None` = tracing off). Recording is
-    /// passive — no sends, no charges — so enabling it never changes a
-    /// run's schedule.
-    tracer: Option<PeTracer>,
-    /// Streaming-metrics recording (`None` = metrics off). Same
-    /// discipline as `tracer`: passive, never perturbs the schedule.
-    metrics: Option<PeMetrics>,
+    /// This PE's recorder: the trace ring and/or the metrics fold every
+    /// event reported through [`Self::probe`] lands in (`None` =
+    /// recording off). Recording is passive — no sends, no charges — so
+    /// enabling it never changes a run's schedule. The `counters` above
+    /// are bumped beside each probe call, not by it: `user_sent` and
+    /// `user_recv` are quiescence-protocol state that must move with
+    /// recording off.
+    probe: Option<Probe>,
     /// Last queue length recorded, so samples fire only on change.
     last_q_sample: Option<u32>,
     last_advertised: Option<u32>,
@@ -185,8 +184,7 @@ impl CkNode {
                 opts.rng_seed ^ (pe.index() as u64).wrapping_mul(0x9E37_79B9),
             ),
             counters: KernelCounters::default(),
-            tracer: opts.tracer,
-            metrics: opts.metrics,
+            probe: opts.probe,
             last_q_sample: None,
             last_advertised: None,
             awaiting_work: false,
@@ -195,44 +193,40 @@ impl CkNode {
         }
     }
 
-    /// Record one trace event, timestamped now. One `Option` test (the
-    /// closure is never built) when tracing is off.
+    /// Report one kernel event to this PE's recorder. `observe` returns
+    /// the event's timestamp and kind; with recording off this is one
+    /// `Option` test and `observe` never runs, so neither the clock is
+    /// read nor the event built.
     #[inline]
-    fn trace(&self, net: &dyn NetCtx, make: impl FnOnce() -> EventKind) {
-        if let Some(t) = &self.tracer {
-            t.record(net.now_ns(), make());
-        }
+    fn probe(&self, observe: impl FnOnce() -> (u64, EventKind)) {
+        self.probe_span(|| {
+            let (at_ns, kind) = observe();
+            (at_ns, 0, kind)
+        });
     }
 
-    /// Record one trace event at an explicit timestamp (receive side,
-    /// where the packet's arrival instant is the honest time).
+    /// [`Self::probe`] for the two events that close a span — `MsgRecv`
+    /// (the message's flight time) and `EntryEnd` (the entry's charged
+    /// grain): `observe` returns `(at_ns, span_ns, kind)`.
     #[inline]
-    fn trace_at(&self, at_ns: u64, make: impl FnOnce() -> EventKind) {
-        if let Some(t) = &self.tracer {
-            t.record(at_ns, make());
+    fn probe_span(&self, observe: impl FnOnce() -> (u64, u64, EventKind)) {
+        if let Some(p) = &self.probe {
+            let (at_ns, span_ns, kind) = observe();
+            p.record(at_ns, span_ns, kind);
         }
     }
 
     /// Record a queue-length sample if the backlog changed since the
     /// last sample (keeps the counter track step-shaped, not per-event).
     fn sample_queue(&mut self, net: &dyn NetCtx) {
-        let Some(t) = &self.tracer else {
-            return;
-        };
-        if !t.queue_samples() {
+        if !self.probe.as_ref().is_some_and(|p| p.queue_samples()) {
             return;
         }
         let len = self.user_load() as u32;
         if self.last_q_sample != Some(len) {
             self.last_q_sample = Some(len);
-            t.record(net.now_ns(), EventKind::QueueSample { len });
+            self.probe(|| (net.now_ns(), EventKind::QueueSample { len }));
         }
-    }
-
-    /// The metrics recording handle (`None` = metrics off).
-    #[inline]
-    fn m(&self) -> Option<&PeMetrics> {
-        self.metrics.as_ref()
     }
 
     /// Runnable user backlog (queued messages + pooled seeds).
@@ -245,8 +239,8 @@ impl CkNode {
         let load = self.user_load() as u64;
         if load > self.counters.queue_hwm {
             self.counters.queue_hwm = load;
-            if let Some(m) = self.m() {
-                m.on_queue_depth(load);
+            if let Some(p) = &self.probe {
+                p.queue_peak(load);
             }
         }
     }
@@ -265,22 +259,18 @@ impl CkNode {
         if sys.counted() {
             self.counters.user_sent += 1;
         }
-        self.trace(&*net, || EventKind::MsgSend {
-            to,
-            class: MsgClass::of(&sys),
-            bytes: sys.wire_bytes(),
-            hops: match &sys {
-                SysMsg::NewChare { hops, .. } => *hops,
-                _ => 0,
-            },
-        });
-        if let Some(m) = self.m() {
-            let hops = match &sys {
-                SysMsg::NewChare { hops, .. } => *hops,
-                _ => 0,
+        self.probe(|| {
+            let kind = EventKind::MsgSend {
+                to,
+                class: MsgClass::of(&sys),
+                bytes: sys.wire_bytes(),
+                hops: match &sys {
+                    SysMsg::NewChare { hops, .. } => *hops,
+                    _ => 0,
+                },
             };
-            m.on_send(net.now_ns(), to, &sys, hops);
-        }
+            (net.now_ns(), kind)
+        });
         if self.combining && to != self.pe && sys.wire_bytes() <= COMBINE_MAX_BYTES {
             self.outbuf[to.index()].push(sys);
             return;
@@ -424,10 +414,7 @@ impl CkNode {
                 }
             }
         };
-        self.trace(&*net, || EventKind::SeedRedirected { to: target });
-        if let Some(m) = self.m() {
-            m.on_seed_redirected(net.now_ns(), target);
-        }
+        self.probe(|| (net.now_ns(), EventKind::SeedRedirected { to: target }));
         if let SysMsg::NewChare {
             kind,
             seed,
@@ -582,10 +569,7 @@ impl CkNode {
         match placement {
             Placement::Local => {
                 self.counters.seeds_kept += 1;
-                self.trace(&*net, || EventKind::SeedKept { kind, hops });
-                if let Some(m) = self.m() {
-                    m.on_seed_kept(net.now_ns(), kind, hops);
-                }
+                self.probe(|| (net.now_ns(), EventKind::SeedKept { kind, hops }));
                 self.nack_budget = NACK_BUDGET;
                 self.awaiting_work = false;
                 let item = WorkItem::NewChare {
@@ -607,10 +591,7 @@ impl CkNode {
             }
             Placement::Forward(pe) => {
                 self.counters.seeds_forwarded += 1;
-                self.trace(&*net, || EventKind::SeedForwarded { kind, to: pe, hops });
-                if let Some(m) = self.m() {
-                    m.on_seed_forwarded(net.now_ns(), kind, pe, hops);
-                }
+                self.probe(|| (net.now_ns(), EventKind::SeedForwarded { kind, to: pe, hops }));
                 self.post(
                     net,
                     pe,
@@ -898,18 +879,17 @@ impl CkNode {
             WorkItem::ChareMsg { local, ep, .. } => (EntryWhat::Chare(*local), Some(*ep)),
             WorkItem::BranchMsg { boc, ep, .. } => (EntryWhat::Branch(*boc), Some(*ep)),
         };
-        self.trace(&*net, || EventKind::EntryBegin { what, ep });
+        self.probe(|| (net.now_ns(), EventKind::EntryBegin { what, ep }));
         let sent_before = self.counters.user_sent;
         // The simulator's clock stands still inside a handler, so the
         // entry's grain is the charge delta across it, not a time delta.
         let charged_before = net.charged_ns();
         self.run_item(net, item);
-        self.trace(&*net, || EventKind::EntryEnd {
-            msgs_sent: (self.counters.user_sent - sent_before) as u32,
+        self.probe_span(|| {
+            let msgs_sent = (self.counters.user_sent - sent_before) as u32;
+            let grain_ns = net.charged_ns() - charged_before;
+            (net.now_ns(), grain_ns, EventKind::EntryEnd { msgs_sent })
         });
-        if let Some(m) = self.m() {
-            m.on_entry(net.now_ns(), what, ep, net.charged_ns() - charged_before);
-        }
     }
 
     /// Run the handler behind one work item.
@@ -1101,10 +1081,7 @@ impl NodeProgram for CkNode {
                 self.counters.seeds_spawned += 1;
                 self.counters.seeds_kept += 1;
                 let kind = main.kind;
-                self.trace(&*net, || EventKind::SeedKept { kind, hops: 0 });
-                if let Some(m) = self.m() {
-                    m.on_seed_kept(net.now_ns(), kind, 0);
-                }
+                self.probe(|| (net.now_ns(), EventKind::SeedKept { kind, hops: 0 }));
                 self.queue.push(
                     Priority::None,
                     WorkItem::NewChare {
@@ -1140,14 +1117,16 @@ impl NodeProgram for CkNode {
     }
 
     fn step(&mut self, net: &mut dyn NetCtx) -> Option<StepKind> {
-        let (step_start, charged_before) = (net.now_ns(), net.charged_ns());
+        // Read only when recording: on the real backends the clock is
+        // a measurable share of a fine-grain step.
+        let before = self.probe.as_ref().map(|_| (net.now_ns(), net.charged_ns()));
         let r = self.step_inner(net);
         self.flush_outbuf(net);
-        if let Some(m) = &self.metrics {
+        if let (Some(p), Some((step_start, charged_before))) = (&self.probe, before) {
             let charged = net.charged_ns() - charged_before;
             match r {
-                Some(StepKind::User) => m.on_user_step(step_start, charged),
-                Some(StepKind::Control) => m.on_ctl_step(step_start, charged),
+                Some(StepKind::User) => p.user_step(step_start, charged),
+                Some(StepKind::Control) => p.ctl_step(step_start, charged),
                 None => {}
             }
         }
@@ -1173,13 +1152,7 @@ impl NodeProgram for CkNode {
         let actions = rel.on_alarm(now);
         for rt in actions.retransmits {
             self.counters.retransmits += 1;
-            self.trace_at(now, || EventKind::Retransmit {
-                to: rt.to,
-                seq: rt.seq,
-            });
-            if let Some(m) = self.m() {
-                m.on_retransmit(now, rt.to, rt.seq);
-            }
+            self.probe(|| (now, EventKind::Retransmit { to: rt.to, seq: rt.seq }));
             net.send(
                 rt.to,
                 frame_wire_bytes(rt.inner_bytes),
@@ -1192,10 +1165,10 @@ impl NodeProgram for CkNode {
         if let Some(after) = self.rel.as_mut().expect("checked above").rearm(now) {
             net.set_alarm(after);
         }
-        if let Some(m) = &self.metrics {
+        if let Some(p) = &self.probe {
             // Alarm handlers run as pure control time (the machine
             // charges them no dispatch overhead).
-            m.on_alarm(now, net.charged_ns() - charged_before);
+            p.alarm(now, net.charged_ns() - charged_before);
         }
     }
 
@@ -1272,14 +1245,14 @@ impl CkNode {
         if sys.counted() {
             self.counters.user_recv += 1;
         }
-        self.trace_at(at, || EventKind::MsgRecv {
-            from,
-            class: MsgClass::of(&sys),
-            bytes: sys.wire_bytes(),
+        self.probe_span(|| {
+            let kind = EventKind::MsgRecv {
+                from,
+                class: MsgClass::of(&sys),
+                bytes: sys.wire_bytes(),
+            };
+            (at, at.saturating_sub(sent_ns), kind)
         });
-        if let Some(m) = self.m() {
-            m.on_recv(at, sent_ns, from, MsgClass::of(&sys), sys.wire_bytes());
-        }
         match sys {
             SysMsg::ChareMsg {
                 target,
@@ -1409,8 +1382,7 @@ mod tests {
                 combining: false,
                 rng_seed: 7,
                 reliable: None,
-                tracer: None,
-                metrics: None,
+                probe: None,
             },
         )
     }
@@ -1485,8 +1457,7 @@ mod tests {
             combining: false,
             rng_seed: 7,
             reliable: None,
-            tracer: None,
-            metrics: None,
+            probe: None,
         };
         let mut node = CkNode::new(Pe(0), 4, reg, queue, balancer, opts);
         let mut net = MockNet::new(Pe(0), 4);
@@ -1501,6 +1472,63 @@ mod tests {
         assert!(net.sent.is_empty(), "placed seed must not be forwarded");
         assert_eq!(node.user_load(), 1);
         assert_eq!(node.counters.seeds_kept, 1);
+    }
+
+    #[test]
+    fn each_event_site_reports_exactly_once() {
+        use crate::probe::ProbeSink;
+        use crate::trace::{TraceConfig, TraceEvent};
+
+        // A reliable Random-balanced node (forwards fresh seeds, can
+        // redirect reclaimed ones) recording into a one-run sink.
+        let sink = ProbeSink::shared(4, Some(TraceConfig::default()), None, 0, 0);
+        let opts = NodeOptions {
+            bcast: BroadcastMode::Tree,
+            combining: false,
+            rng_seed: 7,
+            reliable: Some(ReliableConfig::default()),
+            probe: Some(sink.probe_for(Pe(0))),
+        };
+        let balancer = BalanceStrategy::Random.make(Pe(0), 4, vec![]);
+        let queue = QueueingStrategy::Fifo.make();
+        let mut node = CkNode::new(Pe(0), 4, Arc::new(Registry::new()), queue, balancer, opts);
+        let mut net = MockNet::new(Pe(0), 4);
+        let seed = |hops| SysMsg::NewChare {
+            kind: ChareKind(0),
+            seed: Box::new(()),
+            bytes: 0,
+            prio: Priority::None,
+            hops,
+        };
+
+        node.post(&mut net, Pe(1), SysMsg::QdPoll { wave: 1 });
+        node.place_seed(&mut net, ChareKind(0), Box::new(()), 0, Priority::None, PLACED);
+        // With this RNG seed Random sends the fresh seed away...
+        node.place_seed(&mut net, ChareKind(0), Box::new(()), 0, Priority::None, 0);
+        node.redirect_seed(
+            &mut net,
+            RedirectSeed {
+                suspect: Pe(1),
+                seed: seed(1),
+            },
+        );
+        drop(node); // flush the probe
+        let events = sink.drain(0).0.expect("tracing on").events;
+        let kinds: Vec<&EventKind> = events.iter().map(|e: &TraceEvent| &e.kind).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    EventKind::MsgSend { class: MsgClass::Qd, .. },
+                    EventKind::SeedKept { hops: PLACED, .. },
+                    // ...and forwarding posts the seed onward.
+                    EventKind::SeedForwarded { hops: 0, .. },
+                    EventKind::MsgSend { class: MsgClass::Seed, hops: 1, .. },
+                    EventKind::SeedRedirected { .. },
+                ]
+            ),
+            "got {kinds:?}"
+        );
     }
 
     #[test]
@@ -1533,8 +1561,7 @@ mod tests {
             combining: false,
             rng_seed: 7,
             reliable: None,
-            tracer: None,
-            metrics: None,
+            probe: None,
         };
         let mut node = CkNode::new(Pe(1), 4, reg, queue, balancer, opts);
         let mut net = MockNet::new(Pe(1), 4);
@@ -1574,8 +1601,7 @@ mod tests {
             combining: false,
             rng_seed: 7,
             reliable: None,
-            tracer: None,
-            metrics: None,
+            probe: None,
         };
         let mut node = CkNode::new(Pe(1), 4, reg, queue, balancer, opts);
         let mut net = MockNet::new(Pe(1), 4);

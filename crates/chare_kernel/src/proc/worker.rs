@@ -23,10 +23,8 @@ use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe,
     StepKind};
 
 use crate::envelope::SysMsg;
-use crate::metrics::MetricsSink;
 use crate::program::Program;
 use crate::registry::Registry;
-use crate::trace::TraceSink;
 use crate::wire::{decode_sys, encode_sys, Wire};
 
 use super::shim::LossShim;
@@ -387,11 +385,8 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
     send_ctl(&mut ctl, &CtlMsg::Ready).unwrap_or_else(|e| panic!("worker {rank}: Ready: {e}"));
 
     // -- node construction -------------------------------------------------
-    let sink = prog.tracing_cfg().map(|c| TraceSink::shared(npes, c));
-    let msink = prog
-        .metrics_cfg()
-        .map(|c| MetricsSink::shared(npes, c, 0, 0));
-    let factory = prog.factory(opts.topology.clone(), sink.clone(), msink.clone());
+    let sink = prog.probe_sink(npes, 0, 0);
+    let factory = prog.factory(opts.topology.clone(), sink.clone());
     let mut node = factory.build(Pe(rank), npes);
     let mut ctx = ProcCtx {
         me: Pe(rank),
@@ -504,17 +499,16 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         .iter()
         .map(|&(name, v)| (name.to_string(), v))
         .collect();
-    // Dropping the node flushes its telemetry recorders into the sinks.
+    // Dropping the node flushes its probe into the sink.
     drop(node);
-    let trace = sink.map(|s| {
-        let log = s.drain();
+    let (trace, metrics) = crate::program::drain(sink, end_ns);
+    let trace = trace.map(|log| {
         let mut out = Vec::new();
         log.events.encode(&mut out);
         log.dropped.encode(&mut out);
         out
     });
-    let metrics = msink.map(|s| {
-        let log = s.drain(end_ns);
+    let metrics = metrics.map(|log| {
         let mut out = Vec::new();
         log.slice_ns.encode(&mut out);
         log.per_pe[rank as usize].encode(&mut out);

@@ -24,14 +24,15 @@ use crate::bcast::BroadcastMode;
 use crate::boc::BranchInit;
 use crate::chare::ChareInit;
 use crate::ids::{Boc, BocId, ChareKind, Kind, RoId};
-use crate::metrics::{MetricsConfig, MetricsLog, MetricsSink};
+use crate::metrics::{MetricsConfig, MetricsLog};
 use crate::msg::Message;
 use crate::node::{CkNode, NodeOptions};
+use crate::probe::ProbeSink;
 use crate::queueing::QueueingStrategy;
 use crate::registry::{AccEntry, BocEntry, ChareEntry, MainSpec, MonoEntry, Registry, TableEntry};
 use crate::reliable::ReliableConfig;
 use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
-use crate::trace::{TraceConfig, TraceLog, TraceSink};
+use crate::trace::{TraceConfig, TraceLog};
 
 /// Builder for a chare-kernel program.
 pub struct ProgramBuilder {
@@ -299,23 +300,21 @@ impl Program {
         p
     }
 
-    /// One trace sink per run, sized for `npes` PEs (shared by the
-    /// factory-built nodes and drained into the report afterwards).
-    fn trace_sink(&self, npes: usize) -> Option<Arc<TraceSink>> {
-        self.tracing.map(|cfg| TraceSink::shared(npes, cfg))
-    }
-
-    /// One metrics sink per run. The hosting machine's dispatch
-    /// overheads parameterize the per-step dispatch/work split (zero on
-    /// the thread backend, where charges are no-ops anyway).
-    fn metrics_sink(
+    /// One recording sink per run, sized for `npes` PEs (shared by the
+    /// factory-built nodes and drained into the report afterwards);
+    /// `None` when neither tracing nor metrics is configured. The
+    /// hosting machine's dispatch overheads parameterize the metrics'
+    /// per-step dispatch/work split (zero on the thread and process
+    /// backends, where charges are no-ops anyway).
+    pub(crate) fn probe_sink(
         &self,
         npes: usize,
         dispatch_ns: u64,
         ctl_dispatch_ns: u64,
-    ) -> Option<Arc<MetricsSink>> {
-        self.metrics
-            .map(|cfg| MetricsSink::shared(npes, cfg, dispatch_ns, ctl_dispatch_ns))
+    ) -> Option<Arc<ProbeSink>> {
+        (self.tracing.is_some() || self.metrics.is_some()).then(|| {
+            ProbeSink::shared(npes, self.tracing, self.metrics, dispatch_ns, ctl_dispatch_ns)
+        })
     }
 
     /// The program's registry (shared with every node built from it).
@@ -368,37 +367,31 @@ impl Program {
         self.metrics = metrics;
     }
 
-    pub(crate) fn factory(
-        &self,
-        topology: Topology,
-        sink: Option<Arc<TraceSink>>,
-        msink: Option<Arc<MetricsSink>>,
-    ) -> CkFactory {
+    pub(crate) fn factory(&self, topology: Topology, sink: Option<Arc<ProbeSink>>) -> CkFactory {
         CkFactory {
             prog: self.clone(),
             topology,
             sink,
-            msink,
         }
     }
 
     /// Run on the discrete-event simulator.
     pub fn run_sim(&self, cfg: SimConfig) -> CkReport {
-        let sink = self.trace_sink(cfg.npes);
-        let msink = self.metrics_sink(
+        let sink = self.probe_sink(
             cfg.npes,
             cfg.cost.dispatch.as_nanos(),
             cfg.cost.ctl_dispatch.as_nanos(),
         );
-        let factory = self.factory(cfg.topology.clone(), sink.clone(), msink.clone());
+        let factory = self.factory(cfg.topology.clone(), sink.clone());
         let rep = SimMachine::run_factory(cfg, &factory);
+        let (trace, metrics) = drain(sink, rep.end_time.as_nanos());
         CkReport {
             time_ns: rep.end_time.as_nanos(),
             result: rep.result,
             node_stats: rep.node_stats,
             timed_out: false,
-            trace: sink.map(|s| s.drain()),
-            metrics: msink.map(|s| s.drain(rep.end_time.as_nanos())),
+            trace,
+            metrics,
             sim: Some(SimDetail {
                 end_time: rep.end_time,
                 utilization: {
@@ -441,18 +434,18 @@ impl Program {
     /// Run on the thread backend with full control.
     #[cfg(feature = "threads")]
     pub fn run_threads_cfg(&self, cfg: ThreadConfig, topology: Topology) -> CkReport {
-        let sink = self.trace_sink(cfg.npes);
-        let msink = self.metrics_sink(cfg.npes, 0, 0);
-        let factory = self.factory(topology, sink.clone(), msink.clone());
+        let sink = self.probe_sink(cfg.npes, 0, 0);
+        let factory = self.factory(topology, sink.clone());
         let rep = ThreadMachine::run(cfg, &factory);
         let wall_ns = rep.wall.as_nanos() as u64;
+        let (trace, metrics) = drain(sink, wall_ns);
         CkReport {
             time_ns: wall_ns,
             result: rep.result,
             node_stats: rep.node_stats,
             timed_out: rep.timed_out,
-            trace: sink.map(|s| s.drain()),
-            metrics: msink.map(|s| s.drain(wall_ns)),
+            trace,
+            metrics,
             sim: None,
             proc: None,
         }
@@ -476,13 +469,21 @@ impl Program {
     }
 }
 
+/// What a run recorded, once its machine has dropped every node: the
+/// event log and the metrics snapshot, each `None` unless configured.
+pub(crate) fn drain(
+    sink: Option<Arc<ProbeSink>>,
+    end_ns: u64,
+) -> (Option<TraceLog>, Option<MetricsLog>) {
+    sink.map_or((None, None), |s| s.drain(end_ns))
+}
+
 /// Builds one [`CkNode`] per PE (implements the machine layer's
 /// [`NodeFactory`]).
 pub struct CkFactory {
     prog: Program,
     topology: Topology,
-    sink: Option<Arc<TraceSink>>,
-    msink: Option<Arc<MetricsSink>>,
+    sink: Option<Arc<ProbeSink>>,
 }
 
 impl NodeFactory for CkFactory {
@@ -510,8 +511,7 @@ impl NodeFactory for CkFactory {
                 combining: self.prog.combining,
                 rng_seed: self.prog.rng_seed,
                 reliable: self.prog.reliable,
-                tracer: self.sink.as_ref().map(|s| s.tracer_for(pe)),
-                metrics: self.msink.as_ref().map(|s| s.recorder_for(pe)),
+                probe: self.sink.as_ref().map(|s| s.probe_for(pe)),
             },
         )
     }

@@ -1,31 +1,25 @@
-//! Kernel-level execution tracing — the event log behind the
+//! The kernel's event vocabulary and the event log behind the
 //! Projections-style post-mortem views.
 //!
 //! The machine layer's [`multicomputer::TraceSpan`] records *when* each
-//! scheduling step ran; this module records *what* the kernel did inside
-//! and between those steps: entry-method begin/end, every message send
-//! and receive with its class and size, seed load-balancing decisions,
-//! reliable-layer retransmissions and queue-length samples. The two
-//! streams share timestamps, so a post-mortem analyzer (the `ck_trace`
-//! crate) joins them into per-entry time breakdowns, grain-size
-//! histograms, PE×PE communication matrices and Chrome/Perfetto
-//! timelines.
+//! scheduling step ran; an [`EventKind`] says *what* the kernel did
+//! inside and between those steps: entry-method begin/end, every
+//! message send and receive with its class and size, seed
+//! load-balancing decisions, reliable-layer retransmissions and
+//! queue-length samples. The two streams share timestamps, so a
+//! post-mortem analyzer (the `ck_trace` crate) joins them into
+//! per-entry time breakdowns, grain-size histograms, PE×PE
+//! communication matrices and Chrome/Perfetto timelines.
 //!
-//! ## Cost discipline
+//! This module owns the vocabulary ([`EventKind`], [`TraceEvent`],
+//! [`MsgClass`], [`EntryWhat`]), the bounded per-PE ring events are
+//! retained in, and the drained [`TraceLog`]. How an event gets from a
+//! `node.rs` site into a ring — and into the streaming metrics, which
+//! fold the same events — is [`crate::probe`]'s business, as is the
+//! cost discipline both share.
 //!
-//! Recording is strictly passive: it never sends messages, never charges
-//! simulated time, and never perturbs the scheduler. A run with tracing
-//! enabled is therefore byte-identical (same simulated end time, event
-//! count, packets, bytes, counters and program result) to the same run
-//! with tracing off — asserted by `ck_apps/tests/trace_invariants.rs`.
-//! When tracing is *not configured* the recording path is a single
-//! `Option` test per site.
-//!
-//! Events land in fixed-capacity per-PE ring buffers (oldest events are
-//! overwritten, with a drop counter), so tracing a long run costs
-//! bounded memory.
-
-use std::sync::{Arc, Mutex};
+//! Rings have fixed capacity (oldest events are overwritten, with a
+//! drop counter), so tracing a long run costs bounded memory.
 
 use multicomputer::Pe;
 
@@ -269,88 +263,6 @@ impl RingLog {
     }
 }
 
-/// Per-run collection point: one ring per PE. Created by
-/// [`Program::run_sim`](crate::program::Program::run_sim) when tracing
-/// is configured; each node records through its own [`PeTracer`].
-pub struct TraceSink {
-    cfg: TraceConfig,
-    bufs: Vec<Mutex<RingLog>>,
-}
-
-impl TraceSink {
-    /// A sink for `npes` PEs.
-    pub fn shared(npes: usize, cfg: TraceConfig) -> Arc<Self> {
-        Arc::new(TraceSink {
-            cfg,
-            bufs: (0..npes).map(|_| Mutex::new(RingLog::new(cfg.capacity))).collect(),
-        })
-    }
-
-    /// The recording handle for one PE.
-    pub fn tracer_for(self: &Arc<Self>, pe: Pe) -> PeTracer {
-        PeTracer {
-            pe,
-            sink: Arc::clone(self),
-        }
-    }
-
-    /// Collect everything recorded so far into one time-ordered log.
-    pub fn drain(&self) -> TraceLog {
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for buf in &self.bufs {
-            let (evs, d) = buf.lock().expect("trace ring lock").drain();
-            events.extend(evs);
-            dropped += d;
-        }
-        // Per-PE rings are individually ordered; merge into one stream.
-        events.sort_by_key(|e| e.at_ns);
-        TraceLog {
-            npes: self.bufs.len(),
-            events,
-            dropped,
-        }
-    }
-}
-
-/// One PE's recording handle. Recording is a ring-buffer push behind an
-/// uncontended per-PE mutex — no messages, no simulated cost.
-pub struct PeTracer {
-    pe: Pe,
-    sink: Arc<TraceSink>,
-}
-
-impl PeTracer {
-    /// Whether queue-length samples were requested.
-    #[inline]
-    pub fn queue_samples(&self) -> bool {
-        self.sink.cfg.queue_samples
-    }
-
-    /// Record one event at `at_ns`.
-    #[inline]
-    pub fn record(&self, at_ns: u64, kind: EventKind) {
-        let ev = TraceEvent {
-            at_ns,
-            pe: self.pe,
-            kind,
-        };
-        self.sink.bufs[self.pe.index()]
-            .lock()
-            .expect("trace ring lock")
-            .push(ev);
-    }
-}
-
-impl Clone for PeTracer {
-    fn clone(&self) -> Self {
-        PeTracer {
-            pe: self.pe,
-            sink: Arc::clone(&self.sink),
-        }
-    }
-}
-
 /// The post-mortem event log of one run, time-ordered across PEs.
 #[derive(Debug, Default)]
 pub struct TraceLog {
@@ -408,21 +320,6 @@ mod tests {
         let (evs, dropped) = r.drain();
         assert_eq!(dropped, 0);
         assert_eq!(evs.len(), 5);
-    }
-
-    #[test]
-    fn sink_merges_pe_streams_in_time_order() {
-        let sink = TraceSink::shared(2, TraceConfig::default());
-        let t0 = sink.tracer_for(Pe(0));
-        let t1 = sink.tracer_for(Pe(1));
-        t1.record(5, EventKind::QueueSample { len: 1 });
-        t0.record(3, EventKind::QueueSample { len: 2 });
-        t0.record(9, EventKind::QueueSample { len: 0 });
-        let log = sink.drain();
-        let ats: Vec<u64> = log.events.iter().map(|e| e.at_ns).collect();
-        assert_eq!(ats, vec![3, 5, 9]);
-        assert_eq!(log.npes, 2);
-        assert_eq!(log.events_for(Pe(0)).count(), 2);
     }
 
     #[test]
