@@ -27,7 +27,7 @@ use crate::stats::KernelCounters;
 use crate::trace::{TraceEvent, TraceLog};
 use crate::wire::{Wire, WireReader};
 
-use super::transport::{recv_ctl, send_ctl, CtlMsg, Listener, Stream};
+use super::transport::{recv_ctl, send_ctl, Backoff, CtlMsg, Listener, Stream};
 use super::{ProcAbortReason, ProcConfig, ProcDetail, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS,
     ENV_RANK, ENV_SPEC};
 
@@ -94,12 +94,11 @@ impl Fleet {
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         for child in self.children.iter_mut() {
             let Some(c) = child.as_mut() else { continue };
+            let mut backoff = Backoff::new(Duration::from_millis(5));
             loop {
                 match c.try_wait() {
                     Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(5))
-                    }
+                    Ok(None) if Instant::now() < deadline => backoff.nap(),
                     _ => {
                         let _ = c.kill();
                         let _ = c.wait();

@@ -41,7 +41,8 @@
 //! collects a `Final{stats, metrics, trace}` from every worker, merges
 //! the per-PE metric shards through the exact shard-merge path, and
 //! reaps the children. A worker that dies instead of reporting —
-//! nonzero exit, killed, or socket closed — surfaces as a structured
+//! nonzero exit (its own [`EXIT_BAD_FRAME`] on a corrupt data frame
+//! included), killed, or socket closed — surfaces as a structured
 //! [`ProcAbortReason`] in [`CkReport::proc`](crate::program::CkReport),
 //! never as a hang (the parent watchdog backstops everything).
 //!
@@ -53,7 +54,9 @@
 //! message travels as the same `RelData`/`RelAck` frames the simulator's
 //! fault experiments use, now encoded to bytes. Small messages to one
 //! destination coalesce into single writes ([`ProcConfig::batch_bytes`]
-//! / [`ProcConfig::batch_frames`]), and the deterministic
+//! / [`ProcConfig::batch_frames`]; a buffer below both is written out
+//! before its PE blocks and at the latest every 16 scheduling steps),
+//! and the deterministic
 //! [`LossConfig`] shim can drop or reorder frames per directed link so
 //! retransmit, send-window and seed-redirect logic run against real —
 //! but seeded, hence reproducible — socket faults.
@@ -86,8 +89,19 @@ pub const ENV_ADDR: &str = "CK_PROC_ADDR";
 /// Environment variable carrying serialized [`ProcOpts`].
 pub const ENV_OPTS: &str = "CK_PROC_OPTS";
 /// Environment variable carrying the crash-injection hook
-/// (`<rank>:exit:<code>:<after>` or `<rank>:close:<after>`).
+/// (`<rank>:exit:<code>:<after>`, `<rank>:close:<after>` or
+/// `<rank>:badlen:<len>:<after>`).
 pub const ENV_CRASH: &str = "CK_PROC_CRASH";
+
+/// Exit code of a worker whose control socket closed under it: the
+/// parent is gone or has given up on the run.
+pub const EXIT_CTL_LOST: i32 = 3;
+/// Exit code of a worker that read a data-mesh frame whose length
+/// prefix is below the 12-byte frame header or above the 256 MiB frame
+/// cap: the byte stream from that peer can no longer be cut into
+/// frames, so the worker stops at once and the parent reports
+/// [`ProcAbortReason::WorkerExit`] with this code.
+pub const EXIT_BAD_FRAME: i32 = 4;
 
 /// Configuration of the multi-process machine.
 #[derive(Clone, Debug)]
@@ -115,8 +129,11 @@ pub struct ProcConfig {
     /// stopped itself.
     pub watchdog: Duration,
     /// Flush a destination's coalescing buffer once it holds this many
-    /// bytes (buffers always flush at scheduling-step boundaries, so
-    /// batching never delays a lone message beyond its own step).
+    /// bytes. Below the thresholds a buffer is written out before its
+    /// PE blocks for lack of work, after an alarm handler, and at the
+    /// latest every 16 scheduling steps — so a lone message leaves
+    /// before its sender sleeps, and waits at most 16 steps of a busy
+    /// one.
     pub batch_bytes: usize,
     /// Flush a destination's coalescing buffer once it holds this many
     /// frames.
@@ -130,8 +147,10 @@ pub struct ProcConfig {
     /// Teardown-test hook, passed verbatim as `CK_PROC_CRASH`:
     /// `<rank>:exit:<code>:<after>` makes worker `<rank>` exit with
     /// `<code>` after `<after>` user steps; `<rank>:close:<after>` makes
-    /// it close all its sockets and hang instead. Production runs leave
-    /// this `None`.
+    /// it close all its sockets and hang instead;
+    /// `<rank>:badlen:<len>:<after>` makes it write `<len>` as a bare
+    /// length prefix to every peer and keep running. Production runs
+    /// leave this `None`.
     pub crash: Option<String>,
 }
 
@@ -433,6 +452,9 @@ pub(crate) enum CrashMode {
     /// Shut every socket down and hang (the parent must detect the
     /// disconnect, not an exit status).
     Close,
+    /// Write this value as a length prefix, with no body, on every data
+    /// link and keep running (the *receivers* must reject it).
+    BadLen(u32),
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -457,6 +479,11 @@ impl CrashHook {
             "close" => Some(CrashHook {
                 rank,
                 mode: CrashMode::Close,
+                after: it.next()?.parse().ok()?,
+            }),
+            "badlen" => Some(CrashHook {
+                rank,
+                mode: CrashMode::BadLen(it.next()?.parse().ok()?),
                 after: it.next()?.parse().ok()?,
             }),
             _ => None,
@@ -553,6 +580,14 @@ mod tests {
                 rank: 1,
                 mode: CrashMode::Close,
                 after: 3
+            })
+        );
+        assert_eq!(
+            CrashHook::parse("0:badlen:4294967295:2"),
+            Some(CrashHook {
+                rank: 0,
+                mode: CrashMode::BadLen(u32::MAX),
+                after: 2
             })
         );
         assert_eq!(CrashHook::parse("1:burn:3"), None);

@@ -6,6 +6,12 @@
 //! frames use the same `[u32 len][body]` framing; their bodies are
 //! `[u64 sent_ns][u32 declared bytes][encoded SysMsg]` (see
 //! `docs/PROCESS.md` for the full wire contract).
+//!
+//! Every frame is written by [`frame`]. The data mesh is read by a
+//! [`Splitter`] — one `read` per wake-up, any number of frames per
+//! `read`; the control socket, which carries half a dozen messages per
+//! run and is read frame by frame during the handshake, keeps the
+//! blocking [`read_frame`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -148,6 +154,7 @@ impl Listener {
             Listener::Uds(l) => l.set_nonblocking(true)?,
             Listener::Tcp(l) => l.set_nonblocking(true)?,
         }
+        let mut backoff = Backoff::new(Duration::from_millis(2));
         loop {
             let got = match self {
                 Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
@@ -173,7 +180,7 @@ impl Listener {
                             "accept deadline exceeded",
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    backoff.nap();
                 }
                 Err(e) => return Err(e),
             }
@@ -181,18 +188,54 @@ impl Listener {
     }
 }
 
+/// Nap between polls of something that is usually ready within a few
+/// hundred microseconds (a worker's first connect, a child's exit):
+/// 50 µs, doubling up to `cap`, so the common case is not charged a
+/// whole `cap` and a long wait still polls no faster than it used to.
+pub(crate) struct Backoff {
+    nap: Duration,
+    cap: Duration,
+}
+
+impl Backoff {
+    pub(crate) fn new(cap: Duration) -> Self {
+        Backoff {
+            nap: Duration::from_micros(50),
+            cap,
+        }
+    }
+
+    pub(crate) fn nap(&mut self) {
+        std::thread::sleep(self.nap);
+        self.nap = (self.nap * 2).min(self.cap);
+    }
+}
+
 /// Hard cap on a single frame — far above any real message, low enough
 /// that a corrupt length prefix fails fast instead of OOMing.
 const MAX_FRAME: usize = 256 * 1024 * 1024;
 
-/// Write one `[u32 len][body]` frame.
-pub(crate) fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+/// Shortest legal data-mesh frame body: the `[u64 sent_ns][u32 bytes]`
+/// header every body starts with.
+const MIN_DATA_FRAME: usize = 12;
+
+/// Size of a [`Splitter`]'s receive buffer: what one `read` can return.
+const READ_BUF: usize = 64 * 1024;
+
+/// Append one `[u32 len][body]` frame to `out`, the body written in
+/// place by `body` and the length patched in afterwards — the one
+/// framing routine of the backend, control and data alike.
+pub(crate) fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - at - 4;
+    assert!(len <= MAX_FRAME, "frame of {len} bytes exceeds the cap");
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Read one `[u32 len][body]` frame. `UnexpectedEof` at the length
-/// prefix is the clean-close signal.
+/// Read one `[u32 len][body]` frame (control socket only).
+/// `UnexpectedEof` at the length prefix is the clean-close signal.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -206,6 +249,96 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok(body)
+}
+
+/// Whole data-mesh frames, still encoded, exactly as they came off the
+/// socket: `([u32 len][body])*` with every `len` already checked
+/// against [`MIN_DATA_FRAME`] and [`MAX_FRAME`] and every body complete.
+pub(crate) struct Chunk(Vec<u8>);
+
+impl Chunk {
+    /// The frame bodies, in arrival order.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = &[u8]> {
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
+            let (body, tail) = rest[4..].split_at(len);
+            rest = tail;
+            Some(body)
+        })
+    }
+}
+
+/// The read side of one data-mesh link: cuts the byte stream into
+/// [`Chunk`]s of whole frames without decoding or allocating per frame.
+///
+/// `buf[..filled]` is received and not yet handed on; it always starts
+/// at a frame boundary, and whenever its first frame is incomplete the
+/// buffer has room for the rest of it (it is grown, once, to fit a frame
+/// larger than [`READ_BUF`]).
+pub(crate) struct Splitter {
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl Splitter {
+    pub(crate) fn new() -> Self {
+        Splitter {
+            buf: vec![0; READ_BUF],
+            filled: 0,
+        }
+    }
+
+    /// Block until at least one whole frame is buffered — one `read`
+    /// unless a frame straddles it — and return every whole frame
+    /// buffered by then. `Ok(None)` is a clean close (end of stream at a
+    /// frame boundary); end of stream inside a frame is `UnexpectedEof`,
+    /// and a length prefix outside `MIN_DATA_FRAME..=MAX_FRAME` is
+    /// `InvalidData`, raised before anything is allocated for it.
+    pub(crate) fn read_chunk(&mut self, r: &mut impl Read) -> io::Result<Option<Chunk>> {
+        loop {
+            debug_assert!(self.filled < self.buf.len(), "no room for the next read");
+            let n = match r.read(&mut self.buf[self.filled..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                other => other?,
+            };
+            if n == 0 {
+                return if self.filled == 0 {
+                    Ok(None)
+                } else {
+                    Err(io::ErrorKind::UnexpectedEof.into())
+                };
+            }
+            self.filled += n;
+
+            let mut whole = 0;
+            while let Some(prefix) = self.buf[whole..self.filled].first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                if !(MIN_DATA_FRAME..=MAX_FRAME).contains(&len) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("data frame length {len} outside {MIN_DATA_FRAME}..={MAX_FRAME}"),
+                    ));
+                }
+                if whole + 4 + len > self.filled {
+                    if 4 + len > self.buf.len() {
+                        self.buf.resize(4 + len, 0);
+                    }
+                    break;
+                }
+                whole += 4 + len;
+            }
+            if whole > 0 {
+                let chunk = Chunk(self.buf[..whole].to_vec());
+                self.buf.copy_within(whole..self.filled, 0);
+                self.filled -= whole;
+                return Ok(Some(chunk));
+            }
+        }
+    }
 }
 
 /// Control-protocol messages between parent and workers. The sequence
@@ -319,9 +452,11 @@ impl CtlMsg {
     }
 }
 
-/// Send one control message (framed).
+/// Send one control message (framed, one write).
 pub(crate) fn send_ctl(w: &mut impl Write, msg: &CtlMsg) -> io::Result<()> {
-    write_frame(w, &msg.encode())
+    let mut out = Vec::new();
+    frame(&mut out, |b| b.extend_from_slice(&msg.encode()));
+    w.write_all(&out)
 }
 
 /// Receive one control message (framed); decode failure is an
@@ -335,6 +470,168 @@ pub(crate) fn recv_ctl(r: &mut impl Read) -> io::Result<CtlMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// `bodies` framed back to back, as a sender's coalescing buffer
+    /// would hold them.
+    fn framed(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for body in bodies {
+            frame(&mut out, |b| b.extend_from_slice(body));
+        }
+        out
+    }
+
+    fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+        w.write_all(&framed(&[body.to_vec()]))
+    }
+
+    /// A body of `len` bytes whose content depends on `tag`, so a frame
+    /// delivered out of order or cut at the wrong byte compares unequal.
+    fn body(len: usize, tag: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + tag * 7) as u8).collect()
+    }
+
+    /// A byte source that returns one scripted piece per `read` (less if
+    /// the caller's buffer is smaller), then end of stream.
+    struct Script(VecDeque<Vec<u8>>);
+
+    impl Script {
+        fn new(pieces: &[&[u8]]) -> Self {
+            Script(pieces.iter().map(|p| p.to_vec()).collect())
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(mut piece) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(buf.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            if n < piece.len() {
+                self.0.push_front(piece.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    /// Read `r` to its end; the frame bodies of each chunk, in order.
+    fn split_all(splitter: &mut Splitter, r: &mut impl Read) -> io::Result<Vec<Vec<Vec<u8>>>> {
+        let mut chunks = Vec::new();
+        while let Some(chunk) = splitter.read_chunk(r)? {
+            chunks.push(chunk.frames().map(<[u8]>::to_vec).collect());
+        }
+        Ok(chunks)
+    }
+
+    #[test]
+    fn splitter_hands_over_every_whole_frame_of_a_read() {
+        let bodies = vec![body(12, 0), body(40, 1), body(1000, 2)];
+        let bytes = framed(&bodies);
+        // Two and a half frames, then the rest.
+        let cut = 4 + 12 + 4 + 40 + 300;
+        let mut r = Script::new(&[&bytes[..cut], &bytes[cut..]]);
+        let chunks = split_all(&mut Splitter::new(), &mut r).unwrap();
+        assert_eq!(chunks, vec![bodies[..2].to_vec(), bodies[2..].to_vec()]);
+    }
+
+    #[test]
+    fn splitter_header_split_across_two_reads() {
+        let bodies = vec![body(20, 0), body(33, 1)];
+        let bytes = framed(&bodies);
+        // The second frame's length prefix arrives two bytes at a time.
+        let cut = 4 + 20 + 2;
+        let mut r = Script::new(&[&bytes[..cut], &bytes[cut..cut + 2], &bytes[cut + 2..]]);
+        let chunks = split_all(&mut Splitter::new(), &mut r).unwrap();
+        assert_eq!(chunks, vec![bodies[..1].to_vec(), bodies[1..].to_vec()]);
+    }
+
+    #[test]
+    fn splitter_frame_ending_exactly_at_the_buffer_end() {
+        let bodies = vec![body(READ_BUF - 4 - 4 - 100, 0), body(100, 1), body(50, 2)];
+        let bytes = framed(&bodies);
+        assert_eq!(4 + bodies[0].len() + 4 + bodies[1].len(), READ_BUF);
+        let mut splitter = Splitter::new();
+        let chunks = split_all(&mut splitter, &mut Script::new(&[&bytes])).unwrap();
+        assert_eq!(chunks, vec![bodies[..2].to_vec(), bodies[2..].to_vec()]);
+        assert_eq!(splitter.buf.len(), READ_BUF, "a full buffer of whole frames needs no growth");
+    }
+
+    #[test]
+    fn splitter_grows_once_for_a_larger_frame() {
+        let big = 3 * READ_BUF + 17;
+        let bodies = vec![body(30, 0), body(big, 1), body(big, 2), body(30, 3)];
+        let mut splitter = Splitter::new();
+        let chunks = split_all(&mut splitter, &mut Script::new(&[&framed(&bodies)])).unwrap();
+        assert_eq!(chunks.concat(), bodies);
+        assert_eq!(splitter.buf.len(), 4 + big, "grown to fit the frame, and only that far");
+    }
+
+    #[test]
+    fn splitter_zero_length_read_is_a_clean_close_only_between_frames() {
+        let bytes = framed(&[body(64, 0)]);
+        let mut splitter = Splitter::new();
+        assert!(splitter.read_chunk(&mut Script::new(&[])).unwrap().is_none());
+        let chunks = split_all(&mut splitter, &mut Script::new(&[&bytes])).unwrap();
+        assert_eq!(chunks.concat(), vec![body(64, 0)]);
+        for cut in [1, 4, 30] {
+            let err = split_all(&mut Splitter::new(), &mut Script::new(&[&bytes[..cut]]))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn splitter_rejects_a_bad_header_before_allocating() {
+        for len in [0, MIN_DATA_FRAME as u32 - 1, MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut bytes = framed(&[body(16, 0)]);
+            bytes.extend_from_slice(&len.to_le_bytes());
+            let mut splitter = Splitter::new();
+            let err = split_all(&mut splitter, &mut Script::new(&[&bytes])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "length {len}");
+            assert_eq!(splitter.buf.len(), READ_BUF, "length {len} must not size a buffer");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Whatever the frame sizes and however the sender's writes cut
+        /// the stream, the same frames come out in the same order.
+        #[test]
+        fn splitter_reassembles_any_slicing_over_a_socketpair(
+            lens in proptest::collection::vec(
+                prop_oneof![12usize..64, 12usize..4096, 60_000usize..70_000, 12usize..200 * 1024 + 1],
+                1..12,
+            ),
+            slices in proptest::collection::vec(
+                prop_oneof![1usize..8, 1usize..512, 1usize..64 * 1024 + 1],
+                1..24,
+            ),
+        ) {
+            let bodies: Vec<Vec<u8>> = lens.iter().enumerate().map(|(i, &n)| body(n, i)).collect();
+            let bytes = framed(&bodies);
+            let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+            let got = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut rest = &bytes[..];
+                    for &n in slices.iter().cycle() {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        let (now, later) = rest.split_at(usize::min(n, rest.len()));
+                        tx.write_all(now).expect("write slice");
+                        rest = later;
+                    }
+                    tx.shutdown(std::net::Shutdown::Write).expect("close write half");
+                });
+                split_all(&mut Splitter::new(), &mut rx).expect("well-formed stream")
+            });
+            prop_assert_eq!(got.concat(), bodies);
+        }
+    }
 
     fn roundtrip(msg: CtlMsg) -> CtlMsg {
         CtlMsg::decode(&msg.encode()).expect("decodes")

@@ -8,10 +8,34 @@
 //! per-destination batching and the loss shim — and exits the process.
 //!
 //! The loop mirrors `multicomputer::thread::pe_loop` deliberately: drain
-//! arrivals, fire a due alarm, step the node, flush coalescing buffers
-//! at the step boundary, and block briefly when idle. What the thread
-//! backend does with channel sends, this file does with encoded frames
-//! over the data mesh.
+//! arrivals, fire a due alarm, step the node, and block when idle. What
+//! the thread backend does with inbox pushes, this file does with
+//! encoded frames over the data mesh.
+//!
+//! ## Who does what on the data path
+//!
+//! * **Send** (PE thread). [`ProcCtx::send`] encodes the envelope
+//!   straight into the destination's coalescing buffer through the one
+//!   framing routine ([`frame`]); only the loss shim, which may park a
+//!   frame, makes it an owned body first.
+//! * **Split** (one reader thread per peer). A [`Splitter`] turns each
+//!   `read` into one [`Chunk`] of whole, still-encoded frames, checking
+//!   every length prefix before anything is allocated for it. It knows
+//!   nothing of the wire table.
+//! * **Decode** (PE thread). [`deliver_chunk`] stamps one arrival time
+//!   per chunk, decodes each `SysMsg` out of the chunk and boxes it with
+//!   [`pool::payload`], so the envelope is allocated on the thread whose
+//!   pool `reclaim`s it.
+//!
+//! ## When coalescing buffers flush
+//!
+//! A destination's buffer is written out when it reaches
+//! `batch_bytes`/`batch_frames`, after an alarm handler, every
+//! [`FLUSH_EVERY_STEPS`] scheduler steps, and — the one ordering
+//! obligation — **before the PE blocks**: the idle branch flushes every
+//! buffer before it waits, so no message is ever held by a sleeping
+//! sender. A busy PE delays a buffered message by at most
+//! `FLUSH_EVERY_STEPS` steps.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -23,17 +47,24 @@ use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe,
     StepKind};
 
 use crate::envelope::SysMsg;
+use crate::pool;
 use crate::program::Program;
 use crate::registry::Registry;
-use crate::wire::{decode_sys, encode_sys, Wire};
+use crate::wire::{decode_sys, encode_sys, Wire, WireReader};
 
 use super::shim::LossShim;
-use super::transport::{read_frame, recv_ctl, send_ctl, CtlMsg, Listener, Stream};
-use super::{CrashHook, CrashMode, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS, ENV_RANK, ENV_SPEC};
+use super::transport::{frame, recv_ctl, send_ctl, Chunk, CtlMsg, Listener, Splitter, Stream};
+use super::{CrashHook, CrashMode, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS, ENV_RANK, ENV_SPEC,
+    EXIT_BAD_FRAME, EXIT_CTL_LOST};
 
-/// How long an idle PE blocks waiting for an event before re-checking
-/// alarms (mirrors the thread backend's poll granularity).
-const IDLE_POLL: Duration = Duration::from_micros(200);
+/// Backstop on an idle PE's wait. Everything that ends idleness arrives
+/// on the scheduler channel and a pending alarm shortens the wait to
+/// its deadline, so this only bounds the damage of a lost event.
+const IDLE_PARK: Duration = Duration::from_secs(1);
+
+/// A busy PE writes its coalescing buffers out at least this often, in
+/// scheduler steps (see the module doc for the whole flush rule).
+const FLUSH_EVERY_STEPS: u32 = 16;
 
 /// Handshake and teardown I/O deadline.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -77,21 +108,15 @@ pub fn maybe_worker(build: impl FnOnce(&str) -> Program) {
 
 /// Events multiplexed onto the worker's single scheduler channel.
 enum Ev {
-    /// A decoded data-mesh frame from a peer PE.
-    Data {
-        from: u32,
-        bytes: u32,
-        sent_ns: u64,
-        sys: SysMsg,
-    },
+    /// Whole data-mesh frames from a peer PE, still encoded.
+    Chunk { from: u32, chunk: Chunk },
+    /// A peer's byte stream can no longer be cut into frames.
+    BadFrame { from: u32, error: String },
     Start,
     Halt,
     /// The parent's control socket closed — the run is over, one way or
     /// another.
     CtlClosed,
-    /// A peer's data socket closed. Informational: the *parent* owns
-    /// abort detection and will halt everyone.
-    PeerClosed(#[allow(dead_code)] u32),
 }
 
 /// Write half of one peer link, with its coalescing buffer.
@@ -99,6 +124,40 @@ struct PeerOut {
     stream: Stream,
     buf: Vec<u8>,
     frames: usize,
+    batch_bytes: usize,
+    batch_frames: usize,
+}
+
+impl PeerOut {
+    fn new(stream: Stream, batch_bytes: usize, batch_frames: usize) -> Self {
+        PeerOut {
+            stream,
+            buf: Vec::new(),
+            frames: 0,
+            batch_bytes: batch_bytes.max(1),
+            batch_frames: batch_frames.max(1),
+        }
+    }
+
+    /// Frame `body` into the coalescing buffer; write the buffer out if
+    /// that reached a batching threshold.
+    fn push(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+        frame(&mut self.buf, body);
+        self.frames += 1;
+        if self.buf.len() >= self.batch_bytes || self.frames >= self.batch_frames {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            // A write to a dead peer fails with EPIPE; that is teardown
+            // noise (the parent detects the death), not our problem.
+            let _ = self.stream.write_all(&self.buf);
+            self.buf.clear();
+            self.frames = 0;
+        }
+    }
 }
 
 /// The worker's [`NetCtx`]: encodes remote sends onto the mesh, queues
@@ -113,40 +172,26 @@ struct ProcCtx {
     stopped: bool,
     result: Option<Payload>,
     alarm_at: Option<u64>,
-    batch_bytes: usize,
-    batch_frames: usize,
+    /// Scheduler steps since the last [`flush_all`](Self::flush_all).
+    unflushed_steps: u32,
     shim: Option<LossShim>,
 }
 
 impl ProcCtx {
-    fn push_frame(&mut self, to: Pe, frame: &[u8]) {
-        let (bb, bf) = (self.batch_bytes, self.batch_frames);
-        let Some(peer) = self.peers[to.index()].as_mut() else {
-            return; // peer already torn down; late sends are benign
-        };
-        peer.buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        peer.buf.extend_from_slice(frame);
-        peer.frames += 1;
-        if peer.buf.len() >= bb || peer.frames >= bf {
-            Self::flush_peer(peer);
-        }
-    }
-
-    fn flush_peer(peer: &mut PeerOut) {
-        if !peer.buf.is_empty() {
-            // A write to a dead peer fails with EPIPE; that is teardown
-            // noise (the parent detects the death), not our problem.
-            let _ = peer.stream.write_all(&peer.buf);
-            peer.buf.clear();
-            peer.frames = 0;
-        }
-    }
-
-    /// Flush every destination's coalescing buffer (called at each
-    /// scheduling-step boundary, so batching adds no cross-step latency).
+    /// Write out every destination's coalescing buffer.
     fn flush_all(&mut self) {
         for peer in self.peers.iter_mut().flatten() {
-            Self::flush_peer(peer);
+            peer.flush();
+        }
+        self.unflushed_steps = 0;
+    }
+
+    /// A scheduler step ended: flush if `FLUSH_EVERY_STEPS` have passed
+    /// since the last flush.
+    fn step_done(&mut self) {
+        self.unflushed_steps += 1;
+        if self.unflushed_steps >= FLUSH_EVERY_STEPS {
+            self.flush_all();
         }
     }
 
@@ -185,17 +230,25 @@ impl NetCtx for ProcCtx {
         let sys = payload.downcast::<SysMsg>().unwrap_or_else(|_| {
             panic!("procs backend can only ship kernel SysMsg payloads across PEs")
         });
-        let mut body = Vec::with_capacity(bytes as usize + 16);
-        body.extend_from_slice(&now.to_le_bytes());
-        body.extend_from_slice(&bytes.to_le_bytes());
-        encode_sys(&self.reg, &sys, &mut body);
+        let Some(peer) = self.peers[to.index()].as_mut() else {
+            return; // peer already torn down; late sends are benign
+        };
+        let reg = &self.reg;
+        let body = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&now.to_le_bytes());
+            out.extend_from_slice(&bytes.to_le_bytes());
+            encode_sys(reg, &sys, out);
+        };
         match self.shim.as_mut() {
+            // The shim may park the frame, so it needs an owned body.
             Some(shim) => {
-                for frame in shim.outgoing(to.0, body) {
-                    self.push_frame(to, &frame);
+                let mut owned = Vec::with_capacity(bytes as usize + 16);
+                body(&mut owned);
+                for released in shim.outgoing(to.0, owned) {
+                    peer.push(|out| out.extend_from_slice(&released));
                 }
             }
-            None => self.push_frame(to, &body),
+            None => peer.push(body),
         }
     }
     fn charge(&mut self, _cost: Cost) {
@@ -220,34 +273,47 @@ fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
     }
 }
 
-fn spawn_data_reader(from: u32, stream: Stream, reg: Arc<Registry>, tx: Sender<Ev>) {
+/// Decode every frame of `chunk` and hand it to the node. One arrival
+/// stamp covers the chunk: its frames came out of one `read`.
+fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
+    let now = ctx.now_ns();
+    for body in chunk.frames() {
+        let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
+        let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+        let sys = decode_sys(&ctx.reg, &mut WireReader::new(&body[12..]));
+        node.incoming(Packet {
+            from: Pe(from),
+            bytes,
+            at_ns: now,
+            // Clocks are per-process; clamp so cross-PE latency
+            // metrics never underflow on skew.
+            sent_ns: sent_ns.min(now),
+            payload: pool::payload(sys),
+        });
+    }
+}
+
+fn spawn_data_reader(from: u32, stream: Stream, tx: Sender<Ev>) {
     std::thread::Builder::new()
         .name(format!("ck-mesh-{from}"))
         .spawn(move || {
             let mut stream = stream;
+            let mut splitter = Splitter::new();
             loop {
-                match read_frame(&mut stream) {
-                    Ok(body) if body.len() >= 12 => {
-                        let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-                        let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-                        let mut r = crate::wire::WireReader::new(&body[12..]);
-                        let sys = decode_sys(&reg, &mut r);
-                        if tx
-                            .send(Ev::Data {
-                                from,
-                                bytes,
-                                sent_ns,
-                                sys,
-                            })
-                            .is_err()
-                        {
+                match splitter.read_chunk(&mut stream) {
+                    Ok(Some(chunk)) => {
+                        if tx.send(Ev::Chunk { from, chunk }).is_err() {
                             break;
                         }
                     }
-                    _ => {
-                        let _ = tx.send(Ev::PeerClosed(from));
+                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                        let error = e.to_string();
+                        let _ = tx.send(Ev::BadFrame { from, error });
                         break;
                     }
+                    // The peer closed, cleanly or by dying mid-frame. The
+                    // *parent* owns abort detection and halts everyone.
+                    Ok(None) | Err(_) => break,
                 }
             }
         })
@@ -372,12 +438,8 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
     for (j, link) in links.into_iter().enumerate() {
         let Some(link) = link else { continue };
         let read_half = link.try_clone().expect("clone mesh stream");
-        spawn_data_reader(j as u32, read_half, Arc::clone(&reg), tx.clone());
-        peers[j] = Some(PeerOut {
-            stream: link,
-            buf: Vec::new(),
-            frames: 0,
-        });
+        spawn_data_reader(j as u32, read_half, tx.clone());
+        peers[j] = Some(PeerOut::new(link, opts.batch_bytes, opts.batch_frames));
     }
     let ctl_read = ctl.try_clone().expect("clone control stream");
     spawn_ctl_reader(ctl_read, tx.clone());
@@ -398,8 +460,7 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         stopped: false,
         result: None,
         alarm_at: None,
-        batch_bytes: opts.batch_bytes.max(1),
-        batch_frames: opts.batch_frames.max(1),
+        unflushed_steps: 0,
         shim: opts.loss.map(|l| LossShim::new(l, rank, npes)),
     };
 
@@ -413,7 +474,7 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
                 halted = true;
                 break;
             }
-            Ok(Ev::CtlClosed) => std::process::exit(3),
+            Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_LOST),
             Ok(ev) => pending.push(ev),
             Err(_) => panic!("worker {rank}: no Start within handshake deadline"),
         }
@@ -450,13 +511,16 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         if node.has_work() {
             let kind = node.step(&mut ctx);
             deliver_local(&mut node, &mut ctx);
-            ctx.flush_all();
+            ctx.step_done();
             if kind == Some(StepKind::User) {
                 user_steps += 1;
                 maybe_crash(&mut crash, user_steps, &mut ctx, &ctl);
             }
         } else {
-            let mut wait = IDLE_POLL;
+            // Flush before block: whoever this PE is about to wait for
+            // may be waiting for what it still holds.
+            ctx.flush_all();
+            let mut wait = IDLE_PARK;
             if let Some(t) = ctx.alarm_at {
                 wait = wait.min(Duration::from_nanos(t.saturating_sub(ctx.now_ns())));
             }
@@ -484,10 +548,10 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         loop {
             match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
                 Ok(Ev::Halt) => break,
-                Ok(Ev::CtlClosed) => std::process::exit(3),
+                Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_LOST),
                 Ok(_) => {}
                 Err(RecvTimeoutError::Timeout) => break, // parent stuck; report anyway
-                Err(RecvTimeoutError::Disconnected) => std::process::exit(3),
+                Err(RecvTimeoutError::Disconnected) => std::process::exit(EXIT_CTL_LOST),
             }
         }
     }
@@ -528,26 +592,14 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
 
 fn handle_ev(ev: Ev, node: &mut impl NodeProgram, ctx: &mut ProcCtx, halted: &mut bool) {
     match ev {
-        Ev::Data {
-            from,
-            bytes,
-            sent_ns,
-            sys,
-        } => {
-            let now = ctx.now_ns();
-            node.incoming(Packet {
-                from: Pe(from),
-                bytes,
-                at_ns: now,
-                // Clocks are per-process; clamp so cross-PE latency
-                // metrics never underflow on skew.
-                sent_ns: sent_ns.min(now),
-                payload: Box::new(sys),
-            });
+        Ev::Chunk { from, chunk } => deliver_chunk(from, &chunk, node, ctx),
+        Ev::BadFrame { from, error } => {
+            eprintln!("worker {}: link from PE {from} is corrupt: {error}", ctx.me.0);
+            std::process::exit(EXIT_BAD_FRAME);
         }
         Ev::Halt => *halted = true,
-        Ev::CtlClosed => std::process::exit(3),
-        Ev::Start | Ev::PeerClosed(_) => {}
+        Ev::CtlClosed => std::process::exit(EXIT_CTL_LOST),
+        Ev::Start => {}
     }
 }
 
@@ -569,6 +621,158 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             }
             std::thread::sleep(Duration::from_secs(600));
             std::process::exit(0);
+        }
+        CrashMode::BadLen(len) => {
+            for peer in ctx.peers.iter_mut().flatten() {
+                peer.flush(); // the prefix must land on a frame boundary
+                let _ = peer.stream.write_all(&len.to_le_bytes());
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+
+    /// PE 0 of an `npes` machine whose every outgoing link is one end of
+    /// a socketpair; the other ends come back indexed by peer rank.
+    fn ctx_over_socketpairs(
+        npes: usize,
+        batch_bytes: usize,
+        batch_frames: usize,
+    ) -> (ProcCtx, Vec<Option<UnixStream>>) {
+        let mut peers = vec![None];
+        let mut far_ends = vec![None];
+        for _ in 1..npes {
+            let (near, far) = UnixStream::pair().expect("socketpair");
+            far.set_nonblocking(true).expect("nonblocking far end");
+            peers.push(Some(PeerOut::new(Stream::Uds(near), batch_bytes, batch_frames)));
+            far_ends.push(Some(far));
+        }
+        let ctx = ProcCtx {
+            me: Pe(0),
+            npes,
+            start: Instant::now(),
+            reg: Arc::new(Registry::new()),
+            peers,
+            local: VecDeque::new(),
+            stopped: false,
+            result: None,
+            alarm_at: None,
+            unflushed_steps: 0,
+            shim: None,
+        };
+        (ctx, far_ends)
+    }
+
+    fn send_poll(ctx: &mut ProcCtx, to: u32, wave: u64) {
+        ctx.send(Pe(to), 8, pool::payload(SysMsg::QdPoll { wave }));
+    }
+
+    /// The chunk now waiting at a link's far end, if any bytes are.
+    fn arrived(far: &mut UnixStream) -> Option<Chunk> {
+        match Splitter::new().read_chunk(far) {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+            Err(e) => panic!("far end: {e}"),
+        }
+    }
+
+    fn frames_arrived(far: &mut UnixStream) -> usize {
+        arrived(far).map_or(0, |chunk| chunk.frames().count())
+    }
+
+    fn buffered(ctx: &ProcCtx) -> Vec<usize> {
+        ctx.peers.iter().flatten().map(|p| p.buf.len()).collect()
+    }
+
+    #[test]
+    fn the_flush_before_block_empties_every_buffer() {
+        let (mut ctx, mut far) = ctx_over_socketpairs(4, 16 * 1024, 64);
+        for to in 1..4 {
+            send_poll(&mut ctx, to, u64::from(to));
+        }
+        assert!(buffered(&ctx).iter().all(|&n| n > 0), "below both thresholds: held");
+        for far in far.iter_mut().flatten() {
+            assert_eq!(frames_arrived(far), 0);
+        }
+        ctx.flush_all(); // what the idle branch does before it waits
+        assert_eq!(buffered(&ctx), vec![0, 0, 0]);
+        for far in far.iter_mut().flatten() {
+            assert_eq!(frames_arrived(far), 1);
+        }
+    }
+
+    #[test]
+    fn unbatched_writes_every_frame_as_it_is_pushed() {
+        let (mut ctx, mut far) = ctx_over_socketpairs(2, 1, 1);
+        let far = far[1].as_mut().expect("link 0 -> 1");
+        for wave in 0..3 {
+            send_poll(&mut ctx, 1, wave);
+            assert_eq!(buffered(&ctx), vec![0]);
+            assert_eq!(frames_arrived(far), 1, "frame {wave} written by send itself");
+        }
+    }
+
+    #[test]
+    fn a_busy_pe_flushes_a_lone_frame_by_step_16() {
+        let (mut ctx, mut far) = ctx_over_socketpairs(2, 16 * 1024, 64);
+        let far = far[1].as_mut().expect("link 0 -> 1");
+        send_poll(&mut ctx, 1, 7);
+        let mut arrived_at = None;
+        for step in 1..=17 {
+            ctx.step_done();
+            if frames_arrived(far) == 1 {
+                assert_eq!(arrived_at.replace(step), None);
+            }
+        }
+        assert_eq!(arrived_at, Some(FLUSH_EVERY_STEPS));
+        assert_eq!(buffered(&ctx), vec![0]);
+    }
+
+    /// Collects what `incoming` is handed.
+    #[derive(Default)]
+    struct Sink(Vec<Packet>);
+
+    impl NodeProgram for Sink {
+        fn boot(&mut self, _net: &mut dyn NetCtx) {}
+        fn incoming(&mut self, pkt: Packet) {
+            self.0.push(pkt);
+        }
+        fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
+            None
+        }
+        fn has_work(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_chunk_decodes_into_packets_with_one_arrival_stamp() {
+        let (mut ctx, mut far) = ctx_over_socketpairs(2, 16 * 1024, 64);
+        for wave in 10..15 {
+            send_poll(&mut ctx, 1, wave);
+        }
+        ctx.flush_all();
+        let chunk = arrived(far[1].as_mut().expect("link 0 -> 1")).expect("five frames");
+
+        let mut node = Sink::default();
+        deliver_chunk(0, &chunk, &mut node, &mut ctx);
+        let waves: Vec<u64> = node
+            .0
+            .iter()
+            .map(|pkt| match pkt.payload.downcast_ref::<SysMsg>() {
+                Some(SysMsg::QdPoll { wave }) => *wave,
+                _ => panic!("not the QdPoll that was sent"),
+            })
+            .collect();
+        assert_eq!(waves, vec![10, 11, 12, 13, 14]);
+        let at_ns = node.0[0].at_ns;
+        for pkt in &node.0 {
+            assert_eq!((pkt.from, pkt.bytes, pkt.at_ns), (Pe(0), 8, at_ns));
+            assert!(pkt.sent_ns <= pkt.at_ns);
         }
     }
 }

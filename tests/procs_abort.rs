@@ -1,7 +1,8 @@
 //! Worker-death regression tests for the multi-process backend: a
-//! worker that exits nonzero or closes its sockets mid-run must surface
-//! as a *structured* abort reason on the report — never a hang, and
-//! never a watchdog timeout masquerading as one.
+//! worker that exits nonzero, closes its sockets or corrupts a data
+//! link mid-run must surface as a *structured* abort reason on the
+//! report — never a hang, and never a watchdog timeout masquerading as
+//! one.
 //!
 //! The crash is injected with `ProcConfig::with_crash`, which ships a
 //! `CK_PROC_CRASH` hook to exactly one rank; the hook fires after a few
@@ -9,6 +10,7 @@
 //! flight.
 
 use charm_repro::ck_apps::spec;
+use chare_kernel::proc::EXIT_BAD_FRAME;
 use chare_kernel::{ProcAbortReason, ProcConfig};
 use std::time::{Duration, Instant};
 
@@ -62,6 +64,32 @@ fn worker_socket_close_is_structured() {
         ProcAbortReason::WorkerDisconnect { rank: 1 },
         "got: {reason}"
     );
+}
+
+/// Worker 2 writes `len` as a bare length prefix to every peer and
+/// keeps running. No frame can follow a prefix below the 12-byte header
+/// or above the frame cap, so whichever peer reads it first must stop
+/// with the documented exit code — at once, not after allocating `len`
+/// bytes and not by sitting on a dead link until the watchdog.
+fn assert_bad_length_prefix_is_structured(test_name: &str, len: u32) {
+    let reason = run_crashed(test_name, &format!("2:badlen:{len}:3"));
+    assert!(
+        matches!(
+            reason,
+            ProcAbortReason::WorkerExit { rank, code: Some(EXIT_BAD_FRAME) } if rank != 2
+        ),
+        "length prefix {len}: got: {reason}"
+    );
+}
+
+#[test]
+fn undersized_length_prefix_is_structured() {
+    assert_bad_length_prefix_is_structured("undersized_length_prefix_is_structured", 11);
+}
+
+#[test]
+fn oversized_length_prefix_is_structured() {
+    assert_bad_length_prefix_is_structured("oversized_length_prefix_is_structured", u32::MAX);
 }
 
 #[test]
