@@ -55,7 +55,7 @@ pub enum BalanceStrategy {
 
 impl BalanceStrategy {
     /// Reasonable ACWN defaults (hop budget 4, low mark 2).
-    pub fn acwn() -> BalanceStrategy {
+    pub const fn acwn() -> BalanceStrategy {
         BalanceStrategy::Acwn {
             max_hops: 4,
             low_mark: 2,
@@ -99,6 +99,39 @@ impl BalanceStrategy {
                 report_to: neighbors,
             }),
         }
+    }
+}
+
+/// The spec-string spelling (`bal=` in `ck_apps::spec`): the
+/// [`BalanceStrategy::name`], with ACWN's tuning spelled out as
+/// `acwn:HOPS/LOW`.
+impl std::fmt::Display for BalanceStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BalanceStrategy::Acwn { max_hops, low_mark } => write!(f, "acwn:{max_hops}/{low_mark}"),
+            other => f.write_str(other.name()),
+        }
+    }
+}
+
+/// Parses what `Display` prints; a bare `acwn` is [`BalanceStrategy::acwn`].
+impl std::str::FromStr for BalanceStrategy {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "local" => BalanceStrategy::Local,
+            "random" => BalanceStrategy::Random,
+            "central" => BalanceStrategy::CentralManager,
+            "token" => BalanceStrategy::TokenIdle,
+            "acwn" => BalanceStrategy::acwn(),
+            _ => {
+                let tuning = s.strip_prefix("acwn:").and_then(|t| t.split_once('/'));
+                match tuning.map(|(h, l)| (h.parse(), l.parse())) {
+                    Some((Ok(max_hops), Ok(low_mark))) => BalanceStrategy::Acwn { max_hops, low_mark },
+                    _ => return Err(format!("unknown balance '{s}'")),
+                }
+            }
+        })
     }
 }
 
@@ -478,5 +511,25 @@ mod tests {
     fn strategy_names() {
         assert_eq!(BalanceStrategy::Local.name(), "local");
         assert_eq!(BalanceStrategy::acwn().name(), "acwn");
+    }
+
+    #[test]
+    fn spec_spelling_round_trips() {
+        let tuned = BalanceStrategy::Acwn { max_hops: 8, low_mark: 1 };
+        for b in [
+            BalanceStrategy::Local,
+            BalanceStrategy::Random,
+            BalanceStrategy::CentralManager,
+            BalanceStrategy::TokenIdle,
+            BalanceStrategy::acwn(),
+            tuned.clone(),
+        ] {
+            assert_eq!(b.to_string().parse(), Ok(b));
+        }
+        assert_eq!(tuned.to_string(), "acwn:8/1");
+        assert_eq!("acwn".parse(), Ok(BalanceStrategy::acwn()));
+        for bad in ["", "magic", "acwn:", "acwn:4", "acwn:4/x", "acwn:-1/2"] {
+            assert!(bad.parse::<BalanceStrategy>().is_err(), "accepted {bad:?}");
+        }
     }
 }

@@ -329,6 +329,13 @@ impl Program {
         self.reg.wire.fingerprint()
     }
 
+    /// Whether the program registered any body codec of its own with
+    /// [`ProgramBuilder::wire`] — the precondition for running it on
+    /// the procs backend, where every crossing body must be `Wire`.
+    pub fn is_wired(&self) -> bool {
+        self.reg.wire.has_user_types()
+    }
+
     /// The program's reliable-delivery config, if any.
     pub(crate) fn reliable_cfg(&self) -> Option<ReliableConfig> {
         self.reliable

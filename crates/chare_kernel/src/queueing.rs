@@ -71,6 +71,29 @@ impl QueueingStrategy {
     }
 }
 
+/// The spec-string spelling (`q=` in `ck_apps::spec`): `fifo`, `lifo`,
+/// `int`, `bitvec`. [`QueueingStrategy::name`] is the table-cell form.
+impl std::fmt::Display for QueueingStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            QueueingStrategy::Fifo => "fifo",
+            QueueingStrategy::Lifo => "lifo",
+            QueueingStrategy::IntPriority => "int",
+            QueueingStrategy::BitvecPriority => "bitvec",
+        })
+    }
+}
+
+impl std::str::FromStr for QueueingStrategy {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        QueueingStrategy::ALL
+            .into_iter()
+            .find(|q| q.to_string() == s)
+            .ok_or_else(|| format!("unknown queueing '{s}'"))
+    }
+}
+
 /// A scheduler queue: items enter with a [`Priority`], leave in strategy
 /// order.
 pub trait SchedQueue<T>: Send {
@@ -450,6 +473,15 @@ mod tests {
 
     fn drain<T>(q: &mut dyn SchedQueue<T>) -> Vec<T> {
         std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn spec_spelling_round_trips() {
+        for q in QueueingStrategy::ALL {
+            assert_eq!(q.to_string().parse(), Ok(q));
+        }
+        assert_eq!(QueueingStrategy::IntPriority.to_string(), "int");
+        assert!("int-prio".parse::<QueueingStrategy>().is_err());
     }
 
     #[test]

@@ -677,9 +677,13 @@ impl WireTable {
     }
 
     /// Number of registered body types.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Whether anything beyond the pre-seeded bodies was registered.
+    pub(crate) fn has_user_types(&self) -> bool {
+        self.len() > WireTable::new().len()
     }
 
     /// FNV-1a hash over the registration sequence; parent and workers

@@ -10,6 +10,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::{work, FIB_NODE_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point: a child reports its subtree's value.
 pub const EP_RESULT: EpId = EpId(1);
@@ -173,10 +175,29 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the speedup tables use (FIFO + ACWN).
+/// Build with the registry's default strategies (FIFO + ACWN).
 pub fn build_default(params: FibParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::acwn())
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `n`, `grain`.
+pub fn params(a: &mut Args) -> Result<FibParams, SpecError> {
+    let d = FibParams::default();
+    Ok(FibParams { n: a.key("n", d.n)?, grain: a.key("grain", d.grain)? })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "fib",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::acwn(),
+    ends_by_qd: false,
+    test_spec: "fib:n=18,grain=10",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Int(fib_seq(params(a)?.n))),
+    answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
+};
 
 #[cfg(test)]
 mod tests {

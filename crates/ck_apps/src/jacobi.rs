@@ -16,6 +16,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::{work, JACOBI_CELL_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on each branch: a ghost row from a neighbor.
 pub const EP_GHOST: EpId = EpId(1);
@@ -371,10 +373,30 @@ pub fn build(
     b.build()
 }
 
-/// Build with defaults (FIFO, no balancing — the work is static).
+/// Build with the registry's default strategies (FIFO, no balancing — the
+/// work is static).
 pub fn build_default(params: JacobiParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::Local)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `n`, `iters`.
+pub fn params(a: &mut Args) -> Result<JacobiParams, SpecError> {
+    let d = JacobiParams::default();
+    Ok(JacobiParams { n: a.key("n", d.n)?, iters: a.key("iters", d.iters)? })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "jacobi",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::Local,
+    ends_by_qd: true,
+    test_spec: "jacobi:n=24,iters=6",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Float(jacobi_seq(params(a)?))),
+    answer: |rep| rep.result_ref::<f64>().map(|&v| Answer::Float(v)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -15,6 +15,8 @@ use chare_kernel::prelude::*;
 
 use crate::costs::{work, JACOBI_CELL_NS};
 use crate::jacobi::{block_rows, JacobiParams};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on each branch: ghost row from a neighbor.
 pub const EP_GHOST: EpId = EpId(1);
@@ -376,9 +378,11 @@ impl Chare for ConvMain {
     }
 }
 
-/// Build the convergent Jacobi program.
-pub fn build(params: ConvParams) -> Program {
+/// Build the convergent Jacobi program with the given strategies.
+pub fn build(params: ConvParams, queueing: QueueingStrategy, balance: BalanceStrategy) -> Program {
     let mut b = ProgramBuilder::new();
+    b.queueing(queueing);
+    b.balance(balance);
     let maxdiff = b.accumulator::<MaxF64>();
     let checksum = b.accumulator::<SumF64>();
     let main = b.chare::<ConvMain>();
@@ -398,6 +402,37 @@ pub fn build(params: ConvParams) -> Program {
     );
     b.build()
 }
+
+/// Build with the registry's default strategies (FIFO, no balancing —
+/// the work is static).
+pub fn build_default(params: ConvParams) -> Program {
+    build(params, APP.queueing, APP.balance)
+}
+
+/// Spec keys: `n`, `eps`, `max_iters`. The tolerance is a key because
+/// a looser one changes the sweep count, which is the app's answer.
+pub fn params(a: &mut Args) -> Result<ConvParams, SpecError> {
+    let d = ConvParams::default();
+    Ok(ConvParams {
+        n: a.key("n", d.n)?,
+        eps: a.key("eps", d.eps)?,
+        max_iters: a.key("max_iters", d.max_iters)?,
+    })
+}
+
+/// The registry entry. Not wired for the procs backend yet: its phased
+/// `Control` protocol has no codecs.
+pub const APP: App = App {
+    name: "jconv",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::Local,
+    ends_by_qd: true,
+    test_spec: "jconv:n=16,eps=0.001,max_iters=200",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Int(u64::from(jacobi_conv_seq(params(a)?).iters))),
+    answer: |rep| rep.result_ref::<ConvResult>().map(|r| Answer::Int(u64::from(r.iters))),
+};
 
 /// Fixed-iteration twin at the same sweep count (for the
 /// barrier-overhead comparison).
@@ -437,7 +472,7 @@ mod tests {
         };
         let want = jacobi_conv_seq(params);
         for npes in [1usize, 3, 6] {
-            let mut rep = build(params).run_sim_preset(npes, MachinePreset::NcubeLike);
+            let mut rep = build_default(params).run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<ConvResult>().expect("result");
             assert_eq!(got.iters, want.iters, "npes={npes}");
             assert!(
@@ -456,7 +491,7 @@ mod tests {
             eps: 0.0, // unreachable tolerance
             max_iters: 7,
         };
-        let mut rep = build(params).run_sim_preset(4, MachinePreset::NcubeLike);
+        let mut rep = build_default(params).run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<ConvResult>().unwrap().iters, 7);
     }
 
@@ -469,7 +504,7 @@ mod tests {
             eps: 0.0,
             max_iters: 12,
         };
-        let conv_t = build(params)
+        let conv_t = build_default(params)
             .run_sim_preset(4, MachinePreset::NcubeLike)
             .time_ns;
         let fixed_t = fixed_twin(32, 12)
@@ -489,7 +524,7 @@ mod tests {
             max_iters: 500,
         };
         let want = jacobi_conv_seq(params);
-        let mut rep = build(params).run_threads(3);
+        let mut rep = build_default(params).run_threads(3);
         assert!(!rep.timed_out);
         let got = rep.take_result::<ConvResult>().expect("result");
         assert_eq!(got.iters, want.iters);

@@ -1,8 +1,8 @@
 //! # ck_apps — the benchmark suite of the SC '91 evaluation
 //!
-//! Six applications spanning the paper's workload classes, each built on
-//! the `chare_kernel` public API, plus sequential and hand-coded
-//! message-passing baselines:
+//! Twelve applications spanning the paper's workload classes, each built
+//! on the `chare_kernel` public API, plus hand-coded message-passing
+//! baselines:
 //!
 //! | Module | Workload class | Kernel features exercised |
 //! |--------|----------------|---------------------------|
@@ -21,13 +21,16 @@
 //! | [`baseline`] | — | raw machine layer (kernel-overhead comparison) |
 //!
 //! Every app exposes `build(params, queueing, balance) -> Program`,
-//! `build_default(params)`, and a sequential reference implementation
-//! used both for verification and as the speedup denominator.
+//! `build_default(params)`, a sequential reference implementation used
+//! both for verification and as the speedup denominator, and an `APP`
+//! descriptor. The [`registry`] collects the descriptors: it is the one
+//! list of benchmarks that the spec parser, the table suite, the desim
+//! scenarios and the conformance tests all enumerate.
 //!
 //! The [`spec`] module maps a textual spec (`"fib:n=18,grain=10"`) to a
-//! built program; the multi-process backend uses it so parent and
-//! re-invoked worker processes construct identical programs (see
-//! [`spec::worker_hook`]).
+//! built program through the registry; the multi-process backend uses
+//! it so parent and re-invoked worker processes construct identical
+//! programs (see [`spec::worker_hook`]).
 
 pub mod baseline;
 pub mod costs;
@@ -36,6 +39,7 @@ pub mod jacobi;
 pub mod jacobi_conv;
 pub mod puzzle;
 pub mod quad;
+pub mod registry;
 pub mod sortbench;
 pub mod tsp;
 pub mod fib;

@@ -14,6 +14,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::work;
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Cost of one multiply-accumulate (late-1980s FPU).
 pub const MATMUL_MAC_NS: u64 = 400;
@@ -300,11 +302,29 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults (FIFO, no balancing — Cannon's placement is
-/// the whole point).
+/// Build with the registry's default strategies (FIFO, no balancing —
+/// Cannon's placement is the whole point).
 pub fn build_default(params: MatmulParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::Local)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `n`.
+pub fn params(a: &mut Args) -> Result<MatmulParams, SpecError> {
+    Ok(MatmulParams { n: a.key("n", MatmulParams::default().n)? })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "matmul",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::Local,
+    ends_by_qd: true,
+    test_spec: "matmul:n=32",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Float(matmul_seq(params(a)?.n))),
+    answer: |rep| rep.result_ref::<f64>().map(|&v| Answer::Float(v)),
+};
 
 #[cfg(test)]
 mod tests {

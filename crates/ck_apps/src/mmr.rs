@@ -26,6 +26,8 @@ use chare_kernel::prelude::*;
 
 use crate::costs::{work, MMR_LEAF_NS, MMR_NODE_NS};
 use crate::hashes::{leaf_digest, node_digest, Digest};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Modulus for the per-PE verification checksum (keeps `npes` votes far
 /// from u64 overflow).
@@ -611,11 +613,37 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the speedup tables use (bitvector priorities +
+/// Build with the registry's default strategies (bitvector priorities +
 /// random placement: the forest drains leftmost-peak first).
 pub fn build_default(params: MmrParams) -> Program {
-    build(params, QueueingStrategy::BitvecPriority, BalanceStrategy::Random)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `leaves`, `grain`, `seed`.
+pub fn params(a: &mut Args) -> Result<MmrParams, SpecError> {
+    let d = MmrParams::default();
+    Ok(MmrParams {
+        leaves: a.key("leaves", d.leaves)?,
+        grain: a.key("grain", d.grain)?,
+        seed: a.key("seed", d.seed)?,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "mmr",
+    queueing: QueueingStrategy::BitvecPriority,
+    balance: BalanceStrategy::Random,
+    ends_by_qd: false,
+    test_spec: "mmr:leaves=64,grain=8,seed=7",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| {
+        let p = params(a)?;
+        Ok(Answer::Digest(mmr_root_seq(p.seed, p.leaves)))
+    },
+    answer: |rep| rep.result_ref::<MmrResult>().map(|r| Answer::Digest(r.root)),
+};
 
 #[cfg(test)]
 mod tests {

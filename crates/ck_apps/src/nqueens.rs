@@ -11,6 +11,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::{work, QUEENS_NODE_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on the main chare: quiescence notification.
 pub const EP_QUIESCENT: EpId = EpId(1);
@@ -199,10 +201,30 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the speedup tables use (FIFO + ACWN).
+/// Build with the registry's default strategies (FIFO + ACWN; the speedup
+/// tables run this app under `Random` instead, see `ck_bench`).
 pub fn build_default(params: QueensParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::acwn())
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `n`, `grain`.
+pub fn params(a: &mut Args) -> Result<QueensParams, SpecError> {
+    let d = QueensParams::default();
+    Ok(QueensParams { n: a.key("n", d.n)?, grain: a.key("grain", d.grain)? })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "nqueens",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::acwn(),
+    ends_by_qd: true,
+    test_spec: "nqueens:n=8,grain=4",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Int(nqueens_seq(params(a)?.n))),
+    answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
+};
 
 #[cfg(test)]
 mod tests {

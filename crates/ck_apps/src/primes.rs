@@ -10,6 +10,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::{work, PRIMES_DIV_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on the main chare: quiescence notification.
 pub const EP_QUIESCENT: EpId = EpId(1);
@@ -195,11 +197,30 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the speedup tables use (FIFO + random
-/// placement — uniform chunks need no adaptivity).
+/// Build with the registry's default strategies (FIFO + random placement
+/// — uniform chunks need no adaptivity).
 pub fn build_default(params: PrimesParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::Random)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `limit`, `chunks`.
+pub fn params(a: &mut Args) -> Result<PrimesParams, SpecError> {
+    let d = PrimesParams::default();
+    Ok(PrimesParams { limit: a.key("limit", d.limit)?, chunks: a.key("chunks", d.chunks)? })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "primes",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::Random,
+    ends_by_qd: true,
+    test_spec: "primes:limit=2000,chunks=8",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| Ok(Answer::Int(primes_seq(params(a)?.limit))),
+    answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
+};
 
 #[cfg(test)]
 mod tests {

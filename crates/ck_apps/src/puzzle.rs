@@ -20,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::costs::{work, PUZZLE_NODE_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on the main chare: quiescence (phase end).
 pub const EP_QUIESCENT: EpId = EpId(1);
@@ -433,10 +435,38 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the tables use (integer f-priorities + ACWN).
+/// Build with the registry's default strategies (integer f-priorities +
+/// ACWN; the speedup tables run this app under `Random` instead, see
+/// `ck_bench`).
 pub fn build_default(params: PuzzleParams) -> Program {
-    build(params, QueueingStrategy::IntPriority, BalanceStrategy::acwn())
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `scramble`, `seed`, `split_depth`.
+pub fn params(a: &mut Args) -> Result<PuzzleParams, SpecError> {
+    let d = PuzzleParams::default();
+    Ok(PuzzleParams {
+        scramble: a.key("scramble", d.scramble)?,
+        seed: a.key("seed", d.seed)?,
+        split_depth: a.key("split_depth", d.split_depth)?,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "puzzle",
+    queueing: QueueingStrategy::IntPriority,
+    balance: BalanceStrategy::acwn(),
+    ends_by_qd: true,
+    test_spec: "puzzle:scramble=16,seed=2,split_depth=3",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    oracle: |a, _| {
+        let p = params(a)?;
+        Ok(Answer::Int(u64::from(ida_seq(scramble(p.scramble, p.seed)).0)))
+    },
+    answer: |rep| rep.result_ref::<PuzzleResult>().map(|r| Answer::Int(u64::from(r.cost))),
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,8 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::work;
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Cost of one integrand evaluation (transcendental functions on a
 /// late-1980s FPU).
@@ -247,11 +249,41 @@ pub fn build(params: QuadParams, queueing: QueueingStrategy, balance: BalanceStr
     b.build()
 }
 
-/// Build with the defaults the tables use (FIFO + ACWN — adaptive work
-/// wants adaptive balancing).
+/// Build with the registry's default strategies (FIFO + ACWN — adaptive
+/// work wants adaptive balancing).
 pub fn build_default(params: QuadParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::acwn())
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `a`, `b`, `tol`, `grain` (in thousandths, so the strings the
+/// procs benchmark ships stay integer-only).
+pub fn params(a: &mut Args) -> Result<QuadParams, SpecError> {
+    let d = QuadParams::default();
+    Ok(QuadParams {
+        a: a.key("a", d.a)?,
+        b: a.key("b", d.b)?,
+        tol: a.key("tol", d.tol)?,
+        grain: f64::from(a.key("grain", (d.grain * 1000.0).round() as u32)?) / 1000.0,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "quad",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::acwn(),
+    ends_by_qd: true,
+    test_spec: "quad:tol=0.000001,grain=200",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    // Same split rule and arithmetic as the parallel version; only the
+    // accumulator's combine order differs.
+    oracle: |a, _| {
+        let p = params(a)?;
+        Ok(Answer::Float(quad_seq(p.a, p.b, p.tol).0))
+    },
+    answer: |rep| rep.result_ref::<f64>().map(|&v| Answer::Float(v)),
+};
 
 #[cfg(test)]
 mod tests {

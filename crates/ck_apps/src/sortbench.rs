@@ -15,6 +15,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::costs::work;
+use crate::hashes::Digest;
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Cost of one comparison/move in sort phases.
 pub const SORT_OP_NS: u64 = 150;
@@ -90,6 +93,12 @@ impl Fingerprint {
             f.xor ^= k;
         }
         f
+    }
+
+    /// The comparable form: the sum lane, and the xor lane (keys are
+    /// below 2^30) with the count packed above it.
+    fn answer(&self) -> Answer {
+        Answer::Digest(Digest { a: self.sum, b: self.xor ^ self.count.rotate_left(32) })
     }
 
     fn merge(&mut self, other: Fingerprint) {
@@ -370,10 +379,36 @@ pub fn build(params: SortParams, queueing: QueueingStrategy, balance: BalanceStr
     b.build()
 }
 
-/// Build with defaults (FIFO, no balancing — placement is structural).
+/// Build with the registry's default strategies (FIFO, no balancing —
+/// placement is structural).
 pub fn build_default(params: SortParams) -> Program {
-    build(params, QueueingStrategy::Fifo, BalanceStrategy::Local)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `total_keys`, `seed`, `sample_per_pe`.
+pub fn params(a: &mut Args) -> Result<SortParams, SpecError> {
+    let d = SortParams::default();
+    Ok(SortParams {
+        total_keys: a.key("total_keys", d.total_keys)?,
+        seed: a.key("seed", d.seed)?,
+        sample_per_pe: a.key("sample_per_pe", d.sample_per_pe)?,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "sort",
+    queueing: QueueingStrategy::Fifo,
+    balance: BalanceStrategy::Local,
+    ends_by_qd: true,
+    test_spec: "sort:total_keys=2400,seed=12,sample_per_pe=8",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    // The input is generated per PE, so the multiset a correct sort
+    // preserves depends on the machine size.
+    oracle: |a, npes| Ok(input_fingerprint(params(a)?, npes).answer()),
+    answer: |rep| rep.result_ref::<Fingerprint>().map(|f| f.answer()),
+};
 
 #[cfg(test)]
 mod tests {

@@ -24,6 +24,8 @@ use chare_kernel::prelude::*;
 
 use crate::costs::{work, FILL_ROW_NS};
 use crate::hashes::{mix64, row_mix};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Main chare entry points.
 pub const EP_DONE: EpId = EpId(1);
@@ -438,11 +440,38 @@ pub fn build(
     b.build()
 }
 
-/// Build with the defaults the tables use (bitvector `(stage, block)`
-/// priorities + random placement).
+/// Build with the registry's default strategies (bitvector `(stage,
+/// block)` priorities + random placement).
 pub fn build_default(params: FillParams) -> Program {
-    build(params, QueueingStrategy::BitvecPriority, BalanceStrategy::Random)
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `stages`, `blocks`, `rows`, `width`, `seed`.
+pub fn params(a: &mut Args) -> Result<FillParams, SpecError> {
+    let d = FillParams::default();
+    Ok(FillParams {
+        stages: a.key("stages", d.stages)?,
+        blocks: a.key("blocks", d.blocks)?,
+        rows: a.key("rows", d.rows)?,
+        width: a.key("width", d.width)?,
+        seed: a.key("seed", d.seed)?,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "tablefill",
+    queueing: QueueingStrategy::BitvecPriority,
+    balance: BalanceStrategy::Random,
+    ends_by_qd: false,
+    test_spec: "tablefill:stages=3,blocks=4,rows=8,width=2,seed=5",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    // The digest is schedule-independent; the stage-completion profile
+    // is wall-clock on the real backends and is not part of the answer.
+    oracle: |a, _| Ok(Answer::Int(fill_seq(&params(a)?))),
+    answer: |rep| rep.result_ref::<FillResult>().map(|r| Answer::Int(r.digest)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -18,6 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::costs::{work, TSP_NODE_NS};
+use crate::registry::{Answer, App};
+use crate::spec::{Args, SpecError};
 
 /// Entry point on the main chare: quiescence notification.
 pub const EP_QUIESCENT: EpId = EpId(1);
@@ -356,14 +358,39 @@ pub fn build(params: TspParams, queueing: QueueingStrategy, balance: BalanceStra
     b.build()
 }
 
-/// Build with the defaults the tables use (bitvector priorities + ACWN).
+/// Build with the registry's default strategies (bitvector priorities +
+/// ACWN; the speedup tables run this app under `Random` instead, see
+/// `ck_bench`).
 pub fn build_default(params: TspParams) -> Program {
-    build(
-        params,
-        QueueingStrategy::BitvecPriority,
-        BalanceStrategy::acwn(),
-    )
+    build(params, APP.queueing, APP.balance)
 }
+
+/// Spec keys: `n`, `seed`, `seq_tail`.
+pub fn params(a: &mut Args) -> Result<TspParams, SpecError> {
+    let d = TspParams::default();
+    Ok(TspParams {
+        n: a.key("n", d.n)?,
+        seed: a.key("seed", d.seed)?,
+        seq_tail: a.key("seq_tail", d.seq_tail)?,
+    })
+}
+
+/// The registry entry.
+pub const APP: App = App {
+    name: "tsp",
+    queueing: QueueingStrategy::BitvecPriority,
+    balance: BalanceStrategy::acwn(),
+    ends_by_qd: true,
+    test_spec: "tsp:n=9,seed=3,seq_tail=5",
+    params: |a| params(a).map(drop),
+    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    // Optimal cost is schedule-independent; node counts are not.
+    oracle: |a, _| {
+        let p = params(a)?;
+        Ok(Answer::Int(tsp_seq(&TspInstance::random(p.n as usize, p.seed)).0))
+    },
+    answer: |rep| rep.result_ref::<TspResult>().map(|r| Answer::Int(r.best)),
+};
 
 #[cfg(test)]
 mod tests {

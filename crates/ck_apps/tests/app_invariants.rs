@@ -4,75 +4,12 @@
 
 use chare_kernel::prelude::*;
 use chare_kernel::CkReport;
-use ck_apps::{fib, jacobi, jacobi_conv, matmul, nqueens, primes, puzzle, quad, sortbench, tsp};
+use ck_apps::registry::APPS;
+use ck_apps::spec::Spec;
 
-fn all_programs() -> Vec<(&'static str, Program)> {
-    vec![
-        (
-            "fib",
-            fib::build_default(fib::FibParams { n: 18, grain: 10 }),
-        ),
-        (
-            "nqueens",
-            nqueens::build_default(nqueens::QueensParams { n: 8, grain: 4 }),
-        ),
-        (
-            "tsp",
-            tsp::build_default(tsp::TspParams {
-                n: 9,
-                seed: 3,
-                seq_tail: 5,
-            }),
-        ),
-        (
-            "puzzle",
-            puzzle::build_default(puzzle::PuzzleParams {
-                scramble: 16,
-                seed: 2,
-                split_depth: 3,
-            }),
-        ),
-        (
-            "jacobi",
-            jacobi::build_default(jacobi::JacobiParams { n: 24, iters: 6 }),
-        ),
-        (
-            "jacobi_conv",
-            jacobi_conv::build(jacobi_conv::ConvParams {
-                n: 16,
-                eps: 1e-3,
-                max_iters: 200,
-            }),
-        ),
-        (
-            "matmul",
-            matmul::build_default(matmul::MatmulParams { n: 32 }),
-        ),
-        (
-            "quad",
-            quad::build_default(quad::QuadParams {
-                a: 0.0,
-                b: 10.0,
-                tol: 1e-6,
-                grain: 0.2,
-            }),
-        ),
-        (
-            "sort",
-            sortbench::build_default(sortbench::SortParams {
-                total_keys: 2_400,
-                seed: 12,
-                sample_per_pe: 8,
-            }),
-        ),
-        (
-            "primes",
-            primes::build_default(primes::PrimesParams {
-                limit: 2_000,
-                chunks: 8,
-            }),
-        ),
-    ]
+/// Every registered benchmark at its test scale.
+fn all_programs() -> Vec<(&'static str, Spec)> {
+    APPS.iter().map(|app| (app.name, Spec::parse(app.test_spec).expect(app.test_spec))).collect()
 }
 
 fn check(name: &str, rep: &CkReport) {
@@ -94,24 +31,33 @@ fn check(name: &str, rep: &CkReport) {
 
 #[test]
 fn accounting_invariants_hold_for_every_app() {
-    for (name, prog) in all_programs() {
-        let rep = prog.run_sim_preset(6, MachinePreset::NcubeLike);
+    for (name, spec) in all_programs() {
+        let rep = spec.build().run_sim_preset(6, MachinePreset::NcubeLike);
         check(name, &rep);
+        // The descriptor's own claims: the answer is the oracle's and
+        // the run ends the way `ends_by_qd` says.
+        let got = spec.answer(&rep).unwrap_or_else(|| panic!("{name}: no answer"));
+        assert!(got.matches(spec.oracle(6)), "{name}: {got} vs oracle {}", spec.oracle(6));
+        assert_eq!(
+            rep.counter_total("qd_declares"),
+            spec.app.qd_declares(&rep),
+            "{name}: quiescence declarations"
+        );
     }
 }
 
 #[test]
 fn invariants_hold_at_one_pe() {
-    for (name, prog) in all_programs() {
-        let rep = prog.run_sim_preset(1, MachinePreset::NcubeLike);
+    for (name, spec) in all_programs() {
+        let rep = spec.build().run_sim_preset(1, MachinePreset::NcubeLike);
         check(name, &rep);
     }
 }
 
 #[test]
 fn utilization_and_imbalance_are_sane() {
-    for (name, prog) in all_programs() {
-        let rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
+    for (name, spec) in all_programs() {
+        let rep = spec.build().run_sim_preset(4, MachinePreset::NcubeLike);
         let sim = rep.sim.as_ref().expect("sim detail");
         assert!(
             sim.utilization > 0.0 && sim.utilization <= 1.0,

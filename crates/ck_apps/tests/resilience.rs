@@ -8,131 +8,11 @@
 //! with faults disabled and reliability off matches the seed tables).
 
 use chare_kernel::prelude::*;
-use chare_kernel::CkReport;
-use ck_apps::{fib, jacobi, jacobi_conv, matmul, nqueens, primes, puzzle, quad, sortbench, tsp};
+use ck_apps::registry::APPS;
+use ck_apps::spec::Spec;
+use ck_apps::{fib, nqueens};
 use multicomputer::SimTime;
 use proptest::prelude::*;
-
-/// A comparable distillation of an app's result: exact for counts,
-/// tolerant for floating-point accumulations whose addition order is
-/// legitimately schedule-dependent.
-#[derive(Debug, Clone, Copy)]
-enum Answer {
-    Int(u64),
-    Float(f64),
-}
-
-impl Answer {
-    fn matches(self, other: Answer) -> bool {
-        match (self, other) {
-            (Answer::Int(a), Answer::Int(b)) => a == b,
-            (Answer::Float(a), Answer::Float(b)) => {
-                let scale = a.abs().max(b.abs()).max(1.0);
-                (a - b).abs() <= 1e-9 * scale
-            }
-            _ => false,
-        }
-    }
-}
-
-type Extract = fn(&mut CkReport) -> Answer;
-
-/// Every benchmark at accounting-test scale, with a result extractor.
-fn suite() -> Vec<(&'static str, Program, Extract)> {
-    vec![
-        (
-            "fib",
-            fib::build_default(fib::FibParams { n: 18, grain: 10 }),
-            |r| Answer::Int(r.take_result::<u64>().expect("fib result")),
-        ),
-        (
-            "nqueens",
-            nqueens::build_default(nqueens::QueensParams { n: 8, grain: 4 }),
-            |r| Answer::Int(r.take_result::<u64>().expect("queens result")),
-        ),
-        (
-            "tsp",
-            tsp::build_default(tsp::TspParams {
-                n: 9,
-                seed: 3,
-                seq_tail: 5,
-            }),
-            |r| Answer::Int(r.take_result::<tsp::TspResult>().expect("tsp result").best),
-        ),
-        (
-            "puzzle",
-            puzzle::build_default(puzzle::PuzzleParams {
-                scramble: 16,
-                seed: 2,
-                split_depth: 3,
-            }),
-            |r| {
-                Answer::Int(
-                    r.take_result::<puzzle::PuzzleResult>()
-                        .expect("puzzle result")
-                        .cost as u64,
-                )
-            },
-        ),
-        (
-            "jacobi",
-            jacobi::build_default(jacobi::JacobiParams { n: 24, iters: 6 }),
-            |r| Answer::Float(r.take_result::<f64>().expect("jacobi checksum")),
-        ),
-        (
-            "jacobi_conv",
-            jacobi_conv::build(jacobi_conv::ConvParams {
-                n: 16,
-                eps: 1e-3,
-                max_iters: 200,
-            }),
-            |r| {
-                Answer::Int(
-                    r.take_result::<jacobi_conv::ConvResult>()
-                        .expect("conv result")
-                        .iters as u64,
-                )
-            },
-        ),
-        (
-            "matmul",
-            matmul::build_default(matmul::MatmulParams { n: 32 }),
-            |r| Answer::Float(r.take_result::<f64>().expect("matmul checksum")),
-        ),
-        (
-            "quad",
-            quad::build_default(quad::QuadParams {
-                a: 0.0,
-                b: 10.0,
-                tol: 1e-6,
-                grain: 0.2,
-            }),
-            |r| Answer::Float(r.take_result::<f64>().expect("quad integral")),
-        ),
-        (
-            "sort",
-            sortbench::build_default(sortbench::SortParams {
-                total_keys: 2_400,
-                seed: 12,
-                sample_per_pe: 8,
-            }),
-            |r| {
-                let f = r
-                    .take_result::<sortbench::Fingerprint>()
-                    .expect("fingerprint");
-                Answer::Int(f.sum ^ f.xor.rotate_left(17) ^ f.count)
-            },
-        ),
-        (
-            "primes",
-            primes::build_default(primes::PrimesParams {
-                limit: 2_000,
-                chunks: 8,
-            }),
-            |r| Answer::Int(r.take_result::<u64>().expect("primes count")),
-        ),
-    ]
-}
 
 const NPES: usize = 16;
 
@@ -162,12 +42,15 @@ fn rough_network(seed: u64) -> SimConfig {
 
 #[test]
 fn every_app_survives_a_rough_network() {
-    for (name, prog, extract) in suite() {
-        let mut clean = prog.run_sim_preset(NPES, MachinePreset::NcubeLike);
-        let want = extract(&mut clean);
+    for app in APPS {
+        let name = app.name;
+        let spec = Spec::parse(app.test_spec).expect(app.test_spec);
+        let prog = spec.build();
+        let clean = prog.run_sim_preset(NPES, MachinePreset::NcubeLike);
+        let want = spec.answer(&clean).expect("fault-free answer");
 
-        let mut rough = prog.with_reliable(rel_cfg()).run_sim(rough_network(0xBAD_5EED));
-        let got = extract(&mut rough);
+        let rough = prog.with_reliable(rel_cfg()).run_sim(rough_network(0xBAD_5EED));
+        let got = spec.answer(&rough).expect("answer under faults");
         assert!(
             want.matches(got),
             "{name}: fault-free {want:?} != faulty {got:?}"

@@ -15,6 +15,7 @@
 
 use std::io::Write as _;
 
+use ck_apps::spec::Spec;
 use ck_bench::{Scale, Table};
 
 fn usage() -> ! {
@@ -37,6 +38,17 @@ fn usage() -> ! {
          --no-cache          disable the deterministic run memo (slower, same bytes)"
     );
     std::process::exit(2);
+}
+
+/// The suite benchmark a `--matrix`/`--timeline`/`--export-trace`
+/// argument names; an unknown name is a usage error like any other.
+fn suite_case(scale: Scale, name: &str) -> Spec {
+    ck_bench::suite_case(scale, name).unwrap_or_else(|| {
+        let known: Vec<&str> =
+            ck_bench::standard_suite(scale).iter().map(|c| c.app.name).collect();
+        eprintln!("unknown benchmark {name:?}; known: {}", known.join(", "));
+        usage();
+    })
 }
 
 fn main() {
@@ -119,6 +131,10 @@ fn main() {
         usage();
     }
 
+    // Resolve every benchmark name before anything runs or prints.
+    let [matrices, exports, timelines] = [matrices, exports, timelines]
+        .map(|names| names.iter().map(|n| suite_case(scale, n)).collect::<Vec<Spec>>());
+
     let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -130,7 +146,7 @@ fn main() {
     } else {
         which.iter().map(|job| job(scale)).collect()
     };
-    tables.extend(matrices.iter().map(|m| ck_bench::comm_matrix_table(scale, m)));
+    tables.extend(matrices.iter().map(ck_bench::comm_matrix_table));
     for t in tables {
         if csv {
             println!("# {}", t.title);
@@ -143,7 +159,7 @@ fn main() {
     }
 
     for app in &timelines {
-        let (text, json) = ck_bench::timeline_view(scale, app);
+        let (text, json) = ck_bench::timeline_view(app);
         print!("{text}");
         if let Some(path) = &out {
             std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
@@ -152,7 +168,7 @@ fn main() {
     }
 
     for app in &exports {
-        let json = ck_bench::export_trace(scale, app);
+        let json = ck_bench::export_trace(app);
         match &out {
             Some(path) => {
                 let mut f = std::fs::File::create(path)

@@ -8,9 +8,11 @@
 
 use chare_kernel::prelude::*;
 use ck_apps::baseline::{kernel_pingpong, raw_jacobi, raw_pingpong};
-use ck_apps::{fib, jacobi, matmul, mmr, nqueens, primes, puzzle, quad, sortbench, tablefill, tsp};
+use ck_apps::spec::Spec;
+use ck_apps::{jacobi, mmr, puzzle, tablefill, tsp};
 use multicomputer::{Cost, MachinePreset, SimConfig, SimTime};
 
+use crate::runner::run_spec;
 use crate::table::Table;
 
 /// Experiment scale.
@@ -31,197 +33,59 @@ impl Scale {
     }
 }
 
-/// One benchmark in the standard suite: how to build it under arbitrary
-/// strategies, plus its table defaults.
-pub struct AppCase {
-    /// Stable name used in tables.
-    pub name: &'static str,
-    /// `Debug` rendering of the parameter struct the builder closes
-    /// over — the memoized runner folds it into scenario labels.
-    pub params: String,
-    /// Build with explicit strategies.
-    pub build: Box<dyn Fn(QueueingStrategy, BalanceStrategy) -> Program>,
-    /// Queueing strategy the speedup tables use.
-    pub queueing: QueueingStrategy,
-    /// Balance strategy the speedup tables use.
-    pub balance: BalanceStrategy,
+/// The nine benchmarks of the speedup tables at the given scale, as
+/// registry specs. A spec's canonical string is also its memo label
+/// ([`crate::runner::run_spec`]), so equal configurations reached from
+/// different tables share one simulated run.
+pub fn standard_suite(scale: Scale) -> Vec<Spec> {
+    let specs: [&str; 9] = match scale {
+        Scale::Quick => [
+            "fib:n=24,grain=14",
+            "nqueens:n=10,grain=6",
+            "tsp:n=11,seed=7,seq_tail=6",
+            "puzzle:scramble=52,seed=5,split_depth=7",
+            "jacobi:n=128,iters=10",
+            "matmul:n=96",
+            "quad:tol=1e-8,grain=100",
+            "sort:total_keys=48000,seed=12,sample_per_pe=16",
+            "primes:limit=50000,chunks=128",
+        ],
+        Scale::Full => [
+            "fib:n=30,grain=16",
+            "nqueens:n=12,grain=7",
+            "tsp:n=13,seed=7,seq_tail=7",
+            "puzzle:scramble=52,seed=5,split_depth=9",
+            "jacobi:n=256,iters=25",
+            "matmul:n=192",
+            "quad:tol=1e-11,grain=20",
+            "sort:total_keys=1000000,seed=12,sample_per_pe=32",
+            "primes:limit=400000,chunks=1024",
+        ],
+    };
+    // The one place the tables deviate from the registry defaults: the
+    // three search benchmarks place seeds at random, not by ACWN.
+    let random = ["nqueens", "tsp", "puzzle"];
+    specs
+        .iter()
+        .map(|s| {
+            let spec = Spec::parse(s).expect("suite specs parse");
+            if random.contains(&spec.app.name) {
+                spec.with_balance(BalanceStrategy::Random)
+            } else {
+                spec
+            }
+        })
+        .collect()
 }
 
-impl AppCase {
-    /// Build with the table-default strategies.
-    pub fn build_default(&self) -> Program {
-        (self.build)(self.queueing, self.balance.clone())
-    }
-
-    /// Scenario label for the table-default strategies.
-    pub fn label(&self) -> String {
-        self.label_with(self.queueing, &self.balance, false)
-    }
-
-    /// Scenario label for explicit strategies / combining flag.
-    pub fn label_with(
-        &self,
-        queueing: QueueingStrategy,
-        balance: &BalanceStrategy,
-        combining: bool,
-    ) -> String {
-        crate::runner::scenario_label(self.name, &self.params, queueing, balance, combining)
-    }
+/// The suite's spec for the benchmark called `name`, if it has one.
+pub fn suite_case(scale: Scale, name: &str) -> Option<Spec> {
+    standard_suite(scale).into_iter().find(|c| c.app.name == name)
 }
 
-/// The six benchmarks at the given scale.
-pub fn standard_suite(scale: Scale) -> Vec<AppCase> {
-    let quick = scale == Scale::Quick;
-    let fib_params = if quick {
-        fib::FibParams { n: 24, grain: 14 }
-    } else {
-        fib::FibParams { n: 30, grain: 16 }
-    };
-    let queens_params = if quick {
-        nqueens::QueensParams { n: 10, grain: 6 }
-    } else {
-        nqueens::QueensParams { n: 12, grain: 7 }
-    };
-    let tsp_params = if quick {
-        tsp::TspParams {
-            n: 11,
-            seed: 7,
-            seq_tail: 6,
-        }
-    } else {
-        tsp::TspParams {
-            n: 13,
-            seed: 7,
-            seq_tail: 7,
-        }
-    };
-    let puzzle_params = if quick {
-        puzzle::PuzzleParams {
-            scramble: 52,
-            seed: 5,
-            split_depth: 7,
-        }
-    } else {
-        puzzle::PuzzleParams {
-            scramble: 52,
-            seed: 5,
-            split_depth: 9,
-        }
-    };
-    let jacobi_params = if quick {
-        jacobi::JacobiParams { n: 128, iters: 10 }
-    } else {
-        jacobi::JacobiParams { n: 256, iters: 25 }
-    };
-    let matmul_params = if quick {
-        matmul::MatmulParams { n: 96 }
-    } else {
-        matmul::MatmulParams { n: 192 }
-    };
-    let quad_params = if quick {
-        quad::QuadParams {
-            a: 0.0,
-            b: 10.0,
-            tol: 1e-8,
-            grain: 0.1,
-        }
-    } else {
-        quad::QuadParams {
-            a: 0.0,
-            b: 10.0,
-            tol: 1e-11,
-            grain: 0.02,
-        }
-    };
-    let sort_params = if quick {
-        sortbench::SortParams {
-            total_keys: 48_000,
-            seed: 12,
-            sample_per_pe: 16,
-        }
-    } else {
-        sortbench::SortParams {
-            total_keys: 1_000_000,
-            seed: 12,
-            sample_per_pe: 32,
-        }
-    };
-    let primes_params = if quick {
-        primes::PrimesParams {
-            limit: 50_000,
-            chunks: 128,
-        }
-    } else {
-        primes::PrimesParams {
-            limit: 400_000,
-            chunks: 1024,
-        }
-    };
-    vec![
-        AppCase {
-            name: "fib",
-            params: format!("{fib_params:?}"),
-            build: Box::new(move |q, b| fib::build(fib_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::acwn(),
-        },
-        AppCase {
-            name: "nqueens",
-            params: format!("{queens_params:?}"),
-            build: Box::new(move |q, b| nqueens::build(queens_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Random,
-        },
-        AppCase {
-            name: "tsp",
-            params: format!("{tsp_params:?}"),
-            build: Box::new(move |q, b| tsp::build(tsp_params, q, b)),
-            queueing: QueueingStrategy::BitvecPriority,
-            balance: BalanceStrategy::Random,
-        },
-        AppCase {
-            name: "puzzle",
-            params: format!("{puzzle_params:?}"),
-            build: Box::new(move |q, b| puzzle::build(puzzle_params, q, b)),
-            queueing: QueueingStrategy::IntPriority,
-            balance: BalanceStrategy::Random,
-        },
-        AppCase {
-            name: "jacobi",
-            params: format!("{jacobi_params:?}"),
-            build: Box::new(move |q, b| jacobi::build(jacobi_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Local,
-        },
-        AppCase {
-            name: "matmul",
-            params: format!("{matmul_params:?}"),
-            build: Box::new(move |q, b| matmul::build(matmul_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Local,
-        },
-        AppCase {
-            name: "quad",
-            params: format!("{quad_params:?}"),
-            build: Box::new(move |q, b| quad::build(quad_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::acwn(),
-        },
-        AppCase {
-            name: "sort",
-            params: format!("{sort_params:?}"),
-            build: Box::new(move |q, b| sortbench::build(sort_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Local,
-        },
-        AppCase {
-            name: "primes",
-            params: format!("{primes_params:?}"),
-            build: Box::new(move |q, b| primes::build(primes_params, q, b)),
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Random,
-        },
-    ]
+/// [`suite_case`] for a name the caller wrote itself.
+pub(crate) fn case(scale: Scale, name: &str) -> Spec {
+    suite_case(scale, name).expect("a suite benchmark")
 }
 
 fn ms(ns: u64) -> String {
@@ -257,12 +121,10 @@ pub fn table1(scale: Scale) -> Table {
         ],
     );
     for case in standard_suite(scale) {
-        let rep = crate::runner::run_preset(&case.label(), 16, MachinePreset::NcubeLike, || {
-            case.build_default()
-        });
+        let rep = run_spec(&case, 16, MachinePreset::NcubeLike);
         let bytes = rep.sim.as_ref().map(|s| s.bytes).unwrap_or(0);
         t.row(vec![
-            case.name.into(),
+            case.app.name.into(),
             rep.counter_total("chares_created").to_string(),
             rep.counter_total("entries_executed").to_string(),
             rep.counter_total("user_sent").to_string(),
@@ -285,11 +147,10 @@ fn speedup_table(title: &str, preset: MachinePreset, scale: Scale, pes: &[usize]
         notes: Vec::new(),
     };
     for case in standard_suite(scale) {
-        let label = case.label();
-        let t1 = crate::runner::run_preset(&label, 1, preset, || case.build_default()).time_ns;
-        let mut row = vec![case.name.to_string()];
+        let t1 = run_spec(&case, 1, preset).time_ns;
+        let mut row = vec![case.app.name.to_string()];
         for &p in pes {
-            let tp = crate::runner::run_preset(&label, p, preset, || case.build_default()).time_ns;
+            let tp = run_spec(&case, p, preset).time_ns;
             row.push(format!("{:.2}", t1 as f64 / tp as f64));
         }
         t.row(row);
@@ -363,27 +224,14 @@ pub fn table4(scale: Scale) -> Table {
             "seeds fwd",
         ],
     );
-    for case in standard_suite(scale)
-        .into_iter()
-        .filter(|c| c.name == "fib" || c.name == "nqueens")
-    {
-        let t1 = crate::runner::run_preset(
-            &case.label_with(case.queueing, &BalanceStrategy::Local, false),
-            1,
-            MachinePreset::NcubeLike,
-            || (case.build)(case.queueing, BalanceStrategy::Local),
-        )
-        .time_ns;
+    for case in ["fib", "nqueens"].map(|name| case(scale, name)) {
+        let local = case.with_balance(BalanceStrategy::Local);
+        let t1 = run_spec(&local, 1, MachinePreset::NcubeLike).time_ns;
         for strat in &strategies {
-            let rep = crate::runner::run_preset(
-                &case.label_with(case.queueing, strat, false),
-                npes,
-                MachinePreset::NcubeLike,
-                || (case.build)(case.queueing, strat.clone()),
-            );
+            let rep = run_spec(&case.with_balance(strat.clone()), npes, MachinePreset::NcubeLike);
             let imb = rep.sim.as_ref().map(|s| s.imbalance).unwrap_or(f64::NAN);
             t.row(vec![
-                case.name.into(),
+                case.app.name.into(),
                 strat.name().into(),
                 ms(rep.time_ns),
                 format!("{:.2}", t1 as f64 / rep.time_ns as f64),
@@ -407,78 +255,28 @@ pub fn table5(scale: Scale) -> Table {
         &["program", "queueing", "nodes", "vs seq", "sim ms"],
     );
     // Sequential node counts as the baseline.
-    let (tsp_params, puzzle_params) = match scale {
-        Scale::Quick => (
-            tsp::TspParams {
-                n: 11,
-                seed: 7,
-                seq_tail: 6,
-            },
-            puzzle::PuzzleParams {
-                scramble: 52,
-                seed: 5,
-                split_depth: 7,
-            },
-        ),
-        Scale::Full => (
-            tsp::TspParams {
-                n: 13,
-                seed: 7,
-                seq_tail: 7,
-            },
-            puzzle::PuzzleParams {
-                scramble: 52,
-                seed: 5,
-                split_depth: 9,
-            },
-        ),
+    let (tsp, puzzle) = (case(scale, "tsp"), case(scale, "puzzle"));
+    let p = tsp.params(tsp::params);
+    let (_, tsp_seq_nodes) = tsp::tsp_seq(&tsp::TspInstance::random(p.n as usize, p.seed));
+    let p = puzzle.params(puzzle::params);
+    let (_, puz_seq_nodes) = puzzle::ida_seq(puzzle::scramble(p.scramble, p.seed));
+    let expanded = |rep: &CkReport| match rep.result_ref::<tsp::TspResult>() {
+        Some(r) => r.nodes,
+        None => rep.result_ref::<puzzle::PuzzleResult>().expect("search result").nodes,
     };
-    let inst = tsp::TspInstance::random(tsp_params.n as usize, tsp_params.seed);
-    let (_, tsp_seq_nodes) = tsp::tsp_seq(&inst);
-    let start = puzzle::scramble(puzzle_params.scramble, puzzle_params.seed);
-    let (_, puz_seq_nodes) = puzzle::ida_seq(start);
-
-    for q in QueueingStrategy::ALL {
-        let label = crate::runner::scenario_label(
-            "tsp",
-            &format!("{tsp_params:?}"),
-            q,
-            &BalanceStrategy::Random,
-            false,
-        );
-        let rep = crate::runner::run_preset(&label, npes, MachinePreset::NcubeLike, || {
-            tsp::build(tsp_params, q, BalanceStrategy::Random)
-        });
-        let res = *rep.result_ref::<tsp::TspResult>().expect("tsp result");
-        t.row(vec![
-            "tsp".into(),
-            q.name().into(),
-            res.nodes.to_string(),
-            format!("{:.2}x", res.nodes as f64 / tsp_seq_nodes as f64),
-            ms(rep.time_ns),
-        ]);
-    }
-    for q in QueueingStrategy::ALL {
-        let label = crate::runner::scenario_label(
-            "puzzle",
-            &format!("{puzzle_params:?}"),
-            q,
-            &BalanceStrategy::Random,
-            false,
-        );
-        let rep = crate::runner::run_preset(&label, npes, MachinePreset::NcubeLike, || {
-            puzzle::build(puzzle_params, q, BalanceStrategy::Random)
-        });
-        let res = *rep
-            .result_ref::<puzzle::PuzzleResult>()
-            .expect("puzzle result");
-        t.row(vec![
-            "puzzle".into(),
-            q.name().into(),
-            res.nodes.to_string(),
-            format!("{:.2}x", res.nodes as f64 / puz_seq_nodes as f64),
-            ms(rep.time_ns),
-        ]);
+    for (case, seq_nodes) in [(tsp, tsp_seq_nodes), (puzzle, puz_seq_nodes)] {
+        for q in QueueingStrategy::ALL {
+            let spec = case.with(q, BalanceStrategy::Random);
+            let rep = run_spec(&spec, npes, MachinePreset::NcubeLike);
+            let nodes = expanded(&rep);
+            t.row(vec![
+                case.app.name.into(),
+                q.name().into(),
+                nodes.to_string(),
+                format!("{:.2}x", nodes as f64 / seq_nodes as f64),
+                ms(rep.time_ns),
+            ]);
+        }
     }
     t.note(format!(
         "sequential baselines: tsp {tsp_seq_nodes} nodes, puzzle {puz_seq_nodes} nodes"
@@ -509,25 +307,17 @@ pub fn table6(scale: Scale) -> Table {
             format!("{:.2}", per_k / per_raw),
         ]);
     }
-    let params = match scale {
-        Scale::Quick => jacobi::JacobiParams { n: 64, iters: 10 },
-        Scale::Full => jacobi::JacobiParams { n: 256, iters: 25 },
-    };
-    // Same label shape as the suite's jacobi default (Fifo + Local), so
-    // at full scale these cells share the suite's 4- and 8-PE runs.
-    let jacobi_label = crate::runner::scenario_label(
-        "jacobi",
-        &format!("{params:?}"),
-        QueueingStrategy::Fifo,
-        &BalanceStrategy::Local,
-        false,
-    );
+    // At full scale this is the suite's jacobi, so these cells share
+    // the suite's 4- and 8-PE runs.
+    let spec = Spec::parse(match scale {
+        Scale::Quick => "jacobi:n=64,iters=10",
+        Scale::Full => "jacobi:n=256,iters=25",
+    })
+    .expect("jacobi spec");
+    let params = spec.params(jacobi::params);
     for npes in [4usize, 8] {
         let (_, raw_t) = raw_jacobi(params, npes, MachinePreset::NcubeLike);
-        let kernel_t = crate::runner::run_preset(&jacobi_label, npes, MachinePreset::NcubeLike, || {
-            jacobi::build_default(params)
-        })
-        .time_ns;
+        let kernel_t = run_spec(&spec, npes, MachinePreset::NcubeLike).time_ns;
         t.row(vec![
             format!("jacobi {}^2 x{} P={npes} (ms)", params.n, params.iters),
             ms(raw_t),
@@ -544,27 +334,19 @@ pub fn fig1(scale: Scale) -> Table {
     let pes = scale.pes();
     let suite = standard_suite(scale);
     let mut headers: Vec<String> = vec!["P".into()];
-    headers.extend(suite.iter().map(|c| c.name.to_string()));
+    headers.extend(suite.iter().map(|c| c.app.name.to_string()));
     let mut t = Table {
         title: "Figure 1: speedup vs PE count (simulated NCUBE-like hypercube)".into(),
         headers,
         rows: Vec::new(),
         notes: Vec::new(),
     };
-    let t1s: Vec<u64> = suite
-        .iter()
-        .map(|c| {
-            crate::runner::run_preset(&c.label(), 1, MachinePreset::NcubeLike, || c.build_default())
-                .time_ns
-        })
-        .collect();
+    let t1s: Vec<u64> =
+        suite.iter().map(|c| run_spec(c, 1, MachinePreset::NcubeLike).time_ns).collect();
     for &p in pes {
         let mut row = vec![p.to_string()];
         for (case, &t1) in suite.iter().zip(&t1s) {
-            let tp = crate::runner::run_preset(&case.label(), p, MachinePreset::NcubeLike, || {
-                case.build_default()
-            })
-            .time_ns;
+            let tp = run_spec(case, p, MachinePreset::NcubeLike).time_ns;
             row.push(format!("{:.2}", t1 as f64 / tp as f64));
         }
         t.row(row);
@@ -583,23 +365,11 @@ pub fn fig2(scale: Scale) -> Table {
         &["grain", "chares", "sim ms", "speedup"],
     );
     for &grain in grains {
-        let params = fib::FibParams { n, grain };
-        // fib's default strategies are the suite's (Fifo + ACWN), so the
+        // Registry-default strategies, like the suite's fib: the
         // suite-default grain shares runs with Tables 1/2/8, Figure 1.
-        let label = crate::runner::scenario_label(
-            "fib",
-            &format!("{params:?}"),
-            QueueingStrategy::Fifo,
-            &BalanceStrategy::acwn(),
-            false,
-        );
-        let t1 = crate::runner::run_preset(&label, 1, MachinePreset::NcubeLike, || {
-            fib::build_default(params)
-        })
-        .time_ns;
-        let rep = crate::runner::run_preset(&label, npes, MachinePreset::NcubeLike, || {
-            fib::build_default(params)
-        });
+        let spec = Spec::parse(&format!("fib:n={n},grain={grain}")).expect("fib spec");
+        let t1 = run_spec(&spec, 1, MachinePreset::NcubeLike).time_ns;
+        let rep = run_spec(&spec, npes, MachinePreset::NcubeLike);
         t.row(vec![
             grain.to_string(),
             rep.counter_total("chares_created").to_string(),
@@ -618,10 +388,7 @@ pub fn fig3(scale: Scale) -> Table {
         Scale::Quick => 16,
         Scale::Full => 64,
     };
-    let params = match scale {
-        Scale::Quick => nqueens::QueensParams { n: 10, grain: 6 },
-        Scale::Full => nqueens::QueensParams { n: 12, grain: 7 },
-    };
+    let queens = case(scale, "nqueens");
     let mut t = Table::new(
         format!("Figure 3: queue-length evolution, nqueens on {npes}-PE simulated hypercube"),
         &[
@@ -633,7 +400,7 @@ pub fn fig3(scale: Scale) -> Table {
         ],
     );
     for strat in [BalanceStrategy::Random, BalanceStrategy::acwn()] {
-        let prog = nqueens::build(params, QueueingStrategy::Fifo, strat.clone());
+        let prog = queens.with_balance(strat.clone()).build();
         let cfg = SimConfig::preset(npes, MachinePreset::NcubeLike)
             .with_sampling(Cost::millis(1));
         let rep = prog.run_sim(cfg);
@@ -655,18 +422,8 @@ pub fn fig3(scale: Scale) -> Table {
 /// Figure 4: search overhead vs PE count for TSP under FIFO vs
 /// bitvector priorities (the speculative-work anomaly).
 pub fn fig4(scale: Scale) -> Table {
-    let params = match scale {
-        Scale::Quick => tsp::TspParams {
-            n: 11,
-            seed: 7,
-            seq_tail: 6,
-        },
-        Scale::Full => tsp::TspParams {
-            n: 13,
-            seed: 7,
-            seq_tail: 7,
-        },
-    };
+    let tsp = case(scale, "tsp");
+    let params = tsp.params(tsp::params);
     let pes: &[usize] = match scale {
         Scale::Quick => &[1, 4, 16],
         Scale::Full => &[1, 4, 16, 64],
@@ -680,35 +437,13 @@ pub fn fig4(scale: Scale) -> Table {
         ),
         &["P", "fifo nodes", "fifo ratio", "bitvec nodes", "bitvec ratio"],
     );
-    let params_dbg = format!("{params:?}");
+    // Bitvec + Random is tsp's suite configuration: those cells share
+    // the speedup tables' runs.
+    let fifo_tsp = tsp.with(QueueingStrategy::Fifo, BalanceStrategy::Random);
     for &p in pes {
-        let fifo_label = crate::runner::scenario_label(
-            "tsp",
-            &params_dbg,
-            QueueingStrategy::Fifo,
-            &BalanceStrategy::Random,
-            false,
-        );
-        let fifo_rep = crate::runner::run_preset(&fifo_label, p, MachinePreset::NcubeLike, || {
-            tsp::build(params, QueueingStrategy::Fifo, BalanceStrategy::Random)
-        });
+        let fifo_rep = run_spec(&fifo_tsp, p, MachinePreset::NcubeLike);
         let fifo = *fifo_rep.result_ref::<tsp::TspResult>().expect("result");
-        // Bitvec + Random is tsp's suite default: these cells share the
-        // speedup tables' runs.
-        let prio_label = crate::runner::scenario_label(
-            "tsp",
-            &params_dbg,
-            QueueingStrategy::BitvecPriority,
-            &BalanceStrategy::Random,
-            false,
-        );
-        let prio_rep = crate::runner::run_preset(&prio_label, p, MachinePreset::NcubeLike, || {
-            tsp::build(
-                params,
-                QueueingStrategy::BitvecPriority,
-                BalanceStrategy::Random,
-            )
-        });
+        let prio_rep = run_spec(&tsp, p, MachinePreset::NcubeLike);
         let prio = *prio_rep.result_ref::<tsp::TspResult>().expect("result");
         t.row(vec![
             p.to_string(),
@@ -738,13 +473,11 @@ pub fn table8(scale: Scale) -> Table {
         ],
     );
     for case in standard_suite(scale) {
-        let rep = crate::runner::run_preset(&case.label(), npes, MachinePreset::NcubeLike, || {
-            case.build_default()
-        });
+        let rep = run_spec(&case, npes, MachinePreset::NcubeLike);
         let sim = rep.sim.as_ref().expect("sim detail");
         let entries = rep.counter_total("entries_executed").max(1);
         t.row(vec![
-            case.name.into(),
+            case.app.name.into(),
             sim.packets.to_string(),
             format!("{:.0}", sim.bytes as f64 / sim.packets.max(1) as f64),
             format!("{:.2}", sim.packets as f64 / entries as f64),
@@ -903,17 +636,14 @@ pub fn fig6(scale: Scale) -> Table {
         Scale::Quick => 16,
         Scale::Full => 64,
     };
-    let params = match scale {
-        Scale::Quick => nqueens::QueensParams { n: 10, grain: 6 },
-        Scale::Full => nqueens::QueensParams { n: 12, grain: 7 },
-    };
+    let queens = case(scale, "nqueens");
     const BUCKETS: usize = 10;
     let mut t = Table::new(
         format!("Figure 6: PE utilization over time, nqueens on {npes} PEs (10 slices)"),
         &["slice", "random mean%", "random max%", "acwn mean%", "acwn max%"],
     );
     let profile = |strategy: BalanceStrategy| {
-        let prog = nqueens::build(params, QueueingStrategy::Fifo, strategy);
+        let prog = queens.with_balance(strategy).build();
         let mut cfg = SimConfig::preset(npes, MachinePreset::NcubeLike);
         cfg.trace = true;
         let rep = prog.run_sim(cfg);
@@ -950,41 +680,21 @@ pub fn fig6(scale: Scale) -> Table {
 /// Figure 7 (ablation): ACWN parameters — hop budget and contraction
 /// low-mark — on the fib tree.
 pub fn fig7(scale: Scale) -> Table {
-    let (npes, params) = match scale {
-        Scale::Quick => (16, fib::FibParams { n: 24, grain: 14 }),
-        Scale::Full => (64, fib::FibParams { n: 30, grain: 16 }),
+    let npes = match scale {
+        Scale::Quick => 16,
+        Scale::Full => 64,
     };
+    let fib = case(scale, "fib");
     let mut t = Table::new(
         format!("Figure 7 (ablation): ACWN parameters, fib on {npes} PEs"),
         &["max_hops", "low_mark", "sim ms", "speedup", "seeds fwd"],
     );
-    let params_dbg = format!("{params:?}");
-    let t1 = crate::runner::run_preset(
-        &crate::runner::scenario_label(
-            "fib",
-            &params_dbg,
-            QueueingStrategy::Fifo,
-            &BalanceStrategy::Local,
-            false,
-        ),
-        1,
-        MachinePreset::NcubeLike,
-        || fib::build(params, QueueingStrategy::Fifo, BalanceStrategy::Local),
-    )
-    .time_ns;
+    let local = fib.with_balance(BalanceStrategy::Local);
+    let t1 = run_spec(&local, 1, MachinePreset::NcubeLike).time_ns;
     for max_hops in [1u32, 2, 4, 8] {
         for low_mark in [1u32, 2, 4] {
             let strat = BalanceStrategy::Acwn { max_hops, low_mark };
-            let label = crate::runner::scenario_label(
-                "fib",
-                &params_dbg,
-                QueueingStrategy::Fifo,
-                &strat,
-                false,
-            );
-            let rep = crate::runner::run_preset(&label, npes, MachinePreset::NcubeLike, || {
-                fib::build(params, QueueingStrategy::Fifo, strat.clone())
-            });
+            let rep = run_spec(&fib.with_balance(strat), npes, MachinePreset::NcubeLike);
             t.row(vec![
                 max_hops.to_string(),
                 low_mark.to_string(),
@@ -1010,19 +720,13 @@ pub fn fig8(scale: Scale) -> Table {
         format!("Figure 8 (ablation): message combining ({npes}-PE simulated hypercube)"),
         &["program", "combining", "sim ms", "packets", "avg B/pkt"],
     );
-    for case in standard_suite(scale)
-        .into_iter()
-        .filter(|c| matches!(c.name, "primes" | "sort" | "fib" | "tsp"))
-    {
+    for case in ["fib", "tsp", "sort", "primes"].map(|name| case(scale, name)) {
         for combining in [false, true] {
-            // Rebuild the program with the combining flag via the
-            // strategy-parameterized constructor plus a builder knob:
-            // the AppCase builder closes over everything else. The
-            // combining-off arm is the suite default and shares runs
-            // with the speedup tables.
-            let label = case.label_with(case.queueing, &case.balance, combining);
+            // The combining-off arm is the suite configuration and
+            // shares runs with the speedup tables.
+            let label = crate::runner::scenario_label(&case, combining);
             let rep = crate::runner::run_preset(&label, npes, MachinePreset::NcubeLike, || {
-                let prog = (case.build)(case.queueing, case.balance.clone());
+                let prog = case.build();
                 if combining {
                     prog.with_combining()
                 } else {
@@ -1031,7 +735,7 @@ pub fn fig8(scale: Scale) -> Table {
             });
             let sim = rep.sim.as_ref().expect("sim detail");
             t.row(vec![
-                case.name.into(),
+                case.app.name.into(),
                 if combining { "on" } else { "off" }.into(),
                 ms(rep.time_ns),
                 sim.packets.to_string(),
@@ -1078,16 +782,11 @@ pub fn table_r(scale: Scale) -> Table {
             "dups dropped",
         ],
     );
-    for case in standard_suite(scale)
-        .into_iter()
-        .filter(|c| matches!(c.name, "fib" | "nqueens" | "jacobi" | "sort"))
-    {
-        let clean = crate::runner::run_preset(&case.label(), npes, MachinePreset::NcubeLike, || {
-            case.build_default()
-        });
+    for case in ["fib", "nqueens", "jacobi", "sort"].map(|name| case(scale, name)) {
+        let clean = run_spec(&case, npes, MachinePreset::NcubeLike);
         let clean_pkts = clean.sim.as_ref().expect("sim detail").packets;
         t.row(vec![
-            case.name.into(),
+            case.app.name.into(),
             "none".into(),
             ms(clean.time_ns),
             "1.00".into(),
@@ -1102,16 +801,16 @@ pub fn table_r(scale: Scale) -> Table {
                 plan = plan.stall(Pe(5), SimTime(500_000), SimTime(2_000_000));
             }
             let cfg = SimConfig::preset(npes, MachinePreset::NcubeLike).with_faults(plan);
-            let rep = case.build_default().with_reliable(rel).run_sim(cfg);
+            let rep = case.build().with_reliable(rel).run_sim(cfg);
             let sim = rep.sim.as_ref().expect("sim detail");
             assert!(
                 sim.aborted.is_none(),
                 "{} aborted under {label}: {:?}",
-                case.name,
+                case.app.name,
                 sim.aborted
             );
             t.row(vec![
-                case.name.into(),
+                case.app.name.into(),
                 label.into(),
                 ms(rep.time_ns),
                 format!("{:.2}", rep.time_ns as f64 / clean.time_ns as f64),
@@ -1147,17 +846,9 @@ pub fn table_b(scale: Scale) -> Table {
 /// through the test harness (`ProcConfig::for_test`).
 pub fn table_b_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -> Table {
     let npes = 4;
-    let specs: &[(&str, &str)] = match scale {
-        Scale::Quick => &[
-            ("fib", "fib:n=18,grain=11"),
-            ("jacobi", "jacobi:n=24,iters=8"),
-            ("matmul", "matmul:n=32"),
-        ],
-        Scale::Full => &[
-            ("fib", "fib:n=22,grain=12"),
-            ("jacobi", "jacobi:n=48,iters=12"),
-            ("matmul", "matmul:n=64"),
-        ],
+    let specs: [&str; 3] = match scale {
+        Scale::Quick => ["fib:n=18,grain=11", "jacobi:n=24,iters=8", "matmul:n=32"],
+        Scale::Full => ["fib:n=22,grain=12", "jacobi:n=48,iters=12", "matmul:n=64"],
     };
     let mut t = Table::new(
         format!(
@@ -1165,40 +856,24 @@ pub fn table_b_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
         ),
         &["program", "backend", "answer", "time ms", "user msgs"],
     );
-    for &(name, spec_str) in specs {
-        // `{:?}` on f64 is the shortest round-trip rendering: two
-        // answers print identically iff they are bit-identical.
-        let answer = |rep: &CkReport| -> String {
-            if name == "fib" {
-                rep.result_ref::<u64>().expect("u64 result").to_string()
-            } else {
-                format!("{:?}", rep.result_ref::<f64>().expect("f64 result"))
-            }
-        };
-        let sim =
-            ck_apps::spec::build_spec(spec_str).run_sim_preset(npes, MachinePreset::NcubeLike);
-        let thr = ck_apps::spec::build_spec(spec_str).run_threads(npes);
-        assert!(!thr.timed_out, "{name} threads run timed out");
-        let prc = ck_apps::spec::build_spec(spec_str).run_procs(&proc_cfg(npes, spec_str));
-        let detail = prc.proc.as_ref().expect("procs detail");
-        assert!(
-            detail.aborted.is_none(),
-            "{name} procs run aborted: {}",
-            detail.aborted.as_ref().unwrap()
-        );
-        assert!(!prc.timed_out, "{name} procs run timed out");
-        let want = answer(&sim);
-        for (backend, rep) in [("sim", &sim), ("threads", &thr), ("procs", &prc)] {
+    for spec in specs.map(|s| Spec::parse(s).expect("table B spec")) {
+        let name = spec.app.name;
+        // An `Answer` prints floats in their shortest round-trip form:
+        // two answers print identically iff they are bit-identical.
+        let answer = |rep: &CkReport| spec.answer(rep).expect("result").to_string();
+        let reps = spec.run_backends(npes, proc_cfg);
+        let want = answer(&reps[0].1);
+        for (backend, rep) in &reps {
             let got = answer(rep);
             assert_eq!(got, want, "{name}: {backend} answer diverges from sim");
             let time = ms(rep.time_ns);
             let msgs = rep.counter_total("user_sent").to_string();
-            let (time, msgs) = if backend == "sim" {
+            let (time, msgs) = if *backend == "sim" {
                 (time, msgs)
             } else {
                 (host_cell(time), host_cell(msgs))
             };
-            t.row(vec![name.into(), backend.into(), got, time, msgs]);
+            t.row(vec![name.into(), (*backend).into(), got, time, msgs]);
         }
     }
     t.note("answers asserted byte-identical across the three backends before rendering");
@@ -1218,43 +893,41 @@ pub fn table_h(scale: Scale) -> Table {
 /// [`table_h`] with an explicit `ProcConfig` constructor (same pattern
 /// as [`table_b_cfg`]: the unit test re-enters the test binary).
 pub fn table_h_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -> Table {
-    let (mmr_params, fill_params) = match scale {
+    let (mmr, fill) = match scale {
         Scale::Quick => (
-            mmr::MmrParams { leaves: 2048, grain: 32, seed: 1 },
-            tablefill::FillParams { stages: 4, blocks: 24, rows: 16, width: 1, seed: 1 },
+            "mmr:leaves=2048,grain=32,seed=1",
+            "tablefill:stages=4,blocks=24,rows=16,width=1,seed=1",
         ),
         Scale::Full => (
-            mmr::MmrParams { leaves: 32768, grain: 64, seed: 1 },
-            tablefill::FillParams { stages: 6, blocks: 64, rows: 32, width: 2, seed: 1 },
+            "mmr:leaves=32768,grain=64,seed=1",
+            "tablefill:stages=6,blocks=64,rows=32,width=2,seed=1",
         ),
     };
+    let (mmr, fill) = (Spec::parse(mmr).expect("mmr spec"), Spec::parse(fill).expect("fill spec"));
     let mut t = Table::new(
         "Table H: hash-tree & pipelined table-fill workloads",
         &["workload", "config", "where", "answer", "time ms", "speedup / stage profile"],
     );
 
-    // -- MMR speedup across PE counts (bitvector priorities, random
-    //    placement), every root checked against the serial reference.
-    let root_want = mmr::mmr_root_seq(mmr_params.seed, mmr_params.leaves);
+    // -- MMR speedup across PE counts (the registry defaults: bitvector
+    //    priorities, random placement), every root checked against the
+    //    serial reference. The answer prints as the root's 32 nibbles.
+    let root_want = mmr.oracle(1);
+    let root16 = |rep: &CkReport, at: &str| {
+        let got = mmr.answer(rep).expect("mmr result");
+        assert_eq!(got, root_want, "{at}: MMR root diverges from the serial reference");
+        got.to_string()[..16].to_string()
+    };
+    let mmr_params = mmr.params(mmr::params);
     let mmr_cfg = format!("leaves={} grain={}", mmr_params.leaves, mmr_params.grain);
-    let mmr_label = crate::runner::scenario_label(
-        "mmr",
-        &format!("{mmr_params:?}"),
-        QueueingStrategy::BitvecPriority,
-        &BalanceStrategy::Random,
-        false,
-    );
-    let mmr_build = || mmr::build_default(mmr_params);
-    let t1 = crate::runner::run_preset(&mmr_label, 1, MachinePreset::NcubeLike, mmr_build).time_ns;
+    let t1 = run_spec(&mmr, 1, MachinePreset::NcubeLike).time_ns;
     for &p in scale.pes() {
-        let rep = crate::runner::run_preset(&mmr_label, p, MachinePreset::NcubeLike, mmr_build);
-        let got = rep.result_ref::<mmr::MmrResult>().expect("mmr result");
-        assert_eq!(got.root, root_want, "P={p}: MMR root diverges from the serial reference");
+        let rep = run_spec(&mmr, p, MachinePreset::NcubeLike);
         t.row(vec![
             "mmr".into(),
             mmr_cfg.clone(),
             format!("P={p}"),
-            got.root.hex()[..16].into(),
+            root16(&rep, &format!("P={p}")),
             ms(rep.time_ns),
             format!("{:.2}x", t1 as f64 / rep.time_ns as f64),
         ]);
@@ -1264,34 +937,14 @@ pub fn table_h_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
     //    simulator, the threads backend and the process backend, roots
     //    asserted byte-identical before rendering.
     let npes = 4;
-    let spec_str = format!(
-        "mmr:leaves={},grain={},seed={}",
-        mmr_params.leaves, mmr_params.grain, mmr_params.seed
-    );
-    let sim = ck_apps::spec::build_spec(&spec_str).run_sim_preset(npes, MachinePreset::NcubeLike);
-    let thr = ck_apps::spec::build_spec(&spec_str).run_threads(npes);
-    assert!(!thr.timed_out, "mmr threads run timed out");
-    let prc = ck_apps::spec::build_spec(&spec_str).run_procs(&proc_cfg(npes, &spec_str));
-    let detail = prc.proc.as_ref().expect("procs detail");
-    assert!(
-        detail.aborted.is_none(),
-        "mmr procs run aborted: {}",
-        detail.aborted.as_ref().unwrap()
-    );
-    assert!(!prc.timed_out, "mmr procs run timed out");
-    for (backend, rep) in [("sim", &sim), ("threads", &thr), ("procs", &prc)] {
-        let got = rep.result_ref::<mmr::MmrResult>().expect("mmr result");
-        assert_eq!(
-            got.root, root_want,
-            "mmr: {backend} root diverges from the serial reference"
-        );
+    for (backend, rep) in &mmr.run_backends(npes, proc_cfg) {
         let time = ms(rep.time_ns);
         t.row(vec![
             "mmr".into(),
             format!("P={npes}"),
-            backend.into(),
-            got.root.hex()[..16].into(),
-            if backend == "sim" { time } else { host_cell(time) },
+            (*backend).into(),
+            root16(rep, backend),
+            if *backend == "sim" { time } else { host_cell(time) },
             String::new(),
         ]);
     }
@@ -1299,25 +952,18 @@ pub fn table_h_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
     // -- Pipelined fill: FIFO vs bitvector (stage, block) priorities.
     //    Same digest, visibly different per-stage completion profile.
     let fill_pes = 16;
-    let digest_want = tablefill::fill_seq(&fill_params);
+    let digest_want = fill.oracle(fill_pes);
+    let fill_params = fill.params(tablefill::params);
     let fill_cfg = format!(
         "s={} b={} w={}",
         fill_params.stages, fill_params.blocks, fill_params.width
     );
     let mut profiles: Vec<String> = Vec::new();
     for q in [QueueingStrategy::Fifo, QueueingStrategy::BitvecPriority] {
-        let label = crate::runner::scenario_label(
-            "tablefill",
-            &format!("{fill_params:?}"),
-            q,
-            &BalanceStrategy::Random,
-            false,
-        );
-        let rep = crate::runner::run_preset(&label, fill_pes, MachinePreset::NcubeLike, || {
-            tablefill::build(fill_params, q, BalanceStrategy::Random)
-        });
+        let spec = fill.with(q, BalanceStrategy::Random);
+        let rep = run_spec(&spec, fill_pes, MachinePreset::NcubeLike);
+        assert_eq!(spec.answer(&rep), Some(digest_want), "q={}: fill digest diverges", q.name());
         let got = rep.result_ref::<tablefill::FillResult>().expect("fill result");
-        assert_eq!(got.digest, digest_want, "q={}: fill digest diverges", q.name());
         let profile = got
             .stage_done
             .iter()
@@ -1356,8 +1002,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_has_nine_apps() {
-        assert_eq!(standard_suite(Scale::Quick).len(), 9);
+    fn suite_has_nine_apps_with_three_under_random() {
+        for scale in [Scale::Quick, Scale::Full] {
+            let suite = standard_suite(scale);
+            assert_eq!(suite.len(), 9);
+            let deviants: Vec<&str> = suite
+                .iter()
+                .filter(|c| (c.queueing, &c.balance) != (c.app.queueing, &c.app.balance))
+                .map(|c| c.app.name)
+                .collect();
+            assert_eq!(deviants, ["nqueens", "tsp", "puzzle"]);
+        }
+        assert!(suite_case(Scale::Quick, "mmr").is_none());
     }
 
     #[test]

@@ -13,7 +13,9 @@ use chare_kernel::{CkReport, MetricsLog, Program};
 use ck_trace::TimeProfile;
 use multicomputer::{MachinePreset, SimConfig};
 
-use crate::experiments::{standard_suite, AppCase, Scale};
+use ck_apps::spec::Spec;
+
+use crate::experiments::{case, Scale};
 use crate::table::Table;
 
 const NPES: usize = 16;
@@ -26,16 +28,6 @@ const TABLE_M_APPS: [&str; 3] = ["fib", "nqueens", "jacobi"];
 /// Intervals each app's profile is coarsened to for the table.
 const TABLE_M_ROWS: usize = 4;
 
-fn case_named(scale: Scale, name: &str) -> AppCase {
-    standard_suite(scale)
-        .into_iter()
-        .find(|c| c.name == name)
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = standard_suite(scale).iter().map(|c| c.name).collect();
-            panic!("unknown benchmark {name:?}; known: {known:?}")
-        })
-}
-
 /// Run one app with streaming metrics on and return the report (always
 /// a fresh simulation — metered runs bypass the run memo).
 fn metered_run(prog: Program) -> CkReport {
@@ -43,8 +35,8 @@ fn metered_run(prog: Program) -> CkReport {
     prog.run_sim(SimConfig::preset(NPES, PRESET))
 }
 
-fn metered_log(case: &AppCase) -> (CkReport, MetricsLog) {
-    let rep = metered_run(case.build_default());
+fn metered_log(case: &Spec) -> (CkReport, MetricsLog) {
+    let rep = metered_run(case.build());
     let log = rep
         .metrics
         .clone()
@@ -73,8 +65,7 @@ pub fn table_m(scale: Scale) -> Table {
         ],
     );
     for name in TABLE_M_APPS {
-        let case = case_named(scale, name);
-        let (_, log) = metered_log(&case);
+        let (_, log) = metered_log(&case(scale, name));
         let profile = TimeProfile::from_metrics(&log).coarsen_to(TABLE_M_ROWS);
         let lat_p50 = log.latency_all().quantile_bound(0.5);
         let grain_p50 = log.grain_all().quantile_bound(0.5);
@@ -107,9 +98,9 @@ pub fn table_m(scale: Scale) -> Table {
 
 /// The `--timeline APP` view: the full-resolution utilization chart and
 /// its JSON export for one benchmark.
-pub fn timeline_view(scale: Scale, name: &str) -> (String, String) {
-    let case = case_named(scale, name);
-    let (rep, log) = metered_log(&case);
+pub fn timeline_view(case: &Spec) -> (String, String) {
+    let name = case.app.name;
+    let (rep, log) = metered_log(case);
     let profile = TimeProfile::from_metrics(&log);
     let chart = profile.coarsen_to(24);
     let mut text = String::new();
@@ -154,7 +145,7 @@ mod tests {
 
     #[test]
     fn timeline_view_renders_chart_and_valid_json() {
-        let (text, json) = timeline_view(Scale::Quick, "fib");
+        let (text, json) = timeline_view(&case(Scale::Quick, "fib"));
         assert!(text.contains("time profile: fib"));
         assert!(text.contains("overall utilization"));
         ck_trace::json_lint::validate(&json).unwrap();

@@ -20,11 +20,11 @@
 //!    reproducibility invariant, enforced by the byte-identical
 //!    `EXPERIMENTS.md` regeneration check.
 //! 2. **Injective labels.** Callers must fold *every* knob that can
-//!    change the built program into the label: app name, parameter
-//!    struct (via its `Debug` form), queueing strategy, balance
-//!    strategy (its `Debug` form includes tuning parameters), and the
-//!    combining flag. [`scenario_label`] builds labels in one canonical
-//!    format so equal configurations collide (that's the point) and
+//!    change the built program into the label. For registry apps that
+//!    is the canonical spec string plus the combining flag
+//!    ([`scenario_label`]): every parameter key, the queueing strategy
+//!    and the balance strategy with its tuning are spelled out in one
+//!    order, so equal configurations collide (that's the point) and
 //!    different ones cannot.
 //!
 //! Runs with nondeterministic *observability* extras that the tables
@@ -42,6 +42,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use chare_kernel::prelude::*;
+use ck_apps::spec::Spec;
 
 thread_local! {
     static CACHE: RefCell<HashMap<String, Rc<CkReport>>> = RefCell::new(HashMap::new());
@@ -84,23 +85,17 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Canonical scenario label. Every knob that influences the built
-/// program must appear: see the module docs for why this is
-/// load-bearing. `params_debug` is the `Debug` rendering of the app's
-/// parameter struct; `balance` is rendered via `Debug` so strategy
-/// tuning parameters (e.g. ACWN's hop budget) distinguish scenarios
-/// that share a strategy name.
-pub fn scenario_label(
-    app: &str,
-    params_debug: &str,
-    queueing: QueueingStrategy,
-    balance: &BalanceStrategy,
-    combining: bool,
-) -> String {
-    format!(
-        "{app}:{params_debug}|q={}|b={balance:?}|comb={combining}",
-        queueing.name()
-    )
+/// Canonical scenario label: the spec's canonical string — app, every
+/// parameter key, queueing and balance strategy with its tuning — plus
+/// the combining flag, the one program knob a spec does not carry. See
+/// the module docs for why injectivity here is load-bearing.
+pub fn scenario_label(spec: &Spec, combining: bool) -> String {
+    format!("{spec}|comb={combining}")
+}
+
+/// [`run_preset`] for the program `spec` describes, labelled by it.
+pub fn run_spec(spec: &Spec, npes: usize, preset: MachinePreset) -> Rc<CkReport> {
+    run_preset(&scenario_label(spec, false), npes, preset, || spec.build())
 }
 
 /// Attach streaming metrics to every memoized run when
@@ -185,48 +180,16 @@ mod tests {
 
     #[test]
     fn label_separates_every_knob() {
-        let base = scenario_label(
-            "fib",
-            "FibParams { n: 24, grain: 14 }",
-            QueueingStrategy::Fifo,
-            &BalanceStrategy::acwn(),
-            false,
-        );
-        let others = [
-            scenario_label(
-                "fib",
-                "FibParams { n: 24, grain: 15 }",
-                QueueingStrategy::Fifo,
-                &BalanceStrategy::acwn(),
-                false,
-            ),
-            scenario_label(
-                "fib",
-                "FibParams { n: 24, grain: 14 }",
-                QueueingStrategy::Lifo,
-                &BalanceStrategy::acwn(),
-                false,
-            ),
-            scenario_label(
-                "fib",
-                "FibParams { n: 24, grain: 14 }",
-                QueueingStrategy::Fifo,
-                &BalanceStrategy::Acwn {
-                    max_hops: 1,
-                    low_mark: 2,
-                },
-                false,
-            ),
-            scenario_label(
-                "fib",
-                "FibParams { n: 24, grain: 14 }",
-                QueueingStrategy::Fifo,
-                &BalanceStrategy::acwn(),
-                true,
-            ),
-        ];
-        for o in &others {
-            assert_ne!(&base, o);
+        let label = |spec: &str, combining| scenario_label(&Spec::parse(spec).unwrap(), combining);
+        let base = label("fib:n=24,grain=14", false);
+        assert_eq!(base, label("fib:grain=14,n=24,q=fifo,bal=acwn", false), "equal configs collide");
+        for other in [
+            label("fib:n=24,grain=15", false),
+            label("fib:n=24,grain=14,q=lifo", false),
+            label("fib:n=24,grain=14,bal=acwn:1/2", false),
+            label("fib:n=24,grain=14", true),
+        ] {
+            assert_ne!(base, other);
         }
     }
 }

@@ -14,7 +14,9 @@ use chare_kernel::{CkReport, TraceConfig};
 use ck_trace::RunTrace;
 use multicomputer::{MachinePreset, SimConfig};
 
-use crate::experiments::{standard_suite, AppCase, Scale};
+use ck_apps::spec::Spec;
+
+use crate::experiments::{standard_suite, Scale};
 use crate::table::Table;
 
 const NPES: usize = 16;
@@ -22,23 +24,13 @@ const PRESET: MachinePreset = MachinePreset::NcubeLike;
 
 /// Run one app with both kernel event tracing and simulator span
 /// tracing enabled, and join the two into a [`RunTrace`].
-fn traced_run(case: &AppCase) -> (CkReport, RunTrace) {
-    let prog = case.build_default().with_tracing(TraceConfig::default());
+fn traced_run(case: &Spec) -> (CkReport, RunTrace) {
+    let prog = case.build().with_tracing(TraceConfig::default());
     let cfg = SimConfig::preset(NPES, PRESET).with_trace();
     let rep = prog.run_sim(cfg);
     let run = RunTrace::from_report(&rep, &PRESET.cost_model())
         .expect("traced simulator run must yield a RunTrace");
     (rep, run)
-}
-
-fn case_named(scale: Scale, name: &str) -> AppCase {
-    standard_suite(scale)
-        .into_iter()
-        .find(|c| c.name == name)
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = standard_suite(scale).iter().map(|c| c.name).collect();
-            panic!("unknown benchmark {name:?}; known: {known:?}")
-        })
 }
 
 /// Table P: overhead attribution per benchmark — the Projections view
@@ -64,13 +56,13 @@ pub fn table_p(scale: Scale) -> Table {
     for case in standard_suite(scale) {
         let (_, run) = traced_run(&case);
         if let Some(warn) = run.truncation_warning() {
-            truncated.push(format!("{}: {warn}", case.name));
+            truncated.push(format!("{}: {warn}", case.app.name));
         }
         let (work, dispatch, control, idle) = run.attribution().fractions();
         let grain = run.grain_histogram();
         let cp = run.critical_path();
         t.row(vec![
-            case.name.into(),
+            case.app.name.into(),
             format!("{:.1}", work * 100.0),
             format!("{:.1}", dispatch * 100.0),
             format!("{:.1}", control * 100.0),
@@ -94,9 +86,9 @@ pub fn table_p(scale: Scale) -> Table {
 }
 
 /// PE×PE message-count matrix for one benchmark, as a table.
-pub fn comm_matrix_table(scale: Scale, name: &str) -> Table {
-    let case = case_named(scale, name);
-    let (_, run) = traced_run(&case);
+pub fn comm_matrix_table(case: &Spec) -> Table {
+    let name = case.app.name;
+    let (_, run) = traced_run(case);
     let m = run.comm_matrix();
     let mut headers: Vec<String> = vec!["src\\dst".into()];
     headers.extend((0..m.npes).map(|d| d.to_string()));
@@ -124,9 +116,9 @@ pub fn comm_matrix_table(scale: Scale, name: &str) -> Table {
 /// Chrome trace-event JSON for one benchmark (load at ui.perfetto.dev).
 /// The export lint rejects a silently-truncated timeline: if the trace
 /// ring overflowed, the document must say so.
-pub fn export_trace(scale: Scale, name: &str) -> String {
-    let case = case_named(scale, name);
-    let (_, run) = traced_run(&case);
+pub fn export_trace(case: &Spec) -> String {
+    let name = case.app.name;
+    let (_, run) = traced_run(case);
     let json = run.to_chrome_trace();
     ck_trace::json_lint::validate_export(&json, run.dropped)
         .unwrap_or_else(|e| panic!("trace export for {name} failed lint: {e}"));
@@ -136,6 +128,7 @@ pub fn export_trace(scale: Scale, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::case;
 
     #[test]
     fn table_p_rows_sum_to_100_percent() {
@@ -153,7 +146,7 @@ mod tests {
 
     #[test]
     fn comm_matrix_fib_has_remote_traffic() {
-        let t = comm_matrix_table(Scale::Quick, "fib");
+        let t = comm_matrix_table(&case(Scale::Quick, "fib"));
         assert_eq!(t.rows.len(), NPES);
         assert_eq!(t.headers.len(), NPES + 1);
         let total: u64 = t
@@ -167,7 +160,7 @@ mod tests {
 
     #[test]
     fn exported_trace_is_valid_json() {
-        let json = export_trace(Scale::Quick, "fib");
+        let json = export_trace(&case(Scale::Quick, "fib"));
         ck_trace::json_lint::validate(&json).unwrap();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""));

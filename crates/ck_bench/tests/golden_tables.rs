@@ -7,8 +7,9 @@
 //! `ck_bench::driver`: Tables B and H re-invoke `current_exe` as procs
 //! workers, which only a binary that starts with `worker_hook()` can be.
 //!
-//! The CLI's refusals (the retired bench flags, `--out` with more than
-//! one producer) are checked here too, since they need the same binary.
+//! The CLI's refusals (the retired bench flags, an unknown benchmark
+//! name, `--out` with more than one producer) are checked here too,
+//! since they need the same binary.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -52,6 +53,27 @@ fn retired_bench_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{flag} must be rejected");
         assert!(out.stdout.is_empty(), "{flag} must not run anything");
     }
+}
+
+#[test]
+fn unknown_benchmark_names_are_usage_errors() {
+    // These used to reach a `panic!` — a SIGABRT under the release
+    // profile's `panic = "abort"` — instead of the exit-2 usage error
+    // every other bad argument gets.
+    for flag in ["--timeline", "--export-trace", "--matrix"] {
+        let out = tables(&[flag, "warp", "--quick"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} warp must be rejected");
+        assert!(out.stdout.is_empty(), "{flag} warp must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown benchmark \"warp\""), "{flag}: {err}");
+        for known in ["fib", "nqueens", "primes"] {
+            assert!(err.contains(known), "{flag} must list {known}: {err}");
+        }
+    }
+    // A good name after a bad one must not run either.
+    let out = tables(&["--matrix", "fib", "--timeline", "warp", "--quick"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

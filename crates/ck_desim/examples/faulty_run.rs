@@ -12,7 +12,7 @@
 //! # replay a campaign failure verbatim (specs from the FAIL line),
 //! # judging it with the campaign's own oracles
 //! cargo run --release -p ck_desim --example faulty_run -- \
-//!     --scenario 'app=nqueens:8/4 npes=16 preset=ncube q=fifo b=token rel=800/3/16' \
+//!     --scenario 'app=nqueens:n=8,grain=4,bal=token npes=16 preset=ncube rel=800/3/16' \
 //!     --storm 'seed=0xBEEF drop=0.05 stall=5@500000-2000000' --minimize
 //! ```
 
@@ -64,7 +64,7 @@ fn replay(args: &Args) {
         .as_deref()
         .map(|s| Scenario::parse(s).expect("valid --scenario spec"))
         .unwrap_or_else(|| {
-            Scenario::parse("app=nqueens:8/4 npes=16 preset=ncube q=fifo b=local rel=800/3/16")
+            Scenario::parse("app=nqueens:n=8,grain=4,bal=local npes=16 preset=ncube rel=800/3/16")
                 .unwrap()
         });
     let storm = match args.storm.as_deref() {

@@ -8,7 +8,7 @@
 //! desim --campaign-seed 42 --only 137
 //!
 //! # replay an explicit (scenario, storm) pair — the repro one-liner
-//! desim --scenario 'app=fib:16/9 npes=8 preset=ncube q=fifo b=random rel=500/2/16' \
+//! desim --scenario 'app=fib:n=16,grain=9,q=fifo,bal=random npes=8 preset=ncube rel=500/2/16' \
 //!       --storm 'seed=0xBEEF drop=0.05 crash=3@0'
 //!
 //! # replay the committed regression corpus

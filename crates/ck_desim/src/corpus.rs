@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! # minimized from campaign seed 0x2A run 137 (lost-seed ledger)
-//! scenario = app=fib:16/9 npes=8 preset=ncube q=fifo b=random rel=500/2/16
+//! scenario = app=fib:n=16,grain=9,q=fifo,bal=random npes=8 preset=ncube rel=500/2/16
 //! storm = seed=0xBEEF drop=0.05 crash=3@0
 //! expect = pass
 //! ```
@@ -116,7 +116,7 @@ mod tests {
 
     const SAMPLE: &str = "\
 # provenance comment
-scenario = app=fib:16/9 npes=8 preset=ncube q=fifo b=random rel=500/2/16
+scenario = app=fib:n=16,grain=9,q=fifo,bal=random npes=8 preset=ncube rel=500/2/16
 storm = seed=0xBEEF drop=0.05 crash=3@0
 expect = pass
 ";
@@ -134,10 +134,10 @@ expect = pass
     fn malformed_entries_are_rejected() {
         for bad in [
             "",
-            "scenario = app=fib:16/9 npes=8 preset=ncube q=fifo b=random rel=none",
+            "scenario = app=fib:n=16,grain=9,q=fifo,bal=random npes=8 preset=ncube rel=none",
             "storm = seed=0x1\nexpect = pass",
             "scenario = nonsense\nstorm = seed=0x1\nexpect = pass",
-            "scenario = app=fib:16/9 npes=8 preset=ncube q=fifo b=random rel=none\nstorm = seed=0x1\nexpect = fail",
+            "scenario = app=fib:n=16,grain=9,q=fifo,bal=random npes=8 preset=ncube rel=none\nstorm = seed=0x1\nexpect = fail",
         ] {
             assert!(parse_entry(bad).is_err(), "accepted: {bad:?}");
         }

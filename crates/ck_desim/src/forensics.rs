@@ -107,7 +107,7 @@ mod tests {
     fn failing_style_run_renders_forensics() {
         // Any metered run renders; use a small clean scenario.
         let sc = Scenario::parse(
-            "app=fib:12/8 npes=4 preset=ncube q=fifo b=acwn:4/2 rel=none",
+            "app=fib:n=12,grain=8 npes=4 preset=ncube rel=none",
         )
         .unwrap();
         let rep = sc.run(&FaultPlan::new(0), 10_000_000);

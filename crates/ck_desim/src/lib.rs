@@ -50,4 +50,4 @@ pub use campaign::{
 pub use corpus::CorpusEntry;
 pub use minimize::{minimize, Minimized};
 pub use oracle::{judge, ledger_gate_active, Violation};
-pub use scenario::{Answer, AppConfig, RelKnobs, Scenario};
+pub use scenario::{Answer, RelKnobs, Scenario};

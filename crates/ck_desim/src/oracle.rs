@@ -149,7 +149,7 @@ pub fn judge(sc: &Scenario, rep: &CkReport, want: Answer) -> Vec<Violation> {
         false
     };
     if !hung {
-        match sc.app.extract(rep) {
+        match sc.prog.answer(rep) {
             None => out.push(Violation::MissingAnswer),
             Some(got) if !want.matches(got) => out.push(Violation::WrongAnswer { want, got }),
             Some(_) => {}
@@ -180,19 +180,11 @@ pub fn judge(sc: &Scenario, rep: &CkReport, want: Answer) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{AppConfig, Scenario};
-    use chare_kernel::prelude::*;
+    use crate::scenario::Scenario;
     use multicomputer::FaultPlan;
 
     fn clean_scenario() -> Scenario {
-        Scenario {
-            app: AppConfig::Nqueens { n: 7, grain: 4 },
-            npes: 4,
-            preset: MachinePreset::NcubeLike,
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::acwn(),
-            rel: None,
-        }
+        Scenario::parse("app=nqueens:n=7,grain=4 npes=4 preset=ncube rel=none").unwrap()
     }
 
     #[test]

@@ -17,40 +17,19 @@
 //!   ([`slice_reliable`]): the 5 ms socket-scale timeout and a retry
 //!   budget deep enough that an all-acks-lost seed redirect (the known
 //!   at-most-once gap) is out of statistical reach.
-//! * **Worker program.** Workers rebuild the program from the
-//!   scenario's own spec string via [`worker_hook`], so the wire-table
+//! * **Worker program.** `CK_SPEC` carries the scenario's app spec
+//!   (the part after `app=`), so workers rebuild the program with the
+//!   ordinary `ck_apps::spec::worker_hook` and the wire-table
 //!   fingerprint matches the parent's by construction. The reliable
 //!   layer, metrics and the shim config ride the parent's
 //!   `CK_PROC_OPTS` overrides; the spec only has to describe the base
-//!   program.
+//!   program. Apps that register no wire codecs (`Program::is_wired`)
+//!   cannot run here and are skipped by the slice.
 
 use chare_kernel::prelude::*;
-use chare_kernel::{CkReport, Program};
+use chare_kernel::CkReport;
 
-use crate::scenario::{AppConfig, Scenario};
-
-/// Entry hook for test binaries that run procs slices: call first in
-/// every such test. A worker invocation parses `CK_SPEC` as a
-/// [`Scenario`] spec and rebuilds the base program; a normal invocation
-/// returns immediately.
-pub fn worker_hook() {
-    chare_kernel::maybe_worker(build_scenario);
-}
-
-/// Build the base program a scenario spec describes — the shared
-/// parent/worker constructor (both sides must register the same wire
-/// table in the same order, so both call exactly this).
-pub fn build_scenario(spec: &str) -> Program {
-    let sc = Scenario::parse(spec).unwrap_or_else(|e| panic!("bad scenario spec {spec:?}: {e}"));
-    sc.app.build(sc.queueing, &sc.balance)
-}
-
-/// Whether a scenario's app has wire codecs registered (the procs
-/// backend needs every crossing type to be `Wire`). `jconv` is the one
-/// holdout — its phased `Control` protocol is not wired yet.
-pub fn wired(sc: &Scenario) -> bool {
-    !matches!(sc.app, AppConfig::JacobiConv { .. })
-}
+use crate::scenario::Scenario;
 
 /// Wall-clock reliable config for slice runs (see module docs for why
 /// the scenario's own sim-time knobs are not used).
@@ -65,61 +44,19 @@ pub fn slice_reliable() -> ReliableConfig {
 /// Run one scenario on the procs backend under an optional loss shim,
 /// returning the report for [`crate::oracle::judge`]. `test_name` is
 /// the calling test's name (the backend re-invokes the test binary
-/// filtered to it). The machine preset is ignored — processes run at
-/// real speed — which is exactly what makes the slice interesting: the
-/// answers and ledgers must hold on wall-clock scheduling too.
+/// filtered to it, so the test must start with
+/// `ck_apps::spec::worker_hook()`). The machine preset is ignored —
+/// processes run at real speed — which is exactly what makes the slice
+/// interesting: the answers and ledgers must hold on wall-clock
+/// scheduling too.
 pub fn run_scenario_procs(sc: &Scenario, loss: Option<LossConfig>, test_name: &str) -> CkReport {
-    let prog = build_scenario(&sc.spec())
-        .with_reliable(slice_reliable())
-        .with_metrics(MetricsConfig::default());
-    let mut cfg = ProcConfig::for_test(sc.npes, sc.spec(), test_name);
+    let mut cfg = ProcConfig::for_test(sc.npes, sc.prog.to_string(), test_name);
     if let Some(loss) = loss {
         cfg = cfg.with_loss(loss);
     }
-    prog.run_procs(&cfg)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use multicomputer::FaultRng;
-
-    #[test]
-    fn scenario_specs_build_and_fingerprints_agree() {
-        // Every wired scenario the generator can draw must build from
-        // its own spec with a stable wire fingerprint — the procs
-        // handshake precondition, checked here without spawning
-        // processes.
-        let mut rng = FaultRng::new(0x51DE);
-        let mut checked = 0;
-        for _ in 0..60 {
-            let sc = crate::scenario::generate(&mut rng);
-            if !wired(&sc) {
-                continue;
-            }
-            let a = build_scenario(&sc.spec());
-            let b = build_scenario(&sc.spec());
-            assert_eq!(
-                a.wire_fingerprint(),
-                b.wire_fingerprint(),
-                "unstable fingerprint for {}",
-                sc.spec()
-            );
-            checked += 1;
-        }
-        assert!(checked > 30, "generator should mostly draw wired apps");
-    }
-
-    #[test]
-    fn unwired_apps_are_excluded() {
-        let sc = Scenario {
-            app: AppConfig::JacobiConv { n: 16, max_iters: 100 },
-            npes: 4,
-            preset: MachinePreset::NcubeLike,
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::acwn(),
-            rel: None,
-        };
-        assert!(!wired(&sc));
-    }
+    sc.prog
+        .build()
+        .with_reliable(slice_reliable())
+        .with_metrics(MetricsConfig::default())
+        .run_procs(&cfg)
 }

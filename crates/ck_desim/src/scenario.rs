@@ -14,368 +14,10 @@
 
 use chare_kernel::prelude::*;
 use chare_kernel::CkReport;
-use ck_apps::{fib, jacobi, jacobi_conv, mmr, nqueens, primes, quad, tablefill};
+use ck_apps::spec::Spec;
 use multicomputer::{FaultPlan, FaultRng};
 
-/// Convergence tolerance for the `jconv` app — fixed, because a looser
-/// tolerance changes the iteration count (the app's *answer*) and the
-/// spec string should carry every answer-relevant knob explicitly.
-const CONV_EPS: f64 = 1e-3;
-
-/// Leaf seed for the `mmr` app — fixed so the spec fragment stays two
-/// numbers; the fragment carries every *shape* knob and the seed only
-/// permutes digest values, never the protocol.
-const MMR_SEED: u64 = 1;
-
-/// Rows per block and base seed for the `tfill` app, fixed for the same
-/// reason (rows scale work without changing the dependency structure).
-const FILL_ROWS: u32 = 8;
-/// Base seed for `tfill`.
-const FILL_SEED: u64 = 1;
-
-/// A comparable distillation of an app's result: exact for counts,
-/// tolerant for floating-point accumulations whose addition order is
-/// legitimately schedule-dependent (faults reorder message arrivals,
-/// which reorders accumulator additions).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Answer {
-    /// An exact count (search totals, iteration counts).
-    Int(u64),
-    /// A floating-point accumulation, compared at 1e-9 relative.
-    Float(f64),
-}
-
-impl Answer {
-    /// Whether two answers agree (exact for `Int`, 1e-9 relative for
-    /// `Float`).
-    pub fn matches(self, other: Answer) -> bool {
-        match (self, other) {
-            (Answer::Int(a), Answer::Int(b)) => a == b,
-            (Answer::Float(a), Answer::Float(b)) => {
-                let scale = a.abs().max(b.abs()).max(1.0);
-                (a - b).abs() <= 1e-9 * scale
-            }
-            _ => false,
-        }
-    }
-}
-
-impl std::fmt::Display for Answer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Answer::Int(v) => write!(f, "{v}"),
-            Answer::Float(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-/// Which benchmark a run executes, with campaign-scale parameters
-/// (small enough that one run takes milliseconds; a CI campaign does
-/// hundreds of them).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AppConfig {
-    /// Recursive Fibonacci — ends by explicit `exit`, no global state,
-    /// which makes it the one app in the crash-survivable envelope.
-    Fib {
-        /// Argument.
-        n: u32,
-        /// Sequential-evaluation threshold.
-        grain: u32,
-    },
-    /// N-queens search — quiescence-terminated accumulator count.
-    Nqueens {
-        /// Board size.
-        n: u8,
-        /// Sequential threshold (remaining rows).
-        grain: u8,
-    },
-    /// Prime counting over chunk chares.
-    Primes {
-        /// Count primes below this.
-        limit: u64,
-        /// Chunk chare count.
-        chunks: u32,
-    },
-    /// Fixed-iteration Jacobi relaxation (BOC ghost exchange).
-    Jacobi {
-        /// Interior grid size.
-        n: usize,
-        /// Sweep count.
-        iters: u32,
-    },
-    /// Convergence-tested Jacobi (phased protocol over the reliable
-    /// layer's per-link FIFO guarantee).
-    JacobiConv {
-        /// Interior grid size.
-        n: usize,
-        /// Hard sweep cap.
-        max_iters: u32,
-    },
-    /// Adaptive quadrature of the default integrand over `[0, 10]`.
-    Quad {
-        /// Grain width in thousandths (`grain = grain_milli / 1000`).
-        grain_milli: u32,
-    },
-    /// Merkle-mountain-range build — table puts/gets, a write-once
-    /// root, and a per-PE verification vote, all under fault storms.
-    Mmr {
-        /// Leaf count.
-        leaves: u64,
-        /// Leaves per table block (and per leaf-phase chare).
-        grain: u64,
-    },
-    /// Pipelined multi-table fill — staged dependency windows through
-    /// the distributed table with per-stage garbage collection.
-    TableFill {
-        /// Pipeline depth.
-        stages: u32,
-        /// Blocks per stage.
-        blocks: u32,
-        /// Dependency-window width.
-        width: u32,
-    },
-}
-
-impl AppConfig {
-    /// Short app name (first token of the spec fragment, and the app
-    /// component of the memoized-reference cache label).
-    pub fn name(self) -> &'static str {
-        match self {
-            AppConfig::Fib { .. } => "fib",
-            AppConfig::Nqueens { .. } => "nqueens",
-            AppConfig::Primes { .. } => "primes",
-            AppConfig::Jacobi { .. } => "jacobi",
-            AppConfig::JacobiConv { .. } => "jconv",
-            AppConfig::Quad { .. } => "quad",
-            AppConfig::Mmr { .. } => "mmr",
-            AppConfig::TableFill { .. } => "tfill",
-        }
-    }
-
-    /// Spec fragment: `name:params`, e.g. `fib:16/9`.
-    pub fn frag(self) -> String {
-        match self {
-            AppConfig::Fib { n, grain } => format!("fib:{n}/{grain}"),
-            AppConfig::Nqueens { n, grain } => format!("nqueens:{n}/{grain}"),
-            AppConfig::Primes { limit, chunks } => format!("primes:{limit}/{chunks}"),
-            AppConfig::Jacobi { n, iters } => format!("jacobi:{n}/{iters}"),
-            AppConfig::JacobiConv { n, max_iters } => format!("jconv:{n}/{max_iters}"),
-            AppConfig::Quad { grain_milli } => format!("quad:{grain_milli}"),
-            AppConfig::Mmr { leaves, grain } => format!("mmr:{leaves}/{grain}"),
-            AppConfig::TableFill {
-                stages,
-                blocks,
-                width,
-            } => format!("tfill:{stages}/{blocks}/{width}"),
-        }
-    }
-
-    /// Parse a [`AppConfig::frag`] fragment.
-    pub fn parse(frag: &str) -> Result<AppConfig, String> {
-        let (name, rest) = frag
-            .split_once(':')
-            .ok_or_else(|| format!("expected NAME:PARAMS, got '{frag}'"))?;
-        fn two(rest: &str) -> Result<(u64, u64), String> {
-            let (a, b) = rest
-                .split_once('/')
-                .ok_or_else(|| format!("expected A/B, got '{rest}'"))?;
-            Ok((
-                a.parse().map_err(|e| format!("bad number '{a}': {e}"))?,
-                b.parse().map_err(|e| format!("bad number '{b}': {e}"))?,
-            ))
-        }
-        Ok(match name {
-            "fib" => {
-                let (n, grain) = two(rest)?;
-                AppConfig::Fib {
-                    n: n as u32,
-                    grain: grain as u32,
-                }
-            }
-            "nqueens" => {
-                let (n, grain) = two(rest)?;
-                AppConfig::Nqueens {
-                    n: n as u8,
-                    grain: grain as u8,
-                }
-            }
-            "primes" => {
-                let (limit, chunks) = two(rest)?;
-                AppConfig::Primes {
-                    limit,
-                    chunks: chunks as u32,
-                }
-            }
-            "jacobi" => {
-                let (n, iters) = two(rest)?;
-                AppConfig::Jacobi {
-                    n: n as usize,
-                    iters: iters as u32,
-                }
-            }
-            "jconv" => {
-                let (n, max_iters) = two(rest)?;
-                AppConfig::JacobiConv {
-                    n: n as usize,
-                    max_iters: max_iters as u32,
-                }
-            }
-            "quad" => AppConfig::Quad {
-                grain_milli: rest
-                    .parse()
-                    .map_err(|e| format!("bad number '{rest}': {e}"))?,
-            },
-            "mmr" => {
-                let (leaves, grain) = two(rest)?;
-                AppConfig::Mmr { leaves, grain }
-            }
-            "tfill" => {
-                let parts: Vec<&str> = rest.split('/').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected STAGES/BLOCKS/WIDTH, got '{rest}'"));
-                }
-                AppConfig::TableFill {
-                    stages: parts[0].parse().map_err(|e| format!("bad stages: {e}"))?,
-                    blocks: parts[1].parse().map_err(|e| format!("bad blocks: {e}"))?,
-                    width: parts[2].parse().map_err(|e| format!("bad width: {e}"))?,
-                }
-            }
-            other => return Err(format!("unknown app '{other}'")),
-        })
-    }
-
-    /// The `Debug` rendering of the app's parameter struct — the
-    /// injective-label component the memoized runner requires.
-    pub fn params_debug(self) -> String {
-        match self {
-            AppConfig::Fib { n, grain } => format!("{:?}", fib::FibParams { n, grain }),
-            AppConfig::Nqueens { n, grain } => {
-                format!("{:?}", nqueens::QueensParams { n, grain })
-            }
-            AppConfig::Primes { limit, chunks } => {
-                format!("{:?}", primes::PrimesParams { limit, chunks })
-            }
-            AppConfig::Jacobi { n, iters } => format!("{:?}", jacobi::JacobiParams { n, iters }),
-            AppConfig::JacobiConv { n, max_iters } => format!(
-                "{:?}",
-                jacobi_conv::ConvParams {
-                    n,
-                    eps: CONV_EPS,
-                    max_iters,
-                }
-            ),
-            AppConfig::Quad { grain_milli } => format!("{:?}", Self::quad_params(grain_milli)),
-            AppConfig::Mmr { leaves, grain } => format!(
-                "{:?}",
-                mmr::MmrParams {
-                    leaves,
-                    grain,
-                    seed: MMR_SEED,
-                }
-            ),
-            AppConfig::TableFill {
-                stages,
-                blocks,
-                width,
-            } => format!("{:?}", Self::fill_params(stages, blocks, width)),
-        }
-    }
-
-    fn fill_params(stages: u32, blocks: u32, width: u32) -> tablefill::FillParams {
-        tablefill::FillParams {
-            stages,
-            blocks,
-            rows: FILL_ROWS,
-            width,
-            seed: FILL_SEED,
-        }
-    }
-
-    fn quad_params(grain_milli: u32) -> quad::QuadParams {
-        quad::QuadParams {
-            a: 0.0,
-            b: 10.0,
-            tol: 1e-6,
-            grain: f64::from(grain_milli) / 1000.0,
-        }
-    }
-
-    /// Build the program with the given strategies. `jconv` takes no
-    /// strategy knobs (its build fixes them); scenarios pin the
-    /// generated strategies for it so the spec stays truthful.
-    pub fn build(self, queueing: QueueingStrategy, balance: &BalanceStrategy) -> Program {
-        match self {
-            AppConfig::Fib { n, grain } => {
-                fib::build(fib::FibParams { n, grain }, queueing, balance.clone())
-            }
-            AppConfig::Nqueens { n, grain } => nqueens::build(
-                nqueens::QueensParams { n, grain },
-                queueing,
-                balance.clone(),
-            ),
-            AppConfig::Primes { limit, chunks } => primes::build(
-                primes::PrimesParams { limit, chunks },
-                queueing,
-                balance.clone(),
-            ),
-            AppConfig::Jacobi { n, iters } => jacobi::build(
-                jacobi::JacobiParams { n, iters },
-                queueing,
-                balance.clone(),
-            ),
-            AppConfig::JacobiConv { n, max_iters } => jacobi_conv::build(jacobi_conv::ConvParams {
-                n,
-                eps: CONV_EPS,
-                max_iters,
-            }),
-            AppConfig::Quad { grain_milli } => {
-                quad::build(Self::quad_params(grain_milli), queueing, balance.clone())
-            }
-            AppConfig::Mmr { leaves, grain } => mmr::build(
-                mmr::MmrParams {
-                    leaves,
-                    grain,
-                    seed: MMR_SEED,
-                },
-                queueing,
-                balance.clone(),
-            ),
-            AppConfig::TableFill {
-                stages,
-                blocks,
-                width,
-            } => tablefill::build(
-                Self::fill_params(stages, blocks, width),
-                queueing,
-                balance.clone(),
-            ),
-        }
-    }
-
-    /// Extract the comparable answer from a finished report, without
-    /// consuming it (reference reports are shared behind `Rc`).
-    pub fn extract(self, rep: &CkReport) -> Option<Answer> {
-        Some(match self {
-            AppConfig::Fib { .. }
-            | AppConfig::Nqueens { .. }
-            | AppConfig::Primes { .. } => Answer::Int(*rep.result_ref::<u64>()?),
-            AppConfig::Jacobi { .. } | AppConfig::Quad { .. } => {
-                Answer::Float(*rep.result_ref::<f64>()?)
-            }
-            AppConfig::JacobiConv { .. } => {
-                Answer::Int(rep.result_ref::<jacobi_conv::ConvResult>()?.iters as u64)
-            }
-            // Both hash-family answers are already order-independent
-            // digests; fold the MMR root to one comparable word.
-            AppConfig::Mmr { .. } => {
-                Answer::Int(rep.result_ref::<mmr::MmrResult>()?.root.fold())
-            }
-            AppConfig::TableFill { .. } => {
-                Answer::Int(rep.result_ref::<tablefill::FillResult>()?.digest)
-            }
-        })
-    }
-}
+pub use ck_apps::registry::Answer;
 
 /// Reliable-delivery knobs a scenario runs with, in spec-friendly
 /// units.
@@ -403,123 +45,49 @@ impl RelKnobs {
 /// One campaign run's victim configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Benchmark and parameters.
-    pub app: AppConfig,
+    /// Benchmark, parameters and kernel strategies — a registry spec
+    /// at campaign scale (small enough that one run takes milliseconds;
+    /// a CI campaign does hundreds of them).
+    pub prog: Spec,
     /// Simulated machine size.
     pub npes: usize,
     /// Machine cost preset (also fixes the topology).
     pub preset: MachinePreset,
-    /// Scheduler queueing strategy.
-    pub queueing: QueueingStrategy,
-    /// Dynamic load-balancing strategy.
-    pub balance: BalanceStrategy,
     /// Reliable-layer knobs; `None` runs unprotected (only storm-free
     /// or deliberately-failing runs survive that).
     pub rel: Option<RelKnobs>,
 }
 
-fn preset_str(p: MachinePreset) -> &'static str {
-    match p {
-        MachinePreset::NcubeLike => "ncube",
-        MachinePreset::IpscLike => "ipsc",
-        MachinePreset::SharedBusLike => "bus",
-        MachinePreset::Ideal => "ideal",
-    }
-}
-
-fn queueing_str(q: QueueingStrategy) -> &'static str {
-    match q {
-        QueueingStrategy::Fifo => "fifo",
-        QueueingStrategy::Lifo => "lifo",
-        QueueingStrategy::IntPriority => "int",
-        QueueingStrategy::BitvecPriority => "bitvec",
-    }
-}
-
-fn balance_frag(b: &BalanceStrategy) -> String {
-    match b {
-        BalanceStrategy::Local => "local".into(),
-        BalanceStrategy::Random => "random".into(),
-        BalanceStrategy::CentralManager => "central".into(),
-        BalanceStrategy::TokenIdle => "token".into(),
-        BalanceStrategy::Acwn { max_hops, low_mark } => format!("acwn:{max_hops}/{low_mark}"),
-    }
-}
-
 impl Scenario {
     /// One-line spec, parseable by [`Scenario::parse`]. Example:
-    /// `app=nqueens:8/4 npes=8 preset=ncube q=fifo b=acwn:4/2 rel=800/3/16`.
+    /// `app=nqueens:n=8,grain=4,q=fifo,bal=acwn:4/2 npes=8 preset=ncube rel=800/3/16`.
     pub fn spec(&self) -> String {
         let rel = match self.rel {
             Some(k) => format!("{}/{}/{}", k.timeout_us, k.retry, k.window),
             None => "none".into(),
         };
-        format!(
-            "app={} npes={} preset={} q={} b={} rel={rel}",
-            self.app.frag(),
-            self.npes,
-            preset_str(self.preset),
-            queueing_str(self.queueing),
-            balance_frag(&self.balance),
-        )
+        format!("app={} npes={} preset={} rel={rel}", self.prog, self.npes, self.preset)
     }
 
     /// Parse a spec produced by [`Scenario::spec`]. Tokens may appear
-    /// in any order; all six are required.
+    /// in any order; all four are required. `app=` takes any
+    /// `ck_apps::spec` string, so omitted keys and strategies mean the
+    /// registry defaults.
     pub fn parse(spec: &str) -> Result<Scenario, String> {
-        let (mut app, mut npes, mut preset, mut queueing, mut balance, mut rel) =
-            (None, None, None, None, None, None);
+        let (mut app, mut npes, mut preset, mut rel) = (None, None, None, None);
         for tok in spec.split_whitespace() {
             let (key, val) = tok
                 .split_once('=')
                 .ok_or_else(|| format!("expected KEY=VALUE, got '{tok}'"))?;
             match key {
-                "app" => app = Some(AppConfig::parse(val)?),
+                "app" => app = Some(Spec::parse(val).map_err(|e| e.to_string())?),
                 "npes" => {
                     npes = Some(
                         val.parse::<usize>()
                             .map_err(|e| format!("bad npes '{val}': {e}"))?,
                     )
                 }
-                "preset" => {
-                    preset = Some(match val {
-                        "ncube" => MachinePreset::NcubeLike,
-                        "ipsc" => MachinePreset::IpscLike,
-                        "bus" => MachinePreset::SharedBusLike,
-                        "ideal" => MachinePreset::Ideal,
-                        other => return Err(format!("unknown preset '{other}'")),
-                    })
-                }
-                "q" => {
-                    queueing = Some(match val {
-                        "fifo" => QueueingStrategy::Fifo,
-                        "lifo" => QueueingStrategy::Lifo,
-                        "int" => QueueingStrategy::IntPriority,
-                        "bitvec" => QueueingStrategy::BitvecPriority,
-                        other => return Err(format!("unknown queueing '{other}'")),
-                    })
-                }
-                "b" => {
-                    balance = Some(match val.split_once(':') {
-                        None => match val {
-                            "local" => BalanceStrategy::Local,
-                            "random" => BalanceStrategy::Random,
-                            "central" => BalanceStrategy::CentralManager,
-                            "token" => BalanceStrategy::TokenIdle,
-                            other => return Err(format!("unknown balance '{other}'")),
-                        },
-                        Some(("acwn", params)) => {
-                            let (h, l) = params
-                                .split_once('/')
-                                .ok_or_else(|| format!("expected acwn:H/L, got '{val}'"))?;
-                            BalanceStrategy::Acwn {
-                                max_hops: h.parse().map_err(|e| format!("bad hops: {e}"))?,
-                                low_mark: l.parse().map_err(|e| format!("bad low mark: {e}"))?,
-                            }
-                        }
-                        Some((other, _)) => return Err(format!("unknown balance '{other}'")),
-                    })
-                }
+                "preset" => preset = Some(val.parse::<MachinePreset>()?),
                 "rel" => {
                     rel = Some(if val == "none" {
                         None
@@ -541,11 +109,9 @@ impl Scenario {
             }
         }
         Ok(Scenario {
-            app: app.ok_or("missing app=")?,
+            prog: app.ok_or("missing app=")?,
             npes: npes.ok_or("missing npes=")?,
             preset: preset.ok_or("missing preset=")?,
-            queueing: queueing.ok_or("missing q=")?,
-            balance: balance.ok_or("missing b=")?,
             rel: rel.ok_or("missing rel=")?,
         })
     }
@@ -557,8 +123,8 @@ impl Scenario {
     /// recovery envelope the kernel guarantees — matching the
     /// `seeds_outrun_a_crashed_pe` acceptance test.
     pub fn crash_survivable(&self) -> bool {
-        matches!(self.app, AppConfig::Fib { .. })
-            && self.balance == BalanceStrategy::Random
+        self.prog.app.name == "fib"
+            && self.prog.balance == BalanceStrategy::Random
             && self.rel.is_some()
     }
 
@@ -568,23 +134,14 @@ impl Scenario {
     /// zero-cost-off property says answers are unaffected, and it keeps
     /// the reference cache shared with the bench tables.
     pub fn reference(&self) -> Option<Answer> {
-        let label = ck_bench::runner::scenario_label(
-            self.app.name(),
-            &self.app.params_debug(),
-            self.queueing,
-            &self.balance,
-            false,
-        );
-        let rep = ck_bench::runner::run_preset(&label, self.npes, self.preset, || {
-            self.app.build(self.queueing, &self.balance)
-        });
-        self.app.extract(&rep)
+        let rep = ck_bench::runner::run_spec(&self.prog, self.npes, self.preset);
+        self.prog.answer(&rep)
     }
 
     /// Run this scenario under a fault storm, converting hangs into
     /// structured `MaxEvents` aborts at `max_events`.
     pub fn run(&self, storm: &FaultPlan, max_events: u64) -> CkReport {
-        let mut prog = self.app.build(self.queueing, &self.balance);
+        let mut prog = self.prog.build();
         if let Some(knobs) = self.rel {
             prog = prog.with_reliable(knobs.to_config());
         }
@@ -612,18 +169,18 @@ pub fn generate(rng: &mut FaultRng) -> Scenario {
         MachinePreset::IpscLike,
         MachinePreset::SharedBusLike,
     ][rng.below(3) as usize];
+    let spec = |text: String| Spec::parse(&text).expect("generated specs parse");
     if crashy {
         // Aggressive-but-proven recovery knobs (short timeout, small
         // retry budget) so redirects land within a short simulated run.
         return Scenario {
-            app: AppConfig::Fib {
-                n: 14 + rng.below(5) as u32,
-                grain: 8 + rng.below(3) as u32,
-            },
+            prog: spec(format!(
+                "fib:n={},grain={},q=fifo,bal=random",
+                14 + rng.below(5),
+                8 + rng.below(3)
+            )),
             npes,
             preset,
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::Random,
             rel: Some(RelKnobs {
                 timeout_us: 500,
                 retry: 2,
@@ -631,60 +188,55 @@ pub fn generate(rng: &mut FaultRng) -> Scenario {
             }),
         };
     }
-    let app = match rng.below(8) {
-        0 => AppConfig::Fib {
-            n: 14 + rng.below(5) as u32,
-            grain: 8 + rng.below(3) as u32,
-        },
-        1 => AppConfig::Nqueens {
-            n: 7 + rng.below(2) as u8,
-            grain: 4,
-        },
-        2 => AppConfig::Primes {
-            limit: [1_500, 2_000, 3_000][rng.below(3) as usize],
-            chunks: [6, 8, 12][rng.below(3) as usize],
-        },
-        3 => AppConfig::Jacobi {
-            n: [16, 24][rng.below(2) as usize],
-            iters: [4, 6][rng.below(2) as usize],
-        },
-        4 => AppConfig::JacobiConv {
-            n: 16,
-            max_iters: [100, 200][rng.below(2) as usize],
-        },
-        5 => AppConfig::Quad {
-            grain_milli: [200, 300, 500][rng.below(3) as usize],
-        },
-        6 => AppConfig::Mmr {
-            leaves: [40, 64, 90][rng.below(3) as usize],
-            grain: [4, 8][rng.below(2) as usize],
-        },
-        _ => AppConfig::TableFill {
-            stages: [2, 3][rng.below(2) as usize],
-            blocks: [4, 6][rng.below(2) as usize],
-            width: [1, 2][rng.below(2) as usize],
-        },
-    };
-    // jconv's build fixes its strategies; pin them in the scenario so
-    // the spec matches what actually runs. Both Jacobi variants are
-    // pinned to FIFO queueing: their phased ghost exchange is
-    // processing-order-sensitive, and LIFO scheduling of fault-delayed
-    // ghost rows mixes sweep generations into a (legitimately
-    // different) chaotic relaxation — an out-of-envelope scenario, not
-    // a kernel bug.
-    let queueing = match app {
-        AppConfig::Jacobi { .. } | AppConfig::JacobiConv { .. } => QueueingStrategy::Fifo,
+    // Every answer-relevant knob is spelled out, drawn or not: the
+    // repro line must not depend on a default staying what it is.
+    let app = spec(match rng.below(8) {
+        0 => format!("fib:n={},grain={}", 14 + rng.below(5), 8 + rng.below(3)),
+        1 => format!("nqueens:n={},grain=4", 7 + rng.below(2)),
+        2 => format!(
+            "primes:limit={},chunks={}",
+            [1_500, 2_000, 3_000][rng.below(3) as usize],
+            [6, 8, 12][rng.below(3) as usize]
+        ),
+        3 => format!(
+            "jacobi:n={},iters={}",
+            [16, 24][rng.below(2) as usize],
+            [4, 6][rng.below(2) as usize]
+        ),
+        4 => format!("jconv:n=16,eps=0.001,max_iters={}", [100, 200][rng.below(2) as usize]),
+        5 => format!("quad:a=0,b=10,tol=0.000001,grain={}", [200, 300, 500][rng.below(3) as usize]),
+        6 => format!(
+            "mmr:leaves={},grain={},seed=1",
+            [40, 64, 90][rng.below(3) as usize],
+            [4, 8][rng.below(2) as usize]
+        ),
+        _ => format!(
+            "tablefill:stages={},blocks={},rows=8,width={},seed=1",
+            [2, 3][rng.below(2) as usize],
+            [4, 6][rng.below(2) as usize],
+            [1, 2][rng.below(2) as usize]
+        ),
+    });
+    // Both Jacobi variants are pinned to FIFO queueing: their phased
+    // ghost exchange is processing-order-sensitive, and LIFO scheduling
+    // of fault-delayed ghost rows mixes sweep generations into a
+    // (legitimately different) chaotic relaxation — an out-of-envelope
+    // scenario, not a kernel bug.
+    let queueing = match app.app.name {
+        "jacobi" | "jconv" => QueueingStrategy::Fifo,
         // The hash-family apps attach bitvector priorities to every
         // send; give the priority ready-queue fault coverage too.
-        AppConfig::Mmr { .. } | AppConfig::TableFill { .. } => [
+        "mmr" | "tablefill" => [
             QueueingStrategy::Fifo,
             QueueingStrategy::Lifo,
             QueueingStrategy::BitvecPriority,
         ][rng.below(3) as usize],
         _ => [QueueingStrategy::Fifo, QueueingStrategy::Lifo][rng.below(2) as usize],
     };
-    let balance = if matches!(app, AppConfig::JacobiConv { .. }) {
-        BalanceStrategy::acwn()
+    // jconv has always run unbalanced (it creates no chares to place);
+    // it takes no draw, so the stream stays aligned.
+    let balance = if app.app.name == "jconv" {
+        BalanceStrategy::Local
     } else {
         match rng.below(4) {
             0 => BalanceStrategy::acwn(),
@@ -694,11 +246,9 @@ pub fn generate(rng: &mut FaultRng) -> Scenario {
         }
     };
     Scenario {
-        app,
+        prog: app.with(queueing, balance),
         npes,
         preset,
-        queueing,
-        balance,
         rel: Some(RelKnobs {
             timeout_us: [300, 500, 800, 1_200, 2_000][rng.below(5) as usize],
             retry: 2 + rng.below(4) as u32,
@@ -727,18 +277,30 @@ mod tests {
     fn parse_rejects_malformed_specs() {
         for bad in [
             "",
-            "app=fib:14/8",                                              // missing fields
-            "app=warp:1/2 npes=4 preset=ncube q=fifo b=local rel=none",  // unknown app
-            "app=fib:14/8 npes=4 preset=vax q=fifo b=local rel=none",    // unknown preset
-            "app=fib:14/8 npes=4 preset=ncube q=gpu b=local rel=none",   // unknown queueing
-            "app=fib:14/8 npes=4 preset=ncube q=fifo b=magic rel=none",  // unknown balance
-            "app=fib:14/8 npes=4 preset=ncube q=fifo b=local rel=1/2",   // short rel
-            "app=tfill:2/4 npes=4 preset=ncube q=fifo b=local rel=none", // short tfill
-            "app=fib:14/8 npes=x preset=ncube q=fifo b=local rel=none",  // bad number
-            "whatever",                                                  // no key=value
+            "app=fib:n=14,grain=8",                                 // missing fields
+            "app=warp:n=1 npes=4 preset=ncube rel=none",            // unknown app
+            "app=fib:n=14,grain=8 npes=4 preset=vax rel=none",      // unknown preset
+            "app=fib:n=14,q=gpu npes=4 preset=ncube rel=none",      // unknown queueing
+            "app=fib:n=14,bal=magic npes=4 preset=ncube rel=none",  // unknown balance
+            "app=fib:n=14,grain=8 npes=4 preset=ncube rel=1/2",     // short rel
+            "app=tablefill:stage=2 npes=4 preset=ncube rel=none",   // unknown key
+            "app=nqueens:n=264 npes=4 preset=ncube rel=none",       // out of the field's range
+            "app=fib:14/8 npes=4 preset=ncube rel=none",            // the retired positional grammar
+            "app=fib:n=14 npes=4 preset=ncube q=fifo rel=none",     // strategies live in app= now
+            "app=fib:n=14,grain=8 npes=x preset=ncube rel=none",    // bad number
+            "whatever",                                             // no key=value
         ] {
             assert!(Scenario::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn omitted_keys_and_strategies_take_registry_defaults() {
+        let short = Scenario::parse("app=fib:n=14 npes=4 preset=ncube rel=none").unwrap();
+        assert_eq!(
+            short.spec(),
+            "app=fib:n=14,grain=16,q=fifo,bal=acwn:4/2 npes=4 preset=ncube rel=none"
+        );
     }
 
     #[test]
@@ -765,9 +327,7 @@ mod tests {
         let mut crashy = 0;
         for _ in 0..400 {
             let sc = generate(&mut rng);
-            if sc.balance == BalanceStrategy::Random
-                && matches!(sc.app, AppConfig::Fib { .. })
-            {
+            if sc.prog.balance == BalanceStrategy::Random && sc.prog.app.name == "fib" {
                 crashy += 1;
                 assert!(sc.crash_survivable());
             }
@@ -777,14 +337,7 @@ mod tests {
 
     #[test]
     fn reference_answers_are_stable_and_extractable() {
-        let sc = Scenario {
-            app: AppConfig::Nqueens { n: 7, grain: 4 },
-            npes: 4,
-            preset: MachinePreset::NcubeLike,
-            queueing: QueueingStrategy::Fifo,
-            balance: BalanceStrategy::acwn(),
-            rel: None,
-        };
+        let sc = Scenario::parse("app=nqueens:n=7,grain=4 npes=4 preset=ncube rel=none").unwrap();
         let a = sc.reference().expect("reference answer");
         let b = sc.reference().expect("reference answer");
         assert_eq!(a, b);

@@ -4,8 +4,7 @@
 //! through the shared oracle checker.
 
 use ck_desim::{campaign, minimize, oracle, CampaignConfig, Violation};
-use ck_desim::scenario::{AppConfig, RelKnobs, Scenario};
-use chare_kernel::prelude::*;
+use ck_desim::scenario::Scenario;
 use multicomputer::{AbortReason, FaultClass, FaultPlan, SimTime};
 
 /// The same campaign seed must reproduce the identical sequence of
@@ -102,14 +101,7 @@ fn smoke_campaign_passes_all_oracles() {
 }
 
 fn unprotected_nqueens() -> Scenario {
-    Scenario {
-        app: AppConfig::Nqueens { n: 7, grain: 4 },
-        npes: 4,
-        preset: MachinePreset::NcubeLike,
-        queueing: QueueingStrategy::Fifo,
-        balance: BalanceStrategy::acwn(),
-        rel: None,
-    }
+    Scenario::parse("app=nqueens:n=7,grain=4 npes=4 preset=ncube rel=none").unwrap()
 }
 
 /// Plant a known violation — an unprotected run under a multi-class
@@ -162,18 +154,8 @@ fn minimizer_converges_on_a_planted_violation() {
 #[test]
 fn quiescence_under_crash_is_structured() {
     // Envelope case: completes and passes all oracles.
-    let sc = Scenario {
-        app: AppConfig::Fib { n: 15, grain: 9 },
-        npes: 8,
-        preset: MachinePreset::NcubeLike,
-        queueing: QueueingStrategy::Fifo,
-        balance: BalanceStrategy::Random,
-        rel: Some(RelKnobs {
-            timeout_us: 500,
-            retry: 2,
-            window: 16,
-        }),
-    };
+    let sc = Scenario::parse("app=fib:n=15,grain=9,bal=random npes=8 preset=ncube rel=500/2/16")
+        .unwrap();
     assert!(sc.crash_survivable());
     let want = sc.reference().expect("reference");
     let storm = FaultPlan::new(0xC4A5).drop(0.05).crash(multicomputer::Pe(2), SimTime::ZERO);
@@ -182,18 +164,9 @@ fn quiescence_under_crash_is_structured() {
     assert!(v.is_empty(), "crash in the envelope must recover: {v:?}");
 
     // Out-of-envelope case: a QD app losing a PE must end structurally.
-    let sc = Scenario {
-        app: AppConfig::Nqueens { n: 7, grain: 4 },
-        npes: 8,
-        preset: MachinePreset::NcubeLike,
-        queueing: QueueingStrategy::Fifo,
-        balance: BalanceStrategy::Random,
-        rel: Some(RelKnobs {
-            timeout_us: 500,
-            retry: 2,
-            window: 16,
-        }),
-    };
+    let sc =
+        Scenario::parse("app=nqueens:n=7,grain=4,bal=random npes=8 preset=ncube rel=500/2/16")
+            .unwrap();
     let want = sc.reference().expect("reference");
     let budget = 2_000_000;
     let storm = FaultPlan::new(0xC4A6).crash(multicomputer::Pe(1), SimTime::ZERO);

@@ -25,7 +25,7 @@ fn draw_slice(seed: u64, want: usize) -> Vec<Scenario> {
             break;
         }
         let sc = scenario::generate(&mut rng);
-        if procs::wired(&sc) && sc.npes <= 8 {
+        if sc.prog.build().is_wired() && sc.npes <= 8 {
             out.push(sc);
         }
     }
@@ -35,12 +35,12 @@ fn draw_slice(seed: u64, want: usize) -> Vec<Scenario> {
 
 #[test]
 fn procs_slice_passes_all_oracles() {
-    procs::worker_hook();
+    ck_apps::spec::worker_hook();
     let scenarios = draw_slice(0xD15C, 6);
     // The slice must not collapse onto one app: a stream that only ever
     // draws fib is a slice of nothing.
     let apps: std::collections::BTreeSet<&str> =
-        scenarios.iter().map(|sc| sc.app.name()).collect();
+        scenarios.iter().map(|sc| sc.prog.app.name).collect();
     assert!(apps.len() >= 3, "slice too narrow: {apps:?}");
     for (i, sc) in scenarios.iter().enumerate() {
         let want = sc.reference().expect("fault-free reference");
@@ -64,18 +64,20 @@ fn procs_slice_judges_worker_death_as_aborted() {
     // worker mid-run and the judge reports `Violation::Aborted` (the
     // procs rendering of a structural failure), suppressing the
     // dependent answer oracle exactly like a sim hang.
-    procs::worker_hook();
+    ck_apps::spec::worker_hook();
     // Pinned rather than drawn: the victim rank must be guaranteed
     // enough scheduling steps for the hook to fire mid-run.
-    let sc = Scenario::parse("app=nqueens:8/4 npes=4 preset=ncube q=fifo b=acwn:4/2 rel=none")
+    let sc = Scenario::parse("app=nqueens:n=8,grain=4 npes=4 preset=ncube rel=none")
         .expect("pinned spec parses");
     let want = sc.reference().expect("reference");
-    let prog = procs::build_scenario(&sc.spec())
+    let prog = sc
+        .prog
+        .build()
         .with_reliable(procs::slice_reliable())
         .with_metrics(MetricsConfig::default());
     let cfg = ProcConfig::for_test(
         sc.npes,
-        sc.spec(),
+        sc.prog.to_string(),
         "procs_slice_judges_worker_death_as_aborted",
     )
     .with_crash("1:exit:9:2");

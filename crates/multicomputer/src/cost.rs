@@ -136,9 +136,51 @@ impl MachinePreset {
     }
 }
 
+/// The spec-string spelling (`preset=` in a desim scenario): `ncube`,
+/// `ipsc`, `bus`, `ideal`.
+impl std::fmt::Display for MachinePreset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            MachinePreset::NcubeLike => "ncube",
+            MachinePreset::IpscLike => "ipsc",
+            MachinePreset::SharedBusLike => "bus",
+            MachinePreset::Ideal => "ideal",
+        })
+    }
+}
+
+impl std::str::FromStr for MachinePreset {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        [
+            MachinePreset::NcubeLike,
+            MachinePreset::IpscLike,
+            MachinePreset::SharedBusLike,
+            MachinePreset::Ideal,
+        ]
+        .into_iter()
+        .find(|p| p.to_string() == s)
+        .ok_or_else(|| format!("unknown preset '{s}'"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preset_spelling_round_trips() {
+        for (p, s) in [
+            (MachinePreset::NcubeLike, "ncube"),
+            (MachinePreset::IpscLike, "ipsc"),
+            (MachinePreset::SharedBusLike, "bus"),
+            (MachinePreset::Ideal, "ideal"),
+        ] {
+            assert_eq!(p.to_string(), s);
+            assert_eq!(s.parse(), Ok(p));
+        }
+        assert!("vax".parse::<MachinePreset>().is_err());
+    }
 
     #[test]
     fn latency_is_affine() {

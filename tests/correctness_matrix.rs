@@ -1,7 +1,9 @@
-//! Cross-crate correctness matrix: every application × every strategy ×
-//! several machine sizes must produce the sequential answer.
+//! Cross-crate correctness matrix: every registered application on every
+//! machine preset, and chosen applications × every strategy × several
+//! machine sizes, must produce the sequential answer.
 
-use charm_repro::ck_apps::{fib, jacobi, nqueens, primes, puzzle, tsp};
+use charm_repro::ck_apps::registry::APPS;
+use charm_repro::ck_apps::spec::Spec;
 use charm_repro::prelude::*;
 
 const BALANCES: [BalanceStrategy; 5] = [
@@ -9,124 +11,71 @@ const BALANCES: [BalanceStrategy; 5] = [
     BalanceStrategy::Random,
     BalanceStrategy::CentralManager,
     BalanceStrategy::TokenIdle,
-    BalanceStrategy::Acwn {
-        max_hops: 4,
-        low_mark: 2,
-    },
+    BalanceStrategy::acwn(),
 ];
 
-#[test]
-fn fib_matrix() {
-    let params = fib::FibParams { n: 17, grain: 9 };
-    let want = fib::fib_seq(17);
+/// One program on one simulated machine against its serial oracle.
+fn check(spec: &Spec, npes: usize, preset: MachinePreset) {
+    let rep = spec.build().run_sim_preset(npes, preset);
+    let got = spec.answer(&rep).unwrap_or_else(|| panic!("{spec} npes={npes} {preset}: no result"));
+    let want = spec.oracle(npes);
+    assert!(got.matches(want), "{spec} npes={npes} {preset}: {got} vs {want}");
+}
+
+/// One app under every balance × queueing strategy at each machine size.
+fn sweep(spec_str: &str, sizes: &[usize], preset: MachinePreset) {
+    let spec = Spec::parse(spec_str).expect(spec_str);
     for balance in &BALANCES {
         for q in QueueingStrategy::ALL {
-            for npes in [1usize, 3, 8] {
-                let prog = fib::build(params, q, balance.clone());
-                let mut rep = prog.run_sim_preset(npes, MachinePreset::NcubeLike);
-                assert_eq!(
-                    rep.take_result::<u64>(),
-                    Some(want),
-                    "fib {balance:?} {q:?} npes={npes}"
-                );
+            for &npes in sizes {
+                check(&spec.with(q, balance.clone()), npes, preset);
             }
         }
     }
 }
 
 #[test]
+fn fib_matrix() {
+    sweep("fib:n=17,grain=9", &[1, 3, 8], MachinePreset::NcubeLike);
+}
+
+#[test]
 fn nqueens_matrix() {
-    let params = nqueens::QueensParams { n: 8, grain: 4 };
-    for balance in &BALANCES {
-        for npes in [1usize, 5, 16] {
-            let prog = nqueens::build(params, QueueingStrategy::Lifo, balance.clone());
-            let mut rep = prog.run_sim_preset(npes, MachinePreset::IpscLike);
-            assert_eq!(
-                rep.take_result::<u64>(),
-                Some(92),
-                "nqueens {balance:?} npes={npes}"
-            );
-        }
-    }
+    sweep("nqueens:n=8,grain=4", &[1, 5, 16], MachinePreset::IpscLike);
 }
 
 #[test]
 fn tsp_matrix() {
-    let params = tsp::TspParams {
-        n: 9,
-        seed: 3,
-        seq_tail: 5,
-    };
-    let inst = tsp::TspInstance::random(9, 3);
-    let (want, _) = tsp::tsp_seq(&inst);
-    for balance in &BALANCES {
-        for q in QueueingStrategy::ALL {
-            let prog = tsp::build(params, q, balance.clone());
-            let mut rep = prog.run_sim_preset(6, MachinePreset::NcubeLike);
-            let got = rep.take_result::<tsp::TspResult>().expect("result");
-            assert_eq!(got.best, want, "tsp {balance:?} {q:?}");
-        }
-    }
+    sweep("tsp:n=9,seed=3,seq_tail=5", &[6], MachinePreset::NcubeLike);
 }
 
 #[test]
 fn puzzle_matrix() {
-    let params = puzzle::PuzzleParams {
-        scramble: 16,
-        seed: 2,
-        split_depth: 3,
-    };
-    let (want, _) = puzzle::ida_seq(puzzle::scramble(16, 2));
-    for balance in &BALANCES {
-        let prog = puzzle::build(params, QueueingStrategy::IntPriority, balance.clone());
-        let mut rep = prog.run_sim_preset(5, MachinePreset::NcubeLike);
-        let got = rep.take_result::<puzzle::PuzzleResult>().expect("result");
-        assert_eq!(got.cost, want, "puzzle {balance:?}");
-    }
+    sweep("puzzle:scramble=16,seed=2,split_depth=3", &[5], MachinePreset::NcubeLike);
 }
 
 #[test]
 fn jacobi_matrix() {
-    let params = jacobi::JacobiParams { n: 16, iters: 7 };
-    let want = jacobi::jacobi_seq(params);
-    for npes in [1usize, 2, 4, 7, 16, 20] {
-        let prog = jacobi::build_default(params);
-        let mut rep = prog.run_sim_preset(npes, MachinePreset::SharedBusLike);
-        let got = rep.take_result::<f64>().expect("checksum");
-        assert!(
-            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-            "jacobi npes={npes}: {got} vs {want}"
-        );
-    }
+    // More PEs than rows per block allows, odd splits, one PE.
+    sweep("jacobi:n=16,iters=7", &[1, 2, 4, 7, 16, 20], MachinePreset::SharedBusLike);
 }
 
 #[test]
 fn primes_matrix() {
-    let want = primes::primes_seq(3_000);
-    for balance in &BALANCES {
-        let prog = primes::build(
-            primes::PrimesParams {
-                limit: 3_000,
-                chunks: 10,
-            },
-            QueueingStrategy::Fifo,
-            balance.clone(),
-        );
-        let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
-        assert_eq!(rep.take_result::<u64>(), Some(want), "primes {balance:?}");
-    }
+    sweep("primes:limit=3000,chunks=10", &[4], MachinePreset::NcubeLike);
 }
 
 #[test]
 fn every_app_runs_on_every_preset() {
-    for preset in [
-        MachinePreset::NcubeLike,
-        MachinePreset::IpscLike,
-        MachinePreset::SharedBusLike,
-        MachinePreset::Ideal,
-    ] {
-        let prog = fib::build_default(fib::FibParams { n: 14, grain: 8 });
-        let mut rep = prog.run_sim_preset(4, preset);
-        assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(14)), "{preset:?}");
+    for app in APPS {
+        let spec = Spec::parse(app.test_spec).expect(app.test_spec);
+        for preset in [
+            MachinePreset::NcubeLike,
+            MachinePreset::IpscLike,
+            MachinePreset::SharedBusLike,
+            MachinePreset::Ideal,
+        ] {
+            check(&spec, 4, preset);
+        }
     }
 }
