@@ -19,10 +19,46 @@
 //!   Neighborhood**: a loaded PE forwards a seed to its least-loaded
 //!   direct neighbor, up to a hop budget, contracting (keeping work
 //!   local) as load rises; the paper's best general-purpose strategy.
+//!
+//! The strategies only decide. The `SeedManager` is the balancing
+//! *service*, one stratum above the transport: it **owns** the PE's
+//! strategy instance, the stealable seed pool, the work-request
+//! bookkeeping, the placement RNG and the handler for `LoadStatus`,
+//! `WorkReq` and `WorkNack`. It **may call** the transport, through the
+//! `Port` it is handed, and push a kept seed on the work queue the
+//! scheduler lends it; never the scheduler itself or another service.
+
+use std::collections::VecDeque;
 
 use multicomputer::Pe;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+use crate::envelope::{Seed, SysMsg, WorkItem, PLACED};
+use crate::queueing::SchedQueue;
+use crate::reliable::RedirectSeed;
+use crate::trace::EventKind;
+use crate::transport::Port;
+
+/// The scheduler's work queue, as lent to the seed manager.
+type Queue<'a> = dyn SchedQueue<WorkItem> + 'a;
+
+/// Give up requesting work after this many consecutive NACKs; arrival of
+/// any new seed resets the budget.
+const NACK_BUDGET: u32 = 4;
+
+/// Re-advertise load to interested PEs when the backlog changed by at
+/// least this much since the last report (or crossed zero).
+const LOAD_REPORT_DELTA: u32 = 4;
+
+/// Maximum work requests a PE remembers while its seed pool is empty.
+const MAX_DEFERRED: usize = 16;
+
+/// Forwarding budget of a work request's random walk.
+const WORK_REQ_TTL: u8 = 8;
+
+/// Most seeds handed over per work request (steal-half cap).
+const GRANT_MAX: usize = 16;
 
 /// Placement decision for one seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,9 +179,10 @@ pub(crate) trait Balancer: Send {
     /// `local_load` is this PE's runnable backlog.
     fn place(&mut self, hops: u32, local_load: usize, rng: &mut StdRng) -> Placement;
 
-    /// Whether locally kept seeds go into the stealable seed pool
-    /// (token strategy) instead of the main queue.
-    fn pools_seeds(&self) -> bool {
+    /// Whether balancing is receiver-initiated (token strategy): locally
+    /// created seeds wait in the stealable pool instead of the main
+    /// queue, and this PE sends work requests when it goes idle.
+    fn pulls_work(&self) -> bool {
         false
     }
 
@@ -159,11 +196,6 @@ pub(crate) trait Balancer: Send {
         &[]
     }
 
-    /// Whether this PE should send work requests when it goes idle.
-    fn request_work_when_idle(&self) -> bool {
-        false
-    }
-
     /// Choose a PE to ask for work (token strategy); round-robins so
     /// repeated NACKs try different victims.
     fn pick_victim(&mut self, rng: &mut StdRng) -> Option<Pe> {
@@ -173,8 +205,8 @@ pub(crate) trait Balancer: Send {
 
     /// Choose a new home for a seed whose delivery to `suspect` timed
     /// out (reliable-delivery recovery). `None` means the strategy has
-    /// no opinion and the node falls back to a uniform pick avoiding
-    /// the suspect.
+    /// no opinion and the seed manager falls back to a uniform pick
+    /// avoiding the suspect.
     fn redirect_target(&mut self, suspect: Pe, rng: &mut StdRng) -> Option<Pe> {
         let _ = (suspect, rng);
         None
@@ -293,11 +325,7 @@ impl Balancer for TokenBalancer {
         Placement::Local
     }
 
-    fn pools_seeds(&self) -> bool {
-        true
-    }
-
-    fn request_work_when_idle(&self) -> bool {
+    fn pulls_work(&self) -> bool {
         true
     }
 
@@ -384,6 +412,275 @@ impl Balancer for AcwnBalancer {
     }
 }
 
+/// One PE's seed balancing state.
+pub(crate) struct SeedManager {
+    balancer: Box<dyn Balancer>,
+    /// Stealable seed pool (token balancing keeps seeds here).
+    pool: VecDeque<Seed>,
+    /// Token strategy: PEs whose work request found us empty; granted as
+    /// soon as spare seeds appear.
+    deferred_reqs: VecDeque<Pe>,
+    awaiting_work: bool,
+    nack_budget: u32,
+    last_advertised: Option<u32>,
+    rng: StdRng,
+}
+
+impl SeedManager {
+    pub(crate) fn new(balancer: Box<dyn Balancer>, pe: Pe, rng_seed: u64) -> Self {
+        SeedManager {
+            balancer,
+            pool: VecDeque::new(),
+            deferred_reqs: VecDeque::new(),
+            awaiting_work: false,
+            nack_budget: NACK_BUDGET,
+            last_advertised: None,
+            rng: StdRng::seed_from_u64(rng_seed ^ (pe.index() as u64).wrapping_mul(0x9E37_79B9)),
+        }
+    }
+
+    /// Seeds waiting in the stealable pool.
+    pub(crate) fn pooled(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// The scheduler ran out of queued work: run a pooled seed here.
+    pub(crate) fn pop_pooled(&mut self) -> Option<WorkItem> {
+        self.pool.pop_front().map(WorkItem::NewChare)
+    }
+
+    /// Keep or forward: a function of the seed's hop count, this PE's
+    /// runnable backlog and the strategy's state, nothing else — it
+    /// touches neither queue nor net.
+    fn decide(&mut self, me: Pe, hops: u32, load: usize) -> Placement {
+        if hops == PLACED {
+            return Placement::Local;
+        }
+        match self.balancer.place(hops, load, &mut self.rng) {
+            // "Forward to self" settles the seed.
+            Placement::Forward(pe) if pe == me => Placement::Local,
+            p => p,
+        }
+    }
+
+    /// A chare creation was requested on this PE: place the seed on
+    /// `on`, or wherever the load balancer says. Like [`Self::place`],
+    /// returns whether the seed stayed here.
+    pub(crate) fn spawn(
+        &mut self,
+        port: &mut Port,
+        queue: &mut Queue<'_>,
+        on: Option<Pe>,
+        seed: Seed,
+    ) -> bool {
+        port.counters.seeds_spawned += 1;
+        match on {
+            None => self.place(port, queue, seed, 0),
+            // Settle locally without a network round trip, like the
+            // kernel's local-creation fast path.
+            Some(pe) if pe == port.t.pe => self.place(port, queue, seed, PLACED),
+            Some(pe) => {
+                port.post(pe, SysMsg::NewChare { seed, hops: PLACED });
+                false
+            }
+        }
+    }
+
+    /// Run a seed through the load balancer: keep it here — in `queue`,
+    /// or in the stealable pool — or forward it. Returns whether it
+    /// stayed (the backlog grew).
+    pub(crate) fn place(
+        &mut self,
+        port: &mut Port,
+        queue: &mut Queue<'_>,
+        seed: Seed,
+        hops: u32,
+    ) -> bool {
+        let kind = seed.kind;
+        match self.decide(port.t.pe, hops, queue.len() + self.pool.len()) {
+            Placement::Local => {
+                port.counters.seeds_kept += 1;
+                port.emit(|| EventKind::SeedKept { kind, hops });
+                self.nack_budget = NACK_BUDGET;
+                self.awaiting_work = false;
+                // Only locally created seeds are stealable; work that
+                // already migrated here executes here (otherwise seeds
+                // circulate between hungry PEs instead of running).
+                if self.balancer.pulls_work() && hops == 0 {
+                    self.pool.push_back(seed);
+                    self.grant_deferred(port);
+                } else {
+                    queue.push(seed.prio.clone(), WorkItem::NewChare(seed));
+                }
+                true
+            }
+            Placement::Forward(pe) => {
+                port.counters.seeds_forwarded += 1;
+                port.emit(|| EventKind::SeedForwarded { kind, to: pe, hops });
+                let hops = hops.saturating_add(1);
+                port.post(pe, SysMsg::NewChare { seed, hops });
+                false
+            }
+        }
+    }
+
+    /// Give a seed the transport reclaimed a new home away from the PE
+    /// that stopped acknowledging. Returns whether it settled here.
+    pub(crate) fn rehome(
+        &mut self,
+        port: &mut Port,
+        queue: &mut Queue<'_>,
+        rd: RedirectSeed,
+    ) -> bool {
+        port.counters.seeds_redirected += 1;
+        let target = self.redirect_target(port.t.pe, rd.suspect, port.t.suspects());
+        port.emit(|| EventKind::SeedRedirected { to: target });
+        let SysMsg::NewChare { seed, .. } = rd.seed else {
+            unreachable!("only seeds are reclaimed");
+        };
+        if target == port.t.pe {
+            // The seed was counted as sent at its original post;
+            // settling it here IS its delivery, so the quiescence
+            // recv counter must balance or QD never declares.
+            port.counters.user_recv += 1;
+            self.place(port, queue, seed, PLACED)
+        } else {
+            // hops = 1 so the receiver's balancer settles it rather
+            // than bouncing it onward. The seed stays redirectable:
+            // if this target turns out dead too, the suspect filter
+            // steers the next redirect somewhere fresh. Transmitted,
+            // not posted: it was counted when first posted.
+            port.transmit(target, SysMsg::NewChare { seed, hops: 1 });
+            false
+        }
+    }
+
+    /// Hand pooled seeds to `to`: half the pool, capped — the classic
+    /// steal-half policy, so one request amortizes the round trip.
+    fn grant_to(&mut self, port: &mut Port, to: Pe) {
+        let count = (self.pool.len().div_ceil(2)).min(GRANT_MAX);
+        for _ in 0..count {
+            let Some(seed) = self.pool.pop_back() else {
+                return;
+            };
+            port.counters.work_grants += 1;
+            port.post(to, SysMsg::NewChare { seed, hops: 1 });
+        }
+    }
+
+    /// Grant deferred work requests while spare seeds remain. Keeps the
+    /// last pooled seed for itself so a lone seed cannot ping-pong
+    /// between mutually idle PEs.
+    fn grant_deferred(&mut self, port: &mut Port) {
+        while self.pool.len() > 1 {
+            let Some(to) = self.deferred_reqs.pop_front() else {
+                return;
+            };
+            self.grant_to(port, to);
+        }
+    }
+
+    /// Issue a token-strategy work request if this PE is idle and has
+    /// budget left.
+    pub(crate) fn request_work(&mut self, port: &mut Port, queue: &Queue<'_>) {
+        if !self.balancer.pulls_work()
+            || self.awaiting_work
+            || self.nack_budget == 0
+            || queue.len() + self.pool.len() > 0
+        {
+            return;
+        }
+        if let Some(victim) = self.balancer.pick_victim(&mut self.rng) {
+            port.counters.work_reqs += 1;
+            self.awaiting_work = true;
+            let origin = port.t.pe;
+            port.post(victim, SysMsg::WorkReq { origin, ttl: WORK_REQ_TTL });
+        }
+    }
+
+    /// Advertise backlog changes to PEs whose balancers want load info.
+    pub(crate) fn report_load(&mut self, port: &mut Port, queue: &Queue<'_>) {
+        let targets = self.balancer.load_targets();
+        if targets.is_empty() {
+            return;
+        }
+        let load = (queue.len() + self.pool.len()) as u32;
+        let significant = match self.last_advertised {
+            None => true,
+            Some(prev) => prev.abs_diff(load) >= LOAD_REPORT_DELTA || (prev == 0) != (load == 0),
+        };
+        if significant {
+            self.last_advertised = Some(load);
+            port.counters.load_reports += 1;
+            for &t in targets {
+                port.post(t, SysMsg::LoadStatus { load });
+            }
+        }
+    }
+
+    /// Choose the new home of a seed reclaimed from `suspect`;
+    /// `suspects` marks every destination this PE has timed a seed out
+    /// on.
+    ///
+    /// Never re-aim at any of them (the set includes `suspect`). The
+    /// set only grows, so a seed that keeps timing out bounces through
+    /// at most `npes - 1` fresh destinations before settling here —
+    /// without this, a congested machine whose RTT exceeds the seed
+    /// retry budget reclaims *live* in-flight seeds and re-launches
+    /// them forever, and each bounce adds traffic that keeps the RTT
+    /// high: a self-sustaining redirect livelock.
+    fn redirect_target(&mut self, me: Pe, suspect: Pe, suspects: &[bool]) -> Pe {
+        let ok = |p: Pe| p != suspect && suspects.get(p.index()) == Some(&false);
+        if let Some(t) = self.balancer.redirect_target(suspect, &mut self.rng).filter(|&t| ok(t)) {
+            return t;
+        }
+        // Uniform over the non-suspect PEs; run it here if the suspects
+        // were the only alternative.
+        let cands: Vec<Pe> = Pe::all(suspects.len()).filter(|&p| ok(p) && p != me).collect();
+        if cands.is_empty() {
+            me
+        } else {
+            cands[self.rng.random_range(0..cands.len())]
+        }
+    }
+
+    /// Handle one balancing kernel message from `from`.
+    pub(crate) fn handle(&mut self, port: &mut Port, queue: &Queue<'_>, from: Pe, sys: SysMsg) {
+        match sys {
+            SysMsg::LoadStatus { load } => self.balancer.on_load_status(from, load),
+            SysMsg::WorkReq { origin, ttl } => {
+                if !self.pool.is_empty() {
+                    self.grant_to(port, origin);
+                } else if !queue.is_empty() {
+                    // Busy but nothing spare yet: remember the hungry PE
+                    // and grant once seeds appear.
+                    if self.deferred_reqs.len() < MAX_DEFERRED {
+                        self.deferred_reqs.push_back(origin);
+                    } else {
+                        port.post(origin, SysMsg::WorkNack);
+                    }
+                } else if let Some(next) =
+                    (ttl > 0).then(|| self.balancer.pick_victim(&mut self.rng)).flatten()
+                {
+                    // Idle ourselves with TTL left: pass the request
+                    // along (a random walk over the neighbor graph
+                    // toward busy PEs).
+                    port.post(next, SysMsg::WorkReq { origin, ttl: ttl - 1 });
+                } else {
+                    port.post(origin, SysMsg::WorkNack);
+                }
+            }
+            SysMsg::WorkNack => {
+                port.counters.work_nacks += 1;
+                self.awaiting_work = false;
+                self.nack_budget = self.nack_budget.saturating_sub(1);
+                self.request_work(port, queue);
+            }
+            _ => unreachable!("not a balancing message"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,7 +696,7 @@ mod tests {
         for hops in 0..3 {
             assert_eq!(b.place(hops, 100, &mut rng()), Placement::Local);
         }
-        assert!(!b.pools_seeds());
+        assert!(!b.pulls_work());
     }
 
     #[test]
@@ -462,8 +759,7 @@ mod tests {
     #[test]
     fn token_pools_and_picks_round_robin() {
         let mut b = BalanceStrategy::TokenIdle.make(Pe(0), 8, vec![Pe(1), Pe(2), Pe(4)]);
-        assert!(b.pools_seeds());
-        assert!(b.request_work_when_idle());
+        assert!(b.pulls_work());
         assert_eq!(b.place(0, 0, &mut rng()), Placement::Local);
         let mut r = rng();
         let picks: Vec<Pe> = (0..4).filter_map(|_| b.pick_victim(&mut r)).collect();

@@ -5,6 +5,8 @@
 //! shared variables, quiescence detection and program exit. It borrows
 //! the executing PE's node and the machine's network context for the
 //! duration of one entry-method execution.
+//! It owns no kernel state: each method types and boxes its arguments,
+//! then calls the stratum that owns the operation (`CkNode::strata`).
 
 use std::sync::Arc;
 
@@ -12,12 +14,13 @@ use multicomputer::{Cost, NetCtx, Pe};
 
 use crate::boc::Branch;
 use crate::chare::ChareInit;
-use crate::envelope::{SysMsg, PLACED};
+use crate::envelope::{Seed, SysMsg};
 use crate::ids::{Boc, BocId, ChareId, EpId, Kind, Notify, WoId};
 use crate::msg::Message;
-use crate::node::{CkNode, CollectState};
+use crate::node::CkNode;
 use crate::priority::Priority;
-use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
+use crate::shared::{self, Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
+use crate::transport::Port;
 
 /// What kind of object is currently executing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,6 +49,11 @@ impl<'a> Ctx<'a> {
             current,
             destroy_requested: false,
         }
+    }
+
+    /// The transport, as this entry method may use it.
+    fn port(&mut self) -> Port<'_> {
+        self.node.strata(self.net).port
     }
 
     // -- Identity and machine info ------------------------------------
@@ -108,10 +116,9 @@ impl<'a> Ctx<'a> {
 
     /// [`Ctx::create`] with an explicit scheduling priority.
     pub fn create_prio<C: ChareInit>(&mut self, kind: Kind<C>, seed: C::Seed, prio: Priority) {
-        let bytes = seed.bytes();
-        self.node.counters.seeds_spawned += 1;
-        self.node
-            .place_seed(self.net, kind.id, Box::new(seed), bytes, prio, 0);
+        let (kind, bytes) = (kind.id, seed.bytes());
+        let seed = Seed { kind, body: Box::new(seed), bytes, prio };
+        self.node.create(self.net, None, seed);
     }
 
     /// Create a chare on a specific PE, bypassing load balancing.
@@ -127,26 +134,9 @@ impl<'a> Ctx<'a> {
         seed: C::Seed,
         prio: Priority,
     ) {
-        let bytes = seed.bytes();
-        self.node.counters.seeds_spawned += 1;
-        if pe == self.node.pe {
-            // Settle locally without a network round trip, like the
-            // kernel's local-creation fast path.
-            self.node
-                .place_seed(self.net, kind.id, Box::new(seed), bytes, prio, PLACED);
-        } else {
-            self.node.post(
-                self.net,
-                pe,
-                SysMsg::NewChare {
-                    kind: kind.id,
-                    seed: Box::new(seed),
-                    bytes,
-                    prio,
-                    hops: PLACED,
-                },
-            );
-        }
+        let (kind, bytes) = (kind.id, seed.bytes());
+        let seed = Seed { kind, body: Box::new(seed), bytes, prio };
+        self.node.create(self.net, Some(pe), seed);
     }
 
     /// Send `msg` to entry point `ep` of chare `target`.
@@ -158,17 +148,7 @@ impl<'a> Ctx<'a> {
     pub fn send_prio<M: Message>(&mut self, target: ChareId, ep: EpId, msg: M, prio: Priority) {
         let bytes = msg.bytes();
         let to = target.pe;
-        self.node.post(
-            self.net,
-            to,
-            SysMsg::ChareMsg {
-                target,
-                ep,
-                body: Box::new(msg),
-                bytes,
-                prio,
-            },
-        );
+        self.port().post(to, SysMsg::ChareMsg { target, ep, body: Box::new(msg), bytes, prio });
     }
 
     /// Destroy the executing chare after this entry method returns.
@@ -201,17 +181,8 @@ impl<'a> Ctx<'a> {
         prio: Priority,
     ) {
         let bytes = msg.bytes();
-        self.node.post(
-            self.net,
-            pe,
-            SysMsg::BranchMsg {
-                boc: boc.id,
-                ep,
-                body: Box::new(msg),
-                bytes,
-                prio,
-            },
-        );
+        self.port()
+            .post(pe, SysMsg::BranchMsg { boc: boc.id, ep, body: Box::new(msg), bytes, prio });
     }
 
     /// Send a copy of `msg` to entry point `ep` of every branch of
@@ -225,8 +196,7 @@ impl<'a> Ctx<'a> {
     ) {
         let bytes = msg.bytes();
         let boc_id = boc.id;
-        self.node.post_broadcast(
-            self.net,
+        self.port().post_broadcast(
             true,
             Arc::new(move || SysMsg::BranchMsg {
                 boc: boc_id,
@@ -250,13 +220,10 @@ impl<'a> Ctx<'a> {
         boc: Boc<B>,
         f: impl FnOnce(&mut B, &mut Ctx) -> R,
     ) -> R {
-        let slot = boc.id.0 as usize;
         let mut obj = self
             .node
-            .branches
-            .get_mut(slot)
-            .and_then(|s| s.take())
-            .unwrap_or_else(|| panic!("branch {slot} unavailable (re-entrant call?)"));
+            .take_branch(boc.id)
+            .unwrap_or_else(|| panic!("branch {} unavailable (re-entrant call?)", boc.id.0));
         let result = {
             let b = obj
                 .as_any_mut()
@@ -264,7 +231,7 @@ impl<'a> Ctx<'a> {
                 .expect("branch type mismatch");
             f(b, self)
         };
-        self.node.branches[slot] = Some(obj);
+        self.node.put_branch(boc.id, obj);
         result
     }
 
@@ -280,65 +247,31 @@ impl<'a> Ctx<'a> {
     /// Fold `delta` into this PE's partial of accumulator `acc`.
     /// No communication happens until a collect.
     pub fn acc_add<A: Accum>(&mut self, acc: Acc<A>, delta: A::V) {
-        let entry = &self.node.reg.accs[acc.id.0 as usize];
-        (entry.combine)(
-            &mut self.node.acc_vals[acc.id.0 as usize],
-            Box::new(delta),
-        );
+        self.node.shared.acc_add(acc.id, Box::new(delta));
     }
 
     /// Collect accumulator `acc` across all PEs: every PE's partial is
     /// taken (and reset to the identity), combined, and delivered to
     /// `notify` as an [`AccResult<A::V>`](crate::shared::AccResult).
     pub fn acc_collect<A: Accum>(&mut self, acc: Acc<A>, notify: Notify) {
-        self.node.counters.acc_collects += 1;
-        let token = ((self.node.pe.index() as u64) << 40) | self.node.collect_counter;
-        self.node.collect_counter += 1;
-        let me = self.node.pe;
-        self.node.collect_notifies.insert(token, notify);
-        if self.node.bcast_mode == crate::bcast::BroadcastMode::Direct {
-            // Flat gather: expect one partial from every PE.
-            let init = (self.node.reg.accs[acc.id.0 as usize].init)();
-            self.node
-                .collects
-                .insert(token, CollectState::new(acc.id, me, self.node.npes, init));
-        }
-        // Tree mode builds its reduction state when the collect request
-        // reaches each PE (including this one).
-        let acc_id = acc.id;
-        self.node.post_broadcast(
-            self.net,
-            true,
-            std::sync::Arc::new(move || SysMsg::AccCollect {
-                acc: acc_id,
-                token,
-                requester: me,
-            }),
-        );
+        let mut s = self.node.strata(self.net);
+        s.shared.acc_collect(&mut s.port, acc.id, notify);
     }
 
     /// Publish an improvement to monotonic variable `mono`. If it beats
     /// this PE's current value it is stored and broadcast; otherwise it
     /// is dropped (someone already knew better).
     pub fn mono_update<M: Mono>(&mut self, mono: MonoVar<M>, value: M::V) {
-        let idx = mono.id.0 as usize;
-        let reg = Arc::clone(&self.node.reg);
-        let entry = &reg.monos[idx];
-        let boxed: crate::envelope::MsgBody = Box::new(value);
-        if !(entry.better)(&boxed, &self.node.mono_vals[idx]) {
-            return;
-        }
-        self.node.counters.mono_broadcasts += 1;
-        self.node.counters.mono_applied += 1;
-        let gen = (entry.make_update_gen)(&boxed, mono.id);
-        self.node.post_broadcast(self.net, false, gen);
-        self.node.mono_vals[idx] = boxed;
+        let mut s = self.node.strata(self.net);
+        s.shared.mono_update(&mut s.port, mono.id, Box::new(value));
     }
 
     /// Read this PE's current value of monotonic variable `mono`. May
     /// lag the global best — safe when used as a conservative bound.
     pub fn mono_get<M: Mono>(&self, mono: MonoVar<M>) -> M::V {
-        self.node.mono_vals[mono.id.0 as usize]
+        self.node
+            .shared
+            .mono_get(mono.id)
             .downcast_ref::<M::V>()
             .expect("monotonic variable type mismatch")
             .clone()
@@ -346,7 +279,7 @@ impl<'a> Ctx<'a> {
 
     /// Which PE owns `key` in distributed tables.
     pub fn table_home(&self, key: u64) -> Pe {
-        Pe::from((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.node.npes)
+        shared::table_home(key, self.node.npes)
     }
 
     /// Insert `(key, value)` into table `table`. If `notify` is given, a
@@ -358,19 +291,14 @@ impl<'a> Ctx<'a> {
         value: V,
         notify: Option<Notify>,
     ) {
-        let home = self.table_home(key);
-        let bytes = std::mem::size_of::<V>() as u32;
-        self.node.post(
-            self.net,
-            home,
-            SysMsg::TablePut {
-                table: table.id,
-                key,
-                value: Box::new(value),
-                bytes,
-                notify,
-            },
-        );
+        let op = SysMsg::TablePut {
+            table: table.id,
+            key,
+            value: Box::new(value),
+            bytes: std::mem::size_of::<V>() as u32,
+            notify,
+        };
+        shared::table_op(&mut self.port(), key, op);
     }
 
     /// Look up `key` in `table`; a [`TableGot<V>`](crate::shared::TableGot)
@@ -381,16 +309,8 @@ impl<'a> Ctx<'a> {
         key: u64,
         notify: Notify,
     ) {
-        let home = self.table_home(key);
-        self.node.post(
-            self.net,
-            home,
-            SysMsg::TableGet {
-                table: table.id,
-                key,
-                notify,
-            },
-        );
+        let table = table.id;
+        shared::table_op(&mut self.port(), key, SysMsg::TableGet { table, key, notify });
     }
 
     /// Delete `key` from `table`. If `notify` is given, a
@@ -401,16 +321,8 @@ impl<'a> Ctx<'a> {
         key: u64,
         notify: Option<Notify>,
     ) {
-        let home = self.table_home(key);
-        self.node.post(
-            self.net,
-            home,
-            SysMsg::TableDelete {
-                table: table.id,
-                key,
-                notify,
-            },
-        );
+        let table = table.id;
+        shared::table_op(&mut self.port(), key, SysMsg::TableDelete { table, key, notify });
     }
 
     /// Create a write-once variable holding `value`. The value is
@@ -419,21 +331,9 @@ impl<'a> Ctx<'a> {
     /// delivered to `notify`, after which any PE may read it with
     /// [`Ctx::wo_get`].
     pub fn write_once<T: Send + Sync + 'static>(&mut self, value: T, notify: Notify) -> WoId {
-        let id = WoId::new(self.node.pe, self.node.wo_counter);
-        self.node.wo_counter += 1;
-        let arc: Arc<dyn std::any::Any + Send + Sync> = Arc::new(value);
         let bytes = std::mem::size_of::<T>() as u32;
-        self.node.wo_pending.insert(id, (self.node.npes, notify));
-        self.node.post_broadcast(
-            self.net,
-            true,
-            Arc::new(move || SysMsg::WoStore {
-                wo: id,
-                value: Arc::clone(&arc),
-                bytes,
-            }),
-        );
-        id
+        let mut s = self.node.strata(self.net);
+        s.shared.write_once(&mut s.port, Arc::new(value), bytes, notify)
     }
 
     /// Read a replicated write-once variable.
@@ -443,14 +343,12 @@ impl<'a> Ctx<'a> {
     /// only read it after the [`WoReady`](crate::shared::WoReady)
     /// notification.
     pub fn wo_get<T: Send + Sync + 'static>(&self, id: WoId) -> Arc<T> {
-        Arc::clone(
-            self.node
-                .wo_store
-                .get(&id)
-                .expect("write-once variable not (yet) replicated on this PE"),
-        )
-        .downcast::<T>()
-        .expect("write-once variable type mismatch")
+        let value = self
+            .node
+            .shared
+            .wo_get(id)
+            .expect("write-once variable not (yet) replicated on this PE");
+        Arc::clone(value).downcast::<T>().expect("write-once variable type mismatch")
     }
 
     // -- Quiescence and termination --------------------------------------
@@ -459,7 +357,7 @@ impl<'a> Ctx<'a> {
     /// [`QuiescenceMsg`](crate::shared::QuiescenceMsg) to `notify` once
     /// no user message is queued or in flight anywhere.
     pub fn start_quiescence(&mut self, notify: Notify) {
-        self.node.post(self.net, Pe::ZERO, SysMsg::QdStart { notify });
+        self.port().post(Pe::ZERO, SysMsg::QdStart { notify });
     }
 
     /// End the program (the kernel's `CkExit`), recording `result` as

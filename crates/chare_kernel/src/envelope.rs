@@ -44,6 +44,20 @@ pub type RelSlot = Arc<std::sync::Mutex<Option<SysMsg>>>;
 /// (sequence number + flags).
 pub const REL_HEADER: u32 = 16;
 
+/// An unborn chare: what a creation request turns into, what the load
+/// balancer moves between PEs and pools, and what the scheduler finally
+/// constructs.
+pub struct Seed {
+    /// Which registered chare type to instantiate.
+    pub kind: ChareKind,
+    /// The constructor message.
+    pub body: MsgBody,
+    /// Wire size of the constructor message.
+    pub bytes: u32,
+    /// Scheduling priority of the creation.
+    pub prio: Priority,
+}
+
 /// The kernel-to-kernel wire protocol.
 pub enum SysMsg {
     /// Several messages for the same destination PE combined into one
@@ -67,14 +81,8 @@ pub enum SysMsg {
     /// A seed for a new chare, still subject to load balancing (unless
     /// `hops == PLACED`).
     NewChare {
-        /// Which registered chare type to instantiate.
-        kind: ChareKind,
-        /// The constructor message.
-        seed: MsgBody,
-        /// Wire size of the seed.
-        bytes: u32,
-        /// Scheduling priority of the creation.
-        prio: Priority,
+        /// The unborn chare.
+        seed: Seed,
         /// Number of load-balancer forwards so far.
         hops: u32,
     },
@@ -267,7 +275,7 @@ impl SysMsg {
                     .map(|m| m.wire_bytes() - ENVELOPE_HEADER + 2)
                     .sum(),
                 SysMsg::TreeCast { bytes, .. } => 8 + bytes,
-                SysMsg::NewChare { bytes, prio, .. } => 8 + bytes + prio.wire_bytes(),
+                SysMsg::NewChare { seed, .. } => 8 + seed.bytes + seed.prio.wire_bytes(),
                 SysMsg::ChareMsg { bytes, prio, .. } => 16 + bytes + prio.wire_bytes(),
                 SysMsg::BranchMsg { bytes, prio, .. } => 8 + bytes + prio.wire_bytes(),
                 SysMsg::AccCollect { .. } => 16,
@@ -297,16 +305,7 @@ impl SysMsg {
 /// One unit of runnable user work in a PE's scheduler queue.
 pub enum WorkItem {
     /// Construct a new chare from its seed.
-    NewChare {
-        /// Registered type.
-        kind: ChareKind,
-        /// Constructor message.
-        seed: MsgBody,
-        /// Wire size (kept for token-strategy re-forwarding).
-        bytes: u32,
-        /// Priority (kept for re-forwarding).
-        prio: Priority,
-    },
+    NewChare(Seed),
     /// Deliver a message to a local chare.
     ChareMsg {
         /// Slot in the local chare table.
@@ -363,13 +362,8 @@ mod tests {
             prio: Priority::None,
         };
         assert!(m.counted());
-        let n = SysMsg::NewChare {
-            kind: ChareKind(0),
-            seed: Box::new(()),
-            bytes: 0,
-            prio: Priority::None,
-            hops: 0,
-        };
+        let seed = Seed { kind: ChareKind(0), body: Box::new(()), bytes: 0, prio: Priority::None };
+        let n = SysMsg::NewChare { seed, hops: 0 };
         assert!(n.counted());
         assert!(SysMsg::MonoUpdate {
             mono: MonoId(0),

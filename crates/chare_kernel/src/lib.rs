@@ -73,6 +73,7 @@ pub mod reliable;
 pub mod shared;
 pub mod stats;
 pub mod trace;
+mod transport;
 pub mod wire;
 
 pub use balance::BalanceStrategy;

@@ -3,9 +3,12 @@
 //! Every moment the kernel can observe — a message posted or delivered,
 //! an entry begun or ended, a seed kept, forwarded or re-homed, a frame
 //! retransmitted, the backlog changing — is one [`EventKind`], and the
-//! node reports it exactly once, through `CkNode::probe`. The per-PE
-//! `Probe` behind that call turns it into one [`TraceEvent`] and
-//! hands it to whichever recorders the run configured:
+//! stratum that owns the moment reports it exactly once, through
+//! [`emit`]: the transport a send, a delivery, a retransmit; the seed
+//! manager a seed kept or forwarded; the scheduler an entry, a re-homed
+//! seed, a queue sample. The per-PE `Probe` behind that call turns it
+//! into one [`TraceEvent`] and hands it to whichever recorders the run
+//! configured:
 //!
 //! * the **trace ring** (present iff the program ran
 //!   [`with_tracing`](crate::program::Program::with_tracing)) retains
@@ -20,7 +23,7 @@
 //! Both see the same events, in the same order, with the same stamps,
 //! so with both on and neither ring wrapped a PE's flight recorder *is*
 //! the tail of its trace. `docs/TRACING.md` tabulates the vocabulary:
-//! which `node.rs` site emits each event, where it lands, and the
+//! which site emits each event, where it lands, and the
 //! `KernelCounters` field it must agree with.
 //!
 //! ## Cost discipline
@@ -203,6 +206,19 @@ impl ProbeSink {
             }),
             self.metrics.map(|cfg| merge_shards(cfg, npes, end_ns, shards)),
         )
+    }
+}
+
+/// Report one kernel event to a PE's recorder, if it has one. `observe`
+/// returns the event's timestamp, the span it closes (see
+/// [`Probe::record`]; 0 for the kinds that close none) and its kind.
+/// With recording off this is one `Option` test and `observe` never
+/// runs, so neither the clock is read nor the event built.
+#[inline]
+pub(crate) fn emit(probe: &Option<Probe>, observe: impl FnOnce() -> (u64, u64, EventKind)) {
+    if let Some(p) = probe {
+        let (at_ns, span_ns, kind) = observe();
+        p.record(at_ns, span_ns, kind);
     }
 }
 

@@ -19,20 +19,21 @@ use multicomputer::{MachinePreset, NodeStats};
 #[cfg(feature = "threads")]
 use multicomputer::{ThreadConfig, ThreadMachine};
 
-use crate::balance::BalanceStrategy;
+use crate::balance::{BalanceStrategy, SeedManager};
 use crate::bcast::BroadcastMode;
 use crate::boc::BranchInit;
 use crate::chare::ChareInit;
 use crate::ids::{Boc, BocId, ChareKind, Kind, RoId};
 use crate::metrics::{MetricsConfig, MetricsLog};
 use crate::msg::Message;
-use crate::node::{CkNode, NodeOptions};
+use crate::node::CkNode;
 use crate::probe::ProbeSink;
 use crate::queueing::QueueingStrategy;
 use crate::registry::{AccEntry, BocEntry, ChareEntry, MainSpec, MonoEntry, Registry, TableEntry};
 use crate::reliable::ReliableConfig;
 use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
 use crate::trace::{TraceConfig, TraceLog};
+use crate::transport::Transport;
 
 /// Builder for a chare-kernel program.
 pub struct ProgramBuilder {
@@ -505,21 +506,16 @@ impl NodeFactory for CkFactory {
         if neighbors.len() > 8 {
             neighbors = Topology::Hypercube.neighbors(pe, npes);
         }
-        let queue = self.prog.queueing.make();
-        let balancer = self.prog.balance.make(pe, npes, neighbors);
+        let prog = &self.prog;
+        let balancer = prog.balance.make(pe, npes, neighbors);
         CkNode::new(
             pe,
             npes,
-            Arc::clone(&self.prog.reg),
-            queue,
-            balancer,
-            NodeOptions {
-                bcast: self.prog.bcast,
-                combining: self.prog.combining,
-                rng_seed: self.prog.rng_seed,
-                reliable: self.prog.reliable,
-                probe: self.sink.as_ref().map(|s| s.probe_for(pe)),
-            },
+            Arc::clone(&prog.reg),
+            prog.queueing.make(),
+            SeedManager::new(balancer, pe, prog.rng_seed),
+            Transport::new(pe, npes, prog.bcast, prog.combining, prog.reliable),
+            self.sink.as_ref().map(|s| s.probe_for(pe)),
         )
     }
 }

@@ -14,12 +14,25 @@
 //! the classic race of a message crossing the wave front: any message
 //! sent or delivered between the waves perturbs the totals.
 //!
-//! Counter discipline (enforced in the node): `sent` increments at send
-//! time, `recv` at packet arrival, and only *user* messages count —
+//! Counter discipline (enforced in the transport): `sent` increments at
+//! send time, `recv` at packet arrival, and only *user* messages count —
 //! QD control traffic and load reports are excluded, so the detection
 //! machinery cannot keep itself alive.
+//!
+//! As a stratum this is a service above the transport: it **owns** PE
+//! 0's `QdCoordinator` and the handler for the `Qd*` kernel messages
+//! ([`handle`]), and **may call** only the transport, through the `Port`
+//! it is handed. Whether the PE is busy arrives as an argument.
 
+use std::sync::Arc;
+
+use multicomputer::Pe;
+
+use crate::envelope::SysMsg;
 use crate::ids::Notify;
+use crate::msg::Message;
+use crate::shared::QuiescenceMsg;
+use crate::transport::Port;
 
 /// What the coordinator should do after an input.
 #[derive(Debug, PartialEq, Eq)]
@@ -113,6 +126,39 @@ impl QdCoordinator {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn active(&self) -> bool {
         self.active
+    }
+}
+
+/// Handle one quiescence kernel message. `qd` is this PE's coordinator
+/// (PE 0 only); `busy` is whether user work is runnable or waiting
+/// unplaced on this PE.
+pub(crate) fn handle(qd: &mut Option<QdCoordinator>, port: &mut Port, busy: bool, sys: SysMsg) {
+    const PE0: &str = "QdStart and QdCount must be addressed to PE 0";
+    let action = match sys {
+        SysMsg::QdStart { notify } => qd.as_mut().expect(PE0).request(notify),
+        SysMsg::QdCount { wave, sent, recv, idle } => {
+            qd.as_mut().expect(PE0).on_count(wave, sent, recv, idle)
+        }
+        SysMsg::QdPoll { wave } => {
+            port.counters.qd_replies += 1;
+            let (sent, recv) = (port.counters.user_sent, port.counters.user_recv);
+            let idle = !busy && port.t.quiet();
+            port.post(Pe::ZERO, SysMsg::QdCount { wave, sent, recv, idle });
+            return;
+        }
+        _ => unreachable!("not a quiescence message"),
+    };
+    match action {
+        QdAction::None => {}
+        QdAction::Poll(wave) => {
+            port.post_broadcast(true, Arc::new(move || SysMsg::QdPoll { wave }))
+        }
+        QdAction::Declare(notifies) => {
+            port.counters.qd_declares += 1;
+            for n in notifies {
+                port.notify(n, Box::new(QuiescenceMsg), QuiescenceMsg.bytes());
+            }
+        }
     }
 }
 

@@ -44,8 +44,8 @@
 //! flight, which would deadlock detection against its own traffic.
 //!
 //! This type only does bookkeeping; the send/receive/alarm plumbing
-//! lives in `node.rs` so that all network interaction stays in one
-//! place.
+//! lives in `transport.rs`, the one module that names it, so that all
+//! network interaction stays in one place.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -174,11 +174,13 @@ fn carries_user(msg: &SysMsg) -> bool {
     }
 }
 
-/// A frame to put back on the wire, produced by [`RelState::on_alarm`].
-pub(crate) struct Retransmit {
+/// A frame to put on the wire: freshly registered
+/// ([`RelState::submit`], [`RelState::take_ready`]) or due again
+/// ([`RelState::on_alarm`]).
+pub(crate) struct Frame {
     /// Destination PE.
     pub to: Pe,
-    /// Sequence number of the frame.
+    /// Per-destination sequence number.
     pub seq: u64,
     /// Wire size of the carried message.
     pub inner_bytes: u32,
@@ -198,7 +200,7 @@ pub(crate) struct RedirectSeed {
 /// What [`RelState::on_alarm`] decided needs doing.
 pub(crate) struct AlarmActions {
     /// Frames to retransmit now.
-    pub retransmits: Vec<Retransmit>,
+    pub retransmits: Vec<Frame>,
     /// Seeds to re-dispatch elsewhere.
     pub redirects: Vec<RedirectSeed>,
 }
@@ -247,18 +249,6 @@ pub(crate) struct RelState {
     pending_acks: Vec<Vec<u64>>,
     /// Absolute deadline the machine alarm is currently armed for.
     armed: Option<u64>,
-}
-
-/// A freshly registered frame, ready for its first transmission.
-pub(crate) struct Registered {
-    /// Assigned sequence number.
-    pub seq: u64,
-    /// Shared body slot.
-    pub slot: RelSlot,
-    /// Wire size of the carried message.
-    pub inner_bytes: u32,
-    /// Wire size of the frame itself.
-    pub frame_bytes: u32,
 }
 
 /// Wire size of a reliable frame carrying `inner_bytes` of message.
@@ -319,13 +309,7 @@ impl RelState {
     /// (and nothing is already queued ahead, preserving FIFO order) the
     /// message is registered for immediate transmission; otherwise it
     /// waits until acks open the window (see [`RelState::take_ready`]).
-    pub(crate) fn submit(
-        &mut self,
-        to: Pe,
-        msg: SysMsg,
-        now: u64,
-        is_seed: bool,
-    ) -> Option<Registered> {
+    pub(crate) fn submit(&mut self, to: Pe, msg: SysMsg, now: u64, is_seed: bool) -> Option<Frame> {
         let i = to.index();
         if self.in_flight_to[i] < self.cfg.window && self.wait_q[i].is_empty() {
             return Some(self.register(to, msg, now, is_seed));
@@ -342,15 +326,14 @@ impl RelState {
     /// Pop window-released messages, registering them for transmission.
     /// Called from the scheduler step (acks arrive outside any network
     /// context, so releases are deferred like acks are).
-    pub(crate) fn take_ready(&mut self, now: u64) -> Vec<(Pe, Registered)> {
+    pub(crate) fn take_ready(&mut self, now: u64) -> Vec<Frame> {
         let mut out = Vec::new();
         for i in 0..self.wait_q.len() {
             while self.in_flight_to[i] < self.cfg.window {
                 let Some(w) = self.wait_q[i].pop_front() else {
                     break;
                 };
-                let reg = self.register(Pe::from(i), w.msg, now, w.is_seed);
-                out.push((Pe::from(i), reg));
+                out.push(self.register(Pe::from(i), w.msg, now, w.is_seed));
             }
         }
         out
@@ -365,8 +348,8 @@ impl RelState {
     }
 
     /// Register an outgoing message for reliable delivery; the returned
-    /// [`Registered`] describes the initial transmission.
-    fn register(&mut self, to: Pe, msg: SysMsg, now: u64, is_seed: bool) -> Registered {
+    /// [`Frame`] is its initial transmission.
+    fn register(&mut self, to: Pe, msg: SysMsg, now: u64, is_seed: bool) -> Frame {
         let inner_bytes = msg.wire_bytes();
         let counted = carries_user(&msg);
         let seq = self.next_seq[to.index()];
@@ -385,12 +368,7 @@ impl RelState {
                 counted,
             },
         );
-        Registered {
-            seq,
-            slot,
-            inner_bytes,
-            frame_bytes: frame_wire_bytes(inner_bytes),
-        }
+        Frame { to, seq, inner_bytes, slot }
     }
 
     /// Process an ack from `from`; returns how many frames it retired.
@@ -456,7 +434,7 @@ impl RelState {
             let shift = p.retries.min(MAX_BACKOFF_SHIFT);
             p.deadline = now + (self.cfg.timeout.as_nanos() << shift);
             if head.get(&key.0) == Some(&key.1) {
-                actions.retransmits.push(Retransmit {
+                actions.retransmits.push(Frame {
                     to: p.to,
                     seq: key.1,
                     inner_bytes: p.inner_bytes,
@@ -619,13 +597,13 @@ mod tests {
     }
 
     fn seed_msg() -> SysMsg {
-        SysMsg::NewChare {
+        let seed = crate::envelope::Seed {
             kind: crate::ids::ChareKind(0),
-            seed: Box::new(7u32),
+            body: Box::new(7u32),
             bytes: 4,
             prio: crate::priority::Priority::None,
-            hops: 0,
-        }
+        };
+        SysMsg::NewChare { seed, hops: 0 }
     }
 
     #[test]
@@ -754,8 +732,8 @@ mod tests {
         assert!(r.has_ready());
         let ready = r.take_ready(5);
         assert_eq!(ready.len(), 1, "one ack frees one slot");
-        assert_eq!(ready[0].0, Pe(1));
-        assert_eq!(ready[0].1.seq, s2 + 1, "FIFO: queued before new seqs");
+        assert_eq!(ready[0].to, Pe(1));
+        assert_eq!(ready[0].seq, s2 + 1, "FIFO: queued before new seqs");
         assert!(!r.has_ready());
         r.on_ack(Pe(1), &[s2, s2 + 1]);
         assert_eq!(r.take_ready(6).len(), 1, "last queued message drains");

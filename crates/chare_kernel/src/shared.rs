@@ -20,11 +20,29 @@
 //! * **distributed tables** — key/value store hash-partitioned across
 //!   PEs with asynchronous insert/find/delete and reply messages
 //!   ([`TableRef`], [`TableGot`], [`TableAck`]).
+//!
+//! This module is also the kernel's shared-variable *service*: one
+//! stratum above the transport. `SharedVars` **owns** each PE's side
+//! of every variable (accumulator partials, monotonic values, table
+//! shards, the write-once store, collects in progress) together with
+//! the initiators `Ctx` calls and the handler for the `Acc*`, `Mono*`,
+//! `Table*` and `Wo*` kernel messages. It **may call** the transport,
+//! through the `Port` it is handed, and the registry; it never touches
+//! the scheduler or another service.
 
+use std::any::Any;
+use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
-use crate::ids::{AccId, MonoId, RoId, TableId, WoId};
+use multicomputer::Pe;
+
+use crate::bcast::{tree_children, tree_parent, BroadcastMode};
+use crate::envelope::{MsgBody, SysMsg};
+use crate::ids::{AccId, MonoId, Notify, RoId, TableId, WoId};
 use crate::msg::Message;
+use crate::registry::Registry;
+use crate::transport::Port;
 
 /// A commutative, associative reduction.
 ///
@@ -261,6 +279,230 @@ impl Mono for MinBoundU64 {
     }
     fn better(new: &u64, cur: &u64) -> bool {
         new < cur
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-PE service behind the handles.
+// ---------------------------------------------------------------------
+
+/// One accumulator collect in progress on this PE.
+struct CollectState {
+    acc: AccId,
+    /// The PE gathering this collect (root of the reduction tree).
+    origin: Pe,
+    /// Contributions still outstanding (tree children, or all PEs in
+    /// direct mode).
+    remaining: usize,
+    value: MsgBody,
+}
+
+/// One PE's side of every specifically shared variable. The initiators
+/// below are the bodies of the `Ctx` methods of the same names, which
+/// document them.
+pub(crate) struct SharedVars {
+    reg: Arc<Registry>,
+    acc_vals: Vec<MsgBody>,
+    mono_vals: Vec<MsgBody>,
+    tables: Vec<HashMap<u64, MsgBody>>,
+    wo_store: HashMap<WoId, Arc<dyn Any + Send + Sync>>,
+    wo_pending: HashMap<WoId, (usize, Notify)>,
+    wo_counter: u32,
+    collects: HashMap<u64, CollectState>,
+    /// Requester side: where each collect's result goes.
+    collect_notifies: HashMap<u64, Notify>,
+    collect_counter: u64,
+}
+
+/// Which PE owns `key` in distributed tables.
+pub(crate) fn table_home(key: u64, npes: usize) -> Pe {
+    Pe::from((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % npes)
+}
+
+/// Send a table operation to the shard that owns `key`.
+pub(crate) fn table_op(port: &mut Port, key: u64, op: SysMsg) {
+    port.post(table_home(key, port.t.npes), op);
+}
+
+impl SharedVars {
+    pub(crate) fn new(reg: Arc<Registry>) -> Self {
+        SharedVars {
+            acc_vals: reg.accs.iter().map(|a| (a.init)()).collect(),
+            mono_vals: reg.monos.iter().map(|m| (m.init)()).collect(),
+            tables: reg.tables.iter().map(|_| HashMap::new()).collect(),
+            reg,
+            wo_store: HashMap::new(),
+            wo_pending: HashMap::new(),
+            wo_counter: 0,
+            collects: HashMap::new(),
+            collect_notifies: HashMap::new(),
+            collect_counter: 0,
+        }
+    }
+
+    pub(crate) fn acc_add(&mut self, acc: AccId, delta: MsgBody) {
+        (self.reg.accs[acc.0 as usize].combine)(&mut self.acc_vals[acc.0 as usize], delta);
+    }
+
+    pub(crate) fn acc_collect(&mut self, port: &mut Port, acc: AccId, notify: Notify) {
+        port.counters.acc_collects += 1;
+        let me = port.t.pe;
+        let token = ((me.index() as u64) << 40) | self.collect_counter;
+        self.collect_counter += 1;
+        self.collect_notifies.insert(token, notify);
+        if port.t.bcast == BroadcastMode::Direct {
+            // Flat gather: expect one partial from every PE.
+            let value = (self.reg.accs[acc.0 as usize].init)();
+            let st = CollectState { acc, origin: me, remaining: port.t.npes, value };
+            self.collects.insert(token, st);
+        }
+        // Tree mode builds its reduction state when the collect request
+        // reaches each PE (including this one).
+        let gen = move || SysMsg::AccCollect { acc, token, requester: me };
+        port.post_broadcast(true, Arc::new(gen));
+    }
+
+    pub(crate) fn mono_update(&mut self, port: &mut Port, mono: MonoId, value: MsgBody) {
+        let entry = &self.reg.monos[mono.0 as usize];
+        let cur = &mut self.mono_vals[mono.0 as usize];
+        if !(entry.better)(&value, cur) {
+            return;
+        }
+        port.counters.mono_broadcasts += 1;
+        port.counters.mono_applied += 1;
+        port.post_broadcast(false, (entry.make_update_gen)(&value, mono));
+        *cur = value;
+    }
+
+    pub(crate) fn mono_get(&self, mono: MonoId) -> &MsgBody {
+        &self.mono_vals[mono.0 as usize]
+    }
+
+    pub(crate) fn write_once(
+        &mut self,
+        port: &mut Port,
+        value: Arc<dyn Any + Send + Sync>,
+        bytes: u32,
+        notify: Notify,
+    ) -> WoId {
+        let wo = WoId::new(port.t.pe, self.wo_counter);
+        self.wo_counter += 1;
+        self.wo_pending.insert(wo, (port.t.npes, notify));
+        let gen = move || SysMsg::WoStore { wo, value: Arc::clone(&value), bytes };
+        port.post_broadcast(true, Arc::new(gen));
+        wo
+    }
+
+    /// `None` until the value has been replicated to this PE.
+    pub(crate) fn wo_get(&self, wo: WoId) -> Option<&Arc<dyn Any + Send + Sync>> {
+        self.wo_store.get(&wo)
+    }
+
+    /// Handle one shared-variable kernel message.
+    pub(crate) fn handle(&mut self, port: &mut Port, sys: SysMsg) {
+        match sys {
+            SysMsg::AccCollect { acc, token, requester } => {
+                // Destructive read of this PE's partial.
+                let fresh = (self.reg.accs[acc.0 as usize].init)();
+                let part = std::mem::replace(&mut self.acc_vals[acc.0 as usize], fresh);
+                match port.t.bcast {
+                    // Flat gather: every partial goes straight to the
+                    // requester (which pre-created its state).
+                    BroadcastMode::Direct => {
+                        port.post(requester, SysMsg::AccPart { acc, token, part });
+                    }
+                    // Tree reduction: combine up the same binomial tree
+                    // the collect request came down. This node's state
+                    // exists before any child can reply because the
+                    // request is forwarded to children and processed
+                    // locally in the same step.
+                    BroadcastMode::Tree => {
+                        let remaining = tree_children(requester, port.t.pe, port.t.npes).len();
+                        let st = CollectState { acc, origin: requester, remaining, value: part };
+                        if remaining == 0 {
+                            self.finish_or_forward(port, token, st);
+                        } else {
+                            self.collects.insert(token, st);
+                        }
+                    }
+                }
+            }
+            SysMsg::AccPart { acc, token, part } => {
+                let st =
+                    self.collects.get_mut(&token).expect("accumulator part for unknown collect");
+                (self.reg.accs[acc.0 as usize].combine)(&mut st.value, part);
+                st.remaining -= 1;
+                if st.remaining == 0 {
+                    let st = self.collects.remove(&token).expect("collect state");
+                    self.finish_or_forward(port, token, st);
+                }
+            }
+            SysMsg::MonoUpdate { mono, value } => {
+                let cur = &mut self.mono_vals[mono.0 as usize];
+                if (self.reg.monos[mono.0 as usize].better)(&value, cur) {
+                    *cur = value;
+                    port.counters.mono_applied += 1;
+                }
+            }
+            SysMsg::TablePut { table, key, value, notify, .. } => {
+                port.counters.table_ops += 1;
+                let existed = self.tables[table.0 as usize].insert(key, value).is_some();
+                table_ack(port, notify, key, existed);
+            }
+            SysMsg::TableGet { table, key, notify } => {
+                port.counters.table_ops += 1;
+                let val = self.tables[table.0 as usize].get(&key);
+                let (body, bytes) = (self.reg.tables[table.0 as usize].make_got)(key, val);
+                port.notify(notify, body, bytes);
+            }
+            SysMsg::TableDelete { table, key, notify } => {
+                port.counters.table_ops += 1;
+                let existed = self.tables[table.0 as usize].remove(&key).is_some();
+                table_ack(port, notify, key, existed);
+            }
+            SysMsg::WoStore { wo, value, .. } => {
+                self.wo_store.insert(wo, value);
+                port.post(wo.creator(), SysMsg::WoAck { wo });
+            }
+            SysMsg::WoAck { wo } => {
+                let ent =
+                    self.wo_pending.get_mut(&wo).expect("ack for unknown write-once variable");
+                ent.0 -= 1;
+                if ent.0 == 0 {
+                    let (_, notify) = self.wo_pending.remove(&wo).expect("wo state");
+                    let msg = WoReady { id: wo };
+                    port.notify(notify, Box::new(msg), msg.bytes());
+                }
+            }
+            _ => unreachable!("not a shared-variable message"),
+        }
+    }
+
+    /// A collect subtree is fully combined: deliver the result if this
+    /// PE requested the collect, otherwise pass the combined partial to
+    /// the reduction-tree parent.
+    fn finish_or_forward(&mut self, port: &mut Port, token: u64, st: CollectState) {
+        let me = port.t.pe;
+        if st.origin == me {
+            let notify = self
+                .collect_notifies
+                .remove(&token)
+                .expect("collect completed twice or never requested here");
+            let (body, bytes) = (self.reg.accs[st.acc.0 as usize].wrap_result)(st.value);
+            port.notify(notify, body, bytes);
+        } else {
+            let parent = tree_parent(st.origin, me, port.t.npes)
+                .expect("non-origin node must have a tree parent");
+            port.post(parent, SysMsg::AccPart { acc: st.acc, token, part: st.value });
+        }
+    }
+}
+
+/// Answer a table put or delete that asked for a [`TableAck`].
+fn table_ack(port: &mut Port, notify: Option<Notify>, key: u64, existed: bool) {
+    if let Some(n) = notify {
+        let ack = TableAck { key, existed };
+        port.notify(n, Box::new(ack), ack.bytes());
     }
 }
 

@@ -14,7 +14,7 @@
 //! This module owns the vocabulary ([`EventKind`], [`TraceEvent`],
 //! [`MsgClass`], [`EntryWhat`]), the bounded per-PE ring events are
 //! retained in, and the drained [`TraceLog`]. How an event gets from a
-//! `node.rs` site into a ring — and into the streaming metrics, which
+//! kernel site into a ring — and into the streaming metrics, which
 //! fold the same events — is [`crate::probe`]'s business, as is the
 //! cost discipline both share.
 //!

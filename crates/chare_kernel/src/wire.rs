@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use multicomputer::Pe;
 
-use crate::envelope::{MsgBody, SysMsg};
+use crate::envelope::{MsgBody, Seed, SysMsg};
 use crate::ids::{AccId, BocId, ChareId, ChareKind, EpId, MonoId, Notify, RoId, TableId, WoId};
 use crate::priority::{BitPrio, Priority};
 use crate::registry::Registry;
@@ -98,6 +98,20 @@ impl<'a> WireReader<'a> {
     /// Read `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> &'a [u8] {
         self.take(n)
+    }
+
+    /// Read a `u32` count of `T`s that follow. The prefix is outside
+    /// input, so it is checked against the bytes present before
+    /// anything is reserved for it: a non-zero-sized `T` encodes to at
+    /// least one byte (a zero-sized one reserves nothing).
+    fn count<T>(&mut self) -> usize {
+        let n = self.u32() as usize;
+        assert!(
+            std::mem::size_of::<T>() == 0 || n <= self.remaining(),
+            "wire: length prefix {n} exceeds the {} bytes left in the frame",
+            self.remaining()
+        );
+        n
     }
 }
 
@@ -187,7 +201,7 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut WireReader) -> Self {
-        let n = r.u32() as usize;
+        let n = r.count::<T>();
         (0..n).map(|_| T::decode(r)).collect()
     }
 }
@@ -720,17 +734,25 @@ impl WireTable {
         (self.entries[tag as usize].encode)(body, out);
     }
 
+    /// Read a body tag and look its codec up; a tag past the table is
+    /// malformed input and panics by name, like a bad envelope tag.
+    fn tagged(&self, r: &mut WireReader) -> &WireEntry {
+        let tag = r.u32() as usize;
+        let known = self.entries.len();
+        self.entries
+            .get(tag)
+            .unwrap_or_else(|| panic!("wire: bad body tag {tag} ({known} codecs registered)"))
+    }
+
     /// Decode a `tag + bytes` body back into a boxed value.
     pub(crate) fn decode_body(&self, r: &mut WireReader) -> MsgBody {
-        let tag = r.u32() as usize;
-        (self.entries[tag].decode)(r)
+        (self.tagged(r).decode)(r)
     }
 
     /// Decode a `tag + bytes` body into a shared (`Arc`) value — the
     /// write-once store replicates bodies by reference.
     pub(crate) fn decode_shared(&self, r: &mut WireReader) -> Arc<dyn Any + Send + Sync> {
-        let tag = r.u32() as usize;
-        (self.entries[tag].decode_shared)(r)
+        (self.tagged(r).decode_shared)(r)
     }
 }
 
@@ -786,19 +808,13 @@ pub(crate) fn encode_sys(reg: &Registry, sys: &SysMsg, out: &mut Vec<u8>) {
             encode_sys(reg, &gen(), &mut blob);
             blob.encode(out);
         }
-        SysMsg::NewChare {
-            kind,
-            seed,
-            bytes,
-            prio,
-            hops,
-        } => {
+        SysMsg::NewChare { seed, hops } => {
             out.push(T_NEWCHARE);
-            kind.encode(out);
-            bytes.encode(out);
-            prio.encode(out);
+            seed.kind.encode(out);
+            seed.bytes.encode(out);
+            seed.prio.encode(out);
             hops.encode(out);
-            w.encode_body("NewChare seed", seed.as_ref(), out);
+            w.encode_body("NewChare seed", seed.body.as_ref(), out);
         }
         SysMsg::ChareMsg {
             target,
@@ -944,7 +960,7 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
     let w = &reg.wire;
     match r.u8() {
         T_BATCH => {
-            let n = r.u32() as usize;
+            let n = r.count::<SysMsg>();
             SysMsg::Batch((0..n).map(|_| decode_sys(reg, r)).collect())
         }
         T_TREECAST => {
@@ -968,14 +984,9 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
             let bytes = r.u32();
             let prio = Priority::decode(r);
             let hops = r.u32();
-            let seed = w.decode_body(r);
-            SysMsg::NewChare {
-                kind,
-                seed,
-                bytes,
-                prio,
-                hops,
-            }
+            let body = w.decode_body(r);
+            let seed = Seed { kind, body, bytes, prio };
+            SysMsg::NewChare { seed, hops }
         }
         T_CHAREMSG => {
             let target = ChareId::decode(r);
@@ -1329,6 +1340,96 @@ mod tests {
         };
         let mut out = Vec::new();
         encode_sys(&reg, &sys, &mut out);
+    }
+
+    /// The test binary's allocator: the system's, noting on request the
+    /// largest single size a thread asks it for.
+    struct Watching;
+
+    thread_local! {
+        /// `Some(largest request so far)` while this thread is watched.
+        static LARGEST: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+        /// What `LARGEST` held when this thread last began to panic.
+        static AT_PANIC: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    fn note(size: usize) {
+        // `try_with`: the allocator outlives a thread's locals.
+        let _ = LARGEST.try_with(|l| l.set(l.get().map(|seen| seen.max(size))));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // whose contract is the one being implemented; `note` only reads and
+    // writes a const-initialized `Cell` and never allocates.
+    unsafe impl std::alloc::GlobalAlloc for Watching {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's obligations are `System.alloc`'s.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            note(new);
+            // SAFETY: as for `dealloc`; `new` is the caller's to vouch for.
+            unsafe { std::alloc::System.realloc(ptr, layout, new) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Watching = Watching;
+
+    /// Decode hostile input on this thread; return the panic message and
+    /// the largest allocation requested before the panic. Watching stops
+    /// where the panic starts (in the hook, ahead of any backtrace and of
+    /// the unwinder's own allocations).
+    fn decode_hostile(decode: impl FnOnce() + std::panic::UnwindSafe) -> (String, usize) {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                AT_PANIC.set(LARGEST.replace(None));
+                default(info);
+            }));
+        });
+        LARGEST.set(Some(0));
+        let panic = std::panic::catch_unwind(decode).expect_err("hostile input must be refused");
+        let largest = AT_PANIC.take().expect("watched until the panic");
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic with a message");
+        (msg, largest)
+    }
+
+    #[test]
+    fn hostile_prefixes_and_tags_panic_by_name_without_allocating() {
+        let reg = test_registry();
+        // Each case: a frame whose length prefix or body tag (`ff ff ff
+        // ff`) promises far more than follows it. Padded to 256 bytes,
+        // room for the panic message, which is itself an allocation.
+        let frame = |head: &[u8]| [head, &[0xff; 4], &[0; 256][head.len() + 4..]].concat();
+        let check = |what: &str, (msg, largest): (String, usize)| {
+            assert!(msg.starts_with("wire:"), "{what}: panicked with {msg:?}");
+            assert!(largest <= 256, "{what}: asked the allocator for {largest} bytes");
+        };
+        let bytes = frame(&[]);
+        check(
+            "Vec<u64> length",
+            decode_hostile(move || drop(Vec::<u64>::decode(&mut WireReader::new(&bytes)))),
+        );
+        for (what, bytes) in [
+            ("RelAck seqs", frame(&[T_RELACK])),
+            ("Batch count", frame(&[T_BATCH])),
+            ("TreeCast blob", frame(&[T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0])),
+            ("body tag", frame(&[T_MONOUPDATE, 0, 0, 0, 0])),
+        ] {
+            let decode = || drop(decode_sys(&reg, &mut WireReader::new(&bytes)));
+            check(what, decode_hostile(std::panic::AssertUnwindSafe(decode)));
+        }
     }
 
     #[test]

@@ -429,4 +429,35 @@ mod tests {
         let rows = doc.lines().filter(|l| l.starts_with("//! | `")).count();
         assert_eq!(rows, registry::APPS.len(), "doc table has a row the registry lacks");
     }
+
+    /// Every backticked `crate::module` path in DESIGN.md § 2 (the
+    /// system inventory) names a source file that exists. `{a,b}` lists
+    /// each module; `*` asks only for the crate.
+    #[test]
+    fn design_inventory_names_real_modules() {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 2. ").expect("DESIGN.md has a section 2");
+        let section = &design[start..];
+        let section = &section[..section.find("\n## 3. ").expect("and a section 3")];
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut checked = 0;
+        for path in section.split('`').skip(1).step_by(2) {
+            let Some((krate, rest)) = path.split_once("::") else {
+                continue;
+            };
+            let src = crates.join(krate).join("src");
+            assert!(src.is_dir(), "`{path}`: no crate at {}", src.display());
+            let modules = rest.trim_start_matches('{').trim_end_matches('}');
+            for module in modules.split(',').filter(|m| *m != "*") {
+                let file = src.join(module.replace("::", "/"));
+                assert!(
+                    file.with_extension("rs").is_file() || file.join("mod.rs").is_file(),
+                    "`{path}`: no module {module} in {}",
+                    src.display()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 40, "the inventory lost its module paths ({checked} found)");
+    }
 }
