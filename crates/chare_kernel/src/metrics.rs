@@ -363,11 +363,11 @@ impl PeMetricSet {
 
 // ---- cross-process shard transport (procs backend) ---------------------
 //
-// Worker processes drain their own sink and ship the one populated
-// `PeMetricSet` to the parent, which re-buckets every shard to the
-// coarsest width and rebuilds a machine-wide `MetricsLog` — the same
-// exact (power-of-two widths nest) `merge_shards` an in-process drain
-// runs over its PEs.
+// A worker process takes its own PE's shard out of its sink and ships
+// the `PeMetricSet` to the parent, which hands every shard to the one
+// merge (`probe::merge`): re-bucketed to the coarsest width into a
+// machine-wide `MetricsLog` by the same exact (power-of-two widths
+// nest) `merge_shards` an in-process drain runs over its PEs.
 
 impl crate::wire::Wire for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -387,7 +387,10 @@ impl crate::wire::Wire for Histogram {
         let nonzero = Vec::<(u8, u64)>::decode(r);
         let mut h = Histogram::new();
         for (b, c) in nonzero {
-            h.counts[b as usize] = c;
+            match h.counts.get_mut(b as usize) {
+                Some(slot) => *slot = c,
+                None => r.fail("a histogram bucket below 64"),
+            }
         }
         h.count = u64::decode(r);
         h.sum = u64::decode(r);
@@ -482,7 +485,8 @@ pub(crate) fn merge_shards(
         .max()
         .unwrap_or(cfg.slice_ns)
         .max(1)
-        .next_power_of_two();
+        .checked_next_power_of_two()
+        .unwrap_or(1 << 63);
     // A PE coarsens only up to its *own* last event; a mostly-idle PE
     // can leave the common width far finer than the run is long.
     // Enforce the bucket budget over the whole run so the drained log
@@ -504,7 +508,9 @@ pub(crate) fn merge_shards(
         if idx >= npes {
             continue;
         }
-        let mut slices = rebucket_slices(&set.slices, w.max(1).next_power_of_two(), width);
+        // `width` is a power of two no smaller than any shard's `w`.
+        let from = w.max(1).checked_next_power_of_two().unwrap_or(width);
+        let mut slices = rebucket_slices(&set.slices, from, width);
         slices.resize(nslices, Slice::default());
         per_pe[idx] = PeMetricSet { slices, ..set };
     }

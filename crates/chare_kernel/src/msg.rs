@@ -5,11 +5,16 @@
 //! nonshared-memory discipline of the paper enforced at compile time
 //! rather than by the hardware.
 //!
-//! Because neither backend serializes (both run in one address space),
-//! each message type declares the size its wire representation would
-//! have via [`Message::bytes`]; the simulated network charges for that
-//! many bytes. The default is `size_of::<Self>()`, correct for flat
-//! types; messages carrying heap data (e.g. a `Vec`) should override it.
+//! The simulator and the thread backend never serialize (both run in
+//! one address space), so each message type declares the size its wire
+//! representation would have via [`Message::bytes`]: the simulated
+//! network charges for that many bytes, and the trace and metrics count
+//! them, on every backend. The procs backend does serialize — through
+//! the type's [`Wire`](crate::wire::Wire) codec, whose output length is
+//! what crosses the socket — and still carries the declared size in
+//! each frame header, so the kernel's accounting reads the same on all
+//! three. The default is `size_of::<Self>()`, correct for flat types;
+//! messages carrying heap data (e.g. a `Vec`) should override it.
 
 /// A value that can be sent to a chare entry point.
 ///

@@ -174,39 +174,71 @@ impl ProbeSink {
         }
     }
 
-    /// Collect what every dropped probe flushed: the time-ordered event
-    /// log if tracing was configured, and the metrics snapshot if
-    /// metrics were. `end_ns` is the run's end time (needed to derive
-    /// idle time per interval). A PE whose probe never flushed reads as
-    /// silent: no events, an all-idle metric set.
+    /// Take what PE `pe`'s dropped probe flushed, in drained form; `None`
+    /// if it never flushed (or was taken already). All a worker process
+    /// of the procs backend calls: its one shard travels to the parent.
+    pub(crate) fn take_shard(&self, pe: Pe) -> Option<Shard> {
+        let rec = self.slots[pe.index()].lock().expect("a probe panicked mid-flush").take()?;
+        let (events, dropped) = rec.trace.map_or((Vec::new(), 0), |mut ring| ring.drain());
+        Some(Shard {
+            events,
+            dropped,
+            metrics: rec.metrics.map(|st| st.into_shard(pe)),
+        })
+    }
+
+    /// Collect what every dropped probe flushed: [`merge`] over every
+    /// PE's shard. `end_ns` is the run's end time.
     pub(crate) fn drain(&self, end_ns: u64) -> (Option<TraceLog>, Option<MetricsLog>) {
         let npes = self.slots.len();
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        let mut shards = Vec::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(rec) = slot.lock().expect("a probe panicked mid-flush").take() else {
-                continue;
-            };
-            if let Some(mut ring) = rec.trace {
-                let (evs, d) = ring.drain();
-                events.extend(evs);
-                dropped += d;
-            }
-            shards.extend(rec.metrics.map(|st| st.into_shard(Pe::from(i))));
-        }
-        // Per-PE rings are individually ordered; the stable sort merges
-        // them PE-0-first among equal stamps.
-        events.sort_by_key(|e| e.at_ns);
-        (
-            self.tracing.map(|_| TraceLog {
-                npes,
-                events,
-                dropped,
-            }),
-            self.metrics.map(|cfg| merge_shards(cfg, npes, end_ns, shards)),
-        )
+        let shards = (0..npes).filter_map(|i| self.take_shard(Pe::from(i)));
+        merge(self.tracing, self.metrics, npes, end_ns, shards)
     }
+}
+
+/// Everything one PE recorded, drained: its trace ring's events (oldest
+/// first) and overwrite count, and its metric set with the slice width
+/// it ended at. Empty when the run recorded nothing.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Shard {
+    pub(crate) events: Vec<TraceEvent>,
+    pub(crate) dropped: u64,
+    pub(crate) metrics: Option<(u64, PeMetricSet)>,
+}
+
+crate::wire_struct!(Shard { events, dropped, metrics });
+
+/// The one merge of per-PE shards into a run's record, whichever
+/// backend collected them and in PE order: the time-ordered event log if
+/// tracing was configured, and the metrics snapshot if metrics were.
+/// `end_ns` is needed to derive idle time per interval. A PE with no
+/// shard reads as silent: no events, an all-idle metric set.
+pub(crate) fn merge(
+    tracing: Option<TraceConfig>,
+    metrics: Option<MetricsConfig>,
+    npes: usize,
+    end_ns: u64,
+    shards: impl IntoIterator<Item = Shard>,
+) -> (Option<TraceLog>, Option<MetricsLog>) {
+    let mut events = Vec::new();
+    let mut dropped = 0;
+    let mut sets = Vec::new();
+    for shard in shards {
+        events.extend(shard.events);
+        dropped += shard.dropped;
+        sets.extend(shard.metrics);
+    }
+    // Per-PE rings are individually ordered; the stable sort merges
+    // them PE-0-first among equal stamps.
+    events.sort_by_key(|e| e.at_ns);
+    (
+        tracing.map(|_| TraceLog {
+            npes,
+            events,
+            dropped,
+        }),
+        metrics.map(|cfg| merge_shards(cfg, npes, end_ns, sets)),
+    )
 }
 
 /// Report one kernel event to a PE's recorder, if it has one. `observe`

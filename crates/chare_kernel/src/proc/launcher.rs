@@ -1,65 +1,38 @@
 //! The parent side of the multi-process backend: spawn, wire, watch,
 //! merge, reap.
 //!
-//! [`run_parent`] re-invokes the current executable once per PE, runs
-//! the control handshake (`Hello`/`Go`/`Ready`/`Start`), then watches:
-//! worker control sockets feed a single event channel, child exit
-//! statuses are polled, and a wall-clock watchdog backstops the whole
-//! run. Every failure mode — spawn failure, codec fingerprint mismatch,
-//! nonzero exit, socket hangup, hang — ends as a structured
-//! [`ProcAbortReason`] in the report, never as a parent that blocks
-//! forever. On a clean stop the parent decodes the exit result, maps
-//! worker counter names back to the kernel's static table, concatenates
-//! and time-sorts trace shards, and runs the per-PE metric shards
-//! through the exact shard merge.
+//! [`run_parent`] is a sequence of phases — spawn the current
+//! executable once per PE, `Hello`, `Go`/`Ready`, `Start`, supervise,
+//! collect — each of which hands the next what it needs or returns the
+//! [`ProcAbortReason`] the run ends with. While supervising, worker
+//! control sockets feed a single event channel, child exit statuses are
+//! polled, and a wall-clock watchdog backstops the whole run. Every
+//! failure mode — spawn failure, codec fingerprint mismatch, nonzero
+//! exit, socket hangup, a control message that does not decode, hang —
+//! ends as a structured reason in the report, never as a parent that
+//! blocks forever or panics. On a clean stop the parent decodes the exit
+//! result, names each worker's counters, and hands the workers' shards
+//! to [`probe::merge`] — the merge a sim or threads run's drain ends in.
 
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use multicomputer::{NodeStats, Payload};
 
-use crate::metrics::{merge_shards, MetricsLog, PeMetricSet};
+use crate::probe;
 use crate::program::{CkReport, Program};
 use crate::stats::KernelCounters;
-use crate::trace::{TraceEvent, TraceLog};
-use crate::wire::{Wire, WireReader};
+use crate::wire::WireReader;
 
-use super::transport::{recv_ctl, send_ctl, Backoff, CtlMsg, Listener, Stream};
-use super::{ProcAbortReason, ProcConfig, ProcDetail, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS,
-    ENV_RANK, ENV_SPEC};
-
-/// Handshake I/O deadline (also bounds teardown waits).
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
+use super::transport::{recv_ctl, send_ctl, spawn_ctl_reader, Backoff, CtlEvent, CtlMsg, Final, Go,
+    Listener, Stream};
+use super::{ProcAbortReason, ProcConfig, ProcDetail, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_RANK,
+    ENV_SPEC, HANDSHAKE_TIMEOUT};
 
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Events the per-worker control readers feed the parent loop.
-enum PEv {
-    Stopped {
-        result: Option<Vec<u8>>,
-    },
-    Final {
-        rank: u32,
-        end_ns: u64,
-        stats: Vec<(String, u64)>,
-        metrics: Option<Vec<u8>>,
-        trace: Option<Vec<u8>>,
-    },
-    /// Control socket closed.
-    Eof { rank: u32 },
-    /// Control protocol violation.
-    Bad { rank: u32, error: String },
-}
-
-struct FinalData {
-    end_ns: u64,
-    stats: Vec<(String, u64)>,
-    metrics: Option<Vec<u8>>,
-    trace: Option<Vec<u8>>,
-}
 
 /// Everything torn down on every exit path.
 struct Fleet {
@@ -69,6 +42,20 @@ struct Fleet {
 }
 
 impl Fleet {
+    /// Send `msg` (`what`, for the error) to every rank. Handshake
+    /// only: all are connected, and a failed write is a failed handshake.
+    fn broadcast(&mut self, what: &str, msg: &CtlMsg) -> Result<(), ProcAbortReason> {
+        for rank in 0..self.ctl.len() {
+            let ctl = self.ctl[rank].as_mut().expect("all connected");
+            if let Err(e) = send_ctl(ctl, msg) {
+                let error = format!("sending {what} to {rank}: {e}");
+                return Err(handshake_failure(self, &error));
+            }
+        }
+        Ok(())
+    }
+
+    /// Tell whoever is still listening to stop (teardown: best effort).
     fn broadcast_halt(&mut self) {
         for ctl in self.ctl.iter_mut().flatten() {
             let _ = send_ctl(ctl, &CtlMsg::Halt);
@@ -144,60 +131,53 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
         );
     }
 
-    let npes = cfg.npes;
     let dir = std::env::temp_dir().join(format!(
         "ck-procs-{}-{}",
         std::process::id(),
         RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("create run temp dir");
-
-    let (listener, ctl_addr) = Listener::bind(cfg.transport, &dir, "ctl")
-        .expect("bind parent control listener");
-
-    let opts = ProcOpts {
-        npes,
-        topology: cfg.topology.clone(),
-        batch_bytes: cfg.batch_bytes,
-        batch_frames: cfg.batch_frames,
-        loss: cfg.loss,
-        rng_seed: prog.rng_seed_val(),
-        reliable: prog.reliable_cfg(),
-        tracing: prog.tracing_cfg(),
-        metrics: prog.metrics_cfg(),
-    }
-    .serialize();
-
     let mut fleet = Fleet {
-        children: (0..npes).map(|_| None).collect(),
-        ctl: (0..npes).map(|_| None).collect(),
+        children: (0..cfg.npes).map(|_| None).collect(),
+        ctl: (0..cfg.npes).map(|_| None).collect(),
         dir,
     };
+    match run_phases(prog, cfg, &mut fleet) {
+        Ok(report) => report,
+        Err(reason) => abort_report(cfg, reason, fleet),
+    }
+}
 
-    // -- spawn -------------------------------------------------------------
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            return abort_report(
-                prog,
-                cfg,
-                ProcAbortReason::SpawnFailed {
-                    rank: 0,
-                    error: e.to_string(),
-                },
-                fleet,
-                false,
-            )
-        }
+/// The run, phase by phase; the first phase to fail names the reason.
+fn run_phases(
+    prog: &Program,
+    cfg: &ProcConfig,
+    fleet: &mut Fleet,
+) -> Result<CkReport, ProcAbortReason> {
+    let (listener, ctl_addr) = Listener::bind(cfg.transport, &fleet.dir, "ctl")
+        .expect("bind parent control listener");
+    spawn(cfg, &ctl_addr, fleet)?;
+    let peers = hello(prog, &listener, fleet)?;
+    go_ready(prog, cfg, peers, fleet)?;
+    let rx = start(fleet)?;
+    let run = supervise(cfg, fleet, &rx)?;
+    collect(prog, cfg, fleet, run)
+}
+
+/// Re-invoke the current executable once per rank under the env contract.
+fn spawn(cfg: &ProcConfig, ctl_addr: &str, fleet: &mut Fleet) -> Result<(), ProcAbortReason> {
+    let failed = |rank: usize, e: io::Error| ProcAbortReason::SpawnFailed {
+        rank: rank as u32,
+        error: e.to_string(),
     };
-    for rank in 0..npes {
+    let exe = std::env::current_exe().map_err(|e| failed(0, e))?;
+    for rank in 0..cfg.npes {
         let mut cmd = Command::new(&exe);
         cmd.args(&cfg.worker_args)
             .env_remove(ENV_CRASH)
             .env(ENV_RANK, rank.to_string())
             .env(ENV_SPEC, &cfg.spec)
-            .env(ENV_ADDR, &ctl_addr)
-            .env(ENV_OPTS, &opts)
+            .env(ENV_ADDR, ctl_addr)
             .stdin(Stdio::null())
             // Workers re-invoked through a test harness print harness
             // chatter; silence stdout but keep stderr for panics.
@@ -206,278 +186,223 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
         if let Some(crash) = &cfg.crash {
             cmd.env(ENV_CRASH, crash);
         }
-        match cmd.spawn() {
-            Ok(child) => fleet.children[rank] = Some(child),
-            Err(e) => {
-                return abort_report(
-                    prog,
-                    cfg,
-                    ProcAbortReason::SpawnFailed {
-                        rank: rank as u32,
-                        error: e.to_string(),
-                    },
-                    fleet,
-                    false,
-                )
-            }
-        }
+        fleet.children[rank] = Some(cmd.spawn().map_err(|e| failed(rank, e))?);
     }
+    Ok(())
+}
 
-    // -- handshake: Hello from every rank ----------------------------------
+/// `Hello` from every rank, in whatever order they connect: check the
+/// fingerprint, keep the control stream, return the data addresses.
+fn hello(
+    prog: &Program,
+    listener: &Listener,
+    fleet: &mut Fleet,
+) -> Result<Vec<String>, ProcAbortReason> {
+    let npes = fleet.ctl.len();
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let mut peer_addrs: Vec<Option<String>> = (0..npes).map(|_| None).collect();
     let expected_fp = prog.registry().wire.fingerprint();
+    let mut peers = vec![String::new(); npes];
     for _ in 0..npes {
         let hello = listener.accept_deadline(deadline).and_then(|mut s| {
             s.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
             recv_ctl(&mut s).map(|m| (s, m))
         });
         match hello {
-            Ok((
-                s,
-                CtlMsg::Hello {
-                    rank,
-                    fingerprint,
-                    data_addr,
-                },
-            )) if (rank as usize) < npes && fleet.ctl[rank as usize].is_none() => {
-                if fingerprint != expected_fp {
-                    return abort_report(
-                        prog,
-                        cfg,
-                        ProcAbortReason::FingerprintMismatch { rank },
-                        fleet,
-                        false,
-                    );
+            Ok((s, CtlMsg::Hello(h)))
+                if (h.rank as usize) < npes && fleet.ctl[h.rank as usize].is_none() =>
+            {
+                if h.fingerprint != expected_fp {
+                    return Err(ProcAbortReason::FingerprintMismatch { rank: h.rank });
                 }
-                peer_addrs[rank as usize] = Some(data_addr);
-                fleet.ctl[rank as usize] = Some(s);
+                peers[h.rank as usize] = h.data_addr;
+                fleet.ctl[h.rank as usize] = Some(s);
             }
-            Ok((_, other)) => {
-                return abort_report(
-                    prog,
-                    cfg,
-                    ProcAbortReason::Protocol {
-                        rank: u32::MAX,
-                        error: format!("expected Hello, got {other:?}"),
-                    },
-                    fleet,
-                    false,
-                )
-            }
-            Err(e) => {
-                // A worker that died pre-Hello explains the silence
-                // better than the socket error does.
-                let reason = handshake_failure(&mut fleet, &e.to_string());
-                return abort_report(prog, cfg, reason, fleet, false);
-            }
+            Ok((_, other)) => return Err(unexpected(u32::MAX, "Hello", &other)),
+            // A worker that died pre-Hello explains the silence better
+            // than the socket error does.
+            Err(e) => return Err(handshake_failure(fleet, &e.to_string())),
         }
     }
-    let peers: Vec<String> = peer_addrs.into_iter().map(|a| a.expect("all ranks")).collect();
+    Ok(peers)
+}
 
-    // -- Go, then Ready from every rank ------------------------------------
-    for rank in 0..npes {
-        let ctl = fleet.ctl[rank].as_mut().expect("all connected");
-        if let Err(e) = send_ctl(ctl, &CtlMsg::Go { peers: peers.clone() }) {
-            let reason = handshake_failure(&mut fleet, &format!("sending Go to {rank}: {e}"));
-            return abort_report(prog, cfg, reason, fleet, false);
-        }
-    }
-    for rank in 0..npes {
-        let ctl = fleet.ctl[rank].as_mut().expect("all connected");
-        match recv_ctl(ctl) {
+/// `Go` — peer addresses, machine shape, and the run-level knobs of
+/// the parent's `prog` — to every rank, then `Ready` from every rank.
+fn go_ready(
+    prog: &Program,
+    cfg: &ProcConfig,
+    peers: Vec<String>,
+    fleet: &mut Fleet,
+) -> Result<(), ProcAbortReason> {
+    let opts = ProcOpts {
+        npes: cfg.npes,
+        topology: cfg.topology.clone(),
+        batch_bytes: cfg.batch_bytes,
+        batch_frames: cfg.batch_frames,
+        loss: cfg.loss,
+        rng_seed: prog.rng_seed_val(),
+        reliable: prog.reliable_cfg(),
+        tracing: prog.tracing_cfg(),
+        metrics: prog.metrics_cfg(),
+    };
+    fleet.broadcast("Go", &CtlMsg::Go(Box::new(Go { peers, opts })))?;
+    for rank in 0..cfg.npes {
+        match recv_ctl(fleet.ctl[rank].as_mut().expect("all connected")) {
             Ok(CtlMsg::Ready) => {}
-            Ok(other) => {
-                return abort_report(
-                    prog,
-                    cfg,
-                    ProcAbortReason::Protocol {
-                        rank: rank as u32,
-                        error: format!("expected Ready, got {other:?}"),
-                    },
-                    fleet,
-                    false,
-                )
-            }
+            Ok(other) => return Err(unexpected(rank as u32, "Ready", &other)),
             Err(e) => {
-                let reason =
-                    handshake_failure(&mut fleet, &format!("waiting for Ready from {rank}: {e}"));
-                return abort_report(prog, cfg, reason, fleet, false);
+                let error = format!("waiting for Ready from {rank}: {e}");
+                return Err(handshake_failure(fleet, &error));
             }
         }
     }
+    Ok(())
+}
 
-    // -- run ---------------------------------------------------------------
-    let (tx, rx): (Sender<PEv>, Receiver<PEv>) = mpsc::channel();
-    for rank in 0..npes {
-        let ctl = fleet.ctl[rank].as_ref().expect("all connected");
+/// Move every control stream's read side to its reader thread, then
+/// broadcast `Start`.
+fn start(fleet: &mut Fleet) -> Result<Receiver<CtlEvent>, ProcAbortReason> {
+    let (tx, rx) = mpsc::channel();
+    for (rank, ctl) in fleet.ctl.iter().enumerate() {
+        let ctl = ctl.as_ref().expect("all connected");
         let read_half = ctl.try_clone().expect("clone control stream");
-        spawn_ctl_reader(rank as u32, read_half, tx.clone());
+        let tx = tx.clone();
+        spawn_ctl_reader(rank as u32, read_half, move |ev| tx.send(ev).is_ok());
     }
-    for rank in 0..npes {
-        let ctl = fleet.ctl[rank].as_mut().expect("all connected");
-        if let Err(e) = send_ctl(ctl, &CtlMsg::Start) {
-            let reason = handshake_failure(&mut fleet, &format!("sending Start to {rank}: {e}"));
-            return abort_report(prog, cfg, reason, fleet, false);
-        }
-    }
+    fleet.broadcast("Start", &CtlMsg::Start)?;
+    Ok(rx)
+}
 
-    let start = Instant::now();
-    let mut finals: Vec<Option<FinalData>> = (0..npes).map(|_| None).collect();
-    let mut halted = false;
-    let mut stop_elapsed_ns: Option<u64> = None;
-    let mut result_bytes: Option<Vec<u8>> = None;
+/// What supervising a run accumulates, and `collect` turns into the
+/// report.
+struct Run {
+    start: Instant,
+    /// Per rank, once it is in.
+    finals: Vec<Option<Box<Final>>>,
+    /// Nanoseconds from `Start` to the first `Stopped`, which is also
+    /// when `Halt` went out.
+    stopped_ns: Option<u64>,
+    /// The encoded exit result, and the rank that deposited it.
+    result: Option<(u32, Vec<u8>)>,
+}
 
-    let outcome: Result<(), ProcAbortReason> = loop {
-        if finals.iter().all(|f| f.is_some()) {
-            break Ok(());
-        }
-        if start.elapsed() > cfg.watchdog {
-            break Err(ProcAbortReason::Watchdog);
-        }
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(PEv::Stopped { result }) => {
-                if result.is_some() {
-                    result_bytes = result;
+impl Run {
+    /// One control-reader event. `Err` ends the run.
+    fn on_event(
+        &mut self,
+        fleet: &mut Fleet,
+        (rank, msg): CtlEvent,
+    ) -> Result<(), ProcAbortReason> {
+        match msg {
+            Ok(CtlMsg::Stopped { result }) => {
+                if let Some(bytes) = result {
+                    self.result = Some((rank, bytes));
                 }
-                if !halted {
-                    halted = true;
-                    stop_elapsed_ns = Some(start.elapsed().as_nanos() as u64);
+                if self.stopped_ns.is_none() {
+                    self.stopped_ns = Some(self.start.elapsed().as_nanos() as u64);
                     fleet.broadcast_halt();
                 }
             }
-            Ok(PEv::Final {
-                rank,
-                end_ns,
-                stats,
-                metrics,
-                trace,
-            }) => {
-                finals[rank as usize] = Some(FinalData {
-                    end_ns,
-                    stats,
-                    metrics,
-                    trace,
-                });
+            Ok(CtlMsg::Final(m)) => self.finals[rank as usize] = Some(m),
+            Ok(other) => return Err(unexpected(rank, "Stopped or Final", &other)),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                return Err(ProcAbortReason::Protocol {
+                    rank,
+                    error: e.to_string(),
+                })
             }
-            Ok(PEv::Eof { rank }) => {
-                if finals[rank as usize].is_none() {
-                    break Err(classify_death(&mut fleet, rank));
-                }
-            }
-            Ok(PEv::Bad { rank, error }) => {
-                break Err(ProcAbortReason::Protocol { rank, error });
-            }
+            // Control socket closed: fine once the worker has reported.
+            Err(_) if self.finals[rank as usize].is_some() => {}
+            Err(_) => return Err(classify_death(fleet, rank)),
+        }
+        Ok(())
+    }
+}
+
+/// Watch the run until every rank's `Final` is in: control events,
+/// child exit statuses, and the wall-clock watchdog.
+fn supervise(
+    cfg: &ProcConfig,
+    fleet: &mut Fleet,
+    rx: &Receiver<CtlEvent>,
+) -> Result<Run, ProcAbortReason> {
+    let mut run = Run {
+        start: Instant::now(),
+        finals: (0..cfg.npes).map(|_| None).collect(),
+        stopped_ns: None,
+        result: None,
+    };
+    let tick = Duration::from_millis(20);
+    while run.finals.iter().any(|f| f.is_none()) {
+        if run.start.elapsed() > cfg.watchdog {
+            return Err(ProcAbortReason::Watchdog);
+        }
+        match rx.recv_timeout(tick) {
+            Ok(ev) => run.on_event(fleet, ev)?,
             Err(RecvTimeoutError::Timeout) => {
                 // Catch workers that die without the socket EOF being
                 // processed yet (e.g. killed hard between frames).
-                let dead = (0..npes).find(|&r| {
-                    finals[r].is_none() && child_status(&mut fleet.children[r]).is_some()
+                let dead = (0..cfg.npes).find(|&r| {
+                    run.finals[r].is_none() && child_status(&mut fleet.children[r]).is_some()
                 });
-                if let Some(r) = dead {
-                    // Give its in-flight Final (already written before
-                    // exit) a moment to arrive through the reader.
-                    let grace = Instant::now() + Duration::from_millis(200);
-                    let mut got_final = false;
-                    while Instant::now() < grace {
-                        match rx.recv_timeout(Duration::from_millis(20)) {
-                            Ok(PEv::Final {
-                                rank,
-                                end_ns,
-                                stats,
-                                metrics,
-                                trace,
-                            }) => {
-                                let is_r = rank as usize == r;
-                                finals[rank as usize] = Some(FinalData {
-                                    end_ns,
-                                    stats,
-                                    metrics,
-                                    trace,
-                                });
-                                if is_r {
-                                    got_final = true;
-                                    break;
-                                }
-                            }
-                            Ok(PEv::Stopped { result }) => {
-                                if result.is_some() {
-                                    result_bytes = result;
-                                }
-                                if !halted {
-                                    halted = true;
-                                    stop_elapsed_ns =
-                                        Some(start.elapsed().as_nanos() as u64);
-                                    fleet.broadcast_halt();
-                                }
-                            }
-                            _ => {}
-                        }
+                let Some(r) = dead else { continue };
+                // Give its in-flight Final (already written before
+                // exit) a moment to arrive through the reader.
+                let grace = Instant::now() + Duration::from_millis(200);
+                while run.finals[r].is_none() && Instant::now() < grace {
+                    if let Ok(ev) = rx.recv_timeout(tick) {
+                        run.on_event(fleet, ev)?;
                     }
-                    if !got_final && finals[r].is_none() {
-                        break Err(classify_death(&mut fleet, r as u32));
-                    }
+                }
+                if run.finals[r].is_none() {
+                    return Err(classify_death(fleet, r as u32));
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                break Err(ProcAbortReason::Protocol {
+                return Err(ProcAbortReason::Protocol {
                     rank: u32::MAX,
                     error: "all control readers gone".to_string(),
                 });
             }
         }
-    };
-
-    if let Some(reason) = outcome.err() {
-        let timed_out = reason == ProcAbortReason::Watchdog;
-        fleet.broadcast_halt();
-        return abort_report(prog, cfg, reason, fleet, timed_out);
     }
+    Ok(run)
+}
 
-    // -- clean completion: merge and reap ----------------------------------
+/// Clean completion: reap the children, decode the exit result, name
+/// the counters, merge the shards.
+fn collect(
+    prog: &Program,
+    cfg: &ProcConfig,
+    fleet: &mut Fleet,
+    run: Run,
+) -> Result<CkReport, ProcAbortReason> {
     fleet.reap_all();
-    let finals: Vec<FinalData> = finals.into_iter().map(|f| f.expect("all finals")).collect();
-    let time_ns = stop_elapsed_ns.unwrap_or_else(|| start.elapsed().as_nanos() as u64);
-    let result: Option<Payload> = result_bytes.map(|bytes| {
+    let time_ns = run.stopped_ns.unwrap_or_else(|| run.start.elapsed().as_nanos() as u64);
+    let mut result: Option<Payload> = None;
+    if let Some((rank, bytes)) = run.result {
         let mut r = WireReader::new(&bytes);
-        prog.registry().wire.decode_body(&mut r)
-    });
-
-    let node_stats: Vec<NodeStats> = finals.iter().map(|f| decode_stats(&f.stats)).collect();
-
-    let trace = prog.tracing_cfg().map(|_| {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut dropped = 0u64;
-        for f in &finals {
-            if let Some(bytes) = &f.trace {
-                let mut r = WireReader::new(bytes);
-                events.extend(Vec::<TraceEvent>::decode(&mut r));
-                dropped += u64::decode(&mut r);
-            }
-        }
-        events.sort_by_key(|e| e.at_ns);
-        TraceLog {
-            npes,
-            events,
-            dropped,
-        }
-    });
-
-    let end_ns_max = finals.iter().map(|f| f.end_ns).max().unwrap_or(0);
-    let metrics: Option<MetricsLog> = prog.metrics_cfg().map(|mcfg| {
-        let shards: Vec<(u64, PeMetricSet)> = finals
-            .iter()
-            .filter_map(|f| f.metrics.as_ref())
-            .map(|bytes| {
-                let mut r = WireReader::new(bytes);
-                (u64::decode(&mut r), PeMetricSet::decode(&mut r))
-            })
-            .collect();
-        merge_shards(mcfg, npes, end_ns_max, shards)
-    });
-
-    let worker_end_ns = finals.iter().map(|f| f.end_ns).collect();
-    CkReport {
+        result = Some(prog.registry().wire.decode_body(&mut r));
+        r.finish().map_err(|e| ProcAbortReason::Protocol {
+            rank,
+            error: format!("exit result: {e}"),
+        })?;
+    }
+    let mut node_stats = Vec::with_capacity(cfg.npes);
+    let mut worker_end_ns = Vec::with_capacity(cfg.npes);
+    let mut shards = Vec::with_capacity(cfg.npes);
+    for m in run.finals.into_iter().map(|f| f.expect("all finals")) {
+        // `CtlMsg::decode` checked there is one value per name.
+        let names = KernelCounters::NAMES.iter().copied();
+        let counters = names.zip(m.counters).collect();
+        node_stats.push(NodeStats { counters });
+        worker_end_ns.push(m.end_ns);
+        shards.push(m.shard);
+    }
+    let end_ns = worker_end_ns.iter().copied().max().unwrap_or(0);
+    let (tracing, metrics) = (prog.tracing_cfg(), prog.metrics_cfg());
+    let (trace, metrics) = probe::merge(tracing, metrics, cfg.npes, end_ns, shards);
+    Ok(CkReport {
         time_ns,
         result,
         node_stats,
@@ -486,24 +411,20 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
         metrics,
         sim: None,
         proc: Some(ProcDetail {
-            npes,
+            npes: cfg.npes,
             transport: cfg.transport,
             aborted: None,
             worker_end_ns,
         }),
-    }
+    })
 }
 
-/// Map a worker's stringly-named counters back to the kernel's static
-/// name table (unknown names are dropped rather than invented).
-fn decode_stats(stats: &[(String, u64)]) -> NodeStats {
-    let mut out = NodeStats::new();
-    for (name, v) in stats {
-        if let Some(&static_name) = KernelCounters::NAMES.iter().find(|&&n| n == name) {
-            out.push(static_name, *v);
-        }
+/// A worker sent a well-formed message the protocol has no place for.
+fn unexpected(rank: u32, wanted: &str, got: &CtlMsg) -> ProcAbortReason {
+    ProcAbortReason::Protocol {
+        rank,
+        error: format!("expected {wanted}, got {got:?}"),
     }
-    out
 }
 
 /// Why did the handshake stall? A dead child is the likeliest cause and
@@ -540,21 +461,15 @@ fn classify_death(fleet: &mut Fleet, rank: u32) -> ProcAbortReason {
     }
 }
 
-fn abort_report(
-    prog: &Program,
-    cfg: &ProcConfig,
-    reason: ProcAbortReason,
-    mut fleet: Fleet,
-    timed_out: bool,
-) -> CkReport {
-    let _ = prog;
+/// The report of a run cut short: everyone told to halt, `reason` in the
+/// detail, and every child killed and reaped as `fleet` drops.
+fn abort_report(cfg: &ProcConfig, reason: ProcAbortReason, mut fleet: Fleet) -> CkReport {
     fleet.broadcast_halt();
-    fleet.kill_all();
     CkReport {
         time_ns: 0,
         result: None,
         node_stats: Vec::new(),
-        timed_out,
+        timed_out: reason == ProcAbortReason::Watchdog,
         trace: None,
         metrics: None,
         sim: None,
@@ -564,77 +479,5 @@ fn abort_report(
             aborted: Some(reason),
             worker_end_ns: vec![0; cfg.npes],
         }),
-    }
-}
-
-fn spawn_ctl_reader(rank: u32, stream: Stream, tx: Sender<PEv>) {
-    std::thread::Builder::new()
-        .name(format!("ck-parent-ctl-{rank}"))
-        .spawn(move || {
-            let mut stream = stream;
-            let _ = stream.set_read_timeout(None);
-            loop {
-                match recv_ctl(&mut stream) {
-                    Ok(CtlMsg::Stopped { result }) => {
-                        if tx.send(PEv::Stopped { result }).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(CtlMsg::Final {
-                        end_ns,
-                        stats,
-                        metrics,
-                        trace,
-                    }) => {
-                        if tx
-                            .send(PEv::Final {
-                                rank,
-                                end_ns,
-                                stats,
-                                metrics,
-                                trace,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Ok(other) => {
-                        let _ = tx.send(PEv::Bad {
-                            rank,
-                            error: format!("unexpected control message {other:?}"),
-                        });
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        let _ = tx.send(PEv::Bad {
-                            rank,
-                            error: "malformed control message".to_string(),
-                        });
-                        break;
-                    }
-                    Err(_) => {
-                        let _ = tx.send(PEv::Eof { rank });
-                        break;
-                    }
-                }
-            }
-        })
-        .expect("spawn parent control reader");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_decode_maps_known_names_only() {
-        let stats = vec![
-            ("user_sent".to_string(), 7),
-            ("made_up_counter".to_string(), 9),
-        ];
-        let s = decode_stats(&stats);
-        assert_eq!(s.get("user_sent"), Some(7));
-        assert_eq!(s.get("made_up_counter"), None);
     }
 }

@@ -26,23 +26,27 @@
 //! | `CK_PE_RANK`    | this process is worker PE *n*                      |
 //! | `CK_SPEC`       | opaque program spec, passed back to the builder    |
 //! | `CK_PROC_ADDR`  | parent control socket (`uds:<path>` / `tcp:<addr>`)|
-//! | `CK_PROC_OPTS`  | machine shape + run overrides (see [`ProcOpts`])   |
 //! | `CK_PROC_CRASH` | fault-injection hook for teardown tests            |
 //!
 //! ## Handshake and teardown
 //!
-//! Over the control socket each worker sends `Hello{rank, fingerprint,
-//! data_addr}`; the parent verifies the wire-table fingerprint (a codec
-//! mismatch between parent and worker binaries fails fast instead of
-//! corrupting memory), replies `Go{peer addrs}`, and the workers wire a
-//! full data mesh (worker *i* connects to every *j < i*). After `Ready`
-//! from all, the parent broadcasts `Start`. A worker whose node calls
-//! `CkExit` reports `Stopped{result}`; the parent broadcasts `Halt`,
-//! collects a `Final{stats, metrics, trace}` from every worker, merges
-//! the per-PE metric shards through the exact shard-merge path, and
-//! reaps the children. A worker that dies instead of reporting —
+//! Over the control socket, in the [`Wire`](crate::wire::Wire) codec
+//! like everything else that crosses a socket, each worker sends
+//! `Hello{rank, fingerprint, data_addr}`; the parent verifies the
+//! wire-table fingerprint (a codec mismatch between parent and worker
+//! binaries fails fast instead of corrupting memory) and replies
+//! `Go{peer addrs, opts}` — `ProcOpts`: the machine shape and the
+//! parent `Program`'s run-level knobs, applied before the worker builds
+//! its node. The workers wire a full data mesh (worker *i* connects to
+//! every *j < i*); after `Ready` from all, the parent broadcasts
+//! `Start`. A worker whose node calls `CkExit` reports
+//! `Stopped{result}`; the parent broadcasts `Halt`, collects a
+//! `Final{end_ns, counters, shard}` from every worker, hands the shards
+//! to the merge the other backends' drains end in, and reaps the
+//! children. A worker that dies instead of reporting —
 //! nonzero exit (its own [`EXIT_BAD_FRAME`] on a corrupt data frame
-//! included), killed, or socket closed — surfaces as a structured
+//! included), killed, or socket closed — or that sends a control
+//! message that does not decode surfaces as a structured
 //! [`ProcAbortReason`] in [`CkReport::proc`](crate::program::CkReport),
 //! never as a hang (the parent watchdog backstops everything).
 //!
@@ -86,21 +90,23 @@ pub const ENV_RANK: &str = "CK_PE_RANK";
 pub const ENV_SPEC: &str = "CK_SPEC";
 /// Environment variable carrying the parent control-socket address.
 pub const ENV_ADDR: &str = "CK_PROC_ADDR";
-/// Environment variable carrying serialized [`ProcOpts`].
-pub const ENV_OPTS: &str = "CK_PROC_OPTS";
 /// Environment variable carrying the crash-injection hook
-/// (`<rank>:exit:<code>:<after>`, `<rank>:close:<after>` or
-/// `<rank>:badlen:<len>:<after>`).
+/// (`<rank>:exit:<code>:<after>`, `<rank>:close:<after>`,
+/// `<rank>:badlen:<len>:<after>`, `<rank>:badctl:<after>` or
+/// `<rank>:badbody:<after>`).
 pub const ENV_CRASH: &str = "CK_PROC_CRASH";
+
+/// Handshake I/O deadline on both sides (also bounds teardown waits).
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Exit code of a worker whose control socket closed under it: the
 /// parent is gone or has given up on the run.
 pub const EXIT_CTL_LOST: i32 = 3;
 /// Exit code of a worker that read a data-mesh frame whose length
 /// prefix is below the 12-byte frame header or above the 256 MiB frame
-/// cap: the byte stream from that peer can no longer be cut into
-/// frames, so the worker stops at once and the parent reports
-/// [`ProcAbortReason::WorkerExit`] with this code.
+/// cap, or whose body is not an encoded envelope: the byte stream from
+/// that peer can no longer be trusted, so the worker stops at once and
+/// the parent reports [`ProcAbortReason::WorkerExit`] with this code.
 pub const EXIT_BAD_FRAME: i32 = 4;
 
 /// Configuration of the multi-process machine.
@@ -144,13 +150,11 @@ pub struct ProcConfig {
     /// [`run_parent`] panics otherwise, because dropped frames would
     /// simply vanish.
     pub loss: Option<LossConfig>,
-    /// Teardown-test hook, passed verbatim as `CK_PROC_CRASH`:
-    /// `<rank>:exit:<code>:<after>` makes worker `<rank>` exit with
-    /// `<code>` after `<after>` user steps; `<rank>:close:<after>` makes
-    /// it close all its sockets and hang instead;
-    /// `<rank>:badlen:<len>:<after>` makes it write `<len>` as a bare
-    /// length prefix to every peer and keep running. Production runs
-    /// leave this `None`.
+    /// Teardown-test hook, passed verbatim as `CK_PROC_CRASH`
+    /// ([`ENV_CRASH`] has the grammar): one worker, after a number of
+    /// user steps, exits, hangs up, or writes its peers or the parent
+    /// something malformed and keeps running. Production runs leave
+    /// this `None`.
     pub crash: Option<String>,
 }
 
@@ -286,7 +290,7 @@ pub struct ProcDetail {
     pub worker_end_ns: Vec<u64>,
 }
 
-/// Machine shape and run overrides serialized into `CK_PROC_OPTS`.
+/// Machine shape and run overrides, carried to every worker by `Go`.
 ///
 /// Everything a worker needs beyond the program spec: the machine size
 /// and topology, batching thresholds, the loss shim, and the run-level
@@ -307,133 +311,18 @@ pub(crate) struct ProcOpts {
     pub metrics: Option<MetricsConfig>,
 }
 
-fn topology_to_str(t: &Topology) -> String {
-    match t {
-        Topology::Hypercube => "hypercube".to_string(),
-        Topology::Ring => "ring".to_string(),
-        Topology::FullyConnected => "full".to_string(),
-        Topology::Bus => "bus".to_string(),
-        Topology::Mesh2D { rows, cols } => format!("mesh:{rows}x{cols}"),
-    }
-}
-
-fn topology_from_str(s: &str) -> Option<Topology> {
-    match s {
-        "hypercube" => Some(Topology::Hypercube),
-        "ring" => Some(Topology::Ring),
-        "full" => Some(Topology::FullyConnected),
-        "bus" => Some(Topology::Bus),
-        _ => {
-            let dims = s.strip_prefix("mesh:")?;
-            let (r, c) = dims.split_once('x')?;
-            Some(Topology::Mesh2D {
-                rows: r.parse().ok()?,
-                cols: c.parse().ok()?,
-            })
-        }
-    }
-}
-
-impl ProcOpts {
-    pub(crate) fn serialize(&self) -> String {
-        let mut s = format!(
-            "npes={};topo={};bb={};bf={};seed={}",
-            self.npes,
-            topology_to_str(&self.topology),
-            self.batch_bytes,
-            self.batch_frames,
-            self.rng_seed,
-        );
-        if let Some(l) = &self.loss {
-            s.push_str(&format!(
-                ";loss={},{},{}",
-                l.seed, l.drop_permille, l.reorder_permille
-            ));
-        }
-        if let Some(r) = &self.reliable {
-            s.push_str(&format!(
-                ";rel={},{},{}",
-                r.timeout.as_nanos(),
-                r.seed_retry_limit,
-                r.window
-            ));
-        }
-        if let Some(t) = &self.tracing {
-            s.push_str(&format!(
-                ";trace={},{}",
-                t.capacity,
-                if t.queue_samples { 1 } else { 0 }
-            ));
-        }
-        if let Some(m) = &self.metrics {
-            s.push_str(&format!(
-                ";metrics={},{},{}",
-                m.slice_ns, m.max_slices, m.flight_cap
-            ));
-        }
-        s
-    }
-
-    pub(crate) fn parse(s: &str) -> Option<ProcOpts> {
-        let mut opts = ProcOpts {
-            npes: 0,
-            topology: Topology::Hypercube,
-            batch_bytes: 16 * 1024,
-            batch_frames: 64,
-            loss: None,
-            rng_seed: 0,
-            reliable: None,
-            tracing: None,
-            metrics: None,
-        };
-        for field in s.split(';') {
-            let (key, val) = field.split_once('=')?;
-            match key {
-                "npes" => opts.npes = val.parse().ok()?,
-                "topo" => opts.topology = topology_from_str(val)?,
-                "bb" => opts.batch_bytes = val.parse().ok()?,
-                "bf" => opts.batch_frames = val.parse().ok()?,
-                "seed" => opts.rng_seed = val.parse().ok()?,
-                "loss" => {
-                    let mut it = val.splitn(3, ',');
-                    opts.loss = Some(LossConfig {
-                        seed: it.next()?.parse().ok()?,
-                        drop_permille: it.next()?.parse().ok()?,
-                        reorder_permille: it.next()?.parse().ok()?,
-                    });
-                }
-                "rel" => {
-                    let mut it = val.splitn(3, ',');
-                    opts.reliable = Some(ReliableConfig {
-                        timeout: multicomputer::Cost::nanos(it.next()?.parse().ok()?),
-                        seed_retry_limit: it.next()?.parse().ok()?,
-                        window: it.next()?.parse().ok()?,
-                    });
-                }
-                "trace" => {
-                    let mut it = val.splitn(2, ',');
-                    opts.tracing = Some(TraceConfig {
-                        capacity: it.next()?.parse().ok()?,
-                        queue_samples: it.next()? == "1",
-                    });
-                }
-                "metrics" => {
-                    let mut it = val.splitn(3, ',');
-                    opts.metrics = Some(MetricsConfig {
-                        slice_ns: it.next()?.parse().ok()?,
-                        max_slices: it.next()?.parse().ok()?,
-                        flight_cap: it.next()?.parse().ok()?,
-                    });
-                }
-                _ => return None,
-            }
-        }
-        if opts.npes == 0 {
-            return None;
-        }
-        Some(opts)
-    }
-}
+crate::wire_struct!(ProcOpts {
+    npes,
+    topology,
+    batch_bytes,
+    batch_frames,
+    loss,
+    rng_seed,
+    reliable,
+    tracing,
+    metrics,
+});
+crate::wire_struct!(LossConfig { seed, drop_permille, reorder_permille });
 
 /// The transport flavor an address string uses.
 pub(crate) fn transport_of(addr: &str) -> ProcTransport {
@@ -455,6 +344,12 @@ pub(crate) enum CrashMode {
     /// Write this value as a length prefix, with no body, on every data
     /// link and keep running (the *receivers* must reject it).
     BadLen(u32),
+    /// Send the parent a well-framed control message that is a `Final`
+    /// tag and three bytes, and keep running.
+    BadCtl,
+    /// Write every peer a data frame with a valid header and a body that
+    /// is no envelope, and keep running.
+    BadBody,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -469,99 +364,48 @@ impl CrashHook {
     pub(crate) fn parse(s: &str) -> Option<CrashHook> {
         let mut it = s.split(':');
         let rank = it.next()?.parse().ok()?;
-        let mode = it.next()?;
-        match mode {
-            "exit" => Some(CrashHook {
-                rank,
-                mode: CrashMode::Exit(it.next()?.parse().ok()?),
-                after: it.next()?.parse().ok()?,
-            }),
-            "close" => Some(CrashHook {
-                rank,
-                mode: CrashMode::Close,
-                after: it.next()?.parse().ok()?,
-            }),
-            "badlen" => Some(CrashHook {
-                rank,
-                mode: CrashMode::BadLen(it.next()?.parse().ok()?),
-                after: it.next()?.parse().ok()?,
-            }),
-            _ => None,
-        }
+        let mode = match it.next()? {
+            "exit" => CrashMode::Exit(it.next()?.parse().ok()?),
+            "close" => CrashMode::Close,
+            "badlen" => CrashMode::BadLen(it.next()?.parse().ok()?),
+            "badctl" => CrashMode::BadCtl,
+            "badbody" => CrashMode::BadBody,
+            _ => return None,
+        };
+        let after = it.next()?.parse().ok()?;
+        Some(CrashHook { rank, mode, after })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multicomputer::Cost;
 
-    #[test]
-    fn opts_roundtrip_minimal() {
-        let opts = ProcOpts {
-            npes: 4,
-            topology: Topology::Hypercube,
-            batch_bytes: 16 * 1024,
-            batch_frames: 64,
-            loss: None,
-            rng_seed: 0x5EED_CAFE,
-            reliable: None,
-            tracing: None,
-            metrics: None,
-        };
-        assert_eq!(ProcOpts::parse(&opts.serialize()), Some(opts));
+    /// The first-column names of the first table after `heading`.
+    fn table_names<'a>(text: &'a str, heading: &str) -> Vec<&'a str> {
+        let from = text.find(heading).unwrap_or_else(|| panic!("no {heading:?}"));
+        text[from..]
+            .lines()
+            .map(|l| l.trim_start_matches("//! "))
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect()
     }
 
     #[test]
-    fn opts_roundtrip_everything() {
-        let opts = ProcOpts {
-            npes: 8,
-            topology: Topology::Mesh2D { rows: 2, cols: 4 },
-            batch_bytes: 1,
-            batch_frames: 1,
-            loss: Some(LossConfig {
-                seed: 42,
-                drop_permille: 100,
-                reorder_permille: 50,
-            }),
-            rng_seed: 7,
-            reliable: Some(ReliableConfig {
-                timeout: Cost::millis(3),
-                seed_retry_limit: 30,
-                window: 16,
-            }),
-            tracing: Some(TraceConfig {
-                capacity: 1 << 12,
-                queue_samples: false,
-            }),
-            metrics: Some(MetricsConfig {
-                slice_ns: 1 << 14,
-                max_slices: 128,
-                flight_cap: 32,
-            }),
-        };
-        assert_eq!(ProcOpts::parse(&opts.serialize()), Some(opts));
-    }
-
-    #[test]
-    fn topology_strings_roundtrip() {
-        for t in [
-            Topology::Hypercube,
-            Topology::Ring,
-            Topology::FullyConnected,
-            Topology::Bus,
-            Topology::Mesh2D { rows: 3, cols: 5 },
-        ] {
-            assert_eq!(topology_from_str(&topology_to_str(&t)), Some(t));
-        }
-    }
-
-    #[test]
-    fn malformed_opts_rejected() {
-        assert_eq!(ProcOpts::parse(""), None);
-        assert_eq!(ProcOpts::parse("npes=0"), None);
-        assert_eq!(ProcOpts::parse("npes=4;bogus=1"), None);
-        assert_eq!(ProcOpts::parse("npes=4;topo=donut"), None);
+    fn env_contract_tables_list_exactly_the_env_constants() {
+        let source = include_str!("mod.rs");
+        let consts: Vec<&str> = source
+            .lines()
+            .filter(|l| l.starts_with("pub const ENV_"))
+            .map(|l| l.split('"').nth(1).expect("a string constant"))
+            .collect();
+        assert_eq!(consts, [ENV_RANK, ENV_SPEC, ENV_ADDR, ENV_CRASH]);
+        let process_md = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PROCESS.md");
+        let process_md = std::fs::read_to_string(process_md).expect("docs/PROCESS.md");
+        assert_eq!(table_names(&process_md, "rank env contract"), consts, "docs/PROCESS.md");
+        assert_eq!(table_names(source, "The env contract:"), consts, "proc/mod.rs module doc");
     }
 
     #[test]
@@ -590,7 +434,24 @@ mod tests {
                 after: 2
             })
         );
+        assert_eq!(
+            CrashHook::parse("2:badctl:4"),
+            Some(CrashHook {
+                rank: 2,
+                mode: CrashMode::BadCtl,
+                after: 4
+            })
+        );
+        assert_eq!(
+            CrashHook::parse("3:badbody:1"),
+            Some(CrashHook {
+                rank: 3,
+                mode: CrashMode::BadBody,
+                after: 1
+            })
+        );
         assert_eq!(CrashHook::parse("1:burn:3"), None);
+        assert_eq!(CrashHook::parse("1:exit:3"), None, "exit needs a code and a count");
         assert_eq!(CrashHook::parse(""), None);
     }
 

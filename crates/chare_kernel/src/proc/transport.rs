@@ -11,7 +11,8 @@
 //! [`Splitter`] — one `read` per wake-up, any number of frames per
 //! `read`; the control socket, which carries half a dozen messages per
 //! run and is read frame by frame during the handshake, keeps the
-//! blocking [`read_frame`].
+//! blocking [`read_frame`]. Both sides read it, once the handshake is
+//! over, on the one reader thread [`spawn_ctl_reader`] starts.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -19,7 +20,11 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use crate::probe::Shard;
+use crate::stats::KernelCounters;
 use crate::wire::{Wire, WireReader};
+
+use super::ProcOpts;
 
 /// Socket flavor for the multi-process backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,7 +240,9 @@ pub(crate) fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Read one `[u32 len][body]` frame (control socket only).
-/// `UnexpectedEof` at the length prefix is the clean-close signal.
+/// `UnexpectedEof` at the length prefix is the clean-close signal. The
+/// body buffer grows with the bytes that arrive, never to the prefix's
+/// say-so: a prefix with nothing behind it costs nothing.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -246,8 +253,10 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    if r.take(len as u64).read_to_end(&mut body)? < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(body)
 }
 
@@ -345,131 +354,156 @@ impl Splitter {
 /// per worker is `Hello → Go → Ready → Start → (run) → Stopped? → Halt
 /// → Final`; `Stopped` comes only from the worker whose node called
 /// `CkExit` (or quiesced), and `Final` carries the per-PE telemetry
-/// shards the parent merges.
-#[derive(Debug)]
+/// shard the parent merges.
+#[derive(Debug, PartialEq)]
 pub(crate) enum CtlMsg {
     /// Worker → parent: identity, codec fingerprint, data-mesh address.
-    Hello {
-        rank: u32,
-        fingerprint: u64,
-        data_addr: String,
-    },
-    /// Parent → worker: every worker's data address, indexed by rank.
-    Go { peers: Vec<String> },
+    Hello(Hello),
+    /// Parent → worker: where the peers are and how to run.
+    Go(Box<Go>),
     /// Worker → parent: data mesh wired, ready to start.
     Ready,
     /// Parent → worker: boot the node and run.
     Start,
     /// Worker → parent: my node stopped the machine; `result` is the
-    /// wire-encoded `exit` payload, if one was deposited here.
+    /// wire-encoded `exit` payload, if one was deposited here (a body
+    /// only the program's wire table can decode, hence still bytes).
     Stopped { result: Option<Vec<u8>> },
     /// Parent → worker: stop scheduling and report.
     Halt,
-    /// Worker → parent: final report. `metrics` is a wire-encoded
-    /// `(slice_ns, PeMetricSet)` shard, `trace` a wire-encoded
-    /// `(Vec<TraceEvent>, dropped)` slice.
-    Final {
-        end_ns: u64,
-        stats: Vec<(String, u64)>,
-        metrics: Option<Vec<u8>>,
-        trace: Option<Vec<u8>>,
-    },
+    /// Worker → parent: final report. Boxed, like `Go`, because it is
+    /// wide (two histograms) and a worker's scheduler channel moves a
+    /// `CtlMsg`-sized slot per data chunk.
+    Final(Box<Final>),
 }
 
+#[derive(Debug, PartialEq)]
+pub(crate) struct Hello {
+    pub rank: u32,
+    pub fingerprint: u64,
+    pub data_addr: String,
+}
+
+#[derive(Debug, PartialEq)]
+pub(crate) struct Go {
+    /// Every worker's data address, indexed by rank.
+    pub peers: Vec<String>,
+    /// The machine shape and run overrides to apply.
+    pub opts: ProcOpts,
+}
+
+#[derive(Debug, PartialEq)]
+pub(crate) struct Final {
+    /// The worker's clock when it stopped scheduling.
+    pub end_ns: u64,
+    /// Its kernel counters, in [`KernelCounters::NAMES`] order.
+    pub counters: Vec<u64>,
+    /// What its probe recorded.
+    pub shard: Shard,
+}
+
+crate::wire_struct!(Hello { rank, fingerprint, data_addr });
+crate::wire_struct!(Go { peers, opts });
+crate::wire_struct!(Final { end_ns, counters, shard });
+
 impl CtlMsg {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            CtlMsg::Hello(_) => 0,
+            CtlMsg::Go(_) => 1,
+            CtlMsg::Ready => 2,
+            CtlMsg::Start => 3,
+            CtlMsg::Stopped { .. } => 4,
+            CtlMsg::Halt => 5,
+            CtlMsg::Final(_) => 6,
+        });
         match self {
-            CtlMsg::Hello {
-                rank,
-                fingerprint,
-                data_addr,
-            } => {
-                out.push(0);
-                rank.encode(&mut out);
-                fingerprint.encode(&mut out);
-                data_addr.encode(&mut out);
-            }
-            CtlMsg::Go { peers } => {
-                out.push(1);
-                peers.encode(&mut out);
-            }
-            CtlMsg::Ready => out.push(2),
-            CtlMsg::Start => out.push(3),
-            CtlMsg::Stopped { result } => {
-                out.push(4);
-                result.encode(&mut out);
-            }
-            CtlMsg::Halt => out.push(5),
-            CtlMsg::Final {
-                end_ns,
-                stats,
-                metrics,
-                trace,
-            } => {
-                out.push(6);
-                end_ns.encode(&mut out);
-                stats.encode(&mut out);
-                metrics.encode(&mut out);
-                trace.encode(&mut out);
-            }
+            CtlMsg::Hello(m) => m.encode(out),
+            CtlMsg::Go(m) => m.encode(out),
+            CtlMsg::Stopped { result } => result.encode(out),
+            CtlMsg::Final(m) => m.encode(out),
+            CtlMsg::Ready | CtlMsg::Start | CtlMsg::Halt => {}
         }
-        out
     }
 
-    pub(crate) fn decode(body: &[u8]) -> Option<CtlMsg> {
-        if body.is_empty() {
-            return None;
-        }
-        let mut r = WireReader::new(&body[1..]);
-        let msg = match body[0] {
-            0 => CtlMsg::Hello {
-                rank: u32::decode(&mut r),
-                fingerprint: u64::decode(&mut r),
-                data_addr: String::decode(&mut r),
-            },
-            1 => CtlMsg::Go {
-                peers: Vec::<String>::decode(&mut r),
-            },
+    /// Decode one control-frame body. Anything but exactly one
+    /// well-formed message is `InvalidData`.
+    pub(crate) fn decode(body: &[u8]) -> io::Result<CtlMsg> {
+        let mut r = WireReader::new(body);
+        let msg = match r.tag(7, "a control-message tag") {
+            0 => CtlMsg::Hello(Hello::decode(&mut r)),
+            1 => CtlMsg::Go(Box::new(Go::decode(&mut r))),
             2 => CtlMsg::Ready,
             3 => CtlMsg::Start,
             4 => CtlMsg::Stopped {
                 result: Option::<Vec<u8>>::decode(&mut r),
             },
             5 => CtlMsg::Halt,
-            6 => CtlMsg::Final {
-                end_ns: u64::decode(&mut r),
-                stats: Vec::<(String, u64)>::decode(&mut r),
-                metrics: Option::<Vec<u8>>::decode(&mut r),
-                trace: Option::<Vec<u8>>::decode(&mut r),
-            },
-            _ => return None,
+            _ => {
+                let m = Final::decode(&mut r);
+                // Parent and worker are one binary: same counters.
+                if m.counters.len() != KernelCounters::NAMES.len() {
+                    r.fail("one value per kernel counter");
+                }
+                CtlMsg::Final(Box::new(m))
+            }
         };
-        if r.remaining() != 0 {
-            return None;
+        match r.finish() {
+            Ok(()) => Ok(msg),
+            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
         }
-        Some(msg)
     }
 }
 
 /// Send one control message (framed, one write).
 pub(crate) fn send_ctl(w: &mut impl Write, msg: &CtlMsg) -> io::Result<()> {
     let mut out = Vec::new();
-    frame(&mut out, |b| b.extend_from_slice(&msg.encode()));
+    frame(&mut out, |b| msg.encode(b));
     w.write_all(&out)
 }
 
-/// Receive one control message (framed); decode failure is an
-/// `InvalidData` error.
+/// Receive one control message (framed); a body that does not decode is
+/// an `InvalidData` error.
 pub(crate) fn recv_ctl(r: &mut impl Read) -> io::Result<CtlMsg> {
-    let body = read_frame(r)?;
-    CtlMsg::decode(&body)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed control message"))
+    CtlMsg::decode(&read_frame(r)?)
+}
+
+/// What a control reader forwards: the rank of the worker on the link,
+/// and the message or the error that ended the reading.
+pub(crate) type CtlEvent = (u32, io::Result<CtlMsg>);
+
+/// Read `stream` on a thread of its own from here on, handing `forward`
+/// each message until it returns `false` or the first error — a close,
+/// or a message that does not decode — has been handed over.
+pub(crate) fn spawn_ctl_reader(
+    rank: u32,
+    mut stream: Stream,
+    mut forward: impl FnMut(CtlEvent) -> bool + Send + 'static,
+) {
+    std::thread::Builder::new()
+        .name(format!("ck-ctl-{rank}"))
+        .spawn(move || {
+            let _ = stream.set_read_timeout(None);
+            loop {
+                let msg = recv_ctl(&mut stream);
+                let last = msg.is_err();
+                if !forward((rank, msg)) || last {
+                    break;
+                }
+            }
+        })
+        .expect("spawn control reader");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsConfig;
+    use crate::probe::ProbeSink;
+    use crate::proc::LossConfig;
+    use crate::reliable::ReliableConfig;
+    use crate::trace::{EventKind, MsgClass, TraceConfig};
+    use multicomputer::{Cost, Pe, Topology};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -633,72 +667,232 @@ mod tests {
         }
     }
 
-    fn roundtrip(msg: CtlMsg) -> CtlMsg {
-        CtlMsg::decode(&msg.encode()).expect("decodes")
+    fn encoded(msg: &CtlMsg) -> Vec<u8> {
+        let mut out = Vec::new();
+        msg.encode(&mut out);
+        out
+    }
+
+    /// Every optional config set, and the one topology with fields.
+    fn full_opts() -> ProcOpts {
+        ProcOpts {
+            npes: 8,
+            topology: Topology::Mesh2D { rows: 2, cols: 4 },
+            batch_bytes: 1,
+            batch_frames: 1,
+            loss: Some(LossConfig {
+                seed: 42,
+                drop_permille: 100,
+                reorder_permille: 50,
+            }),
+            rng_seed: 7,
+            reliable: Some(ReliableConfig {
+                timeout: Cost::millis(3),
+                seed_retry_limit: 30,
+                window: 16,
+            }),
+            tracing: Some(TraceConfig {
+                capacity: 1 << 12,
+                queue_samples: false,
+            }),
+            metrics: Some(MetricsConfig {
+                slice_ns: 1 << 14,
+                max_slices: 128,
+                flight_cap: 32,
+            }),
+        }
+    }
+
+    /// What a traced and metered worker reports: two events in its
+    /// trace, and a metric set with a slice, a latency sample and the
+    /// same events in its flight ring.
+    fn full_final() -> Final {
+        let sink = ProbeSink::shared(
+            2,
+            Some(TraceConfig::default()),
+            Some(MetricsConfig::default()),
+            0,
+            0,
+        );
+        let probe = sink.probe_for(Pe(1));
+        let recv = EventKind::MsgRecv {
+            from: Pe(0),
+            class: MsgClass::Seed,
+            bytes: 48,
+        };
+        probe.record(100, 30, recv);
+        probe.record(140, 0, EventKind::Retransmit { to: Pe(0), seq: 9 });
+        drop(probe);
+        let shard = sink.take_shard(Pe(1)).expect("the probe flushed");
+        assert_eq!(shard.events.len(), 2);
+        assert!(shard.metrics.is_some());
+        Final {
+            end_ns: 99,
+            counters: (0..KernelCounters::NAMES.len() as u64).collect(),
+            shard,
+        }
+    }
+
+    /// One instance of every variant, the two big ones fully populated.
+    fn every_variant() -> Vec<CtlMsg> {
+        vec![
+            CtlMsg::Hello(Hello {
+                rank: 3,
+                fingerprint: 0xDEAD_BEEF,
+                data_addr: "uds:/tmp/x.sock".into(),
+            }),
+            CtlMsg::Go(Box::new(Go {
+                peers: vec!["a".into(), "tcp:127.0.0.1:9".into()],
+                opts: full_opts(),
+            })),
+            CtlMsg::Ready,
+            CtlMsg::Start,
+            CtlMsg::Stopped {
+                result: Some(vec![1, 2, 3]),
+            },
+            CtlMsg::Halt,
+            CtlMsg::Final(Box::new(full_final())),
+        ]
+    }
+
+    fn is_invalid_data(got: io::Result<CtlMsg>) -> bool {
+        got.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
     }
 
     #[test]
     fn ctl_messages_roundtrip() {
-        match roundtrip(CtlMsg::Hello {
-            rank: 3,
-            fingerprint: 0xDEAD_BEEF,
-            data_addr: "uds:/tmp/x.sock".into(),
-        }) {
-            CtlMsg::Hello {
-                rank,
-                fingerprint,
-                data_addr,
-            } => {
-                assert_eq!(rank, 3);
-                assert_eq!(fingerprint, 0xDEAD_BEEF);
-                assert_eq!(data_addr, "uds:/tmp/x.sock");
-            }
-            _ => panic!("wrong variant"),
+        for msg in every_variant() {
+            assert_eq!(CtlMsg::decode(&encoded(&msg)).expect("decodes"), msg);
         }
-        match roundtrip(CtlMsg::Go {
-            peers: vec!["a".into(), "b".into()],
-        }) {
-            CtlMsg::Go { peers } => assert_eq!(peers, vec!["a", "b"]),
-            _ => panic!("wrong variant"),
-        }
-        assert!(matches!(roundtrip(CtlMsg::Ready), CtlMsg::Ready));
-        assert!(matches!(roundtrip(CtlMsg::Start), CtlMsg::Start));
-        assert!(matches!(roundtrip(CtlMsg::Halt), CtlMsg::Halt));
-        match roundtrip(CtlMsg::Stopped {
-            result: Some(vec![1, 2, 3]),
-        }) {
-            CtlMsg::Stopped { result } => assert_eq!(result, Some(vec![1, 2, 3])),
-            _ => panic!("wrong variant"),
-        }
-        match roundtrip(CtlMsg::Final {
-            end_ns: 99,
-            stats: vec![("user_sent".into(), 7)],
+        let minimal = ProcOpts {
+            loss: None,
+            reliable: None,
+            tracing: None,
             metrics: None,
-            trace: Some(vec![9]),
-        }) {
-            CtlMsg::Final {
-                end_ns,
-                stats,
-                metrics,
-                trace,
-            } => {
-                assert_eq!(end_ns, 99);
-                assert_eq!(stats, vec![("user_sent".to_string(), 7)]);
-                assert_eq!(metrics, None);
-                assert_eq!(trace, Some(vec![9]));
-            }
-            _ => panic!("wrong variant"),
-        }
+            topology: Topology::Hypercube,
+            ..full_opts()
+        };
+        let go = CtlMsg::Go(Box::new(Go {
+            peers: Vec::new(),
+            opts: minimal,
+        }));
+        assert_eq!(CtlMsg::decode(&encoded(&go)).expect("decodes"), go);
+        let quiet = CtlMsg::Final(Box::new(Final {
+            shard: Shard::default(),
+            ..full_final()
+        }));
+        assert_eq!(CtlMsg::decode(&encoded(&quiet)).expect("decodes"), quiet);
     }
 
     #[test]
     fn malformed_ctl_rejected() {
-        assert!(CtlMsg::decode(&[]).is_none());
-        assert!(CtlMsg::decode(&[42]).is_none());
+        assert!(is_invalid_data(CtlMsg::decode(&[])));
+        assert!(is_invalid_data(CtlMsg::decode(&[42])));
+        // A `Hello` tag and nothing else; a `Final` tag and three bytes.
+        assert!(is_invalid_data(CtlMsg::decode(&[0])));
+        assert!(is_invalid_data(CtlMsg::decode(&[6, 0, 0, 0])));
         // Trailing garbage is a protocol error, not silently ignored.
-        let mut bytes = CtlMsg::Ready.encode();
+        let mut bytes = encoded(&CtlMsg::Ready);
         bytes.push(0);
-        assert!(CtlMsg::decode(&bytes).is_none());
+        assert!(is_invalid_data(CtlMsg::decode(&bytes)));
+        // A `Final` a counter short: the parent could not name them.
+        let mut short = full_final();
+        short.counters.pop();
+        assert!(is_invalid_data(CtlMsg::decode(&encoded(&CtlMsg::Final(Box::new(short))))));
+    }
+
+    #[test]
+    fn every_cut_and_every_overrun_of_every_variant_is_an_error() {
+        for msg in every_variant() {
+            let mut bytes = encoded(&msg);
+            for cut in 0..bytes.len() {
+                let got = CtlMsg::decode(&bytes[..cut]);
+                assert!(is_invalid_data(got), "{msg:?} cut to {cut} of {} bytes", bytes.len());
+            }
+            bytes.push(0);
+            assert!(is_invalid_data(CtlMsg::decode(&bytes)), "{msg:?} and one byte more");
+        }
+    }
+
+    /// `ProcOpts` out of sixteen words: what is optional is set or not
+    /// by a bit of the first, the topology picked by its low bits.
+    fn opts_from(w: Vec<u64>) -> ProcOpts {
+        let set = |bit: u32| w[0] >> bit & 1 == 1;
+        ProcOpts {
+            npes: w[1] as usize,
+            topology: match w[0] >> 8 & 7 {
+                0 => Topology::Hypercube,
+                1 => Topology::Ring,
+                2 => Topology::FullyConnected,
+                3 => Topology::Bus,
+                _ => Topology::Mesh2D {
+                    rows: w[2] as usize,
+                    cols: w[3] as usize,
+                },
+            },
+            batch_bytes: w[4] as usize,
+            batch_frames: w[5] as usize,
+            loss: set(0).then(|| LossConfig {
+                seed: w[6],
+                drop_permille: w[7] as u16,
+                reorder_permille: (w[7] >> 16) as u16,
+            }),
+            rng_seed: w[8],
+            reliable: set(1).then(|| ReliableConfig {
+                timeout: Cost::nanos(w[9]),
+                seed_retry_limit: w[10] as u32,
+                window: (w[10] >> 32) as u32,
+            }),
+            tracing: set(2).then(|| TraceConfig {
+                capacity: w[11] as usize,
+                queue_samples: set(3),
+            }),
+            metrics: set(4).then(|| MetricsConfig {
+                slice_ns: w[12],
+                max_slices: w[13] as usize,
+                flight_cap: w[14] as usize,
+            }),
+        }
+    }
+
+    proptest! {
+        /// Whatever arrives in a control frame, the decoder answers —
+        /// under every tag, so the bytes reach every variant's fields.
+        #[test]
+        fn arbitrary_control_bytes_never_panic(
+            tag in 0u8..9,
+            tail in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = CtlMsg::decode(&tail);
+            let _ = CtlMsg::decode(&[&[tag][..], &tail].concat());
+        }
+
+        /// A well-formed message with a few bytes overwritten: the
+        /// shapes a real peer's corruption would have.
+        #[test]
+        fn damaged_control_messages_never_panic(
+            which in 0usize..7,
+            damage in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+        ) {
+            let mut bytes = encoded(&every_variant()[which]);
+            for (at, byte) in damage {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let _ = CtlMsg::decode(&bytes);
+        }
+
+        #[test]
+        fn generated_opts_survive_the_wire(
+            words in proptest::collection::vec(any::<u64>(), 16..17),
+        ) {
+            let opts = opts_from(words);
+            let mut bytes = Vec::new();
+            opts.encode(&mut bytes);
+            let mut r = WireReader::new(&bytes);
+            prop_assert_eq!(ProcOpts::decode(&mut r), opts);
+            prop_assert_eq!(r.finish(), Ok(()));
+        }
     }
 
     #[test]
@@ -713,6 +907,23 @@ mod tests {
             read_frame(&mut b).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    #[test]
+    fn a_length_prefix_with_nothing_behind_it_sizes_no_buffer() {
+        let (mut a, mut b) = UnixStream::pair().expect("socketpair");
+        // One byte under the cap, five bytes of the body, then a close.
+        let len = MAX_FRAME as u32 - 1;
+        a.write_all(&len.to_le_bytes()).unwrap();
+        a.write_all(b"hello").unwrap();
+        drop(a);
+        let mut got = None;
+        let largest = crate::wire::tests::largest_alloc(|| got = Some(read_frame(&mut b)));
+        assert_eq!(got.unwrap().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(largest <= 4096, "asked the allocator for {largest} bytes");
+        // Over the cap is refused outright, as ever.
+        let mut over = &(MAX_FRAME as u32 + 1).to_le_bytes()[..];
+        assert_eq!(read_frame(&mut over).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`maybe_worker`] is the divert point every `run_procs`-capable binary
 //! calls first. In the parent it returns immediately; in a re-invoked
 //! worker (`CK_PE_RANK` set) it builds the program from `CK_SPEC`,
-//! performs the socket handshake, runs the same scheduler loop the
-//! thread backend runs — plus alarm deadlines, outgoing-frame encoding,
-//! per-destination batching and the loss shim — and exits the process.
+//! performs the socket [`handshake`], wires the data [`mesh`], runs the
+//! same scheduler loop the thread backend runs — plus alarm deadlines,
+//! outgoing-frame encoding, per-destination batching and the loss shim —
+//! [`report`]s and exits the process.
 //!
 //! The loop mirrors `multicomputer::thread::pe_loop` deliberately: drain
 //! arrivals, fire a due alarm, step the node, and block when idle. What
@@ -25,7 +26,9 @@
 //! * **Decode** (PE thread). [`deliver_chunk`] stamps one arrival time
 //!   per chunk, decodes each `SysMsg` out of the chunk and boxes it with
 //!   [`pool::payload`], so the envelope is allocated on the thread whose
-//!   pool `reclaim`s it.
+//!   pool `reclaim`s it. A body that is not an encoded envelope ends the
+//!   worker the way a length prefix the splitter refuses does
+//!   ([`bad_frame`]).
 //!
 //! ## When coalescing buffers flush
 //!
@@ -38,7 +41,7 @@
 //! `FLUSH_EVERY_STEPS` steps.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,14 +51,16 @@ use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe,
 
 use crate::envelope::SysMsg;
 use crate::pool;
+use crate::probe::ProbeSink;
 use crate::program::Program;
 use crate::registry::Registry;
-use crate::wire::{decode_sys, encode_sys, Wire, WireReader};
+use crate::wire::{decode_sys, encode_sys, WireReader};
 
 use super::shim::LossShim;
-use super::transport::{frame, recv_ctl, send_ctl, Chunk, CtlMsg, Listener, Splitter, Stream};
-use super::{CrashHook, CrashMode, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS, ENV_RANK, ENV_SPEC,
-    EXIT_BAD_FRAME, EXIT_CTL_LOST};
+use super::transport::{frame, recv_ctl, send_ctl, spawn_ctl_reader, Chunk, CtlMsg, Final, Go, Hello,
+    Listener, Splitter, Stream};
+use super::{CrashHook, CrashMode, ENV_ADDR, ENV_CRASH, ENV_RANK, ENV_SPEC,
+    EXIT_BAD_FRAME, EXIT_CTL_LOST, HANDSHAKE_TIMEOUT};
 
 /// Backstop on an idle PE's wait. Everything that ends idleness arrives
 /// on the scheduler channel and a pending alarm shortens the wait to
@@ -65,9 +70,6 @@ const IDLE_PARK: Duration = Duration::from_secs(1);
 /// A busy PE writes its coalescing buffers out at least this often, in
 /// scheduler steps (see the module doc for the whole flush rule).
 const FLUSH_EVERY_STEPS: u32 = 16;
-
-/// Handshake and teardown I/O deadline.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Divert into the worker loop when this process is a `run_procs`
 /// worker; a no-op otherwise.
@@ -91,32 +93,23 @@ pub fn maybe_worker(build: impl FnOnce(&str) -> Program) {
         .parse()
         .unwrap_or_else(|_| panic!("{ENV_RANK}={rank:?} is not a rank"));
     let spec = std::env::var(ENV_SPEC).unwrap_or_default();
-    let mut prog = build(&spec);
-    let opts_s =
-        std::env::var(ENV_OPTS).unwrap_or_else(|_| panic!("worker {rank}: {ENV_OPTS} missing"));
-    let opts = ProcOpts::parse(&opts_s)
-        .unwrap_or_else(|| panic!("worker {rank}: malformed {ENV_OPTS}: {opts_s:?}"));
-    prog.set_run_overrides(opts.rng_seed, opts.reliable, opts.tracing, opts.metrics);
+    let prog = build(&spec);
     let addr =
         std::env::var(ENV_ADDR).unwrap_or_else(|_| panic!("worker {rank}: {ENV_ADDR} missing"));
     let crash = std::env::var(ENV_CRASH)
         .ok()
         .and_then(|s| CrashHook::parse(&s))
         .filter(|h| h.rank == rank);
-    run_worker(rank, prog, opts, &addr, crash);
+    run_worker(rank, prog, &addr, crash);
 }
 
 /// Events multiplexed onto the worker's single scheduler channel.
 enum Ev {
     /// Whole data-mesh frames from a peer PE, still encoded.
     Chunk { from: u32, chunk: Chunk },
-    /// A peer's byte stream can no longer be cut into frames.
-    BadFrame { from: u32, error: String },
-    Start,
-    Halt,
-    /// The parent's control socket closed — the run is over, one way or
-    /// another.
-    CtlClosed,
+    /// From the parent: `Start`, `Halt`, or the error that closed the
+    /// control socket — the run is over then, one way or another.
+    Ctl(io::Result<CtlMsg>),
 }
 
 /// Write half of one peer link, with its coalescing buffer.
@@ -280,7 +273,11 @@ fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mu
     for body in chunk.frames() {
         let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
         let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-        let sys = decode_sys(&ctx.reg, &mut WireReader::new(&body[12..]));
+        let mut r = WireReader::new(&body[12..]);
+        let sys = decode_sys(&ctx.reg, &mut r);
+        if let Err(e) = r.finish() {
+            bad_frame(ctx.me.0, from, &e.to_string());
+        }
         node.incoming(Packet {
             from: Pe(from),
             bytes,
@@ -293,7 +290,8 @@ fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mu
     }
 }
 
-fn spawn_data_reader(from: u32, stream: Stream, tx: Sender<Ev>) {
+/// Start the read side of the link from PE `from` to PE `me`.
+fn spawn_data_reader(me: u32, from: u32, stream: Stream, tx: Sender<Ev>) {
     std::thread::Builder::new()
         .name(format!("ck-mesh-{from}"))
         .spawn(move || {
@@ -306,10 +304,9 @@ fn spawn_data_reader(from: u32, stream: Stream, tx: Sender<Ev>) {
                             break;
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                        let error = e.to_string();
-                        let _ = tx.send(Ev::BadFrame { from, error });
-                        break;
+                    // The stream can no longer be cut into frames.
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                        bad_frame(me, from, &e.to_string())
                     }
                     // The peer closed, cleanly or by dying mid-frame. The
                     // *parent* owns abort detection and halts everyone.
@@ -320,46 +317,10 @@ fn spawn_data_reader(from: u32, stream: Stream, tx: Sender<Ev>) {
         .expect("spawn mesh reader");
 }
 
-fn spawn_ctl_reader(stream: Stream, tx: Sender<Ev>) {
-    std::thread::Builder::new()
-        .name("ck-ctl".to_string())
-        .spawn(move || {
-            let mut stream = stream;
-            let _ = stream.set_read_timeout(None);
-            loop {
-                match recv_ctl(&mut stream) {
-                    Ok(CtlMsg::Start) => {
-                        if tx.send(Ev::Start).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(CtlMsg::Halt) => {
-                        let _ = tx.send(Ev::Halt);
-                        break;
-                    }
-                    Ok(_) => {} // unexpected but harmless
-                    Err(_) => {
-                        let _ = tx.send(Ev::CtlClosed);
-                        break;
-                    }
-                }
-            }
-        })
-        .expect("spawn control reader");
-}
-
-/// Run worker PE `rank` to completion and exit the process.
-fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Option<CrashHook>) -> ! {
-    let npes = opts.npes;
-    assert!(
-        (rank as usize) < npes,
-        "worker rank {rank} out of range for {npes} PEs"
-    );
-    if opts.loss.is_some() && prog.reliable_cfg().is_none() {
-        panic!("loss shim requires reliable delivery (worker {rank})");
-    }
-
-    // -- control handshake ------------------------------------------------
+/// The control handshake up to `Go`: connect to the parent, bind the
+/// data listener, say `Hello`. Returns the control stream, the data
+/// listener, and what `Go` said.
+fn handshake(rank: u32, fingerprint: u64, addr: &str) -> (Stream, Listener, Go) {
     let mut ctl = Stream::connect_retry(addr, Instant::now() + HANDSHAKE_TIMEOUT)
         .unwrap_or_else(|e| panic!("worker {rank}: connect control {addr}: {e}"));
     ctl.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).expect("set timeout");
@@ -375,26 +336,32 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         Listener::bind(super::transport_of(addr), &dir, &format!("data-{rank}"))
             .unwrap_or_else(|e| panic!("worker {rank}: bind data listener: {e}"));
 
-    send_ctl(
-        &mut ctl,
-        &CtlMsg::Hello {
-            rank,
-            fingerprint: prog.registry().wire.fingerprint(),
-            data_addr,
-        },
-    )
-    .unwrap_or_else(|e| panic!("worker {rank}: send Hello: {e}"));
+    let hello = CtlMsg::Hello(Hello {
+        rank,
+        fingerprint,
+        data_addr,
+    });
+    send_ctl(&mut ctl, &hello).unwrap_or_else(|e| panic!("worker {rank}: send Hello: {e}"));
 
-    let peers_addrs = match recv_ctl(&mut ctl) {
-        Ok(CtlMsg::Go { peers }) => peers,
+    let go = match recv_ctl(&mut ctl) {
+        Ok(CtlMsg::Go(go)) => *go,
         Ok(_) => panic!("worker {rank}: expected Go"),
         Err(e) => panic!("worker {rank}: waiting for Go: {e}"),
     };
-    assert_eq!(peers_addrs.len(), npes, "worker {rank}: Go peer count");
+    assert!(
+        (rank as usize) < go.opts.npes && go.peers.len() == go.opts.npes,
+        "worker {rank}: Go names {} peers for {} PEs",
+        go.peers.len(),
+        go.opts.npes
+    );
+    (ctl, listener, go)
+}
 
-    // -- data mesh ---------------------------------------------------------
-    // Worker i accepts from every j > i and connects to every j < i; the
-    // connector identifies itself with a 4-byte rank header.
+/// Wire the data mesh: worker `rank` accepts from every `j > rank` and
+/// connects to every `j < rank`; the connector identifies itself with a
+/// 4-byte rank header. Returns the links by peer rank.
+fn mesh(rank: u32, listener: Listener, peer_addrs: &[String]) -> Vec<Option<Stream>> {
+    let npes = peer_addrs.len();
     let expected_in = npes - 1 - rank as usize;
     let accepting = std::thread::Builder::new()
         .name("ck-mesh-accept".to_string())
@@ -412,7 +379,7 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         .expect("spawn mesh acceptor");
 
     let mut links: Vec<Option<Stream>> = (0..npes).map(|_| None).collect();
-    for (j, peer_addr) in peers_addrs.iter().enumerate().take(rank as usize) {
+    for (j, peer_addr) in peer_addrs.iter().enumerate().take(rank as usize) {
         let mut s = Stream::connect_retry(peer_addr, Instant::now() + HANDSHAKE_TIMEOUT)
             .unwrap_or_else(|e| panic!("worker {rank}: connect peer {j}: {e}"));
         s.write_all(&rank.to_le_bytes())
@@ -430,6 +397,16 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         );
         links[j as usize] = Some(s);
     }
+    links
+}
+
+/// Run worker PE `rank` to completion and exit the process.
+fn run_worker(rank: u32, mut prog: Program, addr: &str, mut crash: Option<CrashHook>) -> ! {
+    let (mut ctl, listener, Go { peers, opts }) =
+        handshake(rank, prog.registry().wire.fingerprint(), addr);
+    let npes = opts.npes;
+    prog.set_run_overrides(opts.rng_seed, opts.reliable, opts.tracing, opts.metrics);
+    let links = mesh(rank, listener, &peers);
 
     // -- reader threads and scheduler channel -----------------------------
     let reg = Arc::clone(prog.registry());
@@ -438,11 +415,11 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
     for (j, link) in links.into_iter().enumerate() {
         let Some(link) = link else { continue };
         let read_half = link.try_clone().expect("clone mesh stream");
-        spawn_data_reader(j as u32, read_half, tx.clone());
+        spawn_data_reader(rank, j as u32, read_half, tx.clone());
         peers[j] = Some(PeerOut::new(link, opts.batch_bytes, opts.batch_frames));
     }
     let ctl_read = ctl.try_clone().expect("clone control stream");
-    spawn_ctl_reader(ctl_read, tx.clone());
+    spawn_ctl_reader(rank, ctl_read, move |(_, msg)| tx.send(Ev::Ctl(msg)).is_ok());
 
     send_ctl(&mut ctl, &CtlMsg::Ready).unwrap_or_else(|e| panic!("worker {rank}: Ready: {e}"));
 
@@ -467,21 +444,16 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
     // -- wait for Start (stashing any early peer frames) -------------------
     let mut pending: Vec<Ev> = Vec::new();
     let mut halted = false;
-    loop {
+    while !halted {
         match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
-            Ok(Ev::Start) => break,
-            Ok(Ev::Halt) => {
-                halted = true;
-                break;
-            }
-            Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_LOST),
+            Ok(Ev::Ctl(Ok(CtlMsg::Start))) => break,
+            Ok(ev @ Ev::Ctl(_)) => handle_ev(ev, &mut node, &mut ctx, &mut halted),
             Ok(ev) => pending.push(ev),
             Err(_) => panic!("worker {rank}: no Start within handshake deadline"),
         }
     }
 
     let mut user_steps: u64 = 0;
-    let mut crash = crash;
     if !halted {
         ctx.start = Instant::now();
         node.boot(&mut ctx);
@@ -532,8 +504,19 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         }
     }
     ctx.flush_all();
+    report(ctl, &rx, ctx, node, sink, halted)
+}
 
-    // -- teardown ----------------------------------------------------------
+/// Teardown: say `Stopped` if this node stopped the machine, wait for
+/// the parent's `Halt`, send `Final`, exit.
+fn report(
+    mut ctl: Stream,
+    rx: &Receiver<Ev>,
+    mut ctx: ProcCtx,
+    node: impl NodeProgram,
+    sink: Option<Arc<ProbeSink>>,
+    halted: bool,
+) -> ! {
     // Local stop: report it (with any exit result), then wait for the
     // parent's Halt so the Final exchange stays ordered. Reader threads
     // keep draining peer sockets throughout, so no peer can block on a
@@ -547,8 +530,8 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         let _ = send_ctl(&mut ctl, &CtlMsg::Stopped { result });
         loop {
             match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
-                Ok(Ev::Halt) => break,
-                Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_LOST),
+                Ok(Ev::Ctl(Ok(CtlMsg::Halt))) => break,
+                Ok(Ev::Ctl(Err(_))) => std::process::exit(EXIT_CTL_LOST),
                 Ok(_) => {}
                 Err(RecvTimeoutError::Timeout) => break, // parent stuck; report anyway
                 Err(RecvTimeoutError::Disconnected) => std::process::exit(EXIT_CTL_LOST),
@@ -557,49 +540,32 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
     }
 
     let end_ns = ctx.now_ns();
-    let stats: Vec<(String, u64)> = node
-        .stats()
-        .counters
-        .iter()
-        .map(|&(name, v)| (name.to_string(), v))
-        .collect();
+    let counters = node.stats().counters.iter().map(|&(_, v)| v).collect();
     // Dropping the node flushes its probe into the sink.
     drop(node);
-    let (trace, metrics) = crate::program::drain(sink, end_ns);
-    let trace = trace.map(|log| {
-        let mut out = Vec::new();
-        log.events.encode(&mut out);
-        log.dropped.encode(&mut out);
-        out
-    });
-    let metrics = metrics.map(|log| {
-        let mut out = Vec::new();
-        log.slice_ns.encode(&mut out);
-        log.per_pe[rank as usize].encode(&mut out);
-        out
-    });
-    let _ = send_ctl(
-        &mut ctl,
-        &CtlMsg::Final {
-            end_ns,
-            stats,
-            metrics,
-            trace,
-        },
-    );
+    let shard = sink.and_then(|s| s.take_shard(ctx.me)).unwrap_or_default();
+    let last = CtlMsg::Final(Box::new(Final {
+        end_ns,
+        counters,
+        shard,
+    }));
+    let _ = send_ctl(&mut ctl, &last);
     std::process::exit(0);
+}
+
+/// A link from PE `from` delivered bytes that are not frames of
+/// envelopes: say which, and stop with the code the parent reports.
+fn bad_frame(me: u32, from: u32, error: &str) -> ! {
+    eprintln!("worker {me}: link from PE {from} is corrupt: {error}");
+    std::process::exit(EXIT_BAD_FRAME);
 }
 
 fn handle_ev(ev: Ev, node: &mut impl NodeProgram, ctx: &mut ProcCtx, halted: &mut bool) {
     match ev {
         Ev::Chunk { from, chunk } => deliver_chunk(from, &chunk, node, ctx),
-        Ev::BadFrame { from, error } => {
-            eprintln!("worker {}: link from PE {from} is corrupt: {error}", ctx.me.0);
-            std::process::exit(EXIT_BAD_FRAME);
-        }
-        Ev::Halt => *halted = true,
-        Ev::CtlClosed => std::process::exit(EXIT_CTL_LOST),
-        Ev::Start => {}
+        Ev::Ctl(Ok(CtlMsg::Halt)) => *halted = true,
+        Ev::Ctl(Ok(_)) => {} // unexpected but harmless
+        Ev::Ctl(Err(_)) => std::process::exit(EXIT_CTL_LOST),
     }
 }
 
@@ -626,6 +592,20 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             for peer in ctx.peers.iter_mut().flatten() {
                 peer.flush(); // the prefix must land on a frame boundary
                 let _ = peer.stream.write_all(&len.to_le_bytes());
+            }
+        }
+        CrashMode::BadCtl => {
+            // A four-byte control frame: the `Final` tag and three zeros.
+            let bytes = [4, 0, 0, 0, 6, 0, 0, 0];
+            let _ = ctl.try_clone().and_then(|mut ctl| ctl.write_all(&bytes));
+        }
+        CrashMode::BadBody => {
+            for peer in ctx.peers.iter_mut().flatten() {
+                peer.push(|b| {
+                    b.extend_from_slice(&[0; 12]); // [sent_ns][bytes]
+                    b.push(0xff); // no such `SysMsg` tag
+                });
+                peer.flush();
             }
         }
     }

@@ -357,11 +357,12 @@ impl Program {
         self.rng_seed
     }
 
-    /// Overwrite the run-level knobs a worker process receives from its
-    /// parent over the `CK_PROC_OPTS` contract, so `with_reliable` /
-    /// `with_tracing` / `with_metrics` / `rng_seed` applied to the
-    /// parent's program propagate across the process boundary without
-    /// the spec-builder having to re-derive them.
+    /// Overwrite the run-level knobs with the ones a worker process
+    /// received from its parent in `Go` (after the handshake, before it
+    /// builds its node), so `with_reliable` / `with_tracing` /
+    /// `with_metrics` / `rng_seed` applied to the parent's program
+    /// propagate across the process boundary without the spec-builder
+    /// having to re-derive them.
     pub(crate) fn set_run_overrides(
         &mut self,
         rng_seed: u64,
@@ -478,7 +479,9 @@ impl Program {
 }
 
 /// What a run recorded, once its machine has dropped every node: the
-/// event log and the metrics snapshot, each `None` unless configured.
+/// event log and the metrics snapshot, each `None` unless configured
+/// ([`probe::merge`](crate::probe::merge) over every PE's shard; the
+/// procs parent calls that over the shards its workers sent).
 pub(crate) fn drain(
     sink: Option<Arc<ProbeSink>>,
     end_ns: u64,

@@ -30,74 +30,154 @@
 //!   exactly-once comes from receiver sequence dedup, not slot
 //!   sharing).
 //!
-//! Decoding trusts the peer: both ends are the same binary speaking
-//! over a parent-spawned socket, so malformed input panics rather than
-//! propagating errors (the parent turns a worker panic into a
-//! structured abort).
+//! Decoding never panics on what the peer sent. A short read, a length
+//! prefix past the bytes left, an unknown tag or a non-UTF-8 string
+//! records the first such malformation on the [`WireReader`], leaves it
+//! exhausted — every later read and count comes back zero, so decoding
+//! terminates — and yields a placeholder value. Whoever cut the frame
+//! asks [`WireReader::finish`] once the value is decoded and maps an
+//! error to its own failure: the parent to `ProcAbortReason::Protocol`,
+//! a worker to `EXIT_BAD_FRAME` (see [`proc`](crate::proc)).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use multicomputer::Pe;
+use multicomputer::{Cost, Pe, Topology};
 
 use crate::envelope::{MsgBody, Seed, SysMsg};
 use crate::ids::{AccId, BocId, ChareId, ChareKind, EpId, MonoId, Notify, RoId, TableId, WoId};
+use crate::metrics::MetricsConfig;
 use crate::priority::{BitPrio, Priority};
 use crate::registry::Registry;
-use crate::trace::{EntryWhat, EventKind, MsgClass, TraceEvent};
+use crate::reliable::ReliableConfig;
+use crate::trace::{EntryWhat, EventKind, MsgClass, TraceConfig, TraceEvent};
+
+/// The first malformation a [`WireReader`] met in its buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WireError {
+    /// Offset at which decoding stopped: at a short read, just past a
+    /// bad tag or length prefix.
+    pub at: usize,
+    /// What was wanted there.
+    pub wanted: &'static str,
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "wire: malformed frame at byte {}: wanted {}", self.at, self.wanted)
+    }
+}
+
+impl std::error::Error for WireError {}
 
 /// Cursor over a received byte buffer.
 pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// Not yet consumed.
+    rest: &'a [u8],
+    /// Length of the whole buffer (positions are reported against it).
+    len: usize,
+    error: Option<WireError>,
 }
 
 impl<'a> WireReader<'a> {
     /// A reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader {
+            rest: buf,
+            len: buf.len(),
+            error: None,
+        }
     }
 
-    /// Bytes not yet consumed.
+    /// Bytes not yet consumed (0 once decoding has failed).
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            self.pos + n <= self.buf.len(),
-            "wire: truncated frame (wanted {n} bytes, {} left)",
-            self.remaining()
-        );
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
+    /// The bytes are not an encoding of what is being decoded: record
+    /// what was `wanted` here, unless an earlier failure already is, and
+    /// skip to the end of the buffer. Hand-written codecs call this for
+    /// a tag they do not know, then return any value.
+    #[cold]
+    pub fn fail(&mut self, wanted: &'static str) {
+        let at = self.len - self.rest.len();
+        self.error.get_or_insert(WireError { at, wanted });
+        self.rest = &[];
     }
 
-    /// Read one byte.
+    /// Whether the buffer was exactly one well-formed value: the first
+    /// malformation met, or trailing bytes, is the error. The question a
+    /// frame boundary asks after decoding.
+    pub fn finish(&self) -> Result<(), WireError> {
+        match self.error {
+            Some(e) => Err(e),
+            None if self.rest.is_empty() => Ok(()),
+            None => Err(WireError {
+                at: self.len - self.rest.len(),
+                wanted: "the end of the frame",
+            }),
+        }
+    }
+
+    /// Read `N` bytes (zeros on a short read).
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        match self.rest.split_first_chunk::<N>() {
+            Some((head, tail)) => {
+                self.rest = tail;
+                *head
+            }
+            None => {
+                self.fail("more bytes than are left");
+                [0; N]
+            }
+        }
+    }
+
+    /// Read one byte (0 on a short read).
     pub fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+        u8::from_le_bytes(self.array())
     }
 
-    /// Read a little-endian `u16`.
+    /// Read a little-endian `u16` (0 on a short read).
     pub fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().expect("2 bytes"))
+        u16::from_le_bytes(self.array())
     }
 
-    /// Read a little-endian `u32`.
+    /// Read a little-endian `u32` (0 on a short read).
     pub fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
+        u32::from_le_bytes(self.array())
     }
 
-    /// Read a little-endian `u64`.
+    /// Read a little-endian `u64` (0 on a short read).
     pub fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
+        u64::from_le_bytes(self.array())
     }
 
-    /// Read `n` raw bytes.
+    /// Read `n` raw bytes (none on a short read).
     pub fn bytes(&mut self, n: usize) -> &'a [u8] {
-        self.take(n)
+        match self.rest.split_at_checked(n) {
+            Some((head, tail)) => {
+                self.rest = tail;
+                head
+            }
+            None => {
+                self.fail("more bytes than are left");
+                &[]
+            }
+        }
+    }
+
+    /// Read a one-byte variant tag below `variants`. Any other byte
+    /// fails the reader and reads as tag 0, so a decoder matches the
+    /// tags it knows and lets `_` stand for the last of them.
+    pub fn tag(&mut self, variants: u8, wanted: &'static str) -> u8 {
+        let t = self.u8();
+        if t < variants {
+            return t;
+        }
+        self.fail(wanted);
+        0
     }
 
     /// Read a `u32` count of `T`s that follow. The prefix is outside
@@ -106,11 +186,10 @@ impl<'a> WireReader<'a> {
     /// least one byte (a zero-sized one reserves nothing).
     fn count<T>(&mut self) -> usize {
         let n = self.u32() as usize;
-        assert!(
-            std::mem::size_of::<T>() == 0 || n <= self.remaining(),
-            "wire: length prefix {n} exceeds the {} bytes left in the frame",
-            self.remaining()
-        );
+        if std::mem::size_of::<T>() != 0 && n > self.remaining() {
+            self.fail("a length prefix within the bytes left");
+            return 0;
+        }
         n
     }
 }
@@ -122,8 +201,17 @@ impl<'a> WireReader<'a> {
 pub trait Wire: Sized + 'static {
     /// Append this value's byte representation to `out`.
     fn encode(&self, out: &mut Vec<u8>);
-    /// Read one value back; panics on malformed input.
+    /// Read one value back. On malformed input the reader records the
+    /// failure (see [`WireReader::finish`]) and the value is a placeholder.
     fn decode(r: &mut WireReader) -> Self;
+    /// Read `n` values in a row (what a `Vec` decodes its elements
+    /// with). Provided; `u8` overrides it, because a failure that is a
+    /// state rather than a panic keeps the byte loop from compiling to
+    /// the one copy it is.
+    #[doc(hidden)]
+    fn decode_n(r: &mut WireReader, n: usize) -> Vec<Self> {
+        (0..n).map(|_| Self::decode(r)).collect()
+    }
 }
 
 macro_rules! wire_int {
@@ -139,7 +227,19 @@ macro_rules! wire_int {
     )+};
 }
 
-wire_int!(u8 => u8, u16 => u16, u32 => u32, u64 => u64);
+wire_int!(u16 => u16, u32 => u32, u64 => u64);
+
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        r.u8()
+    }
+    fn decode_n(r: &mut WireReader, n: usize) -> Vec<u8> {
+        r.bytes(n).to_vec()
+    }
+}
 
 impl Wire for i32 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -189,7 +289,10 @@ impl Wire for String {
     }
     fn decode(r: &mut WireReader) -> Self {
         let n = r.u32() as usize;
-        String::from_utf8(r.bytes(n).to_vec()).expect("wire: non-UTF-8 string")
+        String::from_utf8(r.bytes(n).to_vec()).unwrap_or_else(|_| {
+            r.fail("a UTF-8 string");
+            String::new()
+        })
     }
 }
 
@@ -202,7 +305,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut WireReader) -> Self {
         let n = r.count::<T>();
-        (0..n).map(|_| T::decode(r)).collect()
+        T::decode_n(r, n)
     }
 }
 
@@ -236,29 +339,21 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
 // ---- kernel id types ---------------------------------------------------
 
-macro_rules! wire_newtype_u32 {
-    ($($t:ident),+ $(,)?) => {$(
+macro_rules! wire_newtype {
+    ($rd:ident: $($t:ident),+ $(,)?) => {$(
         impl Wire for $t {
             fn encode(&self, out: &mut Vec<u8>) {
                 self.0.encode(out);
             }
             fn decode(r: &mut WireReader) -> Self {
-                $t(r.u32())
+                $t(r.$rd())
             }
         }
     )+};
 }
 
-wire_newtype_u32!(Pe, ChareKind, EpId, BocId, AccId, MonoId, TableId, RoId);
-
-impl Wire for WoId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        WoId(r.u64())
-    }
-}
+wire_newtype!(u32: Pe, ChareKind, EpId, BocId, AccId, MonoId, TableId, RoId);
+wire_newtype!(u64: WoId, Cost);
 
 impl Wire for ChareId {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -344,10 +439,9 @@ impl Wire for Notify {
         }
     }
     fn decode(r: &mut WireReader) -> Self {
-        match r.u8() {
+        match r.tag(2, "a Notify tag") {
             0 => Notify::Chare(ChareId::decode(r), EpId::decode(r)),
-            1 => Notify::Branch(BocId::decode(r), Pe::decode(r), EpId::decode(r)),
-            t => panic!("wire: bad Notify tag {t}"),
+            _ => Notify::Branch(BocId::decode(r), Pe::decode(r), EpId::decode(r)),
         }
     }
 }
@@ -371,6 +465,8 @@ impl Wire for BitPrio {
     fn decode(r: &mut WireReader) -> Self {
         let len = r.u32();
         let bytes = r.bytes(len.div_ceil(8) as usize);
+        // A short read comes back empty: no bits to push then.
+        let len = if bytes.is_empty() { 0 } else { len };
         let mut p = BitPrio::root();
         for i in 0..len {
             let b = bytes[(i / 8) as usize] >> (7 - i % 8) & 1;
@@ -395,11 +491,10 @@ impl Wire for Priority {
         }
     }
     fn decode(r: &mut WireReader) -> Self {
-        match r.u8() {
+        match r.tag(3, "a Priority tag") {
             0 => Priority::None,
             1 => Priority::Int(i64::decode(r)),
-            2 => Priority::Bits(BitPrio::decode(r)),
-            t => panic!("wire: bad Priority tag {t}"),
+            _ => Priority::Bits(BitPrio::decode(r)),
         }
     }
 }
@@ -421,7 +516,7 @@ impl Wire for MsgClass {
         });
     }
     fn decode(r: &mut WireReader) -> Self {
-        match r.u8() {
+        match r.tag(9, "a MsgClass tag") {
             0 => MsgClass::Seed,
             1 => MsgClass::Chare,
             2 => MsgClass::Branch,
@@ -430,8 +525,7 @@ impl Wire for MsgClass {
             5 => MsgClass::Qd,
             6 => MsgClass::Balance,
             7 => MsgClass::Transport,
-            8 => MsgClass::Batch,
-            t => panic!("wire: bad MsgClass tag {t}"),
+            _ => MsgClass::Batch,
         }
     }
 }
@@ -454,11 +548,10 @@ impl Wire for EntryWhat {
         }
     }
     fn decode(r: &mut WireReader) -> Self {
-        match r.u8() {
+        match r.tag(3, "an EntryWhat tag") {
             0 => EntryWhat::Create(ChareKind::decode(r)),
             1 => EntryWhat::Chare(r.u32()),
-            2 => EntryWhat::Branch(BocId::decode(r)),
-            t => panic!("wire: bad EntryWhat tag {t}"),
+            _ => EntryWhat::Branch(BocId::decode(r)),
         }
     }
 }
@@ -515,7 +608,7 @@ impl Wire for EventKind {
         }
     }
     fn decode(r: &mut WireReader) -> Self {
-        match r.u8() {
+        match r.tag(9, "an EventKind tag") {
             0 => EventKind::EntryBegin {
                 what: EntryWhat::decode(r),
                 ep: Option::<EpId>::decode(r),
@@ -546,8 +639,7 @@ impl Wire for EventKind {
                 to: Pe::decode(r),
                 seq: r.u64(),
             },
-            8 => EventKind::QueueSample { len: r.u32() },
-            t => panic!("wire: bad EventKind tag {t}"),
+            _ => EventKind::QueueSample { len: r.u32() },
         }
     }
 }
@@ -589,6 +681,53 @@ macro_rules! wire_struct {
         }
     };
 }
+
+// ---- run options (what the procs backend's `Go` carries to a worker) ---
+
+/// Travels as a `u64`, so the two ends need not share a word size.
+impl Wire for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        usize::try_from(r.u64()).unwrap_or_else(|_| {
+            r.fail("a count that fits a usize");
+            0
+        })
+    }
+}
+
+impl Wire for Topology {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Topology::Hypercube => out.push(0),
+            Topology::Mesh2D { rows, cols } => {
+                out.push(1);
+                rows.encode(out);
+                cols.encode(out);
+            }
+            Topology::Ring => out.push(2),
+            Topology::FullyConnected => out.push(3),
+            Topology::Bus => out.push(4),
+        }
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        match r.tag(5, "a Topology tag") {
+            0 => Topology::Hypercube,
+            1 => Topology::Mesh2D {
+                rows: usize::decode(r),
+                cols: usize::decode(r),
+            },
+            2 => Topology::Ring,
+            3 => Topology::FullyConnected,
+            _ => Topology::Bus,
+        }
+    }
+}
+
+crate::wire_struct!(ReliableConfig { timeout, seed_retry_limit, window });
+crate::wire_struct!(TraceConfig { capacity, queue_samples });
+crate::wire_struct!(MetricsConfig { slice_ns, max_slices, flight_cap });
 
 // Kernel notification bodies every program may receive.
 
@@ -734,14 +873,15 @@ impl WireTable {
         (self.entries[tag as usize].encode)(body, out);
     }
 
-    /// Read a body tag and look its codec up; a tag past the table is
-    /// malformed input and panics by name, like a bad envelope tag.
+    /// Read a body tag and look its codec up. A tag past the table is
+    /// malformed input: it fails the reader, and the placeholder body
+    /// is tag 0's `()`.
     fn tagged(&self, r: &mut WireReader) -> &WireEntry {
         let tag = r.u32() as usize;
-        let known = self.entries.len();
-        self.entries
-            .get(tag)
-            .unwrap_or_else(|| panic!("wire: bad body tag {tag} ({known} codecs registered)"))
+        self.entries.get(tag).unwrap_or_else(|| {
+            r.fail("a body tag inside the wire table");
+            &self.entries[0]
+        })
     }
 
     /// Decode a `tag + bytes` body back into a boxed value.
@@ -958,7 +1098,7 @@ pub(crate) fn encode_sys(reg: &Registry, sys: &SysMsg, out: &mut Vec<u8>) {
 /// generators, hence the `Arc`.
 pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
     let w = &reg.wire;
-    match r.u8() {
+    match r.tag(T_RELACK + 1, "a SysMsg tag") {
         T_BATCH => {
             let n = r.count::<SysMsg>();
             SysMsg::Batch((0..n).map(|_| decode_sys(reg, r)).collect())
@@ -968,6 +1108,13 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
             let counted = bool::decode(r);
             let bytes = r.u32();
             let blob: Arc<Vec<u8>> = Arc::new(Vec::<u8>::decode(r));
+            // The generator decodes the blob again per call, with no one
+            // to report to: refuse a malformed one here, with the frame.
+            let mut inner = WireReader::new(&blob);
+            decode_sys(reg, &mut inner);
+            if inner.finish().is_err() {
+                r.fail("a well-formed TreeCast envelope");
+            }
             let reg = Arc::clone(reg);
             SysMsg::TreeCast {
                 origin,
@@ -1094,15 +1241,15 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
                 slot: Arc::new(Mutex::new(inner)),
             }
         }
-        T_RELACK => SysMsg::RelAck {
+        // T_RELACK, the last tag `tag` lets through.
+        _ => SysMsg::RelAck {
             seqs: Vec::<u64>::decode(r),
         },
-        t => panic!("wire: bad SysMsg tag {t}"),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::priority::Priority;
 
@@ -1349,8 +1496,6 @@ mod tests {
     thread_local! {
         /// `Some(largest request so far)` while this thread is watched.
         static LARGEST: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-        /// What `LARGEST` held when this thread last began to panic.
-        static AT_PANIC: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
     }
 
     fn note(size: usize) {
@@ -1381,55 +1526,87 @@ mod tests {
     #[global_allocator]
     static ALLOCATOR: Watching = Watching;
 
-    /// Decode hostile input on this thread; return the panic message and
-    /// the largest allocation requested before the panic. Watching stops
-    /// where the panic starts (in the hook, ahead of any backtrace and of
-    /// the unwinder's own allocations).
-    fn decode_hostile(decode: impl FnOnce() + std::panic::UnwindSafe) -> (String, usize) {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                AT_PANIC.set(LARGEST.replace(None));
-                default(info);
-            }));
-        });
+    /// Run `f` on this thread; the largest single size it asked the
+    /// allocator for.
+    pub(crate) fn largest_alloc(f: impl FnOnce()) -> usize {
         LARGEST.set(Some(0));
-        let panic = std::panic::catch_unwind(decode).expect_err("hostile input must be refused");
-        let largest = AT_PANIC.take().expect("watched until the panic");
-        let msg = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic with a message");
-        (msg, largest)
+        f();
+        LARGEST.replace(None).expect("watched throughout")
+    }
+
+    /// Decode hostile input; what the reader recorded, and the largest
+    /// allocation the decoding requested.
+    fn decode_hostile(bytes: &[u8], decode: impl FnOnce(&mut WireReader)) -> (WireError, usize) {
+        let mut r = WireReader::new(bytes);
+        let largest = largest_alloc(|| decode(&mut r));
+        assert_eq!(r.remaining(), 0, "a failed reader is an exhausted one");
+        (r.finish().expect_err("hostile input must be refused"), largest)
     }
 
     #[test]
     fn hostile_prefixes_and_tags_panic_by_name_without_allocating() {
         let reg = test_registry();
         // Each case: a frame whose length prefix or body tag (`ff ff ff
-        // ff`) promises far more than follows it. Padded to 256 bytes,
-        // room for the panic message, which is itself an allocation.
+        // ff`) promises far more than follows it, padded to 256 bytes.
         let frame = |head: &[u8]| [head, &[0xff; 4], &[0; 256][head.len() + 4..]].concat();
-        let check = |what: &str, (msg, largest): (String, usize)| {
-            assert!(msg.starts_with("wire:"), "{what}: panicked with {msg:?}");
+        let check = |what: &str, wanted: &'static str, at: usize, (err, largest): (WireError, usize)| {
+            assert_eq!(err, WireError { at, wanted }, "{what}");
+            assert!(err.to_string().starts_with("wire:"), "{what}: reads {err}");
             assert!(largest <= 256, "{what}: asked the allocator for {largest} bytes");
         };
-        let bytes = frame(&[]);
+        let prefix = "a length prefix within the bytes left";
         check(
             "Vec<u64> length",
-            decode_hostile(move || drop(Vec::<u64>::decode(&mut WireReader::new(&bytes)))),
+            prefix,
+            4,
+            decode_hostile(&frame(&[]), |r| drop(Vec::<u64>::decode(r))),
         );
-        for (what, bytes) in [
-            ("RelAck seqs", frame(&[T_RELACK])),
-            ("Batch count", frame(&[T_BATCH])),
-            ("TreeCast blob", frame(&[T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0])),
-            ("body tag", frame(&[T_MONOUPDATE, 0, 0, 0, 0])),
+        for (what, wanted, bytes) in [
+            ("RelAck seqs", prefix, frame(&[T_RELACK])),
+            ("Batch count", prefix, frame(&[T_BATCH])),
+            ("TreeCast blob", prefix, frame(&[T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0])),
+            ("body tag", "a body tag inside the wire table", frame(&[T_MONOUPDATE, 0, 0, 0, 0])),
         ] {
-            let decode = || drop(decode_sys(&reg, &mut WireReader::new(&bytes)));
-            check(what, decode_hostile(std::panic::AssertUnwindSafe(decode)));
+            let at = bytes.iter().position(|&b| b == 0xff).expect("the ff run") + 4;
+            check(what, wanted, at, decode_hostile(&bytes, |r| drop(decode_sys(&reg, r))));
         }
+    }
+
+    #[test]
+    fn the_first_malformation_is_the_one_recorded() {
+        let reg = test_registry();
+        let sys = |bytes: &[u8]| decode_hostile(bytes, |r| drop(decode_sys(&reg, r))).0;
+        // A short read: QdCount wants 8 + 8 + 8 + 1 bytes after its tag.
+        let short = sys(&[T_QDCOUNT, 1, 2, 3]);
+        assert_eq!((short.at, short.wanted), (1, "more bytes than are left"));
+        // No such envelope; the placeholder is an empty batch.
+        let mut r = WireReader::new(&[0xff, 9, 9]);
+        assert!(matches!(decode_sys(&reg, &mut r), SysMsg::Batch(inner) if inner.is_empty()));
+        assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "a SysMsg tag" }));
+        // A string of two bytes that are not UTF-8, then trailing bytes
+        // the reader no longer offers.
+        let mut r = WireReader::new(&[2, 0, 0, 0, 0xc3, 0x28, 7, 7]);
+        assert_eq!(String::decode(&mut r), "");
+        assert_eq!((r.remaining(), u64::decode(&mut r)), (0, 0));
+        assert_eq!(r.finish(), Err(WireError { at: 6, wanted: "a UTF-8 string" }));
+        // A TreeCast whose blob is cut short is refused with its frame,
+        // not when the generator first runs.
+        let mut cast = Vec::new();
+        let gen: Arc<dyn Fn() -> SysMsg + Send + Sync> = Arc::new(|| SysMsg::QdPoll { wave: 4 });
+        let tree = SysMsg::TreeCast { origin: Pe(1), counted: false, bytes: 8, gen };
+        encode_sys(&reg, &tree, &mut cast);
+        let intact = cast.clone();
+        let blob_len = cast.len() - 14;
+        cast[10] = blob_len as u8 - 1;
+        cast.pop();
+        assert_eq!(sys(&cast).wanted, "a well-formed TreeCast envelope");
+        let mut r = WireReader::new(&intact);
+        decode_sys(&reg, &mut r);
+        assert_eq!(r.finish(), Ok(()));
+        // Nothing malformed, but bytes left over: also not one value.
+        let mut r = WireReader::new(&[T_WORKNACK, 0]);
+        decode_sys(&reg, &mut r);
+        assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "the end of the frame" }));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   (the part after `app=`), so workers rebuild the program with the
 //!   ordinary `ck_apps::spec::worker_hook` and the wire-table
 //!   fingerprint matches the parent's by construction. The reliable
-//!   layer, metrics and the shim config ride the parent's
-//!   `CK_PROC_OPTS` overrides; the spec only has to describe the base
+//!   layer, metrics and the shim config ride the parent's `Go`
+//!   message to every worker; the spec only has to describe the base
 //!   program. Apps that register no wire codecs (`Program::is_wired`)
 //!   cannot run here and are skipped by the slice.
 

@@ -226,6 +226,56 @@ fn conformance_procs_tcp_and_topologies() {
 }
 
 #[test]
+fn run_options_set_on_the_parent_reach_every_worker() {
+    // Reliable delivery, tracing, metrics and the topology are set here,
+    // on the parent's `Program` and `ProcConfig`, and nowhere in the
+    // spec the workers build from: they travel in `Go`. The report shows
+    // each arrived — and that four workers' shards went through the one
+    // merge into one log of each kind.
+    spec::worker_hook();
+    let spec_str = "fib:n=18,grain=10";
+    let npes = 4;
+    let reliable = ReliableConfig {
+        window: 7,
+        ..ReliableConfig::default()
+    };
+    let prog = spec::build_spec(spec_str)
+        .with_reliable(reliable)
+        .with_tracing(TraceConfig::default())
+        .with_metrics(MetricsConfig::default());
+    let cfg = ProcConfig::for_test(npes, spec_str, "run_options_set_on_the_parent_reach_every_worker")
+        .with_topology(Topology::Ring);
+    let mut rep = prog.run_procs(&cfg);
+    let detail = rep.proc.as_ref().expect("detail");
+    assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
+    assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(18)));
+    assert!(rep.counter_total("acks_sent") > 0, "reliable delivery reached the workers");
+
+    let trace = rep.trace.as_ref().expect("tracing reached the workers");
+    assert_eq!(trace.npes, npes);
+    assert!(trace.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns), "stamp order");
+    for pe in 0..npes {
+        assert!(trace.events_for(Pe::from(pe)).count() > 0, "no events from PE {pe}");
+    }
+    // On a ring every PE has two neighbours, so a seed forwarded by the
+    // balancer goes to rank ± 1; the default hypercube would also send
+    // 0 ↔ 2 and 1 ↔ 3.
+    for ev in &trace.events {
+        if let EventKind::SeedForwarded { to, .. } = ev.kind {
+            let gap = (ev.pe.index() + npes - to.index()) % npes;
+            assert!(gap == 1 || gap == npes - 1, "PE {} forwarded to PE {}", ev.pe.index(), to.index());
+        }
+    }
+
+    let metrics = rep.metrics.as_ref().expect("metrics reached the workers");
+    assert_eq!(metrics.per_pe.len(), npes);
+    assert!(metrics.per_pe.iter().all(|p| p.slices.len() == metrics.nslices()));
+    let per_shard: u64 = metrics.per_pe.iter().map(|p| p.latency.count).sum();
+    assert!(per_shard > 0);
+    assert_eq!(metrics.latency_all().count, per_shard);
+}
+
+#[test]
 fn oversubscribed_thread_machine_works() {
     // 16 PE threads on however few cores this host has: correctness
     // must not depend on real parallelism.

@@ -1,8 +1,9 @@
 //! Worker-death regression tests for the multi-process backend: a
-//! worker that exits nonzero, closes its sockets or corrupts a data
-//! link mid-run must surface as a *structured* abort reason on the
-//! report — never a hang, and never a watchdog timeout masquerading as
-//! one.
+//! worker that exits nonzero, closes its sockets, corrupts a data link
+//! or sends the parent a control message that does not decode mid-run
+//! must surface as a *structured* abort reason on the report — never a
+//! hang, never a parent panic, and never a watchdog timeout
+//! masquerading as one.
 //!
 //! The crash is injected with `ProcConfig::with_crash`, which ships a
 //! `CK_PROC_CRASH` hook to exactly one rank; the hook fires after a few
@@ -93,8 +94,36 @@ fn oversized_length_prefix_is_structured() {
 }
 
 #[test]
+fn malformed_frame_body_is_structured() {
+    // Worker 2 writes every peer a frame with a valid header whose body
+    // starts with a tag no envelope has: the length prefix is fine, so
+    // it is the decoder on the PE thread that must refuse it — with the
+    // same exit code, not a panic (a signal death under `panic = abort`).
+    let reason = run_crashed("malformed_frame_body_is_structured", "2:badbody:3");
+    assert!(
+        matches!(
+            reason,
+            ProcAbortReason::WorkerExit { rank, code: Some(EXIT_BAD_FRAME) } if rank != 2
+        ),
+        "got: {reason}"
+    );
+}
+
+#[test]
+fn malformed_control_message_is_structured() {
+    // Worker 2 sends the parent a well-framed `Final` cut three bytes in
+    // and keeps running: the parent's reader must report the violation,
+    // naming the rank, instead of panicking on the short read.
+    let reason = run_crashed("malformed_control_message_is_structured", "2:badctl:3");
+    assert!(
+        matches!(&reason, ProcAbortReason::Protocol { rank: 2, error } if error.contains("wire:")),
+        "got: {reason}"
+    );
+}
+
+#[test]
 fn clean_runs_have_no_abort_reason() {
-    // Control case for the two above: the same program with no hook
+    // Control case for the ones above: the same program with no hook
     // completes with `aborted: None` and a result.
     spec::worker_hook();
     let spec_str = "fib:n=16,grain=10";
