@@ -87,7 +87,7 @@ pub use metrics::{Histogram, MetricsConfig, MetricsLog, PeMetricSet, Slice};
 pub use msg::Message;
 pub use priority::{BitPrio, Priority};
 pub use proc::{maybe_worker, LossConfig, ProcAbortReason, ProcConfig, ProcDetail, ProcTransport};
-pub use program::{CkReport, Program, ProgramBuilder};
+pub use program::{CkReport, Program, ProgramBuilder, RunOpts};
 pub use queueing::QueueingStrategy;
 pub use reliable::{ReliableConfig, ReliableConfigError};
 pub use shared::{
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::proc::{
         maybe_worker, LossConfig, ProcAbortReason, ProcConfig, ProcDetail, ProcTransport,
     };
-    pub use crate::program::{CkReport, Program, ProgramBuilder};
+    pub use crate::program::{CkReport, Program, ProgramBuilder, RunOpts};
     pub use crate::queueing::QueueingStrategy;
     pub use crate::reliable::{ReliableConfig, ReliableConfigError};
     pub use crate::shared::{

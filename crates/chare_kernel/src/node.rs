@@ -445,6 +445,10 @@ impl NodeProgram for CkNode {
         self.transport.end_state(&mut c);
         c.to_node_stats()
     }
+
+    fn duplicate(payload: &multicomputer::Payload) -> Option<multicomputer::Payload> {
+        crate::reliable::duplicate(payload)
+    }
 }
 
 #[cfg(test)]

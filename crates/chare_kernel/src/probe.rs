@@ -4,7 +4,7 @@
 //! an entry begun or ended, a seed kept, forwarded or re-homed, a frame
 //! retransmitted, the backlog changing — is one [`EventKind`], and the
 //! stratum that owns the moment reports it exactly once, through
-//! [`emit`]: the transport a send, a delivery, a retransmit; the seed
+//! `emit`: the transport a send, a delivery, a retransmit; the seed
 //! manager a seed kept or forwarded; the scheduler an entry, a re-homed
 //! seed, a queue sample. The per-PE `Probe` behind that call turns it
 //! into one [`TraceEvent`] and hands it to whichever recorders the run

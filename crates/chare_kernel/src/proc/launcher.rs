@@ -124,7 +124,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
          chare_kernel::maybe_worker before run_procs so workers divert"
     );
     assert!(cfg.npes > 0, "machine needs at least one PE");
-    if cfg.loss.is_some() && prog.reliable_cfg().is_none() {
+    if cfg.loss.is_some() && prog.opts().reliable.is_none() {
         panic!(
             "ProcConfig injects loss but the program has no reliable delivery; \
              enable ProgramBuilder::reliable (dropped frames would simply vanish)"
@@ -226,8 +226,8 @@ fn hello(
     Ok(peers)
 }
 
-/// `Go` — peer addresses, machine shape, and the run-level knobs of
-/// the parent's `prog` — to every rank, then `Ready` from every rank.
+/// `Go` — peer addresses, machine shape, and the parent `prog`'s
+/// `RunOpts`, whole — to every rank, then `Ready` from every rank.
 fn go_ready(
     prog: &Program,
     cfg: &ProcConfig,
@@ -240,10 +240,7 @@ fn go_ready(
         batch_bytes: cfg.batch_bytes,
         batch_frames: cfg.batch_frames,
         loss: cfg.loss,
-        rng_seed: prog.rng_seed_val(),
-        reliable: prog.reliable_cfg(),
-        tracing: prog.tracing_cfg(),
-        metrics: prog.metrics_cfg(),
+        run: prog.opts().clone(),
     };
     fleet.broadcast("Go", &CtlMsg::Go(Box::new(Go { peers, opts })))?;
     for rank in 0..cfg.npes {
@@ -400,8 +397,8 @@ fn collect(
         shards.push(m.shard);
     }
     let end_ns = worker_end_ns.iter().copied().max().unwrap_or(0);
-    let (tracing, metrics) = (prog.tracing_cfg(), prog.metrics_cfg());
-    let (trace, metrics) = probe::merge(tracing, metrics, cfg.npes, end_ns, shards);
+    let opts = prog.opts();
+    let (trace, metrics) = probe::merge(opts.tracing, opts.metrics, cfg.npes, end_ns, shards);
     Ok(CkReport {
         time_ns,
         result,

@@ -35,12 +35,14 @@
 //! `Hello{rank, fingerprint, data_addr}`; the parent verifies the
 //! wire-table fingerprint (a codec mismatch between parent and worker
 //! binaries fails fast instead of corrupting memory) and replies
-//! `Go{peer addrs, opts}` — `ProcOpts`: the machine shape and the
-//! parent `Program`'s run-level knobs, applied before the worker builds
-//! its node. The workers wire a full data mesh (worker *i* connects to
-//! every *j < i*); after `Ready` from all, the parent broadcasts
-//! `Start`. A worker whose node calls `CkExit` reports
-//! `Stopped{result}`; the parent broadcasts `Halt`, collects a
+//! `Go{peer addrs, opts}` — `ProcOpts`: the machine shape, batching
+//! thresholds and loss shim of the [`ProcConfig`], and the parent
+//! `Program`'s [`RunOpts`] whole, which the worker installs over what
+//! its own `CK_SPEC` build chose (the parent's win, the spec's `q=` and
+//! `bal=` included) before it builds its node. The workers wire a full
+//! data mesh (worker *i* connects to every *j < i*); after `Ready` from
+//! all, the parent broadcasts `Start`. A worker whose node calls
+//! `CkExit` reports `Stopped{result}`; the parent broadcasts `Halt`, collects a
 //! `Final{end_ns, counters, shard}` from every worker, hands the shards
 //! to the merge the other backends' drains end in, and reaps the
 //! children. A worker that dies instead of reporting —
@@ -79,9 +81,7 @@ use std::time::Duration;
 
 use multicomputer::Topology;
 
-use crate::metrics::MetricsConfig;
-use crate::reliable::ReliableConfig;
-use crate::trace::TraceConfig;
+use crate::program::RunOpts;
 
 /// Environment variable naming a worker's PE rank (the contract's
 /// presence test: set ⇒ this process is a worker).
@@ -290,14 +290,13 @@ pub struct ProcDetail {
     pub worker_end_ns: Vec<u64>,
 }
 
-/// Machine shape and run overrides, carried to every worker by `Go`.
-///
-/// Everything a worker needs beyond the program spec: the machine size
-/// and topology, batching thresholds, the loss shim, and the run-level
-/// program knobs (`rng_seed`, reliable/tracing/metrics configs) the
-/// parent's `Program` carries — shipping those guarantees a
-/// `with_reliable`/`with_tracing`/`with_metrics` applied on the parent
-/// side takes effect in every worker without the spec-builder knowing.
+/// What `Go` carries to every worker beyond the program spec: the
+/// machine shape (size and topology), the batching thresholds, the loss
+/// shim, and the parent `Program`'s [`RunOpts`], whole. The worker
+/// installs them over whatever its `CK_SPEC` build chose — the parent
+/// wins — so any run option set on the parent side, the strategies
+/// included, takes effect in every worker without the spec-builder
+/// knowing.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct ProcOpts {
     pub npes: usize,
@@ -305,23 +304,10 @@ pub(crate) struct ProcOpts {
     pub batch_bytes: usize,
     pub batch_frames: usize,
     pub loss: Option<LossConfig>,
-    pub rng_seed: u64,
-    pub reliable: Option<ReliableConfig>,
-    pub tracing: Option<TraceConfig>,
-    pub metrics: Option<MetricsConfig>,
+    pub run: RunOpts,
 }
 
-crate::wire_struct!(ProcOpts {
-    npes,
-    topology,
-    batch_bytes,
-    batch_frames,
-    loss,
-    rng_seed,
-    reliable,
-    tracing,
-    metrics,
-});
+crate::wire_struct!(ProcOpts { npes, topology, batch_bytes, batch_frames, loss, run });
 crate::wire_struct!(LossConfig { seed, drop_permille, reorder_permille });
 
 /// The transport flavor an address string uses.

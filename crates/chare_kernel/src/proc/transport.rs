@@ -499,8 +499,10 @@ pub(crate) fn spawn_ctl_reader(
 mod tests {
     use super::*;
     use crate::metrics::MetricsConfig;
+    use crate::prelude::{BalanceStrategy, BroadcastMode, QueueingStrategy};
     use crate::probe::ProbeSink;
     use crate::proc::LossConfig;
+    use crate::program::RunOpts;
     use crate::reliable::ReliableConfig;
     use crate::trace::{EventKind, MsgClass, TraceConfig};
     use multicomputer::{Cost, Pe, Topology};
@@ -673,7 +675,8 @@ mod tests {
         out
     }
 
-    /// Every optional config set, and the one topology with fields.
+    /// Every optional config set, every `RunOpts` field off its default,
+    /// and the topology and the balance strategy that carry fields.
     fn full_opts() -> ProcOpts {
         ProcOpts {
             npes: 8,
@@ -685,21 +688,20 @@ mod tests {
                 drop_permille: 100,
                 reorder_permille: 50,
             }),
-            rng_seed: 7,
-            reliable: Some(ReliableConfig {
-                timeout: Cost::millis(3),
-                seed_retry_limit: 30,
-                window: 16,
-            }),
-            tracing: Some(TraceConfig {
-                capacity: 1 << 12,
-                queue_samples: false,
-            }),
-            metrics: Some(MetricsConfig {
-                slice_ns: 1 << 14,
-                max_slices: 128,
-                flight_cap: 32,
-            }),
+            run: RunOpts {
+                queueing: QueueingStrategy::BitvecPriority,
+                balance: BalanceStrategy::Acwn { max_hops: 9, low_mark: 3 },
+                bcast: BroadcastMode::Direct,
+                combining: true,
+                rng_seed: 7,
+                reliable: Some(ReliableConfig {
+                    timeout: Cost::millis(3),
+                    seed_retry_limit: 30,
+                    window: 16,
+                }),
+                tracing: Some(TraceConfig { capacity: 1 << 12, queue_samples: false }),
+                metrics: Some(MetricsConfig { slice_ns: 1 << 14, max_slices: 128, flight_cap: 32 }),
+            },
         }
     }
 
@@ -764,14 +766,21 @@ mod tests {
         for msg in every_variant() {
             assert_eq!(CtlMsg::decode(&encoded(&msg)).expect("decodes"), msg);
         }
-        let minimal = ProcOpts {
-            loss: None,
-            reliable: None,
-            tracing: None,
-            metrics: None,
-            topology: Topology::Hypercube,
-            ..full_opts()
-        };
+        let full = full_opts();
+        let library = RunOpts::default();
+        assert!(
+            full.run.queueing != library.queueing
+                && full.run.balance != library.balance
+                && full.run.bcast != library.bcast
+                && full.run.combining != library.combining
+                && full.run.rng_seed != library.rng_seed
+                && full.run.reliable != library.reliable
+                && full.run.tracing != library.tracing
+                && full.run.metrics != library.metrics,
+            "a field at its default would round-trip even if the codec skipped it"
+        );
+        let minimal =
+            ProcOpts { loss: None, topology: Topology::Hypercube, run: library, ..full };
         let go = CtlMsg::Go(Box::new(Go {
             peers: Vec::new(),
             opts: minimal,
@@ -815,7 +824,8 @@ mod tests {
     }
 
     /// `ProcOpts` out of sixteen words: what is optional is set or not
-    /// by a bit of the first, the topology picked by its low bits.
+    /// by a bit of the first, the topology and the strategies picked by
+    /// its higher bits.
     fn opts_from(w: Vec<u64>) -> ProcOpts {
         let set = |bit: u32| w[0] >> bit & 1 == 1;
         ProcOpts {
@@ -837,21 +847,34 @@ mod tests {
                 drop_permille: w[7] as u16,
                 reorder_permille: (w[7] >> 16) as u16,
             }),
-            rng_seed: w[8],
-            reliable: set(1).then(|| ReliableConfig {
-                timeout: Cost::nanos(w[9]),
-                seed_retry_limit: w[10] as u32,
-                window: (w[10] >> 32) as u32,
-            }),
-            tracing: set(2).then(|| TraceConfig {
-                capacity: w[11] as usize,
-                queue_samples: set(3),
-            }),
-            metrics: set(4).then(|| MetricsConfig {
-                slice_ns: w[12],
-                max_slices: w[13] as usize,
-                flight_cap: w[14] as usize,
-            }),
+            run: RunOpts {
+                queueing: QueueingStrategy::ALL[(w[0] >> 11 & 3) as usize],
+                balance: match w[0] >> 13 & 7 {
+                    0 => BalanceStrategy::Local,
+                    1 => BalanceStrategy::Random,
+                    2 => BalanceStrategy::CentralManager,
+                    3 => BalanceStrategy::TokenIdle,
+                    _ => BalanceStrategy::Acwn {
+                        max_hops: w[15] as u32,
+                        low_mark: (w[15] >> 32) as u32,
+                    },
+                },
+                bcast: if set(5) { BroadcastMode::Direct } else { BroadcastMode::Tree },
+                combining: set(6),
+                rng_seed: w[8],
+                reliable: set(1).then(|| ReliableConfig {
+                    timeout: Cost::nanos(w[9]),
+                    seed_retry_limit: w[10] as u32,
+                    window: (w[10] >> 32) as u32,
+                }),
+                tracing: set(2)
+                    .then(|| TraceConfig { capacity: w[11] as usize, queue_samples: set(3) }),
+                metrics: set(4).then(|| MetricsConfig {
+                    slice_ns: w[12],
+                    max_slices: w[13] as usize,
+                    flight_cap: w[14] as usize,
+                }),
+            },
         }
     }
 
@@ -892,6 +915,16 @@ mod tests {
             let mut r = WireReader::new(&bytes);
             prop_assert_eq!(ProcOpts::decode(&mut r), opts);
             prop_assert_eq!(r.finish(), Ok(()));
+            // Cut anywhere, or followed by a byte: an error, not a value.
+            for cut in 0..bytes.len() {
+                let mut r = WireReader::new(&bytes[..cut]);
+                let _ = ProcOpts::decode(&mut r);
+                prop_assert!(r.finish().is_err(), "cut to {} of {} bytes", cut, bytes.len());
+            }
+            bytes.push(0);
+            let mut r = WireReader::new(&bytes);
+            let _ = ProcOpts::decode(&mut r);
+            prop_assert!(r.finish().is_err(), "one byte more");
         }
     }
 

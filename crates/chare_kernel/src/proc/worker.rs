@@ -46,8 +46,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, Replayable,
-    StepKind};
+use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind};
 
 use crate::envelope::SysMsg;
 use crate::pool;
@@ -78,10 +77,10 @@ const FLUSH_EVERY_STEPS: u32 = 16;
 /// `main`, or as the first line of the test a
 /// [`ProcConfig::for_test`](super::ProcConfig::for_test) re-invokes.
 /// `build` must construct the same program the parent runs from the
-/// opaque spec string (run-level knobs — reliable delivery, tracing,
-/// metrics, RNG seed — are shipped from the parent and applied on top,
-/// so only the structural registrations need to match; the fingerprint
-/// handshake verifies the wire table did).
+/// opaque spec string (how it is run — the parent program's whole
+/// `RunOpts`, strategies included — is shipped from the parent and
+/// installed on top, so only the registrations need to match; the
+/// fingerprint handshake verifies the wire table did).
 ///
 /// When diverting, this function **never returns**: it runs the PE to
 /// completion and exits the process.
@@ -216,10 +215,9 @@ impl NetCtx for ProcCtx {
             });
             return;
         }
-        // Every kernel egress payload is a SysMsg (possibly behind a
-        // Replayable retransmission generator); materialize one copy
-        // and encode it. Frame body: [sent_ns][declared bytes][sys].
-        let payload = Replayable::materialize(payload);
+        // Every kernel egress payload is a SysMsg (a retransmission is
+        // a fresh `RelData` around the same slot); encode it. Frame
+        // body: [sent_ns][declared bytes][sys].
         let sys = payload.downcast::<SysMsg>().unwrap_or_else(|_| {
             panic!("procs backend can only ship kernel SysMsg payloads across PEs")
         });
@@ -260,8 +258,7 @@ impl NetCtx for ProcCtx {
 
 /// Deliver queued self-sends (produced by the handler that just ran).
 fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    while let Some(mut pkt) = ctx.local.pop_front() {
-        pkt.payload = Replayable::materialize(pkt.payload);
+    while let Some(pkt) = ctx.local.pop_front() {
         node.incoming(pkt);
     }
 }
@@ -318,9 +315,15 @@ fn spawn_data_reader(me: u32, from: u32, stream: Stream, tx: Sender<Ev>) {
 }
 
 /// The control handshake up to `Go`: connect to the parent, bind the
-/// data listener, say `Hello`. Returns the control stream, the data
-/// listener, and what `Go` said.
-fn handshake(rank: u32, fingerprint: u64, addr: &str) -> (Stream, Listener, Go) {
+/// data listener, say `Hello`, and install the parent's `RunOpts` —
+/// whole, in the one statement every run option crosses the process
+/// boundary by, and checked as [`Program::with_opts`] checks any (a
+/// `Go` with a zero send window ends this worker with the
+/// `ReliableConfigError` text, not the run in a hang). Returns the
+/// control stream, the data listener, what `Go` said, and the program as
+/// the parent runs it.
+fn handshake(rank: u32, prog: &Program, addr: &str) -> (Stream, Listener, Go, Program) {
+    let fingerprint = prog.registry().wire.fingerprint();
     let mut ctl = Stream::connect_retry(addr, Instant::now() + HANDSHAKE_TIMEOUT)
         .unwrap_or_else(|e| panic!("worker {rank}: connect control {addr}: {e}"));
     ctl.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).expect("set timeout");
@@ -354,7 +357,8 @@ fn handshake(rank: u32, fingerprint: u64, addr: &str) -> (Stream, Listener, Go) 
         go.peers.len(),
         go.opts.npes
     );
-    (ctl, listener, go)
+    let prog = prog.with_opts(|run| *run = go.opts.run.clone());
+    (ctl, listener, go, prog)
 }
 
 /// Wire the data mesh: worker `rank` accepts from every `j > rank` and
@@ -401,11 +405,9 @@ fn mesh(rank: u32, listener: Listener, peer_addrs: &[String]) -> Vec<Option<Stre
 }
 
 /// Run worker PE `rank` to completion and exit the process.
-fn run_worker(rank: u32, mut prog: Program, addr: &str, mut crash: Option<CrashHook>) -> ! {
-    let (mut ctl, listener, Go { peers, opts }) =
-        handshake(rank, prog.registry().wire.fingerprint(), addr);
+fn run_worker(rank: u32, prog: Program, addr: &str, mut crash: Option<CrashHook>) -> ! {
+    let (mut ctl, listener, Go { peers, opts }, prog) = handshake(rank, &prog, addr);
     let npes = opts.npes;
-    prog.set_run_overrides(opts.rng_seed, opts.reliable, opts.tracing, opts.metrics);
     let links = mesh(rank, listener, &peers);
 
     // -- reader threads and scheduler channel -----------------------------
@@ -614,6 +616,9 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proc::{ProcOpts, ProcTransport};
+    use crate::program::RunOpts;
+    use crate::reliable::ReliableConfig;
     use std::os::unix::net::UnixStream;
 
     /// PE 0 of an `npes` machine whose every outgoing link is one end of
@@ -710,6 +715,58 @@ mod tests {
         }
         assert_eq!(arrived_at, Some(FLUSH_EVERY_STEPS));
         assert_eq!(buffered(&ctx), vec![0]);
+    }
+
+    /// One worker-side handshake against a parent played by hand, which
+    /// answers `Hello` with a `Go` that says to run as `run`.
+    fn handshake_told(run: RunOpts) -> std::thread::Result<Program> {
+        static RUNS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let n = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("ck-worker-test-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (parent, addr) = Listener::bind(ProcTransport::Uds, &dir, "ctl").unwrap();
+        let worker = std::thread::spawn(move || {
+            let as_built = crate::program::ProgramBuilder::new().build();
+            handshake(0, &as_built, &addr).3
+        });
+        let mut ctl = parent.accept_deadline(Instant::now() + Duration::from_secs(5)).unwrap();
+        assert!(matches!(recv_ctl(&mut ctl), Ok(CtlMsg::Hello(h)) if h.rank == 0));
+        let opts = ProcOpts {
+            npes: 1,
+            topology: multicomputer::Topology::Ring,
+            batch_bytes: 1,
+            batch_frames: 1,
+            loss: None,
+            run,
+        };
+        send_ctl(&mut ctl, &CtlMsg::Go(Box::new(Go { peers: vec![String::new()], opts }))).unwrap();
+        let installed = worker.join();
+        let _ = std::fs::remove_dir_all(&dir);
+        installed
+    }
+
+    #[test]
+    fn run_options_in_go_are_installed_whole_and_checked_like_with_reliable() {
+        let told = RunOpts {
+            queueing: crate::queueing::QueueingStrategy::Lifo,
+            balance: crate::balance::BalanceStrategy::Random,
+            bcast: crate::bcast::BroadcastMode::Direct,
+            combining: true,
+            rng_seed: 9,
+            reliable: Some(ReliableConfig { window: 3, ..ReliableConfig::default() }),
+            tracing: Some(Default::default()),
+            metrics: Some(Default::default()),
+        };
+        let prog = handshake_told(told.clone()).expect("a deliverable config installs");
+        assert_eq!(prog.opts(), &told, "the parent's options replace the worker's own, whole");
+        // A parent cannot say this through the API — its own program
+        // went through the same check — so the `Go` is written by hand.
+        // The worker must refuse it by name, not boot into a hang.
+        let dead = ReliableConfig { window: 0, ..ReliableConfig::default() };
+        let refused = handshake_told(RunOpts { reliable: Some(dead), ..told });
+        let panic = refused.err().expect("a zero send window must not be installed");
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*text, dead.validate().unwrap_err().to_string());
     }
 
     /// Collects what `incoming` is handed.

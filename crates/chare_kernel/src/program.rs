@@ -2,11 +2,14 @@
 //!
 //! A [`ProgramBuilder`] registers chare types, branch-office chares and
 //! specifically shared variables (mirroring the tables the C kernel's
-//! translator emitted), picks the queueing and load-balancing strategies,
-//! and names the main chare. The resulting [`Program`] is immutable and
+//! translator emitted) and names the main chare: that is what a program
+//! *is*. How it is *run* — the queueing and load-balancing strategies
+//! and the six other run-level knobs — is one [`RunOpts`] value beside
+//! the registrations. The resulting [`Program`] is immutable and
 //! reusable: the same program can be run on the discrete-event simulator
-//! at many machine sizes and on the thread backend, which is exactly how
-//! the experiment harness sweeps the paper's parameter spaces.
+//! at many machine sizes, on the thread and process backends, and under
+//! other options ([`Program::with_opts`]), which is exactly how the
+//! experiment harness sweeps the paper's parameter spaces.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,31 +38,54 @@ use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
 use crate::trace::{TraceConfig, TraceLog};
 use crate::transport::Transport;
 
-/// Builder for a chare-kernel program.
-pub struct ProgramBuilder {
-    reg: Registry,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-    bcast: BroadcastMode,
-    combining: bool,
-    rng_seed: u64,
-    reliable: Option<ReliableConfig>,
-    tracing: Option<TraceConfig>,
-    metrics: Option<MetricsConfig>,
+/// How a program is run, as opposed to what it is: the eight run-level
+/// knobs, declared here and nowhere else. A [`ProgramBuilder`] sets them
+/// while it registers, [`Program::with_opts`] changes them on a built
+/// program, the node factory reads them, and the procs backend ships
+/// them whole to every worker — so a knob added here reaches every
+/// backend by construction.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunOpts {
+    /// Scheduler queueing strategy (default FIFO).
+    pub queueing: QueueingStrategy,
+    /// Dynamic load balancing strategy (default none).
+    pub balance: BalanceStrategy,
+    /// How kernel broadcasts are distributed (default spanning tree;
+    /// `Direct` exists for the ablation experiment).
+    pub bcast: BroadcastMode,
+    /// Message combining: remote messages produced within one
+    /// scheduling step travel as a single batch per destination,
+    /// paying the per-message software overhead once. Off by default
+    /// (the ablation experiment measures its effect).
+    pub combining: bool,
+    /// Seed of the kernel's per-PE RNGs (placement randomness). Fixed
+    /// by default: runs are deterministic unless reseeded.
+    pub rng_seed: u64,
+    /// Reliable inter-PE delivery: every remote message travels in a
+    /// sequence-numbered frame that is acknowledged, deduplicated and
+    /// retransmitted with exponential backoff, and seeds bound for
+    /// unresponsive PEs are re-dispatched elsewhere. Needed when the
+    /// simulated machine injects faults ([`SimConfig::with_faults`]);
+    /// pure overhead (but harmless) on a lossless machine.
+    pub reliable: Option<ReliableConfig>,
+    /// Kernel event tracing: every node records structured events
+    /// (entry begin/end, message send/recv, seed balance decisions,
+    /// retransmits, queue samples) into per-PE ring buffers, collected
+    /// into [`CkReport::trace`] after the run. Recording is passive —
+    /// results and timing are identical with tracing on or off.
+    pub tracing: Option<TraceConfig>,
+    /// Streaming metrics: every node folds interval time slices,
+    /// latency/grain histograms, queue high-watermarks and a flight
+    /// recorder online (O(PEs × buckets) memory, independent of run
+    /// length), collected into [`CkReport::metrics`] after the run.
+    /// Recording is passive — results and timing are identical with
+    /// metrics on or off.
+    pub metrics: Option<MetricsConfig>,
 }
 
-impl Default for ProgramBuilder {
+impl Default for RunOpts {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProgramBuilder {
-    /// A builder with FIFO queueing, no load balancing, and a fixed
-    /// default RNG seed (runs are deterministic unless reseeded).
-    pub fn new() -> Self {
-        ProgramBuilder {
-            reg: Registry::new(),
+        RunOpts {
             queueing: QueueingStrategy::Fifo,
             balance: BalanceStrategy::Local,
             bcast: BroadcastMode::Tree,
@@ -69,6 +95,37 @@ impl ProgramBuilder {
             tracing: None,
             metrics: None,
         }
+    }
+}
+
+crate::wire_struct!(RunOpts {
+    queueing,
+    balance,
+    bcast,
+    combining,
+    rng_seed,
+    reliable,
+    tracing,
+    metrics,
+});
+
+/// Builder for a chare-kernel program.
+pub struct ProgramBuilder {
+    reg: Registry,
+    opts: RunOpts,
+}
+
+impl Default for ProgramBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ProgramBuilder {
+    /// A builder with nothing registered and the default [`RunOpts`]
+    /// (FIFO queueing, no load balancing, a fixed RNG seed).
+    pub fn new() -> Self {
+        ProgramBuilder { reg: Registry::new(), opts: RunOpts::default() }
     }
 
     /// Register a chare type; the returned [`Kind`] is used with
@@ -130,78 +187,52 @@ impl ProgramBuilder {
         });
     }
 
-    /// Choose the scheduler queueing strategy (default FIFO).
+    /// Set [`RunOpts::queueing`].
     pub fn queueing(&mut self, q: QueueingStrategy) -> &mut Self {
-        self.queueing = q;
+        self.opts.queueing = q;
         self
     }
 
-    /// Choose the dynamic load balancing strategy (default none).
+    /// Set [`RunOpts::balance`].
     pub fn balance(&mut self, b: BalanceStrategy) -> &mut Self {
-        self.balance = b;
+        self.opts.balance = b;
         self
     }
 
-    /// Choose how kernel broadcasts are distributed (default spanning
-    /// tree; `Direct` exists for the ablation experiment).
+    /// Set [`RunOpts::bcast`].
     pub fn broadcast_mode(&mut self, mode: BroadcastMode) -> &mut Self {
-        self.bcast = mode;
+        self.opts.bcast = mode;
         self
     }
 
-    /// Enable message combining: remote messages produced within one
-    /// scheduling step travel as a single batch per destination,
-    /// paying the per-message software overhead once. Off by default
-    /// (the ablation experiment measures its effect).
+    /// Set [`RunOpts::combining`].
     pub fn combining(&mut self, on: bool) -> &mut Self {
-        self.combining = on;
+        self.opts.combining = on;
         self
     }
 
-    /// Reseed the kernel's per-PE RNGs (placement randomness).
+    /// Set [`RunOpts::rng_seed`].
     pub fn rng_seed(&mut self, seed: u64) -> &mut Self {
-        self.rng_seed = seed;
+        self.opts.rng_seed = seed;
         self
     }
 
-    /// Enable reliable inter-PE delivery: every remote message travels
-    /// in a sequence-numbered frame that is acknowledged, deduplicated
-    /// and retransmitted with exponential backoff, and seeds bound for
-    /// unresponsive PEs are re-dispatched elsewhere. Needed when the
-    /// simulated machine injects faults ([`SimConfig::with_faults`]);
-    /// pure overhead (but harmless) on a lossless machine.
-    ///
-    /// # Panics
-    ///
-    /// On a degenerate config ([`ReliableConfig::validate`]): a zero
-    /// send window or zero retransmit timeout cannot deliver anything,
-    /// and failing here beats diagnosing the resulting boot-time hang.
+    /// Set [`RunOpts::reliable`]; a degenerate config panics in
+    /// [`build`](Self::build), as in [`Program::with_opts`].
     pub fn reliable(&mut self, cfg: ReliableConfig) -> &mut Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
-        self.reliable = Some(cfg);
+        self.opts.reliable = Some(cfg);
         self
     }
 
-    /// Enable kernel event tracing: every node records structured events
-    /// (entry begin/end, message send/recv, seed balance decisions,
-    /// retransmits, queue samples) into per-PE ring buffers, collected
-    /// into [`CkReport::trace`] after the run. Recording is passive —
-    /// results and timing are identical with tracing on or off.
+    /// Set [`RunOpts::tracing`].
     pub fn tracing(&mut self, cfg: TraceConfig) -> &mut Self {
-        self.tracing = Some(cfg);
+        self.opts.tracing = Some(cfg);
         self
     }
 
-    /// Enable streaming metrics: every node folds interval time slices,
-    /// latency/grain histograms, queue high-watermarks and a flight
-    /// recorder online (O(PEs × buckets) memory, independent of run
-    /// length), collected into [`CkReport::metrics`] after the run.
-    /// Recording is passive — results and timing are identical with
-    /// metrics on or off.
+    /// Set [`RunOpts::metrics`].
     pub fn metrics(&mut self, cfg: MetricsConfig) -> &mut Self {
-        self.metrics = Some(cfg);
+        self.opts.metrics = Some(cfg);
         self
     }
 
@@ -220,85 +251,69 @@ impl ProgramBuilder {
 
     /// Finalize into an immutable, reusable [`Program`].
     pub fn build(self) -> Program {
-        Program {
-            reg: Arc::new(self.reg),
-            queueing: self.queueing,
-            balance: self.balance,
-            bcast: self.bcast,
-            combining: self.combining,
-            rng_seed: self.rng_seed,
-            reliable: self.reliable,
-            tracing: self.tracing,
-            metrics: self.metrics,
-        }
+        let registered = Program { reg: Arc::new(self.reg), opts: RunOpts::default() };
+        registered.with_opts(|o| *o = self.opts)
     }
 }
 
-/// An immutable chare-kernel program, runnable on either backend at any
-/// machine size.
+/// An immutable chare-kernel program — its registrations — and the
+/// [`RunOpts`] it runs under, runnable on any backend at any machine
+/// size.
 #[derive(Clone)]
 pub struct Program {
     reg: Arc<Registry>,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-    bcast: BroadcastMode,
-    combining: bool,
-    rng_seed: u64,
-    reliable: Option<ReliableConfig>,
-    tracing: Option<TraceConfig>,
-    metrics: Option<MetricsConfig>,
+    opts: RunOpts,
 }
 
 impl Program {
-    /// The program's queueing strategy.
-    pub fn queueing_strategy(&self) -> QueueingStrategy {
-        self.queueing
+    /// How this program is run.
+    pub fn opts(&self) -> &RunOpts {
+        &self.opts
     }
 
-    /// The program's balancing strategy.
-    pub fn balance_strategy(&self) -> &BalanceStrategy {
-        &self.balance
-    }
-
-    /// A copy of this program with message combining enabled — sugar for
-    /// ablation sweeps over an already-built program.
-    pub fn with_combining(&self) -> Program {
-        let mut p = self.clone();
-        p.combining = true;
-        p
-    }
-
-    /// A copy of this program with reliable delivery enabled — sugar
-    /// for resilience sweeps over an already-built program.
+    /// A copy of this program — the same registrations — run
+    /// differently: `change` edits a copy of its [`RunOpts`]. Every way
+    /// of setting a run option ends here (the builder's setters through
+    /// [`ProgramBuilder::build`], the `with_*` sugar below, a procs
+    /// worker installing what its parent shipped), so this is the one
+    /// place a [`ReliableConfig`] is checked.
     ///
     /// # Panics
     ///
-    /// On a degenerate config, like [`ProgramBuilder::reliable`].
-    pub fn with_reliable(&self, cfg: ReliableConfig) -> Program {
-        if let Err(e) = cfg.validate() {
+    /// On a degenerate config ([`ReliableConfig::validate`]): a zero
+    /// send window or zero retransmit timeout cannot deliver anything,
+    /// and failing here beats diagnosing the resulting boot-time hang.
+    pub fn with_opts(&self, change: impl FnOnce(&mut RunOpts)) -> Program {
+        let mut p = self.clone();
+        change(&mut p.opts);
+        if let Some(Err(e)) = p.opts.reliable.map(|cfg| cfg.validate()) {
             panic!("{e}");
         }
-        let mut p = self.clone();
-        p.reliable = Some(cfg);
         p
     }
 
-    /// A copy of this program with kernel event tracing enabled — sugar
-    /// for post-mortem analysis of an already-built program (see
-    /// [`ProgramBuilder::tracing`]).
+    /// [`with_opts`](Self::with_opts) setting [`RunOpts::combining`] —
+    /// sugar for ablation sweeps over an already-built program.
+    pub fn with_combining(&self) -> Program {
+        self.with_opts(|o| o.combining = true)
+    }
+
+    /// [`with_opts`](Self::with_opts) setting [`RunOpts::reliable`] —
+    /// sugar for resilience sweeps over an already-built program.
+    pub fn with_reliable(&self, cfg: ReliableConfig) -> Program {
+        self.with_opts(|o| o.reliable = Some(cfg))
+    }
+
+    /// [`with_opts`](Self::with_opts) setting [`RunOpts::tracing`] —
+    /// sugar for post-mortem analysis of an already-built program.
     pub fn with_tracing(&self, cfg: TraceConfig) -> Program {
-        let mut p = self.clone();
-        p.tracing = Some(cfg);
-        p
+        self.with_opts(|o| o.tracing = Some(cfg))
     }
 
-    /// A copy of this program with streaming metrics enabled — sugar
-    /// for telemetry over an already-built program (see
-    /// [`ProgramBuilder::metrics`]).
+    /// [`with_opts`](Self::with_opts) setting [`RunOpts::metrics`] —
+    /// sugar for telemetry over an already-built program.
     pub fn with_metrics(&self, cfg: MetricsConfig) -> Program {
-        let mut p = self.clone();
-        p.metrics = Some(cfg);
-        p
+        self.with_opts(|o| o.metrics = Some(cfg))
     }
 
     /// One recording sink per run, sized for `npes` PEs (shared by the
@@ -313,9 +328,9 @@ impl Program {
         dispatch_ns: u64,
         ctl_dispatch_ns: u64,
     ) -> Option<Arc<ProbeSink>> {
-        (self.tracing.is_some() || self.metrics.is_some()).then(|| {
-            ProbeSink::shared(npes, self.tracing, self.metrics, dispatch_ns, ctl_dispatch_ns)
-        })
+        let RunOpts { tracing, metrics, .. } = self.opts;
+        (tracing.is_some() || metrics.is_some())
+            .then(|| ProbeSink::shared(npes, tracing, metrics, dispatch_ns, ctl_dispatch_ns))
     }
 
     /// The program's registry (shared with every node built from it).
@@ -335,45 +350,6 @@ impl Program {
     /// the procs backend, where every crossing body must be `Wire`.
     pub fn is_wired(&self) -> bool {
         self.reg.wire.has_user_types()
-    }
-
-    /// The program's reliable-delivery config, if any.
-    pub(crate) fn reliable_cfg(&self) -> Option<ReliableConfig> {
-        self.reliable
-    }
-
-    /// The program's tracing config, if any.
-    pub(crate) fn tracing_cfg(&self) -> Option<TraceConfig> {
-        self.tracing
-    }
-
-    /// The program's metrics config, if any.
-    pub(crate) fn metrics_cfg(&self) -> Option<MetricsConfig> {
-        self.metrics
-    }
-
-    /// The program's placement-RNG seed.
-    pub(crate) fn rng_seed_val(&self) -> u64 {
-        self.rng_seed
-    }
-
-    /// Overwrite the run-level knobs with the ones a worker process
-    /// received from its parent in `Go` (after the handshake, before it
-    /// builds its node), so `with_reliable` / `with_tracing` /
-    /// `with_metrics` / `rng_seed` applied to the parent's program
-    /// propagate across the process boundary without the spec-builder
-    /// having to re-derive them.
-    pub(crate) fn set_run_overrides(
-        &mut self,
-        rng_seed: u64,
-        reliable: Option<ReliableConfig>,
-        tracing: Option<TraceConfig>,
-        metrics: Option<MetricsConfig>,
-    ) {
-        self.rng_seed = rng_seed;
-        self.reliable = reliable;
-        self.tracing = tracing;
-        self.metrics = metrics;
     }
 
     pub(crate) fn factory(&self, topology: Topology, sink: Option<Arc<ProbeSink>>) -> CkFactory {
@@ -509,15 +485,15 @@ impl NodeFactory for CkFactory {
         if neighbors.len() > 8 {
             neighbors = Topology::Hypercube.neighbors(pe, npes);
         }
-        let prog = &self.prog;
-        let balancer = prog.balance.make(pe, npes, neighbors);
+        let opts = &self.prog.opts;
+        let balancer = opts.balance.make(pe, npes, neighbors);
         CkNode::new(
             pe,
             npes,
-            Arc::clone(&prog.reg),
-            prog.queueing.make(),
-            SeedManager::new(balancer, pe, prog.rng_seed),
-            Transport::new(pe, npes, prog.bcast, prog.combining, prog.reliable),
+            Arc::clone(&self.prog.reg),
+            opts.queueing.make(),
+            SeedManager::new(balancer, pe, opts.rng_seed),
+            Transport::new(pe, npes, opts.bcast, opts.combining, opts.reliable),
             self.sink.as_ref().map(|s| s.probe_for(pe)),
         )
     }

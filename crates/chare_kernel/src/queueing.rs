@@ -226,7 +226,7 @@ const INT_HEADROOM: i128 = 128;
 
 /// Integer-priority queue: smaller key pops first, FIFO among equals.
 ///
-/// Bucketed bitmap design: a window of [`INT_WINDOW`] consecutive keys,
+/// Bucketed bitmap design: a window of `INT_WINDOW` consecutive keys,
 /// anchored near the first key pushed, maps each key to a FIFO bucket;
 /// a bitmap word per 64 buckets finds the lowest occupied bucket in a
 /// few `trailing_zeros`. Push and pop are O(1) for in-window keys —

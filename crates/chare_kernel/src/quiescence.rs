@@ -21,7 +21,7 @@
 //!
 //! As a stratum this is a service above the transport: it **owns** PE
 //! 0's `QdCoordinator` and the handler for the `Qd*` kernel messages
-//! ([`handle`]), and **may call** only the transport, through the `Port`
+//! (`handle`), and **may call** only the transport, through the `Port`
 //! it is handed. Whether the PE is busy arrives as an argument.
 
 use std::sync::Arc;

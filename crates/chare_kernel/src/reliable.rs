@@ -39,7 +39,7 @@
 //! retransmissions, duplicates and acks touch neither counter. The
 //! kernel additionally refuses to report itself idle to the QD
 //! coordinator while any *user-counted* frame is unacknowledged or any
-//! arrival waits in a reorder buffer ([`RelState::quiet`]) — but not
+//! arrival waits in a reorder buffer (`RelState::quiet`) — but not
 //! while mere control frames (the QD poll itself, load reports) are in
 //! flight, which would deadlock detection against its own traffic.
 //!
@@ -50,7 +50,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use multicomputer::{Cost, Payload, Pe, Replayable};
+use multicomputer::{Cost, Payload, Pe};
 
 use crate::envelope::{RelSlot, SysMsg};
 
@@ -263,28 +263,25 @@ pub(crate) fn rel_ack_wire_bytes(n: usize) -> u32 {
     crate::envelope::ENVELOPE_HEADER + 4 + 8 * n as u32
 }
 
-/// Build the wire payload for a reliable frame. `Replayable` so the
-/// simulator's duplication fault can actually copy it — which is what
-/// exercises receiver-side dedup.
-pub(crate) fn frame_payload(seq: u64, inner_bytes: u32, slot: &RelSlot) -> Payload {
-    let slot = Arc::clone(slot);
-    Replayable::wrap(move || {
-        crate::pool::payload(SysMsg::RelData {
-            seq,
-            bytes: inner_bytes,
-            slot: Arc::clone(&slot),
-        })
-    })
-}
-
-/// Build the wire payload for an ack frame (also duplicable: acks are
-/// idempotent).
-pub(crate) fn ack_payload(seqs: Vec<u64>) -> Payload {
-    Replayable::wrap(move || {
-        let mut copy = crate::pool::seq_vec();
-        copy.extend_from_slice(&seqs);
-        crate::pool::payload(SysMsg::RelAck { seqs: copy })
-    })
+/// A second copy of a packet, for the simulator's duplication fault
+/// (`NodeProgram::duplicate`) — which is what exercises receiver-side
+/// dedup. Only this layer's own traffic can be copied: a frame (its
+/// copy shares the slot, so whichever arrives first delivers the body)
+/// and an ack (idempotent). Anything else travels bare only when
+/// reliable delivery is off, where a repeat would be a protocol error.
+pub(crate) fn duplicate(payload: &Payload) -> Option<Payload> {
+    let copy = match payload.downcast_ref::<SysMsg>()? {
+        SysMsg::RelData { seq, bytes, slot } => {
+            SysMsg::RelData { seq: *seq, bytes: *bytes, slot: Arc::clone(slot) }
+        }
+        SysMsg::RelAck { seqs } => {
+            let mut copy = crate::pool::seq_vec();
+            copy.extend_from_slice(seqs);
+            SysMsg::RelAck { seqs: copy }
+        }
+        _ => return None,
+    };
+    Some(crate::pool::payload(copy))
 }
 
 impl RelState {
@@ -911,15 +908,22 @@ mod tests {
     #[test]
     fn frame_payload_materializes_shared_slot() {
         let slot: RelSlot = Arc::new(Mutex::new(Some(msg())));
-        let p = frame_payload(9, 32, &slot);
-        let m = Replayable::materialize(p);
-        let sys = m.downcast::<SysMsg>().unwrap();
-        match *sys {
-            SysMsg::RelData { seq, bytes, slot } => {
-                assert_eq!((seq, bytes), (9, 32));
-                assert!(slot.lock().unwrap().take().is_some());
+        let frame = SysMsg::RelData { seq: 9, bytes: 32, slot: Arc::clone(&slot) };
+        let p = crate::pool::payload(frame);
+        let copy = duplicate(&p).expect("a frame can be copied");
+        for m in [p, copy] {
+            match *m.downcast::<SysMsg>().unwrap() {
+                SysMsg::RelData { seq, bytes, slot: shared } => {
+                    assert_eq!((seq, bytes), (9, 32));
+                    assert!(Arc::ptr_eq(&shared, &slot), "every copy shares the one slot");
+                }
+                _ => panic!("wrong frame"),
             }
-            _ => panic!("wrong frame"),
         }
+        assert!(slot.lock().unwrap().take().is_some());
+        let ack = crate::pool::payload(SysMsg::RelAck { seqs: vec![3, 4] });
+        let again = duplicate(&ack).expect("an ack can be copied");
+        assert!(matches!(again.downcast_ref(), Some(SysMsg::RelAck { seqs }) if *seqs == [3, 4]));
+        assert!(duplicate(&crate::pool::payload(msg())).is_none(), "bare traffic is opaque");
     }
 }

@@ -25,8 +25,7 @@ use crate::ids::Notify;
 use crate::priority::Priority;
 use crate::probe::{emit, Probe};
 use crate::reliable::{
-    ack_payload, frame_payload, frame_wire_bytes, rel_ack_wire_bytes, Accept, Frame, RedirectSeed,
-    RelState, ReliableConfig,
+    frame_wire_bytes, rel_ack_wire_bytes, Accept, Frame, RedirectSeed, RelState, ReliableConfig,
 };
 use crate::stats::KernelCounters;
 use crate::trace::{EventKind, MsgClass};
@@ -242,11 +241,10 @@ impl Port<'_> {
     /// ends up at the earliest deadline outstanding.
     fn frames(&mut self, now: u64, frames: impl IntoIterator<Item = Frame>) {
         for f in frames {
-            self.net.send(
-                f.to,
-                frame_wire_bytes(f.inner_bytes),
-                frame_payload(f.seq, f.inner_bytes, &f.slot),
-            );
+            // The slot stays shared with the retransmit buffer, so every
+            // copy of the frame on the wire carries the one body.
+            let frame = SysMsg::RelData { seq: f.seq, bytes: f.inner_bytes, slot: f.slot };
+            self.net.send(f.to, frame_wire_bytes(f.inner_bytes), crate::pool::payload(frame));
         }
         let rel = self.t.rel.as_mut().expect("frames imply reliable delivery");
         if let Some(after) = rel.rearm(now) {
@@ -271,7 +269,7 @@ impl Port<'_> {
         let did = !acks.is_empty() || !ready.is_empty();
         for (to, seqs) in acks {
             let bytes = rel_ack_wire_bytes(seqs.len());
-            self.net.send(to, bytes, ack_payload(seqs));
+            self.net.send(to, bytes, crate::pool::payload(SysMsg::RelAck { seqs }));
             self.counters.acks_sent += 1;
         }
         if !ready.is_empty() {
@@ -432,7 +430,6 @@ pub(crate) mod testnet {
 mod tests {
     use super::testnet::MockNet;
     use super::*;
-    use multicomputer::Replayable;
 
     /// One end of a link: a transport with everything a `Port` borrows,
     /// and nothing else — no node, no registry.
@@ -494,13 +491,13 @@ mod tests {
         let mut drops = 0;
         for (dest, _, payload) in std::mem::take(&mut from.net.sent) {
             assert_eq!(dest, to.t.pe);
-            let copy = payload.downcast::<Replayable>().expect("reliable traffic is replayable");
             match fates.next().unwrap_or(Fate::Deliver) {
                 Fate::Drop => drops += 1,
-                Fate::Deliver => to.receive(from.t.pe, (copy.0)()),
+                Fate::Deliver => to.receive(from.t.pe, payload),
                 Fate::Duplicate => {
-                    to.receive(from.t.pe, (copy.0)());
-                    to.receive(from.t.pe, (copy.0)());
+                    let copy = crate::reliable::duplicate(&payload);
+                    to.receive(from.t.pe, copy.expect("reliable traffic can be copied"));
+                    to.receive(from.t.pe, payload);
                 }
             }
         }

@@ -13,7 +13,7 @@
 //!   snapshot types. Applications implement it for their message and
 //!   seed types, usually via the [`wire_struct!`](crate::wire_struct)
 //!   field-list macro;
-//! * a **wire table** inside the program [`Registry`]: message *bodies*
+//! * a **wire table** inside the program `Registry`: message *bodies*
 //!   are type-erased (`Box<dyn Any>`), so each concrete body type a
 //!   program sends between PEs must be registered up front with
 //!   [`ProgramBuilder::wire`](crate::program::ProgramBuilder::wire).
@@ -21,7 +21,7 @@
 //!   the parent and every worker process construct the *same* program
 //!   (same registration sequence), the tags agree, and a fingerprint of
 //!   the table is checked at the socket handshake to catch drift;
-//! * [`encode_sys`]/[`decode_sys`] — the envelope codec covering every
+//! * `encode_sys`/`decode_sys` — the envelope codec covering every
 //!   `SysMsg` variant, including the awkward ones: spanning-tree
 //!   broadcasts carry a generator closure (encoded by materializing one
 //!   copy; decoded into a closure that re-decodes the captured bytes
@@ -45,10 +45,13 @@ use std::sync::{Arc, Mutex};
 
 use multicomputer::{Cost, Pe, Topology};
 
+use crate::balance::BalanceStrategy;
+use crate::bcast::BroadcastMode;
 use crate::envelope::{MsgBody, Seed, SysMsg};
 use crate::ids::{AccId, BocId, ChareId, ChareKind, EpId, MonoId, Notify, RoId, TableId, WoId};
 use crate::metrics::MetricsConfig;
 use crate::priority::{BitPrio, Priority};
+use crate::queueing::QueueingStrategy;
 use crate::registry::Registry;
 use crate::reliable::ReliableConfig;
 use crate::trace::{EntryWhat, EventKind, MsgClass, TraceConfig, TraceEvent};
@@ -722,6 +725,38 @@ impl Wire for Topology {
             3 => Topology::FullyConnected,
             _ => Topology::Bus,
         }
+    }
+}
+
+impl Wire for QueueingStrategy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        QueueingStrategy::ALL[r.tag(4, "a QueueingStrategy tag") as usize]
+    }
+}
+
+impl Wire for BroadcastMode {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        [BroadcastMode::Tree, BroadcastMode::Direct][r.tag(2, "a BroadcastMode tag") as usize]
+    }
+}
+
+/// Travels as its `Display` text: the spec grammar's printer and parser
+/// already know every variant and ACWN's two numbers.
+impl Wire for BalanceStrategy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_string().encode(out);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        String::decode(r).parse().unwrap_or_else(|_| {
+            r.fail("a balance strategy as `Display` prints it");
+            BalanceStrategy::Local
+        })
     }
 }
 

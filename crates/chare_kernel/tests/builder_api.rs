@@ -72,8 +72,33 @@ fn strategy_accessors_reflect_configuration() {
     b.balance(BalanceStrategy::acwn());
     b.main(kind, 1u64);
     let prog = b.build();
-    assert_eq!(prog.queueing_strategy(), QueueingStrategy::Lifo);
-    assert_eq!(prog.balance_strategy().name(), "acwn");
+    assert_eq!(prog.opts().queueing, QueueingStrategy::Lifo);
+    assert_eq!(prog.opts().balance.name(), "acwn");
+    // Everything the builder was not told is the library default, and
+    // `with_opts` changes what it is told to and nothing else.
+    let defaults = RunOpts::default();
+    assert_eq!(prog.opts().rng_seed, defaults.rng_seed);
+    assert_eq!(trivial_program(1).opts(), &defaults);
+    let direct = prog.with_opts(|o| o.bcast = BroadcastMode::Direct);
+    assert_eq!(direct.opts(), &RunOpts { bcast: BroadcastMode::Direct, ..prog.opts().clone() });
+    assert!(prog.with_combining().opts().combining && !prog.opts().combining);
+}
+
+const DEAD: ReliableConfig =
+    ReliableConfig { window: 0, timeout: Cost::millis(5), seed_retry_limit: 5 };
+
+#[test]
+#[should_panic(expected = "window must be >= 1")]
+fn a_degenerate_reliable_config_is_refused_by_build() {
+    let mut b = ProgramBuilder::new();
+    b.reliable(DEAD);
+    b.build();
+}
+
+#[test]
+#[should_panic(expected = "window must be >= 1")]
+fn a_degenerate_reliable_config_is_refused_by_with_opts() {
+    trivial_program(0).with_opts(|o| o.reliable = Some(DEAD));
 }
 
 #[test]

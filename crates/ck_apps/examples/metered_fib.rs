@@ -12,7 +12,7 @@ use multicomputer::{MachinePreset, SimConfig};
 
 fn main() {
     let params = fib::FibParams { n: 18, grain: 10 };
-    let prog = fib::build_default(params).with_metrics(MetricsConfig::default());
+    let prog = fib::build(params).with_metrics(MetricsConfig::default());
     let mut report = prog.run_sim(SimConfig::preset(8, MachinePreset::NcubeLike));
 
     let result = report.take_result::<u64>().expect("fib must produce a result");

@@ -10,7 +10,7 @@ use chare_kernel::prelude::*;
 use ck_apps::fib;
 
 fn main() {
-    let prog = fib::build_default(fib::FibParams { n: 18, grain: 10 })
+    let prog = fib::build(fib::FibParams { n: 18, grain: 10 })
         .with_tracing(TraceConfig::default());
     let cfg = SimConfig::preset(8, MachinePreset::NcubeLike).with_trace();
     let mut rep = prog.run_sim(cfg);

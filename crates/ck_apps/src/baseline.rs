@@ -474,7 +474,7 @@ mod tests {
     fn kernel_jacobi_overhead_vs_raw() {
         let params = JacobiParams { n: 64, iters: 8 };
         let (_, raw_t) = raw_jacobi(params, 4, MachinePreset::NcubeLike);
-        let prog = crate::jacobi::build_default(params);
+        let prog = crate::jacobi::build(params);
         let kernel_t = prog.run_sim_preset(4, MachinePreset::NcubeLike).time_ns;
         let ratio = kernel_t as f64 / raw_t as f64;
         assert!(

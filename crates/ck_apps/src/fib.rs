@@ -158,26 +158,17 @@ impl Chare for FibChare {
     }
 }
 
-/// Build the fib program with the given strategies.
-pub fn build(
-    params: FibParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the fib program, to run under [`APP`]'s strategies (FIFO + ACWN)
+/// unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: FibParams) -> Program {
     let mut b = ProgramBuilder::new();
     let fib = b.chare::<FibChare>();
     let main = b.chare::<FibMain>();
     b.wire::<MainSeed>();
     b.wire::<FibSeed>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { params, fib });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO + ACWN).
-pub fn build_default(params: FibParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`, `grain`.
@@ -194,7 +185,7 @@ pub const APP: App = App {
     ends_by_qd: false,
     test_spec: "fib:n=18,grain=10",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Int(fib_seq(params(a)?.n))),
     answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
 };
@@ -233,7 +224,7 @@ mod tests {
             BalanceStrategy::Random,
             BalanceStrategy::acwn(),
         ] {
-            let prog = build(params, QueueingStrategy::Fifo, balance.clone());
+            let prog = build(params).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             assert_eq!(
                 rep.take_result::<u64>(),
@@ -247,7 +238,7 @@ mod tests {
     fn computes_fib_with_token_and_central() {
         let params = FibParams { n: 16, grain: 8 };
         for balance in [BalanceStrategy::TokenIdle, BalanceStrategy::CentralManager] {
-            let prog = build(params, QueueingStrategy::Fifo, balance.clone());
+            let prog = build(params).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
             assert_eq!(
                 rep.take_result::<u64>(),
@@ -259,7 +250,7 @@ mod tests {
 
     #[test]
     fn grain_equal_n_is_fully_sequential() {
-        let prog = build_default(FibParams { n: 15, grain: 16 });
+        let prog = build(FibParams { n: 15, grain: 16 });
         let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<u64>(), Some(fib_seq(15)));
         // Only the main chare and one leaf chare were created.
@@ -269,7 +260,7 @@ mod tests {
     #[test]
     fn parallel_run_beats_one_pe() {
         let params = FibParams { n: 22, grain: 12 };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         assert!(
@@ -281,7 +272,7 @@ mod tests {
     #[test]
     fn works_on_threads() {
         let params = FibParams { n: 20, grain: 14 };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<u64>(), Some(fib_seq(20)));
@@ -290,7 +281,7 @@ mod tests {
     #[test]
     fn deterministic_on_sim() {
         let params = FibParams { n: 18, grain: 10 };
-        let prog = build(params, QueueingStrategy::Fifo, BalanceStrategy::Random);
+        let prog = build(params).with_opts(|o| o.balance = BalanceStrategy::Random);
         let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(a.time_ns, b.time_ns);

@@ -353,13 +353,10 @@ impl Chare for JacobiMain {
     }
 }
 
-/// Build the Jacobi program. Queueing/balancing are irrelevant to this
-/// regular computation but accepted for interface uniformity.
-pub fn build(
-    params: JacobiParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the Jacobi program, to run under [`APP`]'s strategies (FIFO, no
+/// balancing — the work is static, so neither matters to this regular
+/// computation) unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: JacobiParams) -> Program {
     let mut b = ProgramBuilder::new();
     let acc = b.accumulator::<SumF64>();
     let main = b.chare::<JacobiMain>();
@@ -367,16 +364,9 @@ pub fn build(
     b.wire::<MainSeed>();
     b.wire::<GhostMsg>();
     b.wire::<AccResult<f64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { acc });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO, no balancing — the
-/// work is static).
-pub fn build_default(params: JacobiParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`, `iters`.
@@ -393,7 +383,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "jacobi:n=24,iters=6",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Float(jacobi_seq(params(a)?))),
     answer: |rep| rep.result_ref::<f64>().map(|&v| Answer::Float(v)),
 };
@@ -439,7 +429,7 @@ mod tests {
         let params = JacobiParams { n: 24, iters: 10 };
         let want = jacobi_seq(params);
         for npes in [1usize, 2, 3, 8] {
-            let prog = build_default(params);
+            let prog = build(params);
             let mut rep = prog.run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<f64>().expect("checksum");
             assert!(close(got, want), "npes={npes}: got {got}, want {want}");
@@ -450,7 +440,7 @@ mod tests {
     fn more_pes_than_rows() {
         let params = JacobiParams { n: 4, iters: 6 };
         let want = jacobi_seq(params);
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         let got = rep.take_result::<f64>().expect("checksum");
         assert!(close(got, want), "got {got}, want {want}");
@@ -459,7 +449,7 @@ mod tests {
     #[test]
     fn zero_iters_returns_initial_checksum() {
         let params = JacobiParams { n: 10, iters: 0 };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<f64>(), Some(0.0));
     }
@@ -470,7 +460,7 @@ mod tests {
         // ~1 ms — comparable to a block's compute — so Jacobi speedups
         // are honestly modest at this size, as they were in 1991.
         let params = JacobiParams { n: 192, iters: 12 };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t8 = prog.run_sim_preset(8, MachinePreset::NcubeLike).time_ns;
         let speedup = t1 as f64 / t8 as f64;
@@ -482,7 +472,7 @@ mod tests {
         // Compute grows as n^2/P while ghost traffic grows as n: the
         // surface-to-volume argument, visible in the cost model.
         let speedup = |n: usize| {
-            let prog = build_default(JacobiParams { n, iters: 6 });
+            let prog = build(JacobiParams { n, iters: 6 });
             let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
             let t8 = prog.run_sim_preset(8, MachinePreset::NcubeLike).time_ns;
             t1 as f64 / t8 as f64
@@ -499,7 +489,7 @@ mod tests {
     fn works_on_threads() {
         let params = JacobiParams { n: 32, iters: 8 };
         let want = jacobi_seq(params);
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         let got = rep.take_result::<f64>().expect("checksum");

@@ -378,11 +378,12 @@ impl Chare for ConvMain {
     }
 }
 
-/// Build the convergent Jacobi program with the given strategies.
-pub fn build(params: ConvParams, queueing: QueueingStrategy, balance: BalanceStrategy) -> Program {
+/// Build the convergent Jacobi program, to run under [`APP`]'s strategies
+/// (FIFO, no balancing — the work is static) unless told otherwise
+/// ([`Program::with_opts`]).
+pub fn build(params: ConvParams) -> Program {
     let mut b = ProgramBuilder::new();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     let maxdiff = b.accumulator::<MaxF64>();
     let checksum = b.accumulator::<SumF64>();
     let main = b.chare::<ConvMain>();
@@ -401,12 +402,6 @@ pub fn build(params: ConvParams, queueing: QueueingStrategy, balance: BalanceStr
         },
     );
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO, no balancing —
-/// the work is static).
-pub fn build_default(params: ConvParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`, `eps`, `max_iters`. The tolerance is a key because
@@ -429,7 +424,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "jconv:n=16,eps=0.001,max_iters=200",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Int(u64::from(jacobi_conv_seq(params(a)?).iters))),
     answer: |rep| rep.result_ref::<ConvResult>().map(|r| Answer::Int(u64::from(r.iters))),
 };
@@ -437,7 +432,7 @@ pub const APP: App = App {
 /// Fixed-iteration twin at the same sweep count (for the
 /// barrier-overhead comparison).
 pub fn fixed_twin(n: usize, iters: u32) -> Program {
-    crate::jacobi::build_default(JacobiParams { n, iters })
+    crate::jacobi::build(JacobiParams { n, iters })
 }
 
 #[cfg(test)]
@@ -472,7 +467,7 @@ mod tests {
         };
         let want = jacobi_conv_seq(params);
         for npes in [1usize, 3, 6] {
-            let mut rep = build_default(params).run_sim_preset(npes, MachinePreset::NcubeLike);
+            let mut rep = build(params).run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<ConvResult>().expect("result");
             assert_eq!(got.iters, want.iters, "npes={npes}");
             assert!(
@@ -491,7 +486,7 @@ mod tests {
             eps: 0.0, // unreachable tolerance
             max_iters: 7,
         };
-        let mut rep = build_default(params).run_sim_preset(4, MachinePreset::NcubeLike);
+        let mut rep = build(params).run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<ConvResult>().unwrap().iters, 7);
     }
 
@@ -504,7 +499,7 @@ mod tests {
             eps: 0.0,
             max_iters: 12,
         };
-        let conv_t = build_default(params)
+        let conv_t = build(params)
             .run_sim_preset(4, MachinePreset::NcubeLike)
             .time_ns;
         let fixed_t = fixed_twin(32, 12)
@@ -524,7 +519,7 @@ mod tests {
             max_iters: 500,
         };
         let want = jacobi_conv_seq(params);
-        let mut rep = build_default(params).run_threads(3);
+        let mut rep = build(params).run_threads(3);
         assert!(!rep.timed_out);
         let got = rep.take_result::<ConvResult>().expect("result");
         assert_eq!(got.iters, want.iters);

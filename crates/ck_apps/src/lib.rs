@@ -20,9 +20,11 @@
 //! | [`tablefill`] | pipelined staged table fill | distributed table streaming, `(stage, block)` priorities |
 //! | [`baseline`] | — | raw machine layer (kernel-overhead comparison) |
 //!
-//! Every app exposes `build(params, queueing, balance) -> Program`,
-//! `build_default(params)`, a sequential reference implementation used
-//! both for verification and as the speedup denominator, and an `APP`
+//! Every app exposes one `build(params) -> Program` — its chares, its
+//! codecs, its main seed, set to run under the default strategies its
+//! `APP` descriptor names (a caller that wants others says so with
+//! `Program::with_opts`) — a sequential reference implementation used
+//! both for verification and as the speedup denominator, and that `APP`
 //! descriptor. The [`registry`] collects the descriptors: it is the one
 //! list of benchmarks that the spec parser, the table suite, the desim
 //! scenarios and the conformance tests all enumerate.

@@ -282,13 +282,10 @@ impl Chare for MatmulMain {
     }
 }
 
-/// Build the matmul program. Placement is fixed by the algorithm, so
-/// queueing/balancing are accepted only for interface uniformity.
-pub fn build(
-    params: MatmulParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the matmul program, to run under [`APP`]'s strategies (FIFO, no
+/// balancing — placement is fixed by the algorithm: Cannon's placement is
+/// the whole point) unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: MatmulParams) -> Program {
     let mut b = ProgramBuilder::new();
     let acc = b.accumulator::<SumF64>();
     let main = b.chare::<MatmulMain>();
@@ -296,16 +293,9 @@ pub fn build(
     b.wire::<MainSeed>();
     b.wire::<BlockMsg>();
     b.wire::<AccResult<f64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { acc });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO, no balancing —
-/// Cannon's placement is the whole point).
-pub fn build_default(params: MatmulParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`.
@@ -321,7 +311,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "matmul:n=32",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Float(matmul_seq(params(a)?.n))),
     answer: |rep| rep.result_ref::<f64>().map(|&v| Answer::Float(v)),
 };
@@ -357,7 +347,7 @@ mod tests {
         let n = 48;
         let want = matmul_seq(n);
         for npes in [1usize, 4, 9, 16, 20] {
-            let prog = build_default(MatmulParams { n });
+            let prog = build(MatmulParams { n });
             let mut rep = prog.run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<f64>().expect("checksum");
             assert_eq!(got, want, "npes={npes} (exact integer arithmetic)");
@@ -366,7 +356,7 @@ mod tests {
 
     #[test]
     fn speedup_with_enough_pes() {
-        let prog = build_default(MatmulParams { n: 96 });
+        let prog = build(MatmulParams { n: 96 });
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         let speedup = t1 as f64 / t16 as f64;
@@ -377,7 +367,7 @@ mod tests {
     fn works_on_threads() {
         let n = 32;
         let want = matmul_seq(n);
-        let prog = build_default(MatmulParams { n });
+        let prog = build(MatmulParams { n });
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<f64>(), Some(want));

@@ -578,12 +578,10 @@ impl Branch for VerifyBranch {
 
 // -- Program construction -------------------------------------------------
 
-/// Build the MMR program with the given strategies.
-pub fn build(
-    params: MmrParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the MMR program, to run under [`APP`]'s strategies (bitvector
+/// priorities + random placement: the forest drains leftmost-peak first)
+/// unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: MmrParams) -> Program {
     let mut b = ProgramBuilder::new();
     let producer = b.chare::<Producer>();
     let subtree = b.chare::<SubtreeChare>();
@@ -601,8 +599,7 @@ pub fn build(
     b.wire::<CheckMsg>();
     b.wire::<TableGot<Vec<Digest>>>();
     b.wire::<AccResult<u64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,
         MainSeed {
@@ -611,12 +608,6 @@ pub fn build(
         },
     );
     b.build()
-}
-
-/// Build with the registry's default strategies (bitvector priorities +
-/// random placement: the forest drains leftmost-peak first).
-pub fn build_default(params: MmrParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `leaves`, `grain`, `seed`.
@@ -637,7 +628,7 @@ pub const APP: App = App {
     ends_by_qd: false,
     test_spec: "mmr:leaves=64,grain=8,seed=7",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| {
         let p = params(a)?;
         Ok(Answer::Digest(mmr_root_seq(p.seed, p.leaves)))
@@ -679,7 +670,7 @@ mod tests {
             BalanceStrategy::Random,
             BalanceStrategy::acwn(),
         ] {
-            let prog = build(params, QueueingStrategy::BitvecPriority, balance.clone());
+            let prog = build(params).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             let got = rep.take_result::<MmrResult>().expect("result");
             assert_eq!(got.root, mmr_root_seq(3, 100), "balance {balance:?}");
@@ -691,7 +682,7 @@ mod tests {
     fn queueing_strategy_does_not_change_the_root() {
         let params = MmrParams { leaves: 64, grain: 4, seed: 9 };
         for q in QueueingStrategy::ALL {
-            let prog = build(params, q, BalanceStrategy::Random);
+            let prog = build(params).with_opts(|o| o.queueing = q);
             let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
             let got = rep.take_result::<MmrResult>().expect("result");
             assert_eq!(got.root, mmr_root_seq(9, 64), "queueing {q:?}");
@@ -702,7 +693,7 @@ mod tests {
     fn edge_sizes_run_on_sim() {
         for leaves in [0u64, 1, 2, 3, 31, 32, 33] {
             let params = MmrParams { leaves, grain: 4, seed: 1 };
-            let mut rep = build_default(params).run_sim_preset(4, MachinePreset::NcubeLike);
+            let mut rep = build(params).run_sim_preset(4, MachinePreset::NcubeLike);
             let got = rep.take_result::<MmrResult>().expect("result");
             assert_eq!(got.root, mmr_root_seq(1, leaves), "leaves {leaves}");
             assert_eq!(got.peaks, leaves.count_ones(), "leaves {leaves}");
@@ -712,7 +703,7 @@ mod tests {
     #[test]
     fn works_on_threads() {
         let params = MmrParams { leaves: 200, grain: 16, seed: 5 };
-        let mut rep = build_default(params).run_threads(4);
+        let mut rep = build(params).run_threads(4);
         assert!(!rep.timed_out);
         let got = rep.take_result::<MmrResult>().expect("result");
         assert_eq!(got.root, mmr_root_seq(5, 200));
@@ -721,7 +712,7 @@ mod tests {
     #[test]
     fn deterministic_on_sim() {
         let params = MmrParams { leaves: 128, grain: 8, seed: 2 };
-        let prog = build_default(params);
+        let prog = build(params);
         let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(a.time_ns, b.time_ns);
@@ -734,7 +725,7 @@ mod tests {
     #[test]
     fn parallel_run_beats_one_pe() {
         let params = MmrParams { leaves: 2048, grain: 32, seed: 1 };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         assert!(

@@ -182,12 +182,10 @@ impl Chare for QueensChare {
     }
 }
 
-/// Build the N-queens program with the given strategies.
-pub fn build(
-    params: QueensParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the N-queens program, to run under [`APP`]'s strategies (FIFO +
+/// ACWN; the speedup tables run this app under `Random` instead, see
+/// `ck_bench`) unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: QueensParams) -> Program {
     let mut b = ProgramBuilder::new();
     let node = b.chare::<QueensChare>();
     let main = b.chare::<QueensMain>();
@@ -195,16 +193,9 @@ pub fn build(
     b.wire::<MainSeed>();
     b.wire::<NodeSeed>();
     b.wire::<AccResult<u64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { params, node, acc });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO + ACWN; the speedup
-/// tables run this app under `Random` instead, see `ck_bench`).
-pub fn build_default(params: QueensParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`, `grain`.
@@ -221,7 +212,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "nqueens:n=8,grain=4",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Int(nqueens_seq(params(a)?.n))),
     answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
 };
@@ -248,7 +239,7 @@ mod tests {
             BalanceStrategy::CentralManager,
             BalanceStrategy::TokenIdle,
         ] {
-            let prog = build(params, QueueingStrategy::Fifo, balance.clone());
+            let prog = build(params).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             assert_eq!(rep.take_result::<u64>(), Some(92), "balance {balance:?}");
         }
@@ -256,11 +247,10 @@ mod tests {
 
     #[test]
     fn lifo_queueing_also_correct() {
-        let prog = build(
-            QueensParams { n: 8, grain: 4 },
-            QueueingStrategy::Lifo,
-            BalanceStrategy::Random,
-        );
+        let prog = build(QueensParams { n: 8, grain: 4 }).with_opts(|o| {
+            o.queueing = QueueingStrategy::Lifo;
+            o.balance = BalanceStrategy::Random;
+        });
         let mut rep = prog.run_sim_preset(4, MachinePreset::IpscLike);
         assert_eq!(rep.take_result::<u64>(), Some(92));
     }
@@ -268,7 +258,7 @@ mod tests {
     #[test]
     fn speedup_on_many_pes() {
         let params = QueensParams { n: 10, grain: 5 };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         assert!(t16 * 2 < t1, "expected >2x speedup: t1={t1} t16={t16}");
@@ -276,7 +266,7 @@ mod tests {
 
     #[test]
     fn works_on_threads() {
-        let prog = build_default(QueensParams { n: 9, grain: 5 });
+        let prog = build(QueensParams { n: 9, grain: 5 });
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<u64>(), Some(352));

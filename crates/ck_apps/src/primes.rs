@@ -178,12 +178,10 @@ impl Chare for ChunkChare {
     }
 }
 
-/// Build the primes program with the given strategies.
-pub fn build(
-    params: PrimesParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the primes program, to run under [`APP`]'s strategies (FIFO +
+/// random placement — uniform chunks need no adaptivity) unless told
+/// otherwise ([`Program::with_opts`]).
+pub fn build(params: PrimesParams) -> Program {
     let mut b = ProgramBuilder::new();
     let chunk = b.chare::<ChunkChare>();
     let main = b.chare::<PrimesMain>();
@@ -191,16 +189,9 @@ pub fn build(
     b.wire::<MainSeed>();
     b.wire::<ChunkSeed>();
     b.wire::<AccResult<u64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { params, chunk, acc });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO + random placement
-/// — uniform chunks need no adaptivity).
-pub fn build_default(params: PrimesParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `limit`, `chunks`.
@@ -217,7 +208,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "primes:limit=2000,chunks=8",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| Ok(Answer::Int(primes_seq(params(a)?.limit))),
     answer: |rep| rep.result_ref::<u64>().map(|&v| Answer::Int(v)),
 };
@@ -240,7 +231,7 @@ mod tests {
             limit: 5_000,
             chunks: 16,
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<u64>(), Some(primes_seq(5_000)));
     }
@@ -251,7 +242,7 @@ mod tests {
             limit: 1_000,
             chunks: 1,
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_sim_preset(4, MachinePreset::IpscLike);
         assert_eq!(rep.take_result::<u64>(), Some(168));
     }
@@ -264,7 +255,7 @@ mod tests {
             limit: 200_000,
             chunks: 512,
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         let speedup = t1 as f64 / t16 as f64;
@@ -277,7 +268,7 @@ mod tests {
             limit: 20_000,
             chunks: 32,
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<u64>(), Some(primes_seq(20_000)));

@@ -404,12 +404,10 @@ impl Chare for PuzzleChare {
     }
 }
 
-/// Build the puzzle program with the given strategies.
-pub fn build(
-    params: PuzzleParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the puzzle program, to run under [`APP`]'s strategies (integer
+/// f-priorities + ACWN; the speedup tables run this app under `Random`
+/// instead, see `ck_bench`) unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: PuzzleParams) -> Program {
     let start = scramble(params.scramble, params.seed);
     let mut b = ProgramBuilder::new();
     let node = b.chare::<PuzzleChare>();
@@ -417,8 +415,7 @@ pub fn build(
     let best = b.monotonic::<MinBoundU64>();
     let next = b.accumulator::<MinU64>();
     let nodes = b.accumulator::<SumU64>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,
         MainSeed {
@@ -433,13 +430,6 @@ pub fn build(
         },
     );
     b.build()
-}
-
-/// Build with the registry's default strategies (integer f-priorities +
-/// ACWN; the speedup tables run this app under `Random` instead, see
-/// `ck_bench`).
-pub fn build_default(params: PuzzleParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `scramble`, `seed`, `split_depth`.
@@ -460,7 +450,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "puzzle:scramble=16,seed=2,split_depth=3",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     oracle: |a, _| {
         let p = params(a)?;
         Ok(Answer::Int(u64::from(ida_seq(scramble(p.scramble, p.seed)).0)))
@@ -526,7 +516,10 @@ mod tests {
         };
         let (want, _) = ida_seq(scramble(20, 5));
         for q in [QueueingStrategy::Fifo, QueueingStrategy::IntPriority] {
-            let prog = build(params, q, BalanceStrategy::Random);
+            let prog = build(params).with_opts(|o| {
+                o.queueing = q;
+                o.balance = BalanceStrategy::Random;
+            });
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             let got = rep.take_result::<PuzzleResult>().expect("result");
             assert_eq!(got.cost, want, "queueing {q:?}");
@@ -542,7 +535,7 @@ mod tests {
             split_depth: 4,
         };
         let (want, _) = ida_seq(scramble(18, 3));
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<PuzzleResult>().unwrap().cost, want);

@@ -224,8 +224,10 @@ impl Chare for QuadChare {
     }
 }
 
-/// Build the quadrature program with the given strategies.
-pub fn build(params: QuadParams, queueing: QueueingStrategy, balance: BalanceStrategy) -> Program {
+/// Build the quadrature program, to run under [`APP`]'s strategies (FIFO +
+/// ACWN — adaptive work wants adaptive balancing) unless told otherwise
+/// ([`Program::with_opts`]).
+pub fn build(params: QuadParams) -> Program {
     let mut b = ProgramBuilder::new();
     let node = b.chare::<QuadChare>();
     let main = b.chare::<QuadMain>();
@@ -233,8 +235,7 @@ pub fn build(params: QuadParams, queueing: QueueingStrategy, balance: BalanceStr
     b.wire::<MainSeed>();
     b.wire::<NodeSeed>();
     b.wire::<AccResult<f64>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,
         MainSeed {
@@ -247,12 +248,6 @@ pub fn build(params: QuadParams, queueing: QueueingStrategy, balance: BalanceStr
         },
     );
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO + ACWN — adaptive
-/// work wants adaptive balancing).
-pub fn build_default(params: QuadParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `a`, `b`, `tol`, `grain` (in thousandths, so the strings the
@@ -275,7 +270,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "quad:tol=0.000001,grain=200",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     // Same split rule and arithmetic as the parallel version; only the
     // accumulator's combine order differs.
     oracle: |a, _| {
@@ -319,7 +314,7 @@ mod tests {
         let params = QuadParams::default();
         let (want, _) = quad_seq(params.a, params.b, params.tol);
         for npes in [1usize, 4, 16] {
-            let prog = build_default(params);
+            let prog = build(params);
             let mut rep = prog.run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<f64>().expect("integral");
             assert!(close(got, want, 1e-12), "npes={npes}: {got} vs {want}");
@@ -336,7 +331,7 @@ mod tests {
             BalanceStrategy::TokenIdle,
             BalanceStrategy::CentralManager,
         ] {
-            let prog = build(params, QueueingStrategy::Fifo, balance.clone());
+            let prog = build(params).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             let got = rep.take_result::<f64>().expect("integral");
             assert!(close(got, want, 1e-12), "{balance:?}: {got} vs {want}");
@@ -349,7 +344,7 @@ mod tests {
             tol: 1e-10,
             ..QuadParams::default()
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
         let t16 = prog.run_sim_preset(16, MachinePreset::NcubeLike).time_ns;
         let speedup = t1 as f64 / t16 as f64;
@@ -360,7 +355,7 @@ mod tests {
     fn works_on_threads() {
         let params = QuadParams::default();
         let (want, _) = quad_seq(params.a, params.b, params.tol);
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         let got = rep.take_result::<f64>().expect("integral");

@@ -16,9 +16,11 @@ use crate::spec::{Args, SpecError};
 pub struct App {
     /// Table name and first token of a spec string.
     pub name: &'static str,
-    /// Queueing strategy when the spec gives no `q=`.
+    /// Queueing strategy when the spec gives no `q=`, and the one the
+    /// app's own `build(params)` sets.
     pub queueing: QueueingStrategy,
-    /// Balance strategy when the spec gives no `bal=`.
+    /// Balance strategy when the spec gives no `bal=`, and the one the
+    /// app's own `build(params)` sets.
     pub balance: BalanceStrategy,
     /// Whether a clean run ends through quiescence detection rather
     /// than a counted `exit` (see [`App::qd_declares`]).
@@ -28,8 +30,9 @@ pub struct App {
     /// Read the app's keys out of `args`, each parsed as its field's
     /// own type. The order of the reads is the canonical key order.
     pub params: fn(&mut Args) -> Result<(), SpecError>,
-    /// Build the program those keys describe.
-    pub build: fn(&mut Args, QueueingStrategy, BalanceStrategy) -> Result<Program, SpecError>,
+    /// Build the program those keys describe, set to run under
+    /// `queueing` and `balance` above.
+    pub build: fn(&mut Args) -> Result<Program, SpecError>,
     /// The sequential answer for those keys on an `npes`-PE machine
     /// (only `sort`'s input depends on the machine size).
     pub oracle: fn(&mut Args, usize) -> Result<Answer, SpecError>,
@@ -143,6 +146,25 @@ mod tests {
             assert!(!app.keys().is_empty(), "{} has no keys", app.name);
         }
         assert_eq!(find("sudoku"), None);
+    }
+
+    /// The descriptor the spec parser canonicalises with and the program
+    /// `build` returns cannot drift: built from its defaults, every app
+    /// carries exactly its descriptor's strategies, and library defaults
+    /// in every other run option.
+    #[test]
+    fn every_build_sets_exactly_its_descriptors_strategies() {
+        for app in APPS {
+            let prog = (app.build)(&mut Args::defaults(app.name)).expect("defaults build");
+            let want = RunOpts {
+                queueing: app.queueing,
+                balance: app.balance.clone(),
+                ..RunOpts::default()
+            };
+            assert_eq!(prog.opts(), &want, "{}", app.name);
+            let spec = Spec::parse(app.name).unwrap();
+            assert_eq!(spec.build().opts(), &want, "{} through its spec", app.name);
+        }
     }
 
     #[test]

@@ -367,22 +367,17 @@ impl Chare for SortMain {
     }
 }
 
-/// Build the sort program with the given strategies.
-pub fn build(params: SortParams, queueing: QueueingStrategy, balance: BalanceStrategy) -> Program {
+/// Build the sort program, to run under [`APP`]'s strategies (FIFO, no
+/// balancing — placement is structural) unless told otherwise
+/// ([`Program::with_opts`]).
+pub fn build(params: SortParams) -> Program {
     let mut b = ProgramBuilder::new();
     let acc = b.accumulator::<FpAcc>();
     let main = b.chare::<SortMain>();
     let boc = b.boc::<SortBranch>(SortCfg { params, acc });
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { boc, acc });
     b.build()
-}
-
-/// Build with the registry's default strategies (FIFO, no balancing —
-/// placement is structural).
-pub fn build_default(params: SortParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `total_keys`, `seed`, `sample_per_pe`.
@@ -403,7 +398,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "sort:total_keys=2400,seed=12,sample_per_pe=8",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     // The input is generated per PE, so the multiset a correct sort
     // preserves depends on the machine size.
     oracle: |a, npes| Ok(input_fingerprint(params(a)?, npes).answer()),
@@ -432,7 +427,7 @@ mod tests {
         };
         for npes in [1usize, 2, 5, 8] {
             let want = input_fingerprint(params, npes);
-            let prog = build_default(params);
+            let prog = build(params);
             let mut rep = prog.run_sim_preset(npes, MachinePreset::NcubeLike);
             let got = rep.take_result::<Fingerprint>().expect("fingerprint");
             assert_eq!(got, want, "npes={npes}");
@@ -448,7 +443,7 @@ mod tests {
             seed: 999,
             sample_per_pe: 4,
         };
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_sim_preset(6, MachinePreset::IpscLike);
         assert!(rep.take_result::<Fingerprint>().is_some());
     }
@@ -461,7 +456,7 @@ mod tests {
             sample_per_pe: 8,
         };
         let want = input_fingerprint(params, 4);
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<Fingerprint>(), Some(want));
@@ -474,10 +469,10 @@ mod tests {
             seed: 3,
             sample_per_pe: 32,
         };
-        let t1 = build_default(params)
+        let t1 = build(params)
             .run_sim_preset(1, MachinePreset::NcubeLike)
             .time_ns;
-        let t8 = build_default(params)
+        let t8 = build(params)
             .run_sim_preset(8, MachinePreset::NcubeLike)
             .time_ns;
         let speedup = t1 as f64 / t8 as f64;

@@ -1,6 +1,6 @@
 //! Spec strings: the one textual identity of a program.
 //!
-//! A [`Spec`] names an app of the [registry](crate::registry), a value
+//! A [`Spec`] names an app of the [registry], a value
 //! for each of its keys, and the two kernel strategies. Its canonical
 //! rendering — `"fib:n=18,grain=10,q=fifo,bal=acwn:4/2"`, every key
 //! present, in registry order — is what the procs backend ships to its
@@ -230,10 +230,13 @@ impl Spec {
         params(&mut self.args()).expect("values were parsed when the spec was")
     }
 
-    /// Build the program.
+    /// Build the program, to run under this spec's strategies.
     pub fn build(&self) -> Program {
-        (self.app.build)(&mut self.args(), self.queueing, self.balance.clone())
-            .expect("values were parsed when the spec was")
+        let built = (self.app.build)(&mut self.args());
+        built.expect("values were parsed when the spec was").with_opts(|o| {
+            o.queueing = self.queueing;
+            o.balance = self.balance.clone();
+        })
     }
 
     /// The sequential answer on an `npes`-PE machine.
@@ -319,8 +322,8 @@ mod tests {
         let spec = Spec::parse("nqueens:n=7,grain=4,bal=random,q=lifo").unwrap();
         assert_eq!((spec.queueing, &spec.balance), (QueueingStrategy::Lifo, &BalanceStrategy::Random));
         let prog = spec.build();
-        assert_eq!(prog.queueing_strategy(), QueueingStrategy::Lifo);
-        assert_eq!(prog.balance_strategy(), &BalanceStrategy::Random);
+        assert_eq!(prog.opts().queueing, QueueingStrategy::Lifo);
+        assert_eq!(prog.opts().balance, BalanceStrategy::Random);
         let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<u64>(), Some(nqueens::nqueens_seq(7)));
         let tuned = Spec::parse("fib:bal=acwn:8/1").unwrap();

@@ -417,12 +417,10 @@ impl Chare for BlockChare {
 
 // -- Program construction -------------------------------------------------
 
-/// Build the pipelined fill with the given strategies.
-pub fn build(
-    params: FillParams,
-    queueing: QueueingStrategy,
-    balance: BalanceStrategy,
-) -> Program {
+/// Build the pipelined fill, to run under [`APP`]'s strategies (bitvector
+/// `(stage, block)` priorities + random placement) unless told otherwise
+/// ([`Program::with_opts`]).
+pub fn build(params: FillParams) -> Program {
     let mut b = ProgramBuilder::new();
     let block_kind = b.chare::<BlockChare>();
     let main = b.chare::<FillMain>();
@@ -434,16 +432,9 @@ pub fn build(
     b.wire::<BlockDone>();
     b.wire::<Vec<u64>>();
     b.wire::<TableGot<Vec<u64>>>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { params, block_kind, table });
     b.build()
-}
-
-/// Build with the registry's default strategies (bitvector `(stage,
-/// block)` priorities + random placement).
-pub fn build_default(params: FillParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `stages`, `blocks`, `rows`, `width`, `seed`.
@@ -466,7 +457,7 @@ pub const APP: App = App {
     ends_by_qd: false,
     test_spec: "tablefill:stages=3,blocks=4,rows=8,width=2,seed=5",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     // The digest is schedule-independent; the stage-completion profile
     // is wall-clock on the real backends and is not part of the answer.
     oracle: |a, _| Ok(Answer::Int(fill_seq(&params(a)?))),
@@ -504,7 +495,7 @@ mod tests {
             BalanceStrategy::Random,
             BalanceStrategy::acwn(),
         ] {
-            let prog = build(p, QueueingStrategy::BitvecPriority, balance.clone());
+            let prog = build(p).with_opts(|o| o.balance = balance.clone());
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             let got = rep.take_result::<FillResult>().expect("result");
             assert_eq!(got.digest, fill_seq(&p), "balance {balance:?}");
@@ -516,7 +507,8 @@ mod tests {
     fn queueing_strategy_changes_profile_not_digest() {
         let p = FillParams { stages: 4, blocks: 24, rows: 16, width: 1, seed: 1 };
         let run = |q| {
-            let mut rep = build(p, q, BalanceStrategy::Random).run_sim_preset(4, MachinePreset::NcubeLike);
+            let prog = build(p).with_opts(|o| o.queueing = q);
+            let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
             rep.take_result::<FillResult>().expect("result")
         };
         let fifo = run(QueueingStrategy::Fifo);
@@ -538,7 +530,7 @@ mod tests {
             FillParams { stages: 3, blocks: 1, rows: 2, width: 2, seed: 1 },
             FillParams { stages: 2, blocks: 5, rows: 1, width: 99, seed: 1 },
         ] {
-            let mut rep = build_default(p).run_sim_preset(4, MachinePreset::NcubeLike);
+            let mut rep = build(p).run_sim_preset(4, MachinePreset::NcubeLike);
             let got = rep.take_result::<FillResult>().expect("result");
             assert_eq!(got.digest, fill_seq(&p), "{p:?}");
         }
@@ -547,7 +539,7 @@ mod tests {
     #[test]
     fn works_on_threads() {
         let p = FillParams { stages: 3, blocks: 6, rows: 8, width: 2, seed: 4 };
-        let mut rep = build_default(p).run_threads(4);
+        let mut rep = build(p).run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<FillResult>().expect("result").digest, fill_seq(&p));
     }
@@ -555,7 +547,7 @@ mod tests {
     #[test]
     fn deterministic_on_sim() {
         let p = FillParams { stages: 3, blocks: 8, rows: 8, width: 2, seed: 2 };
-        let prog = build_default(p);
+        let prog = build(p);
         let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(a.time_ns, b.time_ns);

@@ -332,8 +332,10 @@ impl Chare for TspChare {
     }
 }
 
-/// Build the TSP program with the given strategies.
-pub fn build(params: TspParams, queueing: QueueingStrategy, balance: BalanceStrategy) -> Program {
+/// Build the TSP program, to run under [`APP`]'s strategies (bitvector
+/// priorities + ACWN; the speedup tables run this app under `Random`
+/// instead, see `ck_bench`) unless told otherwise ([`Program::with_opts`]).
+pub fn build(params: TspParams) -> Program {
     let inst = TspInstance::random(params.n as usize, params.seed);
     let mut b = ProgramBuilder::new();
     let node = b.chare::<TspChare>();
@@ -341,8 +343,7 @@ pub fn build(params: TspParams, queueing: QueueingStrategy, balance: BalanceStra
     let ro = b.read_only(inst);
     let best = b.monotonic::<MinBoundU64>();
     let nodes = b.accumulator::<SumU64>();
-    b.queueing(queueing);
-    b.balance(balance);
+    b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,
         MainSeed {
@@ -356,13 +357,6 @@ pub fn build(params: TspParams, queueing: QueueingStrategy, balance: BalanceStra
         },
     );
     b.build()
-}
-
-/// Build with the registry's default strategies (bitvector priorities +
-/// ACWN; the speedup tables run this app under `Random` instead, see
-/// `ck_bench`).
-pub fn build_default(params: TspParams) -> Program {
-    build(params, APP.queueing, APP.balance)
 }
 
 /// Spec keys: `n`, `seed`, `seq_tail`.
@@ -383,7 +377,7 @@ pub const APP: App = App {
     ends_by_qd: true,
     test_spec: "tsp:n=9,seed=3,seq_tail=5",
     params: |a| params(a).map(drop),
-    build: |a, q, b| Ok(build(params(a)?, q, b)),
+    build: |a| Ok(build(params(a)?)),
     // Optimal cost is schedule-independent; node counts are not.
     oracle: |a, _| {
         let p = params(a)?;
@@ -432,7 +426,10 @@ mod tests {
         let inst = TspInstance::random(10, 11);
         let (want, _) = tsp_seq(&inst);
         for q in QueueingStrategy::ALL {
-            let prog = build(params, q, BalanceStrategy::Random);
+            let prog = build(params).with_opts(|o| {
+                o.queueing = q;
+                o.balance = BalanceStrategy::Random;
+            });
             let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
             let got = rep.take_result::<TspResult>().expect("result");
             assert_eq!(got.best, want, "queueing {q:?}");
@@ -447,12 +444,8 @@ mod tests {
             seed: 23,
             seq_tail: 6,
         };
-        let fifo = build(params, QueueingStrategy::Fifo, BalanceStrategy::Random);
-        let prio = build(
-            params,
-            QueueingStrategy::BitvecPriority,
-            BalanceStrategy::Random,
-        );
+        let prio = build(params).with_opts(|o| o.balance = BalanceStrategy::Random);
+        let fifo = prio.with_opts(|o| o.queueing = QueueingStrategy::Fifo);
         let n_fifo = {
             let mut r = fifo.run_sim_preset(8, MachinePreset::NcubeLike);
             r.take_result::<TspResult>().unwrap().nodes
@@ -476,7 +469,7 @@ mod tests {
         };
         let inst = TspInstance::random(10, 11);
         let (want, _) = tsp_seq(&inst);
-        let prog = build_default(params);
+        let prog = build(params);
         let mut rep = prog.run_threads(4);
         assert!(!rep.timed_out);
         assert_eq!(rep.take_result::<TspResult>().unwrap().best, want);

@@ -11,13 +11,13 @@ use chare_kernel::prelude::*;
 use proptest::prelude::*;
 
 fn run_mmr(params: mmr::MmrParams, npes: usize) -> mmr::MmrResult {
-    let mut rep = mmr::build_default(params).run_sim_preset(npes, MachinePreset::NcubeLike);
+    let mut rep = mmr::build(params).run_sim_preset(npes, MachinePreset::NcubeLike);
     rep.take_result::<mmr::MmrResult>().expect("mmr result")
 }
 
 fn run_fill(params: tablefill::FillParams, npes: usize) -> tablefill::FillResult {
     let mut rep =
-        tablefill::build_default(params).run_sim_preset(npes, MachinePreset::NcubeLike);
+        tablefill::build(params).run_sim_preset(npes, MachinePreset::NcubeLike);
     rep.take_result::<tablefill::FillResult>().expect("fill result")
 }
 

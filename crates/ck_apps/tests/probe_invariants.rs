@@ -18,7 +18,7 @@ use multicomputer::SimTime;
 const NPES: usize = 8;
 
 fn fib_prog() -> Program {
-    fib::build_default(fib::FibParams { n: 16, grain: 9 })
+    fib::build(fib::FibParams { n: 16, grain: 9 })
 }
 
 fn run(prog: &Program) -> CkReport {
@@ -75,7 +75,7 @@ fn recording_on_is_byte_identical_to_recording_off() {
 /// flight recorder all match.
 #[test]
 fn recorded_run_replays_identically() {
-    let plain = nqueens::build_default(nqueens::QueensParams { n: 8, grain: 4 });
+    let plain = nqueens::build(nqueens::QueensParams { n: 8, grain: 4 });
     for (name, prog) in recorders(&plain, TraceConfig::default(), MetricsConfig::default()) {
         let (a, b) = (run(&prog), run(&prog));
         if let (Some(ta), Some(tb)) = (&a.trace, &b.trace) {
@@ -295,12 +295,9 @@ fn flight_recorder_is_the_tail_of_the_trace() {
 /// boot so seeds bound for it are re-homed.
 #[test]
 fn retransmits_and_redirects_agree_with_kernel_counters() {
-    let prog = fib::build(
-        fib::FibParams { n: 16, grain: 9 },
-        QueueingStrategy::Fifo,
-        BalanceStrategy::Random,
-    )
-    .with_reliable(ReliableConfig {
+    let prog = fib::build(fib::FibParams { n: 16, grain: 9 })
+        .with_opts(|o| o.balance = BalanceStrategy::Random)
+        .with_reliable(ReliableConfig {
         timeout: Cost::micros(500),
         seed_retry_limit: 2,
         ..ReliableConfig::default()

@@ -81,7 +81,7 @@ fn every_app_survives_a_rough_network() {
 
 #[test]
 fn fixed_fault_seed_replays_identically() {
-    let prog = nqueens::build_default(nqueens::QueensParams { n: 8, grain: 4 })
+    let prog = nqueens::build(nqueens::QueensParams { n: 8, grain: 4 })
         .with_reliable(rel_cfg());
     let a = prog.run_sim(rough_network(0xD5));
     let b = prog.run_sim(rough_network(0xD5));
@@ -100,7 +100,7 @@ fn fixed_fault_seed_replays_identically() {
 fn different_fault_seeds_diverge() {
     // Sanity check that the plan seed actually steers the injection —
     // otherwise the replay test above proves nothing.
-    let prog = fib::build_default(fib::FibParams { n: 16, grain: 9 }).with_reliable(rel_cfg());
+    let prog = fib::build(fib::FibParams { n: 16, grain: 9 }).with_reliable(rel_cfg());
     let a = prog.run_sim(rough_network(1));
     let b = prog.run_sim(rough_network(2));
     assert_ne!(
@@ -114,7 +114,7 @@ fn reliable_layer_off_is_free() {
     // With no fault plan and reliability off, the kernel must behave
     // byte-for-byte as before the resilience work: identical time,
     // packets and counters (zero-cost-off).
-    let prog = fib::build_default(fib::FibParams { n: 16, grain: 9 });
+    let prog = fib::build(fib::FibParams { n: 16, grain: 9 });
     let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
     let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
     assert_eq!(a.time_ns, b.time_ns);
@@ -145,7 +145,7 @@ proptest! {
             f64::from(delay_pm) / 1000.0,
         );
         let params = nqueens::QueensParams { n: 7, grain: 4 };
-        let prog = nqueens::build_default(params);
+        let prog = nqueens::build(params);
         let want = prog
             .run_sim_preset(8, MachinePreset::NcubeLike)
             .take_result::<u64>()
@@ -172,12 +172,9 @@ fn seeds_outrun_a_crashed_pe() {
     // fib ends by explicit exit (no all-PE reduction), so the answer
     // must still be exact.
     let params = fib::FibParams { n: 16, grain: 9 };
-    let prog = fib::build(
-        params,
-        QueueingStrategy::Fifo,
-        BalanceStrategy::Random,
-    )
-    .with_reliable(ReliableConfig {
+    let prog = fib::build(params)
+        .with_opts(|o| o.balance = BalanceStrategy::Random)
+        .with_reliable(ReliableConfig {
         timeout: Cost::micros(500),
         seed_retry_limit: 2,
         ..ReliableConfig::default()

@@ -145,7 +145,7 @@ mod tests {
     use ck_apps::fib;
 
     fn tiny() -> Program {
-        fib::build_default(fib::FibParams { n: 10, grain: 6 })
+        fib::build(fib::FibParams { n: 10, grain: 6 })
     }
 
     #[test]

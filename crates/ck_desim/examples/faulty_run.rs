@@ -101,7 +101,7 @@ fn replay(args: &Args) {
 
 /// The original README showcase, parameterized by `--seed`.
 fn showcase(seed: u64) {
-    let program = nqueens::build_default(nqueens::QueensParams { n: 8, grain: 4 });
+    let program = nqueens::build(nqueens::QueensParams { n: 8, grain: 4 });
 
     // Drop 5% of packets, duplicate 2%, delay 5% by 200 µs, and freeze
     // PE 5 between 0.5 ms and 2 ms of simulated time.
@@ -124,12 +124,9 @@ fn showcase(seed: u64) {
 
     let crash = FaultPlan::new(9).crash(Pe(3), SimTime::ZERO);
     let cfg = SimConfig::preset(16, MachinePreset::NcubeLike).with_faults(crash);
-    let mut report = fib::build(
-        fib::FibParams { n: 16, grain: 9 },
-        QueueingStrategy::Fifo,
-        BalanceStrategy::Random,
-    )
-    .with_reliable(ReliableConfig {
+    let mut report = fib::build(fib::FibParams { n: 16, grain: 9 })
+        .with_opts(|o| o.balance = BalanceStrategy::Random)
+        .with_reliable(ReliableConfig {
         timeout: Cost::micros(500),
         seed_retry_limit: 2,
         ..ReliableConfig::default()

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn report_without_metrics_renders_nothing() {
         // A bare program run without .with_metrics() carries no log.
-        let rep = ck_apps::fib::build_default(ck_apps::fib::FibParams { n: 10, grain: 6 })
+        let rep = ck_apps::fib::build(ck_apps::fib::FibParams { n: 10, grain: 6 })
             .run_sim_preset(4, multicomputer::MachinePreset::NcubeLike);
         assert!(render(&rep).is_empty());
     }

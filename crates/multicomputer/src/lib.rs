@@ -56,9 +56,7 @@ pub mod trace;
 pub use cost::{CostModel, MachinePreset};
 pub use fault::{FaultClass, FaultPlan, FaultRng, FaultStats, LinkOutage, PeFault};
 pub use pe::Pe;
-pub use program::{
-    FnFactory, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Replayable, StepKind,
-};
+pub use program::{FnFactory, NetCtx, NodeFactory, NodeProgram, Packet, Payload, StepKind};
 pub use sim::{take_events_tally, AbortReason, SimConfig, SimMachine, SimReport};
 pub use stats::{imbalance, BacklogSummary, NodeStats, StatSummary};
 #[cfg(feature = "threads")]

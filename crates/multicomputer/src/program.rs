@@ -8,7 +8,6 @@
 //! machine-independent, mirroring the paper's portable machine layer.
 
 use std::any::Any;
-use std::sync::Arc;
 
 use crate::pe::Pe;
 use crate::stats::NodeStats;
@@ -29,38 +28,10 @@ pub enum StepKind {
 ///
 /// Messages are always *moved* between PEs — never shared — which
 /// preserves nonshared-memory semantics even though both backends run in
-/// one address space.
+/// one address space. A moved payload can only arrive once: the one way
+/// a second copy comes to exist is [`NodeProgram::duplicate`], which the
+/// simulator's fault layer asks for and most payloads decline.
 pub type Payload = Box<dyn Any + Send>;
-
-/// A wire payload the network may deliver more than once.
-///
-/// Payloads are normally moved, so a packet can only arrive once. A
-/// sender that wraps its payload in `Replayable` instead ships a
-/// generator; the machine materializes one copy per delivery (the node
-/// program never sees the wrapper). This is what lets the fault layer
-/// duplicate packets honestly — duplication is skipped for opaque
-/// payloads — and what a retransmitting protocol uses so the same
-/// logical message can cross the wire repeatedly.
-pub struct Replayable(pub Arc<dyn Fn() -> Payload + Send + Sync>);
-
-impl Replayable {
-    /// Wrap a generator closure.
-    pub fn wrap(make: impl Fn() -> Payload + Send + Sync + 'static) -> Payload {
-        Box::new(Replayable(Arc::new(make)))
-    }
-
-    /// Materialize one delivery of `payload`: unwrap a `Replayable` into
-    /// a fresh copy, pass anything else through. Machine backends call
-    /// this exactly once per delivered packet.
-    pub fn materialize(payload: Payload) -> Payload {
-        if payload.is::<Replayable>() {
-            let r = payload.downcast::<Replayable>().expect("checked is::");
-            (r.0)()
-        } else {
-            payload
-        }
-    }
-}
 
 /// A message in flight between two PEs.
 pub struct Packet {
@@ -82,7 +53,8 @@ pub struct Packet {
     /// Host-side metadata for metrics, like `at_ns`; carries no
     /// protocol meaning.
     pub sent_ns: u64,
-    /// The message body.
+    /// The message body, as the sender handed it to [`NetCtx::send`]: no
+    /// backend rewrites or unwraps it on the way.
     pub payload: Payload,
 }
 
@@ -185,6 +157,16 @@ pub trait NodeProgram: Send {
     /// Counters to include in the machine's run report.
     fn stats(&self) -> NodeStats {
         NodeStats::default()
+    }
+
+    /// A second copy of `payload`, for the simulator's duplication
+    /// fault: a packet the fault plan marks is delivered twice only if
+    /// this returns one, so duplication is honest — it happens to the
+    /// payloads a protocol is prepared to see repeated (retransmittable
+    /// frames, idempotent acks) and is skipped for opaque ones. Default:
+    /// no payload can be copied.
+    fn duplicate(_payload: &Payload) -> Option<Payload> {
+        None
     }
 }
 

@@ -35,7 +35,7 @@ use std::collections::BinaryHeap;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LinkVerdict};
 use crate::pe::Pe;
-use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Replayable, StepKind};
+use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, StepKind};
 use crate::trace::TraceSpan;
 use crate::stats::{BacklogSummary, NodeStats};
 use crate::time::{Cost, SimTime};
@@ -455,10 +455,9 @@ impl<N: NodeProgram> SimMachine<N> {
             }
         }
         if duplicate {
-            // Only replayable payloads can arrive twice; the copy takes
-            // one extra network traversal.
-            if let Some(r) = payload.downcast_ref::<Replayable>() {
-                let copy = std::sync::Arc::clone(&r.0);
+            // Only payloads the node program can copy arrive twice; the
+            // copy takes one extra network traversal.
+            if let Some(copy) = N::duplicate(&payload) {
                 let again = arrive + self.cfg.cost.latency(bytes, hops);
                 if let Some(fs) = &mut self.fault {
                     fs.stats.duplicated += 1;
@@ -474,7 +473,7 @@ impl<N: NodeProgram> SimMachine<N> {
                             bytes,
                             at_ns: again.as_nanos(),
                             sent_ns: ready.as_nanos(),
-                            payload: Box::new(Replayable(copy)),
+                            payload: copy,
                         },
                     },
                 );
@@ -555,13 +554,6 @@ impl<N: NodeProgram> SimMachine<N> {
                             continue;
                         }
                     }
-                    let pkt = Packet {
-                        from: pkt.from,
-                        bytes: pkt.bytes,
-                        at_ns: pkt.at_ns,
-                        sent_ns: pkt.sent_ns,
-                        payload: Replayable::materialize(pkt.payload),
-                    };
                     self.nodes[to.index()].incoming(pkt);
                     self.schedule_exec(to, now);
                 }
@@ -995,8 +987,8 @@ mod tests {
         assert_eq!(rep.faults.unwrap().outage_dropped, 1);
     }
 
-    /// Node that sends itself a replayable packet and counts deliveries —
-    /// exercises duplication and the alarm plumbing.
+    /// Node that sends a packet it knows how to copy and counts
+    /// deliveries — exercises duplication and the alarm plumbing.
     struct DupCounter {
         pe: Pe,
         got: u64,
@@ -1007,7 +999,7 @@ mod tests {
     impl NodeProgram for DupCounter {
         fn boot(&mut self, net: &mut dyn NetCtx) {
             if self.pe == Pe::ZERO {
-                net.send(Pe(1), 16, crate::program::Replayable::wrap(|| Box::new(1u64)));
+                net.send(Pe(1), 16, Box::new(1u64));
                 net.set_alarm(Cost::micros(100));
             }
         }
@@ -1016,7 +1008,7 @@ mod tests {
         }
         fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
             let pkt = self.queue.pop_front()?;
-            let v = *pkt.payload.downcast::<u64>().expect("materialized payload");
+            let v = *pkt.payload.downcast::<u64>().expect("the u64 that was sent");
             self.got += v;
             Some(StepKind::User)
         }
@@ -1034,6 +1026,9 @@ mod tests {
             s.push("got", self.got);
             s.push("alarms", self.alarms);
             s
+        }
+        fn duplicate(payload: &Payload) -> Option<Payload> {
+            payload.downcast_ref::<u64>().map(|&v| Box::new(v) as Payload)
         }
     }
 
@@ -1065,6 +1060,12 @@ mod tests {
         let rep = SimMachine::run_factory(cfg, &dup_factory());
         assert_eq!(rep.node_stats[1].get("got"), Some(2), "copy delivered");
         assert_eq!(rep.faults.unwrap().duplicated, 1);
+        // A node program that keeps the default hook: every packet is
+        // opaque, the same plan duplicates nothing, the relay still ends.
+        let cfg = ring_cfg(4).with_faults(crate::fault::FaultPlan::new(11).duplicate(1.0));
+        let mut rep = SimMachine::run_factory(cfg, &relay_factory(3, Cost::ZERO));
+        assert_eq!(rep.take_result::<u64>(), Some(12));
+        assert_eq!(rep.faults.unwrap().duplicated, 0, "opaque payloads are skipped");
     }
 
     #[test]

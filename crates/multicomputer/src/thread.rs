@@ -49,7 +49,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::pe::Pe;
-use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Replayable};
+use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload};
 use crate::stats::NodeStats;
 use crate::time::Cost;
 
@@ -272,13 +272,6 @@ impl NetCtx for ThreadCtx {
     }
 }
 
-/// Resolve replayable payload generators into concrete payloads before a
-/// node sees them (the simulator does the same at arrival time).
-fn deliver<N: NodeProgram>(node: &mut N, mut pkt: Packet) {
-    pkt.payload = Replayable::materialize(pkt.payload);
-    node.incoming(pkt);
-}
-
 fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> NodeStats {
     let shared = Arc::clone(&ctx.shared);
     let inbox = &shared.inboxes[ctx.me.index()];
@@ -294,11 +287,11 @@ fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> NodeS
             let now = ctx.now_ns();
             for mut pkt in batch.drain(..) {
                 pkt.at_ns = now;
-                deliver(&mut node, pkt);
+                node.incoming(pkt);
             }
         }
         while let Some(pkt) = ctx.loopback.pop_front() {
-            deliver(&mut node, pkt);
+            node.incoming(pkt);
         }
         if node.has_work() {
             let _ = node.step(&mut ctx);

@@ -11,7 +11,7 @@
 //! ```
 
 use charm_repro::ck_apps::baseline::raw_jacobi;
-use charm_repro::ck_apps::jacobi::{build_default, jacobi_seq, JacobiParams};
+use charm_repro::ck_apps::jacobi::{build, jacobi_seq, JacobiParams};
 use charm_repro::prelude::*;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     let want = jacobi_seq(params);
     println!("Jacobi {n}x{n}, {iters} sweeps; sequential checksum = {want:.9}\n");
 
-    let prog = build_default(params);
+    let prog = build(params);
     println!("chare-kernel BOC version on the simulated NCUBE-like machine:");
     let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
     for p in [1usize, 2, 4, 8, 16] {

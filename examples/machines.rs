@@ -6,7 +6,7 @@
 //! cargo run --release --example machines [-- n grain]
 //! ```
 
-use charm_repro::ck_apps::nqueens::{build_default, nqueens_seq, QueensParams};
+use charm_repro::ck_apps::nqueens::{build, nqueens_seq, QueensParams};
 use charm_repro::prelude::*;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     println!("N-queens n={n} grain={grain}; count = {want}");
     println!("\none program, four machines (16 PEs each):\n");
 
-    let prog = build_default(params);
+    let prog = build(params);
     for preset in [
         MachinePreset::NcubeLike,
         MachinePreset::IpscLike,

@@ -21,7 +21,7 @@ fn main() {
     println!("sequential count: {}\n", nqueens_seq(n));
 
     println!("speedup on the simulated NCUBE-like hypercube (ACWN balancing):");
-    let prog = build(params, QueueingStrategy::Fifo, BalanceStrategy::acwn());
+    let prog = build(params); // FIFO + ACWN, the app's own defaults
     let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
     for p in [1usize, 2, 4, 8, 16, 32, 64] {
         let mut rep = prog.run_sim_preset(p, MachinePreset::NcubeLike);
@@ -43,7 +43,7 @@ fn main() {
         BalanceStrategy::TokenIdle,
         BalanceStrategy::acwn(),
     ] {
-        let prog = build(params, QueueingStrategy::Fifo, strat.clone());
+        let prog = prog.with_opts(|o| o.balance = strat.clone());
         let rep = prog.run_sim_preset(32, MachinePreset::NcubeLike);
         let sim = rep.sim.as_ref().unwrap();
         println!(

@@ -34,11 +34,8 @@ fn main() {
     };
 
     println!("parallel IDA* on the simulated NCUBE-like hypercube:");
-    let prog = build(
-        params,
-        QueueingStrategy::IntPriority,
-        BalanceStrategy::Random,
-    );
+    // Integer f-priorities are the app's default queueing.
+    let prog = build(params).with_opts(|o| o.balance = BalanceStrategy::Random);
     let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
     for p in [1usize, 4, 16, 64] {
         let mut rep = prog.run_sim_preset(p, MachinePreset::NcubeLike);

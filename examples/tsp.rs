@@ -31,7 +31,10 @@ fn main() {
 
     println!("queueing strategies on a 16-PE simulated hypercube:");
     for q in QueueingStrategy::ALL {
-        let prog = build(params, q, BalanceStrategy::Random);
+        let prog = build(params).with_opts(|o| {
+            o.queueing = q;
+            o.balance = BalanceStrategy::Random;
+        });
         let mut rep = prog.run_sim_preset(16, MachinePreset::NcubeLike);
         let res = rep.take_result::<TspResult>().unwrap();
         assert_eq!(res.best, best, "every strategy must find the optimum");
@@ -45,11 +48,7 @@ fn main() {
     }
 
     println!("\nscaling with bitvector priorities + ACWN:");
-    let prog = build(
-        params,
-        QueueingStrategy::BitvecPriority,
-        BalanceStrategy::acwn(),
-    );
+    let prog = build(params); // the app's own defaults
     let t1 = prog.run_sim_preset(1, MachinePreset::NcubeLike).time_ns;
     for p in [1usize, 4, 16, 64] {
         let mut rep = prog.run_sim_preset(p, MachinePreset::NcubeLike);

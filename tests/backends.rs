@@ -18,7 +18,7 @@ use charm_repro::ck_apps::registry::{Answer, APPS};
 use charm_repro::ck_apps::spec::{self, Spec};
 use charm_repro::ck_apps::{fib, nqueens, tablefill};
 use charm_repro::prelude::*;
-use chare_kernel::{CkReport, ProcConfig};
+use chare_kernel::{CkReport, MsgClass, ProcConfig, TraceEvent};
 
 /// Apps that run on sim + threads only, and why. Everything else must
 /// come out of [`Spec::run_backends`] with a procs report.
@@ -275,15 +275,73 @@ fn run_options_set_on_the_parent_reach_every_worker() {
     assert_eq!(metrics.latency_all().count, per_shard);
 }
 
+/// A traced run on 4 worker processes of `spec_str` as its text says,
+/// except for what `parent_only` changes on the parent's `Program` —
+/// which no worker's `CK_SPEC` build can know, so it only shows in the
+/// report if the whole `RunOpts` travelled in `Go` and was installed
+/// over the worker's own.
+fn run_procs_with(
+    test_name: &str,
+    spec_str: &str,
+    parent_only: impl FnOnce(&mut RunOpts),
+) -> (Spec, CkReport) {
+    spec::worker_hook();
+    let spec = Spec::parse(spec_str).expect(spec_str);
+    let prog = spec.build().with_tracing(TraceConfig::default()).with_opts(parent_only);
+    let rep = prog.run_procs(&ProcConfig::for_test(4, spec.to_string(), test_name));
+    let detail = rep.proc.as_ref().expect("detail");
+    assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
+    assert_eq!(spec.answer(&rep), Some(spec.oracle(4)), "{spec_str}");
+    (spec, rep)
+}
+
+#[test]
+fn a_balance_strategy_set_on_the_parent_overrides_the_spec_text() {
+    // The text every worker builds from says ACWN; the parent says keep
+    // every seed where it was created. Had the workers run what the
+    // text says, the fib tree would have spread.
+    let (spec, rep) = run_procs_with(
+        "a_balance_strategy_set_on_the_parent_overrides_the_spec_text",
+        "fib:n=18,grain=10",
+        |o| o.balance = BalanceStrategy::Local,
+    );
+    assert!(spec.to_string().ends_with("bal=acwn:4/2"), "{spec}");
+    assert_eq!(rep.counter_total("seeds_forwarded"), 0);
+    let trace = rep.trace.as_ref().expect("traced");
+    let forwarded = |ev: &&TraceEvent| matches!(ev.kind, EventKind::SeedForwarded { .. });
+    assert_eq!(trace.events.iter().filter(forwarded).count(), 0);
+    assert!(rep.counter_total("seeds_kept") > 100, "the tree was still built");
+}
+
+#[test]
+fn a_broadcast_mode_set_on_the_parent_reaches_every_worker() {
+    // Primes ends by quiescence detection, whose polls are kernel
+    // broadcasts. No spec key spells the broadcast mode, so a worker
+    // that ran only what its text says would send them down the
+    // spanning tree, as `TreeCast` envelopes of class `Broadcast`.
+    let (_, rep) = run_procs_with(
+        "a_broadcast_mode_set_on_the_parent_reaches_every_worker",
+        "primes:limit=2000,chunks=8",
+        |o| o.bcast = BroadcastMode::Direct,
+    );
+    assert_eq!(rep.counter_total("qd_declares"), 1);
+    let trace = rep.trace.as_ref().expect("traced");
+    let sends = |class| {
+        let sent = |ev: &&TraceEvent| matches!(ev.kind, EventKind::MsgSend { class: c, .. } if c == class);
+        trace.events.iter().filter(sent).count()
+    };
+    assert_eq!(sends(MsgClass::Broadcast), 0, "no tree-cast envelope on any PE");
+    assert!(sends(MsgClass::Qd) >= 3, "the polls went out, one envelope per peer");
+}
+
 #[test]
 fn oversubscribed_thread_machine_works() {
     // 16 PE threads on however few cores this host has: correctness
     // must not depend on real parallelism.
-    let prog = nqueens::build(
-        nqueens::QueensParams { n: 8, grain: 4 },
-        QueueingStrategy::IntPriority,
-        BalanceStrategy::TokenIdle,
-    );
+    let prog = nqueens::build(nqueens::QueensParams { n: 8, grain: 4 }).with_opts(|o| {
+        o.queueing = QueueingStrategy::IntPriority;
+        o.balance = BalanceStrategy::TokenIdle;
+    });
     let mut rep = prog.run_threads(16);
     assert!(!rep.timed_out);
     assert_eq!(rep.take_result::<u64>(), Some(92));

@@ -22,11 +22,8 @@ fn nqueens_identical_across_runs() {
         BalanceStrategy::acwn(),
         BalanceStrategy::TokenIdle,
     ] {
-        let prog = nqueens::build(
-            nqueens::QueensParams { n: 9, grain: 5 },
-            QueueingStrategy::Fifo,
-            balance.clone(),
-        );
+        let prog = nqueens::build(nqueens::QueensParams { n: 9, grain: 5 })
+            .with_opts(|o| o.balance = balance.clone());
         let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(fingerprint(&a), fingerprint(&b), "{balance:?}");
@@ -35,15 +32,8 @@ fn nqueens_identical_across_runs() {
 
 #[test]
 fn tsp_identical_across_runs_with_priorities() {
-    let prog = tsp::build(
-        tsp::TspParams {
-            n: 10,
-            seed: 4,
-            seq_tail: 5,
-        },
-        QueueingStrategy::BitvecPriority,
-        BalanceStrategy::Random,
-    );
+    let prog = tsp::build(tsp::TspParams { n: 10, seed: 4, seq_tail: 5 })
+        .with_opts(|o| o.balance = BalanceStrategy::Random);
     let a = prog.run_sim_preset(16, MachinePreset::IpscLike);
     let b = prog.run_sim_preset(16, MachinePreset::IpscLike);
     assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -53,21 +43,10 @@ fn tsp_identical_across_runs_with_priorities() {
 fn different_rng_seed_changes_placement_not_answer() {
     let params = nqueens::QueensParams { n: 8, grain: 4 };
     let build_seeded = |seed: u64| {
-        let mut b = ProgramBuilder::new();
-        let node = b.chare::<nqueens::QueensChare>();
-        let main = b.chare::<nqueens::QueensMain>();
-        let acc = b.accumulator::<SumU64>();
-        b.balance(BalanceStrategy::Random);
-        b.rng_seed(seed);
-        b.main(
-            main,
-            nqueens::MainSeed {
-                params,
-                node,
-                acc,
-            },
-        );
-        b.build()
+        nqueens::build(params).with_opts(|o| {
+            o.balance = BalanceStrategy::Random;
+            o.rng_seed = seed;
+        })
     };
     let mut a = build_seeded(1).run_sim_preset(8, MachinePreset::NcubeLike);
     let mut b = build_seeded(2).run_sim_preset(8, MachinePreset::NcubeLike);
