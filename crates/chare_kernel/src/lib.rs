@@ -51,6 +51,8 @@
 //! assert_eq!(report.take_result::<u64>(), Some(42));
 //! ```
 
+#[doc(hidden)]
+pub mod alloc_watch;
 pub mod balance;
 pub mod bcast;
 pub mod boc;
@@ -122,7 +124,7 @@ pub mod prelude {
     pub use crate::metrics::{MetricsConfig, MetricsLog};
     pub use crate::trace::{EventKind, TraceConfig, TraceLog};
     pub use crate::wire::{Wire, WireReader};
-    pub use crate::wire_struct;
+    pub use crate::{wire_enum, wire_struct};
     pub use multicomputer::{Cost, FaultPlan, MachinePreset, Pe, SimConfig, Topology};
     #[cfg(feature = "threads")]
     pub use multicomputer::ThreadConfig;

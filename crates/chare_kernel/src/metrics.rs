@@ -192,7 +192,8 @@ impl Histogram {
 /// One interval bucket's worth of per-PE activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Slice {
-    /// Charged user-handler nanoseconds.
+    /// User-step nanoseconds (charged on the simulator, wall on the
+    /// real backends).
     pub work_ns: u64,
     /// User-step dispatch overhead nanoseconds.
     pub dispatch_ns: u64,
@@ -336,7 +337,8 @@ pub struct PeMetricSet {
     pub slices: Vec<Slice>,
     /// Message delivery latency (send → deliver), ns.
     pub latency: Histogram,
-    /// Entry grain size (charged ns per entry execution).
+    /// Entry grain size (ns per entry execution: charged on the
+    /// simulator, wall on the real backends).
     pub grain: Histogram,
     /// Deepest runnable backlog observed.
     pub queue_hwm: u64,

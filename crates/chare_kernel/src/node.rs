@@ -107,6 +107,15 @@ fn file(
     }
 }
 
+/// Time spent between two `(now_ns, charged_ns)` readings of one PE's
+/// [`NetCtx`]: the clock's advance plus the charges made. The
+/// simulator's clock stands still inside a handler and only charges
+/// move; the real backends charge nothing and only the clock moves — so
+/// the one sum is exact on every backend, with no backend to ask about.
+fn spent_ns(before: (u64, u64), after: (u64, u64)) -> u64 {
+    (after.0 - before.0) + (after.1 - before.1)
+}
+
 impl CkNode {
     pub(crate) fn new(
         pe: Pe,
@@ -155,9 +164,6 @@ impl CkNode {
     /// Record a queue-length sample if the backlog changed since the
     /// last sample (keeps the counter track step-shaped, not per-event).
     fn sample_queue(&mut self, net: &dyn NetCtx) {
-        if !self.probe.as_ref().is_some_and(|p| p.queue_samples()) {
-            return;
-        }
         let len = self.user_load() as u32;
         if self.last_q_sample != Some(len) {
             self.last_q_sample = Some(len);
@@ -262,16 +268,20 @@ impl CkNode {
             WorkItem::ChareMsg { local, ep, .. } => (EntryWhat::Chare(*local), Some(*ep)),
             WorkItem::BranchMsg { boc, ep, .. } => (EntryWhat::Branch(*boc), Some(*ep)),
         };
-        emit(&self.probe, || (net.now_ns(), 0, EventKind::EntryBegin { what, ep }));
+        let mut begun_ns = 0;
+        emit(&self.probe, || {
+            begun_ns = net.now_ns();
+            (begun_ns, 0, EventKind::EntryBegin { what, ep })
+        });
         let sent_before = self.counters.user_sent;
-        // The simulator's clock stands still inside a handler, so the
-        // entry's grain is the charge delta across it, not a time delta.
         let charged_before = net.charged_ns();
         self.run_item(net, item);
         emit(&self.probe, || {
             let msgs_sent = (self.counters.user_sent - sent_before) as u32;
-            let grain_ns = net.charged_ns() - charged_before;
-            (net.now_ns(), grain_ns, EventKind::EntryEnd { msgs_sent })
+            // The entry's grain, off the two stamps its events carry.
+            let (now, charged) = (net.now_ns(), net.charged_ns());
+            let grain_ns = spent_ns((begun_ns, charged_before), (now, charged));
+            (now, grain_ns, EventKind::EntryEnd { msgs_sent })
         });
     }
 
@@ -392,12 +402,11 @@ impl NodeProgram for CkNode {
         let before = self.probe.as_ref().map(|_| (net.now_ns(), net.charged_ns()));
         let r = self.step_inner(net);
         self.strata(net).port.flush();
-        if let (Some(p), Some((step_start, charged_before))) = (&self.probe, before) {
-            let charged = net.charged_ns() - charged_before;
-            match r {
-                Some(StepKind::User) => p.user_step(step_start, charged),
-                Some(StepKind::Control) => p.ctl_step(step_start, charged),
-                None => {}
+        if let (Some(p), Some(before), Some(kind)) = (&self.probe, before, r) {
+            let spent = spent_ns(before, (net.now_ns(), net.charged_ns()));
+            match kind {
+                StepKind::User => p.user_step(before.0, spent),
+                StepKind::Control => p.ctl_step(before.0, spent),
             }
         }
         r
@@ -411,8 +420,7 @@ impl NodeProgram for CkNode {
     }
 
     fn alarm(&mut self, net: &mut dyn NetCtx) {
-        let now = net.now_ns();
-        let charged_before = net.charged_ns();
+        let before = (net.now_ns(), net.charged_ns());
         let mut s = self.strata(net);
         let mut settled = false;
         for rd in s.port.on_alarm() {
@@ -425,7 +433,7 @@ impl NodeProgram for CkNode {
         if let Some(p) = &self.probe {
             // Alarm handlers run as pure control time (the machine
             // charges them no dispatch overhead).
-            p.alarm(now, net.charged_ns() - charged_before);
+            p.alarm(before.0, spent_ns(before, (net.now_ns(), net.charged_ns())));
         }
     }
 

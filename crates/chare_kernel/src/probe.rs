@@ -272,16 +272,10 @@ impl Drop for Probe {
 }
 
 impl Probe {
-    /// Whether [`EventKind::QueueSample`] events were requested.
-    #[inline]
-    pub(crate) fn queue_samples(&self) -> bool {
-        self.sink.tracing.is_some_and(|c| c.queue_samples)
-    }
-
     /// Record one event at `at_ns`. `span_ns` is the duration the event
     /// closes, for the two kinds that close one — a message's flight
-    /// time for `MsgRecv`, the entry's charged grain for `EntryEnd` —
-    /// and 0 otherwise.
+    /// time for `MsgRecv`, the entry's grain for `EntryEnd` (charged time
+    /// on the simulator, wall time on a real backend) — and 0 otherwise.
     #[inline]
     pub(crate) fn record(&self, at_ns: u64, span_ns: u64, kind: EventKind) {
         let ev = TraceEvent {
@@ -306,27 +300,28 @@ impl Probe {
         }
     }
 
-    /// A user scheduling step ran at `start`, charging `charged_ns`.
+    /// A user scheduling step ran at `start` and took `spent_ns` — the
+    /// time it charged on the simulator, the wall time it ran for on a
+    /// real backend (the node's `spent_ns` is the one sum that is both).
     /// Attributed dispatch-first, then work, clipped across intervals.
-    pub(crate) fn user_step(&self, start: u64, charged_ns: u64) {
+    pub(crate) fn user_step(&self, start: u64, spent_ns: u64) {
         let dispatch = self.sink.dispatch_ns;
         self.attribute(|st| {
             st.slices.add_span(start, dispatch, |s, ns| s.dispatch_ns += ns);
-            st.slices
-                .add_span(start + dispatch, charged_ns, |s, ns| s.work_ns += ns);
+            st.slices.add_span(start + dispatch, spent_ns, |s, ns| s.work_ns += ns);
         });
     }
 
-    /// A control scheduling step ran at `start`, charging `charged_ns`.
-    pub(crate) fn ctl_step(&self, start: u64, charged_ns: u64) {
-        let dur = self.sink.ctl_dispatch_ns + charged_ns;
+    /// A control scheduling step ran at `start` and took `spent_ns`.
+    pub(crate) fn ctl_step(&self, start: u64, spent_ns: u64) {
+        let dur = self.sink.ctl_dispatch_ns + spent_ns;
         self.attribute(|st| st.slices.add_span(start, dur, |s, ns| s.ctl_ns += ns));
     }
 
-    /// An alarm handler ran at `start`, charging `charged_ns` (the
-    /// machine charges alarms no dispatch overhead).
-    pub(crate) fn alarm(&self, start: u64, charged_ns: u64) {
-        self.attribute(|st| st.slices.add_span(start, charged_ns, |s, ns| s.ctl_ns += ns));
+    /// An alarm handler ran at `start` and took `spent_ns` (the machine
+    /// charges alarms no dispatch overhead).
+    pub(crate) fn alarm(&self, start: u64, spent_ns: u64) {
+        self.attribute(|st| st.slices.add_span(start, spent_ns, |s, ns| s.ctl_ns += ns));
     }
 
     /// The runnable backlog reached a new peak of `len`. A watermark,

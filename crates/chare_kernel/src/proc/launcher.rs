@@ -27,10 +27,10 @@ use crate::program::{CkReport, Program};
 use crate::stats::KernelCounters;
 use crate::wire::WireReader;
 
-use super::transport::{recv_ctl, send_ctl, spawn_ctl_reader, Backoff, CtlEvent, CtlMsg, Final, Go,
-    Listener, Stream};
-use super::{ProcAbortReason, ProcConfig, ProcDetail, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_RANK,
-    ENV_SPEC, HANDSHAKE_TIMEOUT};
+use super::transport::{ctl_frame, recv_ctl, send_ctl, spawn_ctl_reader, Backoff, CtlEvent, CtlMsg,
+    Final, Go, Listener, Stream};
+use super::{ProcAbortReason, ProcConfig, ProcDetail, ProcOpts, ENV_ADDR, ENV_RANK, ENV_SPEC,
+    HANDSHAKE_TIMEOUT};
 
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -42,12 +42,14 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// Send `msg` (`what`, for the error) to every rank. Handshake
-    /// only: all are connected, and a failed write is a failed handshake.
+    /// Send `msg` (`what`, for the error) to every rank, framed once:
+    /// every rank is told the same. Handshake only: all are connected,
+    /// and a failed write is a failed handshake.
     fn broadcast(&mut self, what: &str, msg: &CtlMsg) -> Result<(), ProcAbortReason> {
+        let framed = ctl_frame(msg);
         for rank in 0..self.ctl.len() {
             let ctl = self.ctl[rank].as_mut().expect("all connected");
-            if let Err(e) = send_ctl(ctl, msg) {
+            if let Err(e) = ctl.write_all(&framed) {
                 let error = format!("sending {what} to {rank}: {e}");
                 return Err(handshake_failure(self, &error));
             }
@@ -174,7 +176,6 @@ fn spawn(cfg: &ProcConfig, ctl_addr: &str, fleet: &mut Fleet) -> Result<(), Proc
     for rank in 0..cfg.npes {
         let mut cmd = Command::new(&exe);
         cmd.args(&cfg.worker_args)
-            .env_remove(ENV_CRASH)
             .env(ENV_RANK, rank.to_string())
             .env(ENV_SPEC, &cfg.spec)
             .env(ENV_ADDR, ctl_addr)
@@ -183,9 +184,6 @@ fn spawn(cfg: &ProcConfig, ctl_addr: &str, fleet: &mut Fleet) -> Result<(), Proc
             // chatter; silence stdout but keep stderr for panics.
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());
-        if let Some(crash) = &cfg.crash {
-            cmd.env(ENV_CRASH, crash);
-        }
         fleet.children[rank] = Some(cmd.spawn().map_err(|e| failed(rank, e))?);
     }
     Ok(())
@@ -240,6 +238,7 @@ fn go_ready(
         batch_bytes: cfg.batch_bytes,
         batch_frames: cfg.batch_frames,
         loss: cfg.loss,
+        crash: cfg.crash,
         run: prog.opts().clone(),
     };
     fleet.broadcast("Go", &CtlMsg::Go(Box::new(Go { peers, opts })))?;

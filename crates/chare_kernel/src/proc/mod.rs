@@ -26,7 +26,6 @@
 //! | `CK_PE_RANK`    | this process is worker PE *n*                      |
 //! | `CK_SPEC`       | opaque program spec, passed back to the builder    |
 //! | `CK_PROC_ADDR`  | parent control socket (`uds:<path>` / `tcp:<addr>`)|
-//! | `CK_PROC_CRASH` | fault-injection hook for teardown tests            |
 //!
 //! ## Handshake and teardown
 //!
@@ -36,10 +35,11 @@
 //! wire-table fingerprint (a codec mismatch between parent and worker
 //! binaries fails fast instead of corrupting memory) and replies
 //! `Go{peer addrs, opts}` — `ProcOpts`: the machine shape, batching
-//! thresholds and loss shim of the [`ProcConfig`], and the parent
-//! `Program`'s [`RunOpts`] whole, which the worker installs over what
-//! its own `CK_SPEC` build chose (the parent's win, the spec's `q=` and
-//! `bal=` included) before it builds its node. The workers wire a full
+//! thresholds, loss shim and crash hook of the [`ProcConfig`], and the
+//! parent `Program`'s [`RunOpts`] whole, which the worker installs over
+//! what its own `CK_SPEC` build chose (the parent's win, the spec's `q=`
+//! and `bal=` included) before it builds its node. Every rank is sent
+//! the same `Go`, framed once. The workers wire a full
 //! data mesh (worker *i* connects to every *j < i*); after `Ready` from
 //! all, the parent broadcasts `Start`. A worker whose node calls
 //! `CkExit` reports `Stopped{result}`; the parent broadcasts `Halt`, collects a
@@ -90,11 +90,6 @@ pub const ENV_RANK: &str = "CK_PE_RANK";
 pub const ENV_SPEC: &str = "CK_SPEC";
 /// Environment variable carrying the parent control-socket address.
 pub const ENV_ADDR: &str = "CK_PROC_ADDR";
-/// Environment variable carrying the crash-injection hook
-/// (`<rank>:exit:<code>:<after>`, `<rank>:close:<after>`,
-/// `<rank>:badlen:<len>:<after>`, `<rank>:badctl:<after>` or
-/// `<rank>:badbody:<after>`).
-pub const ENV_CRASH: &str = "CK_PROC_CRASH";
 
 /// Handshake I/O deadline on both sides (also bounds teardown waits).
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -150,12 +145,12 @@ pub struct ProcConfig {
     /// [`run_parent`] panics otherwise, because dropped frames would
     /// simply vanish.
     pub loss: Option<LossConfig>,
-    /// Teardown-test hook, passed verbatim as `CK_PROC_CRASH`
-    /// ([`ENV_CRASH`] has the grammar): one worker, after a number of
-    /// user steps, exits, hangs up, or writes its peers or the parent
-    /// something malformed and keeps running. Production runs leave
-    /// this `None`.
-    pub crash: Option<String>,
+    /// Teardown-test hook ([`ProcConfig::with_crash`] has the grammar):
+    /// one worker, after a number of user steps, exits, hangs up, or
+    /// writes its peers or the parent something malformed and keeps
+    /// running. Rides `Go` like every other option. Production runs
+    /// leave this `None`.
+    pub crash: Option<CrashHook>,
 }
 
 impl ProcConfig {
@@ -221,9 +216,15 @@ impl ProcConfig {
         self
     }
 
-    /// Install the crash-injection hook (teardown tests only).
-    pub fn with_crash(mut self, crash: impl Into<String>) -> Self {
-        self.crash = Some(crash.into());
+    /// Install the crash-injection hook (teardown tests only):
+    /// `<rank>:<mode>:<after>`, where the mode is `exit:<code>`, `close`,
+    /// `badlen:<len>`, `badctl`, `badbody` or `nest:<depth>` (see
+    /// [`CrashMode`]) and `<after>` counts the rank's user steps. Panics
+    /// on anything else: a hook that does not parse would never fire,
+    /// and the test that set it would pass without testing anything.
+    pub fn with_crash(mut self, crash: &str) -> Self {
+        let hook = CrashHook::parse(crash);
+        self.crash = Some(hook.unwrap_or_else(|| panic!("{crash:?} is not a crash hook")));
         self
     }
 }
@@ -292,7 +293,8 @@ pub struct ProcDetail {
 
 /// What `Go` carries to every worker beyond the program spec: the
 /// machine shape (size and topology), the batching thresholds, the loss
-/// shim, and the parent `Program`'s [`RunOpts`], whole. The worker
+/// shim, the crash hook (which names the one rank it is for), and the
+/// parent `Program`'s [`RunOpts`], whole. The worker
 /// installs them over whatever its `CK_SPEC` build chose — the parent
 /// wins — so any run option set on the parent side, the strategies
 /// included, takes effect in every worker without the spec-builder
@@ -304,11 +306,14 @@ pub(crate) struct ProcOpts {
     pub batch_bytes: usize,
     pub batch_frames: usize,
     pub loss: Option<LossConfig>,
+    pub crash: Option<CrashHook>,
     pub run: RunOpts,
 }
 
-crate::wire_struct!(ProcOpts { npes, topology, batch_bytes, batch_frames, loss, run });
+crate::wire_struct!(ProcOpts { npes, topology, batch_bytes, batch_frames, loss, crash, run });
 crate::wire_struct!(LossConfig { seed, drop_permille, reorder_permille });
+crate::wire_struct!(CrashHook { rank, mode, after });
+crate::wire_enum!(CrashMode { Exit(code), Close, BadLen(len), BadCtl, BadBody, Nest(depth) });
 
 /// The transport flavor an address string uses.
 pub(crate) fn transport_of(addr: &str) -> ProcTransport {
@@ -319,9 +324,9 @@ pub(crate) fn transport_of(addr: &str) -> ProcTransport {
     }
 }
 
-/// Parsed `CK_PROC_CRASH` hook.
+/// What a [`CrashHook`] makes its worker do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CrashMode {
+pub enum CrashMode {
     /// `process::exit(code)`.
     Exit(i32),
     /// Shut every socket down and hang (the parent must detect the
@@ -336,18 +341,27 @@ pub(crate) enum CrashMode {
     /// Write every peer a data frame with a valid header and a body that
     /// is no envelope, and keep running.
     BadBody,
+    /// Write every peer a well-formed data frame of this many `RelData`
+    /// envelopes one inside the other, and keep running (the receivers
+    /// must refuse it, not recurse to the bottom of it).
+    Nest(u32),
 }
 
+/// The teardown-test hook of a [`ProcConfig`]: one worker misbehaves
+/// once, mid-run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct CrashHook {
+pub struct CrashHook {
+    /// The worker it is for.
     pub rank: u32,
+    /// What that worker does.
     pub mode: CrashMode,
     /// Trigger after this many user scheduling steps.
     pub after: u64,
 }
 
 impl CrashHook {
-    pub(crate) fn parse(s: &str) -> Option<CrashHook> {
+    /// The hook `s` spells in [`ProcConfig::with_crash`]'s grammar.
+    fn parse(s: &str) -> Option<CrashHook> {
         let mut it = s.split(':');
         let rank = it.next()?.parse().ok()?;
         let mode = match it.next()? {
@@ -356,10 +370,11 @@ impl CrashHook {
             "badlen" => CrashMode::BadLen(it.next()?.parse().ok()?),
             "badctl" => CrashMode::BadCtl,
             "badbody" => CrashMode::BadBody,
+            "nest" => CrashMode::Nest(it.next()?.parse().ok()?),
             _ => return None,
         };
         let after = it.next()?.parse().ok()?;
-        Some(CrashHook { rank, mode, after })
+        it.next().is_none().then_some(CrashHook { rank, mode, after })
     }
 }
 
@@ -387,7 +402,7 @@ mod tests {
             .filter(|l| l.starts_with("pub const ENV_"))
             .map(|l| l.split('"').nth(1).expect("a string constant"))
             .collect();
-        assert_eq!(consts, [ENV_RANK, ENV_SPEC, ENV_ADDR, ENV_CRASH]);
+        assert_eq!(consts, [ENV_RANK, ENV_SPEC, ENV_ADDR]);
         let process_md = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PROCESS.md");
         let process_md = std::fs::read_to_string(process_md).expect("docs/PROCESS.md");
         assert_eq!(table_names(&process_md, "rank env contract"), consts, "docs/PROCESS.md");
@@ -436,9 +451,24 @@ mod tests {
                 after: 1
             })
         );
+        assert_eq!(
+            CrashHook::parse("0:nest:100000:3"),
+            Some(CrashHook {
+                rank: 0,
+                mode: CrashMode::Nest(100_000),
+                after: 3
+            })
+        );
         assert_eq!(CrashHook::parse("1:burn:3"), None);
         assert_eq!(CrashHook::parse("1:exit:3"), None, "exit needs a code and a count");
+        assert_eq!(CrashHook::parse("1:close:3:9"), None, "nothing may follow the count");
         assert_eq!(CrashHook::parse(""), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"1:exti:7:50\" is not a crash hook")]
+    fn a_misspelt_crash_hook_panics_in_the_parent() {
+        let _ = ProcConfig::new(2, "").with_crash("1:exti:7:50");
     }
 
     #[test]

@@ -455,11 +455,16 @@ impl CtlMsg {
     }
 }
 
-/// Send one control message (framed, one write).
-pub(crate) fn send_ctl(w: &mut impl Write, msg: &CtlMsg) -> io::Result<()> {
+/// One control message, framed: the bytes [`send_ctl`] writes.
+pub(crate) fn ctl_frame(msg: &CtlMsg) -> Vec<u8> {
     let mut out = Vec::new();
     frame(&mut out, |b| msg.encode(b));
-    w.write_all(&out)
+    out
+}
+
+/// Send one control message (framed, one write).
+pub(crate) fn send_ctl(w: &mut impl Write, msg: &CtlMsg) -> io::Result<()> {
+    w.write_all(&ctl_frame(msg))
 }
 
 /// Receive one control message (framed); a body that does not decode is
@@ -501,7 +506,7 @@ mod tests {
     use crate::metrics::MetricsConfig;
     use crate::prelude::{BalanceStrategy, BroadcastMode, QueueingStrategy};
     use crate::probe::ProbeSink;
-    use crate::proc::LossConfig;
+    use crate::proc::{CrashHook, CrashMode, LossConfig};
     use crate::program::RunOpts;
     use crate::reliable::ReliableConfig;
     use crate::trace::{EventKind, MsgClass, TraceConfig};
@@ -688,6 +693,7 @@ mod tests {
                 drop_permille: 100,
                 reorder_permille: 50,
             }),
+            crash: Some(CrashHook { rank: 5, mode: CrashMode::Exit(-7), after: 1 << 40 }),
             run: RunOpts {
                 queueing: QueueingStrategy::BitvecPriority,
                 balance: BalanceStrategy::Acwn { max_hops: 9, low_mark: 3 },
@@ -699,7 +705,7 @@ mod tests {
                     seed_retry_limit: 30,
                     window: 16,
                 }),
-                tracing: Some(TraceConfig { capacity: 1 << 12, queue_samples: false }),
+                tracing: Some(TraceConfig { capacity: 1 << 12 }),
                 metrics: Some(MetricsConfig { slice_ns: 1 << 14, max_slices: 128, flight_cap: 32 }),
             },
         }
@@ -779,8 +785,13 @@ mod tests {
                 && full.run.metrics != library.metrics,
             "a field at its default would round-trip even if the codec skipped it"
         );
-        let minimal =
-            ProcOpts { loss: None, topology: Topology::Hypercube, run: library, ..full };
+        let minimal = ProcOpts {
+            loss: None,
+            crash: None,
+            topology: Topology::Hypercube,
+            run: library,
+            ..full
+        };
         let go = CtlMsg::Go(Box::new(Go {
             peers: Vec::new(),
             opts: minimal,
@@ -847,6 +858,18 @@ mod tests {
                 drop_permille: w[7] as u16,
                 reorder_permille: (w[7] >> 16) as u16,
             }),
+            crash: set(3).then(|| CrashHook {
+                rank: (w[2] >> 32) as u32,
+                mode: match w[0] >> 16 & 7 {
+                    0 => CrashMode::Exit(w[3] as i32),
+                    1 => CrashMode::Close,
+                    2 => CrashMode::BadLen((w[3] >> 32) as u32),
+                    3 => CrashMode::BadCtl,
+                    4 => CrashMode::BadBody,
+                    _ => CrashMode::Nest((w[3] >> 32) as u32),
+                },
+                after: w[4],
+            }),
             run: RunOpts {
                 queueing: QueueingStrategy::ALL[(w[0] >> 11 & 3) as usize],
                 balance: match w[0] >> 13 & 7 {
@@ -867,8 +890,7 @@ mod tests {
                     seed_retry_limit: w[10] as u32,
                     window: (w[10] >> 32) as u32,
                 }),
-                tracing: set(2)
-                    .then(|| TraceConfig { capacity: w[11] as usize, queue_samples: set(3) }),
+                tracing: set(2).then(|| TraceConfig { capacity: w[11] as usize }),
                 metrics: set(4).then(|| MetricsConfig {
                     slice_ns: w[12],
                     max_slices: w[13] as usize,

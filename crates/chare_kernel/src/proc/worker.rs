@@ -53,13 +53,13 @@ use crate::pool;
 use crate::probe::ProbeSink;
 use crate::program::Program;
 use crate::registry::Registry;
-use crate::wire::{decode_sys, encode_sys, WireReader};
+use crate::wire::{decode_frame, encode_sys, reldata_nest};
 
 use super::shim::LossShim;
 use super::transport::{frame, recv_ctl, send_ctl, spawn_ctl_reader, Chunk, CtlMsg, Final, Go, Hello,
     Listener, Splitter, Stream};
-use super::{CrashHook, CrashMode, ENV_ADDR, ENV_CRASH, ENV_RANK, ENV_SPEC,
-    EXIT_BAD_FRAME, EXIT_CTL_LOST, HANDSHAKE_TIMEOUT};
+use super::{CrashHook, CrashMode, ENV_ADDR, ENV_RANK, ENV_SPEC, EXIT_BAD_FRAME, EXIT_CTL_LOST,
+    HANDSHAKE_TIMEOUT};
 
 /// Backstop on an idle PE's wait. Everything that ends idleness arrives
 /// on the scheduler channel and a pending alarm shortens the wait to
@@ -95,11 +95,7 @@ pub fn maybe_worker(build: impl FnOnce(&str) -> Program) {
     let prog = build(&spec);
     let addr =
         std::env::var(ENV_ADDR).unwrap_or_else(|_| panic!("worker {rank}: {ENV_ADDR} missing"));
-    let crash = std::env::var(ENV_CRASH)
-        .ok()
-        .and_then(|s| CrashHook::parse(&s))
-        .filter(|h| h.rank == rank);
-    run_worker(rank, prog, &addr, crash);
+    run_worker(rank, prog, &addr);
 }
 
 /// Events multiplexed onto the worker's single scheduler channel.
@@ -270,11 +266,8 @@ fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mu
     for body in chunk.frames() {
         let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
         let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-        let mut r = WireReader::new(&body[12..]);
-        let sys = decode_sys(&ctx.reg, &mut r);
-        if let Err(e) = r.finish() {
-            bad_frame(ctx.me.0, from, &e.to_string());
-        }
+        let sys = decode_frame(&ctx.reg, &body[12..])
+            .unwrap_or_else(|e| bad_frame(ctx.me.0, from, &e.to_string()));
         node.incoming(Packet {
             from: Pe(from),
             bytes,
@@ -405,9 +398,10 @@ fn mesh(rank: u32, listener: Listener, peer_addrs: &[String]) -> Vec<Option<Stre
 }
 
 /// Run worker PE `rank` to completion and exit the process.
-fn run_worker(rank: u32, prog: Program, addr: &str, mut crash: Option<CrashHook>) -> ! {
+fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
     let (mut ctl, listener, Go { peers, opts }, prog) = handshake(rank, &prog, addr);
     let npes = opts.npes;
+    let mut crash = opts.crash.filter(|hook| hook.rank == rank);
     let links = mesh(rank, listener, &peers);
 
     // -- reader threads and scheduler channel -----------------------------
@@ -601,15 +595,20 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             let bytes = [4, 0, 0, 0, 6, 0, 0, 0];
             let _ = ctl.try_clone().and_then(|mut ctl| ctl.write_all(&bytes));
         }
-        CrashMode::BadBody => {
-            for peer in ctx.peers.iter_mut().flatten() {
-                peer.push(|b| {
-                    b.extend_from_slice(&[0; 12]); // [sent_ns][bytes]
-                    b.push(0xff); // no such `SysMsg` tag
-                });
-                peer.flush();
-            }
-        }
+        CrashMode::BadBody => write_peers(ctx, |b| b.push(0xff)), // no such `SysMsg` tag
+        CrashMode::Nest(depth) => write_peers(ctx, |b| reldata_nest(depth, b)),
+    }
+}
+
+/// Write every peer, at once, one data frame with a valid header and
+/// the envelope bytes `envelope` appends.
+fn write_peers(ctx: &mut ProcCtx, envelope: impl Fn(&mut Vec<u8>)) {
+    for peer in ctx.peers.iter_mut().flatten() {
+        peer.push(|b| {
+            b.extend_from_slice(&[0; 12]); // [sent_ns][bytes]
+            envelope(b);
+        });
+        peer.flush();
     }
 }
 
@@ -737,6 +736,7 @@ mod tests {
             batch_bytes: 1,
             batch_frames: 1,
             loss: None,
+            crash: None,
             run,
         };
         send_ctl(&mut ctl, &CtlMsg::Go(Box::new(Go { peers: vec![String::new()], opts }))).unwrap();

@@ -26,6 +26,7 @@ use crate::balance::{BalanceStrategy, SeedManager};
 use crate::bcast::BroadcastMode;
 use crate::boc::BranchInit;
 use crate::chare::ChareInit;
+use crate::envelope::SysMsg;
 use crate::ids::{Boc, BocId, ChareKind, Kind, RoId};
 use crate::metrics::{MetricsConfig, MetricsLog};
 use crate::msg::Message;
@@ -37,6 +38,7 @@ use crate::reliable::ReliableConfig;
 use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
 use crate::trace::{TraceConfig, TraceLog};
 use crate::transport::Transport;
+use crate::wire::WireError;
 
 /// How a program is run, as opposed to what it is: the eight run-level
 /// knobs, declared here and nowhere else. A [`ProgramBuilder`] sets them
@@ -345,11 +347,27 @@ impl Program {
         self.reg.wire.fingerprint()
     }
 
-    /// Whether the program registered any body codec of its own with
-    /// [`ProgramBuilder::wire`] — the precondition for running it on
-    /// the procs backend, where every crossing body must be `Wire`.
-    pub fn is_wired(&self) -> bool {
-        self.reg.wire.has_user_types()
+    /// The body types this program can put on a wire — the kernel's own
+    /// and those registered with [`ProgramBuilder::wire`] — by name, in
+    /// tag order. A program runs on the procs backend iff every body it
+    /// sends between PEs is among them; one that is not panics, naming
+    /// the type, where it is first sent.
+    pub fn wire_types(&self) -> Vec<&'static str> {
+        self.reg.wire.names().collect()
+    }
+
+    /// Append `sys` as the body of a procs data frame carries it (after
+    /// the frame's `[sent_ns][bytes]` header). With [`Self::decode_frame`],
+    /// the codec boundary a hostile-input test drives without sockets.
+    pub fn encode_frame(&self, sys: &SysMsg, out: &mut Vec<u8>) {
+        crate::wire::encode_sys(&self.reg, sys, out)
+    }
+
+    /// The envelope `bytes` encode, as a procs worker of this program
+    /// decodes it off a data link — or what is wrong with them. Never
+    /// panics, whatever the bytes.
+    pub fn decode_frame(&self, bytes: &[u8]) -> Result<SysMsg, WireError> {
+        crate::wire::decode_frame(&self.reg, bytes)
     }
 
     pub(crate) fn factory(&self, topology: Topology, sink: Option<Arc<ProbeSink>>) -> CkFactory {

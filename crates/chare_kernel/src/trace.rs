@@ -32,27 +32,18 @@ pub struct TraceConfig {
     /// Maximum events retained per PE; older events are overwritten
     /// (counted in [`TraceLog::dropped`]).
     pub capacity: usize,
-    /// Record [`EventKind::QueueSample`] events when a PE's runnable
-    /// backlog changes between scheduling steps.
-    pub queue_samples: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            capacity: 1 << 20,
-            queue_samples: true,
-        }
+        TraceConfig { capacity: 1 << 20 }
     }
 }
 
 impl TraceConfig {
     /// A config with `capacity` events retained per PE.
     pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig {
-            capacity: capacity.max(1),
-            ..TraceConfig::default()
-        }
+        TraceConfig { capacity: capacity.max(1) }
     }
 }
 

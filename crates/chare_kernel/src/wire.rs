@@ -10,9 +10,15 @@
 //! * [`Wire`] — a small explicit codec trait (`encode` into a byte
 //!   vector, `decode` from a [`WireReader`]), implemented for the
 //!   primitives, the kernel id types, priorities, and trace/metric
-//!   snapshot types. Applications implement it for their message and
-//!   seed types, usually via the [`wire_struct!`](crate::wire_struct)
-//!   field-list macro;
+//!   snapshot types. What a type looks like on the wire is declared
+//!   once, as a list both directions are generated from:
+//!   [`wire_struct!`](crate::wire_struct) over a struct's fields,
+//!   [`wire_enum!`](crate::wire_enum) over an enum's variants — the
+//!   kernel's own types and an application's message and seed types
+//!   alike. Only three codecs here are written out by hand, each for a
+//!   reason a list cannot state: `SysMsg` (bodies go through the
+//!   registry), `BitPrio` (bit packing) and `BalanceStrategy` (travels
+//!   as its spec-grammar text);
 //! * a **wire table** inside the program `Registry`: message *bodies*
 //!   are type-erased (`Box<dyn Any>`), so each concrete body type a
 //!   program sends between PEs must be registered up front with
@@ -21,7 +27,7 @@
 //!   the parent and every worker process construct the *same* program
 //!   (same registration sequence), the tags agree, and a fingerprint of
 //!   the table is checked at the socket handshake to catch drift;
-//! * `encode_sys`/`decode_sys` — the envelope codec covering every
+//! * `encode_sys`/`decode_frame` — the envelope codec covering every
 //!   `SysMsg` variant, including the awkward ones: spanning-tree
 //!   broadcasts carry a generator closure (encoded by materializing one
 //!   copy; decoded into a closure that re-decodes the captured bytes
@@ -34,10 +40,13 @@
 //! prefix past the bytes left, an unknown tag or a non-UTF-8 string
 //! records the first such malformation on the [`WireReader`], leaves it
 //! exhausted — every later read and count comes back zero, so decoding
-//! terminates — and yields a placeholder value. Whoever cut the frame
-//! asks [`WireReader::finish`] once the value is decoded and maps an
-//! error to its own failure: the parent to `ProcAbortReason::Protocol`,
-//! a worker to `EXIT_BAD_FRAME` (see [`proc`](crate::proc)).
+//! terminates — and yields a placeholder value. Envelopes nested deeper
+//! than any sender nests them are such a malformation too, so the
+//! decoder's recursion is bounded by a constant, not by the frame cap.
+//! Whoever cut the frame asks [`WireReader::finish`] once the value is
+//! decoded and maps an error to its own failure: the parent to
+//! `ProcAbortReason::Protocol`, a worker to `EXIT_BAD_FRAME` (see
+//! [`proc`](crate::proc)).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -200,7 +209,8 @@ impl<'a> WireReader<'a> {
 /// Explicit byte codec for values that cross process boundaries.
 ///
 /// Implementations must be self-delimiting: `decode` reads exactly the
-/// bytes `encode` wrote. Derive-style helper: [`wire_struct!`](crate::wire_struct).
+/// bytes `encode` wrote. Derive-style helpers: [`wire_struct!`](crate::wire_struct),
+/// [`wire_enum!`](crate::wire_enum).
 pub trait Wire: Sized + 'static {
     /// Append this value's byte representation to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -340,6 +350,86 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
+// ---- declaring a codec: one list, both directions -----------------------
+
+/// Implement [`Wire`] for a struct by listing its fields in declaration
+/// order:
+///
+/// ```ignore
+/// wire_struct!(FibSeed { n, grain, parent, fib });
+/// ```
+///
+/// Field types must themselves implement `Wire`. Keep the field list in
+/// sync with the struct — the codec is positional.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( $crate::wire::Wire::encode(&self.$field, out); )+
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> Self {
+                Self { $( $field: $crate::wire::Wire::decode(r) ),+ }
+            }
+        }
+    };
+}
+
+/// Implement [`Wire`] for an enum by listing its variants in declaration
+/// order — unit, tuple (one name per field) and struct forms:
+///
+/// ```ignore
+/// wire_enum!(Control { Sweep(main), Stop });
+/// wire_enum!(Topology { Hypercube, Mesh2D { rows, cols }, Ring, FullyConnected, Bus });
+/// ```
+///
+/// A variant travels as one tag byte, its position in the list, then
+/// its fields in order, each by its own `Wire`. The one list drives both
+/// directions: `encode` matches on it, so a variant left out does not
+/// compile, and `decode` reads the tag with [`WireReader::tag`], so a
+/// byte that is no position in it is a recorded error like any other
+/// malformation, and the placeholder is the first variant. As with
+/// [`wire_struct!`](crate::wire_struct) the codec is positional: keep the
+/// list in the enum's order, and append rather than insert.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty { $( $variant:ident
+        $( ( $($elem:ident),+ $(,)? ) )?
+        $( { $($field:ident),+ $(,)? } )?
+    ),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire_enum!(@tags $($variant)+);
+                match self {
+                    $( Self::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )? => {
+                        out.push(Tag::$variant as u8);
+                        $( $( $crate::wire::Wire::encode($elem, out); )+ )?
+                        $( $( $crate::wire::Wire::encode($field, out); )+ )?
+                    } )+
+                }
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> Self {
+                $crate::wire_enum!(@tags $($variant)+);
+                let count = [$(Tag::$variant as u8),+].len() as u8;
+                let tag = r.tag(count, concat!("a variant tag of ", stringify!($ty)));
+                $( if tag == Tag::$variant as u8 {
+                    return Self::$variant
+                        $( ( $( $crate::wire_enum!(@decode $elem r) ),+ ) )?
+                        $( { $( $field: $crate::wire::Wire::decode(r) ),+ } )?;
+                } )+
+                unreachable!("WireReader::tag lets through only the tags listed")
+            }
+        }
+    };
+    // The listed variants as a fieldless enum: `Tag::V as u8` is V's
+    // position in the list.
+    (@tags $($variant:ident)+) => {
+        #[allow(dead_code, clippy::enum_variant_names)]
+        enum Tag { $($variant),+ }
+    };
+    (@decode $elem:ident $r:ident) => { $crate::wire::Wire::decode($r) };
+}
+
 // ---- kernel id types ---------------------------------------------------
 
 macro_rules! wire_newtype {
@@ -358,18 +448,8 @@ macro_rules! wire_newtype {
 wire_newtype!(u32: Pe, ChareKind, EpId, BocId, AccId, MonoId, TableId, RoId);
 wire_newtype!(u64: WoId, Cost);
 
-impl Wire for ChareId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pe.encode(out);
-        self.local.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        ChareId {
-            pe: Pe::decode(r),
-            local: r.u32(),
-        }
-    }
-}
+crate::wire_struct!(ChareId { pe, local });
+crate::wire_enum!(Notify { Chare(id, ep), Branch(boc, pe, ep) });
 
 impl<C: crate::chare::ChareInit> Wire for crate::ids::Kind<C> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -425,30 +505,6 @@ impl<T: Send + Sync + 'static> Wire for crate::shared::ReadOnly<T> {
     }
 }
 
-impl Wire for Notify {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Notify::Chare(id, ep) => {
-                out.push(0);
-                id.encode(out);
-                ep.encode(out);
-            }
-            Notify::Branch(boc, pe, ep) => {
-                out.push(1);
-                boc.encode(out);
-                pe.encode(out);
-                ep.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(2, "a Notify tag") {
-            0 => Notify::Chare(ChareId::decode(r), EpId::decode(r)),
-            _ => Notify::Branch(BocId::decode(r), Pe::decode(r), EpId::decode(r)),
-        }
-    }
-}
-
 impl Wire for BitPrio {
     fn encode(&self, out: &mut Vec<u8>) {
         let len = self.len();
@@ -479,211 +535,24 @@ impl Wire for BitPrio {
     }
 }
 
-impl Wire for Priority {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Priority::None => out.push(0),
-            Priority::Int(k) => {
-                out.push(1);
-                k.encode(out);
-            }
-            Priority::Bits(b) => {
-                out.push(2);
-                b.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(3, "a Priority tag") {
-            0 => Priority::None,
-            1 => Priority::Int(i64::decode(r)),
-            _ => Priority::Bits(BitPrio::decode(r)),
-        }
-    }
-}
+crate::wire_enum!(Priority { None, Int(key), Bits(bits) });
 
 // ---- trace types (for shipping worker telemetry to the parent) ---------
 
-impl Wire for MsgClass {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            MsgClass::Seed => 0,
-            MsgClass::Chare => 1,
-            MsgClass::Branch => 2,
-            MsgClass::Broadcast => 3,
-            MsgClass::Shared => 4,
-            MsgClass::Qd => 5,
-            MsgClass::Balance => 6,
-            MsgClass::Transport => 7,
-            MsgClass::Batch => 8,
-        });
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(9, "a MsgClass tag") {
-            0 => MsgClass::Seed,
-            1 => MsgClass::Chare,
-            2 => MsgClass::Branch,
-            3 => MsgClass::Broadcast,
-            4 => MsgClass::Shared,
-            5 => MsgClass::Qd,
-            6 => MsgClass::Balance,
-            7 => MsgClass::Transport,
-            _ => MsgClass::Batch,
-        }
-    }
-}
-
-impl Wire for EntryWhat {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            EntryWhat::Create(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            EntryWhat::Chare(slot) => {
-                out.push(1);
-                slot.encode(out);
-            }
-            EntryWhat::Branch(b) => {
-                out.push(2);
-                b.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(3, "an EntryWhat tag") {
-            0 => EntryWhat::Create(ChareKind::decode(r)),
-            1 => EntryWhat::Chare(r.u32()),
-            _ => EntryWhat::Branch(BocId::decode(r)),
-        }
-    }
-}
-
-impl Wire for EventKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            EventKind::EntryBegin { what, ep } => {
-                out.push(0);
-                what.encode(out);
-                ep.encode(out);
-            }
-            EventKind::EntryEnd { msgs_sent } => {
-                out.push(1);
-                msgs_sent.encode(out);
-            }
-            EventKind::MsgSend { to, class, bytes, hops } => {
-                out.push(2);
-                to.encode(out);
-                class.encode(out);
-                bytes.encode(out);
-                hops.encode(out);
-            }
-            EventKind::MsgRecv { from, class, bytes } => {
-                out.push(3);
-                from.encode(out);
-                class.encode(out);
-                bytes.encode(out);
-            }
-            EventKind::SeedKept { kind, hops } => {
-                out.push(4);
-                kind.encode(out);
-                hops.encode(out);
-            }
-            EventKind::SeedForwarded { kind, to, hops } => {
-                out.push(5);
-                kind.encode(out);
-                to.encode(out);
-                hops.encode(out);
-            }
-            EventKind::SeedRedirected { to } => {
-                out.push(6);
-                to.encode(out);
-            }
-            EventKind::Retransmit { to, seq } => {
-                out.push(7);
-                to.encode(out);
-                seq.encode(out);
-            }
-            EventKind::QueueSample { len } => {
-                out.push(8);
-                len.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(9, "an EventKind tag") {
-            0 => EventKind::EntryBegin {
-                what: EntryWhat::decode(r),
-                ep: Option::<EpId>::decode(r),
-            },
-            1 => EventKind::EntryEnd { msgs_sent: r.u32() },
-            2 => EventKind::MsgSend {
-                to: Pe::decode(r),
-                class: MsgClass::decode(r),
-                bytes: r.u32(),
-                hops: r.u32(),
-            },
-            3 => EventKind::MsgRecv {
-                from: Pe::decode(r),
-                class: MsgClass::decode(r),
-                bytes: r.u32(),
-            },
-            4 => EventKind::SeedKept {
-                kind: ChareKind::decode(r),
-                hops: r.u32(),
-            },
-            5 => EventKind::SeedForwarded {
-                kind: ChareKind::decode(r),
-                to: Pe::decode(r),
-                hops: r.u32(),
-            },
-            6 => EventKind::SeedRedirected { to: Pe::decode(r) },
-            7 => EventKind::Retransmit {
-                to: Pe::decode(r),
-                seq: r.u64(),
-            },
-            _ => EventKind::QueueSample { len: r.u32() },
-        }
-    }
-}
-
-impl Wire for TraceEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at_ns.encode(out);
-        self.pe.encode(out);
-        self.kind.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        TraceEvent {
-            at_ns: r.u64(),
-            pe: Pe::decode(r),
-            kind: EventKind::decode(r),
-        }
-    }
-}
-
-/// Implement [`Wire`] for a struct by listing its fields in declaration
-/// order:
-///
-/// ```ignore
-/// wire_struct!(FibSeed { n, grain, parent, fib });
-/// ```
-///
-/// Field types must themselves implement `Wire`. Keep the field list in
-/// sync with the struct — the codec is positional.
-#[macro_export]
-macro_rules! wire_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::wire::Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $( $crate::wire::Wire::encode(&self.$field, out); )+
-            }
-            fn decode(r: &mut $crate::wire::WireReader) -> Self {
-                Self { $( $field: $crate::wire::Wire::decode(r) ),+ }
-            }
-        }
-    };
-}
+crate::wire_enum!(MsgClass { Seed, Chare, Branch, Broadcast, Shared, Qd, Balance, Transport, Batch });
+crate::wire_enum!(EntryWhat { Create(kind), Chare(slot), Branch(boc) });
+crate::wire_enum!(EventKind {
+    EntryBegin { what, ep },
+    EntryEnd { msgs_sent },
+    MsgSend { to, class, bytes, hops },
+    MsgRecv { from, class, bytes },
+    SeedKept { kind, hops },
+    SeedForwarded { kind, to, hops },
+    SeedRedirected { to },
+    Retransmit { to, seq },
+    QueueSample { len },
+});
+crate::wire_struct!(TraceEvent { at_ns, pe, kind });
 
 // ---- run options (what the procs backend's `Go` carries to a worker) ---
 
@@ -700,51 +569,9 @@ impl Wire for usize {
     }
 }
 
-impl Wire for Topology {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Topology::Hypercube => out.push(0),
-            Topology::Mesh2D { rows, cols } => {
-                out.push(1);
-                rows.encode(out);
-                cols.encode(out);
-            }
-            Topology::Ring => out.push(2),
-            Topology::FullyConnected => out.push(3),
-            Topology::Bus => out.push(4),
-        }
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        match r.tag(5, "a Topology tag") {
-            0 => Topology::Hypercube,
-            1 => Topology::Mesh2D {
-                rows: usize::decode(r),
-                cols: usize::decode(r),
-            },
-            2 => Topology::Ring,
-            3 => Topology::FullyConnected,
-            _ => Topology::Bus,
-        }
-    }
-}
-
-impl Wire for QueueingStrategy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        QueueingStrategy::ALL[r.tag(4, "a QueueingStrategy tag") as usize]
-    }
-}
-
-impl Wire for BroadcastMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        [BroadcastMode::Tree, BroadcastMode::Direct][r.tag(2, "a BroadcastMode tag") as usize]
-    }
-}
+crate::wire_enum!(Topology { Hypercube, Mesh2D { rows, cols }, Ring, FullyConnected, Bus });
+crate::wire_enum!(QueueingStrategy { Fifo, Lifo, IntPriority, BitvecPriority });
+crate::wire_enum!(BroadcastMode { Tree, Direct });
 
 /// Travels as its `Display` text: the spec grammar's printer and parser
 /// already know every variant and ACWN's two numbers.
@@ -761,7 +588,7 @@ impl Wire for BalanceStrategy {
 }
 
 crate::wire_struct!(ReliableConfig { timeout, seed_retry_limit, window });
-crate::wire_struct!(TraceConfig { capacity, queue_samples });
+crate::wire_struct!(TraceConfig { capacity });
 crate::wire_struct!(MetricsConfig { slice_ns, max_slices, flight_cap });
 
 // Kernel notification bodies every program may receive.
@@ -864,14 +691,9 @@ impl WireTable {
         });
     }
 
-    /// Number of registered body types.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether anything beyond the pre-seeded bodies was registered.
-    pub(crate) fn has_user_types(&self) -> bool {
-        self.len() > WireTable::new().len()
+    /// The registered body types by name, in tag order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.entries.iter().map(|e| e.name)
     }
 
     /// FNV-1a hash over the registration sequence; parent and workers
@@ -901,7 +723,7 @@ impl WireTable {
                 "wire: {what} carries a body type with no registered codec ({id:?}); \
                  register it with ProgramBuilder::wire::<T>() so the procs backend \
                  can serialize it (registered: {})",
-                self.entries.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
+                self.names().collect::<Vec<_>>().join(", ")
             )
         };
         tag.encode(out);
@@ -1129,14 +951,44 @@ pub(crate) fn encode_sys(reg: &Registry, sys: &SysMsg, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one kernel envelope. `reg` rides inside rebuilt broadcast
-/// generators, hence the `Arc`.
-pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
+/// How deep envelopes may nest on the wire. An honest sender nests four
+/// deep (`RelData` → `Batch` → `TreeCast` → its blob's envelope); the
+/// decoder recurses once per level, so without a bound a frame well
+/// under the frame cap could nest deep enough to overflow its stack.
+const MAX_NESTING: u32 = 8;
+
+/// Decode the one kernel envelope `bytes` are — the body of a data
+/// frame, after its `[sent_ns][bytes]` header — or say what is wrong
+/// with them: the boundary a worker decodes at.
+pub(crate) fn decode_frame(reg: &Arc<Registry>, bytes: &[u8]) -> Result<SysMsg, WireError> {
+    let mut r = WireReader::new(bytes);
+    let sys = decode_sys(reg, &mut r, 0);
+    r.finish().map(|()| sys)
+}
+
+/// A frame no sender makes: `depth` `RelData` envelopes, each in the
+/// slot of the one before (14 bytes a level), around a `WorkNack`. What
+/// the nesting bound is held to, here and by a worker's crash hook.
+pub(crate) fn reldata_nest(depth: u32, out: &mut Vec<u8>) {
+    for _ in 0..depth {
+        out.push(T_RELDATA);
+        out.extend_from_slice(&[0; 12]); // seq, declared bytes
+        out.push(1); // the slot is full
+    }
+    out.push(T_WORKNACK);
+}
+
+/// Decode one kernel envelope that sits inside `depth` others. `reg`
+/// rides inside rebuilt broadcast generators, hence the `Arc`.
+fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader, depth: u32) -> SysMsg {
     let w = &reg.wire;
+    if depth > MAX_NESTING {
+        r.fail("an envelope nested no deeper than a sender makes them");
+    }
     match r.tag(T_RELACK + 1, "a SysMsg tag") {
         T_BATCH => {
             let n = r.count::<SysMsg>();
-            SysMsg::Batch((0..n).map(|_| decode_sys(reg, r)).collect())
+            SysMsg::Batch((0..n).map(|_| decode_sys(reg, r, depth + 1)).collect())
         }
         T_TREECAST => {
             let origin = Pe::decode(r);
@@ -1146,7 +998,7 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
             // The generator decodes the blob again per call, with no one
             // to report to: refuse a malformed one here, with the frame.
             let mut inner = WireReader::new(&blob);
-            decode_sys(reg, &mut inner);
+            decode_sys(reg, &mut inner, depth + 1);
             if inner.finish().is_err() {
                 r.fail("a well-formed TreeCast envelope");
             }
@@ -1155,10 +1007,7 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
                 origin,
                 counted,
                 bytes,
-                gen: Arc::new(move || {
-                    let mut r = WireReader::new(&blob);
-                    decode_sys(&reg, &mut r)
-                }),
+                gen: Arc::new(move || decode_sys(&reg, &mut WireReader::new(&blob), 0)),
             }
         }
         T_NEWCHARE => {
@@ -1266,7 +1115,7 @@ pub(crate) fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
             let bytes = r.u32();
             let inner = match r.u8() {
                 0 => None,
-                _ => Some(decode_sys(reg, r)),
+                _ => Some(decode_sys(reg, r, depth + 1)),
             };
             // A fresh slot: cross-process exactly-once comes from the
             // receiver's sequence dedup, not from slot co-ownership.
@@ -1292,7 +1141,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         encode_sys(reg, sys, &mut out);
         let mut r = WireReader::new(&out);
-        let back = decode_sys(reg, &mut r);
+        let back = decode_sys(reg, &mut r, 0);
         assert_eq!(r.remaining(), 0, "codec must be self-delimiting");
         back
     }
@@ -1524,50 +1373,10 @@ pub(crate) mod tests {
         encode_sys(&reg, &sys, &mut out);
     }
 
-    /// The test binary's allocator: the system's, noting on request the
-    /// largest single size a thread asks it for.
-    struct Watching;
-
-    thread_local! {
-        /// `Some(largest request so far)` while this thread is watched.
-        static LARGEST: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    }
-
-    fn note(size: usize) {
-        // `try_with`: the allocator outlives a thread's locals.
-        let _ = LARGEST.try_with(|l| l.set(l.get().map(|seen| seen.max(size))));
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // whose contract is the one being implemented; `note` only reads and
-    // writes a const-initialized `Cell` and never allocates.
-    unsafe impl std::alloc::GlobalAlloc for Watching {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            note(layout.size());
-            // SAFETY: the caller's obligations are `System.alloc`'s.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `ptr` came from `System` through this allocator.
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
-            note(new);
-            // SAFETY: as for `dealloc`; `new` is the caller's to vouch for.
-            unsafe { std::alloc::System.realloc(ptr, layout, new) }
-        }
-    }
-
     #[global_allocator]
-    static ALLOCATOR: Watching = Watching;
+    static ALLOCATOR: crate::alloc_watch::Watching = crate::alloc_watch::Watching;
 
-    /// Run `f` on this thread; the largest single size it asked the
-    /// allocator for.
-    pub(crate) fn largest_alloc(f: impl FnOnce()) -> usize {
-        LARGEST.set(Some(0));
-        f();
-        LARGEST.replace(None).expect("watched throughout")
-    }
+    pub(crate) use crate::alloc_watch::largest_alloc;
 
     /// Decode hostile input; what the reader recorded, and the largest
     /// allocation the decoding requested.
@@ -1603,20 +1412,20 @@ pub(crate) mod tests {
             ("body tag", "a body tag inside the wire table", frame(&[T_MONOUPDATE, 0, 0, 0, 0])),
         ] {
             let at = bytes.iter().position(|&b| b == 0xff).expect("the ff run") + 4;
-            check(what, wanted, at, decode_hostile(&bytes, |r| drop(decode_sys(&reg, r))));
+            check(what, wanted, at, decode_hostile(&bytes, |r| drop(decode_sys(&reg, r, 0))));
         }
     }
 
     #[test]
     fn the_first_malformation_is_the_one_recorded() {
         let reg = test_registry();
-        let sys = |bytes: &[u8]| decode_hostile(bytes, |r| drop(decode_sys(&reg, r))).0;
+        let sys = |bytes: &[u8]| decode_hostile(bytes, |r| drop(decode_sys(&reg, r, 0))).0;
         // A short read: QdCount wants 8 + 8 + 8 + 1 bytes after its tag.
         let short = sys(&[T_QDCOUNT, 1, 2, 3]);
         assert_eq!((short.at, short.wanted), (1, "more bytes than are left"));
         // No such envelope; the placeholder is an empty batch.
         let mut r = WireReader::new(&[0xff, 9, 9]);
-        assert!(matches!(decode_sys(&reg, &mut r), SysMsg::Batch(inner) if inner.is_empty()));
+        assert!(matches!(decode_sys(&reg, &mut r, 0), SysMsg::Batch(inner) if inner.is_empty()));
         assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "a SysMsg tag" }));
         // A string of two bytes that are not UTF-8, then trailing bytes
         // the reader no longer offers.
@@ -1636,12 +1445,98 @@ pub(crate) mod tests {
         cast.pop();
         assert_eq!(sys(&cast).wanted, "a well-formed TreeCast envelope");
         let mut r = WireReader::new(&intact);
-        decode_sys(&reg, &mut r);
+        decode_sys(&reg, &mut r, 0);
         assert_eq!(r.finish(), Ok(()));
         // Nothing malformed, but bytes left over: also not one value.
         let mut r = WireReader::new(&[T_WORKNACK, 0]);
-        decode_sys(&reg, &mut r);
+        decode_sys(&reg, &mut r, 0);
         assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "the end of the frame" }));
+    }
+
+    #[test]
+    fn a_nest_deeper_than_a_sender_makes_is_refused_not_recursed_into() {
+        let reg = test_registry();
+        let nest = |depth| {
+            let mut bytes = Vec::new();
+            reldata_nest(depth, &mut bytes);
+            bytes
+        };
+        // 1.4 MB, well under the frame cap: one stack frame per level
+        // would run a worker's stack out long before the bytes did.
+        let deep = nest(100_000);
+        assert_eq!(deep.len(), 14 * 100_000 + 1);
+        let err = decode_frame(&reg, &deep).err().expect("no sender nests 100 000 deep");
+        assert_eq!(err.wanted, "an envelope nested no deeper than a sender makes them");
+        assert_eq!(err.at, 14 * (MAX_NESTING as usize + 1), "refused at the first level too deep");
+        assert!(decode_frame(&reg, &nest(MAX_NESTING)).is_ok());
+        assert!(decode_frame(&reg, &nest(MAX_NESTING + 1)).is_err());
+        // The same bound through a batch and a broadcast's blob.
+        let batched = |inner: &[u8]| [&[T_BATCH, 1, 0, 0, 0][..], inner].concat();
+        assert!(decode_frame(&reg, &batched(&nest(MAX_NESTING - 1))).is_ok());
+        assert!(decode_frame(&reg, &batched(&nest(MAX_NESTING))).is_err());
+        let cast = |inner: &[u8]| {
+            let mut out = vec![T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0];
+            inner.to_vec().encode(&mut out);
+            out
+        };
+        assert!(decode_frame(&reg, &cast(&nest(MAX_NESTING - 1))).is_ok());
+        let err = decode_frame(&reg, &cast(&nest(MAX_NESTING))).err().expect("a level too deep");
+        assert_eq!(err.wanted, "a well-formed TreeCast envelope");
+        // What an honest sender nests deepest: a reliable frame around a
+        // batch around a broadcast of an envelope.
+        let gen: Arc<dyn Fn() -> SysMsg + Send + Sync> = Arc::new(|| SysMsg::QdPoll { wave: 4 });
+        let tree = SysMsg::TreeCast { origin: Pe(1), counted: false, bytes: 8, gen };
+        let slot = Arc::new(Mutex::new(Some(SysMsg::Batch(vec![tree]))));
+        let mut honest = Vec::new();
+        encode_sys(&reg, &SysMsg::RelData { seq: 1, bytes: 8, slot }, &mut honest);
+        assert!(decode_frame(&reg, &honest).is_ok());
+    }
+
+    /// `value`'s bytes, which must decode back to it and to nothing more.
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.encode(&mut out);
+        let mut r = WireReader::new(&out);
+        assert_eq!((T::decode(&mut r), r.finish()), (value, Ok(())));
+        out
+    }
+
+    #[test]
+    fn a_listed_enum_travels_as_its_position_then_its_fields() {
+        // Unit, tuple and struct variants; the tag is the list position.
+        assert_eq!(roundtrip(MsgClass::Seed), [0]);
+        assert_eq!(roundtrip(MsgClass::Batch), [8]);
+        assert_eq!(roundtrip(BroadcastMode::Direct), [1]);
+        for (i, q) in QueueingStrategy::ALL.into_iter().enumerate() {
+            assert_eq!(roundtrip(q), [i as u8]);
+        }
+        assert_eq!(roundtrip(Notify::Chare(ChareId { pe: Pe(2), local: 7 }, EpId(3)))[0], 0);
+        let branch = roundtrip(Notify::Branch(BocId(9), Pe(1), EpId(4)));
+        assert_eq!(branch, [1, 9, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0]);
+        assert_eq!(roundtrip(EntryWhat::Chare(5)), [1, 5, 0, 0, 0]);
+        assert_eq!(roundtrip(Topology::Mesh2D { rows: 2, cols: 3 })[0], 1);
+        assert_eq!(roundtrip(Topology::Bus), [4]);
+        assert_eq!(roundtrip(EventKind::QueueSample { len: 6 }), [8, 6, 0, 0, 0]);
+        assert_eq!(roundtrip(EventKind::EntryBegin { what: EntryWhat::Create(ChareKind(1)), ep: None })[0], 0);
+        // `Priority` has no `PartialEq`; its three shapes by their keys.
+        for prio in [Priority::None, Priority::Int(-3), Priority::Bits(BitPrio::root().child(2, 2))] {
+            let mut out = Vec::new();
+            prio.encode(&mut out);
+            let back = Priority::decode(&mut WireReader::new(&out));
+            assert_eq!(format!("{back:?}"), format!("{prio:?}"));
+        }
+        // A byte that is no position in the list is a recorded error
+        // naming the enum, and the placeholder is the first variant.
+        let mut r = WireReader::new(&[9, 1, 2, 3]);
+        assert_eq!(MsgClass::decode(&mut r), MsgClass::Seed);
+        assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "a variant tag of MsgClass" }));
+        let mut r = WireReader::new(&[2]);
+        assert_eq!(BroadcastMode::decode(&mut r), BroadcastMode::Tree);
+        assert_eq!(r.finish().unwrap_err().wanted, "a variant tag of BroadcastMode");
+        // A tag with its fields cut short reads as exhausted, as ever.
+        let mut r = WireReader::new(&branch[..6]);
+        let _ = Notify::decode(&mut r);
+        assert_eq!(r.finish().unwrap_err().wanted, "more bytes than are left");
     }
 
     #[test]
@@ -1657,7 +1552,7 @@ pub(crate) mod tests {
         d.register::<Vec<u64>>();
         d.register::<Vec<u64>>();
         assert_eq!(c.fingerprint(), d.fingerprint());
-        assert_eq!(c.len(), d.len());
+        assert_eq!(c.names().count(), d.names().count());
     }
 
     #[test]

@@ -123,6 +123,14 @@ pub enum Control {
 }
 message!(Control);
 
+// Wire codecs for the multi-process backend (positional lists). The
+// BOC configuration never travels: every worker builds its own branch.
+wire_struct!(ConvParams { n, eps, max_iters });
+wire_struct!(ConvResult { iters, checksum });
+wire_struct!(GhostMsg { from_above, row });
+wire_enum!(Control { Sweep(main), Stop });
+wire_struct!(MainSeed { params, boc, maxdiff, checksum });
+
 /// BOC configuration.
 #[derive(Clone)]
 pub struct ConvCfg {
@@ -392,6 +400,11 @@ pub fn build(params: ConvParams) -> Program {
         maxdiff,
         checksum,
     });
+    b.wire::<MainSeed>();
+    b.wire::<GhostMsg>();
+    b.wire::<Control>();
+    b.wire::<ConvResult>();
+    b.wire::<AccResult<f64>>();
     b.main(
         main,
         MainSeed {
@@ -415,8 +428,7 @@ pub fn params(a: &mut Args) -> Result<ConvParams, SpecError> {
     })
 }
 
-/// The registry entry. Not wired for the procs backend yet: its phased
-/// `Control` protocol has no codecs.
+/// The registry entry.
 pub const APP: App = App {
     name: "jconv",
     queueing: QueueingStrategy::Fifo,

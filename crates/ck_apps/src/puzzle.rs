@@ -244,6 +244,12 @@ pub struct NodeSeed {
 }
 message!(NodeSeed);
 
+// Wire codecs for the multi-process backend (positional field lists).
+wire_struct!(PuzzleResult { cost, nodes, phases });
+wire_struct!(Handles { node, best, next, nodes, split_depth });
+wire_struct!(MainSeed { start, h });
+wire_struct!(NodeSeed { board, blank, g, last, threshold, h });
+
 /// The main chare: runs deepening phases until a solution is found.
 pub struct PuzzleMain {
     start: Board,
@@ -415,6 +421,10 @@ pub fn build(params: PuzzleParams) -> Program {
     let best = b.monotonic::<MinBoundU64>();
     let next = b.accumulator::<MinU64>();
     let nodes = b.accumulator::<SumU64>();
+    b.wire::<MainSeed>();
+    b.wire::<NodeSeed>();
+    b.wire::<PuzzleResult>();
+    b.wire::<AccResult<u64>>();
     b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,

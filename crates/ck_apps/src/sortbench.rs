@@ -308,6 +308,15 @@ pub struct MainSeed {
 }
 message!(MainSeed);
 
+// Wire codecs for the multi-process backend (positional lists). The
+// BOC configuration never travels: every worker generates its own block.
+wire_struct!(Fingerprint { count, sum, xor });
+wire_struct!(SampleMsg { keys });
+wire_struct!(SplitterMsg { splitters });
+wire_struct!(BucketMsg { keys });
+wire_enum!(SplitterPhase { SendSample(main), Splitters(chosen) });
+wire_struct!(MainSeed { boc, acc });
+
 /// The main chare: sample gather → splitter broadcast → quiescence →
 /// fingerprint collect.
 pub struct SortMain {
@@ -375,6 +384,12 @@ pub fn build(params: SortParams) -> Program {
     let acc = b.accumulator::<FpAcc>();
     let main = b.chare::<SortMain>();
     let boc = b.boc::<SortBranch>(SortCfg { params, acc });
+    b.wire::<MainSeed>();
+    b.wire::<SampleMsg>();
+    b.wire::<SplitterPhase>();
+    b.wire::<BucketMsg>();
+    b.wire::<Fingerprint>();
+    b.wire::<AccResult<Fingerprint>>();
     b.queueing(APP.queueing).balance(APP.balance);
     b.main(main, MainSeed { boc, acc });
     b.build()

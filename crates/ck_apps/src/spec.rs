@@ -250,11 +250,11 @@ impl Spec {
     }
 
     /// Run at `npes` PEs on the simulator (NCUBE-like), the threads
-    /// backend and — when the built program registers wire codecs — the
-    /// procs backend, whose config `proc_cfg(npes, canonical string)`
-    /// supplies (a binary re-invokes itself with `ProcConfig::new`, a
-    /// test with `ProcConfig::for_test`). Panics unless both real runs
-    /// ended on their own with every worker reporting.
+    /// backend and the procs backend, whose config `proc_cfg(npes,
+    /// canonical string)` supplies (a binary re-invokes itself with
+    /// `ProcConfig::new`, a test with `ProcConfig::for_test`). Panics
+    /// unless both real runs ended on their own with every worker
+    /// reporting.
     pub fn run_backends(
         &self,
         npes: usize,
@@ -263,24 +263,23 @@ impl Spec {
         let (prog, text) = (self.build(), self.to_string());
         let thr = prog.run_threads(npes);
         assert!(!thr.timed_out, "{text}: threads run timed out");
-        let mut out =
-            vec![("sim", prog.run_sim_preset(npes, MachinePreset::NcubeLike)), ("threads", thr)];
-        if prog.is_wired() {
-            let prc = prog.run_procs(&proc_cfg(npes, &text));
-            let detail = prc.proc.as_ref().expect("procs report carries detail");
-            if let Some(reason) = &detail.aborted {
-                panic!("{text}: procs run aborted: {reason}");
-            }
-            assert!(!prc.timed_out, "{text}: procs run timed out");
-            assert_eq!(detail.npes, npes);
-            assert!(
-                detail.worker_end_ns.iter().all(|&ns| ns > 0),
-                "{text}: some worker never reported: {:?}",
-                detail.worker_end_ns
-            );
-            out.push(("procs", prc));
+        let prc = prog.run_procs(&proc_cfg(npes, &text));
+        let detail = prc.proc.as_ref().expect("procs report carries detail");
+        if let Some(reason) = &detail.aborted {
+            panic!("{text}: procs run aborted: {reason}");
         }
-        out
+        assert!(!prc.timed_out, "{text}: procs run timed out");
+        assert_eq!(detail.npes, npes);
+        assert!(
+            detail.worker_end_ns.iter().all(|&ns| ns > 0),
+            "{text}: some worker never reported: {:?}",
+            detail.worker_end_ns
+        );
+        vec![
+            ("sim", prog.run_sim_preset(npes, MachinePreset::NcubeLike)),
+            ("threads", thr),
+            ("procs", prc),
+        ]
     }
 }
 
@@ -409,9 +408,7 @@ mod tests {
             }
             let spec = Spec::parse(app.test_spec).unwrap();
             assert_eq!(spec.build().wire_fingerprint(), spec.build().wire_fingerprint());
-            if spec.build().is_wired() {
-                prints.push((app.name, spec.build().wire_fingerprint()));
-            }
+            prints.push((app.name, spec.build().wire_fingerprint()));
         }
         for (i, (a, pa)) in prints.iter().enumerate() {
             for (b, pb) in &prints[..i] {

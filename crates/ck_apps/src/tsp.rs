@@ -203,6 +203,14 @@ impl Message for NodeSeed {
     }
 }
 
+// Wire codecs for the multi-process backend (positional field lists).
+// The instance itself never travels: every worker builds it, read-only,
+// from the spec.
+wire_struct!(TspResult { best, nodes });
+wire_struct!(Handles { ro, node, best, nodes, seq_tail });
+wire_struct!(MainSeed { h });
+wire_struct!(NodeSeed { visited, city, cost, prio, h });
+
 /// The main chare.
 pub struct TspMain {
     h: Handles,
@@ -343,6 +351,10 @@ pub fn build(params: TspParams) -> Program {
     let ro = b.read_only(inst);
     let best = b.monotonic::<MinBoundU64>();
     let nodes = b.accumulator::<SumU64>();
+    b.wire::<MainSeed>();
+    b.wire::<NodeSeed>();
+    b.wire::<TspResult>();
+    b.wire::<AccResult<u64>>();
     b.queueing(APP.queueing).balance(APP.balance);
     b.main(
         main,

@@ -225,6 +225,35 @@ fn slice_busy_time_is_bounded_by_the_interval() {
     assert!(total_busy <= log.end_ns * log.npes as u64);
 }
 
+/// On a real backend nothing is charged and the clock runs, where on the
+/// simulator everything is charged and the clock stands still inside a
+/// step: both are the one sum the node attributes, so a threads run's
+/// slices no longer read all-idle — and still claim no more time than
+/// there was.
+#[test]
+fn a_real_backend_attributes_the_wall_time_its_steps_took() {
+    let rep = fib_prog().with_metrics(MetricsConfig::default()).run_threads(2);
+    assert!(!rep.timed_out);
+    let log = rep.metrics.as_ref().expect("metrics were on");
+    assert_eq!((log.per_pe.len(), log.end_ns), (2, rep.time_ns));
+    let mut work_ns = 0;
+    for pe in &log.per_pe {
+        let mut busy = chare_kernel::Slice::default();
+        pe.slices.iter().for_each(|s| busy.merge(s));
+        work_ns += busy.work_ns;
+        assert!(busy.busy_ns() > 0, "PE {}: every slice reads idle: {busy:?}", pe.pe.index());
+        assert!(
+            busy.busy_ns() <= log.end_ns,
+            "PE {}: busy {} ns of a {} ns run",
+            pe.pe.index(),
+            busy.busy_ns(),
+            log.end_ns
+        );
+    }
+    assert!(work_ns > 0, "some entry ran for a measurable time");
+    assert!(log.grain_all().sum > 0, "and its grain is that time");
+}
+
 /// A run long enough to overflow the slice budget coarsens (doubles
 /// width) instead of growing: the drained log stays within budget and
 /// still covers the whole run.

@@ -23,8 +23,8 @@
 //!   fingerprint matches the parent's by construction. The reliable
 //!   layer, metrics and the shim config ride the parent's `Go`
 //!   message to every worker; the spec only has to describe the base
-//!   program. Apps that register no wire codecs (`Program::is_wired`)
-//!   cannot run here and are skipped by the slice.
+//!   program. Every registry app registers the codecs of what it
+//!   sends, so the slice draws from all of them.
 
 use chare_kernel::prelude::*;
 use chare_kernel::CkReport;

@@ -5,10 +5,11 @@
 //!
 //! [`every_app_conforms_on_every_backend`] is the contract: it
 //! enumerates the `ck_apps` registry, so a new benchmark is covered the
-//! moment it is registered, and an app that cannot run on procs has to
-//! be excused here by name, with a reason. The per-app tests below it
-//! run the same check ([`conform`]) at a larger scale or across unequal
-//! machine sizes; each names one app on purpose.
+//! moment it is registered — on all three backends, with no exception
+//! list: a program runs on procs iff every body it sends is registered,
+//! and one that is not panics by name where it is first sent. The
+//! per-app tests below it run the same check ([`conform`]) at a larger
+//! scale or across unequal machine sizes; each names one app on purpose.
 //!
 //! Procs-backend workers re-enter the same test via
 //! `ProcConfig::for_test`, so every test that reaches procs calls
@@ -20,23 +21,16 @@ use charm_repro::ck_apps::{fib, nqueens, tablefill};
 use charm_repro::prelude::*;
 use chare_kernel::{CkReport, MsgClass, ProcConfig, TraceEvent};
 
-/// Apps that run on sim + threads only, and why. Everything else must
-/// come out of [`Spec::run_backends`] with a procs report.
-const NOT_ON_PROCS: [(&str, &str); 4] = [
-    ("tsp", "the read-only instance and monotonic bound have no wire codecs yet"),
-    ("puzzle", "its seeds and monotonic bound have no wire codecs yet"),
-    ("jconv", "the phased Control protocol has no wire codecs yet"),
-    ("sort", "key blocks and splitter messages have no wire codecs yet"),
-];
-
 /// Branch-and-bound and IDA* prune against a bound whose arrival time
-/// depends on the schedule, so how many seeds they spawn does too.
+/// depends on the schedule, so how many seeds they spawn does too — on
+/// procs as on the other two, now that both run there: their answers are
+/// held to the oracle on every backend, their seed totals to none.
 const PRUNING: [&str; 2] = ["tsp", "puzzle"];
 
-/// One spec at `npes` PEs on every backend it can run on: each answer
-/// must match the serial oracle and (bit for bit where the answer is
-/// exact, to 1e-9 where it is a float sum) the simulator's, and every
-/// clean run must satisfy the kernel's counter invariants. `test_name`
+/// One spec at `npes` PEs on every backend: each answer must match the
+/// serial oracle and (bit for bit where the answer is exact, to 1e-9
+/// where it is a float sum) the simulator's, and every clean run must
+/// satisfy the kernel's counter invariants. `test_name`
 /// is the calling test's libtest name: the procs backend re-invokes the
 /// test binary with `<test_name> --exact` per worker.
 fn conform(test_name: &str, spec_str: &str, npes: usize) -> Vec<(&'static str, CkReport)> {
@@ -44,12 +38,8 @@ fn conform(test_name: &str, spec_str: &str, npes: usize) -> Vec<(&'static str, C
     let spec = Spec::parse(spec_str).expect(spec_str);
     let reps =
         spec.run_backends(npes, &|npes, text| ProcConfig::for_test(npes, text, test_name));
-    let excuse = NOT_ON_PROCS.iter().find(|(name, _)| *name == spec.app.name);
-    match (reps.len(), excuse) {
-        (3, None) | (2, Some(_)) => {}
-        (3, Some((_, why))) => panic!("{spec_str} ran on procs but is excused ({why}): drop the excuse"),
-        _ => panic!("{spec_str} is neither wired for procs nor listed in NOT_ON_PROCS with a reason"),
-    }
+    let backends: Vec<&str> = reps.iter().map(|(backend, _)| *backend).collect();
+    assert_eq!(backends, ["sim", "threads", "procs"], "{spec_str}");
     let oracle = spec.oracle(npes);
     let answers: Vec<Answer> = reps
         .iter()
@@ -97,9 +87,6 @@ fn assert_counter_invariants(spec: &Spec, backend: &str, rep: &CkReport) {
 fn every_app_conforms_on_every_backend() {
     for app in APPS {
         conform("every_app_conforms_on_every_backend", app.test_spec, 4);
-    }
-    for (name, _) in NOT_ON_PROCS {
-        assert!(APPS.iter().any(|a| a.name == name), "NOT_ON_PROCS excuses unknown app {name}");
     }
 }
 

@@ -5,10 +5,11 @@
 //! hang, never a parent panic, and never a watchdog timeout
 //! masquerading as one.
 //!
-//! The crash is injected with `ProcConfig::with_crash`, which ships a
-//! `CK_PROC_CRASH` hook to exactly one rank; the hook fires after a few
-//! scheduling steps so the death lands mid-computation, with traffic in
-//! flight.
+//! The crash is injected with `ProcConfig::with_crash`, which parses the
+//! hook in the parent (a misspelt one panics there rather than never
+//! firing) and ships it, typed, in `Go`; the one rank it names fires it
+//! after a few scheduling steps, so the death lands mid-computation,
+//! with traffic in flight.
 
 use charm_repro::ck_apps::spec;
 use chare_kernel::proc::EXIT_BAD_FRAME;
@@ -100,6 +101,24 @@ fn malformed_frame_body_is_structured() {
     // it is the decoder on the PE thread that must refuse it — with the
     // same exit code, not a panic (a signal death under `panic = abort`).
     let reason = run_crashed("malformed_frame_body_is_structured", "2:badbody:3");
+    assert!(
+        matches!(
+            reason,
+            ProcAbortReason::WorkerExit { rank, code: Some(EXIT_BAD_FRAME) } if rank != 2
+        ),
+        "got: {reason}"
+    );
+}
+
+#[test]
+fn envelope_nested_past_any_sender_is_structured() {
+    // Worker 2 writes every peer one well-formed 1.4 MB frame: 100 000
+    // `RelData` envelopes, each in the slot of the one before. The
+    // splitter has no quarrel with it; a decoder that recursed once per
+    // level would run out of stack and die by signal (`code: None`).
+    // The receiver must refuse it by depth, with the bad-frame code.
+    let test_name = "envelope_nested_past_any_sender_is_structured";
+    let reason = run_crashed(test_name, "2:nest:100000:3");
     assert!(
         matches!(
             reason,

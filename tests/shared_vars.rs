@@ -404,3 +404,194 @@ fn monotonic_converges_everywhere() {
         assert_eq!(rep.take_result::<u64>(), Some(100), "{mode:?}");
     }
 }
+
+// ---------------------------------------------------------------------
+// All of the above across real process boundaries.
+// ---------------------------------------------------------------------
+
+const EP_WO_IN: EpId = EpId(20);
+const EP_CROSS_QD: EpId = EpId(21);
+const EP_CROSS_SEEN: EpId = EpId(22);
+const EP_CROSS_TOTAL: EpId = EpId(23);
+
+/// What `Publisher` offers, in order: three improvements and, after the
+/// best of them, one that must be dropped.
+const BOUNDS: [u64; 4] = [900, 500, 100, 300];
+
+#[derive(Clone, Copy)]
+struct CrossHandles {
+    main: ChareId,
+    best: MonoVar<MinBoundU64>,
+    acc: Acc<SumU64>,
+}
+
+#[derive(Clone, Copy)]
+struct CrossSeed {
+    publisher: Kind<Publisher>,
+    witness: Kind<Witness>,
+    best: MonoVar<MinBoundU64>,
+    acc: Acc<SumU64>,
+}
+message!(CrossSeed);
+
+#[derive(Clone, Copy)]
+struct PublisherSeed {
+    weights: WoId,
+    h: CrossHandles,
+}
+message!(PublisherSeed);
+
+#[derive(Clone, Copy)]
+struct WitnessSeed {
+    h: CrossHandles,
+}
+message!(WitnessSeed);
+
+wire_struct!(CrossHandles { main, best, acc });
+wire_struct!(CrossSeed { publisher, witness, best, acc });
+wire_struct!(PublisherSeed { weights, h });
+wire_struct!(WitnessSeed { h });
+
+/// PE 0 replicates a write-once vector; once every PE holds it, the
+/// *last* PE publishes `BOUNDS` and adds the vector's sum to the
+/// accumulator. After quiescence a witness on every PE reports the bound
+/// it sees and adds one; the exit result is (the bound PE 0 sees, the
+/// collected total).
+struct CrossMain {
+    seed: CrossSeed,
+    waiting: usize,
+}
+
+impl CrossMain {
+    fn handles(&self, ctx: &Ctx) -> CrossHandles {
+        CrossHandles { main: ctx.self_id(), best: self.seed.best, acc: self.seed.acc }
+    }
+}
+
+impl ChareInit for CrossMain {
+    type Seed = CrossSeed;
+    fn create(seed: CrossSeed, ctx: &mut Ctx) -> Self {
+        let me = ctx.self_id();
+        ctx.write_once(vec![7u64, 11, 13], Notify::Chare(me, EP_WO_IN));
+        CrossMain { seed, waiting: 0 }
+    }
+}
+
+impl Chare for CrossMain {
+    fn entry(&mut self, ep: EpId, msg: MsgBody, ctx: &mut Ctx) {
+        let me = ctx.self_id();
+        let h = self.handles(ctx);
+        match ep {
+            EP_WO_IN => {
+                let weights = cast::<WoReady>(msg).id;
+                let last = Pe::from(ctx.npes() - 1);
+                ctx.create_on(last, self.seed.publisher, PublisherSeed { weights, h });
+                ctx.start_quiescence(Notify::Chare(me, EP_CROSS_QD));
+            }
+            EP_CROSS_QD => {
+                let _ = cast::<QuiescenceMsg>(msg);
+                self.waiting = ctx.npes();
+                for pe in 0..ctx.npes() {
+                    ctx.create_on(Pe::from(pe), self.seed.witness, WitnessSeed { h });
+                }
+            }
+            EP_CROSS_SEEN => {
+                let seen = cast::<u64>(msg);
+                assert_eq!(seen, 100, "a PE still holds a stale bound after quiescence");
+                self.waiting -= 1;
+                if self.waiting == 0 {
+                    ctx.acc_collect(self.seed.acc, Notify::Chare(me, EP_CROSS_TOTAL));
+                }
+            }
+            EP_CROSS_TOTAL => {
+                let total = cast::<AccResult<u64>>(msg).value;
+                ctx.exit((ctx.mono_get(self.seed.best), total));
+            }
+            _ => unreachable!(),
+        }
+    }
+}
+
+struct Publisher;
+impl ChareInit for Publisher {
+    type Seed = PublisherSeed;
+    fn create(seed: PublisherSeed, ctx: &mut Ctx) -> Self {
+        // The replica arrived on this PE before PE 0 was told it had.
+        let weights = ctx.wo_get::<Vec<u64>>(seed.weights);
+        ctx.acc_add(seed.h.acc, weights.iter().sum());
+        for bound in BOUNDS {
+            ctx.mono_update(seed.h.best, bound);
+        }
+        ctx.destroy_self();
+        Publisher
+    }
+}
+impl Chare for Publisher {
+    fn entry(&mut self, _ep: EpId, _msg: MsgBody, _ctx: &mut Ctx) {
+        unreachable!()
+    }
+}
+
+struct Witness;
+impl ChareInit for Witness {
+    type Seed = WitnessSeed;
+    fn create(seed: WitnessSeed, ctx: &mut Ctx) -> Self {
+        ctx.acc_add(seed.h.acc, 1);
+        ctx.send(seed.h.main, EP_CROSS_SEEN, ctx.mono_get(seed.h.best));
+        ctx.destroy_self();
+        Witness
+    }
+}
+impl Chare for Witness {
+    fn entry(&mut self, _ep: EpId, _msg: MsgBody, _ctx: &mut Ctx) {
+        unreachable!()
+    }
+}
+
+fn cross_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let publisher = b.chare::<Publisher>();
+    let witness = b.chare::<Witness>();
+    let main = b.chare::<CrossMain>();
+    let best = b.monotonic::<MinBoundU64>();
+    let acc = b.accumulator::<SumU64>();
+    b.wire::<PublisherSeed>();
+    b.wire::<WitnessSeed>();
+    b.wire::<Vec<u64>>();
+    b.wire::<AccResult<u64>>();
+    b.wire::<(u64, u64)>();
+    b.main(main, CrossSeed { publisher, witness, best, acc });
+    b.build()
+}
+
+#[test]
+fn shared_variables_cross_the_process_boundary() {
+    // The first use of a monotonic variable over sockets (tsp and puzzle
+    // use one too, but what they prune by it is schedule-dependent).
+    // Workers re-enter this test; the broadcast mode rides `Go`.
+    chare_kernel::maybe_worker(|_| cross_program());
+    let npes = 4;
+    for mode in [BroadcastMode::Tree, BroadcastMode::Direct] {
+        let prog = cross_program()
+            .with_tracing(TraceConfig::default())
+            .with_opts(|o| o.bcast = mode);
+        let test_name = "shared_variables_cross_the_process_boundary";
+        let mut rep = prog.run_procs(&ProcConfig::for_test(npes, "", test_name));
+        let detail = rep.proc.as_ref().expect("procs detail");
+        assert!(detail.aborted.is_none(), "{mode:?}: {:?}", detail.aborted);
+        assert_eq!(rep.take_result::<(u64, u64)>(), Some((100, 7 + 11 + 13 + npes as u64)), "{mode:?}");
+        // Each improvement was broadcast once, by the PE that made it,
+        // and applied once on every PE; the fourth bound went nowhere.
+        assert_eq!(rep.counter_total("mono_broadcasts"), 3, "{mode:?}");
+        assert_eq!(rep.counter_total("mono_applied"), 3 * npes as u64, "{mode:?}");
+        let trace = rep.trace.as_ref().expect("traced");
+        let tree_casts = trace
+            .events
+            .iter()
+            .filter(|ev| {
+                matches!(ev.kind, EventKind::MsgSend { class: chare_kernel::MsgClass::Broadcast, .. })
+            })
+            .count();
+        assert_eq!(tree_casts > 0, mode == BroadcastMode::Tree, "{mode:?}: {tree_casts} tree casts");
+    }
+}
