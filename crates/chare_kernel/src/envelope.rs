@@ -38,6 +38,14 @@ pub type CastGen = Arc<dyn Fn() -> SysMsg + Send + Sync>;
 /// message find the slot empty — exactly-once delivery even when a
 /// timed-out seed has been reclaimed and redirected while the original
 /// frame is still in flight.
+///
+/// That last guarantee needs sender and receiver to share one address
+/// space, as on the simulator and the thread backend. Between processes
+/// the wire codec encodes what the slot holds and the receiver decodes
+/// it into a fresh slot, so reclaiming a seed cannot void a copy that
+/// already left: a seed whose acks are all lost can be created twice.
+/// docs/PROCESS.md describes the gap ("One caveat worth knowing") and
+/// the reliable-delivery model check exhibits it.
 pub type RelSlot = Arc<std::sync::Mutex<Option<SysMsg>>>;
 
 /// Extra wire bytes a reliable frame adds to its carried message
@@ -235,11 +243,13 @@ pub enum SysMsg {
         /// Co-owned body; empty once consumed.
         slot: RelSlot,
     },
-    /// Cumulative acknowledgment of reliable frames from this PE.
-    /// Unreliable and uncounted: a lost ack is repaired by the
-    /// retransmission it fails to suppress.
+    /// Acknowledgment of reliable frames: not cumulative, but every seq
+    /// the acking PE received on this link since its last scheduler
+    /// step, fresh or duplicate, repeats included. Unreliable and
+    /// uncounted: a lost ack is repaired by the retransmission it fails
+    /// to suppress.
     RelAck {
-        /// Sequence numbers being acknowledged.
+        /// Sequence numbers being acknowledged, in arrival order.
         seqs: Vec<u64>,
     },
 }

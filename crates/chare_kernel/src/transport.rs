@@ -14,19 +14,22 @@
 //! what `incoming` left owing; [`Port::flush`] ends *every*
 //! `NodeProgram` entry point (`boot`, `step`, `alarm`), so nothing
 //! posted outlives the handler that posted it.
+//!
+//! Reliable delivery decides and this module carries out: an entry
+//! point hands [`RelState::step`] one event, and `apply` turns the
+//! actions into sends, alarms, counters and trace events.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use multicomputer::{NetCtx, Pe};
 
 use crate::bcast::{tree_children, BroadcastMode};
-use crate::envelope::{CastGen, MsgBody, SysMsg, PLACED};
+use crate::envelope::{CastGen, MsgBody, SysMsg};
 use crate::ids::Notify;
 use crate::priority::Priority;
 use crate::probe::{emit, Probe};
-use crate::reliable::{
-    frame_wire_bytes, rel_ack_wire_bytes, Accept, Frame, RedirectSeed, RelState, ReliableConfig,
-};
+use crate::reliable::{RedirectSeed, RelAction, RelEvent, RelState, ReliableConfig};
 use crate::stats::KernelCounters;
 use crate::trace::{EventKind, MsgClass};
 
@@ -46,8 +49,11 @@ pub(crate) struct Transport {
     outbuf: Option<Vec<Vec<SysMsg>>>,
     /// Messages waiting in `outbuf`, over all destinations.
     buffered: usize,
-    /// Reliable-delivery bookkeeping (`None` = trust the machine).
+    /// Reliable-delivery state (`None` = trust the machine).
     rel: Option<RelState>,
+    /// The buffer every `RelState::step` appends to, kept so no event
+    /// allocates; empty between entry points.
+    acts: Vec<RelAction>,
 }
 
 /// The transport as an entry point sees it: borrowed with the machine
@@ -88,13 +94,14 @@ impl Transport {
             outbuf: combining.then(|| (0..npes).map(|_| Vec::new()).collect()),
             buffered: 0,
             rel: reliable.map(|cfg| RelState::new(npes, cfg)),
+            acts: Vec::new(),
         }
     }
 
     /// Whether anything waits to be sent: combined messages, owed acks,
     /// or frames a reopened window can release.
     pub(crate) fn pending(&self) -> bool {
-        self.buffered > 0 || self.rel.as_ref().is_some_and(|r| r.has_acks() || r.has_ready())
+        self.buffered > 0 || self.rel.as_ref().is_some_and(RelState::pending)
     }
 
     /// Whether this PE may report itself idle to quiescence detection:
@@ -112,9 +119,7 @@ impl Transport {
     /// End-of-run snapshots of what was still in flight, for `stats`.
     pub(crate) fn end_state(&self, c: &mut KernelCounters) {
         if let Some(rel) = &self.rel {
-            c.rel_inflight_end = rel.counted_inflight() as u64;
-            c.rel_reorder_end = rel.parked() as u64;
-            c.rel_unacked_end = rel.in_flight() as u64;
+            rel.end_state(c);
         }
     }
 
@@ -136,21 +141,24 @@ impl Transport {
         match sys {
             SysMsg::RelData { seq, slot, .. } => {
                 let rel = self.rel.as_mut().expect("a frame implies reliable delivery");
-                match rel.accept(a.from, seq, &slot) {
-                    Accept::Dup => counters.dup_dropped += 1,
-                    Accept::Deliver(run) => {
-                        for inner in run {
-                            self.unwrap(counters, probe, a, inner, deliver);
-                        }
-                    }
+                let mut acts = std::mem::take(&mut self.acts);
+                rel.step(a.at_ns, RelEvent::Frame { from: a.from, seq, slot }, &mut acts);
+                apply(&mut acts, a.at_ns, None, counters, probe);
+                for act in acts.drain(..) {
+                    let RelAction::Deliver(inner) = act else {
+                        unreachable!("an arriving frame only delivers or counts a duplicate")
+                    };
+                    self.unwrap(counters, probe, a, inner, deliver);
                 }
+                self.acts = acts;
             }
-            SysMsg::RelAck { seqs } => {
-                if let Some(rel) = self.rel.as_mut() {
-                    rel.on_ack(a.from, &seqs);
+            SysMsg::RelAck { seqs } => match self.rel.as_mut() {
+                Some(rel) => {
+                    rel.step(a.at_ns, RelEvent::Ack { from: a.from, seqs }, &mut self.acts);
+                    apply(&mut self.acts, a.at_ns, None, counters, probe);
                 }
-                crate::pool::recycle_seq_vec(seqs);
-            }
+                None => crate::pool::recycle_seq_vec(seqs),
+            },
             SysMsg::Batch(mut inner) => {
                 for m in inner.drain(..) {
                     self.unwrap(counters, probe, a, m, deliver);
@@ -213,69 +221,38 @@ impl Port<'_> {
     /// Put one envelope on the wire now, uncounted and unrecorded:
     /// counting happened in [`Port::post`], so a redirected seed can
     /// re-enter here without skewing the quiescence counters. With
-    /// reliable delivery on, a remote message is wrapped in a
-    /// sequence-numbered frame and held for retransmission until
-    /// acknowledged; a closed send window parks it until
-    /// [`Port::begin_step`] finds room.
+    /// reliable delivery on, a remote message goes to [`RelState::step`],
+    /// which frames it and keeps it until acknowledged, or parks it
+    /// until a send window reopens.
     pub(crate) fn transmit(&mut self, to: Pe, sys: SysMsg) {
-        let remote = to != self.t.pe;
-        let Some(rel) = self.t.rel.as_mut().filter(|_| remote) else {
+        if to == self.t.pe || self.t.rel.is_none() {
             let bytes = sys.wire_bytes();
             self.net.send(to, bytes, crate::pool::payload(sys));
             return;
-        };
-        // Only seeds still subject to load balancing may be re-homed if
-        // the destination stops answering; everything else (including
-        // batches, which were combined *for* this destination) is
-        // pinned and retries forever.
-        let is_seed = matches!(&sys, SysMsg::NewChare { hops, .. } if *hops != PLACED);
-        let now = self.net.now_ns();
-        let first = rel.submit(to, sys, now, is_seed);
-        self.frames(now, first);
+        }
+        self.step_rel(RelEvent::Post { to, msg: sys });
+        debug_assert!(self.t.acts.is_empty(), "a post only sends and arms");
     }
 
-    /// The one place a reliable frame meets the wire, first time or
-    /// again, and the one place the retransmit alarm is (re)armed. The
-    /// machine keeps a handler's last `set_alarm` and [`RelState::rearm`]
-    /// asks for one only when an earlier deadline appeared, so the alarm
-    /// ends up at the earliest deadline outstanding.
-    fn frames(&mut self, now: u64, frames: impl IntoIterator<Item = Frame>) {
-        for f in frames {
-            // The slot stays shared with the retransmit buffer, so every
-            // copy of the frame on the wire carries the one body.
-            let frame = SysMsg::RelData { seq: f.seq, bytes: f.inner_bytes, slot: f.slot };
-            self.net.send(f.to, frame_wire_bytes(f.inner_bytes), crate::pool::payload(frame));
-        }
-        let rel = self.t.rel.as_mut().expect("frames imply reliable delivery");
-        if let Some(after) = rel.rearm(now) {
-            self.net.set_alarm(after);
-        }
+    /// Feed reliable delivery, if on, one event now and carry out what it
+    /// decides. Returns whether the event owed the wire anything; what
+    /// `apply` leaves (redirects) stays in `self.t.acts` for the caller.
+    fn step_rel(&mut self, ev: RelEvent) -> bool {
+        let Some(rel) = self.t.rel.as_mut() else {
+            return false;
+        };
+        let now = self.net.now_ns();
+        rel.step(now, ev, &mut self.t.acts);
+        let owed = !self.t.acts.is_empty();
+        apply(&mut self.t.acts, now, Some(&mut *self.net), self.counters, self.probe);
+        owed
     }
 
     /// What a step owes the wire, deferred from `incoming`: acks for the
     /// frames that arrived, then the frames a reopened send window
-    /// released (those acks may have just opened it). Acks travel
-    /// unwrapped (they *are* the acknowledgment machinery) and
-    /// uncounted; a lost ack is repaired by the retransmission it fails
-    /// to suppress. A stalled PE never gets here, which is exactly why
-    /// its senders start retransmitting. Returns whether anything left.
+    /// released. Returns whether anything left.
     pub(crate) fn begin_step(&mut self) -> bool {
-        let Some(rel) = self.t.rel.as_mut() else {
-            return false;
-        };
-        let acks = rel.take_acks();
-        let now = self.net.now_ns();
-        let ready = rel.take_ready(now);
-        let did = !acks.is_empty() || !ready.is_empty();
-        for (to, seqs) in acks {
-            let bytes = rel_ack_wire_bytes(seqs.len());
-            self.net.send(to, bytes, crate::pool::payload(SysMsg::RelAck { seqs }));
-            self.counters.acks_sent += 1;
-        }
-        if !ready.is_empty() {
-            self.frames(now, ready);
-        }
-        did
+        self.step_rel(RelEvent::Step)
     }
 
     /// Ship everything message combining buffered. Every `NodeProgram`
@@ -308,17 +285,12 @@ impl Port<'_> {
     /// budget for the caller to re-home (each re-enters through
     /// [`Port::transmit`] or settles locally).
     pub(crate) fn on_alarm(&mut self) -> Vec<RedirectSeed> {
-        let Some(rel) = self.t.rel.as_mut() else {
-            return Vec::new();
+        self.step_rel(RelEvent::Alarm);
+        let redirect = |act| match act {
+            RelAction::Redirect(rd) => rd,
+            _ => unreachable!("`apply` leaves only redirects after an alarm"),
         };
-        let now = self.net.now_ns();
-        let actions = rel.on_alarm(now);
-        for rt in &actions.retransmits {
-            self.counters.retransmits += 1;
-            emit(self.probe, || (now, 0, EventKind::Retransmit { to: rt.to, seq: rt.seq }));
-        }
-        self.frames(now, actions.retransmits);
-        actions.redirects
+        self.t.acts.drain(..).map(redirect).collect()
     }
 
     /// Deliver a kernel-generated notification message.
@@ -375,6 +347,52 @@ impl Port<'_> {
             self.post(child, SysMsg::TreeCast { origin, counted, bytes, gen });
         }
     }
+}
+
+/// The one place a [`RelAction`] takes effect: frames and acks go on the
+/// wire and the alarm is (re)armed through `net`, and retransmissions,
+/// acks and duplicates are counted and recorded, all in the order
+/// `step` decided them. Deliveries and redirects stay in `acts`, in
+/// order, for the caller: `unwrap` files the former, the alarm handler
+/// re-homes the latter. Arrivals run without a machine context (`net`
+/// is `None`), and a step on an arrival decides no wire action.
+fn apply(
+    acts: &mut Vec<RelAction>,
+    now: u64,
+    mut net: Option<&mut dyn NetCtx>,
+    counters: &mut KernelCounters,
+    probe: &Option<Probe>,
+) {
+    const NO_WIRE: &str = "an arrival owes the wire nothing until the step";
+    acts.retain_mut(|act| {
+        let (to, sys) = match act {
+            RelAction::Send { to, seq, bytes, slot, again } => {
+                if *again {
+                    counters.retransmits += 1;
+                    emit(probe, || (now, 0, EventKind::Retransmit { to: *to, seq: *seq }));
+                }
+                // The slot stays shared with the retransmit buffer, so
+                // every copy of the frame on the wire carries the one body.
+                (*to, SysMsg::RelData { seq: *seq, bytes: *bytes, slot: Arc::clone(slot) })
+            }
+            RelAction::Ack { to, seqs } => {
+                counters.acks_sent += 1;
+                (*to, SysMsg::RelAck { seqs: std::mem::take(seqs) })
+            }
+            RelAction::Arm(after) => {
+                net.as_deref_mut().expect(NO_WIRE).set_alarm(*after);
+                return false;
+            }
+            RelAction::Dup => {
+                counters.dup_dropped += 1;
+                return false;
+            }
+            RelAction::Deliver(_) | RelAction::Redirect(_) => return true,
+        };
+        let bytes = sys.wire_bytes();
+        net.as_deref_mut().expect(NO_WIRE).send(to, bytes, crate::pool::payload(sys));
+        false
+    });
 }
 
 /// A machine context that records sends instead of delivering them,

@@ -353,18 +353,20 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 // ---- declaring a codec: one list, both directions -----------------------
 
 /// Implement [`Wire`] for a struct by listing its fields in declaration
-/// order:
+/// order; a generic struct lists its type parameters first, and each is
+/// bounded by `Wire`:
 ///
 /// ```ignore
 /// wire_struct!(FibSeed { n, grain, parent, fib });
+/// wire_struct!(<V> TableGot<V> { key, value });
 /// ```
 ///
 /// Field types must themselves implement `Wire`. Keep the field list in
 /// sync with the struct — the codec is positional.
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::wire::Wire for $ty {
+    (<$($param:ident),*> $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($param: $crate::wire::Wire),*> $crate::wire::Wire for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 $( $crate::wire::Wire::encode(&self.$field, out); )+
             }
@@ -372,6 +374,9 @@ macro_rules! wire_struct {
                 Self { $( $field: $crate::wire::Wire::decode(r) ),+ }
             }
         }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::wire_struct!(<> $ty { $($field),+ });
     };
 }
 
@@ -603,29 +608,8 @@ impl Wire for crate::shared::QuiescenceMsg {
 crate::wire_struct!(crate::shared::WoReady { id });
 crate::wire_struct!(crate::shared::TableAck { key, existed });
 
-impl<V: Wire> Wire for crate::shared::TableGot<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.key.encode(out);
-        self.value.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::TableGot {
-            key: u64::decode(r),
-            value: Option::<V>::decode(r),
-        }
-    }
-}
-
-impl<V: Wire> Wire for crate::shared::AccResult<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::AccResult {
-            value: V::decode(r),
-        }
-    }
-}
+crate::wire_struct!(<V> crate::shared::TableGot<V> { key, value });
+crate::wire_struct!(<V> crate::shared::AccResult<V> { value });
 
 // ---- the body-type registry --------------------------------------------
 
