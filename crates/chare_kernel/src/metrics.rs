@@ -75,7 +75,35 @@ impl MetricsConfig {
             ..MetricsConfig::default()
         }
     }
+
+    /// Reject a configuration no PE can record with: a first interval
+    /// wider than 2^63 ns has no power of two to round up to.
+    pub fn validate(&self) -> Result<(), MetricsConfigError> {
+        if self.slice_ns > 1 << 63 {
+            return Err(MetricsConfigError::SliceTooWide);
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`MetricsConfig`] cannot work, from [`MetricsConfig::validate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricsConfigError {
+    /// `slice_ns > 2^63`: interval widths are powers of two.
+    SliceTooWide,
+}
+
+impl std::fmt::Display for MetricsConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MetricsConfigError::SliceTooWide => {
+                write!(f, "metrics config: slice_ns must be at most 2^63 (interval widths are powers of two)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MetricsConfigError {}
 
 /// A log₂-bucketed streaming histogram over `u64` samples.
 ///
@@ -401,61 +429,9 @@ impl crate::wire::Wire for Histogram {
     }
 }
 
-impl crate::wire::Wire for Slice {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.work_ns,
-            self.dispatch_ns,
-            self.ctl_ns,
-            self.msgs_sent,
-            self.msgs_recv,
-            self.bytes_sent,
-            self.bytes_recv,
-            self.seeds_kept,
-            self.seeds_forwarded,
-            self.retransmits,
-        ] {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut crate::wire::WireReader) -> Self {
-        Slice {
-            work_ns: u64::decode(r),
-            dispatch_ns: u64::decode(r),
-            ctl_ns: u64::decode(r),
-            msgs_sent: u64::decode(r),
-            msgs_recv: u64::decode(r),
-            bytes_sent: u64::decode(r),
-            bytes_recv: u64::decode(r),
-            seeds_kept: u64::decode(r),
-            seeds_forwarded: u64::decode(r),
-            retransmits: u64::decode(r),
-        }
-    }
-}
-
-impl crate::wire::Wire for PeMetricSet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pe.encode(out);
-        self.slices.encode(out);
-        self.latency.encode(out);
-        self.grain.encode(out);
-        self.queue_hwm.encode(out);
-        self.flight.encode(out);
-        self.flight_dropped.encode(out);
-    }
-    fn decode(r: &mut crate::wire::WireReader) -> Self {
-        PeMetricSet {
-            pe: Pe::decode(r),
-            slices: Vec::<Slice>::decode(r),
-            latency: Histogram::decode(r),
-            grain: Histogram::decode(r),
-            queue_hwm: u64::decode(r),
-            flight: Vec::<TraceEvent>::decode(r),
-            flight_dropped: u64::decode(r),
-        }
-    }
-}
+crate::wire_struct!(Slice { work_ns, dispatch_ns, ctl_ns, msgs_sent, msgs_recv, bytes_sent,
+    bytes_recv, seeds_kept, seeds_forwarded, retransmits });
+crate::wire_struct!(PeMetricSet { pe, slices, latency, grain, queue_hwm, flight, flight_dropped });
 
 /// Re-bucket a drained slice vector from width `from` to the coarser
 /// width `to` (both powers of two, so the merge is exact).

@@ -171,6 +171,18 @@ impl CkNode {
         }
     }
 
+    /// The running counters, with the end-state snapshots of what was
+    /// still queued or in flight. The desim oracles read these to decide
+    /// whether the exactly-once seed ledger must balance (all zero ⇒
+    /// every spawned seed had to have been constructed) and whether
+    /// quiescence fired over undelivered traffic.
+    pub(crate) fn counters(&self) -> KernelCounters {
+        let mut c = self.counters;
+        c.backlog_end = self.user_load() as u64;
+        self.transport.end_state(&mut c);
+        c
+    }
+
     /// Runnable user backlog (queued messages + pooled seeds).
     pub(crate) fn user_load(&self) -> usize {
         self.queue.len() + self.seeds.pooled()
@@ -442,16 +454,7 @@ impl NodeProgram for CkNode {
     }
 
     fn stats(&self) -> NodeStats {
-        // End-state snapshots ride along with the running counters:
-        // what was still queued or in flight when the machine stopped.
-        // The desim oracles read these to decide whether the
-        // exactly-once seed ledger must balance (all zero ⇒ every
-        // spawned seed had to have been constructed) and whether
-        // quiescence fired over undelivered traffic.
-        let mut c = self.counters;
-        c.backlog_end = self.user_load() as u64;
-        self.transport.end_state(&mut c);
-        c.to_node_stats()
+        self.counters().to_node_stats()
     }
 
     fn duplicate(payload: &multicomputer::Payload) -> Option<multicomputer::Payload> {

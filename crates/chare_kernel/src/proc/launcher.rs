@@ -11,7 +11,7 @@
 //! exit, socket hangup, a control message that does not decode, hang —
 //! ends as a structured reason in the report, never as a parent that
 //! blocks forever or panics. On a clean stop the parent decodes the exit
-//! result, names each worker's counters, and hands the workers' shards
+//! result, exports each worker's counters, and hands the workers' shards
 //! to [`probe::merge`] — the merge a sim or threads run's drain ends in.
 
 use std::io::{self, Write as _};
@@ -20,11 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use multicomputer::{NodeStats, Payload};
+use multicomputer::Payload;
 
 use crate::probe;
 use crate::program::{CkReport, Program};
-use crate::stats::KernelCounters;
 use crate::wire::WireReader;
 
 use super::transport::{ctl_frame, recv_ctl, send_ctl, spawn_ctl_reader, Backoff, CtlEvent, CtlMsg,
@@ -365,7 +364,7 @@ fn supervise(
     Ok(run)
 }
 
-/// Clean completion: reap the children, decode the exit result, name
+/// Clean completion: reap the children, decode the exit result, export
 /// the counters, merge the shards.
 fn collect(
     prog: &Program,
@@ -388,10 +387,7 @@ fn collect(
     let mut worker_end_ns = Vec::with_capacity(cfg.npes);
     let mut shards = Vec::with_capacity(cfg.npes);
     for m in run.finals.into_iter().map(|f| f.expect("all finals")) {
-        // `CtlMsg::decode` checked there is one value per name.
-        let names = KernelCounters::NAMES.iter().copied();
-        let counters = names.zip(m.counters).collect();
-        node_stats.push(NodeStats { counters });
+        node_stats.push(m.counters.to_node_stats());
         worker_end_ns.push(m.end_ns);
         shards.push(m.shard);
     }

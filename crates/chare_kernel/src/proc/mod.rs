@@ -69,7 +69,7 @@
 
 mod launcher;
 mod shim;
-mod transport;
+pub(crate) mod transport;
 mod worker;
 
 pub use launcher::run_parent;

@@ -392,12 +392,12 @@ pub(crate) struct Go {
     pub opts: ProcOpts,
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Final {
     /// The worker's clock when it stopped scheduling.
     pub end_ns: u64,
-    /// Its kernel counters, in [`KernelCounters::NAMES`] order.
-    pub counters: Vec<u64>,
+    /// Its kernel counters.
+    pub counters: KernelCounters,
     /// What its probe recorded.
     pub shard: Shard,
 }
@@ -405,53 +405,16 @@ pub(crate) struct Final {
 crate::wire_struct!(Hello { rank, fingerprint, data_addr });
 crate::wire_struct!(Go { peers, opts });
 crate::wire_struct!(Final { end_ns, counters, shard });
+crate::wire_enum!(CtlMsg { Hello(hello), Go(go), Ready, Start, Stopped { result }, Halt, Final(last) });
 
-impl CtlMsg {
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CtlMsg::Hello(_) => 0,
-            CtlMsg::Go(_) => 1,
-            CtlMsg::Ready => 2,
-            CtlMsg::Start => 3,
-            CtlMsg::Stopped { .. } => 4,
-            CtlMsg::Halt => 5,
-            CtlMsg::Final(_) => 6,
-        });
-        match self {
-            CtlMsg::Hello(m) => m.encode(out),
-            CtlMsg::Go(m) => m.encode(out),
-            CtlMsg::Stopped { result } => result.encode(out),
-            CtlMsg::Final(m) => m.encode(out),
-            CtlMsg::Ready | CtlMsg::Start | CtlMsg::Halt => {}
-        }
-    }
-
-    /// Decode one control-frame body. Anything but exactly one
-    /// well-formed message is `InvalidData`.
-    pub(crate) fn decode(body: &[u8]) -> io::Result<CtlMsg> {
-        let mut r = WireReader::new(body);
-        let msg = match r.tag(7, "a control-message tag") {
-            0 => CtlMsg::Hello(Hello::decode(&mut r)),
-            1 => CtlMsg::Go(Box::new(Go::decode(&mut r))),
-            2 => CtlMsg::Ready,
-            3 => CtlMsg::Start,
-            4 => CtlMsg::Stopped {
-                result: Option::<Vec<u8>>::decode(&mut r),
-            },
-            5 => CtlMsg::Halt,
-            _ => {
-                let m = Final::decode(&mut r);
-                // Parent and worker are one binary: same counters.
-                if m.counters.len() != KernelCounters::NAMES.len() {
-                    r.fail("one value per kernel counter");
-                }
-                CtlMsg::Final(Box::new(m))
-            }
-        };
-        match r.finish() {
-            Ok(()) => Ok(msg),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-        }
+/// Decode one control-frame body. Anything but exactly one well-formed
+/// message is `InvalidData`.
+pub(crate) fn decode_ctl(body: &[u8]) -> io::Result<CtlMsg> {
+    let mut r = WireReader::new(body);
+    let msg = CtlMsg::decode(&mut r);
+    match r.finish() {
+        Ok(()) => Ok(msg),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
     }
 }
 
@@ -470,7 +433,7 @@ pub(crate) fn send_ctl(w: &mut impl Write, msg: &CtlMsg) -> io::Result<()> {
 /// Receive one control message (framed); a body that does not decode is
 /// an `InvalidData` error.
 pub(crate) fn recv_ctl(r: &mut impl Read) -> io::Result<CtlMsg> {
-    CtlMsg::decode(&read_frame(r)?)
+    decode_ctl(&read_frame(r)?)
 }
 
 /// What a control reader forwards: the rank of the worker on the link,
@@ -736,7 +699,7 @@ mod tests {
         assert!(shard.metrics.is_some());
         Final {
             end_ns: 99,
-            counters: (0..KernelCounters::NAMES.len() as u64).collect(),
+            counters: KernelCounters { user_sent: 1, queue_hwm: 17, rel_unacked_end: 27, ..Default::default() },
             shard,
         }
     }
@@ -770,7 +733,7 @@ mod tests {
     #[test]
     fn ctl_messages_roundtrip() {
         for msg in every_variant() {
-            assert_eq!(CtlMsg::decode(&encoded(&msg)).expect("decodes"), msg);
+            assert_eq!(decode_ctl(&encoded(&msg)).expect("decodes"), msg);
         }
         let full = full_opts();
         let library = RunOpts::default();
@@ -796,29 +759,25 @@ mod tests {
             peers: Vec::new(),
             opts: minimal,
         }));
-        assert_eq!(CtlMsg::decode(&encoded(&go)).expect("decodes"), go);
+        assert_eq!(decode_ctl(&encoded(&go)).expect("decodes"), go);
         let quiet = CtlMsg::Final(Box::new(Final {
             shard: Shard::default(),
             ..full_final()
         }));
-        assert_eq!(CtlMsg::decode(&encoded(&quiet)).expect("decodes"), quiet);
+        assert_eq!(decode_ctl(&encoded(&quiet)).expect("decodes"), quiet);
     }
 
     #[test]
     fn malformed_ctl_rejected() {
-        assert!(is_invalid_data(CtlMsg::decode(&[])));
-        assert!(is_invalid_data(CtlMsg::decode(&[42])));
+        assert!(is_invalid_data(decode_ctl(&[])));
+        assert!(is_invalid_data(decode_ctl(&[42])));
         // A `Hello` tag and nothing else; a `Final` tag and three bytes.
-        assert!(is_invalid_data(CtlMsg::decode(&[0])));
-        assert!(is_invalid_data(CtlMsg::decode(&[6, 0, 0, 0])));
+        assert!(is_invalid_data(decode_ctl(&[0])));
+        assert!(is_invalid_data(decode_ctl(&[6, 0, 0, 0])));
         // Trailing garbage is a protocol error, not silently ignored.
         let mut bytes = encoded(&CtlMsg::Ready);
         bytes.push(0);
-        assert!(is_invalid_data(CtlMsg::decode(&bytes)));
-        // A `Final` a counter short: the parent could not name them.
-        let mut short = full_final();
-        short.counters.pop();
-        assert!(is_invalid_data(CtlMsg::decode(&encoded(&CtlMsg::Final(Box::new(short))))));
+        assert!(is_invalid_data(decode_ctl(&bytes)));
     }
 
     #[test]
@@ -826,11 +785,11 @@ mod tests {
         for msg in every_variant() {
             let mut bytes = encoded(&msg);
             for cut in 0..bytes.len() {
-                let got = CtlMsg::decode(&bytes[..cut]);
+                let got = decode_ctl(&bytes[..cut]);
                 assert!(is_invalid_data(got), "{msg:?} cut to {cut} of {} bytes", bytes.len());
             }
             bytes.push(0);
-            assert!(is_invalid_data(CtlMsg::decode(&bytes)), "{msg:?} and one byte more");
+            assert!(is_invalid_data(decode_ctl(&bytes)), "{msg:?} and one byte more");
         }
     }
 
@@ -908,8 +867,8 @@ mod tests {
             tag in 0u8..9,
             tail in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
-            let _ = CtlMsg::decode(&tail);
-            let _ = CtlMsg::decode(&[&[tag][..], &tail].concat());
+            let _ = decode_ctl(&tail);
+            let _ = decode_ctl(&[&[tag][..], &tail].concat());
         }
 
         /// A well-formed message with a few bytes overwritten: the
@@ -924,7 +883,7 @@ mod tests {
                 let at = at % bytes.len();
                 bytes[at] = byte;
             }
-            let _ = CtlMsg::decode(&bytes);
+            let _ = decode_ctl(&bytes);
         }
 
         #[test]

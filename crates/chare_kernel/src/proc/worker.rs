@@ -49,11 +49,12 @@ use std::time::{Duration, Instant};
 use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind};
 
 use crate::envelope::SysMsg;
+use crate::node::CkNode;
 use crate::pool;
 use crate::probe::ProbeSink;
 use crate::program::Program;
 use crate::registry::Registry;
-use crate::wire::{decode_frame, encode_sys, reldata_nest};
+use crate::wire::{decode_frame, encode_frame, reldata_nest, Wire};
 
 use super::shim::LossShim;
 use super::transport::{frame, recv_ctl, send_ctl, spawn_ctl_reader, Chunk, CtlMsg, Final, Go, Hello,
@@ -224,7 +225,7 @@ impl NetCtx for ProcCtx {
         let body = |out: &mut Vec<u8>| {
             out.extend_from_slice(&now.to_le_bytes());
             out.extend_from_slice(&bytes.to_le_bytes());
-            encode_sys(reg, &sys, out);
+            encode_frame(reg, &sys, out);
         };
         match self.shim.as_mut() {
             // The shim may park the frame, so it needs an owned body.
@@ -509,7 +510,7 @@ fn report(
     mut ctl: Stream,
     rx: &Receiver<Ev>,
     mut ctx: ProcCtx,
-    node: impl NodeProgram,
+    node: CkNode,
     sink: Option<Arc<ProbeSink>>,
     halted: bool,
 ) -> ! {
@@ -536,7 +537,7 @@ fn report(
     }
 
     let end_ns = ctx.now_ns();
-    let counters = node.stats().counters.iter().map(|&(_, v)| v).collect();
+    let counters = node.counters();
     // Dropping the node flushes its probe into the sink.
     drop(node);
     let shard = sink.and_then(|s| s.take_shard(ctx.me)).unwrap_or_default();
@@ -591,12 +592,18 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             }
         }
         CrashMode::BadCtl => {
-            // A four-byte control frame: the `Final` tag and three zeros.
-            let bytes = [4, 0, 0, 0, 6, 0, 0, 0];
+            // A well-framed `Final` cut three bytes in.
+            let mut last = Vec::new();
+            CtlMsg::Final(Box::default()).encode(&mut last);
+            let mut bytes = Vec::new();
+            frame(&mut bytes, |b| b.extend_from_slice(&last[..4]));
             let _ = ctl.try_clone().and_then(|mut ctl| ctl.write_all(&bytes));
         }
         CrashMode::BadBody => write_peers(ctx, |b| b.push(0xff)), // no such `SysMsg` tag
-        CrashMode::Nest(depth) => write_peers(ctx, |b| reldata_nest(depth, b)),
+        CrashMode::Nest(depth) => {
+            let reg = Arc::clone(&ctx.reg);
+            write_peers(ctx, |b| reldata_nest(&reg, depth, b));
+        }
     }
 }
 
@@ -763,10 +770,16 @@ mod tests {
         // went through the same check — so the `Go` is written by hand.
         // The worker must refuse it by name, not boot into a hang.
         let dead = ReliableConfig { window: 0, ..ReliableConfig::default() };
-        let refused = handshake_told(RunOpts { reliable: Some(dead), ..told });
+        let refused = handshake_told(RunOpts { reliable: Some(dead), ..told.clone() });
         let panic = refused.err().expect("a zero send window must not be installed");
         let text = panic.downcast_ref::<String>().expect("a formatted panic");
         assert_eq!(*text, dead.validate().unwrap_err().to_string());
+        // Nor a first interval too wide to round up to a power of two.
+        let wide = crate::metrics::MetricsConfig::with_slice_ns(u64::MAX);
+        let refused = handshake_told(RunOpts { metrics: Some(wide), ..told });
+        let panic = refused.err().expect("a slice width past 2^63 must not be installed");
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*text, wide.validate().unwrap_err().to_string());
     }
 
     /// Collects what `incoming` is handed.

@@ -1015,8 +1015,8 @@ mod tests {
         /// on the simulator and the thread backend.
         Shared,
         /// Each copy carries what the slot held when it was sent, in a
-        /// slot of its own — what `wire::encode_sys` and `decode_sys`
-        /// give it on the process backend.
+        /// slot of its own — what the envelope codec in `wire.rs`
+        /// gives it on the process backend.
         Socket,
     }
 

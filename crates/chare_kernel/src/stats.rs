@@ -7,9 +7,10 @@
 use multicomputer::NodeStats;
 
 /// Declares [`KernelCounters`] once: the struct, the canonical
-/// [`KernelCounters::NAMES`] list and [`KernelCounters::to_node_stats`]
-/// are all generated from the same field list, so adding a counter can
-/// never leave the exported report (or a test's expected count) stale.
+/// [`KernelCounters::NAMES`] list, [`KernelCounters::to_node_stats`] and
+/// the codec a procs worker ships them to its parent with are all
+/// generated from the same field list, so adding a counter can never
+/// leave the exported report (or a test's expected count) stale.
 macro_rules! kernel_counters {
     ($( $(#[$meta:meta])* $name:ident ),+ $(,)?) => {
         /// Per-PE kernel counters.
@@ -29,6 +30,8 @@ macro_rules! kernel_counters {
                 s
             }
         }
+
+        crate::wire_struct!(KernelCounters { $($name),+ });
     };
 }
 

@@ -14,11 +14,12 @@
 //!   once, as a list both directions are generated from:
 //!   [`wire_struct!`](crate::wire_struct) over a struct's fields,
 //!   [`wire_enum!`](crate::wire_enum) over an enum's variants — the
-//!   kernel's own types and an application's message and seed types
-//!   alike. Only three codecs here are written out by hand, each for a
-//!   reason a list cannot state: `SysMsg` (bodies go through the
-//!   registry), `BitPrio` (bit packing) and `BalanceStrategy` (travels
-//!   as its spec-grammar text);
+//!   kernel's own types, the kernel envelope [`SysMsg`] and the procs
+//!   control messages among them, and an application's message and seed
+//!   types alike. Only three codecs here are written out by hand, each
+//!   for a reason a list cannot state: `BitPrio` (bit packing),
+//!   `BalanceStrategy` (travels as its spec-grammar text) and
+//!   `Histogram` (only its occupied buckets travel);
 //! * a **wire table** inside the program `Registry`: message *bodies*
 //!   are type-erased (`Box<dyn Any>`), so each concrete body type a
 //!   program sends between PEs must be registered up front with
@@ -26,15 +27,11 @@
 //!   Registration order assigns each type a small integer tag; because
 //!   the parent and every worker process construct the *same* program
 //!   (same registration sequence), the tags agree, and a fingerprint of
-//!   the table is checked at the socket handshake to catch drift;
-//! * `encode_sys`/`decode_frame` — the envelope codec covering every
-//!   `SysMsg` variant, including the awkward ones: spanning-tree
-//!   broadcasts carry a generator closure (encoded by materializing one
-//!   copy; decoded into a closure that re-decodes the captured bytes
-//!   per invocation) and reliable-layer frames carry a shared
-//!   retransmit slot (decoded into a fresh slot — cross-process
-//!   exactly-once comes from receiver sequence dedup, not slot
-//!   sharing).
+//!   the table is checked at the socket handshake to catch drift. The
+//!   `SysMsg` list is coded in a context, `Frame`, that carries the
+//!   registry for the few fields only it can code — a body, a
+//!   broadcast's generator, a reliable slot, a batch — each by hand
+//!   through the crate-private `WireIn`; every other field by its `Wire`.
 //!
 //! Decoding never panics on what the peer sent. A short read, a length
 //! prefix past the bytes left, an unknown tag or a non-UTF-8 string
@@ -56,13 +53,14 @@ use multicomputer::{Cost, Pe, Topology};
 
 use crate::balance::BalanceStrategy;
 use crate::bcast::BroadcastMode;
-use crate::envelope::{MsgBody, Seed, SysMsg};
-use crate::ids::{AccId, BocId, ChareId, ChareKind, EpId, MonoId, Notify, RoId, TableId, WoId};
+use crate::envelope::{CastGen, MsgBody, RelSlot, Seed, SysMsg};
+use crate::ids::{AccId, Boc, BocId, ChareId, ChareKind, EpId, Kind, MonoId, Notify, RoId, TableId, WoId};
 use crate::metrics::MetricsConfig;
 use crate::priority::{BitPrio, Priority};
 use crate::queueing::QueueingStrategy;
 use crate::registry::Registry;
 use crate::reliable::ReliableConfig;
+use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
 use crate::trace::{EntryWhat, EventKind, MsgClass, TraceConfig, TraceEvent};
 
 /// The first malformation a [`WireReader`] met in its buffer.
@@ -240,7 +238,8 @@ macro_rules! wire_int {
     )+};
 }
 
-wire_int!(u16 => u16, u32 => u32, u64 => u64);
+// The signed integers travel as the unsigned ones of their width.
+wire_int!(u16 => u16, u32 => u32, u64 => u64, i32 => u32, i64 => u64);
 
 impl Wire for u8 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -251,24 +250,6 @@ impl Wire for u8 {
     }
     fn decode_n(r: &mut WireReader, n: usize) -> Vec<u8> {
         r.bytes(n).to_vec()
-    }
-}
-
-impl Wire for i32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        r.u32() as i32
-    }
-}
-
-impl Wire for i64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        r.u64() as i64
     }
 }
 
@@ -340,6 +321,15 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader) -> Self {
+        Box::new(T::decode(r))
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -375,6 +365,17 @@ macro_rules! wire_struct {
             }
         }
     };
+    // Crate-private: each field coded in context `$cx` (see `WireIn`).
+    ($ty:ident in $cx:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::WireIn<$cx> for $ty {
+            fn encode_in(&self, cx: &$cx, out: &mut Vec<u8>) {
+                $( $crate::wire::WireIn::encode_in(&self.$field, cx, out); )+
+            }
+            fn decode_in(cx: &$cx, r: &mut $crate::wire::WireReader) -> Self {
+                Self { $( $field: $crate::wire::WireIn::decode_in(cx, r) ),+ }
+            }
+        }
+    };
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         $crate::wire_struct!(<> $ty { $($field),+ });
     };
@@ -389,50 +390,97 @@ macro_rules! wire_struct {
 /// ```
 ///
 /// A variant travels as one tag byte, its position in the list, then
-/// its fields in order, each by its own `Wire`. The one list drives both
-/// directions: `encode` matches on it, so a variant left out does not
-/// compile, and `decode` reads the tag with [`WireReader::tag`], so a
-/// byte that is no position in it is a recorded error like any other
-/// malformation, and the placeholder is the first variant. As with
+/// its fields in the order listed, each by its own `Wire`. The one list
+/// drives both directions: `encode` matches on it, so a variant left out
+/// does not compile, and `decode` reads the tag with [`WireReader::tag`],
+/// so a byte that is no position in it is a recorded error like any
+/// other malformation, and the placeholder is the first variant. As with
 /// [`wire_struct!`](crate::wire_struct) the codec is positional: keep the
 /// list in the enum's order, and append rather than insert.
 #[macro_export]
 macro_rules! wire_enum {
-    ($ty:ty { $( $variant:ident
-        $( ( $($elem:ident),+ $(,)? ) )?
-        $( { $($field:ident),+ $(,)? } )?
-    ),+ $(,)? }) => {
-        impl $crate::wire::Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $crate::wire_enum!(@tags $($variant)+);
-                match self {
-                    $( Self::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )? => {
-                        out.push(Tag::$variant as u8);
-                        $( $( $crate::wire::Wire::encode($elem, out); )+ )?
-                        $( $( $crate::wire::Wire::encode($field, out); )+ )?
-                    } )+
-                }
+    // Crate-private: each field coded in context `$cx` (see `WireIn`).
+    ($ty:ident in $cx:ty { $($list:tt)+ }) => {
+        impl $crate::wire::WireIn<$cx> for $ty {
+            fn encode_in(&self, cx: &$cx, out: &mut Vec<u8>) {
+                $crate::wire_enum!(@encode self out [cx] $($list)+);
             }
-            fn decode(r: &mut $crate::wire::WireReader) -> Self {
-                $crate::wire_enum!(@tags $($variant)+);
-                let count = [$(Tag::$variant as u8),+].len() as u8;
-                let tag = r.tag(count, concat!("a variant tag of ", stringify!($ty)));
-                $( if tag == Tag::$variant as u8 {
-                    return Self::$variant
-                        $( ( $( $crate::wire_enum!(@decode $elem r) ),+ ) )?
-                        $( { $( $field: $crate::wire::Wire::decode(r) ),+ } )?;
-                } )+
-                unreachable!("WireReader::tag lets through only the tags listed")
+            fn decode_in(cx: &$cx, r: &mut $crate::wire::WireReader) -> Self {
+                $crate::wire_enum!(@decode $ty, r [cx] $($list)+)
             }
         }
     };
+    ($ty:ty { $($list:tt)+ }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire_enum!(@encode self out [] $($list)+);
+            }
+            fn decode(r: &mut $crate::wire::WireReader) -> Self {
+                $crate::wire_enum!(@decode $ty, r [] $($list)+)
+            }
+        }
+    };
+    (@encode $self:tt $out:ident $cx:tt $( $variant:ident
+        $( ( $($elem:ident),+ $(,)? ) )?
+        $( { $($field:ident),+ $(,)? } )?
+    ),+ $(,)?) => {{
+        $crate::wire_enum!(@tags $($variant)+);
+        match $self {
+            $( Self::$variant $( ( $($elem),+ ) )? $( { $($field),+ } )? => {
+                $out.push(Tag::$variant as u8);
+                $( $( $crate::wire_enum!(@put $cx $elem $out); )+ )?
+                $( $( $crate::wire_enum!(@put $cx $field $out); )+ )?
+            } )+
+        }
+    }};
+    (@decode $ty:ty, $r:ident $cx:tt $( $variant:ident
+        $( ( $($elem:ident),+ $(,)? ) )?
+        $( { $($field:ident),+ $(,)? } )?
+    ),+ $(,)?) => {{
+        $crate::wire_enum!(@tags $($variant)+);
+        let count = [$(Tag::$variant as u8),+].len() as u8;
+        let tag = $r.tag(count, concat!("a variant tag of ", stringify!($ty)));
+        $( if tag == Tag::$variant as u8 {
+            return Self::$variant
+                $( ( $( $crate::wire_enum!(@get $cx $r $elem) ),+ ) )?
+                $( { $( $field: $crate::wire_enum!(@get $cx $r $field) ),+ } )?;
+        } )+
+        unreachable!("WireReader::tag lets through only the tags listed")
+    }};
     // The listed variants as a fieldless enum: `Tag::V as u8` is V's
     // position in the list.
     (@tags $($variant:ident)+) => {
         #[allow(dead_code, clippy::enum_variant_names)]
         enum Tag { $($variant),+ }
     };
-    (@decode $elem:ident $r:ident) => { $crate::wire::Wire::decode($r) };
+    // One field, plainly or in context.
+    (@put [] $v:ident $out:ident) => { $crate::wire::Wire::encode($v, $out) };
+    (@put [$cx:ident] $v:ident $out:ident) => { $crate::wire::WireIn::encode_in($v, $cx, $out) };
+    (@get [] $r:ident $v:ident) => { $crate::wire::Wire::decode($r) };
+    (@get [$cx:ident] $r:ident $v:ident) => { $crate::wire::WireIn::decode_in($cx, $r) };
+}
+
+/// A codec that needs a context `C` beyond the bytes — what the
+/// crate-private `T in C` forms of [`wire_struct!`](crate::wire_struct)
+/// and [`wire_enum!`](crate::wire_enum) code each field through. Every
+/// [`Wire`] type codes the same in any context; only a field that cannot
+/// code itself (a message body, which needs the program's registry)
+/// implements it by hand.
+pub(crate) trait WireIn<C>: Sized {
+    /// Append this value's bytes to `out`.
+    fn encode_in(&self, cx: &C, out: &mut Vec<u8>);
+    /// Read one value back (a placeholder on malformed input, as for
+    /// [`Wire::decode`]).
+    fn decode_in(cx: &C, r: &mut WireReader) -> Self;
+}
+
+impl<C, T: Wire> WireIn<C> for T {
+    fn encode_in(&self, _cx: &C, out: &mut Vec<u8>) {
+        self.encode(out);
+    }
+    fn decode_in(_cx: &C, r: &mut WireReader) -> Self {
+        T::decode(r)
+    }
 }
 
 // ---- kernel id types ---------------------------------------------------
@@ -456,59 +504,21 @@ wire_newtype!(u64: WoId, Cost);
 crate::wire_struct!(ChareId { pe, local });
 crate::wire_enum!(Notify { Chare(id, ep), Branch(boc, pe, ep) });
 
-impl<C: crate::chare::ChareInit> Wire for crate::ids::Kind<C> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::ids::Kind::new(ChareKind::decode(r))
-    }
+/// A typed handle travels as the untyped id it wraps.
+macro_rules! wire_handle {
+    ($($handle:ident<$p:ident $(: $bound:path)?>),+ $(,)?) => {$(
+        impl<$p: 'static $(+ $bound)?> Wire for $handle<$p> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.id.encode(out);
+            }
+            fn decode(r: &mut WireReader) -> Self {
+                $handle::new(Wire::decode(r))
+            }
+        }
+    )+};
 }
 
-impl<B: crate::boc::BranchInit> Wire for crate::ids::Boc<B> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::ids::Boc::new(BocId::decode(r))
-    }
-}
-
-impl<A: crate::shared::Accum> Wire for crate::shared::Acc<A> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::Acc::new(AccId::decode(r))
-    }
-}
-
-impl<M: crate::shared::Mono> Wire for crate::shared::MonoVar<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::MonoVar::new(MonoId::decode(r))
-    }
-}
-
-impl<V: Clone + Send + 'static> Wire for crate::shared::TableRef<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::TableRef::new(TableId::decode(r))
-    }
-}
-
-impl<T: Send + Sync + 'static> Wire for crate::shared::ReadOnly<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-    }
-    fn decode(r: &mut WireReader) -> Self {
-        crate::shared::ReadOnly::new(RoId::decode(r))
-    }
-}
+wire_handle!(Kind<C>, Boc<B>, Acc<A: Accum>, MonoVar<M: Mono>, TableRef<V>, ReadOnly<T>);
 
 impl Wire for BitPrio {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -739,200 +749,13 @@ impl WireTable {
 
 // ---- the envelope codec ------------------------------------------------
 
-const T_BATCH: u8 = 0;
-const T_TREECAST: u8 = 1;
-const T_NEWCHARE: u8 = 2;
-const T_CHAREMSG: u8 = 3;
-const T_BRANCHMSG: u8 = 4;
-const T_ACCCOLLECT: u8 = 5;
-const T_ACCPART: u8 = 6;
-const T_MONOUPDATE: u8 = 7;
-const T_TABLEPUT: u8 = 8;
-const T_TABLEGET: u8 = 9;
-const T_TABLEDELETE: u8 = 10;
-const T_WOSTORE: u8 = 11;
-const T_WOACK: u8 = 12;
-const T_QDSTART: u8 = 13;
-const T_QDPOLL: u8 = 14;
-const T_QDCOUNT: u8 = 15;
-const T_LOADSTATUS: u8 = 16;
-const T_WORKREQ: u8 = 17;
-const T_WORKNACK: u8 = 18;
-const T_RELDATA: u8 = 19;
-const T_RELACK: u8 = 20;
-
-/// Encode one kernel envelope (recursively, by reference — the envelope
-/// is not consumed, so the reliable layer can retransmit the same slot).
-pub(crate) fn encode_sys(reg: &Registry, sys: &SysMsg, out: &mut Vec<u8>) {
-    let w = &reg.wire;
-    match sys {
-        SysMsg::Batch(inner) => {
-            out.push(T_BATCH);
-            (inner.len() as u32).encode(out);
-            for m in inner {
-                encode_sys(reg, m, out);
-            }
-        }
-        SysMsg::TreeCast {
-            origin,
-            counted,
-            bytes,
-            gen,
-        } => {
-            out.push(T_TREECAST);
-            origin.encode(out);
-            counted.encode(out);
-            bytes.encode(out);
-            // Materialize one copy of the generated envelope; the
-            // receiver rebuilds a generator that decodes it per call.
-            let mut blob = Vec::new();
-            encode_sys(reg, &gen(), &mut blob);
-            blob.encode(out);
-        }
-        SysMsg::NewChare { seed, hops } => {
-            out.push(T_NEWCHARE);
-            seed.kind.encode(out);
-            seed.bytes.encode(out);
-            seed.prio.encode(out);
-            hops.encode(out);
-            w.encode_body("NewChare seed", seed.body.as_ref(), out);
-        }
-        SysMsg::ChareMsg {
-            target,
-            ep,
-            body,
-            bytes,
-            prio,
-        } => {
-            out.push(T_CHAREMSG);
-            target.encode(out);
-            ep.encode(out);
-            bytes.encode(out);
-            prio.encode(out);
-            w.encode_body("ChareMsg body", body.as_ref(), out);
-        }
-        SysMsg::BranchMsg {
-            boc,
-            ep,
-            body,
-            bytes,
-            prio,
-        } => {
-            out.push(T_BRANCHMSG);
-            boc.encode(out);
-            ep.encode(out);
-            bytes.encode(out);
-            prio.encode(out);
-            w.encode_body("BranchMsg body", body.as_ref(), out);
-        }
-        SysMsg::AccCollect {
-            acc,
-            token,
-            requester,
-        } => {
-            out.push(T_ACCCOLLECT);
-            acc.encode(out);
-            token.encode(out);
-            requester.encode(out);
-        }
-        SysMsg::AccPart { acc, token, part } => {
-            out.push(T_ACCPART);
-            acc.encode(out);
-            token.encode(out);
-            w.encode_body("AccPart value", part.as_ref(), out);
-        }
-        SysMsg::MonoUpdate { mono, value } => {
-            out.push(T_MONOUPDATE);
-            mono.encode(out);
-            w.encode_body("MonoUpdate value", value.as_ref(), out);
-        }
-        SysMsg::TablePut {
-            table,
-            key,
-            value,
-            bytes,
-            notify,
-        } => {
-            out.push(T_TABLEPUT);
-            table.encode(out);
-            key.encode(out);
-            bytes.encode(out);
-            notify.encode(out);
-            w.encode_body("TablePut value", value.as_ref(), out);
-        }
-        SysMsg::TableGet { table, key, notify } => {
-            out.push(T_TABLEGET);
-            table.encode(out);
-            key.encode(out);
-            notify.encode(out);
-        }
-        SysMsg::TableDelete { table, key, notify } => {
-            out.push(T_TABLEDELETE);
-            table.encode(out);
-            key.encode(out);
-            notify.encode(out);
-        }
-        SysMsg::WoStore { wo, value, bytes } => {
-            out.push(T_WOSTORE);
-            wo.encode(out);
-            bytes.encode(out);
-            w.encode_body("WoStore value", value.as_ref(), out);
-        }
-        SysMsg::WoAck { wo } => {
-            out.push(T_WOACK);
-            wo.encode(out);
-        }
-        SysMsg::QdStart { notify } => {
-            out.push(T_QDSTART);
-            notify.encode(out);
-        }
-        SysMsg::QdPoll { wave } => {
-            out.push(T_QDPOLL);
-            wave.encode(out);
-        }
-        SysMsg::QdCount {
-            wave,
-            sent,
-            recv,
-            idle,
-        } => {
-            out.push(T_QDCOUNT);
-            wave.encode(out);
-            sent.encode(out);
-            recv.encode(out);
-            idle.encode(out);
-        }
-        SysMsg::LoadStatus { load } => {
-            out.push(T_LOADSTATUS);
-            load.encode(out);
-        }
-        SysMsg::WorkReq { origin, ttl } => {
-            out.push(T_WORKREQ);
-            origin.encode(out);
-            ttl.encode(out);
-        }
-        SysMsg::WorkNack => out.push(T_WORKNACK),
-        SysMsg::RelData { seq, bytes, slot } => {
-            out.push(T_RELDATA);
-            seq.encode(out);
-            bytes.encode(out);
-            // Peek the retransmit slot without taking it: the sender
-            // keeps co-ownership for retransmission. An already-taken
-            // slot encodes as an empty frame (pure duplicate).
-            let guard = slot.lock().expect("rel slot");
-            match guard.as_ref() {
-                None => out.push(0),
-                Some(inner) => {
-                    out.push(1);
-                    encode_sys(reg, inner, out);
-                }
-            }
-        }
-        SysMsg::RelAck { seqs } => {
-            out.push(T_RELACK);
-            seqs.encode(out);
-        }
-    }
+/// What coding a kernel envelope needs beyond its bytes: the program's
+/// registry, for message bodies, and how many envelopes this one sits
+/// inside. The registry is an `Arc` because a decoded broadcast's
+/// generator keeps it.
+pub(crate) struct Frame<'a> {
+    reg: &'a Arc<Registry>,
+    depth: u32,
 }
 
 /// How deep envelopes may nest on the wire. An honest sender nests four
@@ -941,179 +764,160 @@ pub(crate) fn encode_sys(reg: &Registry, sys: &SysMsg, out: &mut Vec<u8>) {
 /// under the frame cap could nest deep enough to overflow its stack.
 const MAX_NESTING: u32 = 8;
 
+impl<'a> Frame<'a> {
+    /// The context of an envelope no other envelope holds.
+    fn top(reg: &'a Arc<Registry>) -> Self {
+        Frame { reg, depth: 0 }
+    }
+
+    /// Decode the envelope one level inside this one, refusing a level
+    /// deeper than any sender nests them.
+    fn nested(&self, r: &mut WireReader) -> SysMsg {
+        let inner = Frame { reg: self.reg, depth: self.depth + 1 };
+        if inner.depth > MAX_NESTING {
+            r.fail("an envelope nested no deeper than a sender makes them");
+        }
+        SysMsg::decode_in(&inner, r)
+    }
+}
+
+// The kernel envelope, declared once. Every body-bearing variant lists
+// its body last.
+crate::wire_enum!(SysMsg in Frame<'_> {
+    Batch(inner),
+    TreeCast { origin, counted, bytes, gen },
+    NewChare { hops, seed },
+    ChareMsg { target, ep, bytes, prio, body },
+    BranchMsg { boc, ep, bytes, prio, body },
+    AccCollect { acc, token, requester },
+    AccPart { acc, token, part },
+    MonoUpdate { mono, value },
+    TablePut { table, key, bytes, notify, value },
+    TableGet { table, key, notify },
+    TableDelete { table, key, notify },
+    WoStore { wo, bytes, value },
+    WoAck { wo },
+    QdStart { notify },
+    QdPoll { wave },
+    QdCount { wave, sent, recv, idle },
+    LoadStatus { load },
+    WorkReq { origin, ttl },
+    WorkNack,
+    RelData { seq, bytes, slot },
+    RelAck { seqs },
+});
+crate::wire_struct!(Seed in Frame<'_> { kind, bytes, prio, body });
+
+// The fields only the registry can code.
+
+/// A message body: its wire-table tag, then its bytes.
+impl WireIn<Frame<'_>> for MsgBody {
+    fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
+        cx.reg.wire.encode_body("a kernel envelope", &**self, out);
+    }
+    fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
+        cx.reg.wire.decode_body(r)
+    }
+}
+
+/// A write-once value: a body, decoded shared.
+impl WireIn<Frame<'_>> for Arc<dyn Any + Send + Sync> {
+    fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
+        cx.reg.wire.encode_body("a write-once value", &**self, out);
+    }
+    fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
+        cx.reg.wire.decode_shared(r)
+    }
+}
+
+/// A batch: a count, then each envelope one level down.
+impl WireIn<Frame<'_>> for Vec<SysMsg> {
+    fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        for m in self {
+            m.encode_in(cx, out);
+        }
+    }
+    fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
+        let n = r.count::<SysMsg>();
+        (0..n).map(|_| cx.nested(r)).collect()
+    }
+}
+
+/// A broadcast's generator travels as one copy of what it generates, a
+/// byte blob; the receiver's generator decodes the blob again per call.
+impl WireIn<Frame<'_>> for CastGen {
+    fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
+        let mut blob = Vec::new();
+        self().encode_in(cx, &mut blob);
+        blob.encode(out);
+    }
+    fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
+        let blob = Vec::<u8>::decode(r);
+        // The generator has no one to report to: refuse a malformed
+        // blob here, with the frame.
+        let mut inner = WireReader::new(&blob);
+        cx.nested(&mut inner);
+        if inner.finish().is_err() {
+            r.fail("a well-formed TreeCast envelope");
+        }
+        let reg = Arc::clone(cx.reg);
+        Arc::new(move || SysMsg::decode_in(&Frame::top(&reg), &mut WireReader::new(&blob)))
+    }
+}
+
+/// A reliable frame's slot travels as what it holds, peeked, not taken:
+/// the sender keeps co-ownership for retransmission, and an already
+/// taken slot is an empty frame (a pure duplicate). The receiver gets a
+/// fresh slot — cross-process exactly-once comes from its sequence
+/// dedup, not from slot sharing.
+impl WireIn<Frame<'_>> for RelSlot {
+    fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
+        match self.lock().expect("rel slot").as_ref() {
+            None => out.push(0),
+            Some(inner) => {
+                out.push(1);
+                inner.encode_in(cx, out);
+            }
+        }
+    }
+    fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
+        let inner = match r.u8() {
+            0 => None,
+            _ => Some(cx.nested(r)),
+        };
+        Arc::new(Mutex::new(inner))
+    }
+}
+
+/// Append the one kernel envelope a data frame's body is, after its
+/// `[sent_ns][bytes]` header (by reference: the reliable layer may send
+/// the same slot again).
+pub(crate) fn encode_frame(reg: &Arc<Registry>, sys: &SysMsg, out: &mut Vec<u8>) {
+    sys.encode_in(&Frame::top(reg), out);
+}
+
 /// Decode the one kernel envelope `bytes` are — the body of a data
-/// frame, after its `[sent_ns][bytes]` header — or say what is wrong
-/// with them: the boundary a worker decodes at.
+/// frame, after its header — or say what is wrong with them: the
+/// boundary a worker decodes at.
 pub(crate) fn decode_frame(reg: &Arc<Registry>, bytes: &[u8]) -> Result<SysMsg, WireError> {
     let mut r = WireReader::new(bytes);
-    let sys = decode_sys(reg, &mut r, 0);
+    let sys = SysMsg::decode_in(&Frame::top(reg), &mut r);
     r.finish().map(|()| sys)
 }
 
 /// A frame no sender makes: `depth` `RelData` envelopes, each in the
 /// slot of the one before (14 bytes a level), around a `WorkNack`. What
 /// the nesting bound is held to, here and by a worker's crash hook.
-pub(crate) fn reldata_nest(depth: u32, out: &mut Vec<u8>) {
+pub(crate) fn reldata_nest(reg: &Arc<Registry>, depth: u32, out: &mut Vec<u8>) {
+    let slot = Arc::new(Mutex::new(Some(SysMsg::WorkNack)));
+    let mut level = Vec::new();
+    encode_frame(reg, &SysMsg::RelData { seq: 0, bytes: 0, slot }, &mut level);
+    let (head, nack) = level.split_at(14);
     for _ in 0..depth {
-        out.push(T_RELDATA);
-        out.extend_from_slice(&[0; 12]); // seq, declared bytes
-        out.push(1); // the slot is full
+        out.extend_from_slice(head);
     }
-    out.push(T_WORKNACK);
-}
-
-/// Decode one kernel envelope that sits inside `depth` others. `reg`
-/// rides inside rebuilt broadcast generators, hence the `Arc`.
-fn decode_sys(reg: &Arc<Registry>, r: &mut WireReader, depth: u32) -> SysMsg {
-    let w = &reg.wire;
-    if depth > MAX_NESTING {
-        r.fail("an envelope nested no deeper than a sender makes them");
-    }
-    match r.tag(T_RELACK + 1, "a SysMsg tag") {
-        T_BATCH => {
-            let n = r.count::<SysMsg>();
-            SysMsg::Batch((0..n).map(|_| decode_sys(reg, r, depth + 1)).collect())
-        }
-        T_TREECAST => {
-            let origin = Pe::decode(r);
-            let counted = bool::decode(r);
-            let bytes = r.u32();
-            let blob: Arc<Vec<u8>> = Arc::new(Vec::<u8>::decode(r));
-            // The generator decodes the blob again per call, with no one
-            // to report to: refuse a malformed one here, with the frame.
-            let mut inner = WireReader::new(&blob);
-            decode_sys(reg, &mut inner, depth + 1);
-            if inner.finish().is_err() {
-                r.fail("a well-formed TreeCast envelope");
-            }
-            let reg = Arc::clone(reg);
-            SysMsg::TreeCast {
-                origin,
-                counted,
-                bytes,
-                gen: Arc::new(move || decode_sys(&reg, &mut WireReader::new(&blob), 0)),
-            }
-        }
-        T_NEWCHARE => {
-            let kind = ChareKind::decode(r);
-            let bytes = r.u32();
-            let prio = Priority::decode(r);
-            let hops = r.u32();
-            let body = w.decode_body(r);
-            let seed = Seed { kind, body, bytes, prio };
-            SysMsg::NewChare { seed, hops }
-        }
-        T_CHAREMSG => {
-            let target = ChareId::decode(r);
-            let ep = EpId::decode(r);
-            let bytes = r.u32();
-            let prio = Priority::decode(r);
-            let body = w.decode_body(r);
-            SysMsg::ChareMsg {
-                target,
-                ep,
-                body,
-                bytes,
-                prio,
-            }
-        }
-        T_BRANCHMSG => {
-            let boc = BocId::decode(r);
-            let ep = EpId::decode(r);
-            let bytes = r.u32();
-            let prio = Priority::decode(r);
-            let body = w.decode_body(r);
-            SysMsg::BranchMsg {
-                boc,
-                ep,
-                body,
-                bytes,
-                prio,
-            }
-        }
-        T_ACCCOLLECT => SysMsg::AccCollect {
-            acc: AccId::decode(r),
-            token: r.u64(),
-            requester: Pe::decode(r),
-        },
-        T_ACCPART => {
-            let acc = AccId::decode(r);
-            let token = r.u64();
-            let part = w.decode_body(r);
-            SysMsg::AccPart { acc, token, part }
-        }
-        T_MONOUPDATE => {
-            let mono = MonoId::decode(r);
-            let value = w.decode_body(r);
-            SysMsg::MonoUpdate { mono, value }
-        }
-        T_TABLEPUT => {
-            let table = TableId::decode(r);
-            let key = r.u64();
-            let bytes = r.u32();
-            let notify = Option::<Notify>::decode(r);
-            let value = w.decode_body(r);
-            SysMsg::TablePut {
-                table,
-                key,
-                value,
-                bytes,
-                notify,
-            }
-        }
-        T_TABLEGET => SysMsg::TableGet {
-            table: TableId::decode(r),
-            key: r.u64(),
-            notify: Notify::decode(r),
-        },
-        T_TABLEDELETE => SysMsg::TableDelete {
-            table: TableId::decode(r),
-            key: r.u64(),
-            notify: Option::<Notify>::decode(r),
-        },
-        T_WOSTORE => {
-            let wo = WoId::decode(r);
-            let bytes = r.u32();
-            let value = w.decode_shared(r);
-            SysMsg::WoStore { wo, value, bytes }
-        }
-        T_WOACK => SysMsg::WoAck { wo: WoId::decode(r) },
-        T_QDSTART => SysMsg::QdStart {
-            notify: Notify::decode(r),
-        },
-        T_QDPOLL => SysMsg::QdPoll { wave: r.u64() },
-        T_QDCOUNT => SysMsg::QdCount {
-            wave: r.u64(),
-            sent: r.u64(),
-            recv: r.u64(),
-            idle: bool::decode(r),
-        },
-        T_LOADSTATUS => SysMsg::LoadStatus { load: r.u32() },
-        T_WORKREQ => SysMsg::WorkReq {
-            origin: Pe::decode(r),
-            ttl: r.u8(),
-        },
-        T_WORKNACK => SysMsg::WorkNack,
-        T_RELDATA => {
-            let seq = r.u64();
-            let bytes = r.u32();
-            let inner = match r.u8() {
-                0 => None,
-                _ => Some(decode_sys(reg, r, depth + 1)),
-            };
-            // A fresh slot: cross-process exactly-once comes from the
-            // receiver's sequence dedup, not from slot co-ownership.
-            SysMsg::RelData {
-                seq,
-                bytes,
-                slot: Arc::new(Mutex::new(inner)),
-            }
-        }
-        // T_RELACK, the last tag `tag` lets through.
-        _ => SysMsg::RelAck {
-            seqs: Vec::<u64>::decode(r),
-        },
-    }
+    out.extend_from_slice(nack);
 }
 
 #[cfg(test)]
@@ -1121,11 +925,31 @@ pub(crate) mod tests {
     use super::*;
     use crate::priority::Priority;
 
-    fn roundtrip_sys(reg: &Arc<Registry>, sys: &SysMsg) -> SysMsg {
+    fn encoded(reg: &Arc<Registry>, sys: &SysMsg) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_sys(reg, sys, &mut out);
+        encode_frame(reg, sys, &mut out);
+        out
+    }
+
+    /// Decode one envelope that no other holds.
+    fn decode_top(reg: &Arc<Registry>, r: &mut WireReader) -> SysMsg {
+        SysMsg::decode_in(&Frame::top(reg), r)
+    }
+
+    /// The tag `sys` travels under: its position in the enum's list.
+    fn tag_of(sys: SysMsg) -> u8 {
+        encoded(&test_registry(), &sys)[0]
+    }
+
+    /// A broadcast of `QdPoll { wave: 4 }`, eight bytes declared.
+    fn tree_cast() -> SysMsg {
+        SysMsg::TreeCast { origin: Pe(1), counted: false, bytes: 8, gen: Arc::new(|| SysMsg::QdPoll { wave: 4 }) }
+    }
+
+    fn roundtrip_sys(reg: &Arc<Registry>, sys: &SysMsg) -> SysMsg {
+        let out = encoded(reg, sys);
         let mut r = WireReader::new(&out);
-        let back = decode_sys(reg, &mut r, 0);
+        let back = decode_top(reg, &mut r);
         assert_eq!(r.remaining(), 0, "codec must be self-delimiting");
         back
     }
@@ -1353,8 +1177,124 @@ pub(crate) mod tests {
             mono: MonoId(0),
             value: Box::new(Opaque),
         };
-        let mut out = Vec::new();
-        encode_sys(&reg, &sys, &mut out);
+        encoded(&reg, &sys);
+    }
+
+    /// Bytes as hex, for pinning a layout.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One envelope of every variant, each small body a `u8` (wire-table
+    /// tag 2), and the bytes it travels as: a change here is a change of
+    /// the wire format. Spaces separate fields. `NewChare` carries `hops`
+    /// ahead of its seed, so that every body-bearing envelope ends in its
+    /// body.
+    #[test]
+    fn every_envelope_keeps_its_layout() {
+        let reg = test_registry();
+        let chare = || Notify::Chare(ChareId { pe: Pe(1), local: 2 }, EpId(3));
+        let body = || -> MsgBody { Box::new(7u8) };
+        let cases: Vec<(SysMsg, &str)> = vec![
+            (SysMsg::Batch(vec![SysMsg::WorkNack]), "00 01000000 12"),
+            (
+                SysMsg::TreeCast { origin: Pe(1), counted: true, bytes: 2, gen: Arc::new(|| SysMsg::QdPoll { wave: 3 }) },
+                "01 01000000 01 02000000 09000000 0e 0300000000000000",
+            ),
+            (
+                SysMsg::NewChare {
+                    seed: Seed { kind: ChareKind(1), body: body(), bytes: 1, prio: Priority::Int(-2) },
+                    hops: 3,
+                },
+                "02 03000000 01000000 01000000 01 feffffffffffffff 02000000 07",
+            ),
+            (
+                SysMsg::ChareMsg {
+                    target: ChareId { pe: Pe(1), local: 2 },
+                    ep: EpId(3),
+                    body: body(),
+                    bytes: 1,
+                    prio: Priority::None,
+                },
+                "03 01000000 02000000 03000000 01000000 00 02000000 07",
+            ),
+            (
+                SysMsg::BranchMsg {
+                    boc: BocId(1),
+                    ep: EpId(2),
+                    body: body(),
+                    bytes: 1,
+                    prio: Priority::Bits(BitPrio::root().child(5, 3)),
+                },
+                "04 01000000 02000000 01000000 02 03000000 a0 02000000 07",
+            ),
+            (SysMsg::AccCollect { acc: AccId(1), token: 2, requester: Pe(3) }, "05 01000000 0200000000000000 03000000"),
+            (SysMsg::AccPart { acc: AccId(1), token: 2, part: body() }, "06 01000000 0200000000000000 02000000 07"),
+            (SysMsg::MonoUpdate { mono: MonoId(1), value: body() }, "07 01000000 02000000 07"),
+            (
+                SysMsg::TablePut { table: TableId(1), key: 2, value: body(), bytes: 1, notify: Some(chare()) },
+                "08 01000000 0200000000000000 01000000 01 00 01000000 02000000 03000000 02000000 07",
+            ),
+            (
+                SysMsg::TableGet { table: TableId(1), key: 2, notify: Notify::Branch(BocId(1), Pe(2), EpId(3)) },
+                "09 01000000 0200000000000000 01 01000000 02000000 03000000",
+            ),
+            (SysMsg::TableDelete { table: TableId(1), key: 2, notify: None }, "0a 01000000 0200000000000000 00"),
+            (SysMsg::WoStore { wo: WoId(1), value: Arc::new(7u8), bytes: 1 }, "0b 0100000000000000 01000000 02000000 07"),
+            (SysMsg::WoAck { wo: WoId(1) }, "0c 0100000000000000"),
+            (SysMsg::QdStart { notify: chare() }, "0d 00 01000000 02000000 03000000"),
+            (SysMsg::QdPoll { wave: 1 }, "0e 0100000000000000"),
+            (SysMsg::QdCount { wave: 1, sent: 2, recv: 3, idle: true }, "0f 0100000000000000 0200000000000000 0300000000000000 01"),
+            (SysMsg::LoadStatus { load: 1 }, "10 01000000"),
+            (SysMsg::WorkReq { origin: Pe(1), ttl: 2 }, "11 01000000 02"),
+            (SysMsg::WorkNack, "12"),
+            (
+                SysMsg::RelData { seq: 1, bytes: 2, slot: Arc::new(Mutex::new(Some(SysMsg::WorkNack))) },
+                "13 0100000000000000 02000000 01 12",
+            ),
+            (SysMsg::RelAck { seqs: vec![1, 2] }, "14 02000000 0100000000000000 0200000000000000"),
+        ];
+        for (tag, (sys, want)) in cases.iter().enumerate() {
+            let got = hex(&encoded(&reg, sys));
+            assert_eq!(got, want.replace(' ', ""), "tag {tag}");
+            assert_eq!(got[..2], format!("{tag:02x}"), "the variants in tag order");
+        }
+
+        use crate::proc::transport::{CtlMsg, Final, Go, Hello};
+        let ctl = |msg: &CtlMsg| {
+            let mut out = Vec::new();
+            msg.encode(&mut out);
+            hex(&out)
+        };
+        let opts = crate::proc::ProcOpts {
+            npes: 2,
+            topology: Topology::Ring,
+            batch_bytes: 1,
+            batch_frames: 1,
+            loss: None,
+            crash: None,
+            run: crate::program::RunOpts::default(),
+        };
+        let go = Go { peers: vec!["a".into()], opts };
+        let hello = Hello { rank: 1, fingerprint: 2, data_addr: "b".into() };
+        for (msg, want) in [
+            (CtlMsg::Hello(hello), "00 01000000 0200000000000000 01000000 62"),
+            (CtlMsg::Go(Box::new(go)), "01 01000000 01000000 61 0200000000000000 02 0100000000000000 0100000000000000 00 00 00 05000000 6c6f63616c 00 00 fecaed5e00000000 00 00 00"),
+            (CtlMsg::Ready, "02"),
+            (CtlMsg::Start, "03"),
+            (CtlMsg::Stopped { result: Some(vec![9]) }, "04 01 01000000 09"),
+            (CtlMsg::Halt, "05"),
+        ] {
+            assert_eq!(ctl(&msg), want.replace(' ', ""), "{msg:?}");
+        }
+        // The kernel counters in declaration order, `user_sent` one and
+        // the rest zero, then an empty shard: no events, none dropped, no
+        // metrics.
+        let counters = crate::stats::KernelCounters { user_sent: 1, ..Default::default() };
+        let fin = Final { end_ns: 5, counters, shard: Default::default() };
+        let counted = format!("0100000000000000 {}", "00".repeat(8 * 26));
+        let want = format!("06 0500000000000000 {counted} 00000000 0000000000000000 00");
+        assert_eq!(ctl(&CtlMsg::Final(Box::new(fin))), want.replace(' ', ""));
     }
 
     #[global_allocator]
@@ -1389,28 +1329,32 @@ pub(crate) mod tests {
             4,
             decode_hostile(&frame(&[]), |r| drop(Vec::<u64>::decode(r))),
         );
+        let rel_ack = tag_of(SysMsg::RelAck { seqs: Vec::new() });
+        let batch = tag_of(SysMsg::Batch(Vec::new()));
+        let mono = tag_of(SysMsg::MonoUpdate { mono: MonoId(0), value: Box::new(()) });
         for (what, wanted, bytes) in [
-            ("RelAck seqs", prefix, frame(&[T_RELACK])),
-            ("Batch count", prefix, frame(&[T_BATCH])),
-            ("TreeCast blob", prefix, frame(&[T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0])),
-            ("body tag", "a body tag inside the wire table", frame(&[T_MONOUPDATE, 0, 0, 0, 0])),
+            ("RelAck seqs", prefix, frame(&[rel_ack])),
+            ("Batch count", prefix, frame(&[batch])),
+            ("TreeCast blob", prefix, frame(&[tag_of(tree_cast()), 0, 0, 0, 0, 1, 8, 0, 0, 0])),
+            ("body tag", "a body tag inside the wire table", frame(&[mono, 0, 0, 0, 0])),
         ] {
             let at = bytes.iter().position(|&b| b == 0xff).expect("the ff run") + 4;
-            check(what, wanted, at, decode_hostile(&bytes, |r| drop(decode_sys(&reg, r, 0))));
+            check(what, wanted, at, decode_hostile(&bytes, |r| drop(decode_top(&reg, r))));
         }
     }
 
     #[test]
     fn the_first_malformation_is_the_one_recorded() {
         let reg = test_registry();
-        let sys = |bytes: &[u8]| decode_hostile(bytes, |r| drop(decode_sys(&reg, r, 0))).0;
+        let sys = |bytes: &[u8]| decode_hostile(bytes, |r| drop(decode_top(&reg, r))).0;
         // A short read: QdCount wants 8 + 8 + 8 + 1 bytes after its tag.
-        let short = sys(&[T_QDCOUNT, 1, 2, 3]);
+        let qd_count = tag_of(SysMsg::QdCount { wave: 0, sent: 0, recv: 0, idle: false });
+        let short = sys(&[qd_count, 1, 2, 3]);
         assert_eq!((short.at, short.wanted), (1, "more bytes than are left"));
         // No such envelope; the placeholder is an empty batch.
         let mut r = WireReader::new(&[0xff, 9, 9]);
-        assert!(matches!(decode_sys(&reg, &mut r, 0), SysMsg::Batch(inner) if inner.is_empty()));
-        assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "a SysMsg tag" }));
+        assert!(matches!(decode_top(&reg, &mut r), SysMsg::Batch(inner) if inner.is_empty()));
+        assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "a variant tag of SysMsg" }));
         // A string of two bytes that are not UTF-8, then trailing bytes
         // the reader no longer offers.
         let mut r = WireReader::new(&[2, 0, 0, 0, 0xc3, 0x28, 7, 7]);
@@ -1419,21 +1363,19 @@ pub(crate) mod tests {
         assert_eq!(r.finish(), Err(WireError { at: 6, wanted: "a UTF-8 string" }));
         // A TreeCast whose blob is cut short is refused with its frame,
         // not when the generator first runs.
-        let mut cast = Vec::new();
-        let gen: Arc<dyn Fn() -> SysMsg + Send + Sync> = Arc::new(|| SysMsg::QdPoll { wave: 4 });
-        let tree = SysMsg::TreeCast { origin: Pe(1), counted: false, bytes: 8, gen };
-        encode_sys(&reg, &tree, &mut cast);
+        let mut cast = encoded(&reg, &tree_cast());
         let intact = cast.clone();
         let blob_len = cast.len() - 14;
         cast[10] = blob_len as u8 - 1;
         cast.pop();
         assert_eq!(sys(&cast).wanted, "a well-formed TreeCast envelope");
         let mut r = WireReader::new(&intact);
-        decode_sys(&reg, &mut r, 0);
+        decode_top(&reg, &mut r);
         assert_eq!(r.finish(), Ok(()));
         // Nothing malformed, but bytes left over: also not one value.
-        let mut r = WireReader::new(&[T_WORKNACK, 0]);
-        decode_sys(&reg, &mut r, 0);
+        let trailing = [tag_of(SysMsg::WorkNack), 0];
+        let mut r = WireReader::new(&trailing);
+        decode_top(&reg, &mut r);
         assert_eq!(r.finish(), Err(WireError { at: 1, wanted: "the end of the frame" }));
     }
 
@@ -1442,7 +1384,7 @@ pub(crate) mod tests {
         let reg = test_registry();
         let nest = |depth| {
             let mut bytes = Vec::new();
-            reldata_nest(depth, &mut bytes);
+            reldata_nest(&reg, depth, &mut bytes);
             bytes
         };
         // 1.4 MB, well under the frame cap: one stack frame per level
@@ -1455,11 +1397,11 @@ pub(crate) mod tests {
         assert!(decode_frame(&reg, &nest(MAX_NESTING)).is_ok());
         assert!(decode_frame(&reg, &nest(MAX_NESTING + 1)).is_err());
         // The same bound through a batch and a broadcast's blob.
-        let batched = |inner: &[u8]| [&[T_BATCH, 1, 0, 0, 0][..], inner].concat();
+        let batched = |inner: &[u8]| [&[tag_of(SysMsg::Batch(Vec::new())), 1, 0, 0, 0][..], inner].concat();
         assert!(decode_frame(&reg, &batched(&nest(MAX_NESTING - 1))).is_ok());
         assert!(decode_frame(&reg, &batched(&nest(MAX_NESTING))).is_err());
         let cast = |inner: &[u8]| {
-            let mut out = vec![T_TREECAST, 0, 0, 0, 0, 1, 8, 0, 0, 0];
+            let mut out = vec![tag_of(tree_cast()), 0, 0, 0, 0, 1, 8, 0, 0, 0];
             inner.to_vec().encode(&mut out);
             out
         };
@@ -1468,11 +1410,8 @@ pub(crate) mod tests {
         assert_eq!(err.wanted, "a well-formed TreeCast envelope");
         // What an honest sender nests deepest: a reliable frame around a
         // batch around a broadcast of an envelope.
-        let gen: Arc<dyn Fn() -> SysMsg + Send + Sync> = Arc::new(|| SysMsg::QdPoll { wave: 4 });
-        let tree = SysMsg::TreeCast { origin: Pe(1), counted: false, bytes: 8, gen };
-        let slot = Arc::new(Mutex::new(Some(SysMsg::Batch(vec![tree]))));
-        let mut honest = Vec::new();
-        encode_sys(&reg, &SysMsg::RelData { seq: 1, bytes: 8, slot }, &mut honest);
+        let slot = Arc::new(Mutex::new(Some(SysMsg::Batch(vec![tree_cast()]))));
+        let honest = encoded(&reg, &SysMsg::RelData { seq: 1, bytes: 8, slot });
         assert!(decode_frame(&reg, &honest).is_ok());
     }
 
