@@ -96,6 +96,7 @@ pub use shared::{
     Acc, AccResult, Accum, MaxF64, MinBoundU64, MinU64, Mono, MonoVar, QuiescenceMsg, ReadOnly,
     SumF64, SumU64, TableAck, TableGot, TableRef, WoReady,
 };
+pub use stats::KernelCounters;
 pub use trace::{EntryWhat, EventKind, MsgClass, TraceConfig, TraceEvent, TraceLog};
 pub use wire::{Wire, WireReader};
 

@@ -393,11 +393,11 @@ impl PeMetricSet {
 
 // ---- cross-process shard transport (procs backend) ---------------------
 //
-// A worker process takes its own PE's shard out of its sink and ships
-// the `PeMetricSet` to the parent, which hands every shard to the one
-// merge (`probe::merge`): re-bucketed to the coarsest width into a
-// machine-wide `MetricsLog` by the same exact (power-of-two widths
-// nest) `merge_shards` an in-process drain runs over its PEs.
+// A worker process ships its node's shard, `PeMetricSet` included, to
+// the parent, which hands every shard to the one merge (`probe::merge`):
+// re-bucketed to the coarsest width into a machine-wide `MetricsLog` by
+// the same exact (power-of-two widths nest) `merge_shards` a sim or
+// threads run's merge runs over the nodes its machine handed back.
 
 impl crate::wire::Wire for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {

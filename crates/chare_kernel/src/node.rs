@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use multicomputer::{NetCtx, NodeProgram, NodeStats, Packet, Pe, StepKind};
+use multicomputer::{NetCtx, NodeProgram, Packet, Pe, StepKind};
 
 use crate::balance::SeedManager;
 use crate::boc::BranchObj;
@@ -35,7 +35,7 @@ use crate::ctx::{Ctx, Current};
 use crate::envelope::{Seed, SysMsg, WorkItem};
 use crate::ids::{BocId, ChareId};
 use crate::priority::Priority;
-use crate::probe::{emit, Probe};
+use crate::probe::{emit, Probe, Shard};
 use crate::queueing::SchedQueue;
 use crate::quiescence::QdCoordinator;
 use crate::registry::Registry;
@@ -171,16 +171,20 @@ impl CkNode {
         }
     }
 
-    /// The running counters, with the end-state snapshots of what was
-    /// still queued or in flight. The desim oracles read these to decide
-    /// whether the exactly-once seed ledger must balance (all zero ⇒
-    /// every spawned seed had to have been constructed) and whether
-    /// quiescence fired over undelivered traffic.
-    pub(crate) fn counters(&self) -> KernelCounters {
-        let mut c = self.counters;
-        c.backlog_end = self.user_load() as u64;
-        self.transport.end_state(&mut c);
-        c
+    /// This node at the end of its run, as one [`Shard`]: its counters,
+    /// with the end-state snapshots of what was still queued or in
+    /// flight, beside whatever its probe recorded. The desim oracles read
+    /// the snapshots to decide whether the exactly-once seed ledger must
+    /// balance (all zero ⇒ every spawned seed had to have been
+    /// constructed) and whether quiescence fired over undelivered traffic.
+    pub(crate) fn into_shard(self) -> Shard {
+        let mut counters = self.counters;
+        counters.backlog_end = self.user_load() as u64;
+        self.transport.end_state(&mut counters);
+        match self.probe {
+            Some(probe) => probe.into_shard(counters),
+            None => Shard { counters, ..Shard::default() },
+        }
     }
 
     /// Runnable user backlog (queued messages + pooled seeds).
@@ -453,10 +457,6 @@ impl NodeProgram for CkNode {
         self.user_load()
     }
 
-    fn stats(&self) -> NodeStats {
-        self.counters().to_node_stats()
-    }
-
     fn duplicate(payload: &multicomputer::Payload) -> Option<multicomputer::Payload> {
         crate::reliable::duplicate(payload)
     }
@@ -559,16 +559,16 @@ mod tests {
 
     #[test]
     fn each_event_site_reports_exactly_once() {
-        use crate::probe::ProbeSink;
+        use crate::program::RunOpts;
         use crate::trace::{MsgClass, TraceConfig, TraceEvent};
 
         // A reliable Random-balanced node (forwards fresh seeds, can
-        // redirect reclaimed ones) recording into a one-run sink.
-        let sink = ProbeSink::shared(4, Some(TraceConfig::default()), None, 0, 0);
+        // redirect reclaimed ones) recording a trace.
+        let opts = RunOpts { tracing: Some(TraceConfig::default()), ..RunOpts::default() };
         let mut node = bare_node(Pe(0), 4, BroadcastMode::Tree, BalanceStrategy::Random, vec![]);
         let reliable = Some(ReliableConfig::default());
         node.transport = Transport::new(Pe(0), 4, BroadcastMode::Tree, false, reliable);
-        node.probe = Some(sink.probe_for(Pe(0)));
+        node.probe = Probe::for_run(Pe(0), &opts, 0, 0);
         let mut net = MockNet::new(Pe(0), 4);
 
         node.strata(&mut net).port.post(Pe(1), SysMsg::QdPoll { wave: 1 });
@@ -578,8 +578,7 @@ mod tests {
         let rd = RedirectSeed { suspect: Pe(1), seed: SysMsg::NewChare { seed: seed(0), hops: 1 } };
         let mut s = node.strata(&mut net);
         s.seeds.rehome(&mut s.port, s.queue, rd);
-        drop(node); // flush the probe
-        let events = sink.drain(0).0.expect("tracing on").events;
+        let events = node.into_shard().events;
         let kinds: Vec<&EventKind> = events.iter().map(|e: &TraceEvent| &e.kind).collect();
         assert!(
             matches!(

@@ -26,6 +26,15 @@
 //! which site emits each event, where it lands, and the
 //! `KernelCounters` field it must agree with.
 //!
+//! ## Where a PE's record goes
+//!
+//! When a run ends its machine hands the nodes back, and each node
+//! becomes one `Shard`: its [`KernelCounters`] and what its probe
+//! recorded (`CkNode::into_shard`). A procs worker ships its shard to
+//! the parent in `Final`. `merge` is the one code that turns a run's
+//! shards into its per-PE counters, its trace and its metrics, on every
+//! backend.
+//!
 //! ## Cost discipline
 //!
 //! Recording is strictly passive: it never sends messages, never charges
@@ -35,19 +44,16 @@
 //! metrics and both by `ck_apps/tests/probe_invariants.rs`. With no
 //! recorder configured each site is one `Option` test and the event is
 //! never built. With one configured, recording is arithmetic on state
-//! the probe owns (a `RefCell`, no lock): the state moves into the
-//! run's `ProbeSink` exactly once, when the node — and with it the
-//! probe — drops, which every backend does before it drains the sink.
+//! the probe owns (a `RefCell`, no lock), drained once, into the shard.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
 
 use multicomputer::Pe;
 
-use crate::metrics::{
-    merge_shards, Histogram, MetricsConfig, MetricsLog, PeMetricSet, TimeSlices,
-};
-use crate::trace::{EventKind, RingLog, TraceConfig, TraceEvent, TraceLog};
+use crate::metrics::{merge_shards, Histogram, MetricsConfig, MetricsLog, PeMetricSet, TimeSlices};
+use crate::program::RunOpts;
+use crate::stats::KernelCounters;
+use crate::trace::{EventKind, RingLog, TraceEvent, TraceLog};
 
 /// One PE's streaming aggregates: what the metrics side of a [`Probe`]
 /// folds events into.
@@ -117,128 +123,54 @@ impl PeState {
     }
 }
 
-/// Everything one PE recorded: owned by its [`Probe`] while the node
-/// runs, then moved into the sink's slot.
-#[derive(Debug, Default)]
+/// Everything one PE records while its node runs, owned by its
+/// [`Probe`].
+#[derive(Debug)]
 struct Recorded {
     trace: Option<RingLog>,
     metrics: Option<PeState>,
 }
 
-/// Per-run collection point: one slot per PE, filled when that PE's
-/// [`Probe`] drops. The mutex is touched once per run per PE, never on
-/// the recording path.
-pub(crate) struct ProbeSink {
-    tracing: Option<TraceConfig>,
-    metrics: Option<MetricsConfig>,
-    /// User-step dispatch overhead of the hosting machine's cost model
-    /// (0 on the thread and process backends). The node cannot see the
-    /// machine's cost model, so the per-step split into dispatch vs.
-    /// work is parameterized here, matching `ck_trace`'s attribution.
-    dispatch_ns: u64,
-    /// Control-step dispatch overhead, ditto.
-    ctl_dispatch_ns: u64,
-    slots: Vec<Mutex<Option<Recorded>>>,
-}
-
-impl ProbeSink {
-    /// A sink for `npes` PEs recording whichever of the two is
-    /// configured, on a machine with the given dispatch overheads.
-    pub(crate) fn shared(
-        npes: usize,
-        tracing: Option<TraceConfig>,
-        metrics: Option<MetricsConfig>,
-        dispatch_ns: u64,
-        ctl_dispatch_ns: u64,
-    ) -> Arc<Self> {
-        Arc::new(ProbeSink {
-            tracing,
-            metrics,
-            dispatch_ns,
-            ctl_dispatch_ns,
-            slots: (0..npes).map(|_| Mutex::new(None)).collect(),
-        })
-    }
-
-    /// The recording handle for one PE. Deliberately not `Clone`: a
-    /// second handle would split the PE's record and the later flush
-    /// would overwrite the earlier.
-    pub(crate) fn probe_for(self: &Arc<Self>, pe: Pe) -> Probe {
-        Probe {
-            pe,
-            rec: RefCell::new(Recorded {
-                trace: self.tracing.map(|c| RingLog::new(c.capacity)),
-                metrics: self.metrics.as_ref().map(PeState::new),
-            }),
-            sink: Arc::clone(self),
-        }
-    }
-
-    /// Take what PE `pe`'s dropped probe flushed, in drained form; `None`
-    /// if it never flushed (or was taken already). All a worker process
-    /// of the procs backend calls: its one shard travels to the parent.
-    pub(crate) fn take_shard(&self, pe: Pe) -> Option<Shard> {
-        let rec = self.slots[pe.index()].lock().expect("a probe panicked mid-flush").take()?;
-        let (events, dropped) = rec.trace.map_or((Vec::new(), 0), |mut ring| ring.drain());
-        Some(Shard {
-            events,
-            dropped,
-            metrics: rec.metrics.map(|st| st.into_shard(pe)),
-        })
-    }
-
-    /// Collect what every dropped probe flushed: [`merge`] over every
-    /// PE's shard. `end_ns` is the run's end time.
-    pub(crate) fn drain(&self, end_ns: u64) -> (Option<TraceLog>, Option<MetricsLog>) {
-        let npes = self.slots.len();
-        let shards = (0..npes).filter_map(|i| self.take_shard(Pe::from(i)));
-        merge(self.tracing, self.metrics, npes, end_ns, shards)
-    }
-}
-
-/// Everything one PE recorded, drained: its trace ring's events (oldest
-/// first) and overwrite count, and its metric set with the slice width
-/// it ended at. Empty when the run recorded nothing.
+/// Everything one PE reported, drained: its counters, its trace ring's
+/// events (oldest first) and overwrite count, and its metric set with
+/// the slice width it ended at. The recorded parts are empty when the
+/// run recorded nothing.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Shard {
+    pub(crate) counters: KernelCounters,
     pub(crate) events: Vec<TraceEvent>,
     pub(crate) dropped: u64,
     pub(crate) metrics: Option<(u64, PeMetricSet)>,
 }
 
-crate::wire_struct!(Shard { events, dropped, metrics });
+crate::wire_struct!(Shard { counters, events, dropped, metrics });
 
-/// The one merge of per-PE shards into a run's record, whichever
-/// backend collected them and in PE order: the time-ordered event log if
-/// tracing was configured, and the metrics snapshot if metrics were.
-/// `end_ns` is needed to derive idle time per interval. A PE with no
-/// shard reads as silent: no events, an all-idle metric set.
+/// The one merge of a run's shards, one per PE in PE order, whichever
+/// backend collected them: every PE's counters, the time-ordered event
+/// log if `opts` traced, and the metrics snapshot if it metered.
+/// `end_ns` is needed to derive idle time per interval.
 pub(crate) fn merge(
-    tracing: Option<TraceConfig>,
-    metrics: Option<MetricsConfig>,
-    npes: usize,
+    opts: &RunOpts,
     end_ns: u64,
     shards: impl IntoIterator<Item = Shard>,
-) -> (Option<TraceLog>, Option<MetricsLog>) {
+) -> (Vec<KernelCounters>, Option<TraceLog>, Option<MetricsLog>) {
+    let mut counters = Vec::new();
     let mut events = Vec::new();
-    let mut dropped = 0;
+    let mut dropped = 0u64;
     let mut sets = Vec::new();
     for shard in shards {
+        counters.push(shard.counters);
         events.extend(shard.events);
-        dropped += shard.dropped;
+        dropped = dropped.saturating_add(shard.dropped);
         sets.extend(shard.metrics);
     }
+    let npes = counters.len();
     // Per-PE rings are individually ordered; the stable sort merges
     // them PE-0-first among equal stamps.
     events.sort_by_key(|e| e.at_ns);
-    (
-        tracing.map(|_| TraceLog {
-            npes,
-            events,
-            dropped,
-        }),
-        metrics.map(|cfg| merge_shards(cfg, npes, end_ns, sets)),
-    )
+    let trace = opts.tracing.map(|_| TraceLog { npes, events, dropped });
+    let metrics = opts.metrics.map(|cfg| merge_shards(cfg, npes, end_ns, sets));
+    (counters, trace, metrics)
 }
 
 /// Report one kernel event to a PE's recorder, if it has one. `observe`
@@ -258,20 +190,44 @@ pub(crate) fn emit(probe: &Option<Probe>, observe: impl FnOnce() -> (u64, u64, E
 pub(crate) struct Probe {
     pe: Pe,
     rec: RefCell<Recorded>,
-    sink: Arc<ProbeSink>,
-}
-
-impl Drop for Probe {
-    fn drop(&mut self) {
-        // A poisoned slot means another flush panicked; there is no one
-        // left to report to, and `drop` must not panic in turn.
-        if let Ok(mut slot) = self.sink.slots[self.pe.index()].lock() {
-            *slot = Some(std::mem::take(self.rec.get_mut()));
-        }
-    }
+    /// User-step dispatch overhead of the hosting machine's cost model
+    /// (0 on the thread and process backends). The node cannot see the
+    /// machine's cost model, so the per-step split into dispatch vs.
+    /// work is parameterized here, matching `ck_trace`'s attribution.
+    dispatch_ns: u64,
+    /// Control-step dispatch overhead, ditto.
+    ctl_dispatch_ns: u64,
 }
 
 impl Probe {
+    /// PE `pe`'s recorder for a run under `opts`, on a machine with the
+    /// given dispatch overheads; `None` when the run records neither a
+    /// trace nor metrics.
+    pub(crate) fn for_run(
+        pe: Pe,
+        opts: &RunOpts,
+        dispatch_ns: u64,
+        ctl_dispatch_ns: u64,
+    ) -> Option<Probe> {
+        let RunOpts { tracing, metrics, .. } = opts;
+        (tracing.is_some() || metrics.is_some()).then(|| Probe {
+            pe,
+            rec: RefCell::new(Recorded {
+                trace: tracing.map(|c| RingLog::new(c.capacity)),
+                metrics: metrics.as_ref().map(PeState::new),
+            }),
+            dispatch_ns,
+            ctl_dispatch_ns,
+        })
+    }
+
+    /// What this PE recorded, drained into its shard beside `counters`.
+    pub(crate) fn into_shard(self, counters: KernelCounters) -> Shard {
+        let Recorded { trace, metrics } = self.rec.into_inner();
+        let (events, dropped) = trace.map_or((Vec::new(), 0), |mut ring| ring.drain());
+        Shard { counters, events, dropped, metrics: metrics.map(|st| st.into_shard(self.pe)) }
+    }
+
     /// Record one event at `at_ns`. `span_ns` is the duration the event
     /// closes, for the two kinds that close one — a message's flight
     /// time for `MsgRecv`, the entry's grain for `EntryEnd` (charged time
@@ -305,7 +261,7 @@ impl Probe {
     /// real backend (the node's `spent_ns` is the one sum that is both).
     /// Attributed dispatch-first, then work, clipped across intervals.
     pub(crate) fn user_step(&self, start: u64, spent_ns: u64) {
-        let dispatch = self.sink.dispatch_ns;
+        let dispatch = self.dispatch_ns;
         self.attribute(|st| {
             st.slices.add_span(start, dispatch, |s, ns| s.dispatch_ns += ns);
             st.slices.add_span(start + dispatch, spent_ns, |s, ns| s.work_ns += ns);
@@ -314,7 +270,7 @@ impl Probe {
 
     /// A control scheduling step ran at `start` and took `spent_ns`.
     pub(crate) fn ctl_step(&self, start: u64, spent_ns: u64) {
-        let dur = self.sink.ctl_dispatch_ns + spent_ns;
+        let dur = self.ctl_dispatch_ns + spent_ns;
         self.attribute(|st| st.slices.add_span(start, dur, |s, ns| s.ctl_ns += ns));
     }
 
@@ -335,21 +291,41 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceConfig;
 
     fn sample(len: u32) -> EventKind {
         EventKind::QueueSample { len }
     }
 
+    /// A run recording whichever of the two is given.
+    fn recording(tracing: Option<TraceConfig>, metrics: Option<MetricsConfig>) -> RunOpts {
+        RunOpts { tracing, metrics, ..RunOpts::default() }
+    }
+
+    /// PE `pe`'s probe on a machine with no dispatch overhead.
+    fn probe(pe: u32, opts: &RunOpts) -> Probe {
+        Probe::for_run(Pe(pe), opts, 0, 0).expect("the run records")
+    }
+
+    /// The shards of `probes`, in order, each with zero counters.
+    fn shards(probes: Vec<Probe>) -> impl Iterator<Item = Shard> {
+        probes.into_iter().map(|p| p.into_shard(KernelCounters::default()))
+    }
+
+    #[test]
+    fn a_run_that_records_nothing_has_no_probe() {
+        assert!(Probe::for_run(Pe(0), &RunOpts::default(), 5, 1).is_none());
+    }
+
     #[test]
     fn sink_merges_pe_streams_in_time_order() {
-        let sink = ProbeSink::shared(2, Some(TraceConfig::default()), None, 0, 0);
-        let p0 = sink.probe_for(Pe(0));
-        let p1 = sink.probe_for(Pe(1));
+        let opts = recording(Some(TraceConfig::default()), None);
+        let (p0, p1) = (probe(0, &opts), probe(1, &opts));
         p1.record(5, 0, sample(1));
         p0.record(3, 0, sample(2));
         p0.record(9, 0, sample(0));
-        drop((p0, p1)); // flush into the sink
-        let (log, metrics) = sink.drain(10);
+        let (counters, log, metrics) = merge(&opts, 10, shards(vec![p0, p1]));
+        assert_eq!(counters.len(), 2, "one PE's counters per shard");
         assert!(metrics.is_none(), "metrics were not configured");
         let log = log.expect("tracing was configured");
         let ats: Vec<u64> = log.events.iter().map(|e| e.at_ns).collect();
@@ -365,15 +341,14 @@ mod tests {
             max_slices: 4,
             flight_cap: 8,
         };
-        let sink = ProbeSink::shared(2, None, Some(cfg), 5, 1);
-        let p0 = sink.probe_for(Pe(0));
-        let p1 = sink.probe_for(Pe(1));
+        let opts = recording(None, Some(cfg));
+        let p0 = Probe::for_run(Pe(0), &opts, 5, 1).expect("metered");
+        let p1 = Probe::for_run(Pe(1), &opts, 5, 1).expect("metered");
         // PE1 records far in the future, forcing its width to grow;
-        // PE0 stays fine-grained until drain.
+        // PE0 stays fine-grained until the merge.
         p0.user_step(0, 10);
         p1.user_step(395, 5);
-        drop((p0, p1));
-        let (trace, log) = sink.drain(400);
+        let (_, trace, log) = merge(&opts, 400, shards(vec![p0, p1]));
         assert!(trace.is_none(), "tracing was not configured");
         let log = log.expect("metrics were configured");
         assert_eq!(log.npes, 2);
@@ -392,13 +367,12 @@ mod tests {
             flight_cap: 4,
             ..MetricsConfig::default()
         };
-        let sink = ProbeSink::shared(1, None, Some(cfg), 0, 0);
-        let p = sink.probe_for(Pe(0));
+        let opts = recording(None, Some(cfg));
+        let p = probe(0, &opts);
         for i in 0..10u64 {
             p.record(i, 0, EventKind::Retransmit { to: Pe(0), seq: i });
         }
-        drop(p);
-        let log = sink.drain(10).1.expect("metrics were configured");
+        let log = merge(&opts, 10, shards(vec![p])).2.expect("metrics were configured");
         assert_eq!(log.per_pe[0].flight.len(), 4);
         assert_eq!(log.per_pe[0].flight_dropped, 6);
         let tail = log.flight_tail(2);
@@ -411,25 +385,18 @@ mod tests {
 
     #[test]
     fn queue_hwm_tracks_maximum() {
-        let sink = ProbeSink::shared(1, None, Some(MetricsConfig::default()), 0, 0);
-        let p = sink.probe_for(Pe(0));
+        let opts = recording(None, Some(MetricsConfig::default()));
+        let p = probe(0, &opts);
         p.queue_peak(3);
         p.queue_peak(7);
         p.queue_peak(5);
-        drop(p);
-        assert_eq!(sink.drain(1).1.expect("metrics on").queue_hwm_max(), 7);
+        assert_eq!(merge(&opts, 1, shards(vec![p])).2.expect("metrics on").queue_hwm_max(), 7);
     }
 
     #[test]
     fn both_recorders_see_the_same_events_and_spans_feed_the_histograms() {
-        let sink = ProbeSink::shared(
-            1,
-            Some(TraceConfig::default()),
-            Some(MetricsConfig::default()),
-            0,
-            0,
-        );
-        let p = sink.probe_for(Pe(0));
+        let opts = recording(Some(TraceConfig::default()), Some(MetricsConfig::default()));
+        let p = probe(0, &opts);
         let recv = EventKind::MsgRecv {
             from: Pe(0),
             class: crate::trace::MsgClass::Chare,
@@ -438,12 +405,24 @@ mod tests {
         p.record(100, 30, recv);
         p.record(100, 7, EventKind::EntryEnd { msgs_sent: 0 });
         p.record(100, 0, sample(1));
-        drop(p);
-        let (trace, metrics) = sink.drain(200);
+        let (_, trace, metrics) = merge(&opts, 200, shards(vec![p]));
         let (trace, metrics) = (trace.expect("tracing on"), metrics.expect("metrics on"));
         assert_eq!(metrics.per_pe[0].flight, trace.events);
         assert_eq!((metrics.latency_all().count, metrics.latency_all().sum), (1, 30));
         assert_eq!((metrics.grain_all().count, metrics.grain_all().sum), (1, 7));
         assert_eq!(metrics.slice_totals(0).bytes_recv, 40);
+    }
+
+    #[test]
+    fn the_merge_keeps_each_pes_counters_in_pe_order() {
+        let opts = recording(None, None);
+        let of = |user_sent| Shard {
+            counters: KernelCounters { user_sent, ..KernelCounters::default() },
+            ..Shard::default()
+        };
+        let (counters, trace, metrics) = merge(&opts, 0, [of(3), of(u64::MAX), of(7)]);
+        let sent: Vec<u64> = counters.iter().map(|c| c.user_sent).collect();
+        assert_eq!(sent, vec![3, u64::MAX, 7]);
+        assert!(trace.is_none() && metrics.is_none(), "nothing was recorded");
     }
 }

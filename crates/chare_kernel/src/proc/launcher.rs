@@ -11,13 +11,15 @@
 //! exit, socket hangup, a control message that does not decode, hang —
 //! ends as a structured reason in the report, never as a parent that
 //! blocks forever or panics. On a clean stop the parent decodes the exit
-//! result, exports each worker's counters, and hands the workers' shards
-//! to [`probe::merge`] — the merge a sim or threads run's drain ends in.
+//! result and hands the workers' shards to [`probe::merge`] — the merge a
+//! sim or threads run ends in. Whichever way the run ends, the parent
+//! reaps or kills every child and then joins every control reader.
 
 use std::io::{self, Write as _};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use multicomputer::Payload;
@@ -37,6 +39,10 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 struct Fleet {
     children: Vec<Option<Child>>,
     ctl: Vec<Option<Stream>>,
+    /// One control reader per rank once the run has started. Each ends
+    /// when its worker's end of the socket closes, so joining them after
+    /// every child is gone cannot hang.
+    readers: Vec<JoinHandle<()>>,
     dir: std::path::PathBuf,
 }
 
@@ -102,6 +108,9 @@ impl Fleet {
 impl Drop for Fleet {
     fn drop(&mut self) {
         self.kill_all();
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
@@ -141,6 +150,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
     let mut fleet = Fleet {
         children: (0..cfg.npes).map(|_| None).collect(),
         ctl: (0..cfg.npes).map(|_| None).collect(),
+        readers: Vec::with_capacity(cfg.npes),
         dir,
     };
     match run_phases(prog, cfg, &mut fleet) {
@@ -262,7 +272,8 @@ fn start(fleet: &mut Fleet) -> Result<Receiver<CtlEvent>, ProcAbortReason> {
         let ctl = ctl.as_ref().expect("all connected");
         let read_half = ctl.try_clone().expect("clone control stream");
         let tx = tx.clone();
-        spawn_ctl_reader(rank as u32, read_half, move |ev| tx.send(ev).is_ok());
+        let reader = spawn_ctl_reader(rank as u32, read_half, move |ev| tx.send(ev).is_ok());
+        fleet.readers.push(reader);
     }
     fleet.broadcast("Start", &CtlMsg::Start)?;
     Ok(rx)
@@ -364,8 +375,8 @@ fn supervise(
     Ok(run)
 }
 
-/// Clean completion: reap the children, decode the exit result, export
-/// the counters, merge the shards.
+/// Clean completion: reap the children, decode the exit result, merge
+/// the shards.
 fn collect(
     prog: &Program,
     cfg: &ProcConfig,
@@ -383,21 +394,14 @@ fn collect(
             error: format!("exit result: {e}"),
         })?;
     }
-    let mut node_stats = Vec::with_capacity(cfg.npes);
-    let mut worker_end_ns = Vec::with_capacity(cfg.npes);
-    let mut shards = Vec::with_capacity(cfg.npes);
-    for m in run.finals.into_iter().map(|f| f.expect("all finals")) {
-        node_stats.push(m.counters.to_node_stats());
-        worker_end_ns.push(m.end_ns);
-        shards.push(m.shard);
-    }
+    let finals = run.finals.into_iter().map(|f| *f.expect("all finals"));
+    let (worker_end_ns, shards): (Vec<u64>, Vec<_>) = finals.map(|m| (m.end_ns, m.shard)).unzip();
     let end_ns = worker_end_ns.iter().copied().max().unwrap_or(0);
-    let opts = prog.opts();
-    let (trace, metrics) = probe::merge(opts.tracing, opts.metrics, cfg.npes, end_ns, shards);
+    let (counters, trace, metrics) = probe::merge(prog.opts(), end_ns, shards);
     Ok(CkReport {
         time_ns,
         result,
-        node_stats,
+        counters,
         timed_out: false,
         trace,
         metrics,
@@ -460,7 +464,7 @@ fn abort_report(cfg: &ProcConfig, reason: ProcAbortReason, mut fleet: Fleet) -> 
     CkReport {
         time_ns: 0,
         result: None,
-        node_stats: Vec::new(),
+        counters: Vec::new(),
         timed_out: reason == ProcAbortReason::Watchdog,
         trace: None,
         metrics: None,

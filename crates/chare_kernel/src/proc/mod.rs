@@ -43,9 +43,9 @@
 //! data mesh (worker *i* connects to every *j < i*); after `Ready` from
 //! all, the parent broadcasts `Start`. A worker whose node calls
 //! `CkExit` reports `Stopped{result}`; the parent broadcasts `Halt`, collects a
-//! `Final{end_ns, counters, shard}` from every worker, hands the shards
-//! to the merge the other backends' drains end in, and reaps the
-//! children. A worker that dies instead of reporting —
+//! `Final{end_ns, shard}` from every worker, reaps the children, hands
+//! the shards to the merge the other backends' runs end in, and joins
+//! its control readers. A worker that dies instead of reporting —
 //! nonzero exit (its own [`EXIT_BAD_FRAME`] on a corrupt data frame
 //! included), killed, or socket closed — or that sends a control
 //! message that does not decode surfaces as a structured

@@ -12,16 +12,17 @@
 //! `read`; the control socket, which carries half a dozen messages per
 //! run and is read frame by frame during the handshake, keeps the
 //! blocking [`read_frame`]. Both sides read it, once the handshake is
-//! over, on the one reader thread [`spawn_ctl_reader`] starts.
+//! over, on the one reader thread [`spawn_ctl_reader`] starts; the parent
+//! joins its readers when it tears a run down.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::probe::Shard;
-use crate::stats::KernelCounters;
 use crate::wire::{Wire, WireReader};
 
 use super::ProcOpts;
@@ -353,8 +354,8 @@ impl Splitter {
 /// Control-protocol messages between parent and workers. The sequence
 /// per worker is `Hello → Go → Ready → Start → (run) → Stopped? → Halt
 /// → Final`; `Stopped` comes only from the worker whose node called
-/// `CkExit` (or quiesced), and `Final` carries the per-PE telemetry
-/// shard the parent merges.
+/// `CkExit` (or quiesced), and `Final` carries the PE's shard — its
+/// counters and what it recorded — for the parent to merge.
 #[derive(Debug, PartialEq)]
 pub(crate) enum CtlMsg {
     /// Worker → parent: identity, codec fingerprint, data-mesh address.
@@ -396,15 +397,13 @@ pub(crate) struct Go {
 pub(crate) struct Final {
     /// The worker's clock when it stopped scheduling.
     pub end_ns: u64,
-    /// Its kernel counters.
-    pub counters: KernelCounters,
-    /// What its probe recorded.
+    /// Its node's counters and what its probe recorded.
     pub shard: Shard,
 }
 
 crate::wire_struct!(Hello { rank, fingerprint, data_addr });
 crate::wire_struct!(Go { peers, opts });
-crate::wire_struct!(Final { end_ns, counters, shard });
+crate::wire_struct!(Final { end_ns, shard });
 crate::wire_enum!(CtlMsg { Hello(hello), Go(go), Ready, Start, Stopped { result }, Halt, Final(last) });
 
 /// Decode one control-frame body. Anything but exactly one well-formed
@@ -442,12 +441,13 @@ pub(crate) type CtlEvent = (u32, io::Result<CtlMsg>);
 
 /// Read `stream` on a thread of its own from here on, handing `forward`
 /// each message until it returns `false` or the first error — a close,
-/// or a message that does not decode — has been handed over.
+/// or a message that does not decode — has been handed over. The thread
+/// ends at the latest when the other end of `stream` closes.
 pub(crate) fn spawn_ctl_reader(
     rank: u32,
     mut stream: Stream,
     mut forward: impl FnMut(CtlEvent) -> bool + Send + 'static,
-) {
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("ck-ctl-{rank}"))
         .spawn(move || {
@@ -460,7 +460,7 @@ pub(crate) fn spawn_ctl_reader(
                 }
             }
         })
-        .expect("spawn control reader");
+        .expect("spawn control reader")
 }
 
 #[cfg(test)]
@@ -468,10 +468,11 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsConfig;
     use crate::prelude::{BalanceStrategy, BroadcastMode, QueueingStrategy};
-    use crate::probe::ProbeSink;
+    use crate::probe::{merge, Probe};
     use crate::proc::{CrashHook, CrashMode, LossConfig};
     use crate::program::RunOpts;
     use crate::reliable::ReliableConfig;
+    use crate::stats::KernelCounters;
     use crate::trace::{EventKind, MsgClass, TraceConfig};
     use multicomputer::{Cost, Pe, Topology};
     use proptest::prelude::*;
@@ -674,18 +675,16 @@ mod tests {
         }
     }
 
-    /// What a traced and metered worker reports: two events in its
-    /// trace, and a metric set with a slice, a latency sample and the
-    /// same events in its flight ring.
+    /// What a traced and metered worker reports: its counters, two
+    /// events in its trace, and a metric set with a slice, a latency
+    /// sample and the same events in its flight ring.
     fn full_final() -> Final {
-        let sink = ProbeSink::shared(
-            2,
-            Some(TraceConfig::default()),
-            Some(MetricsConfig::default()),
-            0,
-            0,
-        );
-        let probe = sink.probe_for(Pe(1));
+        let opts = RunOpts {
+            tracing: Some(TraceConfig::default()),
+            metrics: Some(MetricsConfig::default()),
+            ..RunOpts::default()
+        };
+        let probe = Probe::for_run(Pe(1), &opts, 0, 0).expect("the run records");
         let recv = EventKind::MsgRecv {
             from: Pe(0),
             class: MsgClass::Seed,
@@ -693,15 +692,15 @@ mod tests {
         };
         probe.record(100, 30, recv);
         probe.record(140, 0, EventKind::Retransmit { to: Pe(0), seq: 9 });
-        drop(probe);
-        let shard = sink.take_shard(Pe(1)).expect("the probe flushed");
+        let shard = probe.into_shard(KernelCounters {
+            user_sent: 1,
+            queue_hwm: 17,
+            rel_unacked_end: 27,
+            ..Default::default()
+        });
         assert_eq!(shard.events.len(), 2);
         assert!(shard.metrics.is_some());
-        Final {
-            end_ns: 99,
-            counters: KernelCounters { user_sent: 1, queue_hwm: 17, rel_unacked_end: 27, ..Default::default() },
-            shard,
-        }
+        Final { end_ns: 99, shard }
     }
 
     /// One instance of every variant, the two big ones fully populated.
@@ -760,11 +759,26 @@ mod tests {
             opts: minimal,
         }));
         assert_eq!(decode_ctl(&encoded(&go)).expect("decodes"), go);
-        let quiet = CtlMsg::Final(Box::new(Final {
-            shard: Shard::default(),
-            ..full_final()
-        }));
+        let full = full_final();
+        let quiet = Shard { counters: full.shard.counters, ..Shard::default() };
+        let quiet = CtlMsg::Final(Box::new(Final { shard: quiet, ..full }));
         assert_eq!(decode_ctl(&encoded(&quiet)).expect("decodes"), quiet);
+    }
+
+    /// Two workers each report as many sends as a counter can hold: the
+    /// run's total saturates there, where a plain sum would overflow.
+    #[test]
+    fn saturated_finals_total_u64_max_through_the_merge() {
+        let counters = KernelCounters { user_sent: u64::MAX, ..Default::default() };
+        let last = Final { end_ns: 5, shard: Shard { counters, ..Shard::default() } };
+        let bytes = encoded(&CtlMsg::Final(Box::new(last)));
+        let shards = (0..2).map(|_| match decode_ctl(&bytes) {
+            Ok(CtlMsg::Final(last)) => last.shard,
+            other => panic!("not a Final: {other:?}"),
+        });
+        let (per_pe, _, _) = merge(&RunOpts::default(), 5, shards);
+        assert_eq!(per_pe, vec![counters; 2]);
+        assert_eq!(KernelCounters::total(&per_pe).user_sent, u64::MAX);
     }
 
     #[test]

@@ -51,7 +51,6 @@ use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe,
 use crate::envelope::SysMsg;
 use crate::node::CkNode;
 use crate::pool;
-use crate::probe::ProbeSink;
 use crate::program::Program;
 use crate::registry::Registry;
 use crate::wire::{decode_frame, encode_frame, reldata_nest, Wire};
@@ -421,9 +420,7 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
     send_ctl(&mut ctl, &CtlMsg::Ready).unwrap_or_else(|e| panic!("worker {rank}: Ready: {e}"));
 
     // -- node construction -------------------------------------------------
-    let sink = prog.probe_sink(npes, 0, 0);
-    let factory = prog.factory(opts.topology.clone(), sink.clone());
-    let mut node = factory.build(Pe(rank), npes);
+    let mut node = prog.factory(opts.topology.clone(), 0, 0).build(Pe(rank), npes);
     let mut ctx = ProcCtx {
         me: Pe(rank),
         npes,
@@ -501,7 +498,7 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
         }
     }
     ctx.flush_all();
-    report(ctl, &rx, ctx, node, sink, halted)
+    report(ctl, &rx, ctx, node, halted)
 }
 
 /// Teardown: say `Stopped` if this node stopped the machine, wait for
@@ -511,7 +508,6 @@ fn report(
     rx: &Receiver<Ev>,
     mut ctx: ProcCtx,
     node: CkNode,
-    sink: Option<Arc<ProbeSink>>,
     halted: bool,
 ) -> ! {
     // Local stop: report it (with any exit result), then wait for the
@@ -536,17 +532,8 @@ fn report(
         }
     }
 
-    let end_ns = ctx.now_ns();
-    let counters = node.counters();
-    // Dropping the node flushes its probe into the sink.
-    drop(node);
-    let shard = sink.and_then(|s| s.take_shard(ctx.me)).unwrap_or_default();
-    let last = CtlMsg::Final(Box::new(Final {
-        end_ns,
-        counters,
-        shard,
-    }));
-    let _ = send_ctl(&mut ctl, &last);
+    let last = Final { end_ns: ctx.now_ns(), shard: node.into_shard() };
+    let _ = send_ctl(&mut ctl, &CtlMsg::Final(Box::new(last)));
     std::process::exit(0);
 }
 

@@ -15,10 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use multicomputer::{
-    imbalance, AbortReason, BacklogSummary, Cost, FaultStats, NodeFactory, Payload, Pe, SimConfig,
-    SimMachine, SimTime, Topology,
+    imbalance, AbortReason, BacklogSummary, Cost, FaultStats, MachinePreset, NodeFactory, Payload,
+    Pe, SimConfig, SimMachine, SimTime, Topology,
 };
-use multicomputer::{MachinePreset, NodeStats};
 #[cfg(feature = "threads")]
 use multicomputer::{ThreadConfig, ThreadMachine};
 
@@ -31,11 +30,12 @@ use crate::ids::{Boc, BocId, ChareKind, Kind, RoId};
 use crate::metrics::{MetricsConfig, MetricsLog};
 use crate::msg::Message;
 use crate::node::CkNode;
-use crate::probe::ProbeSink;
+use crate::probe::{self, Probe};
 use crate::queueing::QueueingStrategy;
 use crate::registry::{AccEntry, BocEntry, ChareEntry, MainSpec, MonoEntry, Registry, TableEntry};
 use crate::reliable::ReliableConfig;
 use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
+use crate::stats::KernelCounters;
 use crate::trace::{TraceConfig, TraceLog};
 use crate::transport::Transport;
 use crate::wire::WireError;
@@ -323,23 +323,6 @@ impl Program {
         self.with_opts(|o| o.metrics = Some(cfg))
     }
 
-    /// One recording sink per run, sized for `npes` PEs (shared by the
-    /// factory-built nodes and drained into the report afterwards);
-    /// `None` when neither tracing nor metrics is configured. The
-    /// hosting machine's dispatch overheads parameterize the metrics'
-    /// per-step dispatch/work split (zero on the thread and process
-    /// backends, where charges are no-ops anyway).
-    pub(crate) fn probe_sink(
-        &self,
-        npes: usize,
-        dispatch_ns: u64,
-        ctl_dispatch_ns: u64,
-    ) -> Option<Arc<ProbeSink>> {
-        let RunOpts { tracing, metrics, .. } = self.opts;
-        (tracing.is_some() || metrics.is_some())
-            .then(|| ProbeSink::shared(npes, tracing, metrics, dispatch_ns, ctl_dispatch_ns))
-    }
-
     /// The program's registry (shared with every node built from it).
     pub(crate) fn registry(&self) -> &Arc<Registry> {
         &self.reg
@@ -375,42 +358,38 @@ impl Program {
         crate::wire::decode_frame(&self.reg, bytes)
     }
 
-    pub(crate) fn factory(&self, topology: Topology, sink: Option<Arc<ProbeSink>>) -> CkFactory {
-        CkFactory {
-            prog: self.clone(),
-            topology,
-            sink,
-        }
+    /// The node factory for a run on `topology`, on a machine whose
+    /// user and control steps carry the given dispatch overheads (zero on
+    /// the thread and process backends, where charges are no-ops): they
+    /// parameterize the metrics' per-step dispatch/work split.
+    pub(crate) fn factory(
+        &self,
+        topology: Topology,
+        dispatch_ns: u64,
+        ctl_dispatch_ns: u64,
+    ) -> CkFactory {
+        CkFactory { prog: self.clone(), topology, dispatch_ns, ctl_dispatch_ns }
     }
 
     /// Run on the discrete-event simulator.
     pub fn run_sim(&self, cfg: SimConfig) -> CkReport {
-        let sink = self.probe_sink(
-            cfg.npes,
-            cfg.cost.dispatch.as_nanos(),
-            cfg.cost.ctl_dispatch.as_nanos(),
-        );
-        let factory = self.factory(cfg.topology.clone(), sink.clone());
+        let (dispatch, ctl) = (cfg.cost.dispatch.as_nanos(), cfg.cost.ctl_dispatch.as_nanos());
+        let factory = self.factory(cfg.topology.clone(), dispatch, ctl);
         let rep = SimMachine::run_factory(cfg, &factory);
-        let (trace, metrics) = drain(sink, rep.end_time.as_nanos());
+        let utilization = rep.utilization();
+        let end_ns = rep.end_time.as_nanos();
+        let shards = rep.nodes.into_iter().map(CkNode::into_shard);
+        let (counters, trace, metrics) = probe::merge(&self.opts, end_ns, shards);
         CkReport {
-            time_ns: rep.end_time.as_nanos(),
+            time_ns: end_ns,
             result: rep.result,
-            node_stats: rep.node_stats,
+            counters,
             timed_out: false,
             trace,
             metrics,
             sim: Some(SimDetail {
                 end_time: rep.end_time,
-                utilization: {
-                    let span = rep.end_time.as_nanos();
-                    if span == 0 {
-                        0.0
-                    } else {
-                        let busy: u64 = rep.busy.iter().map(|c| c.as_nanos()).sum();
-                        busy as f64 / (span as f64 * rep.busy.len() as f64)
-                    }
-                },
+                utilization,
                 imbalance: imbalance(&rep.busy),
                 busy: rep.busy,
                 packets: rep.packets,
@@ -442,15 +421,14 @@ impl Program {
     /// Run on the thread backend with full control.
     #[cfg(feature = "threads")]
     pub fn run_threads_cfg(&self, cfg: ThreadConfig, topology: Topology) -> CkReport {
-        let sink = self.probe_sink(cfg.npes, 0, 0);
-        let factory = self.factory(topology, sink.clone());
-        let rep = ThreadMachine::run(cfg, &factory);
+        let rep = ThreadMachine::run(cfg, &self.factory(topology, 0, 0));
         let wall_ns = rep.wall.as_nanos() as u64;
-        let (trace, metrics) = drain(sink, wall_ns);
+        let shards = rep.nodes.into_iter().map(CkNode::into_shard);
+        let (counters, trace, metrics) = probe::merge(&self.opts, wall_ns, shards);
         CkReport {
             time_ns: wall_ns,
             result: rep.result,
-            node_stats: rep.node_stats,
+            counters,
             timed_out: rep.timed_out,
             trace,
             metrics,
@@ -477,23 +455,13 @@ impl Program {
     }
 }
 
-/// What a run recorded, once its machine has dropped every node: the
-/// event log and the metrics snapshot, each `None` unless configured
-/// ([`probe::merge`](crate::probe::merge) over every PE's shard; the
-/// procs parent calls that over the shards its workers sent).
-pub(crate) fn drain(
-    sink: Option<Arc<ProbeSink>>,
-    end_ns: u64,
-) -> (Option<TraceLog>, Option<MetricsLog>) {
-    sink.map_or((None, None), |s| s.drain(end_ns))
-}
-
 /// Builds one [`CkNode`] per PE (implements the machine layer's
 /// [`NodeFactory`]).
 pub struct CkFactory {
     prog: Program,
     topology: Topology,
-    sink: Option<Arc<ProbeSink>>,
+    dispatch_ns: u64,
+    ctl_dispatch_ns: u64,
 }
 
 impl NodeFactory for CkFactory {
@@ -517,7 +485,7 @@ impl NodeFactory for CkFactory {
             opts.queueing.make(),
             SeedManager::new(balancer, pe, opts.rng_seed),
             Transport::new(pe, npes, opts.bcast, opts.combining, opts.reliable),
-            self.sink.as_ref().map(|s| s.probe_for(pe)),
+            Probe::for_run(pe, opts, self.dispatch_ns, self.ctl_dispatch_ns),
         )
     }
 }
@@ -558,8 +526,9 @@ pub struct CkReport {
     pub time_ns: u64,
     /// The value passed to [`Ctx::exit`](crate::ctx::Ctx::exit), if any.
     pub result: Option<Payload>,
-    /// Per-PE kernel counters.
-    pub node_stats: Vec<NodeStats>,
+    /// Every PE's kernel counters, in PE order (none when a procs run
+    /// aborted).
+    pub counters: Vec<KernelCounters>,
     /// Thread backend only: the watchdog fired before `exit`.
     pub timed_out: bool,
     /// The kernel event log, when the program ran with tracing enabled
@@ -605,11 +574,19 @@ impl CkReport {
         self.result.as_ref()?.downcast_ref::<T>()
     }
 
-    /// Sum of a kernel counter across PEs.
+    /// The kernel counters summed over every PE (saturating; see
+    /// [`KernelCounters::total`]).
+    pub fn total(&self) -> KernelCounters {
+        KernelCounters::total(&self.counters)
+    }
+
+    /// The counter called `name`, summed over every PE. Prefer a field
+    /// read of [`Self::total`], which a misspelling cannot compile.
+    ///
+    /// # Panics
+    ///
+    /// If no kernel counter is called `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.node_stats
-            .iter()
-            .map(|s| s.get(name).unwrap_or(0))
-            .sum()
+        self.total().get(name)
     }
 }

@@ -1,16 +1,16 @@
-//! Kernel event counters, exported through the machine's run report.
+//! Kernel event counters: what each PE's node counted, handed back in
+//! its probe shard when the run ends (see [`crate::probe`]).
 //!
 //! These are the quantities the paper's Table 1 characterizes per
 //! benchmark (chares created, messages processed) plus the balancing and
 //! shared-variable traffic the strategy experiments analyze.
 
-use multicomputer::NodeStats;
-
 /// Declares [`KernelCounters`] once: the struct, the canonical
-/// [`KernelCounters::NAMES`] list, [`KernelCounters::to_node_stats`] and
-/// the codec a procs worker ships them to its parent with are all
+/// [`KernelCounters::NAMES`] list, the by-name read
+/// [`KernelCounters::get`], the field-wise sum [`KernelCounters::total`]
+/// and the codec a procs worker ships them to its parent with are all
 /// generated from the same field list, so adding a counter can never
-/// leave the exported report (or a test's expected count) stale.
+/// leave one of them (or a test's expected count) stale.
 macro_rules! kernel_counters {
     ($( $(#[$meta:meta])* $name:ident ),+ $(,)?) => {
         /// Per-PE kernel counters.
@@ -20,14 +20,31 @@ macro_rules! kernel_counters {
         }
 
         impl KernelCounters {
-            /// Every counter name, in export order.
+            /// Every counter name, in declaration order.
             pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
 
-            /// Flatten into the machine layer's name/value report.
-            pub fn to_node_stats(&self) -> NodeStats {
-                let mut s = NodeStats::new();
-                $( s.push(stringify!($name), self.$name); )+
-                s
+            /// The counter called `name`.
+            ///
+            /// # Panics
+            ///
+            /// If no counter has that name: a misspelt name is a bug in
+            /// the caller, not a counter that stayed at 0.
+            pub fn get(&self, name: &str) -> u64 {
+                match name {
+                    $( stringify!($name) => self.$name, )+
+                    _ => panic!("no kernel counter named {name:?}"),
+                }
+            }
+
+            /// Field-wise sum of `per_pe`, saturating: a sum past
+            /// `u64::MAX`, which only a corrupt or hostile report reaches,
+            /// reads `u64::MAX` instead of wrapping or panicking.
+            pub fn total<'a>(per_pe: impl IntoIterator<Item = &'a KernelCounters>) -> Self {
+                let mut sum = KernelCounters::default();
+                for c in per_pe {
+                    $( sum.$name = sum.$name.saturating_add(c.$name); )+
+                }
+                sum
             }
         }
 
@@ -95,7 +112,8 @@ kernel_counters! {
     /// (only ever nonzero on PE 0).
     qd_declares,
     /// Runnable user backlog (queue + seed pool) left when the run
-    /// ended — snapshot taken at stats collection, not a running count.
+    /// ended — snapshot taken as the node becomes its shard, not a
+    /// running count.
     /// Nonzero after a clean exit means work was legitimately abandoned
     /// (e.g. pruned search seeds); the seed-accounting oracle only
     /// demands ledger equality when this is zero everywhere.
@@ -120,6 +138,7 @@ kernel_counters! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Wire, WireReader};
     use std::collections::HashSet;
 
     #[test]
@@ -129,21 +148,34 @@ mod tests {
             chares_created: 2,
             ..Default::default()
         };
-        let s = c.to_node_stats();
-        assert_eq!(s.get("user_sent"), Some(3));
-        assert_eq!(s.get("chares_created"), Some(2));
-        assert_eq!(s.get("dead_letters"), Some(0));
+        assert_eq!(c.get("user_sent"), 3);
+        assert_eq!(c.get("chares_created"), 2);
+        assert_eq!(c.get("dead_letters"), 0);
         // Derived from the struct itself, so adding a counter cannot
-        // silently break this.
-        assert_eq!(s.counters.len(), KernelCounters::NAMES.len());
+        // silently break this: counters numbered 1..=n in declaration
+        // order (the codec's order) read back by name.
+        let n = KernelCounters::NAMES.len() as u64;
+        let bytes: Vec<u8> = (1..=n).flat_map(u64::to_le_bytes).collect();
+        let numbered = KernelCounters::decode(&mut WireReader::new(&bytes));
+        for (i, name) in KernelCounters::NAMES.iter().enumerate() {
+            assert_eq!(numbered.get(name), i as u64 + 1, "{name}");
+        }
     }
 
     #[test]
     fn names_match_export_order_and_are_unique() {
-        let s = KernelCounters::default().to_node_stats();
-        let exported: Vec<&str> = s.counters.iter().map(|&(n, _)| n).collect();
-        assert_eq!(exported, KernelCounters::NAMES);
         let unique: HashSet<&str> = KernelCounters::NAMES.iter().copied().collect();
         assert_eq!(unique.len(), KernelCounters::NAMES.len());
+        assert_eq!(KernelCounters::NAMES[0], "user_sent");
+        assert_eq!(KernelCounters::NAMES.last(), Some(&"rel_unacked_end"));
+    }
+
+    #[test]
+    fn total_sums_field_by_field_and_saturates() {
+        let a = KernelCounters { user_sent: u64::MAX, user_recv: 2, ..Default::default() };
+        let b = KernelCounters { user_sent: 1, user_recv: 3, qd_declares: 1, ..Default::default() };
+        let want = KernelCounters { user_sent: u64::MAX, user_recv: 5, qd_declares: 1, ..b };
+        assert_eq!(KernelCounters::total(&[a, b]), want);
+        assert_eq!(KernelCounters::total(&[]), KernelCounters::default());
     }
 }

@@ -1291,7 +1291,7 @@ pub(crate) mod tests {
         // the rest zero, then an empty shard: no events, none dropped, no
         // metrics.
         let counters = crate::stats::KernelCounters { user_sent: 1, ..Default::default() };
-        let fin = Final { end_ns: 5, counters, shard: Default::default() };
+        let fin = Final { end_ns: 5, shard: crate::probe::Shard { counters, ..Default::default() } };
         let counted = format!("0100000000000000 {}", "00".repeat(8 * 26));
         let want = format!("06 0500000000000000 {counted} 00000000 0000000000000000 00");
         assert_eq!(ctl(&CtlMsg::Final(Box::new(fin))), want.replace(' ', ""));

@@ -102,8 +102,8 @@ fn run(mode: BroadcastMode, npes: usize, broadcasts: u32) -> (u64, u64, u64) {
     let total = rep.take_result::<u64>().expect("total marks");
     (
         total,
-        rep.counter_total("user_sent"),
-        rep.counter_total("user_recv"),
+        rep.total().user_sent,
+        rep.total().user_recv,
     )
 }
 
@@ -136,7 +136,7 @@ fn tree_mode_moves_fewer_root_messages() {
         b.broadcast_mode(mode);
         b.main(main, Seed { boc, broadcasts: 10 });
         let rep = b.build().run_sim_preset(32, MachinePreset::NcubeLike);
-        rep.node_stats[0].get("user_sent").unwrap_or(0)
+        rep.counters[0].user_sent
     };
     let direct_root = per_pe_sent(BroadcastMode::Direct);
     let tree_root = per_pe_sent(BroadcastMode::Tree);

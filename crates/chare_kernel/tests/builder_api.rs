@@ -116,10 +116,22 @@ fn report_time_helpers_agree() {
 }
 
 #[test]
-fn counter_total_of_unknown_counter_is_zero() {
+#[should_panic(expected = "no kernel counter named \"entries_execd\"")]
+fn counter_total_of_a_misspelt_counter_panics_naming_it() {
     let rep = trivial_program(0).run_sim_preset(2, MachinePreset::NcubeLike);
-    assert_eq!(rep.counter_total("no_such_counter"), 0);
-    assert!(rep.counter_total("entries_executed") >= 1);
+    assert_eq!(rep.counter_total("entries_executed"), rep.total().entries_executed);
+    assert!(rep.total().entries_executed >= 1);
+    rep.counter_total("entries_execd");
+}
+
+#[test]
+fn counter_total_of_two_saturated_pes_is_u64_max() {
+    let mut rep = trivial_program(0).run_sim_preset(2, MachinePreset::NcubeLike);
+    assert_eq!(rep.counters.len(), 2, "one set of counters per PE");
+    let saturated = chare_kernel::KernelCounters { user_sent: u64::MAX, ..Default::default() };
+    rep.counters = vec![saturated; 2];
+    assert_eq!(rep.counter_total("user_sent"), u64::MAX);
+    assert_eq!(rep.total().user_sent, u64::MAX);
 }
 
 #[test]

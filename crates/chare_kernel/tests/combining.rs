@@ -126,8 +126,8 @@ fn combining_reduces_packets_for_bursts() {
 #[test]
 fn combining_keeps_accounting_balanced() {
     let rep = program(300, true).run_sim_preset(6, MachinePreset::NcubeLike);
-    let sent = rep.counter_total("user_sent");
-    let recv = rep.counter_total("user_recv");
+    let sent = rep.total().user_sent;
+    let recv = rep.total().user_recv;
     // Exit may strand a handful in flight; everything delivered was
     // counted per inner message, not per batch.
     assert!(sent >= recv && sent - recv <= 8, "sent {sent} recv {recv}");

@@ -90,7 +90,7 @@ fn dead_letters_are_counted_not_fatal() {
     b.main(main, DlSeed { victim });
     let mut rep = b.build().run_sim_preset(2, MachinePreset::NcubeLike);
     assert_eq!(rep.take_result::<bool>(), Some(true));
-    assert_eq!(rep.counter_total("dead_letters"), 3);
+    assert_eq!(rep.total().dead_letters, 3);
 }
 
 // ---------------------------------------------------------------------
@@ -276,11 +276,11 @@ fn message_accounting_balances_at_quiescence() {
     // At quiescence (just before the exit notification), all user
     // messages sent had been received. The exit notification itself is
     // sent and received too, so totals still balance.
-    let sent = rep.counter_total("user_sent");
-    let recv = rep.counter_total("user_recv");
+    let sent = rep.total().user_sent;
+    let recv = rep.total().user_recv;
     assert_eq!(sent, recv, "sent {sent} != received {recv}");
     // 2^7 - 1 = 127 burst chares plus the main chare.
-    assert_eq!(rep.counter_total("chares_created"), 128);
+    assert_eq!(rep.total().chares_created, 128);
 }
 
 // ---------------------------------------------------------------------

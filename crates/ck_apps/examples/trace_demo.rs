@@ -31,7 +31,7 @@ fn main() {
     }
     assert_eq!(
         log.count(|k| matches!(k, EventKind::EntryBegin { .. })),
-        rep.counter_total("entries_executed"),
+        rep.total().entries_executed,
         "log must agree with the kernel's books"
     );
     println!("log agrees with kernel counters");

@@ -254,7 +254,7 @@ mod tests {
         let mut rep = prog.run_sim_preset(4, MachinePreset::NcubeLike);
         assert_eq!(rep.take_result::<u64>(), Some(fib_seq(15)));
         // Only the main chare and one leaf chare were created.
-        assert_eq!(rep.counter_total("chares_created"), 2);
+        assert_eq!(rep.total().chares_created, 2);
     }
 
     #[test]
@@ -286,8 +286,8 @@ mod tests {
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(a.time_ns, b.time_ns);
         assert_eq!(
-            a.counter_total("chares_created"),
-            b.counter_total("chares_created")
+            a.total().chares_created,
+            b.total().chares_created
         );
     }
 }

@@ -717,8 +717,8 @@ mod tests {
         let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
         assert_eq!(a.time_ns, b.time_ns);
         assert_eq!(
-            a.counter_total("chares_created"),
-            b.counter_total("chares_created")
+            a.total().chares_created,
+            b.total().chares_created
         );
     }
 

@@ -15,18 +15,18 @@ fn all_programs() -> Vec<(&'static str, Spec)> {
 fn check(name: &str, rep: &CkReport) {
     // Exit discards in-flight messages, so sent >= recv; but no dead
     // letters and non-trivial execution are universal.
-    let sent = rep.counter_total("user_sent");
-    let recv = rep.counter_total("user_recv");
+    let sent = rep.total().user_sent;
+    let recv = rep.total().user_recv;
     assert!(sent >= recv, "{name}: recv {recv} > sent {sent}");
     assert!(
         sent - recv <= 8,
         "{name}: {} messages lost beyond the exit window",
         sent - recv
     );
-    assert_eq!(rep.counter_total("dead_letters"), 0, "{name}");
-    assert!(rep.counter_total("entries_executed") > 0, "{name}");
+    assert_eq!(rep.total().dead_letters, 0, "{name}");
+    assert!(rep.total().entries_executed > 0, "{name}");
     // Something was enqueued somewhere.
-    assert!(rep.counter_total("queue_hwm") >= 1, "{name}");
+    assert!(rep.total().queue_hwm >= 1, "{name}");
 }
 
 #[test]
@@ -39,7 +39,7 @@ fn accounting_invariants_hold_for_every_app() {
         let got = spec.answer(&rep).unwrap_or_else(|| panic!("{name}: no answer"));
         assert!(got.matches(spec.oracle(6)), "{name}: {got} vs oracle {}", spec.oracle(6));
         assert_eq!(
-            rep.counter_total("qd_declares"),
+            rep.total().qd_declares,
             spec.app.qd_declares(&rep),
             "{name}: quiescence declarations"
         );

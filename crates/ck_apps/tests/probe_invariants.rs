@@ -62,9 +62,7 @@ fn recording_on_is_byte_identical_to_recording_off() {
         assert_eq!(sa.events, sb.events, "{name}");
         assert_eq!(sa.packets, sb.packets, "{name}");
         assert_eq!(sa.bytes, sb.bytes, "{name}");
-        for c in ["user_sent", "user_recv", "entries_executed", "seeds_forwarded"] {
-            assert_eq!(a.counter_total(c), b.counter_total(c), "{name}: {c}");
-        }
+        assert_eq!(a.counters, b.counters, "{name}");
         assert_eq!(b.trace.is_some(), name != "metrics", "{name}");
         assert_eq!(b.metrics.is_some(), name != "trace", "{name}");
     }
@@ -161,15 +159,15 @@ fn event_log_agrees_with_kernel_counters() {
     let begins = log.count(|k| matches!(k, EventKind::EntryBegin { .. }));
     let ends = log.count(|k| matches!(k, EventKind::EntryEnd { .. }));
     assert_eq!(begins, ends);
-    assert_eq!(begins, rep.counter_total("entries_executed"));
+    assert_eq!(begins, rep.total().entries_executed);
     let kept = log.count(|k| matches!(k, EventKind::SeedKept { .. }));
     let fwd = log.count(|k| matches!(k, EventKind::SeedForwarded { .. }));
-    assert_eq!(kept, rep.counter_total("seeds_kept"));
-    assert_eq!(fwd, rep.counter_total("seeds_forwarded"));
+    assert_eq!(kept, rep.total().seeds_kept);
+    assert_eq!(fwd, rep.total().seeds_forwarded);
     let (sends, recvs) = counted_traffic(log);
     assert!(sends > 0 && recvs > 0);
-    assert_eq!(sends, rep.counter_total("user_sent"));
-    assert_eq!(recvs, rep.counter_total("user_recv"));
+    assert_eq!(sends, rep.total().user_sent);
+    assert_eq!(recvs, rep.total().user_recv);
 }
 
 /// The streaming aggregates agree with the kernel's own books: one
@@ -180,7 +178,7 @@ fn event_log_agrees_with_kernel_counters() {
 fn metrics_agree_with_kernel_counters() {
     let rep = run(&fib_prog().with_metrics(MetricsConfig::default()));
     let log = rep.metrics.as_ref().unwrap();
-    assert_eq!(log.grain_all().count, rep.counter_total("entries_executed"));
+    assert_eq!(log.grain_all().count, rep.total().entries_executed);
     let mut kept = 0u64;
     let mut fwd = 0u64;
     let mut recv = 0u64;
@@ -191,8 +189,8 @@ fn metrics_agree_with_kernel_counters() {
             recv += s.msgs_recv;
         }
     }
-    assert_eq!(kept, rep.counter_total("seeds_kept"));
-    assert_eq!(fwd, rep.counter_total("seeds_forwarded"));
+    assert_eq!(kept, rep.total().seeds_kept);
+    assert_eq!(fwd, rep.total().seeds_forwarded);
     // One latency sample per received envelope — the histogram and the
     // slice counters fold the same event.
     assert_eq!(log.latency_all().count, recv);
@@ -349,10 +347,10 @@ fn retransmits_and_redirects_agree_with_kernel_counters() {
         let sliced: u64 = (0..metrics.nslices())
             .map(|i| metrics.slice_totals(i).retransmits)
             .sum();
-        assert_eq!(rxmit, rep.counter_total("retransmits"), "{name}");
+        assert_eq!(rxmit, rep.total().retransmits, "{name}");
         assert_eq!(rxmit, sliced, "{name}");
         let redirects = log.count(|k| matches!(k, EventKind::SeedRedirected { .. }));
-        assert_eq!(redirects, rep.counter_total("seeds_redirected"), "{name}");
+        assert_eq!(redirects, rep.total().seeds_redirected, "{name}");
         match name {
             "lossy" => assert!(rxmit > 0, "the fault plan never fired"),
             _ => assert!(redirects > 0, "no seed was re-homed off the crashed PE"),
@@ -366,7 +364,7 @@ fn retransmits_and_redirects_agree_with_kernel_counters() {
             .filter(|e| matches!(e.kind, EventKind::SeedRedirected { to } if to == e.pe))
             .count() as u64;
         let (sends, recvs) = counted_traffic(log);
-        assert_eq!(sends, rep.counter_total("user_sent"), "{name}");
-        assert_eq!(recvs + settled, rep.counter_total("user_recv"), "{name}");
+        assert_eq!(sends, rep.total().user_sent, "{name}");
+        assert_eq!(recvs + settled, rep.total().user_recv, "{name}");
     }
 }

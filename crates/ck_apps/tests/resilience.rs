@@ -66,13 +66,13 @@ fn every_app_survives_a_rough_network() {
         // Every genuinely dropped frame must have been repaired.
         if faults.dropped > 0 {
             assert!(
-                rough.counter_total("retransmits") > 0,
+                rough.total().retransmits > 0,
                 "{name}: drops occurred but nothing was retransmitted"
             );
         }
         if faults.duplicated > 0 {
             assert!(
-                rough.counter_total("dup_dropped") > 0,
+                rough.total().dup_dropped > 0,
                 "{name}: duplicates were injected but none discarded"
             );
         }
@@ -91,9 +91,7 @@ fn fixed_fault_seed_replays_identically() {
     assert_eq!(sa.packets, sb.packets);
     assert_eq!(sa.bytes, sb.bytes);
     assert_eq!(sa.faults, sb.faults);
-    for name in ["user_sent", "user_recv", "retransmits", "dup_dropped", "acks_sent"] {
-        assert_eq!(a.counter_total(name), b.counter_total(name), "{name}");
-    }
+    assert_eq!(a.counters, b.counters, "every PE counted the same");
 }
 
 #[test]
@@ -118,8 +116,8 @@ fn reliable_layer_off_is_free() {
     let a = prog.run_sim_preset(8, MachinePreset::NcubeLike);
     let b = prog.run_sim_preset(8, MachinePreset::NcubeLike);
     assert_eq!(a.time_ns, b.time_ns);
-    assert_eq!(a.counter_total("retransmits"), 0);
-    assert_eq!(a.counter_total("acks_sent"), 0);
+    assert_eq!(a.total().retransmits, 0);
+    assert_eq!(a.total().acks_sent, 0);
     assert_eq!(
         a.sim.as_ref().unwrap().packets,
         b.sim.as_ref().unwrap().packets
@@ -184,7 +182,7 @@ fn seeds_outrun_a_crashed_pe() {
     let mut rep = prog.run_sim(cfg);
     assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(16)));
     assert!(
-        rep.counter_total("seeds_redirected") > 0,
+        rep.total().seeds_redirected > 0,
         "no seed was ever re-homed away from the crashed PE"
     );
 }

@@ -123,11 +123,12 @@ pub fn table1(scale: Scale) -> Table {
     for case in standard_suite(scale) {
         let rep = run_spec(&case, 16, MachinePreset::NcubeLike);
         let bytes = rep.sim.as_ref().map(|s| s.bytes).unwrap_or(0);
+        let total = rep.total();
         t.row(vec![
             case.app.name.into(),
-            rep.counter_total("chares_created").to_string(),
-            rep.counter_total("entries_executed").to_string(),
-            rep.counter_total("user_sent").to_string(),
+            total.chares_created.to_string(),
+            total.entries_executed.to_string(),
+            total.user_sent.to_string(),
             format!("{:.0}", bytes as f64 / 1024.0),
             ms(rep.time_ns),
         ]);
@@ -236,7 +237,7 @@ pub fn table4(scale: Scale) -> Table {
                 ms(rep.time_ns),
                 format!("{:.2}", t1 as f64 / rep.time_ns as f64),
                 format!("{imb:.2}"),
-                rep.counter_total("seeds_forwarded").to_string(),
+                rep.total().seeds_forwarded.to_string(),
             ]);
         }
     }
@@ -372,7 +373,7 @@ pub fn fig2(scale: Scale) -> Table {
         let rep = run_spec(&spec, npes, MachinePreset::NcubeLike);
         t.row(vec![
             grain.to_string(),
-            rep.counter_total("chares_created").to_string(),
+            rep.total().chares_created.to_string(),
             ms(rep.time_ns),
             format!("{:.2}", t1 as f64 / rep.time_ns as f64),
         ]);
@@ -475,14 +476,15 @@ pub fn table8(scale: Scale) -> Table {
     for case in standard_suite(scale) {
         let rep = run_spec(&case, npes, MachinePreset::NcubeLike);
         let sim = rep.sim.as_ref().expect("sim detail");
-        let entries = rep.counter_total("entries_executed").max(1);
+        let total = rep.total();
+        let entries = total.entries_executed.max(1);
         t.row(vec![
             case.app.name.into(),
             sim.packets.to_string(),
             format!("{:.0}", sim.bytes as f64 / sim.packets.max(1) as f64),
             format!("{:.2}", sim.packets as f64 / entries as f64),
             format!("{:.0}", sim.bytes as f64 / npes as f64 / 1024.0),
-            rep.counter_total("queue_hwm").to_string(),
+            total.queue_hwm.to_string(),
         ]);
     }
     t.note("peak backlog = sum over PEs of each PE's backlog high-water mark");
@@ -700,7 +702,7 @@ pub fn fig7(scale: Scale) -> Table {
                 low_mark.to_string(),
                 ms(rep.time_ns),
                 format!("{:.2}", t1 as f64 / rep.time_ns as f64),
-                rep.counter_total("seeds_forwarded").to_string(),
+                rep.total().seeds_forwarded.to_string(),
             ]);
         }
     }
@@ -816,8 +818,8 @@ pub fn table_r(scale: Scale) -> Table {
                 format!("{:.2}", rep.time_ns as f64 / clean.time_ns as f64),
                 sim.packets.to_string(),
                 format!("{:.2}", sim.packets as f64 / clean_pkts as f64),
-                rep.counter_total("retransmits").to_string(),
-                rep.counter_total("dup_dropped").to_string(),
+                rep.total().retransmits.to_string(),
+                rep.total().dup_dropped.to_string(),
             ]);
         }
     }
@@ -867,7 +869,7 @@ pub fn table_b_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
             let got = answer(rep);
             assert_eq!(got, want, "{name}: {backend} answer diverges from sim");
             let time = ms(rep.time_ns);
-            let msgs = rep.counter_total("user_sent").to_string();
+            let msgs = rep.total().user_sent.to_string();
             let (time, msgs) = if *backend == "sim" {
                 (time, msgs)
             } else {

@@ -119,8 +119,8 @@ fn showcase(seed: u64) {
     assert!(report.sim.as_ref().unwrap().aborted.is_none());
     println!("nqueens(8) under 5% loss + stall (storm seed {seed:#x}):");
     println!("  solutions:    {:?}", report.take_result::<u64>());
-    println!("  retransmits:  {}", report.counter_total("retransmits"));
-    println!("  dups dropped: {}", report.counter_total("dup_dropped"));
+    println!("  retransmits:  {}", report.total().retransmits);
+    println!("  dups dropped: {}", report.total().dup_dropped);
 
     let crash = FaultPlan::new(9).crash(Pe(3), SimTime::ZERO);
     let cfg = SimConfig::preset(16, MachinePreset::NcubeLike).with_faults(crash);
@@ -134,7 +134,7 @@ fn showcase(seed: u64) {
     .run_sim(cfg);
     println!("fib(16) with PE 3 dead from boot:");
     println!("  result:           {:?}", report.take_result::<u64>());
-    println!("  seeds redirected: {}", report.counter_total("seeds_redirected"));
+    println!("  seeds redirected: {}", report.total().seeds_redirected);
 }
 
 fn main() {

@@ -98,7 +98,7 @@ pub fn execute(index: u64, scenario: Scenario, storm: FaultPlan, max_events: u64
         index,
         reference,
         violations,
-        qd_used: rep.counter_total("qd_declares") > 0,
+        qd_used: rep.total().qd_declares > 0,
         gate_active: oracle::ledger_gate_active(&rep),
         events: sim.events,
         forensics,

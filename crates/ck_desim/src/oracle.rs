@@ -115,8 +115,8 @@ impl std::fmt::Display for Violation {
 /// counted frames unacknowledged anywhere. Only then must the
 /// spawn/create ledger balance exactly.
 pub fn ledger_gate_active(rep: &CkReport) -> bool {
-    rep.counter_total("qd_declares") > 0
-        || (rep.counter_total("backlog_end") == 0 && rep.counter_total("rel_inflight_end") == 0)
+    let total = rep.total();
+    total.qd_declares > 0 || (total.backlog_end == 0 && total.rel_inflight_end == 0)
 }
 
 /// Judge a finished run against every oracle. `want` is the fault-free
@@ -155,8 +155,8 @@ pub fn judge(sc: &Scenario, rep: &CkReport, want: Answer) -> Vec<Violation> {
             Some(_) => {}
         }
     }
-    let spawned = rep.counter_total("seeds_spawned");
-    let created = rep.counter_total("chares_created");
+    let total = rep.total();
+    let (spawned, created) = (total.seeds_spawned, total.chares_created);
     if created > spawned {
         out.push(Violation::DuplicatedSeeds { spawned, created });
     }
@@ -168,8 +168,8 @@ pub fn judge(sc: &Scenario, rep: &CkReport, want: Answer) -> Vec<Violation> {
     // `sim.quiesced` only covers the (rare) machine-level full stop;
     // apps that use QD end by notify → collect → exit, so the sound
     // signal that quiescence was *declared* is the qd_declares counter.
-    if !hung && rep.counter_total("qd_declares") > 0 {
-        let backlog = rep.counter_total("backlog_end");
+    if !hung && total.qd_declares > 0 {
+        let backlog = total.backlog_end;
         if backlog > 0 {
             out.push(Violation::PrematureQuiescence { backlog });
         }

@@ -58,7 +58,7 @@ pub use fault::{FaultClass, FaultPlan, FaultRng, FaultStats, LinkOutage, PeFault
 pub use pe::Pe;
 pub use program::{FnFactory, NetCtx, NodeFactory, NodeProgram, Packet, Payload, StepKind};
 pub use sim::{take_events_tally, AbortReason, SimConfig, SimMachine, SimReport};
-pub use stats::{imbalance, BacklogSummary, NodeStats, StatSummary};
+pub use stats::{imbalance, BacklogSummary};
 #[cfg(feature = "threads")]
 pub use thread::{ThreadConfig, ThreadMachine, ThreadReport};
 pub use time::{Cost, SimTime};

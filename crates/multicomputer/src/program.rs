@@ -10,7 +10,6 @@
 use std::any::Any;
 
 use crate::pe::Pe;
-use crate::stats::NodeStats;
 use crate::time::Cost;
 
 /// What a scheduling step accomplished — drives how much dispatch
@@ -125,7 +124,8 @@ pub trait NetCtx {
 /// it, cheaply) and [`step`](NodeProgram::step) (pick one queued message
 /// and run its handler to completion). The split matters on the
 /// simulator: arrival and execution are separate timed events, so queueing
-/// delay is modeled faithfully.
+/// delay is modeled faithfully. When the run ends the machine hands the
+/// nodes back in PE order, so what a node counted is read off the node.
 pub trait NodeProgram: Send {
     /// Called once per node before any message is delivered. Startup
     /// actions (creating the main chare, constructing branch-office
@@ -152,11 +152,6 @@ pub trait NodeProgram: Send {
     /// Number of queued runnable messages (for load sampling / figures).
     fn backlog(&self) -> usize {
         0
-    }
-
-    /// Counters to include in the machine's run report.
-    fn stats(&self) -> NodeStats {
-        NodeStats::default()
     }
 
     /// A second copy of `payload`, for the simulator's duplication
@@ -211,7 +206,6 @@ mod tests {
         let node = f.build(Pe(3), 8);
         assert!(!node.has_work());
         assert_eq!(node.backlog(), 0);
-        assert!(node.stats().counters.is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::fault::{FaultPlan, FaultState, FaultStats, LinkVerdict};
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, StepKind};
 use crate::trace::TraceSpan;
-use crate::stats::{BacklogSummary, NodeStats};
+use crate::stats::BacklogSummary;
 use crate::time::{Cost, SimTime};
 use crate::topology::Topology;
 
@@ -137,14 +137,14 @@ pub enum AbortReason {
     },
 }
 
-/// Result of a simulated run.
-pub struct SimReport {
+/// Result of a simulated run of `N` nodes.
+pub struct SimReport<N> {
     /// Simulated completion time.
     pub end_time: SimTime,
     /// The last payload a handler deposited, if any.
     pub result: Option<Payload>,
-    /// Per-PE counters reported by the nodes.
-    pub node_stats: Vec<NodeStats>,
+    /// The nodes, in PE order, as the run left them.
+    pub nodes: Vec<N>,
     /// Per-PE busy time (dispatch + handler execution).
     pub busy: Vec<Cost>,
     /// Total packets delivered.
@@ -169,7 +169,7 @@ pub struct SimReport {
     pub faults: Option<FaultStats>,
 }
 
-impl SimReport {
+impl<N> SimReport<N> {
     /// Downcast the deposited result.
     pub fn result_as<T: 'static>(&self) -> Option<&T> {
         self.result.as_deref().and_then(|r| r.downcast_ref::<T>())
@@ -366,7 +366,7 @@ impl<N: NodeProgram> SimMachine<N> {
     }
 
     /// Convenience: build and run in one call.
-    pub fn run_factory<F: NodeFactory<Node = N>>(cfg: SimConfig, factory: &F) -> SimReport {
+    pub fn run_factory<F: NodeFactory<Node = N>>(cfg: SimConfig, factory: &F) -> SimReport<N> {
         SimMachine::new(cfg, factory).run()
     }
 
@@ -497,8 +497,8 @@ impl<N: NodeProgram> SimMachine<N> {
     }
 
     /// Run the simulation to completion (explicit stop or global
-    /// quiescence) and report.
-    pub fn run(mut self) -> SimReport {
+    /// quiescence) and report, handing the nodes back.
+    pub fn run(mut self) -> SimReport<N> {
         // Boot every node at t = 0. Boot-time sends depart at t = 0.
         for pe in Pe::all(self.cfg.npes) {
             let outbox = std::mem::take(&mut self.scratch_outbox);
@@ -685,7 +685,7 @@ impl<N: NodeProgram> SimMachine<N> {
         SimReport {
             end_time,
             result: self.result,
-            node_stats: self.nodes.iter().map(|n| n.stats()).collect(),
+            nodes: self.nodes,
             busy: self.busy,
             packets: self.packets,
             bytes: self.bytes,
@@ -746,11 +746,6 @@ mod tests {
         fn backlog(&self) -> usize {
             self.queue.len()
         }
-        fn stats(&self) -> NodeStats {
-            let mut s = NodeStats::new();
-            s.push("hops", self.hops_seen);
-            s
-        }
     }
 
     fn relay_factory(laps: u32, work: Cost) -> FnFactory<impl Fn(Pe, usize) -> Relay> {
@@ -806,14 +801,13 @@ mod tests {
     }
 
     #[test]
-    fn node_stats_collected() {
+    fn nodes_come_back_in_pe_order() {
         let rep = SimMachine::run_factory(ring_cfg(4), &relay_factory(1, Cost::ZERO));
-        let total: u64 = rep
-            .node_stats
-            .iter()
-            .map(|s| s.get("hops").unwrap_or(0))
-            .sum();
-        assert_eq!(total, 4); // one handler execution per ring position
+        let pes: Vec<Pe> = rep.nodes.iter().map(|n| n.pe).collect();
+        assert_eq!(pes, Pe::all(4).collect::<Vec<_>>());
+        // One handler execution per ring position.
+        let hops: Vec<u64> = rep.nodes.iter().map(|n| n.hops_seen).collect();
+        assert_eq!(hops, vec![1; 4]);
     }
 
     #[test]
@@ -1021,12 +1015,6 @@ mod tests {
                 net.set_alarm(Cost::micros(100));
             }
         }
-        fn stats(&self) -> NodeStats {
-            let mut s = NodeStats::new();
-            s.push("got", self.got);
-            s.push("alarms", self.alarms);
-            s
-        }
         fn duplicate(payload: &Payload) -> Option<Payload> {
             payload.downcast_ref::<u64>().map(|&v| Box::new(v) as Payload)
         }
@@ -1050,7 +1038,7 @@ mod tests {
             alarms: 9, // suppress further alarms
             queue: std::collections::VecDeque::new(),
         }));
-        assert_eq!(rep.node_stats[1].get("got"), Some(1));
+        assert_eq!(rep.nodes[1].got, 1);
     }
 
     #[test]
@@ -1058,7 +1046,7 @@ mod tests {
         let cfg = SimConfig::preset(2, MachinePreset::Ideal)
             .with_faults(crate::fault::FaultPlan::new(11).duplicate(1.0));
         let rep = SimMachine::run_factory(cfg, &dup_factory());
-        assert_eq!(rep.node_stats[1].get("got"), Some(2), "copy delivered");
+        assert_eq!(rep.nodes[1].got, 2, "copy delivered");
         assert_eq!(rep.faults.unwrap().duplicated, 1);
         // A node program that keeps the default hook: every packet is
         // opaque, the same plan duplicates nothing, the relay still ends.
@@ -1072,7 +1060,7 @@ mod tests {
     fn alarms_fire_and_reschedule() {
         let cfg = SimConfig::preset(2, MachinePreset::Ideal);
         let rep = SimMachine::run_factory(cfg, &dup_factory());
-        assert_eq!(rep.node_stats[0].get("alarms"), Some(3));
+        assert_eq!(rep.nodes[0].alarms, 3);
         assert!(rep.quiesced, "alarm chain terminates");
     }
 

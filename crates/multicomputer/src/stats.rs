@@ -1,70 +1,8 @@
-//! Run statistics: per-node counters and machine-level summaries.
-//!
-//! The paper's tables report chares created, messages processed, and
-//! processor utilization; these types carry those numbers from the node
-//! programs out through the machine's run report.
+//! Machine-level run statistics: backlog samples and busy-time
+//! imbalance. What a node program counts is its own business; the
+//! machines hand the nodes back when a run ends.
 
 use crate::time::Cost;
-
-/// Named counters reported by one node at the end of a run.
-///
-/// A flat name/value list keeps the machine layer independent of what the
-/// runtime above counts.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// `(name, value)` pairs; names should be stable identifiers like
-    /// `"msgs_processed"`.
-    pub counters: Vec<(&'static str, u64)>,
-}
-
-impl NodeStats {
-    /// A new empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `value` under `name` (appends; use once per name).
-    pub fn push(&mut self, name: &'static str, value: u64) {
-        self.counters.push((name, value));
-    }
-
-    /// Look up a counter by name.
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-    }
-}
-
-/// Aggregate of the same counter across all nodes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StatSummary {
-    /// Sum over all nodes.
-    pub total: u64,
-    /// Largest per-node value.
-    pub max: u64,
-    /// Smallest per-node value.
-    pub min: u64,
-}
-
-/// Summarize counter `name` across per-node stats. Nodes missing the
-/// counter contribute 0.
-pub fn summarize(nodes: &[NodeStats], name: &str) -> StatSummary {
-    let mut total = 0u64;
-    let mut max = 0u64;
-    let mut min = u64::MAX;
-    for n in nodes {
-        let v = n.get(name).unwrap_or(0);
-        total += v;
-        max = max.max(v);
-        min = min.min(v);
-    }
-    if nodes.is_empty() {
-        min = 0;
-    }
-    StatSummary { total, max, min }
-}
 
 /// One load-sampling instant, folded online.
 ///
@@ -136,35 +74,6 @@ pub fn imbalance(busy: &[Cost]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_get() {
-        let mut s = NodeStats::new();
-        s.push("msgs", 10);
-        s.push("chares", 3);
-        assert_eq!(s.get("msgs"), Some(10));
-        assert_eq!(s.get("chares"), Some(3));
-        assert_eq!(s.get("absent"), None);
-    }
-
-    #[test]
-    fn summarize_across_nodes() {
-        let mut a = NodeStats::new();
-        a.push("msgs", 5);
-        let mut b = NodeStats::new();
-        b.push("msgs", 15);
-        let c = NodeStats::new(); // missing counter counts as 0
-        let s = summarize(&[a, b, c], "msgs");
-        assert_eq!(s.total, 20);
-        assert_eq!(s.max, 15);
-        assert_eq!(s.min, 0);
-    }
-
-    #[test]
-    fn summarize_empty() {
-        let s = summarize(&[], "msgs");
-        assert_eq!(s, StatSummary { total: 0, max: 0, min: 0 });
-    }
 
     #[test]
     fn backlog_summary_matches_flat_aggregates() {

@@ -50,7 +50,6 @@ use std::time::{Duration, Instant};
 
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload};
-use crate::stats::NodeStats;
 use crate::time::Cost;
 
 /// Configuration of the thread-parallel machine.
@@ -80,19 +79,19 @@ impl ThreadConfig {
     }
 }
 
-/// Result of a thread-machine run.
-pub struct ThreadReport {
+/// Result of a thread-machine run of `N` nodes.
+pub struct ThreadReport<N> {
     /// Wall-clock duration from launch to last thread exit.
     pub wall: Duration,
     /// The last payload a handler deposited, if any.
     pub result: Option<Payload>,
-    /// Per-PE counters reported by the nodes.
-    pub node_stats: Vec<NodeStats>,
+    /// The nodes, in PE order, as their threads left them.
+    pub nodes: Vec<N>,
     /// True if the watchdog fired before the program stopped.
     pub timed_out: bool,
 }
 
-impl ThreadReport {
+impl<N> ThreadReport<N> {
     /// Downcast the deposited result.
     pub fn result_as<T: 'static>(&self) -> Option<&T> {
         self.result.as_deref().and_then(|r| r.downcast_ref::<T>())
@@ -272,7 +271,7 @@ impl NetCtx for ThreadCtx {
     }
 }
 
-fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> NodeStats {
+fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> N {
     let shared = Arc::clone(&ctx.shared);
     let inbox = &shared.inboxes[ctx.me.index()];
     inbox
@@ -299,7 +298,7 @@ fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> NodeS
             inbox.idle(&shared.stop, spin);
         }
     }
-    node.stats()
+    node
 }
 
 /// The thread-parallel machine.
@@ -307,8 +306,9 @@ pub struct ThreadMachine;
 
 impl ThreadMachine {
     /// Run `factory`'s node program on `cfg.npes` OS threads until a
-    /// handler calls [`NetCtx::stop`] or the watchdog fires.
-    pub fn run<F>(cfg: ThreadConfig, factory: &F) -> ThreadReport
+    /// handler calls [`NetCtx::stop`] or the watchdog fires, and hand the
+    /// nodes back.
+    pub fn run<F>(cfg: ThreadConfig, factory: &F) -> ThreadReport<F::Node>
     where
         F: NodeFactory,
         F::Node: 'static,
@@ -343,7 +343,7 @@ impl ThreadMachine {
             }
             std::thread::park_timeout(left);
         }
-        let node_stats: Vec<NodeStats> = handles
+        let nodes: Vec<F::Node> = handles
             .into_iter()
             .map(|h| h.join().expect("PE thread panicked"))
             .collect();
@@ -356,7 +356,7 @@ impl ThreadMachine {
         ThreadReport {
             wall,
             result,
-            node_stats,
+            nodes,
             timed_out,
         }
     }
@@ -404,11 +404,6 @@ mod tests {
         fn has_work(&self) -> bool {
             !self.queue.is_empty()
         }
-        fn stats(&self) -> NodeStats {
-            let mut s = NodeStats::new();
-            s.push("seen", self.seen);
-            s
-        }
     }
 
     fn relay(laps: u32) -> FnFactory<impl Fn(Pe, usize) -> Relay> {
@@ -438,13 +433,12 @@ mod tests {
     #[test]
     fn stats_are_collected_per_pe() {
         let rep = ThreadMachine::run(ThreadConfig::new(4), &relay(2));
-        assert_eq!(rep.node_stats.len(), 4);
-        let total: u64 = rep
-            .node_stats
-            .iter()
-            .map(|s| s.get("seen").unwrap_or(0))
-            .sum();
-        assert_eq!(total, 8); // one handler execution per hop: 2 laps * 4 PEs
+        let pes: Vec<Pe> = rep.nodes.iter().map(|n| n.pe).collect();
+        assert_eq!(pes, Pe::all(4).collect::<Vec<_>>());
+        // One handler execution per hop: 2 laps of 4 PEs. The stop
+        // leaves nothing queued behind the token.
+        let seen: Vec<u64> = rep.nodes.iter().map(|n| n.seen).collect();
+        assert_eq!(seen, vec![2; 4]);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use multicomputer::{
 use proptest::prelude::*;
 
 /// PE 0 sends a scripted burst of (destination, size) messages in one
-/// handler; every other PE records (sender-sequence, arrival-time) and
-/// reports at the end.
+/// handler; every other PE records (sender-sequence, arrival-time), read
+/// off the nodes the run hands back.
 struct Scripted {
     pe: Pe,
     script: Vec<(u32, u32)>, // (dest, bytes), sequence number = index
@@ -39,27 +39,14 @@ impl NodeProgram for Scripted {
             for (i, &(dest, bytes)) in self.script.iter().enumerate() {
                 net.send(Pe(dest), bytes, Box::new(i as u32));
             }
-            // Tell every destination how many to expect via a final
-            // sentinel... simpler: destinations know via expect field.
         } else {
-            // Record and keep; the run ends by global quiescence and the
-            // arrivals are read back through `stats`.
+            // Record and keep; the run ends by global quiescence.
             self.seen.push((v, net.now_ns()));
         }
         Some(StepKind::User)
     }
     fn has_work(&self) -> bool {
         !self.queue.is_empty()
-    }
-    fn stats(&self) -> multicomputer::NodeStats {
-        let mut s = multicomputer::NodeStats::new();
-        // Expose arrivals for post-run inspection: sequence numbers in
-        // arrival order, packed.
-        for (i, &(seq, _)) in self.seen.iter().enumerate().take(64) {
-            let _ = i;
-            s.push("arrival", seq as u64);
-        }
-        s
     }
 }
 
@@ -83,16 +70,9 @@ fn run_script(script: Vec<(u32, u32)>, npes: usize, topo: Topology) -> Vec<Vec<u
     };
     let cfg = SimConfig::new(npes, topo, MachinePreset::NcubeLike.cost_model());
     let rep = SimMachine::run_factory(cfg, &factory);
-    rep.node_stats
-        .iter()
-        .map(|s| {
-            s.counters
-                .iter()
-                .filter(|(n, _)| *n == "arrival")
-                .map(|&(_, v)| v as u32)
-                .collect()
-        })
-        .collect()
+    let pes: Vec<Pe> = rep.nodes.iter().map(|n| n.pe).collect();
+    assert_eq!(pes, Pe::all(npes).collect::<Vec<_>>(), "nodes come back in PE order");
+    rep.nodes.iter().map(|n| n.seen.iter().map(|&(seq, _)| seq).collect()).collect()
 }
 
 proptest! {

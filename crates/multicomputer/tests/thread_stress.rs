@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use multicomputer::{
-    FnFactory, NetCtx, NodeProgram, NodeStats, Packet, Pe, StepKind, ThreadConfig, ThreadMachine,
+    FnFactory, NetCtx, NodeProgram, Packet, Pe, StepKind, ThreadConfig, ThreadMachine,
 };
 
 /// All-to-all: every PE sends `per_peer` messages to every other PE,
@@ -54,11 +54,6 @@ impl NodeProgram for AllToAll {
     fn has_work(&self) -> bool {
         !self.queue.is_empty()
     }
-    fn stats(&self) -> NodeStats {
-        let mut s = NodeStats::new();
-        s.push("received", self.received);
-        s
-    }
 }
 
 #[test]
@@ -82,15 +77,12 @@ fn all_to_all_on_heavily_oversubscribed_threads() {
     let mut rep = ThreadMachine::run(cfg, &factory);
     assert!(!rep.timed_out, "all-to-all did not complete");
     assert_eq!(rep.take_result::<u64>(), Some(expected));
-    // Every PE received exactly (npes-1) * per_peer... minus whatever
-    // was still queued when stop fired; the global count is exact, the
-    // per-PE counts are bounded.
-    let sum: u64 = rep
-        .node_stats
-        .iter()
-        .map(|s| s.get("received").unwrap_or(0))
-        .sum();
-    assert!(sum >= expected, "global count {sum} < expected {expected}");
+    // The last delivery stops the machine, so every PE has processed
+    // all (npes-1) * per_peer messages it was sent.
+    let pes: Vec<Pe> = rep.nodes.iter().map(|n| n.pe).collect();
+    assert_eq!(pes, Pe::all(npes).collect::<Vec<_>>(), "nodes come back in PE order");
+    let received: Vec<u64> = rep.nodes.iter().map(|n| n.received).collect();
+    assert_eq!(received, vec![(npes as u64 - 1) * per_peer as u64; npes]);
 }
 
 #[test]

@@ -31,7 +31,7 @@ fn main() {
             "  P={p:>3}  time={:>9.3} ms   speedup={:>6.2}   chares={}",
             rep.time_ns as f64 / 1e6,
             t1 as f64 / rep.time_ns as f64,
-            rep.counter_total("chares_created"),
+            rep.total().chares_created,
         );
     }
 

@@ -46,6 +46,7 @@ fn conform(test_name: &str, spec_str: &str, npes: usize) -> Vec<(&'static str, C
         .map(|(backend, rep)| {
             let got = spec.answer(rep).unwrap_or_else(|| panic!("{spec_str} on {backend}: no result"));
             assert!(got.matches(oracle), "{spec_str} on {backend}: {got} vs serial oracle {oracle}");
+            assert_eq!(rep.counters.len(), npes, "{spec_str} on {backend}: counters of every PE");
             assert_counter_invariants(&spec, backend, rep);
             got
         })
@@ -57,7 +58,7 @@ fn conform(test_name: &str, spec_str: &str, npes: usize) -> Vec<(&'static str, C
     // search prunes; schedule-*dependent* counters (forwarding, work
     // stealing) legitimately differ and are not compared.
     if !PRUNING.contains(&spec.app.name) {
-        let spawned: Vec<u64> = reps.iter().map(|(_, r)| r.counter_total("seeds_spawned")).collect();
+        let spawned: Vec<u64> = reps.iter().map(|(_, r)| r.total().seeds_spawned).collect();
         assert!(
             spawned.iter().all(|&s| s == spawned[0]),
             "{spec_str}: seed totals differ across backends: {spawned:?}"
@@ -72,12 +73,14 @@ fn conform(test_name: &str, spec_str: &str, npes: usize) -> Vec<(&'static str, C
 /// as often as the app's descriptor says — once, by PE 0's coordinator,
 /// iff the app ends by it (`App::qd_declares` has the one exception).
 fn assert_counter_invariants(spec: &Spec, backend: &str, rep: &CkReport) {
-    let spawned = rep.counter_total("seeds_spawned");
-    let created = rep.counter_total("chares_created");
-    assert_eq!(rep.counter_total("backlog_end"), 0, "{spec} on {backend}: work left behind");
-    assert_eq!(spawned, created, "{spec} on {backend}: seed ledger out of balance");
+    let total = rep.total();
+    assert_eq!(total.backlog_end, 0, "{spec} on {backend}: work left behind");
     assert_eq!(
-        rep.counter_total("qd_declares"),
+        total.seeds_spawned, total.chares_created,
+        "{spec} on {backend}: seed ledger out of balance"
+    );
+    assert_eq!(
+        total.qd_declares,
         spec.app.qd_declares(rep),
         "{spec} on {backend}: quiescence declarations"
     );
@@ -236,7 +239,7 @@ fn run_options_set_on_the_parent_reach_every_worker() {
     let detail = rep.proc.as_ref().expect("detail");
     assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
     assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(18)));
-    assert!(rep.counter_total("acks_sent") > 0, "reliable delivery reached the workers");
+    assert!(rep.total().acks_sent > 0, "reliable delivery reached the workers");
 
     let trace = rep.trace.as_ref().expect("tracing reached the workers");
     assert_eq!(trace.npes, npes);
@@ -293,11 +296,11 @@ fn a_balance_strategy_set_on_the_parent_overrides_the_spec_text() {
         |o| o.balance = BalanceStrategy::Local,
     );
     assert!(spec.to_string().ends_with("bal=acwn:4/2"), "{spec}");
-    assert_eq!(rep.counter_total("seeds_forwarded"), 0);
+    assert_eq!(rep.total().seeds_forwarded, 0);
     let trace = rep.trace.as_ref().expect("traced");
     let forwarded = |ev: &&TraceEvent| matches!(ev.kind, EventKind::SeedForwarded { .. });
     assert_eq!(trace.events.iter().filter(forwarded).count(), 0);
-    assert!(rep.counter_total("seeds_kept") > 100, "the tree was still built");
+    assert!(rep.total().seeds_kept > 100, "the tree was still built");
 }
 
 #[test]
@@ -311,7 +314,7 @@ fn a_broadcast_mode_set_on_the_parent_reaches_every_worker() {
         "primes:limit=2000,chunks=8",
         |o| o.bcast = BroadcastMode::Direct,
     );
-    assert_eq!(rep.counter_total("qd_declares"), 1);
+    assert_eq!(rep.total().qd_declares, 1);
     let trace = rep.trace.as_ref().expect("traced");
     let sends = |class| {
         let sent = |ev: &&TraceEvent| matches!(ev.kind, EventKind::MsgSend { class: c, .. } if c == class);

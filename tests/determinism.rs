@@ -11,7 +11,7 @@ fn fingerprint(rep: &chare_kernel::CkReport) -> (u64, u64, u64, u64) {
         rep.time_ns,
         sim.events,
         sim.packets,
-        rep.counter_total("user_sent"),
+        rep.total().user_sent,
     )
 }
 

@@ -16,7 +16,7 @@
 use charm_repro::ck_apps::{fib, primes, spec};
 use charm_repro::prelude::*;
 use chare_kernel::proc::{loss_schedule, LossAction};
-use chare_kernel::ProcConfig;
+use chare_kernel::{KernelCounters, ProcConfig};
 use proptest::prelude::*;
 
 /// Reliable config for lossy-link runs: the 5 ms default timeout, a
@@ -57,10 +57,11 @@ fn run_lossy(
 /// A wrong answer means a seed was lost or delivered twice; a ledger
 /// imbalance pins which.
 fn assert_exactly_once(rep: &CkReport, what: &str) {
-    assert_eq!(rep.counter_total("backlog_end"), 0, "{what}: work abandoned");
+    let total = rep.total();
+    assert_eq!(total.backlog_end, 0, "{what}: work abandoned");
     assert_eq!(
-        rep.counter_total("seeds_spawned"),
-        rep.counter_total("chares_created"),
+        total.seeds_spawned,
+        total.chares_created,
         "{what}: seed ledger out of balance (lost or duplicated delivery)"
     );
     // A CkExit-terminated run can halt while a late retransmit gap is
@@ -73,11 +74,10 @@ fn assert_exactly_once(rep: &CkReport, what: &str) {
     // *every* unacked frame (`rel_unacked_end`), not only user-counted
     // ones (`rel_inflight_end`): under ACWN the gap is usually a lost
     // load report, and whatever parked behind it was acked on arrival.
-    let per_pe = |name| -> Vec<u64> {
-        let stats = rep.node_stats.iter();
-        stats.map(|s| s.get(name).unwrap_or(0)).collect()
+    let per_pe = |field: fn(&KernelCounters) -> u64| -> Vec<u64> {
+        rep.counters.iter().map(field).collect()
     };
-    let (unacked, parked) = (per_pe("rel_unacked_end"), per_pe("rel_reorder_end"));
+    let (unacked, parked) = (per_pe(|c| c.rel_unacked_end), per_pe(|c| c.rel_reorder_end));
     let unacked_total: u64 = unacked.iter().sum();
     for pe in 0..parked.len() {
         assert!(
@@ -85,7 +85,7 @@ fn assert_exactly_once(rep: &CkReport, what: &str) {
             "{what}: PE {pe} has arrivals parked behind a sequence gap that no other PE \
              can still fill; per PE, rel_inflight_end {:?} rel_unacked_end {unacked:?} \
              rel_reorder_end {parked:?}",
-            per_pe("rel_inflight_end")
+            per_pe(|c| c.rel_inflight_end)
         );
     }
 }
@@ -109,7 +109,7 @@ fn loss_exactly_once_primes() {
             // have forced retransmissions (and the duplicates they
             // create must have been discarded, not delivered).
             assert!(
-                rep.counter_total("retransmits") > 0,
+                rep.total().retransmits > 0,
                 "10% loss but no retransmits — shim not in the path?"
             );
         }
@@ -143,8 +143,8 @@ fn loss_retransmits_bounded() {
     spec::worker_hook();
     let spec_str = "primes:limit=3000,chunks=24";
     let rep = run_lossy("loss_retransmits_bounded", spec_str, 4, 100, 0xBEEF);
-    let user = rep.counter_total("user_sent");
-    let retx = rep.counter_total("retransmits");
+    let user = rep.total().user_sent;
+    let retx = rep.total().retransmits;
     assert!(
         retx <= user + 200,
         "retransmit storm: {retx} retransmits for {user} user messages"

@@ -582,8 +582,8 @@ fn shared_variables_cross_the_process_boundary() {
         assert_eq!(rep.take_result::<(u64, u64)>(), Some((100, 7 + 11 + 13 + npes as u64)), "{mode:?}");
         // Each improvement was broadcast once, by the PE that made it,
         // and applied once on every PE; the fourth bound went nowhere.
-        assert_eq!(rep.counter_total("mono_broadcasts"), 3, "{mode:?}");
-        assert_eq!(rep.counter_total("mono_applied"), 3 * npes as u64, "{mode:?}");
+        assert_eq!(rep.total().mono_broadcasts, 3, "{mode:?}");
+        assert_eq!(rep.total().mono_applied, 3 * npes as u64, "{mode:?}");
         let trace = rep.trace.as_ref().expect("traced");
         let tree_casts = trace
             .events
