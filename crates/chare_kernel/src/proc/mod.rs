@@ -132,12 +132,12 @@ pub struct ProcConfig {
     /// Flush a destination's coalescing buffer once it holds this many
     /// bytes. Below the thresholds a buffer is written out before its
     /// PE blocks for lack of work, after an alarm handler, and at the
-    /// latest every 16 scheduling steps — so a lone message leaves
-    /// before its sender sleeps, and waits at most 16 steps of a busy
-    /// one.
+    /// latest every [`FLUSH_EVERY_STEPS`](multicomputer::FLUSH_EVERY_STEPS)
+    /// scheduling steps — so a lone message leaves before its sender
+    /// sleeps, and waits at most 16 steps of a busy one.
     pub batch_bytes: usize,
     /// Flush a destination's coalescing buffer once it holds this many
-    /// frames.
+    /// frames ([`BATCH_PACKETS`](multicomputer::BATCH_PACKETS) by default).
     pub batch_frames: usize,
     /// Deterministic loopback loss/reorder shim on every data link.
     /// Requires the program to run reliable delivery
@@ -166,7 +166,7 @@ impl ProcConfig {
             transport: ProcTransport::Uds,
             watchdog: Duration::from_secs(60),
             batch_bytes: 16 * 1024,
-            batch_frames: 64,
+            batch_frames: multicomputer::BATCH_PACKETS,
             loss: None,
             crash: None,
         }

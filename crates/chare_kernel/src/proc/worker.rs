@@ -46,7 +46,8 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind};
+use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind,
+    FLUSH_EVERY_STEPS};
 
 use crate::envelope::SysMsg;
 use crate::node::CkNode;
@@ -65,10 +66,6 @@ use super::{CrashHook, CrashMode, ENV_ADDR, ENV_RANK, ENV_SPEC, EXIT_BAD_FRAME, 
 /// on the scheduler channel and a pending alarm shortens the wait to
 /// its deadline, so this only bounds the damage of a lost event.
 const IDLE_PARK: Duration = Duration::from_secs(1);
-
-/// A busy PE writes its coalescing buffers out at least this often, in
-/// scheduler steps (see the module doc for the whole flush rule).
-const FLUSH_EVERY_STEPS: u32 = 16;
 
 /// Divert into the worker loop when this process is a `run_procs`
 /// worker; a no-op otherwise.

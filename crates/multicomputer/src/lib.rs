@@ -40,6 +40,25 @@
 //! On the simulator, time advances per the cost model and the charges made
 //! by handlers; on the thread backend, real time is the cost and charges
 //! are ignored.
+//!
+//! ## Combining on the real backends
+//!
+//! Both real backends — the thread machine here and the process machine
+//! in `chare_kernel::proc` — hold a PE's remote sends in one buffer per
+//! destination and send a buffer whole. They share one flush rule: a
+//! buffer leaves at [`BATCH_PACKETS`] messages, every
+//! [`FLUSH_EVERY_STEPS`] scheduler steps, and always before its PE waits
+//! for work. Each backend's module doc has its remaining triggers.
+
+/// A real backend's PE sends everything it holds for other PEs at least
+/// this often, in scheduler steps: a busy sender delays a held message by
+/// at most this many of its steps.
+pub const FLUSH_EVERY_STEPS: u32 = 16;
+
+/// A destination's held messages are sent as soon as there are this many.
+/// The thread backend's fixed threshold and the process backend's default
+/// `batch_frames`.
+pub const BATCH_PACKETS: usize = 64;
 
 pub mod cost;
 pub mod fault;

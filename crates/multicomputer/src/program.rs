@@ -71,8 +71,9 @@ impl std::fmt::Debug for Packet {
 /// handler.
 ///
 /// Implemented once per backend ([`crate::sim::SimMachine`] buffers sends
-/// and accounts simulated time; [`crate::thread::ThreadMachine`] appends
-/// straight to the destination PE's inbox and ignores charges).
+/// and accounts simulated time; [`crate::thread::ThreadMachine`] combines
+/// sends per destination PE, pushes each batch into that PE's inbox whole,
+/// and ignores charges).
 pub trait NetCtx {
     /// The PE this node runs on.
     fn me(&self) -> Pe;
