@@ -85,7 +85,7 @@ pub use chare::{cast, Chare, ChareInit};
 pub use ctx::Ctx;
 pub use envelope::MsgBody;
 pub use ids::{Boc, BocId, ChareId, ChareKind, EpId, Kind, Notify, WoId};
-pub use metrics::{Histogram, MetricsConfig, MetricsConfigError, MetricsLog, PeMetricSet, Slice};
+pub use metrics::{Histogram, MetricsConfig, MetricsLog, PeMetricSet, Slice};
 pub use msg::Message;
 pub use priority::{BitPrio, Priority};
 pub use proc::{maybe_worker, LossConfig, ProcAbortReason, ProcConfig, ProcDetail, ProcTransport};
@@ -122,7 +122,7 @@ pub mod prelude {
         Acc, AccResult, Accum, MaxF64, MinBoundU64, MinU64, Mono, MonoVar, QuiescenceMsg,
         ReadOnly, SumF64, SumU64, TableAck, TableGot, TableRef, WoReady,
     };
-    pub use crate::metrics::{MetricsConfig, MetricsConfigError, MetricsLog};
+    pub use crate::metrics::{MetricsConfig, MetricsLog};
     pub use crate::trace::{EventKind, TraceConfig, TraceLog};
     pub use crate::wire::{Wire, WireReader};
     pub use crate::{wire_enum, wire_struct};

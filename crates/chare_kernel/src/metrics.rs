@@ -20,10 +20,10 @@
 //!   machine-wide one;
 //! * **queue-depth high-watermarks** — the deepest runnable backlog
 //!   each PE ever saw;
-//! * a **flight recorder** — a small per-PE ring of the most recent
-//!   structured events ([`TraceEvent`]), cheap enough to leave on in
-//!   every run, dumped when something goes wrong (`ck_desim` attaches
-//!   it to oracle failures).
+//! * a **flight recorder** — the last [`FLIGHT_CAP`] structured events
+//!   ([`TraceEvent`]) of each PE, the tail of the one ring its probe
+//!   records into, cheap enough to leave on in every run, dumped when
+//!   something goes wrong (`ck_desim` attaches it to oracle failures).
 //!
 //! ## Interval semantics
 //!
@@ -32,78 +32,34 @@
 //! work (`[t+dispatch, t+dispatch+c)`), each clipped across interval
 //! boundaries, so per-slice busy time is exact, not nearest-bucket.
 //! Idle time is derived at render time as `width − busy`. The slice
-//! width starts at [`MetricsConfig::slice_ns`] and doubles (coalescing
-//! pairs) whenever a run needs more than
-//! [`MetricsConfig::max_slices`] buckets; widths are always powers of
-//! two, so per-PE slice sets re-bucket exactly to the coarsest common
-//! width when drained — and the drained log itself respects the
-//! `max_slices` budget over `[0, end_ns)`, whatever each PE saw.
+//! width starts at [`SLICE_NS`] and doubles (coalescing pairs) whenever
+//! a run needs more than [`MAX_SLICES`] buckets; widths are always
+//! powers of two, so per-PE slice sets re-bucket exactly to the
+//! coarsest common width when drained — and the drained log itself
+//! respects the `MAX_SLICES` budget over `[0, end_ns)`, whatever each
+//! PE saw.
 
 use multicomputer::Pe;
 
-use crate::trace::{EntryWhat, EventKind, TraceEvent};
+use crate::trace::{entry_label, EventKind, TraceEvent};
 
-/// Metrics knobs, handed to
+/// Turns streaming metrics on, handed to
 /// [`ProgramBuilder::metrics`](crate::program::ProgramBuilder::metrics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// Initial interval width in nanoseconds, rounded up to a power of
-    /// two (bucket lookup is a shift on the recording hot path).
-    /// Doubles whenever the run outgrows `max_slices` buckets.
-    pub slice_ns: u64,
-    /// Maximum interval buckets retained per PE.
-    pub max_slices: usize,
-    /// Flight-recorder capacity: most recent events retained per PE.
-    pub flight_cap: usize,
-}
+/// A marker: the sizes are [`SLICE_NS`], [`MAX_SLICES`] and
+/// [`FLIGHT_CAP`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MetricsConfig;
 
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig {
-            slice_ns: 1 << 14, // ~16 µs; a 4 ms run fits before doubling
-            max_slices: 256,
-            flight_cap: 64,
-        }
-    }
-}
+/// First interval width in nanoseconds (~16 µs: a 4 ms run fits before
+/// doubling). A power of two, so bucket lookup is a shift on the
+/// recording hot path.
+pub const SLICE_NS: u64 = 1 << 14;
 
-impl MetricsConfig {
-    /// A config with the given initial interval width.
-    pub fn with_slice_ns(slice_ns: u64) -> Self {
-        MetricsConfig {
-            slice_ns: slice_ns.max(1),
-            ..MetricsConfig::default()
-        }
-    }
+/// Most interval buckets a PE keeps, and a drained log holds per PE.
+pub const MAX_SLICES: usize = 256;
 
-    /// Reject a configuration no PE can record with: a first interval
-    /// wider than 2^63 ns has no power of two to round up to.
-    pub fn validate(&self) -> Result<(), MetricsConfigError> {
-        if self.slice_ns > 1 << 63 {
-            return Err(MetricsConfigError::SliceTooWide);
-        }
-        Ok(())
-    }
-}
-
-/// Why a [`MetricsConfig`] cannot work, from [`MetricsConfig::validate`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricsConfigError {
-    /// `slice_ns > 2^63`: interval widths are powers of two.
-    SliceTooWide,
-}
-
-impl std::fmt::Display for MetricsConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricsConfigError::SliceTooWide => {
-                write!(f, "metrics config: slice_ns must be at most 2^63 (interval widths are powers of two)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MetricsConfigError {}
+/// Flight-recorder length: the most recent events kept per PE.
+pub const FLIGHT_CAP: usize = 64;
 
 /// A log₂-bucketed streaming histogram over `u64` samples.
 ///
@@ -166,12 +122,13 @@ impl Histogram {
     }
 
     /// Fold another shard in. Exact: equivalent to having ingested the
-    /// other shard's samples here.
+    /// other shard's samples here, until a count saturates at
+    /// `u64::MAX` (a worker process's shard may claim anything).
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
@@ -206,9 +163,9 @@ impl Histogram {
             return 0;
         }
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (b, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return Self::bucket_bounds(b).1;
             }
@@ -246,21 +203,22 @@ pub struct Slice {
 impl Slice {
     /// Total busy nanoseconds attributed to this interval.
     pub fn busy_ns(&self) -> u64 {
-        self.work_ns + self.dispatch_ns + self.ctl_ns
+        self.work_ns.saturating_add(self.dispatch_ns).saturating_add(self.ctl_ns)
     }
 
-    /// Fold another slice in (used when coalescing intervals).
+    /// Fold another slice in (coalescing intervals, summing PEs); each
+    /// field saturates at `u64::MAX`.
     pub fn merge(&mut self, o: &Slice) {
-        self.work_ns += o.work_ns;
-        self.dispatch_ns += o.dispatch_ns;
-        self.ctl_ns += o.ctl_ns;
-        self.msgs_sent += o.msgs_sent;
-        self.msgs_recv += o.msgs_recv;
-        self.bytes_sent += o.bytes_sent;
-        self.bytes_recv += o.bytes_recv;
-        self.seeds_kept += o.seeds_kept;
-        self.seeds_forwarded += o.seeds_forwarded;
-        self.retransmits += o.retransmits;
+        self.work_ns = self.work_ns.saturating_add(o.work_ns);
+        self.dispatch_ns = self.dispatch_ns.saturating_add(o.dispatch_ns);
+        self.ctl_ns = self.ctl_ns.saturating_add(o.ctl_ns);
+        self.msgs_sent = self.msgs_sent.saturating_add(o.msgs_sent);
+        self.msgs_recv = self.msgs_recv.saturating_add(o.msgs_recv);
+        self.bytes_sent = self.bytes_sent.saturating_add(o.bytes_sent);
+        self.bytes_recv = self.bytes_recv.saturating_add(o.bytes_recv);
+        self.seeds_kept = self.seeds_kept.saturating_add(o.seeds_kept);
+        self.seeds_forwarded = self.seeds_forwarded.saturating_add(o.seeds_forwarded);
+        self.retransmits = self.retransmits.saturating_add(o.retransmits);
     }
 }
 
@@ -360,7 +318,7 @@ impl TimeSlices {
 pub struct PeMetricSet {
     /// The recording PE.
     pub pe: Pe,
-    /// Interval buckets at [`MetricsLog::slice_ns`] width, padded to
+    /// Interval buckets at [`MetricsLog::width_ns`] width, padded to
     /// cover `[0, end_ns)`.
     pub slices: Vec<Slice>,
     /// Message delivery latency (send → deliver), ns.
@@ -370,9 +328,10 @@ pub struct PeMetricSet {
     pub grain: Histogram,
     /// Deepest runnable backlog observed.
     pub queue_hwm: u64,
-    /// Flight recorder: the most recent events, oldest first.
+    /// Flight recorder: the last [`FLIGHT_CAP`] events, oldest first.
     pub flight: Vec<TraceEvent>,
-    /// Flight-recorder events lost to ring overwrites.
+    /// Events recorded before the flight recorder's first: overwritten
+    /// in the ring, or older than its tail.
     pub flight_dropped: u64,
 }
 
@@ -446,56 +405,47 @@ fn rebucket_slices(slices: &[Slice], from: u64, to: u64) -> Vec<Slice> {
     out
 }
 
-/// Build the machine-wide [`MetricsLog`] from per-PE shards
-/// (`(shard_slice_ns, set)` pairs, one per PE that reported — in-process
-/// probes and worker processes alike): all shards re-bucketed to the
-/// coarsest common power-of-two width, the `max_slices` budget enforced
-/// over `[0, end_ns)`, and missing PEs padded with all-idle sets.
-pub(crate) fn merge_shards(
-    cfg: MetricsConfig,
-    npes: usize,
-    end_ns: u64,
-    shards: Vec<(u64, PeMetricSet)>,
-) -> MetricsLog {
+/// Build the machine-wide [`MetricsLog`] from per-PE shards, one per PE
+/// in PE order (`(shard_width_ns, set)`, or `None` for a PE that sent
+/// none — in-process probes and worker processes alike): each set filed
+/// under the PE whose shard it is, whatever PE it names, all re-bucketed
+/// to the coarsest common power-of-two width, the [`MAX_SLICES`] budget
+/// enforced over `[0, end_ns)`, and missing PEs padded with all-idle
+/// sets.
+pub(crate) fn merge_shards(end_ns: u64, shards: Vec<Option<(u64, PeMetricSet)>>) -> MetricsLog {
     let mut width = shards
         .iter()
+        .flatten()
         .map(|&(w, _)| w)
         .max()
-        .unwrap_or(cfg.slice_ns)
+        .unwrap_or(SLICE_NS)
         .max(1)
         .checked_next_power_of_two()
         .unwrap_or(1 << 63);
     // A PE coarsens only up to its *own* last event; a mostly-idle PE
     // can leave the common width far finer than the run is long.
     // Enforce the bucket budget over the whole run so the drained log
-    // is O(PEs × max_slices) no matter what.
-    let budget = cfg.max_slices.max(2) as u64;
-    while end_ns.div_ceil(width) > budget {
+    // is O(PEs × MAX_SLICES) no matter what.
+    while end_ns.div_ceil(width) > MAX_SLICES as u64 {
         width *= 2;
     }
     let nslices = (end_ns.div_ceil(width) as usize).max(1);
-    let mut per_pe: Vec<PeMetricSet> = (0..npes)
-        .map(|i| {
-            let mut set = PeMetricSet::empty(Pe(i as u32));
-            set.slices = vec![Slice::default(); nslices];
-            set
+    let per_pe: Vec<PeMetricSet> = shards
+        .into_iter()
+        .zip(0..)
+        .map(|(shard, i)| {
+            let (w, set) = shard.unwrap_or_else(|| (width, PeMetricSet::empty(Pe(i))));
+            // `width` is a power of two no smaller than any shard's `w`.
+            let from = w.max(1).checked_next_power_of_two().unwrap_or(width);
+            let mut slices = rebucket_slices(&set.slices, from, width);
+            slices.resize(nslices, Slice::default());
+            PeMetricSet { pe: Pe(i), slices, ..set }
         })
         .collect();
-    for (w, set) in shards {
-        let idx = set.pe.index();
-        if idx >= npes {
-            continue;
-        }
-        // `width` is a power of two no smaller than any shard's `w`.
-        let from = w.max(1).checked_next_power_of_two().unwrap_or(width);
-        let mut slices = rebucket_slices(&set.slices, from, width);
-        slices.resize(nslices, Slice::default());
-        per_pe[idx] = PeMetricSet { slices, ..set };
-    }
     MetricsLog {
-        npes,
+        npes: per_pe.len(),
         end_ns,
-        slice_ns: width,
+        width_ns: width,
         per_pe,
     }
 }
@@ -508,7 +458,7 @@ pub struct MetricsLog {
     /// Run end time in nanoseconds.
     pub end_ns: u64,
     /// Common interval width all PEs were re-bucketed to.
-    pub slice_ns: u64,
+    pub width_ns: u64,
     /// One metric set per PE.
     pub per_pe: Vec<PeMetricSet>,
 }
@@ -553,9 +503,10 @@ impl MetricsLog {
         self.per_pe.iter().map(|p| p.queue_hwm).max().unwrap_or(0)
     }
 
-    /// Flight-recorder events lost to overwrites, summed over PEs.
+    /// Events older than the flight recorders, summed over PEs
+    /// (saturating).
     pub fn flight_dropped(&self) -> u64 {
-        self.per_pe.iter().map(|p| p.flight_dropped).sum()
+        self.per_pe.iter().fold(0, |n, p| n.saturating_add(p.flight_dropped))
     }
 
     /// The machine-wide flight-recorder tail: the last `n` retained
@@ -576,13 +527,7 @@ impl MetricsLog {
 /// `  1.204ms PE 3  send chare 64B -> PE 5`.
 pub fn flight_line(ev: &TraceEvent) -> String {
     let what = match ev.kind {
-        EventKind::EntryBegin { what, ep } => match (what, ep) {
-            (EntryWhat::Create(k), _) => format!("entry create:k{}", k.0),
-            (EntryWhat::Chare(_), Some(ep)) => format!("entry chare:ep{}", ep.0),
-            (EntryWhat::Chare(_), None) => "entry chare".to_string(),
-            (EntryWhat::Branch(b), Some(ep)) => format!("entry boc{}:ep{}", b.0, ep.0),
-            (EntryWhat::Branch(b), None) => format!("entry boc{}", b.0),
-        },
+        EventKind::EntryBegin { what, ep } => format!("entry {}", entry_label(what, ep)),
         EventKind::EntryEnd { msgs_sent } => format!("entry end ({msgs_sent} msgs)"),
         EventKind::MsgSend {
             to, class, bytes, ..

@@ -61,13 +61,13 @@ pub struct CkNode {
     /// Quiescence coordinator (PE 0 only).
     qd: Option<QdCoordinator>,
     pub(crate) counters: KernelCounters,
-    /// This PE's recorder: the trace ring and/or the metrics fold every
-    /// event reported through [`emit`] lands in (`None` = recording
-    /// off). Recording is passive — no sends, no charges — so enabling
-    /// it never changes a run's schedule. The `counters` above are
-    /// bumped beside each report, not by it: `user_sent` and
-    /// `user_recv` are quiescence-protocol state that must move with
-    /// recording off.
+    /// This PE's recorder: the one ring, and the metrics fold if
+    /// metered, that every event reported through [`emit`] lands in
+    /// (`None` = recording off). Recording is passive — no sends, no
+    /// charges — so enabling it never changes a run's schedule. The
+    /// `counters` above are bumped beside each report, not by it:
+    /// `user_sent` and `user_recv` are quiescence-protocol state that
+    /// must move with recording off.
     probe: Option<Probe>,
     /// Last queue length recorded, so samples fire only on change.
     last_q_sample: Option<u32>,
@@ -564,7 +564,7 @@ mod tests {
 
         // A reliable Random-balanced node (forwards fresh seeds, can
         // redirect reclaimed ones) recording a trace.
-        let opts = RunOpts { tracing: Some(TraceConfig::default()), ..RunOpts::default() };
+        let opts = RunOpts { tracing: Some(TraceConfig), ..RunOpts::default() };
         let mut node = bare_node(Pe(0), 4, BroadcastMode::Tree, BalanceStrategy::Random, vec![]);
         let reliable = Some(ReliableConfig::default());
         node.transport = Transport::new(Pe(0), 4, BroadcastMode::Tree, false, reliable);

@@ -7,22 +7,24 @@
 //! `emit`: the transport a send, a delivery, a retransmit; the seed
 //! manager a seed kept or forwarded; the scheduler an entry, a re-homed
 //! seed, a queue sample. The per-PE `Probe` behind that call turns it
-//! into one [`TraceEvent`] and hands it to whichever recorders the run
-//! configured:
+//! into one [`TraceEvent`], writes it once into the PE's one ring, and
+//! folds it into the metrics if the run meters:
 //!
-//! * the **trace ring** (present iff the program ran
-//!   [`with_tracing`](crate::program::Program::with_tracing)) retains
-//!   the event itself for the post-mortem views — see [`crate::trace`];
-//! * the **metrics fold** (present iff it ran
-//!   [`with_metrics`](crate::program::Program::with_metrics)) bumps the
-//!   interval slice the event falls in, feeds the latency and grain
-//!   histograms, and appends the event to the flight-recorder ring —
-//!   see [`crate::metrics`]. One `match` on the event kind
-//!   (`PeState::fold`) decides what each kind means to the aggregates.
+//! * the **ring** holds [`TRACE_CAP`] events when the program ran
+//!   [`with_tracing`](crate::program::Program::with_tracing) and
+//!   [`FLIGHT_CAP`] when it only ran
+//!   [`with_metrics`](crate::program::Program::with_metrics), oldest
+//!   overwritten. At the end of the run the trace takes it whole (see
+//!   [`crate::trace`]) and the flight recorder its last `FLIGHT_CAP`
+//!   events;
+//! * the **metrics fold** (present iff the program ran `with_metrics`)
+//!   bumps the interval slice the event falls in and feeds the latency
+//!   and grain histograms — see [`crate::metrics`]. One `match` on the
+//!   event kind (`PeState::fold`) decides what each kind means to the
+//!   aggregates.
 //!
-//! Both see the same events, in the same order, with the same stamps,
-//! so with both on and neither ring wrapped a PE's flight recorder *is*
-//! the tail of its trace. `docs/TRACING.md` tabulates the vocabulary:
+//! So a PE's flight recorder *is* the tail of its trace, by
+//! construction. `docs/TRACING.md` tabulates the vocabulary:
 //! which site emits each event, where it lands, and the
 //! `KernelCounters` field it must agree with.
 //!
@@ -50,10 +52,12 @@ use std::cell::RefCell;
 
 use multicomputer::Pe;
 
-use crate::metrics::{merge_shards, Histogram, MetricsConfig, MetricsLog, PeMetricSet, TimeSlices};
+use crate::metrics::{
+    merge_shards, Histogram, MetricsLog, PeMetricSet, TimeSlices, FLIGHT_CAP, MAX_SLICES, SLICE_NS,
+};
 use crate::program::RunOpts;
 use crate::stats::KernelCounters;
-use crate::trace::{EventKind, RingLog, TraceEvent, TraceLog};
+use crate::trace::{EventKind, RingLog, TraceEvent, TraceLog, TRACE_CAP};
 
 /// One PE's streaming aggregates: what the metrics side of a [`Probe`]
 /// folds events into.
@@ -63,23 +67,21 @@ struct PeState {
     latency: Histogram,
     grain: Histogram,
     queue_hwm: u64,
-    flight: RingLog,
 }
 
 impl PeState {
-    fn new(cfg: &MetricsConfig) -> Self {
+    fn new() -> Self {
         PeState {
-            slices: TimeSlices::new(cfg.slice_ns, cfg.max_slices),
+            slices: TimeSlices::new(SLICE_NS, MAX_SLICES),
             latency: Histogram::new(),
             grain: Histogram::new(),
             queue_hwm: 0,
-            flight: RingLog::new(cfg.flight_cap),
         }
     }
 
     /// Fold one event in: counts land in the interval the event falls
-    /// in, `span_ns` (see [`Probe::record`]) feeds the histogram of the
-    /// kind that closes a span, and every event enters the flight ring.
+    /// in, and `span_ns` (see [`Probe::record`]) feeds the histogram of
+    /// the kind that closes a span.
     fn fold(&mut self, ev: TraceEvent, span_ns: u64) {
         match ev.kind {
             EventKind::MsgSend { bytes, .. } => self.slices.bump(ev.at_ns, |s| {
@@ -103,13 +105,15 @@ impl PeState {
             | EventKind::SeedRedirected { .. }
             | EventKind::QueueSample { .. } => {}
         }
-        self.flight.push(ev);
     }
 
     /// This PE's shard for [`merge_shards`]: its slices at its own
-    /// width, re-bucketed to the machine-wide one there.
-    fn into_shard(mut self, pe: Pe) -> (u64, PeMetricSet) {
-        let (flight, flight_dropped) = self.flight.drain();
+    /// width, re-bucketed to the machine-wide one there, and as flight
+    /// recorder the last [`FLIGHT_CAP`] of `events`, the PE's drained
+    /// ring, which overwrote `dropped` before them.
+    fn into_shard(self, pe: Pe, events: &[TraceEvent], dropped: u64) -> (u64, PeMetricSet) {
+        let flight = events[events.len().saturating_sub(FLIGHT_CAP)..].to_vec();
+        let flight_dropped = dropped.saturating_add((events.len() - flight.len()) as u64);
         let set = PeMetricSet {
             pe,
             slices: self.slices.slices().to_vec(),
@@ -124,15 +128,16 @@ impl PeState {
 }
 
 /// Everything one PE records while its node runs, owned by its
-/// [`Probe`].
+/// [`Probe`]: one ring of every event, and the metrics fold if the run
+/// meters.
 #[derive(Debug)]
 struct Recorded {
-    trace: Option<RingLog>,
+    ring: RingLog,
     metrics: Option<PeState>,
 }
 
-/// Everything one PE reported, drained: its counters, its trace ring's
-/// events (oldest first) and overwrite count, and its metric set with
+/// Everything one PE reported, drained: its counters, its ring's events
+/// (oldest first) and overwrite count if the run traced, its metric set with
 /// the slice width it ended at. The recorded parts are empty when the
 /// run recorded nothing.
 #[derive(Debug, Default, PartialEq)]
@@ -147,8 +152,9 @@ crate::wire_struct!(Shard { counters, events, dropped, metrics });
 
 /// The one merge of a run's shards, one per PE in PE order, whichever
 /// backend collected them: every PE's counters, the time-ordered event
-/// log if `opts` traced, and the metrics snapshot if it metered.
-/// `end_ns` is needed to derive idle time per interval.
+/// log if `opts` traced, and the metrics snapshot if it metered, each
+/// shard's metric set filed under the PE whose shard it is. `end_ns` is
+/// needed to derive idle time per interval.
 pub(crate) fn merge(
     opts: &RunOpts,
     end_ns: u64,
@@ -162,14 +168,14 @@ pub(crate) fn merge(
         counters.push(shard.counters);
         events.extend(shard.events);
         dropped = dropped.saturating_add(shard.dropped);
-        sets.extend(shard.metrics);
+        sets.push(shard.metrics);
     }
     let npes = counters.len();
     // Per-PE rings are individually ordered; the stable sort merges
     // them PE-0-first among equal stamps.
     events.sort_by_key(|e| e.at_ns);
     let trace = opts.tracing.map(|_| TraceLog { npes, events, dropped });
-    let metrics = opts.metrics.map(|cfg| merge_shards(cfg, npes, end_ns, sets));
+    let metrics = opts.metrics.map(|_| merge_shards(end_ns, sets));
     (counters, trace, metrics)
 }
 
@@ -189,6 +195,9 @@ pub(crate) fn emit(probe: &Option<Probe>, observe: impl FnOnce() -> (u64, u64, E
 /// One PE's recorder, owned by its node.
 pub(crate) struct Probe {
     pe: Pe,
+    /// Whether the run traces: the ring is then [`TRACE_CAP`] events
+    /// long and its shard carries them all.
+    traces: bool,
     rec: RefCell<Recorded>,
     /// User-step dispatch overhead of the hosting machine's cost model
     /// (0 on the thread and process backends). The node cannot see the
@@ -202,7 +211,8 @@ pub(crate) struct Probe {
 impl Probe {
     /// PE `pe`'s recorder for a run under `opts`, on a machine with the
     /// given dispatch overheads; `None` when the run records neither a
-    /// trace nor metrics.
+    /// trace nor metrics. Its one ring holds [`TRACE_CAP`] events when
+    /// the run traces and [`FLIGHT_CAP`] when it only meters.
     pub(crate) fn for_run(
         pe: Pe,
         opts: &RunOpts,
@@ -210,22 +220,30 @@ impl Probe {
         ctl_dispatch_ns: u64,
     ) -> Option<Probe> {
         let RunOpts { tracing, metrics, .. } = opts;
-        (tracing.is_some() || metrics.is_some()).then(|| Probe {
+        let traces = tracing.is_some();
+        (traces || metrics.is_some()).then(|| Probe {
             pe,
+            traces,
             rec: RefCell::new(Recorded {
-                trace: tracing.map(|c| RingLog::new(c.capacity)),
-                metrics: metrics.as_ref().map(PeState::new),
+                ring: RingLog::new(if traces { TRACE_CAP } else { FLIGHT_CAP }),
+                metrics: metrics.map(|_| PeState::new()),
             }),
             dispatch_ns,
             ctl_dispatch_ns,
         })
     }
 
-    /// What this PE recorded, drained into its shard beside `counters`.
+    /// What this PE recorded, drained into its shard beside `counters`:
+    /// the trace takes the ring whole, the flight recorder its tail.
     pub(crate) fn into_shard(self, counters: KernelCounters) -> Shard {
-        let Recorded { trace, metrics } = self.rec.into_inner();
-        let (events, dropped) = trace.map_or((Vec::new(), 0), |mut ring| ring.drain());
-        Shard { counters, events, dropped, metrics: metrics.map(|st| st.into_shard(self.pe)) }
+        let Recorded { mut ring, metrics } = self.rec.into_inner();
+        let (events, dropped) = ring.drain();
+        let metrics = metrics.map(|st| st.into_shard(self.pe, &events, dropped));
+        if self.traces {
+            Shard { counters, events, dropped, metrics }
+        } else {
+            Shard { counters, metrics, ..Shard::default() }
+        }
     }
 
     /// Record one event at `at_ns`. `span_ns` is the duration the event
@@ -240,16 +258,14 @@ impl Probe {
             kind,
         };
         let mut rec = self.rec.borrow_mut();
-        if let Some(ring) = &mut rec.trace {
-            ring.push(ev);
-        }
+        rec.ring.push(ev);
         if let Some(st) = &mut rec.metrics {
             st.fold(ev, span_ns);
         }
     }
 
     /// Attribute time or a watermark that is not an event (nothing
-    /// enters either ring); a no-op unless metrics are configured.
+    /// enters the ring); a no-op unless metrics are configured.
     fn attribute(&self, f: impl FnOnce(&mut PeState)) {
         if let Some(st) = &mut self.rec.borrow_mut().metrics {
             f(st);
@@ -291,6 +307,7 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsConfig;
     use crate::trace::TraceConfig;
 
     fn sample(len: u32) -> EventKind {
@@ -319,7 +336,7 @@ mod tests {
 
     #[test]
     fn sink_merges_pe_streams_in_time_order() {
-        let opts = recording(Some(TraceConfig::default()), None);
+        let opts = recording(Some(TraceConfig), None);
         let (p0, p1) = (probe(0, &opts), probe(1, &opts));
         p1.record(5, 0, sample(1));
         p0.record(3, 0, sample(2));
@@ -336,23 +353,19 @@ mod tests {
 
     #[test]
     fn drain_rebuckets_pes_to_common_width() {
-        let cfg = MetricsConfig {
-            slice_ns: 10,
-            max_slices: 4,
-            flight_cap: 8,
-        };
-        let opts = recording(None, Some(cfg));
+        let opts = recording(None, Some(MetricsConfig));
         let p0 = Probe::for_run(Pe(0), &opts, 5, 1).expect("metered");
         let p1 = Probe::for_run(Pe(1), &opts, 5, 1).expect("metered");
-        // PE1 records far in the future, forcing its width to grow;
-        // PE0 stays fine-grained until the merge.
+        // PE1 records far past its first intervals, forcing its width to
+        // grow; PE0 stays fine-grained until the merge.
+        let far = 16 * MAX_SLICES as u64 * SLICE_NS;
         p0.user_step(0, 10);
-        p1.user_step(395, 5);
-        let (_, trace, log) = merge(&opts, 400, shards(vec![p0, p1]));
+        p1.user_step(far, 5);
+        let (_, trace, log) = merge(&opts, far + 10, shards(vec![p0, p1]));
         assert!(trace.is_none(), "tracing was not configured");
         let log = log.expect("metrics were configured");
         assert_eq!(log.npes, 2);
-        assert!(log.slice_ns >= 100, "PE1 forced coarsening, got {}", log.slice_ns);
+        assert!(log.width_ns > 16 * SLICE_NS, "PE1 forced coarsening, got {}", log.width_ns);
         assert_eq!(log.per_pe[0].slices.len(), log.per_pe[1].slices.len());
         // Busy totals survived the re-bucketing (dispatch 5 + work 10 / 5).
         let busy0: u64 = log.per_pe[0].slices.iter().map(|s| s.busy_ns()).sum();
@@ -361,31 +374,65 @@ mod tests {
         assert_eq!(busy1, 10);
     }
 
+    /// `n` retransmit events into `p`, stamped `0..n`; what they record.
+    fn retransmits(p: &Probe, n: usize) -> Vec<TraceEvent> {
+        let kind = |seq| EventKind::Retransmit { to: Pe(0), seq };
+        let events: Vec<TraceEvent> =
+            (0..n as u64).map(|i| TraceEvent { at_ns: i, pe: p.pe, kind: kind(i) }).collect();
+        events.iter().for_each(|ev| p.record(ev.at_ns, 0, ev.kind));
+        events
+    }
+
     #[test]
     fn flight_recorder_is_bounded_and_keeps_newest() {
-        let cfg = MetricsConfig {
-            flight_cap: 4,
-            ..MetricsConfig::default()
-        };
-        let opts = recording(None, Some(cfg));
+        let opts = recording(None, Some(MetricsConfig));
         let p = probe(0, &opts);
-        for i in 0..10u64 {
-            p.record(i, 0, EventKind::Retransmit { to: Pe(0), seq: i });
-        }
-        let log = merge(&opts, 10, shards(vec![p])).2.expect("metrics were configured");
-        assert_eq!(log.per_pe[0].flight.len(), 4);
+        retransmits(&p, FLIGHT_CAP + 6);
+        let log = merge(&opts, 100, shards(vec![p])).2.expect("metrics were configured");
+        assert_eq!(log.per_pe[0].flight.len(), FLIGHT_CAP);
         assert_eq!(log.per_pe[0].flight_dropped, 6);
         let tail = log.flight_tail(2);
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[1].at_ns, 9);
+        assert_eq!(tail[1].at_ns, FLIGHT_CAP as u64 + 5);
         assert_eq!(log.flight_dropped(), 6);
         let rxmit: u64 = log.per_pe[0].slices.iter().map(|s| s.retransmits).sum();
-        assert_eq!(rxmit, 10, "the slices count what the ring overwrote");
+        assert_eq!(rxmit, FLIGHT_CAP as u64 + 6, "the slices count what the ring overwrote");
+    }
+
+    /// One ring feeds both recorders: the trace is every event, and the
+    /// flight recorder the last `FLIGHT_CAP` of them with the rest
+    /// counted dropped, whether the run traces, meters or both — and
+    /// still when the trace ring itself has wrapped.
+    #[test]
+    fn one_ring_feeds_the_trace_and_the_flight_recorder() {
+        let n = 3 * FLIGHT_CAP;
+        let tail_dropped = (n - FLIGHT_CAP) as u64;
+        let trace_only = recording(Some(TraceConfig), None);
+        let metrics_only = recording(None, Some(MetricsConfig));
+        let both = recording(Some(TraceConfig), Some(MetricsConfig));
+        for opts in [trace_only, metrics_only, both.clone()] {
+            let p = probe(0, &opts);
+            let all = retransmits(&p, n);
+            let (_, trace, metrics) = merge(&opts, n as u64, shards(vec![p]));
+            let whole = opts.tracing.map(|_| (all.clone(), 0));
+            assert_eq!(trace.map(|t| (t.events, t.dropped)), whole, "{opts:?}");
+            let flight = metrics.map(|m| (m.per_pe[0].flight.clone(), m.per_pe[0].flight_dropped));
+            let tail = opts.metrics.map(|_| (all[n - FLIGHT_CAP..].to_vec(), tail_dropped));
+            assert_eq!(flight, tail, "{opts:?}");
+        }
+        // A ring of twice the flight recorder, wrapped by a third more.
+        let rec = Recorded { ring: RingLog::new(2 * FLIGHT_CAP), metrics: Some(PeState::new()) };
+        let p = Probe { rec: RefCell::new(rec), ..probe(0, &both) };
+        let all = retransmits(&p, n);
+        let shard = p.into_shard(KernelCounters::default());
+        assert_eq!((&shard.events[..], shard.dropped), (&all[FLIGHT_CAP..], FLIGHT_CAP as u64));
+        let (_, set) = shard.metrics.expect("metered");
+        assert_eq!((&set.flight[..], set.flight_dropped), (&all[n - FLIGHT_CAP..], tail_dropped));
     }
 
     #[test]
     fn queue_hwm_tracks_maximum() {
-        let opts = recording(None, Some(MetricsConfig::default()));
+        let opts = recording(None, Some(MetricsConfig));
         let p = probe(0, &opts);
         p.queue_peak(3);
         p.queue_peak(7);
@@ -395,7 +442,7 @@ mod tests {
 
     #[test]
     fn both_recorders_see_the_same_events_and_spans_feed_the_histograms() {
-        let opts = recording(Some(TraceConfig::default()), Some(MetricsConfig::default()));
+        let opts = recording(Some(TraceConfig), Some(MetricsConfig));
         let p = probe(0, &opts);
         let recv = EventKind::MsgRecv {
             from: Pe(0),

@@ -466,7 +466,7 @@ pub(crate) fn spawn_ctl_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsConfig;
+    use crate::metrics::{Histogram, MetricsConfig, PeMetricSet, Slice};
     use crate::prelude::{BalanceStrategy, BroadcastMode, QueueingStrategy};
     use crate::probe::{merge, Probe};
     use crate::proc::{CrashHook, CrashMode, LossConfig};
@@ -669,19 +669,19 @@ mod tests {
                     seed_retry_limit: 30,
                     window: 16,
                 }),
-                tracing: Some(TraceConfig { capacity: 1 << 12 }),
-                metrics: Some(MetricsConfig { slice_ns: 1 << 14, max_slices: 128, flight_cap: 32 }),
+                tracing: Some(TraceConfig),
+                metrics: Some(MetricsConfig),
             },
         }
     }
 
     /// What a traced and metered worker reports: its counters, two
     /// events in its trace, and a metric set with a slice, a latency
-    /// sample and the same events in its flight ring.
+    /// sample and the same events as its flight recorder.
     fn full_final() -> Final {
         let opts = RunOpts {
-            tracing: Some(TraceConfig::default()),
-            metrics: Some(MetricsConfig::default()),
+            tracing: Some(TraceConfig),
+            metrics: Some(MetricsConfig),
             ..RunOpts::default()
         };
         let probe = Probe::for_run(Pe(1), &opts, 0, 0).expect("the run records");
@@ -781,6 +781,87 @@ mod tests {
         assert_eq!(KernelCounters::total(&per_pe).user_sent, u64::MAX);
     }
 
+    /// Each `Final` encoded and decoded as the parent would receive it,
+    /// in rank order: the shards the parent merges.
+    fn decoded_shards(finals: Vec<Final>) -> Vec<Shard> {
+        let decoded = |f| match decode_ctl(&encoded(&CtlMsg::Final(Box::new(f)))) {
+            Ok(CtlMsg::Final(f)) => f.shard,
+            other => panic!("not a Final: {other:?}"),
+        };
+        finals.into_iter().map(decoded).collect()
+    }
+
+    /// A metered worker's `Final`: `set`, its slices one nanosecond wide.
+    fn metered_final(set: PeMetricSet) -> Final {
+        Final { end_ns: 1000, shard: Shard { metrics: Some((1, set)), ..Shard::default() } }
+    }
+
+    fn metered() -> RunOpts {
+        RunOpts { metrics: Some(MetricsConfig), ..RunOpts::default() }
+    }
+
+    /// Two workers each report histogram, slice and flight-drop counts
+    /// as large as a counter holds: the merge and the machine-wide
+    /// readers saturate there, where a plain sum would overflow.
+    #[test]
+    fn saturated_metric_shards_read_u64_max_through_the_merge() {
+        let m = u64::MAX;
+        // `c` samples in each of two buckets; count and sum saturated.
+        let hist = |c: u64| {
+            let mut bytes = Vec::new();
+            vec![(3u8, c), (5u8, c)].encode(&mut bytes);
+            [m, m, 40].iter().for_each(|v| v.encode(&mut bytes));
+            Histogram::decode(&mut WireReader::new(&bytes))
+        };
+        let (half, full) = (hist(1 << 63), hist(m));
+        assert_eq!(half.quantile_bound(1.0), 64, "the running count saturates");
+        let slice = Slice {
+            work_ns: m,
+            dispatch_ns: m,
+            ctl_ns: m,
+            msgs_sent: m,
+            msgs_recv: m,
+            bytes_sent: m,
+            bytes_recv: m,
+            seeds_kept: m,
+            seeds_forwarded: m,
+            retransmits: m,
+        };
+        let set = |pe| PeMetricSet {
+            slices: vec![slice; 8],
+            latency: half.clone(),
+            grain: half.clone(),
+            flight_dropped: m,
+            ..PeMetricSet::empty(Pe(pe))
+        };
+        let shards = decoded_shards(vec![metered_final(set(0)), metered_final(set(1))]);
+        // 1000 ns in at most 256 slices: the merge coalesces each PE's
+        // one-nanosecond slices in fours.
+        let log = merge(&metered(), 1000, shards).2.expect("metered");
+        assert_eq!(log.width_ns, 4);
+        assert_eq!((log.slice_totals(0), log.slice_totals(0).busy_ns()), (slice, m));
+        assert_eq!((log.latency_all(), log.grain_all()), (full.clone(), full));
+        assert_eq!(log.flight_dropped(), m);
+    }
+
+    /// A worker's metric set names another rank: it is filed under the
+    /// rank whose `Final` carried it, so no PE reads as all-idle.
+    #[test]
+    fn a_metric_set_naming_another_rank_is_filed_under_its_sender() {
+        let set = |hwm: u64| {
+            let mut set = PeMetricSet::empty(Pe(1));
+            set.slices = vec![Slice { msgs_recv: hwm, ..Slice::default() }];
+            set.latency.record(hwm);
+            PeMetricSet { queue_hwm: hwm, ..set }
+        };
+        let shards = decoded_shards(vec![metered_final(set(3)), metered_final(set(7))]);
+        let log = merge(&metered(), 1000, shards).2.expect("metered");
+        let filed: Vec<(Pe, u64)> = log.per_pe.iter().map(|s| (s.pe, s.queue_hwm)).collect();
+        assert_eq!(filed, vec![(Pe(0), 3), (Pe(1), 7)]);
+        assert_eq!(log.slice_totals(0).msgs_recv, 10);
+        assert_eq!((log.latency_all().count, log.latency_all().sum), (2, 10));
+    }
+
     #[test]
     fn malformed_ctl_rejected() {
         assert!(is_invalid_data(decode_ctl(&[])));
@@ -807,7 +888,7 @@ mod tests {
         }
     }
 
-    /// `ProcOpts` out of sixteen words: what is optional is set or not
+    /// `ProcOpts` out of twelve words: what is optional is set or not
     /// by a bit of the first, the topology and the strategies picked by
     /// its higher bits.
     fn opts_from(w: Vec<u64>) -> ProcOpts {
@@ -851,8 +932,8 @@ mod tests {
                     2 => BalanceStrategy::CentralManager,
                     3 => BalanceStrategy::TokenIdle,
                     _ => BalanceStrategy::Acwn {
-                        max_hops: w[15] as u32,
-                        low_mark: (w[15] >> 32) as u32,
+                        max_hops: w[11] as u32,
+                        low_mark: (w[11] >> 32) as u32,
                     },
                 },
                 bcast: if set(5) { BroadcastMode::Direct } else { BroadcastMode::Tree },
@@ -863,12 +944,8 @@ mod tests {
                     seed_retry_limit: w[10] as u32,
                     window: (w[10] >> 32) as u32,
                 }),
-                tracing: set(2).then(|| TraceConfig { capacity: w[11] as usize }),
-                metrics: set(4).then(|| MetricsConfig {
-                    slice_ns: w[12],
-                    max_slices: w[13] as usize,
-                    flight_cap: w[14] as usize,
-                }),
+                tracing: set(2).then_some(TraceConfig),
+                metrics: set(4).then_some(MetricsConfig),
             },
         }
     }
@@ -902,7 +979,7 @@ mod tests {
 
         #[test]
         fn generated_opts_survive_the_wire(
-            words in proptest::collection::vec(any::<u64>(), 16..17),
+            words in proptest::collection::vec(any::<u64>(), 12..13),
         ) {
             let opts = opts_from(words);
             let mut bytes = Vec::new();

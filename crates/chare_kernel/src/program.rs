@@ -278,22 +278,17 @@ impl Program {
     /// of setting a run option ends here (the builder's setters through
     /// [`ProgramBuilder::build`], the `with_*` sugar below, a procs
     /// worker installing what its parent shipped), so this is the one
-    /// place a [`ReliableConfig`] and a [`MetricsConfig`] are checked.
+    /// place a [`ReliableConfig`] is checked.
     ///
     /// # Panics
     ///
-    /// On a degenerate config ([`ReliableConfig::validate`],
-    /// [`MetricsConfig::validate`]): a zero send window or zero
-    /// retransmit timeout cannot deliver anything, and a first metrics
-    /// interval past 2^63 ns cannot be rounded to a power of two; failing
-    /// here beats diagnosing the resulting hang or overflow mid-run.
+    /// On a degenerate config ([`ReliableConfig::validate`]): a zero
+    /// send window or zero retransmit timeout cannot deliver anything;
+    /// failing here beats diagnosing the resulting hang mid-run.
     pub fn with_opts(&self, change: impl FnOnce(&mut RunOpts)) -> Program {
         let mut p = self.clone();
         change(&mut p.opts);
         if let Some(Err(e)) = p.opts.reliable.map(|cfg| cfg.validate()) {
-            panic!("{e}");
-        }
-        if let Some(Err(e)) = p.opts.metrics.map(|cfg| cfg.validate()) {
             panic!("{e}");
         }
         p

@@ -18,10 +18,9 @@
 //! array with an occupancy bitmap: [`IntPrioQueue`] buckets a window of
 //! integer keys (O(1) push/pop, intrusive FIFO per bucket),
 //! [`BitPrioQueue`] radix-buckets bitvector keys on their first byte.
-//! The original single-`BinaryHeap` implementations survive as
-//! [`HeapIntPrioQueue`] / [`HeapBitPrioQueue`]: they are the reference
-//! order the property tests check the bucketed queues against,
-//! pop-for-pop.
+//! The original single-`BinaryHeap` implementations survive in
+//! `tests/queue_props.rs` as the reference order the property tests
+//! check the bucketed queues against, pop-for-pop.
 
 use crate::priority::{BitPrio, Priority};
 use std::cmp::Ordering;
@@ -182,41 +181,6 @@ impl<T> Ord for IntEntry<T> {
     }
 }
 
-/// Reference integer-priority queue: a single binary heap, `O(log n)`
-/// per operation. Kept as the specification the bucketed
-/// [`IntPrioQueue`] is property-tested against.
-pub struct HeapIntPrioQueue<T> {
-    heap: BinaryHeap<IntEntry<T>>,
-    seq: u64,
-}
-
-impl<T> Default for HeapIntPrioQueue<T> {
-    fn default() -> Self {
-        HeapIntPrioQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T: Send> SchedQueue<T> for HeapIntPrioQueue<T> {
-    fn push(&mut self, prio: Priority, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(IntEntry {
-            key: prio.int_key(),
-            seq,
-            item,
-        });
-    }
-    fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.item)
-    }
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// Width of the integer queue's bucketed key window.
 const INT_WINDOW: usize = 1024;
 /// How far below the first key the window starts. Search keys (IDA*
@@ -234,8 +198,8 @@ const INT_HEADROOM: i128 = 128;
 /// and out-of-window keys spill to a reference heap. Both structures
 /// pop the globally smallest `(key, seq)`: a key is in exactly one of
 /// them (window membership is a function of the key), so comparing the
-/// best of each side is a total, deterministic order identical to
-/// [`HeapIntPrioQueue`]'s.
+/// best of each side is a total, deterministic order identical to one
+/// binary heap's.
 ///
 /// Window arithmetic is done in `i128` so keys near `i64::MIN`/`MAX`
 /// cannot overflow.
@@ -363,41 +327,6 @@ impl<T> Ord for BitEntry<T> {
     }
 }
 
-/// Reference bitvector-priority queue: a single binary heap comparing
-/// whole keys. Kept as the specification the radix-bucketed
-/// [`BitPrioQueue`] is property-tested against.
-pub struct HeapBitPrioQueue<T> {
-    heap: BinaryHeap<BitEntry<T>>,
-    seq: u64,
-}
-
-impl<T> Default for HeapBitPrioQueue<T> {
-    fn default() -> Self {
-        HeapBitPrioQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T: Send> SchedQueue<T> for HeapBitPrioQueue<T> {
-    fn push(&mut self, prio: Priority, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(BitEntry {
-            key: prio.bit_key(),
-            seq,
-            item,
-        });
-    }
-    fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.item)
-    }
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// Bitvector-priority queue: lexicographically smallest key pops first,
 /// FIFO among equals.
 ///
@@ -409,8 +338,7 @@ impl<T: Send> SchedQueue<T> for HeapBitPrioQueue<T> {
 /// so cross-bucket order needs no key comparison at all, and the
 /// expensive byte-vector comparisons are confined to the (much
 /// smaller) per-bucket heaps. The push sequence is global, so FIFO
-/// among equals and overall pop order match [`HeapBitPrioQueue`]
-/// exactly.
+/// among equals and overall pop order match one binary heap's exactly.
 pub struct BitPrioQueue<T> {
     /// Per-radix heaps; allocated lazily, 256 long.
     buckets: Vec<BinaryHeap<BitEntry<T>>>,
@@ -612,62 +540,6 @@ mod tests {
         q.push(Priority::Bits(c.clone()), "c");
         q.push(Priority::Bits(a.clone()), "a");
         assert_eq!(drain(&mut q), vec!["root", "a", "b", "c", "d"]);
-    }
-
-    /// The pop sequence of a bucketed queue must match its reference
-    /// heap exactly under an arbitrary interleaving of pushes and pops.
-    fn check_equivalence(
-        mut fast: Box<dyn SchedQueue<u32>>,
-        mut reference: Box<dyn SchedQueue<u32>>,
-        prios: impl Fn(u32) -> Priority,
-    ) {
-        let mut v = 0u32;
-        // Deterministic but irregular schedule: bursts of pushes
-        // separated by partial drains.
-        for round in 0..50u32 {
-            for k in 0..(round % 7 + 1) {
-                let p = prios(round.wrapping_mul(31).wrapping_add(k));
-                fast.push(p.clone(), v);
-                reference.push(p, v);
-                v += 1;
-            }
-            for _ in 0..(round % 5) {
-                assert_eq!(fast.pop(), reference.pop(), "round {round}");
-                assert_eq!(fast.len(), reference.len());
-            }
-        }
-        loop {
-            let (a, b) = (fast.pop(), reference.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn int_bucket_matches_reference_heap() {
-        check_equivalence(
-            Box::new(IntPrioQueue::default()),
-            Box::new(HeapIntPrioQueue::default()),
-            |x| Priority::Int((x % 23) as i64 * 1_000 - 4_000),
-        );
-    }
-
-    #[test]
-    fn bitvec_radix_matches_reference_heap() {
-        use crate::priority::BitPrio;
-        check_equivalence(
-            Box::new(BitPrioQueue::default()),
-            Box::new(HeapBitPrioQueue::default()),
-            |x| {
-                let mut p = BitPrio::root();
-                for i in 0..(x % 4) {
-                    p = p.child((x >> (i * 3)) & 7, 3);
-                }
-                Priority::Bits(p)
-            },
-        );
     }
 
     #[test]

@@ -18,34 +18,24 @@
 //! fold the same events — is [`crate::probe`]'s business, as is the
 //! cost discipline both share.
 //!
-//! Rings have fixed capacity (oldest events are overwritten, with a
-//! drop counter), so tracing a long run costs bounded memory.
+//! A tracing PE's ring holds [`TRACE_CAP`] events; the oldest are
+//! overwritten, with a drop counter, so tracing a long run costs
+//! bounded memory. The same ring's tail is the PE's flight recorder.
 
 use multicomputer::Pe;
 
 use crate::envelope::SysMsg;
 use crate::ids::{BocId, ChareKind, EpId};
 
-/// Tracing knobs, handed to [`ProgramBuilder::tracing`](crate::program::ProgramBuilder::tracing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Maximum events retained per PE; older events are overwritten
-    /// (counted in [`TraceLog::dropped`]).
-    pub capacity: usize,
-}
+/// Turns event tracing on, handed to
+/// [`ProgramBuilder::tracing`](crate::program::ProgramBuilder::tracing).
+/// A marker: every PE's ring holds [`TRACE_CAP`] events.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceConfig;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { capacity: 1 << 20 }
-    }
-}
-
-impl TraceConfig {
-    /// A config with `capacity` events retained per PE.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig { capacity: capacity.max(1) }
-    }
-}
+/// Events a tracing run retains per PE; older events are overwritten
+/// (counted in [`TraceLog::dropped`]).
+pub const TRACE_CAP: usize = 1 << 20;
 
 /// Broad class of a kernel wire message, for overhead attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -121,6 +111,18 @@ pub enum EntryWhat {
     Chare(u32),
     /// An entry method of a branch-office chare's local branch.
     Branch(BocId),
+}
+
+/// A short label for one entry execution: `create:k3`, `chare:ep1`,
+/// `boc2:ep0`, with `?` for an entry point not known.
+pub fn entry_label(what: EntryWhat, ep: Option<EpId>) -> String {
+    match (what, ep) {
+        (EntryWhat::Create(kind), _) => format!("create:k{}", kind.0),
+        (EntryWhat::Chare(_), Some(ep)) => format!("chare:ep{}", ep.0),
+        (EntryWhat::Chare(_), None) => "chare:?".to_string(),
+        (EntryWhat::Branch(boc), Some(ep)) => format!("boc{}:ep{}", boc.0, ep.0),
+        (EntryWhat::Branch(boc), None) => format!("boc{}:?", boc.0),
+    }
 }
 
 /// One structured kernel event.
@@ -330,8 +332,6 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let cfg = TraceConfig::with_capacity(0);
-        assert_eq!(cfg.capacity, 1);
         let mut r = RingLog::new(0);
         r.push(ev(1, 0));
         r.push(ev(2, 0));

@@ -60,7 +60,7 @@ use crate::priority::{BitPrio, Priority};
 use crate::queueing::QueueingStrategy;
 use crate::registry::Registry;
 use crate::reliable::ReliableConfig;
-use crate::shared::{Acc, Accum, Mono, MonoVar, ReadOnly, TableRef};
+use crate::shared::{Acc, Accum, Mono, MonoVar, QuiescenceMsg, ReadOnly, TableRef};
 use crate::trace::{EntryWhat, EventKind, MsgClass, TraceConfig, TraceEvent};
 
 /// The first malformation a [`WireReader`] met in its buffer.
@@ -603,17 +603,25 @@ impl Wire for BalanceStrategy {
 }
 
 crate::wire_struct!(ReliableConfig { timeout, seed_retry_limit, window });
-crate::wire_struct!(TraceConfig { capacity });
-crate::wire_struct!(MetricsConfig { slice_ns, max_slices, flight_cap });
+
+/// A unit struct travels as no bytes at all: an `Option` of one is its
+/// tag byte alone.
+macro_rules! wire_unit {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, _out: &mut Vec<u8>) {}
+            fn decode(_r: &mut WireReader) -> Self {
+                $ty
+            }
+        }
+    )+};
+}
+
+wire_unit!(TraceConfig, MetricsConfig);
 
 // Kernel notification bodies every program may receive.
 
-impl Wire for crate::shared::QuiescenceMsg {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-    fn decode(_r: &mut WireReader) -> Self {
-        crate::shared::QuiescenceMsg
-    }
-}
+wire_unit!(QuiescenceMsg);
 
 crate::wire_struct!(crate::shared::WoReady { id });
 crate::wire_struct!(crate::shared::TableAck { key, existed });
@@ -661,7 +669,7 @@ impl WireTable {
         t.register::<i64>();
         t.register::<f64>();
         t.register::<String>();
-        t.register::<crate::shared::QuiescenceMsg>();
+        t.register::<QuiescenceMsg>();
         t.register::<crate::shared::WoReady>();
         t.register::<crate::shared::TableAck>();
         t

@@ -102,12 +102,6 @@ fn a_degenerate_reliable_config_is_refused_by_with_opts() {
 }
 
 #[test]
-#[should_panic(expected = "slice_ns must be at most 2^63")]
-fn a_metrics_slice_too_wide_to_round_is_refused_by_with_opts() {
-    trivial_program(0).with_opts(|o| o.metrics = Some(MetricsConfig::with_slice_ns(u64::MAX)));
-}
-
-#[test]
 fn report_time_helpers_agree() {
     let rep = trivial_program(0).run_sim_preset(1, MachinePreset::NcubeLike);
     assert!(rep.time_ns > 0);

@@ -1,11 +1,111 @@
 //! Property-based tests of the scheduler queues against reference
 //! models: conservation, ordering, tie-breaking.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use chare_kernel::priority::{BitPrio, Priority};
-use chare_kernel::queueing::{
-    BitPrioQueue, HeapBitPrioQueue, HeapIntPrioQueue, IntPrioQueue, QueueingStrategy, SchedQueue,
-};
+use chare_kernel::queueing::{BitPrioQueue, IntPrioQueue, QueueingStrategy, SchedQueue};
 use proptest::prelude::*;
+
+/// Reference integer-priority queue: a single binary heap, `O(log n)`
+/// per operation, smallest `(key, push order)` first. The specification
+/// the bucketed [`IntPrioQueue`] is checked against.
+#[derive(Default)]
+struct HeapIntPrioQueue<T> {
+    heap: BinaryHeap<Reverse<(i64, u64, T)>>,
+    seq: u64,
+}
+
+impl<T: Ord + Send> SchedQueue<T> for HeapIntPrioQueue<T> {
+    fn push(&mut self, prio: Priority, item: T) {
+        self.heap.push(Reverse((prio.int_key(), self.seq, item)));
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|Reverse((_, _, item))| item)
+    }
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// Reference bitvector-priority queue: a single binary heap comparing
+/// whole keys. The specification the radix-bucketed [`BitPrioQueue`] is
+/// checked against.
+#[derive(Default)]
+struct HeapBitPrioQueue<T> {
+    heap: BinaryHeap<Reverse<(BitPrio, u64, T)>>,
+    seq: u64,
+}
+
+impl<T: Ord + Send> SchedQueue<T> for HeapBitPrioQueue<T> {
+    fn push(&mut self, prio: Priority, item: T) {
+        self.heap.push(Reverse((prio.bit_key(), self.seq, item)));
+        self.seq += 1;
+    }
+    fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|Reverse((_, _, item))| item)
+    }
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// The pop sequence of a bucketed queue must match its reference heap
+/// exactly under an arbitrary interleaving of pushes and pops.
+fn check_equivalence(
+    mut fast: Box<dyn SchedQueue<u32>>,
+    mut reference: Box<dyn SchedQueue<u32>>,
+    prios: impl Fn(u32) -> Priority,
+) {
+    let mut v = 0u32;
+    // Deterministic but irregular schedule: bursts of pushes
+    // separated by partial drains.
+    for round in 0..50u32 {
+        for k in 0..(round % 7 + 1) {
+            let p = prios(round.wrapping_mul(31).wrapping_add(k));
+            fast.push(p.clone(), v);
+            reference.push(p, v);
+            v += 1;
+        }
+        for _ in 0..(round % 5) {
+            assert_eq!(fast.pop(), reference.pop(), "round {round}");
+            assert_eq!(fast.len(), reference.len());
+        }
+    }
+    loop {
+        let (a, b) = (fast.pop(), reference.pop());
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+fn int_bucket_matches_reference_heap() {
+    check_equivalence(
+        Box::new(IntPrioQueue::default()),
+        Box::new(HeapIntPrioQueue::default()),
+        |x| Priority::Int((x % 23) as i64 * 1_000 - 4_000),
+    );
+}
+
+#[test]
+fn bitvec_radix_matches_reference_heap() {
+    check_equivalence(
+        Box::new(BitPrioQueue::default()),
+        Box::new(HeapBitPrioQueue::default()),
+        |x| {
+            let mut p = BitPrio::root();
+            for i in 0..(x % 4) {
+                p = p.child((x >> (i * 3)) & 7, 3);
+            }
+            Priority::Bits(p)
+        },
+    );
+}
 
 fn arb_priority() -> impl Strategy<Value = Priority> {
     prop_oneof![

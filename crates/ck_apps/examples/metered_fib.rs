@@ -12,7 +12,7 @@ use multicomputer::{MachinePreset, SimConfig};
 
 fn main() {
     let params = fib::FibParams { n: 18, grain: 10 };
-    let prog = fib::build(params).with_metrics(MetricsConfig::default());
+    let prog = fib::build(params).with_metrics(MetricsConfig);
     let mut report = prog.run_sim(SimConfig::preset(8, MachinePreset::NcubeLike));
 
     let result = report.take_result::<u64>().expect("fib must produce a result");
@@ -24,7 +24,7 @@ fn main() {
         "telemetry: {} PEs x {} slices of {} us",
         log.npes,
         log.nslices(),
-        log.slice_ns / 1_000
+        log.width_ns / 1_000
     );
     // Fold the full-resolution profile to 8 rows for display (the
     // `tables --timeline` view does the same via ck_trace).
@@ -35,7 +35,7 @@ fn main() {
         for i in (r * chunk)..((r + 1) * chunk).min(log.nslices()) {
             let s = log.slice_totals(i);
             busy += s.work_ns + s.dispatch_ns + s.ctl_ns;
-            cap += log.slice_ns * log.npes as u64;
+            cap += log.width_ns * log.npes as u64;
             msgs += s.msgs_sent;
             bytes += s.bytes_sent;
         }

@@ -11,7 +11,7 @@ use ck_apps::fib;
 
 fn main() {
     let prog = fib::build(fib::FibParams { n: 18, grain: 10 })
-        .with_tracing(TraceConfig::default());
+        .with_tracing(TraceConfig);
     let cfg = SimConfig::preset(8, MachinePreset::NcubeLike).with_trace();
     let mut rep = prog.run_sim(cfg);
     println!("fib(18) on 8 PEs: {:?}, {:.2} ms simulated", rep.take_result::<u64>(), rep.time_secs() * 1e3);

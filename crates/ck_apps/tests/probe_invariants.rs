@@ -1,15 +1,16 @@
 //! Recording must observe, never perturb — and record once.
 //!
-//! The kernel's recorders (the trace ring behind the Projections-style
-//! views; the streaming slices, histograms, watermarks and flight ring)
-//! are passive: no messages, no charged time, no scheduling decisions.
-//! These tests pin that down on real benchmarks for every recording
-//! configuration — trace, metrics, both — a recorded run must be
-//! *byte-identical* to an unrecorded one; check that what was recorded
-//! agrees with the kernel's own counters, which are bumped by separate
-//! code; and check that the two recorders saw the same events.
+//! The kernel's recorders (the event ring behind the Projections-style
+//! views and the flight recorder; the streaming slices, histograms and
+//! watermarks) are passive: no messages, no charged time, no
+//! scheduling decisions. These tests pin that down on real benchmarks
+//! for every recording configuration — trace, metrics, both — a
+//! recorded run must be *byte-identical* to an unrecorded one; check
+//! that what was recorded agrees with the kernel's own counters, which
+//! are bumped by separate code; and check that the two recorders saw
+//! the same events.
 
-use chare_kernel::metrics::MetricsConfig;
+use chare_kernel::metrics::{MetricsConfig, FLIGHT_CAP, MAX_SLICES, SLICE_NS};
 use chare_kernel::prelude::*;
 use chare_kernel::{CkReport, MsgClass, TraceEvent};
 use ck_apps::{fib, nqueens};
@@ -25,24 +26,20 @@ fn run(prog: &Program) -> CkReport {
     prog.run_sim_preset(NPES, MachinePreset::NcubeLike)
 }
 
-/// `prog` recording with whichever of the two configs is given.
-fn recording(prog: &Program, t: Option<TraceConfig>, m: Option<MetricsConfig>) -> Program {
-    let mut prog = prog.clone();
-    if let Some(t) = t {
-        prog = prog.with_tracing(t);
-    }
-    if let Some(m) = m {
-        prog = prog.with_metrics(m);
-    }
-    prog
+/// `prog` recording a trace, metrics or both.
+fn recording(prog: &Program, trace: bool, metrics: bool) -> Program {
+    prog.with_opts(|o| {
+        o.tracing = trace.then_some(TraceConfig);
+        o.metrics = metrics.then_some(MetricsConfig);
+    })
 }
 
-/// The three recording configurations built from one config of each.
-fn recorders(prog: &Program, t: TraceConfig, m: MetricsConfig) -> [(&'static str, Program); 3] {
+/// The three recording configurations.
+fn recorders(prog: &Program) -> [(&'static str, Program); 3] {
     [
-        ("trace", recording(prog, Some(t), None)),
-        ("metrics", recording(prog, None, Some(m))),
-        ("both", recording(prog, Some(t), Some(m))),
+        ("trace", recording(prog, true, false)),
+        ("metrics", recording(prog, false, true)),
+        ("both", recording(prog, true, true)),
     ]
 }
 
@@ -55,7 +52,7 @@ fn recording_on_is_byte_identical_to_recording_off() {
     let plain = fib_prog();
     let a = run(&plain);
     assert!(a.trace.is_none() && a.metrics.is_none());
-    for (name, prog) in recorders(&plain, TraceConfig::default(), MetricsConfig::default()) {
+    for (name, prog) in recorders(&plain) {
         let b = run(&prog);
         assert_eq!(a.time_ns, b.time_ns, "{name}");
         let (sa, sb) = (a.sim.as_ref().unwrap(), b.sim.as_ref().unwrap());
@@ -74,7 +71,7 @@ fn recording_on_is_byte_identical_to_recording_off() {
 #[test]
 fn recorded_run_replays_identically() {
     let plain = nqueens::build(nqueens::QueensParams { n: 8, grain: 4 });
-    for (name, prog) in recorders(&plain, TraceConfig::default(), MetricsConfig::default()) {
+    for (name, prog) in recorders(&plain) {
         let (a, b) = (run(&prog), run(&prog));
         if let (Some(ta), Some(tb)) = (&a.trace, &b.trace) {
             assert_eq!(ta.events.len(), tb.events.len(), "{name}");
@@ -85,31 +82,20 @@ fn recorded_run_replays_identically() {
     }
 }
 
-/// Deliberately tiny rings overflow gracefully: newest events are kept,
-/// the drop counts say how many were lost, and the run's results are
-/// untouched.
+/// The flight recorders, [`FLIGHT_CAP`] events each, overflow
+/// gracefully: newest events are kept, the drop counts say how many
+/// were lost, and the run's results are untouched.
 #[test]
 fn tiny_rings_drop_oldest_but_never_perturb() {
     let plain = fib_prog();
     let a = run(&plain);
-    let tiny_flight = MetricsConfig {
-        flight_cap: 8,
-        ..MetricsConfig::default()
-    };
-    for (name, prog) in recorders(&plain, TraceConfig::with_capacity(16), tiny_flight) {
+    for (name, prog) in recorders(&plain) {
         let b = run(&prog);
         assert_eq!(a.time_ns, b.time_ns, "{name}: overflow must not change the run");
-        if let Some(log) = &b.trace {
-            assert!(log.dropped > 0, "16-slot rings must overflow on fib");
-            assert!(log.events.len() <= 16 * NPES, "npes rings of 16 events each");
-            for pe in Pe::all(NPES) {
-                assert!(log.events_for(pe).count() <= 16);
-            }
-        }
         if let Some(log) = &b.metrics {
-            assert!(log.flight_dropped() > 0, "8-slot rings must overflow on fib");
+            assert!(log.flight_dropped() > 0, "{name}: flight recorders must overflow on fib");
             for pe in &log.per_pe {
-                assert!(pe.flight.len() <= 8);
+                assert!(pe.flight.len() <= FLIGHT_CAP, "{name}");
                 // What survives is each PE's newest tail, in time order.
                 for w in pe.flight.windows(2) {
                     assert!(w[0].at_ns <= w[1].at_ns);
@@ -153,7 +139,7 @@ fn counted_traffic(log: &TraceLog) -> (u64, u64) {
 /// decision, and one send/receive event per counted user message.
 #[test]
 fn event_log_agrees_with_kernel_counters() {
-    let rep = run(&fib_prog().with_tracing(TraceConfig::default()));
+    let rep = run(&fib_prog().with_tracing(TraceConfig));
     let log = rep.trace.as_ref().unwrap();
     assert_eq!(log.dropped, 0, "default capacity must hold this workload");
     let begins = log.count(|k| matches!(k, EventKind::EntryBegin { .. }));
@@ -176,7 +162,7 @@ fn event_log_agrees_with_kernel_counters() {
 /// envelope.
 #[test]
 fn metrics_agree_with_kernel_counters() {
-    let rep = run(&fib_prog().with_metrics(MetricsConfig::default()));
+    let rep = run(&fib_prog().with_metrics(MetricsConfig));
     let log = rep.metrics.as_ref().unwrap();
     assert_eq!(log.grain_all().count, rep.total().entries_executed);
     let mut kept = 0u64;
@@ -203,18 +189,18 @@ fn metrics_agree_with_kernel_counters() {
 /// total fits PEs × end time.
 #[test]
 fn slice_busy_time_is_bounded_by_the_interval() {
-    let rep = run(&fib_prog().with_metrics(MetricsConfig::default()));
+    let rep = run(&fib_prog().with_metrics(MetricsConfig));
     let log = rep.metrics.as_ref().unwrap();
     assert!(log.nslices() > 1, "default width must resolve this run");
     let mut total_busy = 0u64;
     for pe in &log.per_pe {
         for (i, s) in pe.slices.iter().enumerate() {
             assert!(
-                s.busy_ns() <= log.slice_ns,
+                s.busy_ns() <= log.width_ns,
                 "PE {} slice {i}: busy {} > width {}",
                 pe.pe.index(),
                 s.busy_ns(),
-                log.slice_ns
+                log.width_ns
             );
             total_busy += s.busy_ns();
         }
@@ -230,7 +216,7 @@ fn slice_busy_time_is_bounded_by_the_interval() {
 /// there was.
 #[test]
 fn a_real_backend_attributes_the_wall_time_its_steps_took() {
-    let rep = fib_prog().with_metrics(MetricsConfig::default()).run_threads(2);
+    let rep = fib_prog().with_metrics(MetricsConfig).run_threads(2);
     assert!(!rep.timed_out);
     let log = rep.metrics.as_ref().expect("metrics were on");
     assert_eq!((log.per_pe.len(), log.end_ns), (2, rep.time_ns));
@@ -257,30 +243,32 @@ fn a_real_backend_attributes_the_wall_time_its_steps_took() {
 /// still covers the whole run.
 #[test]
 fn slice_budget_coarsens_instead_of_growing() {
-    let prog = fib_prog().with_metrics(MetricsConfig {
-        slice_ns: 64, // absurdly fine: forces repeated doubling
-        max_slices: 16,
-        ..MetricsConfig::default()
-    });
-    let rep = run(&prog);
+    // One PE runs all of fib(20): longer than `MAX_SLICES` first-width
+    // intervals.
+    let prog = fib::build(fib::FibParams { n: 20, grain: 9 }).with_metrics(MetricsConfig);
+    let rep = prog.run_sim_preset(1, MachinePreset::NcubeLike);
     let log = rep.metrics.as_ref().unwrap();
-    assert!(log.slice_ns > 64, "width must have doubled");
-    assert_eq!(log.slice_ns % 64, 0, "width stays a power-of-two multiple");
-    assert!(log.nslices() <= 16 + 1);
+    assert!(log.width_ns > SLICE_NS, "width must have doubled");
+    assert_eq!(log.width_ns % SLICE_NS, 0, "width stays a power-of-two multiple");
+    assert!(log.nslices() <= MAX_SLICES);
     // Coverage: the last slice must reach the end of the run.
-    assert!(log.nslices() as u64 * log.slice_ns >= log.end_ns);
+    assert!(log.nslices() as u64 * log.width_ns >= log.end_ns);
 }
 
 /// Recorded once: with both recorders on and the trace ring unwrapped,
 /// each PE's flight recorder is the tail of that PE's trace — the same
-/// events, in the same order, with the same stamps.
-fn assert_flight_is_trace_tail(rep: &CkReport) {
+/// events, in the same order, with the same stamps. Checked here on the
+/// simulator, where fib overflows the flight recorders; that the flight
+/// recorder is the ring's tail on every backend is `probe`'s
+/// construction test.
+#[test]
+fn flight_recorder_is_the_tail_of_the_trace() {
+    let rep = run(&recording(&fib_prog(), true, true));
     let (trace, metrics) = (rep.trace.as_ref().unwrap(), rep.metrics.as_ref().unwrap());
     assert_eq!(trace.dropped, 0, "the trace ring must hold the run");
+    assert!(metrics.flight_dropped() > 0);
     for set in &metrics.per_pe {
-        // The log is stably time-sorted, which moves a thread PE's
-        // loopback receives (stamped at send) ahead of what it recorded
-        // in between; sort the flight ring the same way.
+        // The log is stably time-sorted; sort the flight recorder the same way.
         let mut flight = set.flight.clone();
         flight.sort_by_key(|e| e.at_ns);
         let of_pe: Vec<TraceEvent> = trace.events_for(set.pe).copied().collect();
@@ -291,29 +279,6 @@ fn assert_flight_is_trace_tail(rep: &CkReport) {
             panic!("PE {pe}: flight[{i}] is {got:?} where the trace has {want:?}");
         }
     }
-}
-
-#[test]
-fn flight_recorder_is_the_tail_of_the_trace() {
-    // Simulator, default 64-event flight rings: a true tail.
-    let both = recording(
-        &fib_prog(),
-        Some(TraceConfig::default()),
-        Some(MetricsConfig::default()),
-    );
-    let rep = run(&both);
-    assert!(rep.metrics.as_ref().unwrap().flight_dropped() > 0);
-    assert_flight_is_trace_tail(&rep);
-    // Threads, flight rings as large as the trace rings: everything.
-    let roomy = MetricsConfig {
-        flight_cap: TraceConfig::default().capacity,
-        ..MetricsConfig::default()
-    };
-    let both = recording(&fib_prog(), Some(TraceConfig::default()), Some(roomy));
-    let mut rep = both.run_threads(2);
-    assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(16)));
-    assert_eq!(rep.metrics.as_ref().unwrap().flight_dropped(), 0);
-    assert_flight_is_trace_tail(&rep);
 }
 
 /// The reliable layer's events agree with the books too. Both runs are
@@ -329,11 +294,7 @@ fn retransmits_and_redirects_agree_with_kernel_counters() {
         seed_retry_limit: 2,
         ..ReliableConfig::default()
     });
-    let prog = recording(
-        &prog,
-        Some(TraceConfig::default()),
-        Some(MetricsConfig::default()),
-    );
+    let prog = recording(&prog, true, true);
     let lossy = FaultPlan::new(0xBAD_5EED).drop(0.05).duplicate(0.02);
     let crash = FaultPlan::new(9).crash(Pe(3), SimTime::ZERO);
     for (name, plan) in [("lossy", lossy), ("crash", crash)] {

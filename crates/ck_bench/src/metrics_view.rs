@@ -31,7 +31,7 @@ const TABLE_M_ROWS: usize = 4;
 /// Run one app with streaming metrics on and return the report (always
 /// a fresh simulation — metered runs bypass the run memo).
 fn metered_run(prog: Program) -> CkReport {
-    let prog = prog.with_metrics(MetricsConfig::default());
+    let prog = prog.with_metrics(MetricsConfig);
     prog.run_sim(SimConfig::preset(NPES, PRESET))
 }
 

@@ -109,7 +109,7 @@ fn with_forced_metrics(prog: Program) -> Program {
         std::env::var("CK_TABLES_METRICS").map(|v| v == "1").unwrap_or(false)
     });
     if forced {
-        prog.with_metrics(chare_kernel::metrics::MetricsConfig::default())
+        prog.with_metrics(chare_kernel::metrics::MetricsConfig)
     } else {
         prog
     }

@@ -25,7 +25,7 @@ const PRESET: MachinePreset = MachinePreset::NcubeLike;
 /// Run one app with both kernel event tracing and simulator span
 /// tracing enabled, and join the two into a [`RunTrace`].
 fn traced_run(case: &Spec) -> (CkReport, RunTrace) {
-    let prog = case.build().with_tracing(TraceConfig::default());
+    let prog = case.build().with_tracing(TraceConfig);
     let cfg = SimConfig::preset(NPES, PRESET).with_trace();
     let rep = prog.run_sim(cfg);
     let run = RunTrace::from_report(&rep, &PRESET.cost_model())

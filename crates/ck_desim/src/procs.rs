@@ -57,6 +57,6 @@ pub fn run_scenario_procs(sc: &Scenario, loss: Option<LossConfig>, test_name: &s
     sc.prog
         .build()
         .with_reliable(slice_reliable())
-        .with_metrics(MetricsConfig::default())
+        .with_metrics(MetricsConfig)
         .run_procs(&cfg)
 }

@@ -149,7 +149,7 @@ impl Scenario {
         // memory, zero perturbation (the simulation is byte-identical
         // with them off), and on failure the flight recorder and final
         // snapshot become the forensics attached to the repro report.
-        let prog = prog.with_metrics(MetricsConfig::default());
+        let prog = prog.with_metrics(MetricsConfig);
         let cfg = SimConfig::preset(self.npes, self.preset)
             .with_faults(storm.clone())
             .with_max_events(max_events);

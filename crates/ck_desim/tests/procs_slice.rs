@@ -75,7 +75,7 @@ fn procs_slice_judges_worker_death_as_aborted() {
         .prog
         .build()
         .with_reliable(procs::slice_reliable())
-        .with_metrics(MetricsConfig::default());
+        .with_metrics(MetricsConfig);
     let cfg = ProcConfig::for_test(
         sc.npes,
         sc.prog.to_string(),

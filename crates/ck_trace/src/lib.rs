@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use chare_kernel::trace::{EntryWhat, EventKind, TraceEvent};
+use chare_kernel::trace::{entry_label, EventKind, TraceEvent, TRACE_CAP};
 use chare_kernel::CkReport;
 use multicomputer::{CostModel, StepKind, TraceSpan};
 
@@ -407,20 +407,10 @@ impl RunTrace {
         }
         Some(format!(
             "WARNING: trace ring overflowed; {} events dropped — event-derived \
-             views (entries, comm matrix) undercount; raise TraceConfig::capacity",
-            self.dropped
+             views (entries, comm matrix) undercount; the ring keeps the last \
+             {} events per PE, so trace a shorter run",
+            self.dropped, TRACE_CAP
         ))
-    }
-}
-
-/// Human label for one entry execution.
-fn entry_label(what: EntryWhat, ep: Option<chare_kernel::EpId>) -> String {
-    match (what, ep) {
-        (EntryWhat::Create(kind), _) => format!("create:k{}", kind.0),
-        (EntryWhat::Chare(_), Some(ep)) => format!("chare:ep{}", ep.0),
-        (EntryWhat::Chare(_), None) => "chare:?".to_string(),
-        (EntryWhat::Branch(boc), Some(ep)) => format!("boc{}:ep{}", boc.0, ep.0),
-        (EntryWhat::Branch(boc), None) => format!("boc{}:?", boc.0),
     }
 }
 
@@ -428,6 +418,7 @@ fn entry_label(what: EntryWhat, ep: Option<chare_kernel::EpId>) -> String {
 mod tests {
     use super::*;
     use chare_kernel::ids::{BocId, ChareKind, EpId};
+    use chare_kernel::trace::EntryWhat;
     use multicomputer::Pe;
 
     fn span(pe: u32, start: u64, end: u64, kind: StepKind) -> TraceSpan {

@@ -106,7 +106,7 @@ pub struct TimeProfile {
 impl TimeProfile {
     /// Build the profile from a finished run's metrics.
     pub fn from_metrics(log: &MetricsLog) -> TimeProfile {
-        let width = log.slice_ns.max(1);
+        let width = log.width_ns.max(1);
         let n = log.nslices();
         let mut rows = Vec::with_capacity(n);
         for i in 0..n {
@@ -261,7 +261,7 @@ mod tests {
         MetricsLog {
             npes: 2,
             end_ns: 350,
-            slice_ns: 100,
+            width_ns: 100,
             per_pe: vec![
                 PeMetricSet {
                     pe: Pe(0),
@@ -329,7 +329,7 @@ mod tests {
         let p = TimeProfile::from_metrics(&MetricsLog {
             npes: 0,
             end_ns: 0,
-            slice_ns: 100,
+            width_ns: 100,
             per_pe: vec![],
         });
         assert!(p.rows.len() <= 1);

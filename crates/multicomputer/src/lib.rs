@@ -81,5 +81,5 @@ pub use stats::{imbalance, BacklogSummary};
 #[cfg(feature = "threads")]
 pub use thread::{ThreadConfig, ThreadMachine, ThreadReport};
 pub use time::{Cost, SimTime};
-pub use trace::{render_profile, utilization_profile, TraceSpan};
+pub use trace::{utilization_profile, TraceSpan};
 pub use topology::Topology;

@@ -5,7 +5,7 @@
 //! With [`SimConfig::with_trace`](crate::sim::SimConfig::with_trace) the
 //! simulator records one [`TraceSpan`] per executed step; this module
 //! turns the span list into a bucketed per-PE utilization profile — the
-//! "utilization graph" view Projections is known for, rendered as text.
+//! "utilization graph" view Projections is known for.
 
 use crate::pe::Pe;
 use crate::program::StepKind;
@@ -70,40 +70,6 @@ pub fn utilization_profile(
     profile
 }
 
-/// Render a utilization profile as a text chart: one line per time
-/// bucket with mean utilization as a bar plus min/max across PEs.
-pub fn render_profile(profile: &[Vec<f64>], end_ns: u64) -> String {
-    let mut out = String::new();
-    let buckets = profile.len();
-    if buckets == 0 {
-        return out;
-    }
-    let width_ns = end_ns as f64 / buckets as f64;
-    out.push_str("      t(ms)  mean util                                    min   max\n");
-    for (b, row) in profile.iter().enumerate() {
-        let mean = row.iter().sum::<f64>() / row.len().max(1) as f64;
-        // An empty row (zero PEs) must render as idle, not as the fold
-        // seeds — a `fold(1.0, min)` over no elements would claim 100%.
-        let (min, max) = if row.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (
-                row.iter().cloned().fold(f64::INFINITY, f64::min),
-                row.iter().cloned().fold(0.0f64, f64::max),
-            )
-        };
-        let bar_len = (mean * 40.0).round() as usize;
-        out.push_str(&format!(
-            " {:>10.2}  |{:<40}| {:>4.0}% {:>4.0}%\n",
-            (b as f64 + 0.5) * width_ns / 1e6,
-            "#".repeat(bar_len),
-            min * 100.0,
-            max * 100.0,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,19 +122,10 @@ mod tests {
     #[test]
     fn utilization_never_exceeds_one() {
         // Overlapping spans (can't happen in real traces, but the
-        // renderer must stay sane).
+        // profile must stay sane).
         let spans = vec![span(0, 0, 1000), span(0, 0, 1000)];
         let p = utilization_profile(&spans, 1, 1000, 2);
         assert!(p.iter().all(|row| row[0] <= 1.0));
-    }
-
-    #[test]
-    fn render_produces_one_line_per_bucket() {
-        let spans = vec![span(0, 0, 500_000)];
-        let p = utilization_profile(&spans, 2, 1_000_000, 5);
-        let s = render_profile(&p, 1_000_000);
-        assert_eq!(s.lines().count(), 6); // header + 5 buckets
-        assert!(s.contains('#'));
     }
 
     #[test]
@@ -213,17 +170,5 @@ mod tests {
         let p = utilization_profile(&spans, 1, 1000, 4);
         assert!((p[0][0] - 0.0).abs() < 1e-9);
         assert!((p[1][0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn render_with_zero_pes_reports_idle_not_full() {
-        // Regression: the min fold used to seed at 1.0, so an empty row
-        // (zero PEs) rendered as min=100%.
-        let p = utilization_profile(&[], 0, 1000, 2);
-        let s = render_profile(&p, 1000);
-        for line in s.lines().skip(1) {
-            assert!(line.contains("0%"), "{line}");
-            assert!(!line.contains("100%"), "{line}");
-        }
     }
 }

@@ -231,8 +231,8 @@ fn run_options_set_on_the_parent_reach_every_worker() {
     };
     let prog = spec::build_spec(spec_str)
         .with_reliable(reliable)
-        .with_tracing(TraceConfig::default())
-        .with_metrics(MetricsConfig::default());
+        .with_tracing(TraceConfig)
+        .with_metrics(MetricsConfig);
     let cfg = ProcConfig::for_test(npes, spec_str, "run_options_set_on_the_parent_reach_every_worker")
         .with_topology(Topology::Ring);
     let mut rep = prog.run_procs(&cfg);
@@ -277,7 +277,7 @@ fn run_procs_with(
 ) -> (Spec, CkReport) {
     spec::worker_hook();
     let spec = Spec::parse(spec_str).expect(spec_str);
-    let prog = spec.build().with_tracing(TraceConfig::default()).with_opts(parent_only);
+    let prog = spec.build().with_tracing(TraceConfig).with_opts(parent_only);
     let rep = prog.run_procs(&ProcConfig::for_test(4, spec.to_string(), test_name));
     let detail = rep.proc.as_ref().expect("detail");
     assert!(detail.aborted.is_none(), "{:?}", detail.aborted);

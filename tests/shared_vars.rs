@@ -573,7 +573,7 @@ fn shared_variables_cross_the_process_boundary() {
     let npes = 4;
     for mode in [BroadcastMode::Tree, BroadcastMode::Direct] {
         let prog = cross_program()
-            .with_tracing(TraceConfig::default())
+            .with_tracing(TraceConfig)
             .with_opts(|o| o.bcast = mode);
         let test_name = "shared_variables_cross_the_process_boundary";
         let mut rep = prog.run_procs(&ProcConfig::for_test(npes, "", test_name));
