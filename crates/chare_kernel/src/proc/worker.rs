@@ -245,7 +245,7 @@ impl NetCtx for ProcCtx {
         self.result = Some(result);
     }
     fn set_alarm(&mut self, after: Cost) {
-        self.alarm_at = Some(self.now_ns() + after.as_nanos().max(1));
+        self.alarm_at = Some(self.now_ns().saturating_add(after.as_nanos().max(1)));
     }
 }
 

@@ -73,7 +73,8 @@ pub struct ReliableConfig {
     /// window of frames ahead of the ack inflates the observed RTT by
     /// `window × injection`. A timeout below that triggers spurious
     /// retransmissions which add their own load; without the window cap
-    /// that feedback loop is congestion collapse.
+    /// that feedback loop is congestion collapse. A deadline past the
+    /// end of the clock saturates there: such a frame never retransmits.
     pub timeout: Cost,
     /// Retries before a load-balanceable seed is presumed undeliverable
     /// and re-dispatched to a different PE. Messages that must reach
@@ -326,7 +327,7 @@ impl RelState {
                 let i = to.index();
                 if self.in_flight_to[i] < self.cfg.window && self.wait_q[i].is_empty() {
                     self.register(to, msg, now, out);
-                    self.arm(now + timeout, now, out);
+                    self.arm(now.saturating_add(timeout), now, out);
                 } else {
                     self.wait_q[i].push_back(msg);
                 }
@@ -362,7 +363,7 @@ impl RelState {
                     }
                 }
                 if released {
-                    self.arm(now + timeout, now, out);
+                    self.arm(now.saturating_add(timeout), now, out);
                 }
             }
             RelEvent::Alarm => self.expire(now, out),
@@ -377,7 +378,7 @@ impl RelState {
         self.next_seq[to.index()] += 1;
         self.in_flight_to[to.index()] += 1;
         let slot: RelSlot = Arc::new(Mutex::new(Some(msg)));
-        let deadline = now + self.cfg.timeout.as_nanos();
+        let deadline = now.saturating_add(self.cfg.timeout.as_nanos());
         let pending = Pending {
             to,
             slot: Arc::clone(&slot),
@@ -441,7 +442,7 @@ impl RelState {
             }
             p.retries += 1;
             let shift = p.retries.min(MAX_BACKOFF_SHIFT);
-            p.deadline = now + (self.cfg.timeout.as_nanos() << shift);
+            p.deadline = now.saturating_add(self.cfg.timeout.as_nanos().saturating_mul(1 << shift));
             if head {
                 let slot = Arc::clone(&p.slot);
                 out.push(RelAction::Send { to: p.to, seq, bytes: p.inner_bytes, slot, again: true });

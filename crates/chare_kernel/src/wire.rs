@@ -215,14 +215,43 @@ pub trait Wire: Sized + 'static {
     /// Read one value back. On malformed input the reader records the
     /// failure (see [`WireReader::finish`]) and the value is a placeholder.
     fn decode(r: &mut WireReader) -> Self;
+    /// Append `items` in a row (what a `Vec` encodes its elements with):
+    /// the bytes of each `encode`, one after the other. Provided; the
+    /// fixed-width primitives override it to write the whole run at once.
+    #[doc(hidden)]
+    fn encode_n(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.encode(out);
+        }
+    }
     /// Read `n` values in a row (what a `Vec` decodes its elements
-    /// with). Provided; `u8` overrides it, because a failure that is a
-    /// state rather than a panic keeps the byte loop from compiling to
-    /// the one copy it is.
+    /// with). Provided; the fixed-width primitives override it to take
+    /// the whole run as one slice of the buffer, because a failure that
+    /// is a state rather than a panic keeps a per-element loop from
+    /// compiling to the one copy it is.
     #[doc(hidden)]
     fn decode_n(r: &mut WireReader, n: usize) -> Vec<Self> {
         (0..n).map(|_| Self::decode(r)).collect()
     }
+}
+
+/// Append `items` as one run of `W`-byte values, each written by `le`:
+/// one `resize`, then a write per chunk, so the loop has no capacity
+/// check inside it.
+fn encode_run<T, const W: usize>(items: &[T], out: &mut Vec<u8>, le: impl Fn(&T) -> [u8; W]) {
+    let start = out.len();
+    out.resize(start + items.len() * W, 0);
+    for (chunk, v) in out[start..].chunks_exact_mut(W).zip(items) {
+        chunk.copy_from_slice(&le(v));
+    }
+}
+
+/// Read `n` values of `W` bytes each, read by `from_le`, out of one
+/// slice of the buffer. A short run fails the reader and reads as no
+/// values at all.
+fn decode_run<T, const W: usize>(r: &mut WireReader, n: usize, from_le: impl Fn([u8; W]) -> T) -> Vec<T> {
+    let run = r.bytes(n.saturating_mul(W));
+    run.chunks_exact(W).map(|c| from_le(c.try_into().expect("a chunk of W bytes"))).collect()
 }
 
 macro_rules! wire_int {
@@ -233,6 +262,12 @@ macro_rules! wire_int {
             }
             fn decode(r: &mut WireReader) -> Self {
                 r.$rd() as $t
+            }
+            fn encode_n(items: &[Self], out: &mut Vec<u8>) {
+                encode_run(items, out, |v| v.to_le_bytes());
+            }
+            fn decode_n(r: &mut WireReader, n: usize) -> Vec<Self> {
+                decode_run(r, n, <$t>::from_le_bytes)
             }
         }
     )+};
@@ -248,6 +283,9 @@ impl Wire for u8 {
     fn decode(r: &mut WireReader) -> Self {
         r.u8()
     }
+    fn encode_n(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
     fn decode_n(r: &mut WireReader, n: usize) -> Vec<u8> {
         r.bytes(n).to_vec()
     }
@@ -259,6 +297,12 @@ impl Wire for f64 {
     }
     fn decode(r: &mut WireReader) -> Self {
         f64::from_bits(r.u64())
+    }
+    fn encode_n(items: &[f64], out: &mut Vec<u8>) {
+        encode_run(items, out, |v| v.to_le_bytes());
+    }
+    fn decode_n(r: &mut WireReader, n: usize) -> Vec<f64> {
+        decode_run(r, n, f64::from_le_bytes)
     }
 }
 
@@ -293,9 +337,7 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_n(self, out);
     }
     fn decode(r: &mut WireReader) -> Self {
         let n = r.count::<T>();
@@ -1518,5 +1560,82 @@ pub(crate) mod tests {
         let mut r = WireReader::new(&out);
         assert_eq!(Vec::<TraceEvent>::decode(&mut r), evs);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// `items` as a `Vec` body, held to the format a run must keep: its
+    /// bytes are the `u32` count and then each element's bytes (`le`,
+    /// written out here one element at a time); they decode back to
+    /// `items` bit for bit; and every cut of them is refused, not a panic.
+    fn run_keeps_the_wire_format<T: Wire, const W: usize>(items: Vec<T>, le: impl Fn(&T) -> [u8; W]) {
+        let mut want = (items.len() as u32).to_le_bytes().to_vec();
+        for v in &items {
+            want.extend_from_slice(&le(v));
+        }
+        let mut got = Vec::new();
+        items.encode(&mut got);
+        assert_eq!(got, want, "{} elements", items.len());
+        let mut r = WireReader::new(&got);
+        let back = Vec::<T>::decode(&mut r);
+        assert_eq!(r.finish(), Ok(()));
+        assert!(back.iter().map(&le).eq(items.iter().map(&le)), "{} elements", items.len());
+        for cut in 0..got.len() {
+            let mut r = WireReader::new(&got[..cut]);
+            drop(Vec::<T>::decode(&mut r));
+            let err = r.finish().expect_err("a cut run is refused");
+            assert_ne!(err.wanted, "the end of the frame", "cut at {cut}: a malformation, not trailing bytes");
+        }
+    }
+
+    /// Runs of 0 to 300 random values.
+    fn runs<T: proptest::prelude::Arbitrary>() -> impl proptest::prelude::Strategy<Value = Vec<T>> {
+        proptest::collection::vec(proptest::prelude::any::<T>(), 0..301)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn a_run_of_u8_keeps_the_wire_format(items in runs::<u8>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        #[test]
+        fn a_run_of_u16_keeps_the_wire_format(items in runs::<u16>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        #[test]
+        fn a_run_of_u32_keeps_the_wire_format(items in runs::<u32>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        #[test]
+        fn a_run_of_u64_keeps_the_wire_format(items in runs::<u64>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        #[test]
+        fn a_run_of_i32_keeps_the_wire_format(items in runs::<i32>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        #[test]
+        fn a_run_of_i64_keeps_the_wire_format(items in runs::<i64>()) {
+            run_keeps_the_wire_format(items, |v| v.to_le_bytes());
+        }
+
+        /// Any bits at all, NaN payloads and signed zeros among them.
+        #[test]
+        fn a_run_of_f64_keeps_the_wire_format(bits in runs::<u64>()) {
+            run_keeps_the_wire_format(bits.into_iter().map(f64::from_bits).collect(), |v| v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Two small bodies, byte for byte: the count, then the elements.
+    #[test]
+    fn small_runs_keep_their_bytes() {
+        assert_eq!(hex(&roundtrip(vec![1u8, 0x7f, 0xff])), "03000000017fff");
+        let floats = roundtrip(vec![1.0f64, -0.0, f64::INFINITY]);
+        assert_eq!(hex(&floats), "03000000 000000000000f03f 0000000000000080 000000000000f07f".replace(' ', ""));
     }
 }

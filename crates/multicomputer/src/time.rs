@@ -74,11 +74,13 @@ impl Cost {
     }
 }
 
+/// Saturates: a delay too long to add to the clock lands at the end of
+/// time, where an alarm armed for it never fires.
 impl Add<Cost> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: Cost) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 

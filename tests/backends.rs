@@ -265,6 +265,36 @@ fn run_options_set_on_the_parent_reach_every_worker() {
     assert_eq!(metrics.latency_all().count, per_shard);
 }
 
+#[test]
+fn sizes_at_the_top_of_their_range_hold() {
+    // `validate` lets any nonzero timeout and window through, and `Go`
+    // carries them and the batching thresholds as sent, so each must hold
+    // at the top of its range. The timeout is added to the clock: every
+    // deadline and alarm saturates at the end of time, and nothing is
+    // retransmitted. The window, the seed budget and the thresholds are
+    // only ever compared.
+    spec::worker_hook();
+    let spec_str = "fib:n=14,grain=8";
+    let prog = spec::build_spec(spec_str).with_reliable(ReliableConfig {
+        timeout: Cost(u64::MAX),
+        seed_retry_limit: u32::MAX,
+        window: u32::MAX,
+    });
+    let test_name = "sizes_at_the_top_of_their_range_hold";
+    let sim = prog.run_sim_preset(3, MachinePreset::NcubeLike);
+    let threads = prog.run_threads(3);
+    assert!(!threads.timed_out);
+    let cfg = ProcConfig::for_test(3, spec_str, test_name).with_batching(usize::MAX, usize::MAX);
+    let procs = prog.run_procs(&cfg);
+    let detail = procs.proc.as_ref().expect("detail");
+    assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
+    for (backend, mut rep) in [("sim", sim), ("threads", threads), ("procs", procs)] {
+        assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(14)), "{backend}");
+        assert!(rep.total().acks_sent > 0, "{backend}: reliable delivery ran");
+        assert_eq!(rep.total().retransmits, 0, "{backend}");
+    }
+}
+
 /// A traced run on 4 worker processes of `spec_str` as its text says,
 /// except for what `parent_only` changes on the parent's `Program` —
 /// which no worker's `CK_SPEC` build can know, so it only shows in the
