@@ -22,6 +22,8 @@
 //! regenerated when the unacked sender retransmits. This is why the shim
 //! refuses to run without reliable delivery enabled.
 
+use multicomputer::fault::splitmix64;
+
 /// Seeded loss/reorder injection on every directed data link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LossConfig {
@@ -54,16 +56,6 @@ pub enum LossAction {
     Drop,
     /// Frame is parked until the next surviving frame on this link.
     Hold,
-}
-
-/// SplitMix64: tiny, full-period, and identical on every platform —
-/// exactly what a cross-process-reproducible schedule needs.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn link_seed(seed: u64, src: u32, dst: u32) -> u64 {

@@ -9,6 +9,9 @@
 //!   microbenchmark;
 //! * [`raw_jacobi`] — the Jacobi relaxation of [`crate::jacobi`] written
 //!   as a bare [`NodeProgram`], for the application-level comparison.
+//!   It shares the app's `jacobi::Block` (the numerics and ghost-row
+//!   filing) but no kernel service: its own packet queue, its own
+//!   checksum gather at PE 0, no quiescence detection.
 
 use std::collections::VecDeque;
 
@@ -18,7 +21,7 @@ use multicomputer::{
 };
 
 use crate::costs::{work, JACOBI_CELL_NS};
-use crate::jacobi::{block_rows, JacobiParams};
+use crate::jacobi::{Block, JacobiParams};
 
 // ---------------------------------------------------------------------
 // Kernel ping-pong.
@@ -230,19 +233,13 @@ struct RawGhost {
     row: Vec<f64>,
 }
 
-/// Raw Jacobi node: the same computation and communication pattern as
+/// Raw Jacobi node: the same `Block` and communication pattern as
 /// [`crate::jacobi::JacobiBranch`], minus every kernel service.
 struct RawJacobiNode {
-    pe: Pe,
-    nblocks: usize,
-    n: usize,
     iters: u32,
-    rows: usize,
-    cur: Vec<f64>,
-    next: Vec<f64>,
-    done: u32,
-    from_above: VecDeque<Vec<f64>>,
-    from_below: VecDeque<Vec<f64>>,
+    nblocks: usize,
+    /// This PE's block, or `None` on a PE left without rows.
+    block: Option<Block>,
     queue: VecDeque<Packet>,
     finished: usize, // PE0: blocks done
     sum: f64,
@@ -250,113 +247,37 @@ struct RawJacobiNode {
 
 impl RawJacobiNode {
     fn new(pe: Pe, npes: usize, params: JacobiParams) -> Self {
-        let n = params.n;
-        let nblocks = npes.min(n);
-        let rows = if pe.index() < nblocks {
-            block_rows(n, nblocks, pe.index()).1
-        } else {
-            0
-        };
-        let w = n + 2;
-        let mut cur = vec![0.0f64; (rows + 2) * w];
-        if pe.index() == 0 && rows > 0 {
-            for cell in cur.iter_mut().take(w) {
-                *cell = 1.0;
-            }
-        }
-        let next = cur.clone();
         RawJacobiNode {
-            pe,
-            nblocks,
-            n,
             iters: params.iters,
-            rows,
-            cur,
-            next,
-            done: 0,
-            from_above: VecDeque::new(),
-            from_below: VecDeque::new(),
+            nblocks: npes.min(params.n),
+            block: Block::for_pe(params.n, npes, pe),
             queue: VecDeque::new(),
             finished: 0,
             sum: 0.0,
         }
     }
 
-    fn w(&self) -> usize {
-        self.n + 2
-    }
-
-    fn send_edges(&self, net: &mut dyn NetCtx) {
-        let w = self.w();
-        if self.pe.index() > 0 {
-            let row = self.cur[w..2 * w].to_vec();
-            let bytes = (row.len() * 8) as u32 + 8;
-            net.send(
-                Pe::from(self.pe.index() - 1),
-                bytes,
-                Box::new(RawGhost {
-                    iter: self.done,
-                    from_above: false,
-                    row,
-                }),
-            );
-        }
-        if self.pe.index() + 1 < self.nblocks {
-            let row = self.cur[self.rows * self.w()..(self.rows + 1) * self.w()].to_vec();
-            let bytes = (row.len() * 8) as u32 + 8;
-            net.send(
-                Pe::from(self.pe.index() + 1),
-                bytes,
-                Box::new(RawGhost {
-                    iter: self.done,
-                    from_above: true,
-                    row,
-                }),
-            );
+    fn send_edges(block: &Block, net: &mut dyn NetCtx) {
+        for e in block.edges() {
+            let bytes = (e.row.len() * 8) as u32 + 8;
+            let ghost = RawGhost {
+                iter: block.sweeps(),
+                from_above: e.from_above,
+                row: e.row,
+            };
+            net.send(e.to, bytes, Box::new(ghost));
         }
     }
 
-    fn advance(&mut self, net: &mut dyn NetCtx) {
-        let w = self.w();
-        while self.done < self.iters {
-            let need_above = self.pe.index() > 0;
-            let need_below = self.pe.index() + 1 < self.nblocks;
-            if (need_above && self.from_above.is_empty())
-                || (need_below && self.from_below.is_empty())
-            {
-                return;
-            }
-            if need_above {
-                let row = self.from_above.pop_front().expect("checked");
-                self.cur[..w].copy_from_slice(&row);
-            }
-            if need_below {
-                let row = self.from_below.pop_front().expect("checked");
-                self.cur[(self.rows + 1) * w..].copy_from_slice(&row);
-            }
-            for r in 1..=self.rows {
-                for c in 1..=self.n {
-                    self.next[r * w + c] = 0.25
-                        * (self.cur[(r - 1) * w + c]
-                            + self.cur[(r + 1) * w + c]
-                            + self.cur[r * w + c - 1]
-                            + self.cur[r * w + c + 1]);
-                }
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            net.charge(work((self.rows * self.n) as u64, JACOBI_CELL_NS));
-            self.done += 1;
-            if self.done < self.iters {
-                self.send_edges(net);
+    fn advance(block: &mut Block, iters: u32, net: &mut dyn NetCtx) {
+        while block.sweeps() < iters && block.ready() {
+            block.sweep();
+            net.charge(work(block.cells(), JACOBI_CELL_NS));
+            if block.sweeps() < iters {
+                RawJacobiNode::send_edges(block, net);
             } else {
                 // Report the block checksum to PE 0.
-                let mut s = 0.0;
-                for r in 1..=self.rows {
-                    for c in 1..=self.n {
-                        s += self.cur[r * w + c];
-                    }
-                }
-                net.send(Pe::ZERO, 8, Box::new(s));
+                net.send(Pe::ZERO, 8, Box::new(block.checksum()));
             }
         }
     }
@@ -364,11 +285,13 @@ impl RawJacobiNode {
 
 impl NodeProgram for RawJacobiNode {
     fn boot(&mut self, net: &mut dyn NetCtx) {
-        if self.rows > 0 && self.iters > 0 {
-            self.send_edges(net);
-            self.advance(net);
-        } else if self.rows > 0 {
-            net.send(Pe::ZERO, 8, Box::new(0.0f64));
+        if let Some(block) = &mut self.block {
+            if self.iters > 0 {
+                RawJacobiNode::send_edges(block, net);
+                RawJacobiNode::advance(block, self.iters, net);
+            } else {
+                net.send(Pe::ZERO, 8, Box::new(block.checksum()));
+            }
         }
     }
 
@@ -380,17 +303,13 @@ impl NodeProgram for RawJacobiNode {
         let pkt = self.queue.pop_front()?;
         if pkt.payload.is::<RawGhost>() {
             let ghost = pkt.payload.downcast::<RawGhost>().unwrap();
-            debug_assert!(ghost.iter >= self.done);
-            if ghost.from_above {
-                self.from_above.push_back(ghost.row);
-            } else {
-                self.from_below.push_back(ghost.row);
-            }
-            self.advance(net);
+            let block = self.block.as_mut().expect("ghost rows reach only blocks");
+            block.file(ghost.iter, ghost.from_above, ghost.row);
+            RawJacobiNode::advance(block, self.iters, net);
         } else {
             // A block checksum arriving at PE 0.
             let s = *pkt.payload.downcast::<f64>().unwrap();
-            debug_assert_eq!(self.pe, Pe::ZERO);
+            debug_assert_eq!(net.me(), Pe::ZERO);
             self.sum += s;
             self.finished += 1;
             if self.finished == self.nblocks {

@@ -9,6 +9,17 @@
 //! computation is bitwise identical to the sequential one regardless of
 //! partitioning — only the final checksum summation order differs.
 //!
+//! `Block` is the whole of the numerics, written once: one PE's rows
+//! plus its two ghost rows. It sets the grid up, hands out the edge
+//! rows its neighbours need, files each arriving ghost row under the
+//! sweep it belongs to, sweeps, and sums. The sequential references
+//! ([`jacobi_seq`], [`crate::jacobi_conv::jacobi_conv_seq`]) are one
+//! whole-grid block; the branches here and in [`crate::jacobi_conv`]
+//! and the hand-coded node in [`crate::baseline`] add only messaging.
+//! Filing by sweep is what keeps the answer independent of the
+//! queueing strategy: a neighbour may run one sweep ahead, and under
+//! LIFO its two rows can be handled newest first.
+//!
 //! Termination: after `iters` sweeps every branch contributes its block
 //! checksum to an accumulator and goes quiet; quiescence detection then
 //! triggers the collect.
@@ -41,54 +52,13 @@ impl Default for JacobiParams {
     }
 }
 
-/// Initial value of interior cells.
-const INTERIOR0: f64 = 0.0;
-/// Fixed value of the top boundary row (heat source).
-const TOP: f64 = 1.0;
-/// Fixed value of the other boundaries.
-const EDGE: f64 = 0.0;
-
 /// Sequential reference: run `iters` sweeps, return the interior sum.
 pub fn jacobi_seq(params: JacobiParams) -> f64 {
-    let n = params.n;
-    let w = n + 2;
-    let mut cur = vec![INTERIOR0; w * w];
-    for c in 0..w {
-        cur[c] = TOP; // top boundary row
-        cur[(w - 1) * w + c] = EDGE;
-    }
-    for r in 0..w {
-        cur[r * w] = EDGE;
-        cur[r * w + w - 1] = EDGE;
-    }
-    cur[0] = TOP;
-    cur[w - 1] = TOP;
-    let mut next = cur.clone();
+    let mut grid = Block::whole(params.n);
     for _ in 0..params.iters {
-        for r in 1..=n {
-            for c in 1..=n {
-                next[r * w + c] = 0.25
-                    * (cur[(r - 1) * w + c]
-                        + cur[(r + 1) * w + c]
-                        + cur[r * w + c - 1]
-                        + cur[r * w + c + 1]);
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
+        grid.sweep();
     }
-    interior_sum(&cur, n, n, w)
-}
-
-/// Sum of the interior cells of a block grid of `rows` interior rows,
-/// `n` interior columns and total width `w`.
-fn interior_sum(grid: &[f64], rows: usize, n: usize, w: usize) -> f64 {
-    let mut s = 0.0;
-    for r in 1..=rows {
-        for c in 1..=n {
-            s += grid[r * w + c];
-        }
-    }
-    s
+    grid.checksum()
 }
 
 /// Interior rows assigned to block `b` of `nblocks` over `n` rows:
@@ -99,6 +69,189 @@ pub fn block_rows(n: usize, nblocks: usize, b: usize) -> (usize, usize) {
     let len = base + usize::from(b < extra);
     let start = 1 + b * base + b.min(extra);
     (start, len)
+}
+
+/// Fixed value of the top boundary row (heat source); every other
+/// boundary and interior cell starts at 0.
+const TOP: f64 = 1.0;
+
+/// One PE's rows of the grid plus its two ghost rows.
+///
+/// Block `b` of `nblocks` holds [`block_rows`]`(n, nblocks, b)`. Its
+/// ghost rows are its neighbours' edge rows, or the fixed boundary at
+/// the grid's top (block 0, hot) and bottom (the last block, cold).
+pub(crate) struct Block {
+    /// Interior columns.
+    n: usize,
+    /// Interior rows held.
+    rows: usize,
+    /// This block's index, and how many blocks share the grid.
+    b: usize,
+    nblocks: usize,
+    /// `(rows + 2) x (n + 2)`, row-major; rows 0 and `rows + 1` are the
+    /// ghost rows.
+    cur: Vec<f64>,
+    next: Vec<f64>,
+    /// Sweeps run.
+    sweeps: u32,
+    /// Ghost rows waiting for their sweep: `[from above, from below]`,
+    /// each indexed by sweep parity. A neighbour runs at most one sweep
+    /// ahead, so two slots a side hold every row that can wait.
+    waiting: [[Option<Vec<f64>>; 2]; 2],
+}
+
+/// An edge row on its way to the neighbouring block.
+pub(crate) struct Edge {
+    /// The neighbour's PE (block index and PE index coincide).
+    pub to: Pe,
+    /// True if the row goes down, so the neighbour files it as coming
+    /// from above.
+    pub from_above: bool,
+    /// The row values (interior columns plus the two side boundary
+    /// cells).
+    pub row: Vec<f64>,
+}
+
+impl Block {
+    /// Block `b` of `nblocks` over an `n x n` interior, set up: the
+    /// top boundary row hot, everything else 0.
+    fn new(n: usize, nblocks: usize, b: usize) -> Block {
+        let rows = block_rows(n, nblocks, b).1;
+        let w = n + 2;
+        let mut cur = vec![0.0; (rows + 2) * w];
+        if b == 0 {
+            cur[..w].fill(TOP);
+        }
+        let next = cur.clone();
+        Block {
+            n,
+            rows,
+            b,
+            nblocks,
+            cur,
+            next,
+            sweeps: 0,
+            waiting: Default::default(),
+        }
+    }
+
+    /// The whole grid as one block: the sequential references.
+    pub fn whole(n: usize) -> Block {
+        Block::new(n, 1, 0)
+    }
+
+    /// PE `pe`'s block of a grid split over `npes` PEs, one block per
+    /// PE while rows last; `None` on a PE left without rows.
+    pub fn for_pe(n: usize, npes: usize, pe: Pe) -> Option<Block> {
+        let nblocks = npes.min(n);
+        (pe.index() < nblocks).then(|| Block::new(n, nblocks, pe.index()))
+    }
+
+    /// Sweeps run so far; also the sweep the next one will be.
+    pub fn sweeps(&self) -> u32 {
+        self.sweeps
+    }
+
+    /// Interior cells held: the work of one sweep.
+    pub fn cells(&self) -> u64 {
+        (self.rows * self.n) as u64
+    }
+
+    /// The edge rows the neighbours need for their next sweep, in send
+    /// order: the first row up, then the last row down.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> {
+        let w = self.n + 2;
+        let up = (self.b > 0).then(|| Edge {
+            to: Pe::from(self.b - 1),
+            from_above: false,
+            row: self.cur[w..2 * w].to_vec(),
+        });
+        let down = (self.b + 1 < self.nblocks).then(|| Edge {
+            to: Pe::from(self.b + 1),
+            from_above: true,
+            row: self.cur[self.rows * w..(self.rows + 1) * w].to_vec(),
+        });
+        [up, down].into_iter().flatten()
+    }
+
+    /// File a neighbour's edge row under the sweep it belongs to: this
+    /// block's next sweep or, from a neighbour one sweep ahead, the one
+    /// after.
+    pub fn file(&mut self, sweep: u32, from_above: bool, row: Vec<f64>) {
+        debug_assert!(
+            sweep.wrapping_sub(self.sweeps) < 2,
+            "ghost row for sweep {sweep} at sweep {}",
+            self.sweeps
+        );
+        let slot = &mut self.waiting[usize::from(!from_above)][(sweep % 2) as usize];
+        debug_assert!(slot.is_none(), "two ghost rows for sweep {sweep}");
+        *slot = Some(row);
+    }
+
+    /// True once every ghost row the next sweep needs is filed.
+    pub fn ready(&self) -> bool {
+        let slot = (self.sweeps % 2) as usize;
+        (self.b == 0 || self.waiting[0][slot].is_some())
+            && (self.b + 1 == self.nblocks || self.waiting[1][slot].is_some())
+    }
+
+    /// Run the next sweep: install its ghost rows, apply the 5-point
+    /// update, swap buffers. Returns the largest cell change.
+    pub fn sweep(&mut self) -> f64 {
+        debug_assert!(self.ready(), "sweep {} before its ghost rows", self.sweeps);
+        let (n, w, rows) = (self.n, self.n + 2, self.rows);
+        let slot = (self.sweeps % 2) as usize;
+        if let Some(row) = self.waiting[0][slot].take() {
+            self.cur[..w].copy_from_slice(&row);
+        }
+        if let Some(row) = self.waiting[1][slot].take() {
+            self.cur[(rows + 1) * w..].copy_from_slice(&row);
+        }
+        let mut change = 0.0f64;
+        for r in 1..=rows {
+            // Equal-length views of the four neighbours, so the update
+            // vectorizes.
+            let here = &self.cur[r * w..(r + 1) * w];
+            let up = &self.cur[(r - 1) * w + 1..r * w - 1];
+            let down = &self.cur[(r + 1) * w + 1..(r + 2) * w - 1];
+            let (left, right) = (&here[..n], &here[2..]);
+            let out = &mut self.next[r * w + 1..(r + 1) * w - 1];
+            for c in 0..n {
+                out[c] = 0.25 * (up[c] + down[c] + left[c] + right[c]);
+            }
+            change = change.max(max_change(out, &here[1..=n]));
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.sweeps += 1;
+        change
+    }
+
+    /// Sum of the interior cells, row by row.
+    pub fn checksum(&self) -> f64 {
+        let w = self.n + 2;
+        let mut s = 0.0;
+        for r in 1..=self.rows {
+            for c in 1..=self.n {
+                s += self.cur[r * w + c];
+            }
+        }
+        s
+    }
+}
+
+/// The largest `|new[i] - old[i]|`, kept in eight lanes so the loop
+/// vectorizes; `max` is exact, so the lane order cannot change it.
+fn max_change(new: &[f64], old: &[f64]) -> f64 {
+    let (new8, old8) = (new.chunks_exact(8), old.chunks_exact(8));
+    let tail = new8.remainder().iter().zip(old8.remainder());
+    let tail = tail.fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    let mut lanes = [0.0f64; 8];
+    for (a, b) in new8.zip(old8) {
+        for ((l, a), b) in lanes.iter_mut().zip(a).zip(b) {
+            *l = l.max((a - b).abs());
+        }
+    }
+    lanes.into_iter().fold(tail, f64::max)
 }
 
 /// A ghost row exchanged between neighboring blocks.
@@ -132,115 +285,38 @@ pub struct JacobiCfg {
     pub acc: Acc<SumF64>,
 }
 
-/// One PE's block of the grid.
+/// One PE's branch: its block and the ghost-row exchange.
 pub struct JacobiBranch {
     cfg: JacobiCfg,
-    /// Number of active blocks (= min(npes, n)).
-    nblocks: usize,
-    /// This branch's block index (== PE index), or None if inactive.
-    rows: usize,
-    /// Block data: `(rows + 2) x (n + 2)`, row 0 and row rows+1 are
-    /// ghost/boundary rows.
-    cur: Vec<f64>,
-    next: Vec<f64>,
-    /// Completed iterations.
-    done: u32,
-    /// Ghost rows from above/below, queued in iteration order.
-    from_above: std::collections::VecDeque<Vec<f64>>,
-    from_below: std::collections::VecDeque<Vec<f64>>,
+    /// This PE's block, or `None` on a PE left without rows.
+    block: Option<Block>,
 }
 
 impl JacobiBranch {
-    fn width(&self) -> usize {
-        self.cfg.params.n + 2
-    }
-
-    fn is_first(&self, pe: Pe) -> bool {
-        pe.index() == 0
-    }
-
-    fn is_last(&self, pe: Pe) -> bool {
-        pe.index() + 1 == self.nblocks
-    }
-
-    fn active(&self) -> bool {
-        self.rows > 0
-    }
-
-    /// Send this block's edge rows (current state) to its neighbors.
-    fn send_edges(&self, ctx: &mut Ctx) {
-        let me = ctx.pe();
+    /// Send the block's edge rows (current state) to its neighbors.
+    fn send_edges(block: &Block, ctx: &mut Ctx) {
         let boc = ctx.self_boc::<JacobiBranch>();
-        let w = self.width();
-        if !self.is_first(me) {
-            let row = self.cur[w..2 * w].to_vec();
-            ctx.send_branch(
-                boc,
-                Pe::from(me.index() - 1),
-                EP_GHOST,
-                GhostMsg {
-                    iter: self.done,
-                    from_above: false,
-                    row,
-                },
-            );
-        }
-        if !self.is_last(me) {
-            let row = self.cur[self.rows * w..(self.rows + 1) * w].to_vec();
-            ctx.send_branch(
-                boc,
-                Pe::from(me.index() + 1),
-                EP_GHOST,
-                GhostMsg {
-                    iter: self.done,
-                    from_above: true,
-                    row,
-                },
-            );
+        for e in block.edges() {
+            let ghost = GhostMsg {
+                iter: block.sweeps(),
+                from_above: e.from_above,
+                row: e.row,
+            };
+            ctx.send_branch(boc, e.to, EP_GHOST, ghost);
         }
     }
 
-    /// Run as many iterations as the available ghosts allow.
-    fn advance(&mut self, ctx: &mut Ctx) {
-        let me = ctx.pe();
-        let w = self.width();
-        while self.done < self.cfg.params.iters {
-            let need_above = !self.is_first(me);
-            let need_below = !self.is_last(me);
-            if (need_above && self.from_above.is_empty())
-                || (need_below && self.from_below.is_empty())
-            {
-                return;
-            }
-            if need_above {
-                let row = self.from_above.pop_front().expect("checked");
-                self.cur[..w].copy_from_slice(&row);
-            }
-            if need_below {
-                let row = self.from_below.pop_front().expect("checked");
-                self.cur[(self.rows + 1) * w..].copy_from_slice(&row);
-            }
-            for r in 1..=self.rows {
-                for c in 1..=self.cfg.params.n {
-                    self.next[r * w + c] = 0.25
-                        * (self.cur[(r - 1) * w + c]
-                            + self.cur[(r + 1) * w + c]
-                            + self.cur[r * w + c - 1]
-                            + self.cur[r * w + c + 1]);
-                }
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            ctx.charge(work(
-                (self.rows * self.cfg.params.n) as u64,
-                JACOBI_CELL_NS,
-            ));
-            self.done += 1;
-            if self.done < self.cfg.params.iters {
-                self.send_edges(ctx);
+    /// Run as many sweeps as the filed ghost rows allow.
+    fn advance(block: &mut Block, cfg: &JacobiCfg, ctx: &mut Ctx) {
+        let iters = cfg.params.iters;
+        while block.sweeps() < iters && block.ready() {
+            block.sweep();
+            ctx.charge(work(block.cells(), JACOBI_CELL_NS));
+            if block.sweeps() < iters {
+                JacobiBranch::send_edges(block, ctx);
             } else {
                 // Finished: contribute the block checksum and go quiet.
-                let sum = interior_sum(&self.cur, self.rows, self.cfg.params.n, w);
-                ctx.acc_add(self.cfg.acc, sum);
+                ctx.acc_add(cfg.acc, block.checksum());
             }
         }
     }
@@ -249,54 +325,17 @@ impl JacobiBranch {
 impl BranchInit for JacobiBranch {
     type Cfg = JacobiCfg;
     fn create(cfg: JacobiCfg, ctx: &mut Ctx) -> Self {
-        let n = cfg.params.n;
-        let nblocks = ctx.npes().min(n);
-        let pe = ctx.pe();
-        let (_, rows) = if pe.index() < nblocks {
-            block_rows(n, nblocks, pe.index())
-        } else {
-            (0, 0)
-        };
-        let w = n + 2;
-        let mut cur = vec![INTERIOR0; (rows + 2) * w];
-        // Side boundaries.
-        for r in 0..rows + 2 {
-            cur[r * w] = EDGE;
-            cur[r * w + w - 1] = EDGE;
-        }
-        // Global top/bottom boundaries live in the edge blocks' ghost
-        // rows and never change.
-        if pe.index() == 0 && rows > 0 {
-            for cell in cur.iter_mut().take(w) {
-                *cell = TOP;
+        let mut block = Block::for_pe(cfg.params.n, ctx.npes(), ctx.pe());
+        if let Some(block) = &mut block {
+            if cfg.params.iters > 0 {
+                JacobiBranch::send_edges(block, ctx);
+                JacobiBranch::advance(block, &cfg, ctx); // single-block case completes here
+            } else {
+                // Zero iterations: checksum of the initial state.
+                ctx.acc_add(cfg.acc, block.checksum());
             }
         }
-        if pe.index() + 1 == nblocks && rows > 0 {
-            for c in 0..w {
-                cur[(rows + 1) * w + c] = EDGE;
-            }
-            cur[(rows + 1) * w] = EDGE;
-        }
-        let next = cur.clone();
-        let mut branch = JacobiBranch {
-            cfg,
-            nblocks,
-            rows,
-            cur,
-            next,
-            done: 0,
-            from_above: Default::default(),
-            from_below: Default::default(),
-        };
-        if branch.active() && branch.cfg.params.iters > 0 {
-            branch.send_edges(ctx);
-            branch.advance(ctx); // single-block case completes here
-        } else if branch.active() {
-            // Zero iterations: checksum of the initial state.
-            let sum = interior_sum(&branch.cur, branch.rows, branch.cfg.params.n, branch.width());
-            ctx.acc_add(branch.cfg.acc, sum);
-        }
-        branch
+        JacobiBranch { cfg, block }
     }
 }
 
@@ -304,13 +343,9 @@ impl Branch for JacobiBranch {
     fn entry(&mut self, ep: EpId, msg: MsgBody, ctx: &mut Ctx) {
         debug_assert_eq!(ep, EP_GHOST);
         let ghost = cast::<GhostMsg>(msg);
-        debug_assert!(ghost.iter >= self.done, "stale ghost row");
-        if ghost.from_above {
-            self.from_above.push_back(ghost.row);
-        } else {
-            self.from_below.push_back(ghost.row);
-        }
-        self.advance(ctx);
+        let block = self.block.as_mut().expect("ghost rows reach only blocks");
+        block.file(ghost.iter, ghost.from_above, ghost.row);
+        JacobiBranch::advance(block, &self.cfg, ctx);
     }
 }
 
@@ -411,6 +446,31 @@ mod tests {
                 assert_eq!(covered, n, "n={n} blocks={nblocks}");
             }
         }
+    }
+
+    #[test]
+    fn ghost_rows_meet_their_sweep_in_any_order() {
+        // The top block runs one sweep ahead, so the bottom one holds
+        // its rows for sweeps 0 and 1 at once; LIFO hands them over
+        // newest first. One row a block, so each sweep changes the row
+        // the neighbour gets.
+        let n = 2;
+        let (mut top, mut bottom) = (Block::new(n, 2, 0), Block::new(n, 2, 1));
+        let edge = |b: &Block| b.edges().next().expect("one neighbour");
+        let (up0, down0) = (edge(&bottom), edge(&top));
+        top.file(0, up0.from_above, up0.row);
+        top.sweep();
+        let down1 = edge(&top);
+        bottom.file(1, down1.from_above, down1.row);
+        bottom.file(0, down0.from_above, down0.row);
+        bottom.sweep();
+        let up1 = edge(&bottom);
+        bottom.sweep();
+        top.file(1, up1.from_above, up1.row);
+        top.sweep();
+        let want = jacobi_seq(JacobiParams { n, iters: 2 });
+        let got = top.checksum() + bottom.checksum();
+        assert!(close(got, want), "got {got}, want {want}");
     }
 
     #[test]

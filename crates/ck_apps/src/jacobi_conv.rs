@@ -14,7 +14,7 @@
 use chare_kernel::prelude::*;
 
 use crate::costs::{work, JACOBI_CELL_NS};
-use crate::jacobi::{block_rows, JacobiParams};
+use crate::jacobi::Block;
 use crate::registry::{Answer, App};
 use crate::spec::{Args, SpecError};
 
@@ -63,40 +63,16 @@ pub struct ConvResult {
 
 /// Sequential reference: same sweep/tolerance logic.
 pub fn jacobi_conv_seq(params: ConvParams) -> ConvResult {
-    let n = params.n;
-    let w = n + 2;
-    let mut cur = vec![0.0f64; w * w];
-    for cell in cur.iter_mut().take(w) {
-        *cell = 1.0;
-    }
-    let mut next = cur.clone();
-    let mut iters = 0;
-    while iters < params.max_iters {
-        let mut maxdiff = 0.0f64;
-        for r in 1..=n {
-            for c in 1..=n {
-                let v = 0.25
-                    * (cur[(r - 1) * w + c]
-                        + cur[(r + 1) * w + c]
-                        + cur[r * w + c - 1]
-                        + cur[r * w + c + 1]);
-                maxdiff = maxdiff.max((v - cur[r * w + c]).abs());
-                next[r * w + c] = v;
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
-        iters += 1;
-        if maxdiff < params.eps {
+    let mut grid = Block::whole(params.n);
+    while grid.sweeps() < params.max_iters {
+        if grid.sweep() < params.eps {
             break;
         }
     }
-    let mut checksum = 0.0;
-    for r in 1..=n {
-        for c in 1..=n {
-            checksum += cur[r * w + c];
-        }
+    ConvResult {
+        iters: grid.sweeps(),
+        checksum: grid.checksum(),
     }
-    ConvResult { iters, checksum }
 }
 
 /// Ghost row between neighbors.
@@ -142,127 +118,49 @@ pub struct ConvCfg {
     pub checksum: Acc<SumF64>,
 }
 
-/// One PE's block, lock-stepped by the per-sweep barrier.
+/// One PE's branch: its block, lock-stepped by the per-sweep barrier.
 pub struct ConvBranch {
     cfg: ConvCfg,
-    nblocks: usize,
-    rows: usize,
-    cur: Vec<f64>,
-    next: Vec<f64>,
-    ghosts_in: usize,
+    /// This PE's block, or `None` on a PE left without rows.
+    block: Option<Block>,
     sweep_armed: Option<ChareId>,
 }
 
 impl ConvBranch {
-    fn width(&self) -> usize {
-        self.cfg.params.n + 2
-    }
-
-    fn ghosts_needed(&self, pe: Pe) -> usize {
-        usize::from(pe.index() > 0) + usize::from(pe.index() + 1 < self.nblocks)
-    }
-
-    fn send_edges(&self, ctx: &mut Ctx) {
-        let me = ctx.pe();
+    fn send_edges(block: &Block, ctx: &mut Ctx) {
         let boc = ctx.self_boc::<ConvBranch>();
-        let w = self.width();
-        if me.index() > 0 {
-            ctx.send_branch(
-                boc,
-                Pe::from(me.index() - 1),
-                EP_GHOST,
-                GhostMsg {
-                    from_above: false,
-                    row: self.cur[w..2 * w].to_vec(),
-                },
-            );
-        }
-        if me.index() + 1 < self.nblocks {
-            ctx.send_branch(
-                boc,
-                Pe::from(me.index() + 1),
-                EP_GHOST,
-                GhostMsg {
-                    from_above: true,
-                    row: self.cur[self.rows * w..(self.rows + 1) * w].to_vec(),
-                },
-            );
+        for e in block.edges() {
+            let ghost = GhostMsg {
+                from_above: e.from_above,
+                row: e.row,
+            };
+            ctx.send_branch(boc, e.to, EP_GHOST, ghost);
         }
     }
 
     /// Run the sweep if both the control signal and all ghosts arrived.
-    fn try_sweep(&mut self, ctx: &mut Ctx) {
-        let me = ctx.pe();
-        let Some(main) = self.sweep_armed else {
+    fn try_sweep(block: &mut Block, armed: &mut Option<ChareId>, cfg: &ConvCfg, ctx: &mut Ctx) {
+        let Some(main) = *armed else {
             return;
         };
-        if self.ghosts_in < self.ghosts_needed(me) {
+        if !block.ready() {
             return;
         }
-        self.sweep_armed = None;
-        self.ghosts_in = 0;
-        let w = self.width();
-        let n = self.cfg.params.n;
-        let mut maxdiff = 0.0f64;
-        for r in 1..=self.rows {
-            for c in 1..=n {
-                let v = 0.25
-                    * (self.cur[(r - 1) * w + c]
-                        + self.cur[(r + 1) * w + c]
-                        + self.cur[r * w + c - 1]
-                        + self.cur[r * w + c + 1]);
-                maxdiff = maxdiff.max((v - self.cur[r * w + c]).abs());
-                self.next[r * w + c] = v;
-            }
-        }
-        // Ghost/boundary rows carry over to the next buffer.
-        self.next[..w].copy_from_slice(&self.cur[..w]);
-        let lo = (self.rows + 1) * w;
-        self.next[lo..].copy_from_slice(&self.cur[lo..]);
-        std::mem::swap(&mut self.cur, &mut self.next);
-        ctx.charge(work((self.rows * n) as u64, JACOBI_CELL_NS));
-        ctx.acc_add(self.cfg.maxdiff, maxdiff);
+        *armed = None;
+        let change = block.sweep();
+        ctx.charge(work(block.cells(), JACOBI_CELL_NS));
+        ctx.acc_add(cfg.maxdiff, change);
         ctx.send(main, EP_SWEPT, ());
-    }
-
-    fn interior_sum(&self) -> f64 {
-        let w = self.width();
-        let mut s = 0.0;
-        for r in 1..=self.rows {
-            for c in 1..=self.cfg.params.n {
-                s += self.cur[r * w + c];
-            }
-        }
-        s
     }
 }
 
 impl BranchInit for ConvBranch {
     type Cfg = ConvCfg;
     fn create(cfg: ConvCfg, ctx: &mut Ctx) -> Self {
-        let n = cfg.params.n;
-        let nblocks = ctx.npes().min(n);
-        let pe = ctx.pe();
-        let rows = if pe.index() < nblocks {
-            block_rows(n, nblocks, pe.index()).1
-        } else {
-            0
-        };
-        let w = n + 2;
-        let mut cur = vec![0.0f64; (rows + 2) * w];
-        if pe.index() == 0 && rows > 0 {
-            for cell in cur.iter_mut().take(w) {
-                *cell = 1.0;
-            }
-        }
-        let next = cur.clone();
+        let block = Block::for_pe(cfg.params.n, ctx.npes(), ctx.pe());
         ConvBranch {
             cfg,
-            nblocks,
-            rows,
-            cur,
-            next,
-            ghosts_in: 0,
+            block,
             sweep_armed: None,
         }
     }
@@ -270,7 +168,7 @@ impl BranchInit for ConvBranch {
 
 impl Branch for ConvBranch {
     fn entry(&mut self, ep: EpId, msg: MsgBody, ctx: &mut Ctx) {
-        if self.rows == 0 {
+        let Some(block) = &mut self.block else {
             // Inactive PE: still answer the barrier so main's count adds
             // up.
             if ep == EP_CONTROL {
@@ -279,27 +177,23 @@ impl Branch for ConvBranch {
                 }
             }
             return;
-        }
+        };
         match ep {
             EP_GHOST => {
+                // The barrier keeps neighbours in step, so a row always
+                // belongs to this block's next sweep.
                 let g = cast::<GhostMsg>(msg);
-                let w = self.width();
-                if g.from_above {
-                    self.cur[..w].copy_from_slice(&g.row);
-                } else {
-                    self.cur[(self.rows + 1) * w..].copy_from_slice(&g.row);
-                }
-                self.ghosts_in += 1;
-                self.try_sweep(ctx);
+                block.file(block.sweeps(), g.from_above, g.row);
+                ConvBranch::try_sweep(block, &mut self.sweep_armed, &self.cfg, ctx);
             }
             EP_CONTROL => match cast::<Control>(msg) {
                 Control::Sweep(main) => {
                     self.sweep_armed = Some(main);
-                    self.send_edges(ctx);
-                    self.try_sweep(ctx);
+                    ConvBranch::send_edges(block, ctx);
+                    ConvBranch::try_sweep(block, &mut self.sweep_armed, &self.cfg, ctx);
                 }
                 Control::Stop => {
-                    ctx.acc_add(self.cfg.checksum, self.interior_sum());
+                    ctx.acc_add(self.cfg.checksum, block.checksum());
                 }
             },
             _ => unreachable!("unknown entry point {ep:?}"),
@@ -441,15 +335,10 @@ pub const APP: App = App {
     answer: |rep| rep.result_ref::<ConvResult>().map(|r| Answer::Int(u64::from(r.iters))),
 };
 
-/// Fixed-iteration twin at the same sweep count (for the
-/// barrier-overhead comparison).
-pub fn fixed_twin(n: usize, iters: u32) -> Program {
-    crate::jacobi::build(JacobiParams { n, iters })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jacobi::JacobiParams;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -514,7 +403,7 @@ mod tests {
         let conv_t = build(params)
             .run_sim_preset(4, MachinePreset::NcubeLike)
             .time_ns;
-        let fixed_t = fixed_twin(32, 12)
+        let fixed_t = crate::jacobi::build(JacobiParams { n: 32, iters: 12 })
             .run_sim_preset(4, MachinePreset::NcubeLike)
             .time_ns;
         assert!(

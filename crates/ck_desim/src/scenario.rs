@@ -217,13 +217,7 @@ pub fn generate(rng: &mut FaultRng) -> Scenario {
             [1, 2][rng.below(2) as usize]
         ),
     });
-    // Both Jacobi variants are pinned to FIFO queueing: their phased
-    // ghost exchange is processing-order-sensitive, and LIFO scheduling
-    // of fault-delayed ghost rows mixes sweep generations into a
-    // (legitimately different) chaotic relaxation — an out-of-envelope
-    // scenario, not a kernel bug.
     let queueing = match app.app.name {
-        "jacobi" | "jconv" => QueueingStrategy::Fifo,
         // The hash-family apps attach bitvector priorities to every
         // send; give the priority ready-queue fault coverage too.
         "mmr" | "tablefill" => [

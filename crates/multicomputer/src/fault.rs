@@ -17,6 +17,17 @@
 use crate::pe::Pe;
 use crate::time::{Cost, SimTime};
 
+/// One SplitMix64 step: advance `state` and return its next output.
+/// Tiny, full-period and identical on every platform, so a schedule
+/// drawn from it replays across processes and builds.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic pseudo-random source for fault decisions.
 ///
 /// xoshiro256** seeded via SplitMix64 — self-contained so the simulator
@@ -33,15 +44,8 @@ impl FaultRng {
     pub fn new(seed: u64) -> Self {
         // SplitMix64 expansion of the seed into four non-zero words.
         let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         FaultRng {
-            s: [next(), next(), next(), next()],
+            s: [0; 4].map(|_| splitmix64(&mut x)),
         }
     }
 

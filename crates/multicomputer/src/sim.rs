@@ -496,30 +496,43 @@ impl<N: NodeProgram> SimMachine<N> {
         );
     }
 
+    /// A handler context for `pe` starting at `now`, lending it the
+    /// outbox scratch.
+    fn ctx(&mut self, pe: Pe, now: SimTime) -> SimCtx {
+        SimCtx::at(pe, self.cfg.npes, now, std::mem::take(&mut self.scratch_outbox))
+    }
+
+    /// Close a handler that ran on `pe` until `end`, `cost` of it busy:
+    /// book the time, keep its deposit and stop, route its sends (they
+    /// depart at `end`), take the outbox scratch back and arm the alarm
+    /// it asked for.
+    fn finish(&mut self, pe: Pe, mut ctx: SimCtx, end: SimTime, cost: Cost) {
+        self.busy_until[pe.index()] = end;
+        self.busy[pe.index()] += cost;
+        if let Some(r) = ctx.deposit {
+            self.result = Some(r);
+        }
+        if ctx.stop {
+            self.stopped = true;
+        }
+        for (to, bytes, payload) in ctx.outbox.drain(..) {
+            self.route(pe, to, bytes, payload, end);
+        }
+        self.scratch_outbox = ctx.outbox;
+        if let Some(after) = ctx.alarm {
+            self.push(end + after, EventKind::Alarm { pe });
+        }
+    }
+
     /// Run the simulation to completion (explicit stop or global
     /// quiescence) and report, handing the nodes back.
     pub fn run(mut self) -> SimReport<N> {
         // Boot every node at t = 0. Boot-time sends depart at t = 0.
         for pe in Pe::all(self.cfg.npes) {
-            let outbox = std::mem::take(&mut self.scratch_outbox);
-            let mut ctx = SimCtx::at(pe, self.cfg.npes, SimTime::ZERO, outbox);
+            let mut ctx = self.ctx(pe, SimTime::ZERO);
             self.nodes[pe.index()].boot(&mut ctx);
-            let end = SimTime::ZERO + ctx.charged;
-            self.busy_until[pe.index()] = end;
-            self.busy[pe.index()] += ctx.charged;
-            if ctx.stop {
-                self.stopped = true;
-            }
-            if let Some(r) = ctx.deposit {
-                self.result = Some(r);
-            }
-            for (to, bytes, payload) in ctx.outbox.drain(..) {
-                self.route(pe, to, bytes, payload, end);
-            }
-            self.scratch_outbox = ctx.outbox;
-            if let Some(after) = ctx.alarm {
-                self.push(end + after, EventKind::Alarm { pe });
-            }
+            let (cost, end) = (ctx.charged, SimTime::ZERO + ctx.charged);
+            self.finish(pe, ctx, end, cost);
         }
         for pe in Pe::all(self.cfg.npes) {
             let at = self.busy_until[pe.index()];
@@ -572,13 +585,11 @@ impl<N: NodeProgram> SimMachine<N> {
                         }
                     }
                     self.exec_scheduled[pe.index()] = false;
-                    let node = &mut self.nodes[pe.index()];
-                    if !node.has_work() {
+                    if !self.nodes[pe.index()].has_work() {
                         continue;
                     }
-                    let outbox = std::mem::take(&mut self.scratch_outbox);
-                    let mut ctx = SimCtx::at(pe, self.cfg.npes, now, outbox);
-                    let ran = node.step(&mut ctx);
+                    let mut ctx = self.ctx(pe, now);
+                    let ran = self.nodes[pe.index()].step(&mut ctx);
                     let cost = match ran {
                         Some(StepKind::User) => self.cfg.cost.dispatch + ctx.charged,
                         Some(StepKind::Control) => self.cfg.cost.ctl_dispatch + ctx.charged,
@@ -595,27 +606,12 @@ impl<N: NodeProgram> SimMachine<N> {
                             });
                         }
                     }
-                    self.busy_until[pe.index()] = end;
-                    self.busy[pe.index()] += cost;
-                    if let Some(r) = ctx.deposit {
-                        self.result = Some(r);
-                    }
-                    if ctx.stop {
-                        self.stopped = true;
+                    self.finish(pe, ctx, end, cost);
+                    if self.stopped {
                         now = end;
-                    }
-                    for (to, bytes, payload) in ctx.outbox.drain(..) {
-                        self.route(pe, to, bytes, payload, end);
-                    }
-                    self.scratch_outbox = ctx.outbox;
-                    if let Some(after) = ctx.alarm {
-                        self.push(end + after, EventKind::Alarm { pe });
-                    }
-                    if !self.stopped {
-                        self.schedule_exec(pe, end);
-                    } else {
                         break;
                     }
+                    self.schedule_exec(pe, end);
                 }
                 EventKind::Alarm { pe } => {
                     if let Some(fs) = &mut self.fault {
@@ -631,31 +627,15 @@ impl<N: NodeProgram> SimMachine<N> {
                     // Serialize with handler execution: the alarm handler
                     // starts once the PE is free.
                     let start = now.max(self.busy_until[pe.index()]);
-                    let outbox = std::mem::take(&mut self.scratch_outbox);
-                    let mut ctx = SimCtx::at(pe, self.cfg.npes, start, outbox);
+                    let mut ctx = self.ctx(pe, start);
                     self.nodes[pe.index()].alarm(&mut ctx);
-                    let end = start + ctx.charged;
-                    self.busy_until[pe.index()] = end;
-                    self.busy[pe.index()] += ctx.charged;
-                    if let Some(r) = ctx.deposit {
-                        self.result = Some(r);
-                    }
-                    if ctx.stop {
-                        self.stopped = true;
+                    let (cost, end) = (ctx.charged, start + ctx.charged);
+                    self.finish(pe, ctx, end, cost);
+                    if self.stopped {
                         now = end;
-                    }
-                    for (to, bytes, payload) in ctx.outbox.drain(..) {
-                        self.route(pe, to, bytes, payload, end);
-                    }
-                    self.scratch_outbox = ctx.outbox;
-                    if let Some(after) = ctx.alarm {
-                        self.push(end + after, EventKind::Alarm { pe });
-                    }
-                    if !self.stopped {
-                        self.schedule_exec(pe, end);
-                    } else {
                         break;
                     }
+                    self.schedule_exec(pe, end);
                 }
                 EventKind::Sample => {
                     if self.samples.is_empty() {

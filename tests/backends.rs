@@ -171,6 +171,14 @@ fn conformance_jacobi() {
     // npes, so per-block sums are bitwise identical; only the final
     // accumulator combine could differ (`Answer::matches`: 1e-9).
     conform("conformance_jacobi", "jacobi:n=24,iters=8", 4);
+    // Under LIFO a neighbour's rows for two sweeps can be handled
+    // newest first; each must still meet the sweep it belongs to.
+    conform("conformance_jacobi", "jacobi:n=48,iters=20,q=lifo", 4);
+    conform(
+        "conformance_jacobi",
+        "jconv:n=16,eps=0.001,max_iters=200,q=lifo",
+        4,
+    );
 }
 
 #[test]
