@@ -311,9 +311,10 @@ impl CkNode {
                 });
                 let id = ChareId { pe: self.pe, local: slot };
                 self.counters.chares_created += 1;
-                let reg = Arc::clone(&self.reg);
+                // A copied `fn` pointer: no refcount write per creation.
+                let create = self.reg.chares[seed.kind.0 as usize].create;
                 let mut ctx = Ctx::new(self, net, Current::Chare(id));
-                let obj = (reg.chares[seed.kind.0 as usize].create)(seed.body, &mut ctx);
+                let obj = create(seed.body, &mut ctx);
                 if ctx.destroy_requested {
                     self.free_slots.push(slot);
                 } else {
@@ -459,6 +460,12 @@ impl NodeProgram for CkNode {
 
     fn duplicate(payload: &multicomputer::Payload) -> Option<multicomputer::Payload> {
         crate::reliable::duplicate(payload)
+    }
+
+    /// Only the recorder reads packet stamps (the reliable layer's
+    /// arrival transitions ignore the time they are handed).
+    fn stamps(&self) -> bool {
+        self.probe.is_some()
     }
 }
 

@@ -49,12 +49,8 @@ impl Priority {
         match self {
             Priority::None => BitPrio::root(),
             Priority::Int(v) => {
-                // Order-preserving 64-bit encoding of the integer.
-                let biased = (*v as u64) ^ (1 << 63);
                 let mut b = BitPrio::root();
-                for i in (0..64).rev() {
-                    b.push_bit((biased >> i) & 1 == 1);
-                }
+                b.push_bits(int_bits(*v), 64);
                 b
             }
             Priority::Bits(b) => b.clone(),
@@ -71,14 +67,21 @@ impl Priority {
     }
 }
 
+/// Order-preserving 64-bit encoding of an integer priority: the bits
+/// [`Priority::bit_key`] gives an `Int`.
+pub(crate) fn int_bits(v: i64) -> u64 {
+    (v as u64) ^ (1 << 63)
+}
+
 /// A variable-length bitvector priority: a binary fraction in `[0, 1)`,
 /// most significant bit first. Smaller fraction = more urgent.
 ///
 /// Storage is inline up to 128 bits — search-tree priorities are a few
 /// bits per level, so real programs essentially never leave the stack —
 /// and spills to the heap beyond that. Cloning an inline priority (the
-/// hot path: every prioritized send and queue insertion clones) is a
-/// plain memcpy with no allocation.
+/// hot path: every prioritized send clones) is a plain memcpy with no
+/// allocation. Constructors append whole bytes with shifts, never one
+/// bit at a time.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitPrio {
     bytes: PrioBytes,
@@ -90,7 +93,7 @@ pub struct BitPrio {
 /// Byte storage for [`BitPrio`]: a fixed inline buffer or a heap spill.
 ///
 /// Canonical representation: `Inline` whenever the byte count fits,
-/// `Heap` only beyond that. Growth is monotone and one byte at a time,
+/// `Heap` only beyond that. Growth is monotone and new bytes are zero,
 /// so equal logical values always share a variant — the derived
 /// `PartialEq`/`Hash` (which see the whole inline buffer, trailing
 /// zeros included) therefore agree with slice equality.
@@ -110,25 +113,54 @@ impl PrioBytes {
         }
     }
 
-    fn push_zero_byte(&mut self) {
-        match self {
-            PrioBytes::Inline { n, .. } if (*n as usize) < Self::INLINE => *n += 1,
-            PrioBytes::Inline { n, buf } => {
-                let mut v = Vec::with_capacity(*n as usize + 1);
+    /// Grow to `len` bytes (never shrinks) and return them; the new
+    /// bytes are zero.
+    fn grow_to(&mut self, len: usize) -> &mut [u8] {
+        if let PrioBytes::Inline { n, buf } = self {
+            if len > Self::INLINE {
+                let mut v = Vec::with_capacity(len);
                 v.extend_from_slice(&buf[..*n as usize]);
-                v.push(0);
                 *self = PrioBytes::Heap(v);
             }
-            PrioBytes::Heap(v) => v.push(0),
+        }
+        match self {
+            PrioBytes::Inline { n, buf } => {
+                *n = (*n).max(len as u8);
+                &mut buf[..*n as usize]
+            }
+            PrioBytes::Heap(v) => {
+                if v.len() < len {
+                    v.resize(len, 0);
+                }
+                v
+            }
         }
     }
 
-    fn or_byte(&mut self, idx: usize, mask: u8) {
+    /// The first [`Self::INLINE`] bytes as one big-endian integer,
+    /// zero-padded.
+    fn head(&self) -> u128 {
         match self {
-            PrioBytes::Inline { buf, .. } => buf[idx] |= mask,
-            PrioBytes::Heap(v) => v[idx] |= mask,
+            // Bytes past `n` are zero (see the canonical form above).
+            PrioBytes::Inline { buf, .. } => u128::from_be_bytes(*buf),
+            PrioBytes::Heap(v) => {
+                u128::from_be_bytes(v[..Self::INLINE].try_into().expect("a spilled key is longer"))
+            }
         }
     }
+}
+
+/// Compare two big-endian byte strings as binary fractions: the shorter
+/// is padded with zeros.
+fn cmp_padded(a: &[u8], b: &[u8]) -> Ordering {
+    let common = a.len().min(b.len());
+    a[..common].cmp(&b[..common]).then_with(|| {
+        // All remaining bytes of the longer one are compared to zero
+        // padding; any 1 bit makes it larger.
+        let rest_a = a[common..].iter().any(|&x| x != 0);
+        let rest_b = b[common..].iter().any(|&x| x != 0);
+        rest_a.cmp(&rest_b)
+    })
 }
 
 impl Default for PrioBytes {
@@ -164,16 +196,49 @@ impl BitPrio {
         (byte >> (7 - (i % 8))) & 1 == 1
     }
 
-    /// Append one bit in place (shared by the cloning constructors).
+    /// The `len` bits stored most significant first in `bytes`, which
+    /// is `ceil(len / 8)` long; the padding bits of its last byte are
+    /// dropped.
+    pub(crate) fn from_bytes(bytes: &[u8], len: u32) -> BitPrio {
+        debug_assert_eq!(bytes.len(), len.div_ceil(8) as usize);
+        let mut p = BitPrio::root();
+        let out = p.bytes.grow_to(bytes.len());
+        out.copy_from_slice(bytes);
+        if let Some(last) = out.last_mut().filter(|_| !len.is_multiple_of(8)) {
+            *last &= 0xff << (8 - len % 8);
+        }
+        p.len = len;
+        p
+    }
+
+    /// The bits as stored: most significant first, `ceil(len / 8)`
+    /// bytes, zero-padded.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.bytes.as_slice()
+    }
+
+    /// Append one bit in place.
     pub(crate) fn push_bit(&mut self, bit: bool) {
-        let i = self.len;
-        if i.is_multiple_of(8) {
-            self.bytes.push_zero_byte();
+        self.push_bits(u64::from(bit), 1);
+    }
+
+    /// Append the low `width` bits of `value`, most significant first,
+    /// a byte at a time: the shared step of every constructor.
+    pub(crate) fn push_bits(&mut self, value: u64, width: u32) {
+        debug_assert!(width <= 64 && (width == 64 || value >> width == 0), "{value} in {width} bits");
+        if width == 0 {
+            return;
         }
-        if bit {
-            self.bytes.or_byte((i / 8) as usize, 1 << (7 - (i % 8)));
+        let (start, end) = (self.len, self.len + width);
+        let first = (start / 8) as usize;
+        let bytes = &mut self.bytes.grow_to(end.div_ceil(8) as usize)[first..];
+        // `value` placed in a 128-bit window whose top byte is byte
+        // `first`: its leading bit lands `start % 8` bits into it.
+        let window = u128::from(value) << (128 - width - start % 8);
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b |= (window >> (120 - 8 * i)) as u8;
         }
-        self.len += 1;
+        self.len = end;
     }
 
     /// Extend with one bit, returning the refined priority. Appending
@@ -199,9 +264,7 @@ impl BitPrio {
             "value {value} does not fit in {width} bits"
         );
         let mut out = self.clone();
-        for i in (0..width).rev() {
-            out.push_bit((value >> i) & 1 == 1);
-        }
+        out.push_bits(value.into(), width);
         out
     }
 
@@ -219,31 +282,45 @@ impl BitPrio {
     pub fn from_path(path: &[u32]) -> BitPrio {
         let mut out = BitPrio::root();
         for &component in path {
-            out = out.child(component, 32);
+            out.push_bits(component.into(), 32);
         }
         out
     }
 
-    /// First stored byte, zero-padded — the radix the bucketed scheduler
-    /// queue sorts on. Safe as a coarse sort key because priorities that
-    /// compare equal always share it (trailing padding is all zeros) and
-    /// a strictly greater first byte implies a strictly greater
-    /// priority.
+    /// First stored byte, zero-padded: a coarse sort key, because
+    /// priorities that compare equal always share it (trailing padding
+    /// is all zeros) and a strictly greater first byte implies a
+    /// strictly greater priority.
     pub fn radix_byte(&self) -> u8 {
-        self.bytes.as_slice().first().copied().unwrap_or(0)
+        (self.head() >> 120) as u8
     }
 
     /// First 63 bits as an integer (for degraded ordering under the
     /// integer-priority queue).
     pub fn prefix_key(&self) -> u64 {
-        let mut key = 0u64;
-        for i in 0..63 {
-            key <<= 1;
-            if i < self.len && self.bit(i) {
-                key |= 1;
-            }
-        }
-        key
+        (self.head() >> 65) as u64
+    }
+
+    /// First 128 bits, zero-padded, as one integer: comparing heads
+    /// orders two priorities unless they tie, and a tie is decided by
+    /// the [`tail`](Self::tail)s.
+    pub(crate) fn head(&self) -> u128 {
+        self.bytes.head()
+    }
+
+    /// Whether bits lie beyond the [`head`](Self::head).
+    pub(crate) fn has_tail(&self) -> bool {
+        self.len > 128
+    }
+
+    /// Compare the bits beyond the head of `self` and `other`, as
+    /// binary fractions.
+    pub(crate) fn cmp_tail(&self, other: &Self) -> Ordering {
+        cmp_padded(self.tail(), other.tail())
+    }
+
+    fn tail(&self) -> &[u8] {
+        self.bytes.as_slice().get(PrioBytes::INLINE..).unwrap_or(&[])
     }
 }
 
@@ -259,29 +336,7 @@ impl Ord for BitPrio {
     /// compares *equal or smaller*: a parent is never less urgent than
     /// its children.
     fn cmp(&self, other: &Self) -> Ordering {
-        let a = self.bytes.as_slice();
-        let b = other.bytes.as_slice();
-        let common_bytes = a.len().min(b.len());
-        match a[..common_bytes].cmp(&b[..common_bytes]) {
-            Ordering::Equal => {
-                // All remaining bits of the longer one are compared to
-                // zero padding; any 1 bit makes it larger.
-                let (longer, flip) = if a.len() > common_bytes {
-                    (a, false)
-                } else if b.len() > common_bytes {
-                    (b, true)
-                } else {
-                    return Ordering::Equal;
-                };
-                let any_one = longer[common_bytes..].iter().any(|&x| x != 0);
-                match (any_one, flip) {
-                    (false, _) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (true, true) => Ordering::Less,
-                }
-            }
-            ord => ord,
-        }
+        cmp_padded(self.bytes.as_slice(), other.bytes.as_slice())
     }
 }
 

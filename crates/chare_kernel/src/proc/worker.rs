@@ -24,11 +24,13 @@
 //!   every length prefix before anything is allocated for it. It knows
 //!   nothing of the wire table.
 //! * **Decode** (PE thread). [`deliver_chunk`] stamps one arrival time
-//!   per chunk, decodes each `SysMsg` out of the chunk and boxes it with
-//!   [`pool::payload`], so the envelope is allocated on the thread whose
-//!   pool `reclaim`s it. A body that is not an encoded envelope ends the
-//!   worker the way a length prefix the splitter refuses does
-//!   ([`bad_frame`]).
+//!   per chunk (a node that does not [stamp](NodeProgram::stamps) gets
+//!   0 here, and its frames carry a `sent_ns` of 0, so the wire format
+//!   is the same either way), decodes each `SysMsg` out of the chunk
+//!   and boxes it with [`pool::payload`], so the envelope is allocated
+//!   on the thread whose pool `reclaim`s it. A body that is not an
+//!   encoded envelope ends the worker the way a length prefix the
+//!   splitter refuses does ([`bad_frame`]).
 //!
 //! ## When coalescing buffers flush
 //!
@@ -160,6 +162,9 @@ struct ProcCtx {
     /// Scheduler steps since the last [`flush_all`](Self::flush_all).
     unflushed_steps: u32,
     shim: Option<LossShim>,
+    /// The node's [`NodeProgram::stamps`]: if false, no send or arrival
+    /// reads the clock, and frames carry a `sent_ns` of 0.
+    stamps: bool,
 }
 
 impl ProcCtx {
@@ -197,7 +202,7 @@ impl NetCtx for ProcCtx {
     }
     fn send(&mut self, to: Pe, bytes: u32, payload: Payload) {
         assert!(to.index() < self.npes, "send to PE out of range");
-        let now = self.now_ns();
+        let now = if self.stamps { self.now_ns() } else { 0 };
         if to == self.me {
             self.local.push_back(Packet {
                 from: self.me,
@@ -259,7 +264,7 @@ fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
 /// Decode every frame of `chunk` and hand it to the node. One arrival
 /// stamp covers the chunk: its frames came out of one `read`.
 fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    let now = ctx.now_ns();
+    let now = if ctx.stamps { ctx.now_ns() } else { 0 };
     for body in chunk.frames() {
         let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
         let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
@@ -430,6 +435,7 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
         alarm_at: None,
         unflushed_steps: 0,
         shim: opts.loss.map(|l| LossShim::new(l, rank, npes)),
+        stamps: node.stamps(),
     };
 
     // -- wait for Start (stashing any early peer frames) -------------------
@@ -638,6 +644,7 @@ mod tests {
             alarm_at: None,
             unflushed_steps: 0,
             shim: None,
+            stamps: true,
         };
         (ctx, far_ends)
     }
@@ -801,6 +808,24 @@ mod tests {
         for pkt in &node.0 {
             assert_eq!((pkt.from, pkt.bytes, pkt.at_ns), (Pe(0), 8, at_ns));
             assert!(pkt.sent_ns <= pkt.at_ns);
+        }
+    }
+
+    #[test]
+    fn a_node_that_does_not_stamp_sends_and_gets_packets_stamped_zero() {
+        let (mut ctx, mut far) = ctx_over_socketpairs(2, 16 * 1024, 64);
+        ctx.stamps = false;
+        send_poll(&mut ctx, 1, 1);
+        send_poll(&mut ctx, 0, 2);
+        ctx.flush_all();
+        let chunk = arrived(far[1].as_mut().expect("link 0 -> 1")).expect("one frame");
+
+        let mut node = Sink::default();
+        deliver_chunk(0, &chunk, &mut node, &mut ctx);
+        deliver_local(&mut node, &mut ctx);
+        assert_eq!(node.0.len(), 2, "the remote frame and the self-send");
+        for pkt in &node.0 {
+            assert_eq!((pkt.at_ns, pkt.sent_ns), (0, 0));
         }
     }
 }

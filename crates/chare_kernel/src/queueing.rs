@@ -14,15 +14,16 @@
 //!
 //! Like the C kernel — whose scheduler kept constant-time bucketed
 //! queues because a `log n` heap operation per message *is* measurable
-//! kernel overhead — the two priority disciplines here front a bucket
-//! array with an occupancy bitmap: [`IntPrioQueue`] buckets a window of
-//! integer keys (O(1) push/pop, intrusive FIFO per bucket),
-//! [`BitPrioQueue`] radix-buckets bitvector keys on their first byte.
-//! The original single-`BinaryHeap` implementations survive in
-//! `tests/queue_props.rs` as the reference order the property tests
-//! check the bucketed queues against, pop-for-pop.
+//! kernel overhead — the priority disciplines keep per-message work
+//! small: [`IntPrioQueue`] buckets a window of integer keys behind an
+//! occupancy bitmap (O(1) push/pop, intrusive FIFO per bucket), and
+//! [`BitPrioQueue`] heaps 32-byte entries whose first 128 key bits
+//! compare as one integer, with the items parked in a slab. Reference
+//! single-`BinaryHeap` implementations over whole keys live in
+//! `tests/queue_props.rs`; the property tests check both queues against
+//! them, pop-for-pop.
 
-use crate::priority::{BitPrio, Priority};
+use crate::priority::{int_bits, BitPrio, Priority};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -300,98 +301,149 @@ impl<T: Send> SchedQueue<T> for IntPrioQueue<T> {
     }
 }
 
-struct BitEntry<T> {
-    key: BitPrio,
+/// A bitvector-queue heap entry: the key's first 128 bits and the push
+/// sequence, with the item (and a key longer than 128 bits) parked in
+/// the queue's slab at `slot`. 32 bytes, so a sift moves little.
+#[derive(Clone, Copy)]
+struct BitEntry {
+    head: u128,
     seq: u64,
-    item: T,
+    slot: u32,
+    /// The key has bits beyond `head`, kept in the slab.
+    long: bool,
 }
 
-impl<T> PartialEq for BitEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<T> Eq for BitEntry<T> {}
-impl<T> PartialOrd for BitEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for BitEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Smallest (key, seq) pops first.
-        match other.key.cmp(&self.key) {
-            Ordering::Equal => other.seq.cmp(&self.seq),
-            ord => ord,
-        }
-    }
+/// What a [`BitEntry`] leaves in the slab.
+struct Parked<T> {
+    item: T,
+    /// The whole key, if it is longer than the entry's head.
+    long_key: Option<BitPrio>,
 }
 
 /// Bitvector-priority queue: lexicographically smallest key pops first,
 /// FIFO among equals.
 ///
-/// Radix-bucketed front: keys are spread over 256 buckets by their
-/// first byte ([`BitPrio::radix_byte`]), with an occupancy bitmap to
-/// find the lowest nonempty bucket in at most four `trailing_zeros`.
-/// Sound because priorities that compare equal always share their first
-/// byte and a strictly greater first byte is a strictly greater key —
-/// so cross-bucket order needs no key comparison at all, and the
-/// expensive byte-vector comparisons are confined to the (much
-/// smaller) per-bucket heaps. The push sequence is global, so FIFO
-/// among equals and overall pop order match one binary heap's exactly.
+/// A binary heap of compact 32-byte entries ordered by `(key, seq)`. One
+/// `u128` comparison of the heads decides almost every pair; only keys
+/// that tie on their first 128 bits and have more bits behind them have
+/// their tails compared, out of the slab. The push sequence makes the
+/// order total, so pop order matches one binary heap of whole keys
+/// exactly. An `Int` key enters as its 64-bit [`Priority::bit_key`]
+/// encoding, built straight into the head.
 pub struct BitPrioQueue<T> {
-    /// Per-radix heaps; allocated lazily, 256 long.
-    buckets: Vec<BinaryHeap<BitEntry<T>>>,
-    /// Occupancy bit per bucket.
-    bitmap: [u64; 4],
+    heap: Vec<BitEntry>,
+    slab: Vec<Option<Parked<T>>>,
+    /// Vacant slab slots.
+    free: Vec<u32>,
     seq: u64,
-    len: usize,
 }
 
 impl<T> Default for BitPrioQueue<T> {
     fn default() -> Self {
         BitPrioQueue {
-            buckets: Vec::new(),
-            bitmap: [0; 4],
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
-            len: 0,
         }
+    }
+}
+
+impl<T> BitPrioQueue<T> {
+    /// The whole key of a long entry.
+    fn long_key(&self, e: &BitEntry) -> Option<&BitPrio> {
+        if !e.long {
+            return None;
+        }
+        self.slab[e.slot as usize].as_ref().and_then(|p| p.long_key.as_ref())
+    }
+
+    /// Whether `a` pops before `b`.
+    fn before(&self, a: &BitEntry, b: &BitEntry) -> bool {
+        let tails = || match (self.long_key(a), self.long_key(b)) {
+            (None, None) => Ordering::Equal,
+            (ka, kb) => {
+                let root = BitPrio::root();
+                ka.unwrap_or(&root).cmp_tail(kb.unwrap_or(&root))
+            }
+        };
+        a.head.cmp(&b.head).then_with(tails).then(a.seq.cmp(&b.seq)) == Ordering::Less
+    }
+
+    /// Move the entry at `i` up to its place.
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.before(&e, &self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = e;
+    }
+
+    /// Move the entry at `i` down to its place.
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.before(&self.heap[child + 1], &self.heap[child]) {
+                child += 1;
+            }
+            if !self.before(&self.heap[child], &e) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            i = child;
+        }
+        self.heap[i] = e;
     }
 }
 
 impl<T: Send> SchedQueue<T> for BitPrioQueue<T> {
     fn push(&mut self, prio: Priority, item: T) {
-        let key = prio.bit_key();
-        let seq = self.seq;
+        let (head, long_key) = match prio {
+            Priority::None => (0, None),
+            Priority::Int(v) => (u128::from(int_bits(v)) << 64, None),
+            Priority::Bits(b) => (b.head(), b.has_tail().then_some(b)),
+        };
+        let long = long_key.is_some();
+        let parked = Some(Parked { item, long_key });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = parked;
+                slot
+            }
+            None => {
+                self.slab.push(parked);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(BitEntry { head, seq: self.seq, slot, long });
         self.seq += 1;
-        self.len += 1;
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(256, BinaryHeap::new);
-        }
-        let b = key.radix_byte() as usize;
-        self.buckets[b].push(BitEntry { key, seq, item });
-        self.bitmap[b / 64] |= 1 << (b % 64);
+        self.sift_up(self.heap.len() - 1);
     }
 
     fn pop(&mut self) -> Option<T> {
-        let b = self
-            .bitmap
-            .iter()
-            .enumerate()
-            .find(|(_, &w)| w != 0)
-            .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)?;
-        let item = self.buckets[b].pop().map(|e| e.item);
-        if self.buckets[b].is_empty() {
-            self.bitmap[b / 64] &= !(1 << (b % 64));
+        if self.heap.is_empty() {
+            return None;
         }
-        if item.is_some() {
-            self.len -= 1;
+        let top = self.heap.swap_remove(0);
+        if !self.heap.is_empty() {
+            self.sift_down(0);
         }
-        item
+        self.free.push(top.slot);
+        self.slab[top.slot as usize].take().map(|p| p.item)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 }
 
@@ -540,6 +592,23 @@ mod tests {
         q.push(Priority::Bits(c.clone()), "c");
         q.push(Priority::Bits(a.clone()), "a");
         assert_eq!(drain(&mut q), vec!["root", "a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn bitvec_entries_stay_compact() {
+        assert_eq!(std::mem::size_of::<BitEntry>(), 32);
+    }
+
+    #[test]
+    fn bitvec_long_keys_tied_on_their_head_order_by_their_tail() {
+        use crate::priority::BitPrio;
+        let head = BitPrio::from_path(&[7, 7, 7, 7]); // exactly 128 bits
+        let mut q = BitPrioQueue::<&str>::default();
+        q.push(Priority::Bits(head.child(1, 1)), "tail 1");
+        q.push(Priority::Bits(head.child(0, 1)), "tail 0, long");
+        q.push(Priority::Bits(head.clone()), "no tail");
+        q.push(Priority::Bits(head.child(1, 2)), "tail 01");
+        assert_eq!(drain(&mut q), vec!["tail 0, long", "no tail", "tail 01", "tail 1"]);
     }
 
     #[test]

@@ -4,7 +4,15 @@
 //! entry points and shared-variable descriptors that were identical on
 //! every node. `Registry` is the Rust equivalent: built once by the
 //! [`ProgramBuilder`](crate::program::ProgramBuilder), then shared
-//! (`Arc`) by all PEs of a run. All closures are `Send + Sync` because
+//! (`Arc`) by all PEs of a run and read-only from then on.
+//!
+//! An entry that captures nothing is a plain `fn` pointer, which a PE
+//! copies out of the table and calls: no entry call clones the `Arc` or
+//! writes any other refcount, so once a run starts no PE writes the
+//! registry's cache lines. Only the two entries that carry a value
+//! (`BocEntry::create` holds the branch configuration,
+//! `MainSpec::make_seed` the main chare's seed) stay boxed closures;
+//! they run once per PE at boot. Every entry is `Send + Sync` because
 //! the thread backend invokes them concurrently from PE threads.
 
 use std::any::Any;
@@ -19,15 +27,15 @@ use crate::ids::ChareKind;
 use crate::msg::Message;
 use crate::shared::{AccResult, Accum, Mono, TableGot};
 
-type CreateChareFn = Box<dyn Fn(MsgBody, &mut Ctx) -> Box<dyn Chare> + Send + Sync>;
+type CreateChareFn = fn(MsgBody, &mut Ctx) -> Box<dyn Chare>;
 type CreateBranchFn = Box<dyn Fn(&mut Ctx) -> Box<dyn BranchObj> + Send + Sync>;
-type InitValFn = Box<dyn Fn() -> MsgBody + Send + Sync>;
-type CombineFn = Box<dyn Fn(&mut MsgBody, MsgBody) + Send + Sync>;
-type BetterFn = Box<dyn Fn(&MsgBody, &MsgBody) -> bool + Send + Sync>;
-type UpdateGenFn = Box<dyn Fn(&MsgBody, MonoId) -> CastGen + Send + Sync>;
-type MakeGotFn = Box<dyn Fn(u64, Option<&MsgBody>) -> (MsgBody, u32) + Send + Sync>;
+type InitValFn = fn() -> MsgBody;
+type CombineFn = fn(&mut MsgBody, MsgBody);
+type BetterFn = fn(&MsgBody, &MsgBody) -> bool;
+type UpdateGenFn = fn(&MsgBody, MonoId) -> CastGen;
+type MakeGotFn = fn(u64, Option<&MsgBody>) -> (MsgBody, u32);
 type MakeSeedFn = Box<dyn Fn() -> (MsgBody, u32) + Send + Sync>;
-type WrapResultFn = Box<dyn Fn(MsgBody) -> (MsgBody, u32) + Send + Sync>;
+type WrapResultFn = fn(MsgBody) -> (MsgBody, u32);
 
 /// A registered chare type.
 pub(crate) struct ChareEntry {
@@ -42,12 +50,12 @@ impl ChareEntry {
     pub(crate) fn of<C: ChareInit>() -> Self {
         ChareEntry {
             name: std::any::type_name::<C>(),
-            create: Box::new(|seed, ctx| {
+            create: |seed, ctx| {
                 let seed = seed
                     .downcast::<C::Seed>()
                     .unwrap_or_else(|_| panic!("wrong seed type for {}", std::any::type_name::<C>()));
                 Box::new(C::create(*seed, ctx))
-            }),
+            },
         }
     }
 }
@@ -83,22 +91,22 @@ pub(crate) struct AccEntry {
 impl AccEntry {
     pub(crate) fn of<A: Accum>() -> Self {
         AccEntry {
-            init: Box::new(|| Box::new(A::identity())),
-            combine: Box::new(|into, from| {
+            init: || Box::new(A::identity()),
+            combine: |into, from| {
                 let into = into
                     .downcast_mut::<A::V>()
                     .expect("accumulator value type mismatch");
                 let from = *from
                     .downcast::<A::V>().expect("accumulator part type mismatch");
                 A::combine(into, from);
-            }),
-            wrap_result: Box::new(|total| {
+            },
+            wrap_result: |total| {
                 let value = *total
                     .downcast::<A::V>().expect("accumulator total type mismatch");
                 let msg = AccResult { value };
                 let bytes = msg.bytes();
                 (Box::new(msg) as MsgBody, bytes)
-            }),
+            },
         }
     }
 }
@@ -115,13 +123,13 @@ pub(crate) struct MonoEntry {
 impl MonoEntry {
     pub(crate) fn of<M: Mono>() -> Self {
         MonoEntry {
-            init: Box::new(|| Box::new(M::identity())),
-            better: Box::new(|new, cur| {
+            init: || Box::new(M::identity()),
+            better: |new, cur| {
                 let new = new.downcast_ref::<M::V>().expect("mono type mismatch");
                 let cur = cur.downcast_ref::<M::V>().expect("mono type mismatch");
                 M::better(new, cur)
-            }),
-            make_update_gen: Box::new(|v, id| {
+            },
+            make_update_gen: |v, id| {
                 let v = v
                     .downcast_ref::<M::V>()
                     .expect("mono type mismatch")
@@ -130,7 +138,7 @@ impl MonoEntry {
                     mono: id,
                     value: Box::new(v.clone()),
                 })
-            }),
+            },
         }
     }
 }
@@ -144,7 +152,7 @@ pub(crate) struct TableEntry {
 impl TableEntry {
     pub(crate) fn of<V: Clone + Send + 'static>() -> Self {
         TableEntry {
-            make_got: Box::new(|key, val| {
+            make_got: |key, val| {
                 let value = val.map(|v| {
                     v.downcast_ref::<V>()
                         .expect("table value type mismatch")
@@ -153,7 +161,7 @@ impl TableEntry {
                 let got = TableGot { key, value };
                 let bytes = got.bytes();
                 (Box::new(got) as MsgBody, bytes)
-            }),
+            },
         }
     }
 }

@@ -564,31 +564,15 @@ wire_handle!(Kind<C>, Boc<B>, Acc<A: Accum>, MonoVar<M: Mono>, TableRef<V>, Read
 
 impl Wire for BitPrio {
     fn encode(&self, out: &mut Vec<u8>) {
-        let len = self.len();
-        len.encode(out);
-        let mut byte = 0u8;
-        for i in 0..len {
-            byte = (byte << 1) | u8::from(self.bit(i));
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !len.is_multiple_of(8) {
-            out.push(byte << (8 - len % 8));
-        }
+        self.len().encode(out);
+        out.extend_from_slice(self.as_bytes());
     }
     fn decode(r: &mut WireReader) -> Self {
         let len = r.u32();
         let bytes = r.bytes(len.div_ceil(8) as usize);
-        // A short read comes back empty: no bits to push then.
+        // A short read comes back empty: the root then.
         let len = if bytes.is_empty() { 0 } else { len };
-        let mut p = BitPrio::root();
-        for i in 0..len {
-            let b = bytes[(i / 8) as usize] >> (7 - i % 8) & 1;
-            p.push_bit(b != 0);
-        }
-        p
+        BitPrio::from_bytes(bytes, len)
     }
 }
 
@@ -1049,6 +1033,17 @@ pub(crate) mod tests {
                 assert_eq!(back.bit(j), p.bit(j), "bit {j} at step {i}");
             }
         }
+    }
+
+    #[test]
+    fn bit_priority_padding_bits_are_dropped_on_decode() {
+        // Three bits, sent with every padding bit of their byte set.
+        let mut r = WireReader::new(&[3, 0, 0, 0, 0xff]);
+        let p = BitPrio::decode(&mut r);
+        assert_eq!(p, BitPrio::root().child(0b111, 3));
+        let mut out = Vec::new();
+        p.encode(&mut out);
+        assert_eq!(out, [3, 0, 0, 0, 0xe0]);
     }
 
     #[test]

@@ -121,6 +121,60 @@ proptest! {
     }
 }
 
+/// `p` holds exactly the bits `want`, read one at a time, and equals
+/// the priority built from them one bit at a time.
+fn holds(p: &BitPrio, want: &[bool]) {
+    prop_assert_eq!(p.len() as usize, want.len());
+    for (i, &b) in want.iter().enumerate() {
+        prop_assert_eq!(p.bit(i as u32), b, "bit {}", i);
+    }
+    prop_assert_eq!(p, &from_bits(want));
+}
+
+/// The low `width` bits of an arbitrary value, as `child` takes them.
+fn fit(v: u32, width: u32) -> u32 {
+    if width == 32 { v } else { v & ((1 << width) - 1) }
+}
+
+proptest! {
+    /// `child` appends whole bytes at once; it must append exactly the
+    /// bits a bit-by-bit build would, from any prefix length, inline or
+    /// spilled, across the 128-bit boundary.
+    #[test]
+    fn child_appends_what_a_bit_by_bit_build_does(
+        prefix in proptest::collection::vec(any::<bool>(), 0..201),
+        steps in proptest::collection::vec((any::<u32>(), 0u32..=32), 0..8),
+    ) {
+        let mut p = from_bits(&prefix);
+        let mut want = prefix;
+        for (v, width) in steps {
+            let v = fit(v, width);
+            p = p.child(v, width);
+            want.extend(to_bits(v, width));
+            holds(&p, &want);
+            prop_assert_eq!(p.cmp(&from_bits(&want)), Ordering::Equal);
+        }
+    }
+
+    /// `from_path` is 32 bits per component, most significant first.
+    #[test]
+    fn from_path_appends_what_a_bit_by_bit_build_does(
+        path in proptest::collection::vec(any::<u32>(), 0..8),
+    ) {
+        let want: Vec<bool> = path.iter().flat_map(|&c| to_bits(c, 32)).collect();
+        holds(&BitPrio::from_path(&path), &want);
+    }
+
+    /// An integer's bit key is its sign-flipped two's complement, 64
+    /// bits, most significant first.
+    #[test]
+    fn int_bit_key_is_the_biased_integer(x in any::<i64>()) {
+        let biased = (x as u64) ^ (1 << 63);
+        let want: Vec<bool> = (0..64).rev().map(|i| (biased >> i) & 1 == 1).collect();
+        holds(&Priority::Int(x).bit_key(), &want);
+    }
+}
+
 fn to_bits(v: u32, width: u32) -> Vec<bool> {
     (0..width).rev().map(|i| (v >> i) & 1 == 1).collect()
 }

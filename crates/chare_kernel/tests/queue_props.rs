@@ -31,7 +31,7 @@ impl<T: Ord + Send> SchedQueue<T> for HeapIntPrioQueue<T> {
 }
 
 /// Reference bitvector-priority queue: a single binary heap comparing
-/// whole keys. The specification the radix-bucketed [`BitPrioQueue`] is
+/// whole keys. The specification the compact-entry [`BitPrioQueue`] is
 /// checked against.
 #[derive(Default)]
 struct HeapBitPrioQueue<T> {
@@ -119,6 +119,87 @@ fn arb_priority() -> impl Strategy<Value = Priority> {
             Priority::Bits(p)
         }),
     ]
+}
+
+/// Three 128-bit prefixes (32 four-bit components) for long keys to
+/// share: all zeros, a pattern, and the head of `Priority::Int(0)`'s
+/// key (a 1 then zeros), so an `Int` key can tie with a `Bits` one.
+fn shared_prefix(which: usize) -> Vec<u32> {
+    match which {
+        0 => vec![0; 32],
+        1 => (0..32).map(|i| i % 16).collect(),
+        _ => std::iter::once(8).chain(std::iter::repeat_n(0, 31)).collect(),
+    }
+}
+
+/// A push of any kind: `None`, an `Int` (small, so equal keys recur,
+/// or arbitrary), or a `Bits` path of up to 48 four-bit components
+/// (192 bits), most of them a shared 128-bit prefix plus a short tail
+/// that is often all zeros.
+fn arb_long_push() -> impl Strategy<Value = Priority> {
+    let shared = || {
+        let tail = proptest::collection::vec(prop_oneof![Just(0u32), 0u32..16], 0..17);
+        (0usize..3, tail).prop_map(|(which, tail)| bits_path(&[shared_prefix(which), tail].concat()))
+    };
+    // The shared-prefix alternative is listed thrice to weight it.
+    prop_oneof![
+        Just(Priority::None),
+        (-2i64..2).prop_map(Priority::Int),
+        any::<i64>().prop_map(Priority::Int),
+        proptest::collection::vec(0u32..16, 0..49).prop_map(|p| bits_path(&p)),
+        shared(),
+        shared(),
+        shared(),
+    ]
+}
+
+/// A push (two in three) or a pop (`None`).
+fn arb_long_op() -> impl Strategy<Value = Option<Priority>> {
+    prop_oneof![
+        arb_long_push().prop_map(Some),
+        arb_long_push().prop_map(Some),
+        Just(None),
+    ]
+}
+
+fn bits_path(path: &[u32]) -> Priority {
+    let mut p = BitPrio::root();
+    for &x in path {
+        p = p.child(x, 4);
+    }
+    Priority::Bits(p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Keys longer than 128 bits, and keys that tie on their first 128
+    /// bits: the bitvector queue pops exactly what the reference heap
+    /// of whole keys pops, under pushes interleaved with pops.
+    #[test]
+    fn bitvec_long_keys_pop_in_reference_order(
+        ops in proptest::collection::vec(arb_long_op(), 0..300)
+    ) {
+        let mut fast = BitPrioQueue::<u32>::default();
+        let mut reference = HeapBitPrioQueue::<u32>::default();
+        for (v, op) in ops.into_iter().enumerate() {
+            match op {
+                Some(prio) => {
+                    fast.push(prio.clone(), v as u32);
+                    reference.push(prio, v as u32);
+                }
+                None => prop_assert_eq!(fast.pop(), reference.pop()),
+            }
+            prop_assert_eq!(fast.len(), reference.len());
+        }
+        loop {
+            let (a, b) = (fast.pop(), reference.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
 }
 
 proptest! {

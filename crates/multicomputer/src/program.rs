@@ -43,14 +43,18 @@ pub struct Packet {
     /// Arrival timestamp in nanoseconds: simulated arrival time on the
     /// simulator; on the thread backend the elapsed time at which the
     /// receiving PE drained the batch this packet was in. Feeds
-    /// receive-side tracing; carries no protocol meaning.
+    /// receive-side tracing; carries no protocol meaning. The real
+    /// backends read the clock for it only when the receiving node
+    /// [`stamps`](NodeProgram::stamps); otherwise it is 0.
     pub at_ns: u64,
     /// Send timestamp in nanoseconds: when the sending handler handed
     /// the packet to the network. `at_ns - sent_ns` is the end-to-end
     /// delivery latency (including NIC/link queueing); zero for a
     /// self-send on the thread backend, which never leaves its thread.
     /// Host-side metadata for metrics, like `at_ns`; carries no
-    /// protocol meaning.
+    /// protocol meaning. The real backends stamp it only when the
+    /// sending node [`stamps`](NodeProgram::stamps); otherwise it is 0.
+    /// The simulator's stamps cost nothing and are always exact.
     pub sent_ns: u64,
     /// The message body, as the sender handed it to [`NetCtx::send`]: no
     /// backend rewrites or unwraps it on the way.
@@ -163,6 +167,16 @@ pub trait NodeProgram: Send {
     /// no payload can be copied.
     fn duplicate(_payload: &Payload) -> Option<Payload> {
         None
+    }
+
+    /// Whether this node reads [`Packet::at_ns`] and [`Packet::sent_ns`].
+    /// On the real backends a clock read is a measurable share of a
+    /// fine-grain message, so they stamp a packet only for a node that
+    /// answers `true` here, and leave both fields 0 otherwise. A machine
+    /// asks once per PE, before [`boot`](NodeProgram::boot). Default:
+    /// stamp.
+    fn stamps(&self) -> bool {
+        true
     }
 }
 

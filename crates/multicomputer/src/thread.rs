@@ -20,7 +20,9 @@
 //! * **Receive**: once per loop turn the owner swaps the whole shared
 //!   vector for an empty reused one (one lock per batch, skipped while
 //!   the `has_mail` hint is clear) and stamps the batch's arrival time
-//!   with a single clock read.
+//!   with a single clock read. Stamps are telemetry: a PE whose node
+//!   does not [stamp](NodeProgram::stamps) reads the clock neither here
+//!   nor per send, and its packets carry 0.
 //! * **Idle**: a PE with neither work nor mail spins on the hint for a
 //!   bounded number of turns, provided every PE can have a core to itself
 //!   (`npes <= available_parallelism()`), and then parks.
@@ -277,6 +279,8 @@ struct ThreadCtx {
     held: Box<[Vec<Packet>]>,
     /// Steps since the last [`flush_all`](Self::flush_all).
     unflushed_steps: u32,
+    /// The node's [`NodeProgram::stamps`], read once before boot.
+    stamps: bool,
 }
 
 impl ThreadCtx {
@@ -288,6 +292,7 @@ impl ThreadCtx {
             loopback: VecDeque::new(),
             held,
             unflushed_steps: 0,
+            stamps: true,
         }
     }
 
@@ -329,7 +334,7 @@ impl NetCtx for ThreadCtx {
     }
     fn send(&mut self, to: Pe, bytes: u32, payload: Payload) {
         assert!(to.index() < self.num_pes(), "send to PE out of range");
-        let now = self.now_ns();
+        let now = if self.stamps { self.now_ns() } else { 0 };
         let pkt = Packet {
             from: self.me,
             bytes,
@@ -368,13 +373,16 @@ fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> N {
         .set(std::thread::current())
         .expect("one thread per inbox");
     let mut batch = Vec::new();
+    ctx.stamps = node.stamps();
     node.boot(&mut ctx);
     while !shared.stop.load(Ordering::Acquire) {
         // Drain arrivals first so priorities act on everything available.
         if inbox.take(&mut batch) {
-            let now = ctx.now_ns();
-            for mut pkt in batch.drain(..) {
-                pkt.at_ns = now;
+            if ctx.stamps {
+                let now = ctx.now_ns();
+                batch.iter_mut().for_each(|pkt| pkt.at_ns = now);
+            }
+            for pkt in batch.drain(..) {
                 node.incoming(pkt);
             }
         }
@@ -878,6 +886,72 @@ mod tests {
             waited < Duration::from_millis(10),
             "an idle PE waited {waited:?} for a packet sent at the start of a {STEP:?} step"
         );
+    }
+
+    /// Passes a countdown between two PEs, each hop followed by one
+    /// through the receiver's loopback, and keeps every packet's
+    /// `(at_ns, sent_ns)`.
+    struct Stamps {
+        pe: Pe,
+        stamps: bool,
+        queue: VecDeque<Packet>,
+        seen: Vec<(u64, u64)>,
+    }
+
+    impl NodeProgram for Stamps {
+        fn boot(&mut self, net: &mut dyn NetCtx) {
+            if self.pe == Pe::ZERO {
+                net.send(Pe::from(1), 8, Box::new(400u32));
+            }
+        }
+        fn incoming(&mut self, pkt: Packet) {
+            self.seen.push((pkt.at_ns, pkt.sent_ns));
+            self.queue.push_back(pkt);
+        }
+        fn step(&mut self, net: &mut dyn NetCtx) -> Option<StepKind> {
+            let pkt = self.queue.pop_front()?;
+            let left = *pkt.payload.downcast::<u32>().expect("a countdown");
+            if left == 0 {
+                net.stop();
+            } else if pkt.from == self.pe {
+                net.send(Pe::from(1 - self.pe.index()), 8, Box::new(left - 1));
+            } else {
+                net.send(self.pe, 8, Box::new(left - 1));
+            }
+            Some(StepKind::User)
+        }
+        fn has_work(&self) -> bool {
+            !self.queue.is_empty()
+        }
+        fn stamps(&self) -> bool {
+            self.stamps
+        }
+    }
+
+    fn stamps_seen(stamps: bool) -> Vec<(u64, u64)> {
+        let factory = FnFactory(move |pe, _| Stamps {
+            pe,
+            stamps,
+            queue: VecDeque::new(),
+            seen: Vec::new(),
+        });
+        let rep = ThreadMachine::run(ThreadConfig::new(2), &factory);
+        assert!(!rep.timed_out);
+        let seen: Vec<(u64, u64)> = rep.nodes.into_iter().flat_map(|n| n.seen).collect();
+        assert_eq!(seen.len(), 401, "one packet per hop and per loopback, and the first");
+        seen
+    }
+
+    #[test]
+    fn a_node_that_does_not_stamp_gets_packets_stamped_zero() {
+        assert!(stamps_seen(false).iter().all(|&stamps| stamps == (0, 0)));
+    }
+
+    #[test]
+    fn a_stamping_node_gets_each_packet_sent_before_it_arrived() {
+        let seen = stamps_seen(true);
+        assert!(seen.iter().all(|&(at_ns, sent_ns)| sent_ns <= at_ns));
+        assert!(seen.iter().any(|&(at_ns, _)| at_ns > 0), "the clock was read");
     }
 
     #[test]

@@ -374,3 +374,24 @@ fn oversubscribed_thread_machine_works() {
     assert!(!rep.timed_out);
     assert_eq!(rep.take_result::<u64>(), Some(92));
 }
+
+#[test]
+fn a_recording_run_measures_message_latency_on_both_real_backends() {
+    // The real backends read the clock for packet stamps only when the
+    // node records (`NodeProgram::stamps`); a recording node still gets
+    // them, so its latency histogram has samples and some took time.
+    spec::worker_hook();
+    let spec_str = "fib:n=16,grain=8";
+    let prog = spec::build_spec(spec_str).with_metrics(MetricsConfig);
+    let threads = prog.run_threads(2);
+    assert!(!threads.timed_out);
+    let test_name = "a_recording_run_measures_message_latency_on_both_real_backends";
+    let procs = prog.run_procs(&ProcConfig::for_test(2, spec_str, test_name));
+    let detail = procs.proc.as_ref().expect("detail");
+    assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
+    for (backend, rep) in [("threads", &threads), ("procs", &procs)] {
+        let latency = rep.metrics.as_ref().expect("metrics were on").latency_all();
+        assert!(latency.count > 0, "{backend}: no message latency recorded");
+        assert!(latency.sum > 0, "{backend}: every latency read 0, so nothing was stamped");
+    }
+}
