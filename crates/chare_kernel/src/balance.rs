@@ -20,13 +20,31 @@
 //!   direct neighbor, up to a hop budget, contracting (keeping work
 //!   local) as load rises; the paper's best general-purpose strategy.
 //!
+//! Every strategy decides from one table, the `Balancer`: a peer list,
+//! one load estimate per peer, the PEs this PE reports its own load to,
+//! and one rotation cursor. Which parts a strategy reads:
+//!
+//! | strategy | peers | loads | report to | cursor |
+//! |---|---|---|---|---|
+//! | local | — | — | — | — |
+//! | random | — | — | — | — |
+//! | central, PE 0 | every PE | reports, own backlog, `+1` per pick | — | tie-break start |
+//! | central, others | — | — | PE 0 | — |
+//! | token | neighbors | — | — | next victim |
+//! | ACWN | neighbors | reports, `+1` per pick | neighbors | — |
+//!
+//! The manager and ACWN choose with the same scan — the first
+//! least-loaded peer in rotation order from a start index, among those
+//! admitted — for placement and for re-homing a seed alike; random
+//! placement draws from the seed manager's RNG instead.
+//!
 //! The strategies only decide. The `SeedManager` is the balancing
 //! *service*, one stratum above the transport: it **owns** the PE's
-//! strategy instance, the stealable seed pool, the work-request
-//! bookkeeping, the placement RNG and the handler for `LoadStatus`,
-//! `WorkReq` and `WorkNack`. It **may call** the transport, through the
-//! `Port` it is handed, and push a kept seed on the work queue the
-//! scheduler lends it; never the scheduler itself or another service.
+//! `Balancer`, the stealable seed pool, the work-request bookkeeping,
+//! the placement RNG and the handler for `LoadStatus`, `WorkReq` and
+//! `WorkNack`. It **may call** the transport, through the `Port` it is
+//! handed, and push a kept seed on the work queue the scheduler lends
+//! it; never the scheduler itself or another service.
 
 use std::collections::VecDeque;
 
@@ -54,7 +72,7 @@ const LOAD_REPORT_DELTA: u32 = 4;
 /// Maximum work requests a PE remembers while its seed pool is empty.
 const MAX_DEFERRED: usize = 16;
 
-/// Forwarding budget of a work request's random walk.
+/// Forwarding budget of a work request's walk over the neighbor graph.
 const WORK_REQ_TTL: u8 = 8;
 
 /// Most seeds handed over per work request (steal-half cap).
@@ -109,31 +127,24 @@ impl BalanceStrategy {
         }
     }
 
-    pub(crate) fn make(&self, pe: Pe, npes: usize, neighbors: Vec<Pe>) -> Box<dyn Balancer> {
-        match *self {
-            BalanceStrategy::Local => Box::new(LocalBalancer),
-            BalanceStrategy::Random => Box::new(RandomBalancer { npes }),
-            BalanceStrategy::CentralManager => Box::new(CentralBalancer {
-                pe,
-                loads: if pe == Pe::ZERO {
-                    vec![0; npes]
-                } else {
-                    Vec::new()
-                },
-                report_to: if pe == Pe::ZERO { vec![] } else { vec![Pe::ZERO] },
-                rr: 0,
-            }),
-            BalanceStrategy::TokenIdle => Box::new(TokenBalancer {
-                neighbors,
-                next: 0,
-            }),
-            BalanceStrategy::Acwn { max_hops, low_mark } => Box::new(AcwnBalancer {
-                max_hops,
-                low_mark,
-                neighbors: neighbors.clone(),
-                loads: vec![0; neighbors.len()],
-                report_to: neighbors,
-            }),
+    /// PE `pe`'s balancer on a machine of `npes`, whose topology
+    /// neighbours are `neighbors`.
+    pub(crate) fn make(&self, pe: Pe, npes: usize, neighbors: Vec<Pe>) -> Balancer {
+        let (peers, report_to) = match self {
+            BalanceStrategy::Local | BalanceStrategy::Random => (vec![], vec![]),
+            BalanceStrategy::CentralManager if pe == Pe::ZERO => (Pe::all(npes).collect(), vec![]),
+            BalanceStrategy::CentralManager => (vec![], vec![Pe::ZERO]),
+            BalanceStrategy::TokenIdle => (neighbors, vec![]),
+            BalanceStrategy::Acwn { .. } => (neighbors.clone(), neighbors),
+        };
+        Balancer {
+            strategy: self.clone(),
+            pe,
+            npes,
+            loads: vec![0; peers.len()],
+            peers,
+            report_to,
+            cursor: 0,
         }
     }
 }
@@ -171,250 +182,144 @@ impl std::str::FromStr for BalanceStrategy {
     }
 }
 
-/// Per-PE load balancing policy. One instance per PE; the kernel calls
-/// it for every seed that is still placeable and feeds it load reports
-/// from other PEs.
-pub(crate) trait Balancer: Send {
+/// One PE's load balancing table: the strategy and what it decides from
+/// (the module doc says which strategy reads which field). The kernel
+/// asks it about every seed that is still placeable and feeds it load
+/// reports from other PEs.
+pub(crate) struct Balancer {
+    strategy: BalanceStrategy,
+    pe: Pe,
+    npes: usize,
+    /// The PEs this one may place a seed on, re-home one to or ask for
+    /// work.
+    peers: Vec<Pe>,
+    /// Load estimate per peer (parallel to `peers`).
+    loads: Vec<u64>,
+    /// PEs that should receive this PE's load reports.
+    report_to: Vec<Pe>,
+    /// Rotation over `peers`: the manager's tie-break start, the token
+    /// strategy's next victim.
+    cursor: usize,
+}
+
+impl Balancer {
     /// Decide where a seed goes. `hops` counts previous forwards;
-    /// `local_load` is this PE's runnable backlog.
-    fn place(&mut self, hops: u32, local_load: usize, rng: &mut StdRng) -> Placement;
+    /// `local_load` is this PE's runnable backlog. Only random placement
+    /// draws from `rng`, once per seed at hops 0.
+    pub(crate) fn place(&mut self, hops: u32, local_load: usize, rng: &mut StdRng) -> Placement {
+        match self.strategy {
+            BalanceStrategy::Local | BalanceStrategy::TokenIdle => Placement::Local,
+            // Uniform at the source; arrivals settle.
+            BalanceStrategy::Random if hops == 0 => {
+                Placement::Forward(Pe::from(rng.random_range(0..self.npes)))
+            }
+            BalanceStrategy::Random => Placement::Local,
+            // The manager assigns the seed to its least-loaded estimate
+            // (its own is its actual backlog); equal loads take turns.
+            BalanceStrategy::CentralManager if self.pe == Pe::ZERO => {
+                self.loads[0] = local_load as u64;
+                let start = self.turn();
+                let best = self.least_loaded(start, |_| true).expect("every PE is a peer");
+                match self.claim(best) {
+                    pe if pe == self.pe => Placement::Local,
+                    pe => Placement::Forward(pe),
+                }
+            }
+            // Route to the manager; settle once it has assigned.
+            BalanceStrategy::CentralManager if hops == 0 => Placement::Forward(Pe::ZERO),
+            BalanceStrategy::CentralManager => Placement::Local,
+            BalanceStrategy::Acwn { max_hops, low_mark } => {
+                // Out of hops, or hungry enough to keep it: contract.
+                if hops >= max_hops || (local_load as u32) < low_mark {
+                    return Placement::Local;
+                }
+                // Forward only to a neighbor at least 2 below this PE.
+                match self.least_loaded(0, |_| true) {
+                    Some(i) if self.loads[i] + 2 <= local_load as u64 => {
+                        Placement::Forward(self.claim(i))
+                    }
+                    _ => Placement::Local,
+                }
+            }
+        }
+    }
 
     /// Whether balancing is receiver-initiated (token strategy): locally
     /// created seeds wait in the stealable pool instead of the main
     /// queue, and this PE sends work requests when it goes idle.
-    fn pulls_work(&self) -> bool {
-        false
+    pub(crate) fn pulls_work(&self) -> bool {
+        self.strategy == BalanceStrategy::TokenIdle
     }
 
-    /// Incorporate a load report from another PE.
-    fn on_load_status(&mut self, from: Pe, load: u32) {
-        let _ = (from, load);
+    /// Incorporate a load report from another PE; a PE that is not a
+    /// peer is ignored.
+    pub(crate) fn on_load_status(&mut self, from: Pe, load: u32) {
+        if let Some(i) = self.peers.iter().position(|&p| p == from) {
+            self.loads[i] = load as u64;
+        }
     }
 
     /// PEs that should receive this PE's load reports.
-    fn load_targets(&self) -> &[Pe] {
-        &[]
+    pub(crate) fn load_targets(&self) -> &[Pe] {
+        &self.report_to
     }
 
     /// Choose a PE to ask for work (token strategy); round-robins so
     /// repeated NACKs try different victims.
-    fn pick_victim(&mut self, rng: &mut StdRng) -> Option<Pe> {
-        let _ = rng;
-        None
+    pub(crate) fn pick_victim(&mut self) -> Option<Pe> {
+        if !self.pulls_work() || self.peers.is_empty() {
+            return None;
+        }
+        let i = self.turn();
+        Some(self.peers[i])
     }
 
     /// Choose a new home for a seed whose delivery to `suspect` timed
     /// out (reliable-delivery recovery). `None` means the strategy has
     /// no opinion and the seed manager falls back to a uniform pick
     /// avoiding the suspect.
-    fn redirect_target(&mut self, suspect: Pe, rng: &mut StdRng) -> Option<Pe> {
-        let _ = (suspect, rng);
-        None
-    }
-}
-
-/// No balancing.
-struct LocalBalancer;
-
-impl Balancer for LocalBalancer {
-    fn place(&mut self, _hops: u32, _load: usize, _rng: &mut StdRng) -> Placement {
-        Placement::Local
-    }
-}
-
-/// Uniform random placement at the source; arrivals settle.
-struct RandomBalancer {
-    npes: usize,
-}
-
-impl Balancer for RandomBalancer {
-    fn place(&mut self, hops: u32, _load: usize, rng: &mut StdRng) -> Placement {
-        if hops > 0 {
-            return Placement::Local;
-        }
-        let target = Pe::from(rng.random_range(0..self.npes));
-        Placement::Forward(target)
-    }
-}
-
-/// Seeds route via PE 0, which assigns them to its current estimate of
-/// the least-loaded PE. PE 0 bumps its estimate on each assignment so
-/// bursts spread even between load reports.
-struct CentralBalancer {
-    pe: Pe,
-    /// PE 0 only: load estimate per PE.
-    loads: Vec<u64>,
-    report_to: Vec<Pe>,
-    /// Tie-break rotation so equal loads spread round-robin.
-    rr: usize,
-}
-
-impl Balancer for CentralBalancer {
-    fn place(&mut self, hops: u32, local_load: usize, _rng: &mut StdRng) -> Placement {
-        if self.pe == Pe::ZERO {
-            // Manager: assign to least-loaded (its own estimate for PE 0
-            // is its actual backlog).
-            if !self.loads.is_empty() {
-                self.loads[0] = local_load as u64;
+    pub(crate) fn redirect_target(&mut self, suspect: Pe) -> Option<Pe> {
+        match self.strategy {
+            BalanceStrategy::Local | BalanceStrategy::Random => None,
+            // The next victim in rotation that is not the suspect.
+            BalanceStrategy::TokenIdle => {
+                (0..self.peers.len()).filter_map(|_| self.pick_victim()).find(|&v| v != suspect)
             }
-            let n = self.loads.len();
-            let mut best = self.rr % n;
-            for off in 0..n {
-                let i = (self.rr + off) % n;
-                if self.loads[i] < self.loads[best] {
-                    best = i;
-                }
-            }
-            self.rr = (self.rr + 1) % n;
-            self.loads[best] += 1;
-            if best == 0 {
-                Placement::Local
-            } else {
-                Placement::Forward(Pe::from(best))
-            }
-        } else if hops == 0 {
-            // Route to the manager.
-            Placement::Forward(Pe::ZERO)
-        } else {
-            // Assigned by the manager; settle.
-            Placement::Local
-        }
-    }
-
-    fn on_load_status(&mut self, from: Pe, load: u32) {
-        if self.pe == Pe::ZERO && from.index() < self.loads.len() {
-            self.loads[from.index()] = load as u64;
-        }
-    }
-
-    fn load_targets(&self) -> &[Pe] {
-        &self.report_to
-    }
-
-    fn redirect_target(&mut self, suspect: Pe, _rng: &mut StdRng) -> Option<Pe> {
-        if self.pe != Pe::ZERO {
-            return None;
-        }
-        // Manager: reassign to the least-loaded PE that isn't the one
-        // that stopped answering.
-        let mut best: Option<usize> = None;
-        for i in 0..self.loads.len() {
-            if i == suspect.index() || Pe::from(i) == self.pe {
-                continue;
-            }
-            if best.is_none_or(|b| self.loads[i] < self.loads[b]) {
-                best = Some(i);
+            // The least-loaded peer that is neither the suspect nor this PE.
+            BalanceStrategy::CentralManager | BalanceStrategy::Acwn { .. } => {
+                let me = self.pe;
+                self.least_loaded(0, |p| p != suspect && p != me).map(|i| self.claim(i))
             }
         }
-        best.map(|i| {
-            self.loads[i] += 1;
-            Pe::from(i)
-        })
-    }
-}
-
-/// Receiver-initiated: seeds stay local in a stealable pool; idle PEs
-/// send work requests to neighbors round-robin.
-struct TokenBalancer {
-    neighbors: Vec<Pe>,
-    next: usize,
-}
-
-impl Balancer for TokenBalancer {
-    fn place(&mut self, _hops: u32, _load: usize, _rng: &mut StdRng) -> Placement {
-        Placement::Local
     }
 
-    fn pulls_work(&self) -> bool {
-        true
+    /// The first least-loaded peer in rotation order from index `start`,
+    /// among those `admit` accepts.
+    fn least_loaded(&self, start: usize, admit: impl Fn(Pe) -> bool) -> Option<usize> {
+        (start..self.peers.len())
+            .chain(0..start)
+            .filter(|&i| admit(self.peers[i]))
+            .min_by_key(|&i| self.loads[i])
     }
 
-    fn pick_victim(&mut self, _rng: &mut StdRng) -> Option<Pe> {
-        if self.neighbors.is_empty() {
-            return None;
-        }
-        let v = self.neighbors[self.next % self.neighbors.len()];
-        self.next += 1;
-        Some(v)
+    /// Count one more seed against peer `i` — optimistically, so a burst
+    /// spreads even between load reports — and name it.
+    fn claim(&mut self, i: usize) -> Pe {
+        self.loads[i] += 1;
+        self.peers[i]
     }
 
-    fn redirect_target(&mut self, suspect: Pe, _rng: &mut StdRng) -> Option<Pe> {
-        for _ in 0..self.neighbors.len() {
-            let v = self.neighbors[self.next % self.neighbors.len()];
-            self.next += 1;
-            if v != suspect {
-                return Some(v);
-            }
-        }
-        None
-    }
-}
-
-/// Adaptive contracting within neighborhood.
-struct AcwnBalancer {
-    max_hops: u32,
-    low_mark: u32,
-    neighbors: Vec<Pe>,
-    /// Load estimate per neighbor (parallel to `neighbors`).
-    loads: Vec<u64>,
-    report_to: Vec<Pe>,
-}
-
-impl Balancer for AcwnBalancer {
-    fn place(&mut self, hops: u32, local_load: usize, _rng: &mut StdRng) -> Placement {
-        if hops >= self.max_hops || self.neighbors.is_empty() {
-            return Placement::Local;
-        }
-        if (local_load as u32) < self.low_mark {
-            // Contract: we are hungry enough to keep it.
-            return Placement::Local;
-        }
-        // Least-loaded neighbor.
-        let mut best = 0;
-        for i in 1..self.neighbors.len() {
-            if self.loads[i] < self.loads[best] {
-                best = i;
-            }
-        }
-        if self.loads[best] + 2 <= local_load as u64 {
-            self.loads[best] += 1;
-            Placement::Forward(self.neighbors[best])
-        } else {
-            Placement::Local
-        }
-    }
-
-    fn on_load_status(&mut self, from: Pe, load: u32) {
-        if let Some(i) = self.neighbors.iter().position(|&n| n == from) {
-            self.loads[i] = load as u64;
-        }
-    }
-
-    fn load_targets(&self) -> &[Pe] {
-        &self.report_to
-    }
-
-    fn redirect_target(&mut self, suspect: Pe, _rng: &mut StdRng) -> Option<Pe> {
-        // Least-loaded neighbor other than the suspect.
-        let mut best: Option<usize> = None;
-        for (i, &n) in self.neighbors.iter().enumerate() {
-            if n == suspect {
-                continue;
-            }
-            if best.is_none_or(|b| self.loads[i] < self.loads[b]) {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            self.loads[i] += 1;
-            self.neighbors[i]
-        })
+    /// The peer index under the cursor; steps the cursor.
+    fn turn(&mut self) -> usize {
+        let i = self.cursor % self.peers.len();
+        self.cursor += 1;
+        i
     }
 }
 
 /// One PE's seed balancing state.
 pub(crate) struct SeedManager {
-    balancer: Box<dyn Balancer>,
+    balancer: Balancer,
     /// Stealable seed pool (token balancing keeps seeds here).
     pool: VecDeque<Seed>,
     /// Token strategy: PEs whose work request found us empty; granted as
@@ -427,7 +332,7 @@ pub(crate) struct SeedManager {
 }
 
 impl SeedManager {
-    pub(crate) fn new(balancer: Box<dyn Balancer>, pe: Pe, rng_seed: u64) -> Self {
+    pub(crate) fn new(balancer: Balancer, pe: Pe, rng_seed: u64) -> Self {
         SeedManager {
             balancer,
             pool: VecDeque::new(),
@@ -590,7 +495,7 @@ impl SeedManager {
         {
             return;
         }
-        if let Some(victim) = self.balancer.pick_victim(&mut self.rng) {
+        if let Some(victim) = self.balancer.pick_victim() {
             port.counters.work_reqs += 1;
             self.awaiting_work = true;
             let origin = port.t.pe;
@@ -631,7 +536,7 @@ impl SeedManager {
     /// high: a self-sustaining redirect livelock.
     fn redirect_target(&mut self, me: Pe, suspect: Pe, suspects: &[bool]) -> Pe {
         let ok = |p: Pe| p != suspect && suspects.get(p.index()) == Some(&false);
-        if let Some(t) = self.balancer.redirect_target(suspect, &mut self.rng).filter(|&t| ok(t)) {
+        if let Some(t) = self.balancer.redirect_target(suspect).filter(|&t| ok(t)) {
             return t;
         }
         // Uniform over the non-suspect PEs; run it here if the suspects
@@ -660,11 +565,12 @@ impl SeedManager {
                         port.post(origin, SysMsg::WorkNack);
                     }
                 } else if let Some(next) =
-                    (ttl > 0).then(|| self.balancer.pick_victim(&mut self.rng)).flatten()
+                    (ttl > 0).then(|| self.balancer.pick_victim()).flatten()
                 {
-                    // Idle ourselves with TTL left: pass the request
-                    // along (a random walk over the neighbor graph
-                    // toward busy PEs).
+                    // Idle ourselves with TTL left: pass the request to
+                    // our next neighbor in round-robin order (the
+                    // rotation our own requests use), until a PE with
+                    // work answers or the TTL runs out.
                     port.post(next, SysMsg::WorkReq { origin, ttl: ttl - 1 });
                 } else {
                     port.post(origin, SysMsg::WorkNack);
@@ -761,15 +667,14 @@ mod tests {
         let mut b = BalanceStrategy::TokenIdle.make(Pe(0), 8, vec![Pe(1), Pe(2), Pe(4)]);
         assert!(b.pulls_work());
         assert_eq!(b.place(0, 0, &mut rng()), Placement::Local);
-        let mut r = rng();
-        let picks: Vec<Pe> = (0..4).filter_map(|_| b.pick_victim(&mut r)).collect();
+        let picks: Vec<Pe> = (0..4).filter_map(|_| b.pick_victim()).collect();
         assert_eq!(picks, vec![Pe(1), Pe(2), Pe(4), Pe(1)]);
     }
 
     #[test]
     fn token_with_no_neighbors_never_picks() {
         let mut b = BalanceStrategy::TokenIdle.make(Pe(0), 1, vec![]);
-        assert_eq!(b.pick_victim(&mut rng()), None);
+        assert_eq!(b.pick_victim(), None);
     }
 
     #[test]
@@ -826,6 +731,256 @@ mod tests {
         assert_eq!("acwn".parse(), Ok(BalanceStrategy::acwn()));
         for bad in ["", "magic", "acwn:", "acwn:4", "acwn:4/x", "acwn:-1/2"] {
             assert!(bad.parse::<BalanceStrategy>().is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// One call on a balancer and the answer it must give.
+    enum Call {
+        /// `place(hops, local_load)`.
+        Place(u32, usize, Placement),
+        /// `redirect_target(suspect)`.
+        Redirect(u32, Option<Pe>),
+        /// `pick_victim()`.
+        Victim(Option<Pe>),
+    }
+    use Call::{Place, Redirect, Victim};
+    use Placement::{Forward, Local};
+
+    /// One row of the decision table: a balancer built by `make`, the
+    /// load reports it hears, the calls it answers in order, then its
+    /// load estimates, its report targets and how many placement draws
+    /// it took from the RNG.
+    struct Case {
+        name: &'static str,
+        strategy: BalanceStrategy,
+        pe: u32,
+        npes: usize,
+        neighbors: &'static [u32],
+        reports: &'static [(u32, u32)],
+        calls: &'static [Call],
+        loads: &'static [u64],
+        targets: &'static [Pe],
+        draws: usize,
+    }
+
+    const ACWN: BalanceStrategy = BalanceStrategy::acwn();
+    const MGR: BalanceStrategy = BalanceStrategy::CentralManager;
+    const TOKEN: BalanceStrategy = BalanceStrategy::TokenIdle;
+    const N3: &[u32] = &[1, 2, 3];
+    const N3_TARGETS: &[Pe] = &[Pe(1), Pe(2), Pe(3)];
+
+    const CASES: &[Case] = &[
+        Case {
+            name: "acwn: a seed out of hops settles",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: N3,
+            reports: &[(1, 0), (2, 0), (3, 0)],
+            calls: &[
+                Place(4, 50, Local),
+                Place(9, 50, Local),
+                Place(3, 50, Forward(Pe(1))),
+                Victim(None),
+            ],
+            loads: &[1, 0, 0], targets: N3_TARGETS, draws: 0,
+        },
+        Case {
+            name: "acwn: below the low mark contracts",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: N3,
+            reports: &[],
+            calls: &[Place(0, 0, Local), Place(0, 1, Local), Place(0, 2, Forward(Pe(1)))],
+            loads: &[1, 0, 0], targets: N3_TARGETS, draws: 0,
+        },
+        Case {
+            name: "acwn: forwards only with a margin of 2",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: N3,
+            reports: &[(1, 4), (2, 3), (3, 5)],
+            calls: &[Place(0, 4, Local), Place(0, 5, Forward(Pe(2)))],
+            loads: &[4, 4, 5], targets: N3_TARGETS, draws: 0,
+        },
+        Case {
+            name: "acwn: the estimate bump makes the next seed contract",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: &[1, 2],
+            reports: &[(1, 5), (2, 3)],
+            calls: &[Place(0, 5, Forward(Pe(2))), Place(0, 5, Local)],
+            loads: &[5, 4], targets: &[Pe(1), Pe(2)], draws: 0,
+        },
+        Case {
+            name: "acwn: equal estimates go to the first neighbor",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: N3,
+            reports: &[(1, 2), (2, 1), (3, 1)],
+            calls: &[
+                Place(0, 10, Forward(Pe(2))),
+                Place(0, 10, Forward(Pe(3))),
+                Place(0, 10, Forward(Pe(1))),
+            ],
+            loads: &[3, 2, 2], targets: N3_TARGETS, draws: 0,
+        },
+        Case {
+            name: "acwn: a report from a non-neighbor is ignored",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: &[1, 2],
+            reports: &[(1, 7), (5, 0), (2, 7)],
+            calls: &[Place(0, 8, Local)],
+            loads: &[7, 7], targets: &[Pe(1), Pe(2)], draws: 0,
+        },
+        Case {
+            name: "acwn: no neighbors keeps every seed",
+            strategy: ACWN, pe: 0, npes: 1, neighbors: &[],
+            reports: &[],
+            calls: &[Place(0, 50, Local), Redirect(1, None)],
+            loads: &[], targets: &[], draws: 0,
+        },
+        Case {
+            name: "acwn: a redirect takes the least-loaded non-suspect",
+            strategy: ACWN, pe: 0, npes: 8, neighbors: N3,
+            reports: &[(1, 0), (2, 3), (3, 1)],
+            calls: &[Redirect(1, Some(Pe(3))), Redirect(3, Some(Pe(1))), Redirect(2, Some(Pe(1)))],
+            loads: &[2, 3, 2], targets: N3_TARGETS, draws: 0,
+        },
+        Case {
+            name: "acwn: a redirect with only the suspect around has no opinion",
+            strategy: ACWN, pe: 2, npes: 8, neighbors: &[1],
+            reports: &[],
+            calls: &[Redirect(1, None)],
+            loads: &[0], targets: &[Pe(1)], draws: 0,
+        },
+        Case {
+            name: "manager: equal loads rotate, its own included",
+            strategy: MGR, pe: 0, npes: 4, neighbors: &[1],
+            reports: &[],
+            calls: &[
+                Place(0, 0, Local),
+                Place(0, 0, Forward(Pe(1))),
+                Place(1, 0, Forward(Pe(2))),
+                Place(2, 0, Forward(Pe(3))),
+                Place(0, 0, Local),
+            ],
+            loads: &[1, 1, 1, 1], targets: &[], draws: 0,
+        },
+        Case {
+            name: "manager: assigns to the least loaded by report",
+            strategy: MGR, pe: 0, npes: 4, neighbors: &[],
+            reports: &[(1, 10), (2, 0), (3, 5)],
+            calls: &[Place(1, 50, Forward(Pe(2))), Place(1, 50, Forward(Pe(2))), Victim(None)],
+            loads: &[50, 10, 2, 5], targets: &[], draws: 0,
+        },
+        Case {
+            name: "manager: places on itself when it is least loaded",
+            strategy: MGR, pe: 0, npes: 4, neighbors: &[],
+            reports: &[(1, 3), (2, 3), (3, 3)],
+            calls: &[Place(0, 1, Local), Place(0, 3, Forward(Pe(1)))],
+            loads: &[3, 4, 3, 3], targets: &[], draws: 0,
+        },
+        Case {
+            name: "manager: a redirect skips the suspect and itself, from PE 1 on",
+            strategy: MGR, pe: 0, npes: 4, neighbors: &[],
+            reports: &[(1, 0), (2, 1), (3, 1)],
+            calls: &[Redirect(1, Some(Pe(2))), Redirect(1, Some(Pe(3))), Place(0, 0, Local)],
+            loads: &[1, 0, 2, 2], targets: &[], draws: 0,
+        },
+        Case {
+            name: "manager: a redirect with no third PE has no opinion",
+            strategy: MGR, pe: 0, npes: 2, neighbors: &[],
+            reports: &[],
+            calls: &[Redirect(1, None)],
+            loads: &[0, 0], targets: &[], draws: 0,
+        },
+        Case {
+            name: "manager's worker: routes hops 0 to PE 0 and settles the rest",
+            strategy: MGR, pe: 3, npes: 8, neighbors: &[2],
+            reports: &[(1, 7), (0, 7)],
+            calls: &[
+                Place(0, 9, Forward(Pe::ZERO)),
+                Place(1, 9, Local),
+                Place(2, 0, Local),
+                Redirect(5, None),
+            ],
+            loads: &[], targets: &[Pe::ZERO], draws: 0,
+        },
+        Case {
+            name: "token: victims round-robin over the neighbors",
+            strategy: TOKEN, pe: 0, npes: 8, neighbors: &[1, 2, 4],
+            reports: &[],
+            calls: &[
+                Place(0, 50, Local),
+                Victim(Some(Pe(1))),
+                Victim(Some(Pe(2))),
+                Victim(Some(Pe(4))),
+                Victim(Some(Pe(1))),
+            ],
+            loads: &[0, 0, 0], targets: &[], draws: 0,
+        },
+        Case {
+            name: "token: a redirect takes the next victim, skipping the suspect",
+            strategy: TOKEN, pe: 0, npes: 8, neighbors: &[1, 2, 4],
+            reports: &[],
+            calls: &[
+                Victim(Some(Pe(1))),
+                Redirect(2, Some(Pe(4))),
+                Victim(Some(Pe(1))),
+                Redirect(1, Some(Pe(2))),
+            ],
+            loads: &[0, 0, 0], targets: &[], draws: 0,
+        },
+        Case {
+            name: "token: an empty neighborhood neither asks nor redirects",
+            strategy: TOKEN, pe: 0, npes: 1, neighbors: &[],
+            reports: &[],
+            calls: &[Victim(None), Redirect(1, None), Place(0, 9, Local)],
+            loads: &[], targets: &[], draws: 0,
+        },
+        Case {
+            name: "token: a lone suspect neighbor has no redirect",
+            strategy: TOKEN, pe: 0, npes: 2, neighbors: &[1],
+            reports: &[],
+            calls: &[Redirect(1, None), Victim(Some(Pe(1)))],
+            loads: &[0], targets: &[], draws: 0,
+        },
+        Case {
+            name: "random: forwards at hops 0 only, one draw each",
+            strategy: BalanceStrategy::Random, pe: 0, npes: 1, neighbors: &[],
+            reports: &[(0, 3)],
+            calls: &[
+                Place(0, 0, Forward(Pe(0))),
+                Place(1, 0, Local),
+                Place(7, 9, Local),
+                Redirect(0, None),
+                Victim(None),
+                Place(0, 9, Forward(Pe(0))),
+            ],
+            loads: &[], targets: &[], draws: 2,
+        },
+        Case {
+            name: "local: keeps every seed and has no opinion",
+            strategy: BalanceStrategy::Local, pe: 1, npes: 4, neighbors: &[0, 2],
+            reports: &[(0, 9)],
+            calls: &[Place(0, 100, Local), Place(3, 0, Local), Redirect(0, None), Victim(None)],
+            loads: &[], targets: &[], draws: 0,
+        },
+    ];
+
+    #[test]
+    fn every_decision_matches_the_table() {
+        for c in CASES {
+            let neighbors = c.neighbors.iter().map(|&n| Pe(n)).collect();
+            let mut b = c.strategy.make(Pe(c.pe), c.npes, neighbors);
+            for &(from, load) in c.reports {
+                b.on_load_status(Pe(from), load);
+            }
+            let mut r = rng();
+            for (step, call) in c.calls.iter().enumerate() {
+                let at = format!("{}: call {step}", c.name);
+                match *call {
+                    Place(hops, load, want) => assert_eq!(b.place(hops, load, &mut r), want, "{at}"),
+                    Redirect(suspect, want) => assert_eq!(b.redirect_target(Pe(suspect)), want, "{at}"),
+                    Victim(want) => assert_eq!(b.pick_victim(), want, "{at}"),
+                }
+            }
+            assert_eq!(b.loads, c.loads, "{}: load estimates", c.name);
+            assert_eq!(b.load_targets(), c.targets, "{}: report targets", c.name);
+            let mut want = rng();
+            for _ in 0..c.draws {
+                want.random_range(0..c.npes);
+            }
+            assert_eq!(r.random::<u64>(), want.random::<u64>(), "{}: RNG draws", c.name);
         }
     }
 }

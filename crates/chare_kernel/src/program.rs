@@ -552,21 +552,14 @@ impl CkReport {
 
     /// Take and downcast the program result.
     pub fn take_result<T: 'static>(&mut self) -> Option<T> {
-        let r = self.result.take()?;
-        match r.downcast::<T>() {
-            Ok(b) => Some(*b),
-            Err(r) => {
-                self.result = Some(r);
-                None
-            }
-        }
+        multicomputer::program::take_result(&mut self.result)
     }
 
     /// Borrow and downcast the program result without consuming it —
     /// for shared reports (the bench harness memoizes runs behind `Rc`,
     /// so [`CkReport::take_result`]'s `&mut self` is unavailable).
     pub fn result_ref<T: 'static>(&self) -> Option<&T> {
-        self.result.as_ref()?.downcast_ref::<T>()
+        multicomputer::program::result_ref(&self.result)
     }
 
     /// The kernel counters summed over every PE (saturating; see

@@ -166,23 +166,32 @@ proptest! {
 #[test]
 fn seeds_outrun_a_crashed_pe() {
     // Crash PE 3 at boot: seeds the balancer sends there are black-holed
-    // by the machine, time out, and must be re-dispatched to live PEs.
-    // fib ends by explicit exit (no all-PE reduction), so the answer
-    // must still be exact.
+    // by the machine, time out, and must be re-dispatched to live PEs —
+    // through each placing strategy's own redirect choice. fib ends by
+    // explicit exit (no all-PE reduction), so the answer must still be
+    // exact.
     let params = fib::FibParams { n: 16, grain: 9 };
-    let prog = fib::build(params)
-        .with_opts(|o| o.balance = BalanceStrategy::Random)
-        .with_reliable(ReliableConfig {
-        timeout: Cost::micros(500),
-        seed_retry_limit: 2,
-        ..ReliableConfig::default()
-    });
-    let plan = FaultPlan::new(9).crash(Pe(3), SimTime::ZERO);
-    let cfg = SimConfig::preset(NPES, MachinePreset::NcubeLike).with_faults(plan);
-    let mut rep = prog.run_sim(cfg);
-    assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(16)));
-    assert!(
-        rep.total().seeds_redirected > 0,
-        "no seed was ever re-homed away from the crashed PE"
-    );
+    for balance in [
+        BalanceStrategy::Random,
+        BalanceStrategy::acwn(),
+        BalanceStrategy::CentralManager,
+        BalanceStrategy::TokenIdle,
+    ] {
+        let name = balance.name();
+        let prog = fib::build(params)
+            .with_opts(|o| o.balance = balance)
+            .with_reliable(ReliableConfig {
+                timeout: Cost::micros(500),
+                seed_retry_limit: 2,
+                ..ReliableConfig::default()
+            });
+        let plan = FaultPlan::new(9).crash(Pe(3), SimTime::ZERO);
+        let cfg = SimConfig::preset(NPES, MachinePreset::NcubeLike).with_faults(plan);
+        let mut rep = prog.run_sim(cfg);
+        assert_eq!(rep.take_result::<u64>(), Some(fib::fib_seq(16)), "{name}");
+        assert!(
+            rep.total().seeds_redirected > 0,
+            "{name}: no seed was ever re-homed away from the crashed PE"
+        );
+    }
 }

@@ -32,6 +32,23 @@ pub enum StepKind {
 /// simulator's fault layer asks for and most payloads decline.
 pub type Payload = Box<dyn Any + Send>;
 
+/// Take the `T` out of a report's result slot. A result of another type
+/// stays in the slot, so the caller may try again with the right one.
+pub fn take_result<T: 'static>(slot: &mut Option<Payload>) -> Option<T> {
+    match slot.take()?.downcast::<T>() {
+        Ok(b) => Some(*b),
+        Err(r) => {
+            *slot = Some(r);
+            None
+        }
+    }
+}
+
+/// Borrow a report's result as a `T`, if it is one.
+pub fn result_ref<T: 'static>(slot: &Option<Payload>) -> Option<&T> {
+    slot.as_deref()?.downcast_ref::<T>()
+}
+
 /// A message in flight between two PEs.
 pub struct Packet {
     /// Sending PE.

@@ -172,19 +172,12 @@ pub struct SimReport<N> {
 impl<N> SimReport<N> {
     /// Downcast the deposited result.
     pub fn result_as<T: 'static>(&self) -> Option<&T> {
-        self.result.as_deref().and_then(|r| r.downcast_ref::<T>())
+        crate::program::result_ref(&self.result)
     }
 
     /// Take and downcast the deposited result.
     pub fn take_result<T: 'static>(&mut self) -> Option<T> {
-        let r = self.result.take()?;
-        match r.downcast::<T>() {
-            Ok(b) => Some(*b),
-            Err(r) => {
-                self.result = Some(r);
-                None
-            }
-        }
+        crate::program::take_result(&mut self.result)
     }
 
     /// Mean PE utilization: busy time / (P * end_time).
