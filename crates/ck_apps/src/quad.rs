@@ -86,11 +86,6 @@ fn seq_rec(a: f64, b: f64, tol: f64, whole: f64) -> (f64, u64) {
     }
 }
 
-/// Reference integral at tight tolerance (for verification).
-pub fn quad_reference(params: QuadParams) -> f64 {
-    quad_seq(params.a, params.b, params.tol * 0.01).0
-}
-
 /// Handles threaded through the seeds.
 #[derive(Clone, Copy)]
 pub struct Handles {

@@ -16,7 +16,8 @@
 use std::io::Write as _;
 
 use ck_apps::spec::Spec;
-use ck_bench::{Scale, Table};
+use ck_bench::driver::TableJob;
+use ck_bench::Scale;
 
 fn usage() -> ! {
     eprintln!(
@@ -33,8 +34,9 @@ fn usage() -> ! {
          --timeline APP      streaming-metrics utilization timeline for one benchmark;\n\
          \x20                  ASCII to stdout, JSON to --out if given\n\
          --out PATH          takes the JSON of exactly one --timeline or --export-trace\n\
-         --jobs N            regenerate tables on N worker threads (default: host CPUs);\n\
-         \x20                  output is byte-identical to --serial\n\
+         --jobs N            regenerate the --all or --table/--fig tables on N worker\n\
+         \x20                  threads (default: host CPUs); output is byte-identical\n\
+         \x20                  to --serial\n\
          --no-cache          disable the deterministic run memo (slower, same bytes)"
     );
     std::process::exit(2);
@@ -59,7 +61,7 @@ fn main() {
     let mut scale = Scale::Full;
     let mut csv = false;
     let mut md = false;
-    let mut which: Vec<fn(Scale) -> Table> = Vec::new();
+    let mut which: Vec<TableJob> = Vec::new();
     let mut matrices: Vec<String> = Vec::new();
     let mut exports: Vec<String> = Vec::new();
     let mut timelines: Vec<String> = Vec::new();
@@ -95,7 +97,7 @@ fn main() {
                     Err(_) => format!("{kind}_{}", arg.to_ascii_lowercase()),
                 };
                 let job = ck_bench::table_jobs().into_iter().find(|(n, _)| *n == name);
-                which.push(job.unwrap_or_else(|| usage()).1);
+                which.push(job.unwrap_or_else(|| usage()));
             }
             "--matrix" => {
                 i += 1;
@@ -126,7 +128,7 @@ fn main() {
         all = true;
     }
 
-    if out.is_some() && timelines.len() + exports.len() > 1 {
+    if out.is_some() && timelines.len() + exports.len() != 1 {
         eprintln!("--out names one file: give it exactly one --timeline or --export-trace");
         usage();
     }
@@ -140,12 +142,10 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    ck_bench::runner::set_caching(cache);
-    let mut tables: Vec<Table> = if all {
-        ck_bench::driver::run_all_recording(scale, jobs, cache).0
-    } else {
-        which.iter().map(|job| job(scale)).collect()
-    };
+    if all {
+        which = ck_bench::table_jobs();
+    }
+    let mut tables = ck_bench::driver::run_jobs(&which, scale, jobs, cache).0;
     tables.extend(matrices.iter().map(ck_bench::comm_matrix_table));
     for t in tables {
         if csv {

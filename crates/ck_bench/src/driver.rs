@@ -1,14 +1,16 @@
-//! Table driver: the ordered job list behind `tables --all`, an
-//! optional thread-parallel runner, and per-job host-cost records
+//! Table driver: the ordered job list behind `tables --all`, the one
+//! runner every table goes through, and per-job host-cost records
 //! (wall-clock, simulator events) plus peak RSS, which the benchmark
 //! (`benchmark/`) reads for its `tables.*.ms`, `runner.*` and
 //! `mem.peak_rss_mb` rows.
 //!
-//! Each job regenerates one table/figure and is independent of every
-//! other: tables share no mutable state (the run memo in
-//! [`crate::runner`] is thread-local) and each is deterministic in
-//! isolation, so running them on a thread pool produces byte-identical
-//! output to the serial order — only the wall-clock changes. Results
+//! [`run_jobs`] runs any job list — `--all`, or the `--table`/`--fig`
+//! selections — on the calling thread plus scoped worker threads. One
+//! worker is the serial case (`--serial`); it prints the same bytes as
+//! any other count, because
+//! each job is independent of every other: tables share no mutable
+//! state (the run memo in [`crate::runner`] is thread-local) and each is
+//! deterministic in isolation, so only the wall-clock changes. Results
 //! are collected into order-indexed slots, never in completion order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,6 +18,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::experiments::{self, Scale};
+use crate::runner::CacheStats;
 use crate::table::Table;
 
 /// One named table-regeneration job.
@@ -60,78 +63,48 @@ pub struct BenchRecord {
     pub events: u64,
 }
 
-/// Run every job and return the tables in output order. `jobs <= 1`
-/// runs serially on the calling thread; larger values use a thread
-/// pool. Table bytes are identical either way.
-pub fn run_all(scale: Scale, jobs: usize) -> Vec<Table> {
-    run_all_recording(scale, jobs, true).0
-}
-
-/// [`run_all`], also recording per-job host cost and the total count
-/// of simulated vs memoized runs across all workers. `cache` toggles
-/// the deterministic run memo on every worker thread.
-pub fn run_all_recording(
+/// Run every job of `list` on `jobs.max(1)` workers (never more than
+/// there are jobs) and return the tables in list order, each job's host
+/// cost, and the memo's hits and misses summed over the workers. The
+/// calling thread is the first worker, so a serial run spawns no thread:
+/// a second thread would get its own malloc arena and raise peak RSS.
+/// `cache` toggles the deterministic run memo on every worker. Table
+/// bytes do not depend on `jobs` or `cache`.
+pub fn run_jobs(
+    list: &[TableJob],
     scale: Scale,
     jobs: usize,
     cache: bool,
-) -> (Vec<Table>, Vec<BenchRecord>, crate::runner::CacheStats) {
-    let list = table_jobs();
+) -> (Vec<Table>, Vec<BenchRecord>, CacheStats) {
     let n = list.len();
-    let workers = jobs.clamp(1, n);
-
-    let run_one = |name: &'static str, f: fn(Scale) -> Table| {
-        multicomputer::take_events_tally();
-        let start = Instant::now();
-        let table = f(scale);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let events = multicomputer::take_events_tally();
-        (
-            table,
-            BenchRecord {
-                name,
-                wall_ns,
-                events,
-            },
-        )
-    };
-
-    if workers <= 1 {
-        crate::runner::set_caching(cache);
-        let before = crate::runner::cache_stats();
-        let (tables, records) = list.into_iter().map(|(name, f)| run_one(name, f)).unzip();
-        let after = crate::runner::cache_stats();
-        let stats = crate::runner::CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            entries: after.entries,
-        };
-        return (tables, records, stats);
-    }
-
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<(Table, BenchRecord)>>> =
         Mutex::new((0..n).map(|_| None).collect());
-    let totals = Mutex::new(crate::runner::CacheStats::default());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                crate::runner::set_caching(cache);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (name, f) = list[i];
-                    let done = run_one(name, f);
-                    slots.lock().unwrap()[i] = Some(done);
-                }
-                let mine = crate::runner::cache_stats();
-                let mut t = totals.lock().unwrap();
-                t.hits += mine.hits;
-                t.misses += mine.misses;
-                t.entries += mine.entries;
-            });
+    let totals = Mutex::new(CacheStats::default());
+    let work = || {
+        crate::runner::set_caching(cache);
+        let before = crate::runner::cache_stats();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(name, f)) = list.get(i) else { break };
+            multicomputer::take_events_tally();
+            let start = Instant::now();
+            let table = f(scale);
+            let wall_ns = start.elapsed().as_nanos() as u64;
+            let events = multicomputer::take_events_tally();
+            slots.lock().unwrap()[i] = Some((table, BenchRecord { name, wall_ns, events }));
         }
+        let after = crate::runner::cache_stats();
+        let mut t = totals.lock().unwrap();
+        t.hits += after.hits - before.hits;
+        t.misses += after.misses - before.misses;
+        t.entries += after.entries;
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs.max(1).min(n) {
+            scope.spawn(work);
+        }
+        work();
     });
     let (tables, records) = slots
         .into_inner()
@@ -140,6 +113,15 @@ pub fn run_all_recording(
         .map(|slot| slot.expect("every job slot filled"))
         .unzip();
     (tables, records, totals.into_inner().unwrap())
+}
+
+/// [`run_jobs`] over every table of [`table_jobs`].
+pub fn run_all_recording(
+    scale: Scale,
+    jobs: usize,
+    cache: bool,
+) -> (Vec<Table>, Vec<BenchRecord>, CacheStats) {
+    run_jobs(&table_jobs(), scale, jobs, cache)
 }
 
 /// Peak resident set size of this process in kilobytes, from

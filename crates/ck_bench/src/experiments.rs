@@ -6,6 +6,8 @@
 //! the test suite and `--quick`), [`Scale::Full`] is the paper-scale
 //! configuration the committed `EXPERIMENTS.md` numbers come from.
 
+use std::iter::once;
+
 use chare_kernel::prelude::*;
 use ck_apps::baseline::{kernel_pingpong, raw_jacobi, raw_pingpong};
 use ck_apps::spec::Spec;
@@ -29,6 +31,15 @@ impl Scale {
         match self {
             Scale::Quick => &[1, 2, 4, 8, 16, 32],
             Scale::Full => &[1, 2, 4, 8, 16, 32, 64, 128, 256],
+        }
+    }
+
+    /// The machine size of the ablations: Table 4 and Figures 2, 3, 6,
+    /// 7 and 8.
+    fn ablation_pes(self) -> usize {
+        match self {
+            Scale::Quick => 16,
+            Scale::Full => 64,
         }
     }
 }
@@ -111,7 +122,7 @@ fn host_cell(value: String) -> String {
 pub fn table1(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 1: benchmark characteristics (16-PE simulated NCUBE-like hypercube)",
-        &[
+        [
             "program",
             "chares",
             "entries",
@@ -137,23 +148,23 @@ pub fn table1(scale: Scale) -> Table {
     t
 }
 
+/// The speedup sweep behind Tables 2, 3 and 7 and Figure 1: one row per
+/// suite benchmark, its name and then T(1)/T(P) for each P in `pes`, on
+/// `preset`.
+fn speedups(preset: MachinePreset, scale: Scale, pes: &[usize]) -> Vec<Vec<String>> {
+    let row = |case: &Spec| {
+        let t1 = run_spec(case, 1, preset).time_ns as f64;
+        let speedup = |&p: &usize| format!("{:.2}", t1 / run_spec(case, p, preset).time_ns as f64);
+        once(case.app.name.to_string()).chain(pes.iter().map(speedup)).collect()
+    };
+    standard_suite(scale).iter().map(row).collect()
+}
+
 /// Speedup rows for one machine preset across PE counts.
 fn speedup_table(title: &str, preset: MachinePreset, scale: Scale, pes: &[usize]) -> Table {
-    let mut headers: Vec<String> = vec!["program".into()];
-    headers.extend(pes.iter().map(|p| format!("P={p}")));
-    let mut t = Table {
-        title: title.into(),
-        headers,
-        rows: Vec::new(),
-        notes: Vec::new(),
-    };
-    for case in standard_suite(scale) {
-        let t1 = run_spec(&case, 1, preset).time_ns;
-        let mut row = vec![case.app.name.to_string()];
-        for &p in pes {
-            let tp = run_spec(&case, p, preset).time_ns;
-            row.push(format!("{:.2}", t1 as f64 / tp as f64));
-        }
+    let headers = pes.iter().map(|p| format!("P={p}"));
+    let mut t = Table::new(title, once("program".to_string()).chain(headers));
+    for row in speedups(preset, scale, pes) {
         t.row(row);
     }
     t.note(format!(
@@ -203,10 +214,7 @@ pub fn table7(scale: Scale) -> Table {
 /// Table 4: dynamic load balancing strategies on the adaptive tree
 /// workloads.
 pub fn table4(scale: Scale) -> Table {
-    let npes = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 64,
-    };
+    let npes = scale.ablation_pes();
     let strategies = [
         BalanceStrategy::Local,
         BalanceStrategy::Random,
@@ -216,7 +224,7 @@ pub fn table4(scale: Scale) -> Table {
     ];
     let mut t = Table::new(
         format!("Table 4: load balancing strategies ({npes}-PE simulated hypercube)"),
-        &[
+        [
             "program",
             "strategy",
             "sim ms",
@@ -253,7 +261,7 @@ pub fn table5(scale: Scale) -> Table {
     };
     let mut t = Table::new(
         format!("Table 5: queueing strategy vs search overhead ({npes}-PE simulated hypercube)"),
-        &["program", "queueing", "nodes", "vs seq", "sim ms"],
+        ["program", "queueing", "nodes", "vs seq", "sim ms"],
     );
     // Sequential node counts as the baseline.
     let (tsp, puzzle) = (case(scale, "tsp"), case(scale, "puzzle"));
@@ -289,7 +297,7 @@ pub fn table5(scale: Scale) -> Table {
 pub fn table6(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 6: kernel overhead vs hand-coded message passing (simulated NCUBE-like)",
-        &["experiment", "hand-coded", "kernel", "ratio"],
+        ["experiment", "hand-coded", "kernel", "ratio"],
     );
     let rounds = 500;
     for bytes in [0u32, 64, 1024] {
@@ -330,40 +338,30 @@ pub fn table6(scale: Scale) -> Table {
     t
 }
 
-/// Figure 1: speedup curves (CSV series, one row per PE count).
+/// Figure 1: speedup curves (CSV series, one row per PE count) —
+/// Table 2's sweep transposed, so after Table 2 it simulates nothing.
 pub fn fig1(scale: Scale) -> Table {
-    let pes = scale.pes();
-    let suite = standard_suite(scale);
-    let mut headers: Vec<String> = vec!["P".into()];
-    headers.extend(suite.iter().map(|c| c.app.name.to_string()));
-    let mut t = Table {
-        title: "Figure 1: speedup vs PE count (simulated NCUBE-like hypercube)".into(),
-        headers,
-        rows: Vec::new(),
-        notes: Vec::new(),
-    };
-    let t1s: Vec<u64> =
-        suite.iter().map(|c| run_spec(c, 1, MachinePreset::NcubeLike).time_ns).collect();
-    for &p in pes {
-        let mut row = vec![p.to_string()];
-        for (case, &t1) in suite.iter().zip(&t1s) {
-            let tp = run_spec(case, p, MachinePreset::NcubeLike).time_ns;
-            row.push(format!("{:.2}", t1 as f64 / tp as f64));
-        }
-        t.row(row);
+    let sweep = speedups(MachinePreset::NcubeLike, scale, scale.pes());
+    let mut t = Table::new(
+        "Figure 1: speedup vs PE count (simulated NCUBE-like hypercube)",
+        once("P").chain(sweep.iter().map(|row| row[0].as_str())),
+    );
+    for (i, p) in scale.pes().iter().enumerate() {
+        t.row(once(p.to_string()).chain(sweep.iter().map(|row| row[i + 1].clone())).collect());
     }
     t
 }
 
 /// Figure 2: grain-size sensitivity of fib.
 pub fn fig2(scale: Scale) -> Table {
-    let (n, npes, grains): (u32, usize, &[u32]) = match scale {
-        Scale::Quick => (24, 16, &[8, 10, 12, 14, 16, 18, 20]),
-        Scale::Full => (30, 64, &[10, 12, 14, 16, 18, 20, 22, 24]),
+    let npes = scale.ablation_pes();
+    let (n, grains): (u32, &[u32]) = match scale {
+        Scale::Quick => (24, &[8, 10, 12, 14, 16, 18, 20]),
+        Scale::Full => (30, &[10, 12, 14, 16, 18, 20, 22, 24]),
     };
     let mut t = Table::new(
         format!("Figure 2: grain-size sensitivity, fib({n}) on {npes} PEs (simulated hypercube)"),
-        &["grain", "chares", "sim ms", "speedup"],
+        ["grain", "chares", "sim ms", "speedup"],
     );
     for &grain in grains {
         // Registry-default strategies, like the suite's fib: the
@@ -385,14 +383,11 @@ pub fn fig2(scale: Scale) -> Table {
 /// Figure 3: load evolution under random vs ACWN placement (sampled
 /// per-PE backlog spread over time).
 pub fn fig3(scale: Scale) -> Table {
-    let npes = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 64,
-    };
+    let npes = scale.ablation_pes();
     let queens = case(scale, "nqueens");
     let mut t = Table::new(
         format!("Figure 3: queue-length evolution, nqueens on {npes}-PE simulated hypercube"),
-        &[
+        [
             "strategy",
             "sample t(ms)",
             "max backlog",
@@ -436,7 +431,7 @@ pub fn fig4(scale: Scale) -> Table {
             "Figure 4: TSP search overhead vs P (n={}, sequential = {seq_nodes} nodes)",
             params.n
         ),
-        &["P", "fifo nodes", "fifo ratio", "bitvec nodes", "bitvec ratio"],
+        ["P", "fifo nodes", "fifo ratio", "bitvec nodes", "bitvec ratio"],
     );
     // Bitvec + Random is tsp's suite configuration: those cells share
     // the speedup tables' runs.
@@ -464,7 +459,7 @@ pub fn table8(scale: Scale) -> Table {
     let npes = 16;
     let mut t = Table::new(
         format!("Table 8: communication profile ({npes}-PE simulated NCUBE-like hypercube)"),
-        &[
+        [
             "program",
             "packets",
             "avg B/pkt",
@@ -504,7 +499,7 @@ pub fn fig5(scale: Scale) -> Table {
     };
     let mut t = Table::new(
         format!("Figure 5 (ablation): broadcast mode, {rounds}-round broadcast/gather"),
-        &["P", "direct us/round", "tree us/round", "tree gain"],
+        ["P", "direct us/round", "tree us/round", "tree gain"],
     );
     for &p in pes {
         let per_round = |mode: BroadcastMode| {
@@ -634,15 +629,12 @@ mod sync_rounds {
 /// Figure 6: utilization over time (the mini-Projections view) for
 /// nqueens under random vs ACWN placement.
 pub fn fig6(scale: Scale) -> Table {
-    let npes = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 64,
-    };
+    let npes = scale.ablation_pes();
     let queens = case(scale, "nqueens");
     const BUCKETS: usize = 10;
     let mut t = Table::new(
         format!("Figure 6: PE utilization over time, nqueens on {npes} PEs (10 slices)"),
-        &["slice", "random mean%", "random max%", "acwn mean%", "acwn max%"],
+        ["slice", "random mean%", "random max%", "acwn mean%", "acwn max%"],
     );
     let profile = |strategy: BalanceStrategy| {
         let prog = queens.with_balance(strategy).build();
@@ -682,14 +674,11 @@ pub fn fig6(scale: Scale) -> Table {
 /// Figure 7 (ablation): ACWN parameters — hop budget and contraction
 /// low-mark — on the fib tree.
 pub fn fig7(scale: Scale) -> Table {
-    let npes = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 64,
-    };
+    let npes = scale.ablation_pes();
     let fib = case(scale, "fib");
     let mut t = Table::new(
         format!("Figure 7 (ablation): ACWN parameters, fib on {npes} PEs"),
-        &["max_hops", "low_mark", "sim ms", "speedup", "seeds fwd"],
+        ["max_hops", "low_mark", "sim ms", "speedup", "seeds fwd"],
     );
     let local = fib.with_balance(BalanceStrategy::Local);
     let t1 = run_spec(&local, 1, MachinePreset::NcubeLike).time_ns;
@@ -714,13 +703,10 @@ pub fn fig7(scale: Scale) -> Table {
 /// workloads — one software alpha per destination per step instead of
 /// one per message.
 pub fn fig8(scale: Scale) -> Table {
-    let npes = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 64,
-    };
+    let npes = scale.ablation_pes();
     let mut t = Table::new(
         format!("Figure 8 (ablation): message combining ({npes}-PE simulated hypercube)"),
-        &["program", "combining", "sim ms", "packets", "avg B/pkt"],
+        ["program", "combining", "sim ms", "packets", "avg B/pkt"],
     );
     for case in ["fib", "tsp", "sort", "primes"].map(|name| case(scale, name)) {
         for combining in [false, true] {
@@ -773,7 +759,7 @@ pub fn table_r(scale: Scale) -> Table {
     ];
     let mut t = Table::new(
         format!("Table R: resilience under injected faults ({npes}-PE simulated NCUBE-like hypercube, reliable delivery on)"),
-        &[
+        [
             "program",
             "faults",
             "sim ms",
@@ -856,7 +842,7 @@ pub fn table_b_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
         format!(
             "Table B: cross-backend conformance ({npes} PEs: simulator / threads / processes)"
         ),
-        &["program", "backend", "answer", "time ms", "user msgs"],
+        ["program", "backend", "answer", "time ms", "user msgs"],
     );
     for spec in specs.map(|s| Spec::parse(s).expect("table B spec")) {
         let name = spec.app.name;
@@ -908,7 +894,7 @@ pub fn table_h_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
     let (mmr, fill) = (Spec::parse(mmr).expect("mmr spec"), Spec::parse(fill).expect("fill spec"));
     let mut t = Table::new(
         "Table H: hash-tree & pipelined table-fill workloads",
-        &["workload", "config", "where", "answer", "time ms", "speedup / stage profile"],
+        ["workload", "config", "where", "answer", "time ms", "speedup / stage profile"],
     );
 
     // -- MMR speedup across PE counts (the registry defaults: bitvector
@@ -991,12 +977,6 @@ pub fn table_h_cfg(scale: Scale, proc_cfg: &dyn Fn(usize, &str) -> ProcConfig) -
     t.note("sim times are simulated NCUBE-like ms; threads/procs times are host wall-clock ms");
     t.note("tablefill: stage-0 seeds released in shuffled order; bitvector (stage, block) priorities restore pipeline order, FIFO follows arrival order");
     t
-}
-
-/// Every experiment, in order (serial; see [`crate::driver::run_all`]
-/// for the thread-parallel form — the output is identical).
-pub fn all(scale: Scale) -> Vec<Table> {
-    crate::driver::run_all(scale, 1)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ pub mod runner;
 pub mod table;
 pub mod trace_view;
 
-pub use driver::{run_all, table_jobs, BenchRecord};
+pub use driver::{table_jobs, BenchRecord};
 pub use experiments::*;
 pub use metrics_view::{table_m, timeline_view};
 pub use table::Table;

@@ -52,7 +52,7 @@ pub fn table_m(scale: Scale) -> Table {
         format!(
             "Table M: streaming time profiles ({NPES}-PE simulated NCUBE-like hypercube, metrics on)"
         ),
-        &[
+        [
             "program",
             "t(ms)",
             "util%",

@@ -3,7 +3,8 @@
 //!
 //! The evaluation re-runs many *identical* scenarios: every speedup
 //! table runs `P=1` twice (the `T(1)` baseline plus the `P=1` column),
-//! Figure 1 replays Table 2's entire sweep as CSV series, Tables 1/8
+//! Figure 1 is Table 2's speedup sweep transposed — the same requests,
+//! so after Table 2 on the same worker it simulates nothing — Tables 1/8
 //! and the clean rows of Table R re-run the standard suite at 16 PEs,
 //! and the strategy ablations (Tables 4/5, Figures 2/4/7/8) all revisit
 //! the suite's default configurations. Because the simulator is fully
@@ -31,8 +32,8 @@
 //! consume (sampling, tracing, fault injection) go through
 //! `Program::run_sim` directly and are never cached here.
 //!
-//! The cache is thread-local: the parallel table driver gives each
-//! worker its own memo, so no locks are taken and results never cross
+//! The cache is thread-local: the table driver gives each worker
+//! thread its own memo, so no locks are taken and results never cross
 //! threads. Caching only changes wall-clock time, never table bytes;
 //! `tables --no-cache` and the A/B test in `perf_invariants.rs` verify
 //! exactly that.

@@ -18,10 +18,10 @@ pub struct Table {
 
 impl Table {
     /// Start a table with headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new<H: ToString>(title: impl Into<String>, headers: impl IntoIterator<Item = H>) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
         }
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new("Table X", &["a", "long_header"]);
+        let mut t = Table::new("Table X", ["a", "long_header"]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["100".into(), "2000".into()]);
         let s = format!("{t}");
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn markdown_has_title_and_separator() {
-        let mut t = Table::new("Table X: demo", &["a", "b"]);
+        let mut t = Table::new("Table X: demo", ["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         t.note("a note");
         let md = t.to_markdown();
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let mut t = Table::new("T", &["x", "y"]);
+        let mut t = Table::new("T", ["x", "y"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
-        let mut t = Table::new("T", &["x", "y"]);
+        let mut t = Table::new("T", ["x", "y"]);
         t.row(vec!["1".into()]);
     }
 }

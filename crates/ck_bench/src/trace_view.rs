@@ -40,7 +40,7 @@ pub fn table_p(scale: Scale) -> Table {
         format!(
             "Table P: overhead attribution ({NPES}-PE simulated NCUBE-like hypercube, tracing on)"
         ),
-        &[
+        [
             "program",
             "work%",
             "dispatch%",
@@ -90,16 +90,10 @@ pub fn comm_matrix_table(case: &Spec) -> Table {
     let name = case.app.name;
     let (_, run) = traced_run(case);
     let m = run.comm_matrix();
-    let mut headers: Vec<String> = vec!["src\\dst".into()];
-    headers.extend((0..m.npes).map(|d| d.to_string()));
-    let mut t = Table {
-        title: format!(
-            "Communication matrix: {name} on {NPES} PEs (messages sent src -> dst)"
-        ),
-        headers,
-        rows: Vec::new(),
-        notes: Vec::new(),
-    };
+    let mut t = Table::new(
+        format!("Communication matrix: {name} on {NPES} PEs (messages sent src -> dst)"),
+        std::iter::once("src\\dst".to_string()).chain((0..m.npes).map(|d| d.to_string())),
+    );
     for (s, row) in m.msgs.iter().enumerate() {
         let mut cells = vec![s.to_string()];
         cells.extend(row.iter().map(|v| v.to_string()));

@@ -8,7 +8,7 @@
 //! workers, which only a binary that starts with `worker_hook()` can be.
 //!
 //! The CLI's refusals (the retired bench flags, an unknown benchmark
-//! name, `--out` with more than one producer) are checked here too,
+//! name, `--out` without exactly one producer) are checked here too,
 //! since they need the same binary.
 
 use std::path::Path;
@@ -76,19 +76,23 @@ fn unknown_benchmark_names_are_usage_errors() {
     assert!(out.stdout.is_empty());
 }
 
+/// `--out` names the JSON of exactly one `--timeline` or
+/// `--export-trace`: two producers, or none, exit 2 before anything runs.
 #[test]
 fn out_with_two_producers_is_a_usage_error() {
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("must_not_exist.json");
     let path = path.to_str().expect("utf-8 temp path");
     for producers in [
-        ["--timeline", "fib", "--export-trace", "fib"],
-        ["--timeline", "fib", "--timeline", "nqueens"],
-        ["--export-trace", "fib", "--export-trace", "nqueens"],
+        &["--timeline", "fib", "--export-trace", "fib"][..],
+        &["--timeline", "fib", "--timeline", "nqueens"],
+        &["--export-trace", "fib", "--export-trace", "nqueens"],
+        &["--all"],
     ] {
         let mut args = producers.to_vec();
         args.extend(["--quick", "--out", path]);
         let out = tables(&args);
         assert_eq!(out.status.code(), Some(2), "{producers:?}");
+        assert!(out.stdout.is_empty(), "{producers:?} must not run anything");
         assert!(!Path::new(path).exists(), "{producers:?} wrote {path}");
     }
 }

@@ -7,7 +7,7 @@
 //! repeated P=1 baseline (Table 2), and the strategy matrix with
 //! imbalance figures (Table 4).
 
-use ck_bench::{runner, Scale, Table};
+use ck_bench::{driver, runner, Scale, Table};
 
 fn render(tables: &[Table]) -> String {
     tables
@@ -54,4 +54,25 @@ fn parallel_vs_serial_byte_identical() {
         .join("\n")
     });
     assert_eq!(serial, parallel);
+}
+
+/// Figure 1 is Table 2's speedup sweep transposed: run after Table 2 on
+/// one worker, every one of its runs is a memo hit.
+#[test]
+fn fig1_after_table2_simulates_nothing() {
+    let jobs: Vec<driver::TableJob> = ck_bench::table_jobs()
+        .into_iter()
+        .filter(|(name, _)| ["table2", "fig1"].contains(name))
+        .collect();
+    // One worker is this thread: start it from a cold memo.
+    runner::set_caching(false);
+    let (tables, records, cache) = driver::run_jobs(&jobs, Scale::Quick, 1, true);
+    assert_eq!(tables.len(), 2);
+    // Nine suite apps at the six quick PE counts (P=1 is one of them).
+    assert_eq!(cache.misses, 54, "{cache:?}");
+    // Table 2 asks for T(1) twice per app, Figure 1 asks for all 63 again.
+    assert_eq!(cache.hits, 9 + 63, "{cache:?}");
+    assert_eq!(records[1].name, "fig1");
+    assert!(records[0].events > 0, "Table 2 simulates its sweep");
+    assert_eq!(records[1].events, 0, "Figure 1 must simulate nothing");
 }

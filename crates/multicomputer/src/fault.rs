@@ -469,13 +469,6 @@ pub struct FaultStats {
     pub stall_deferrals: u64,
 }
 
-impl FaultStats {
-    /// Total packets that never reached their program (any cause).
-    pub fn total_lost(&self) -> u64 {
-        self.dropped + self.outage_dropped + self.crash_dropped
-    }
-}
-
 /// Live per-run fault state owned by the simulator: the plan, its rng,
 /// and the counters.
 #[derive(Clone, Debug)]
