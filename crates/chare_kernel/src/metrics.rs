@@ -544,6 +544,9 @@ pub fn flight_line(ev: &TraceEvent) -> String {
             format!("retransmit #{} -> PE {}", seq, to.index())
         }
         EventKind::QueueSample { len } => format!("queue depth {len}"),
+        EventKind::Step { user, span_ns } => {
+            format!("step {} {}ns", if user { "user" } else { "ctl" }, span_ns)
+        }
     };
     format!(
         "{:>10.3}ms PE {:<3} {}",

@@ -419,12 +419,8 @@ impl NodeProgram for CkNode {
         let before = self.probe.as_ref().map(|_| (net.now_ns(), net.charged_ns()));
         let r = self.step_inner(net);
         self.strata(net).port.flush();
-        if let (Some(p), Some(before), Some(kind)) = (&self.probe, before, r) {
-            let spent = spent_ns(before, (net.now_ns(), net.charged_ns()));
-            match kind {
-                StepKind::User => p.user_step(before.0, spent),
-                StepKind::Control => p.ctl_step(before.0, spent),
-            }
+        if let (Some(p), Some(before), Some(_)) = (&self.probe, before, r) {
+            p.step(before.0, spent_ns(before, (net.now_ns(), net.charged_ns())), r);
         }
         r
     }
@@ -448,9 +444,7 @@ impl NodeProgram for CkNode {
             self.note_backlog();
         }
         if let Some(p) = &self.probe {
-            // Alarm handlers run as pure control time (the machine
-            // charges them no dispatch overhead).
-            p.alarm(before.0, spent_ns(before, (net.now_ns(), net.charged_ns())));
+            p.step(before.0, spent_ns(before, (net.now_ns(), net.charged_ns())), None);
         }
     }
 

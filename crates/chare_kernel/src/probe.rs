@@ -1,12 +1,13 @@
 //! The kernel's one recording path.
 //!
-//! Every moment the kernel can observe — a message posted or delivered,
-//! an entry begun or ended, a seed kept, forwarded or re-homed, a frame
-//! retransmitted, the backlog changing — is one [`EventKind`], and the
-//! stratum that owns the moment reports it exactly once, through
-//! `emit`: the transport a send, a delivery, a retransmit; the seed
-//! manager a seed kept or forwarded; the scheduler an entry, a re-homed
-//! seed, a queue sample. The per-PE `Probe` behind that call turns it
+//! Every moment the kernel can observe — a step or alarm run, a message
+//! posted or delivered, an entry begun or ended, a seed kept, forwarded
+//! or re-homed, a frame retransmitted, the backlog changing — is one
+//! [`EventKind`], and the stratum that owns the moment reports it
+//! exactly once, through `emit` (a step through `Probe::step`): the
+//! transport a send, a delivery, a retransmit; the seed manager a seed
+//! kept or forwarded; the scheduler a step, an entry, a re-homed seed,
+//! a queue sample. The per-PE `Probe` behind that call turns it
 //! into one [`TraceEvent`], writes it once into the PE's one ring, and
 //! folds it into the metrics if the run meters:
 //!
@@ -18,10 +19,12 @@
 //!   [`crate::trace`]) and the flight recorder its last `FLIGHT_CAP`
 //!   events;
 //! * the **metrics fold** (present iff the program ran `with_metrics`)
-//!   bumps the interval slice the event falls in and feeds the latency
-//!   and grain histograms — see [`crate::metrics`]. One `match` on the
+//!   bumps the interval slice the event falls in, splits a step's span
+//!   into dispatch, work and control time, and feeds the latency and
+//!   grain histograms — see [`crate::metrics`]. One `match` on the
 //!   event kind (`PeState::fold`) decides what each kind means to the
-//!   aggregates.
+//!   aggregates; the backlog's high-water mark (`Probe::queue_peak`)
+//!   is the one aggregate no event feeds.
 //!
 //! So a PE's flight recorder *is* the tail of its trace, by
 //! construction. `docs/TRACING.md` tabulates the vocabulary:
@@ -50,7 +53,7 @@
 
 use std::cell::RefCell;
 
-use multicomputer::Pe;
+use multicomputer::{Pe, StepKind};
 
 use crate::metrics::{
     merge_shards, Histogram, MetricsLog, PeMetricSet, TimeSlices, FLIGHT_CAP, MAX_SLICES, SLICE_NS,
@@ -67,23 +70,37 @@ struct PeState {
     latency: Histogram,
     grain: Histogram,
     queue_hwm: u64,
+    /// The hosting machine's dispatch charge per user step, which
+    /// starts each user `Step` span.
+    dispatch_ns: u64,
 }
 
 impl PeState {
-    fn new() -> Self {
+    fn new(dispatch_ns: u64) -> Self {
         PeState {
             slices: TimeSlices::new(SLICE_NS, MAX_SLICES),
             latency: Histogram::new(),
             grain: Histogram::new(),
             queue_hwm: 0,
+            dispatch_ns,
         }
     }
 
     /// Fold one event in: counts land in the interval the event falls
-    /// in, and `span_ns` (see [`Probe::record`]) feeds the histogram of
-    /// the kind that closes a span.
+    /// in, a step's span is split across intervals (a user step
+    /// dispatch-first, then work; anything else control), and `span_ns`
+    /// (see [`Probe::record`]) feeds the histogram of the kind that
+    /// closes a span.
     fn fold(&mut self, ev: TraceEvent, span_ns: u64) {
         match ev.kind {
+            EventKind::Step { user: true, span_ns: busy } => {
+                let d = self.dispatch_ns.min(busy);
+                self.slices.add_span(ev.at_ns, d, |s, ns| s.dispatch_ns += ns);
+                self.slices.add_span(ev.at_ns + d, busy - d, |s, ns| s.work_ns += ns);
+            }
+            EventKind::Step { user: false, span_ns: busy } => {
+                self.slices.add_span(ev.at_ns, busy, |s, ns| s.ctl_ns += ns)
+            }
             EventKind::MsgSend { bytes, .. } => self.slices.bump(ev.at_ns, |s| {
                 s.msgs_sent += 1;
                 s.bytes_sent += bytes as u64;
@@ -201,8 +218,7 @@ pub(crate) struct Probe {
     rec: RefCell<Recorded>,
     /// User-step dispatch overhead of the hosting machine's cost model
     /// (0 on the thread and process backends). The node cannot see the
-    /// machine's cost model, so the per-step split into dispatch vs.
-    /// work is parameterized here, matching `ck_trace`'s attribution.
+    /// machine's cost model, so a `Step` span adds it here.
     dispatch_ns: u64,
     /// Control-step dispatch overhead, ditto.
     ctl_dispatch_ns: u64,
@@ -226,7 +242,7 @@ impl Probe {
             traces,
             rec: RefCell::new(Recorded {
                 ring: RingLog::new(if traces { TRACE_CAP } else { FLIGHT_CAP }),
-                metrics: metrics.map(|_| PeState::new()),
+                metrics: metrics.map(|_| PeState::new(dispatch_ns)),
             }),
             dispatch_ns,
             ctl_dispatch_ns,
@@ -264,43 +280,29 @@ impl Probe {
         }
     }
 
-    /// Attribute time or a watermark that is not an event (nothing
-    /// enters the ring); a no-op unless metrics are configured.
-    fn attribute(&self, f: impl FnOnce(&mut PeState)) {
-        if let Some(st) = &mut self.rec.borrow_mut().metrics {
-            f(st);
-        }
-    }
-
-    /// A user scheduling step ran at `start` and took `spent_ns` — the
-    /// time it charged on the simulator, the wall time it ran for on a
-    /// real backend (the node's `spent_ns` is the one sum that is both).
-    /// Attributed dispatch-first, then work, clipped across intervals.
-    pub(crate) fn user_step(&self, start: u64, spent_ns: u64) {
-        let dispatch = self.dispatch_ns;
-        self.attribute(|st| {
-            st.slices.add_span(start, dispatch, |s, ns| s.dispatch_ns += ns);
-            st.slices.add_span(start + dispatch, spent_ns, |s, ns| s.work_ns += ns);
-        });
-    }
-
-    /// A control scheduling step ran at `start` and took `spent_ns`.
-    pub(crate) fn ctl_step(&self, start: u64, spent_ns: u64) {
-        let dur = self.ctl_dispatch_ns + spent_ns;
-        self.attribute(|st| st.slices.add_span(start, dur, |s, ns| s.ctl_ns += ns));
-    }
-
-    /// An alarm handler ran at `start` and took `spent_ns` (the machine
-    /// charges alarms no dispatch overhead).
-    pub(crate) fn alarm(&self, start: u64, spent_ns: u64) {
-        self.attribute(|st| st.slices.add_span(start, spent_ns, |s, ns| s.ctl_ns += ns));
+    /// A scheduling step of `kind`, or an alarm handler (`None`), ran at
+    /// `start` and the node spent `spent_ns` in it — the time it charged
+    /// on the simulator, the wall time it ran for on a real backend (the
+    /// node's `spent_ns` is the one sum that is both). Records its
+    /// `Step`, whose span adds the dispatch the machine charges that
+    /// kind of step: alarms are charged none.
+    pub(crate) fn step(&self, start: u64, spent_ns: u64, kind: Option<StepKind>) {
+        let (user, dispatch) = match kind {
+            Some(StepKind::User) => (true, self.dispatch_ns),
+            Some(StepKind::Control) => (false, self.ctl_dispatch_ns),
+            None => (false, 0),
+        };
+        self.record(start, 0, EventKind::Step { user, span_ns: dispatch + spent_ns });
     }
 
     /// The runnable backlog reached a new peak of `len`. A watermark,
     /// not an event: the backlog peaks on arrival, between the steps at
-    /// whose ends `QueueSample` events are taken.
+    /// whose ends `QueueSample` events are taken. A no-op unless
+    /// metrics are configured.
     pub(crate) fn queue_peak(&self, len: u64) {
-        self.attribute(|st| st.queue_hwm = st.queue_hwm.max(len));
+        if let Some(st) = &mut self.rec.borrow_mut().metrics {
+            st.queue_hwm = st.queue_hwm.max(len);
+        }
     }
 }
 
@@ -359,8 +361,8 @@ mod tests {
         // PE1 records far past its first intervals, forcing its width to
         // grow; PE0 stays fine-grained until the merge.
         let far = 16 * MAX_SLICES as u64 * SLICE_NS;
-        p0.user_step(0, 10);
-        p1.user_step(far, 5);
+        p0.step(0, 10, Some(StepKind::User));
+        p1.step(far, 5, Some(StepKind::User));
         let (_, trace, log) = merge(&opts, far + 10, shards(vec![p0, p1]));
         assert!(trace.is_none(), "tracing was not configured");
         let log = log.expect("metrics were configured");
@@ -421,7 +423,7 @@ mod tests {
             assert_eq!(flight, tail, "{opts:?}");
         }
         // A ring of twice the flight recorder, wrapped by a third more.
-        let rec = Recorded { ring: RingLog::new(2 * FLIGHT_CAP), metrics: Some(PeState::new()) };
+        let rec = Recorded { ring: RingLog::new(2 * FLIGHT_CAP), metrics: Some(PeState::new(0)) };
         let p = Probe { rec: RefCell::new(rec), ..probe(0, &both) };
         let all = retransmits(&p, n);
         let shard = p.into_shard(KernelCounters::default());

@@ -355,8 +355,8 @@ impl Program {
 
     /// The node factory for a run on `topology`, on a machine whose
     /// user and control steps carry the given dispatch overheads (zero on
-    /// the thread and process backends, where charges are no-ops): they
-    /// parameterize the metrics' per-step dispatch/work split.
+    /// the thread and process backends, where charges are no-ops): each
+    /// recorded `Step` span includes them.
     pub(crate) fn factory(
         &self,
         topology: Topology,
@@ -394,7 +394,6 @@ impl Program {
                 aborted: rep.aborted,
                 faults: rep.faults,
                 samples: rep.samples,
-                timeline: rep.timeline,
             }),
             proc: None,
         }
@@ -510,8 +509,6 @@ pub struct SimDetail {
     /// Backlog samples (streaming per-instant aggregates), if sampling
     /// was enabled.
     pub samples: Vec<BacklogSummary>,
-    /// Execution spans, if tracing was enabled.
-    pub timeline: Vec<multicomputer::TraceSpan>,
 }
 
 /// Result of running a program on either backend.

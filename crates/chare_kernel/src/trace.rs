@@ -1,13 +1,12 @@
 //! The kernel's event vocabulary and the event log behind the
 //! Projections-style post-mortem views.
 //!
-//! The machine layer's [`multicomputer::TraceSpan`] records *when* each
-//! scheduling step ran; an [`EventKind`] says *what* the kernel did
-//! inside and between those steps: entry-method begin/end, every
-//! message send and receive with its class and size, seed
-//! load-balancing decisions, reliable-layer retransmissions and
-//! queue-length samples. The two streams share timestamps, so a
-//! post-mortem analyzer (the `ck_trace` crate) joins them into
+//! An [`EventKind`] says what the kernel did: each scheduling step or
+//! alarm with how long it took, entry-method begin/end, every message
+//! send and receive with its class and size, seed load-balancing
+//! decisions, reliable-layer retransmissions and queue-length samples.
+//! A post-mortem analyzer (the `ck_trace` crate) turns the `Step`
+//! events into per-PE execution spans and joins the rest to them:
 //! per-entry time breakdowns, grain-size histograms, PE×PE
 //! communication matrices and Chrome/Perfetto timelines.
 //!
@@ -195,6 +194,18 @@ pub enum EventKind {
         /// Queue + seed-pool length after the step.
         len: u32,
     },
+    /// A scheduling step or an alarm handler ran, starting at the
+    /// event's stamp (recorded when it ends).
+    Step {
+        /// A user step (it ran one entry); `false` for a control-only
+        /// step or an alarm.
+        user: bool,
+        /// How long the PE was busy: the machine's dispatch charge for
+        /// the step (none for an alarm, and none on the thread and
+        /// process backends) plus what the node took — charged time on
+        /// the simulator, wall time on a real backend.
+        span_ns: u64,
+    },
 }
 
 /// One timestamped event from one PE.
@@ -328,6 +339,11 @@ mod tests {
         );
         assert_eq!(MsgClass::of(&SysMsg::Batch(vec![])), MsgClass::Batch);
         assert_eq!(MsgClass::Qd.label(), "qd");
+    }
+
+    #[test]
+    fn an_event_stays_forty_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
     }
 
     #[test]

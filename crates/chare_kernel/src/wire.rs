@@ -592,6 +592,7 @@ crate::wire_enum!(EventKind {
     SeedRedirected { to },
     Retransmit { to, seq },
     QueueSample { len },
+    Step { user, span_ns },
 });
 crate::wire_struct!(TraceEvent { at_ns, pe, kind });
 
@@ -1485,6 +1486,7 @@ pub(crate) mod tests {
         assert_eq!(roundtrip(Topology::Mesh2D { rows: 2, cols: 3 })[0], 1);
         assert_eq!(roundtrip(Topology::Bus), [4]);
         assert_eq!(roundtrip(EventKind::QueueSample { len: 6 }), [8, 6, 0, 0, 0]);
+        assert_eq!(roundtrip(EventKind::Step { user: true, span_ns: 2 }), [9, 1, 2, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(roundtrip(EventKind::EntryBegin { what: EntryWhat::Create(ChareKind(1)), ep: None })[0], 0);
         // `Priority` has no `PartialEq`; its three shapes by their keys.
         for prio in [Priority::None, Priority::Int(-3), Priority::Bits(BitPrio::root().child(2, 2))] {

@@ -12,14 +12,15 @@ use ck_apps::fib;
 fn main() {
     let prog = fib::build(fib::FibParams { n: 18, grain: 10 })
         .with_tracing(TraceConfig);
-    let cfg = SimConfig::preset(8, MachinePreset::NcubeLike).with_trace();
-    let mut rep = prog.run_sim(cfg);
+    let mut rep = prog.run_sim_preset(8, MachinePreset::NcubeLike);
     println!("fib(18) on 8 PEs: {:?}, {:.2} ms simulated", rep.take_result::<u64>(), rep.time_secs() * 1e3);
     let log = rep.trace.as_ref().expect("tracing was enabled");
     println!("{} events captured, {} dropped", log.events.len(), log.dropped);
     let census = |name: &str, pred: fn(&EventKind) -> bool| {
         println!("  {:<12} {}", name, log.count(pred));
     };
+    census("steps", |k| matches!(k, EventKind::Step { .. }));
+    census("user steps", |k| matches!(k, EventKind::Step { user: true, .. }));
     census("entries", |k| matches!(k, EventKind::EntryBegin { .. }));
     census("sends", |k| matches!(k, EventKind::MsgSend { .. }));
     census("recvs", |k| matches!(k, EventKind::MsgRecv { .. }));

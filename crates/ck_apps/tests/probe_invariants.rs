@@ -10,10 +10,12 @@
 //! are bumped by separate code; and check that the two recorders saw
 //! the same events.
 
+use std::collections::HashSet;
+
 use chare_kernel::metrics::{MetricsConfig, FLIGHT_CAP, MAX_SLICES, SLICE_NS};
 use chare_kernel::prelude::*;
 use chare_kernel::{CkReport, MsgClass, TraceEvent};
-use ck_apps::{fib, nqueens};
+use ck_apps::{fib, jacobi, nqueens, primes};
 use multicomputer::SimTime;
 
 const NPES: usize = 8;
@@ -253,6 +255,55 @@ fn slice_budget_coarsens_instead_of_growing() {
     assert!(log.nslices() <= MAX_SLICES);
     // Coverage: the last slice must reach the end of the run.
     assert!(log.nslices() as u64 * log.width_ns >= log.end_ns);
+}
+
+/// A step is recorded once, as one `Step` event: on the simulator each
+/// PE's steps and alarms add up to the busy time the machine charged
+/// it, to the nanosecond, and there is one user step per entry run.
+/// Checked on fib, jacobi, primes, and fib under `Random` balancing
+/// with reliable delivery over a lossy network (which runs alarms).
+#[test]
+fn steps_add_up_to_the_machines_busy_time() {
+    let reliable = fib_prog()
+        .with_opts(|o| o.balance = BalanceStrategy::Random)
+        .with_reliable(ReliableConfig::default());
+    let clean = SimConfig::preset(NPES, MachinePreset::NcubeLike);
+    let lossy = clean.clone().with_faults(FaultPlan::new(0x5EED).drop(0.02));
+    let runs = [
+        ("fib", fib_prog(), clean.clone()),
+        ("jacobi", jacobi::build(jacobi::JacobiParams { n: 32, iters: 4 }), clean.clone()),
+        ("primes", primes::build(primes::PrimesParams { limit: 5_000, chunks: 16 }), clean),
+        ("fib+random, reliable", reliable, lossy),
+    ];
+    for (name, prog, cfg) in runs {
+        let lossy = cfg.fault.is_some();
+        let rep = prog.with_tracing(TraceConfig).run_sim(cfg);
+        assert!(rep.sim.as_ref().unwrap().aborted.is_none(), "{name}");
+        assert_eq!(rep.total().retransmits > 0, lossy, "{name}: alarms retransmit iff lossy");
+        let log = rep.trace.as_ref().unwrap();
+        assert_eq!(log.dropped, 0, "{name}");
+        let busy = &rep.sim.as_ref().unwrap().busy;
+        for pe in Pe::all(NPES) {
+            let steps: u64 = log
+                .events_for(pe)
+                .map(|e| match e.kind {
+                    EventKind::Step { span_ns, .. } => span_ns,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(steps, busy[pe.index()].as_nanos(), "{name}: PE {}", pe.index());
+        }
+        let user = log.count(|k| matches!(k, EventKind::Step { user: true, .. }));
+        assert_eq!(user, rep.total().entries_executed, "{name}");
+        // The simulator charges an alarm nothing, but records its step:
+        // each retransmit is decided in one, stamped at its start.
+        let ctl: HashSet<(Pe, u64)> = (log.events.iter())
+            .filter(|e| matches!(e.kind, EventKind::Step { user: false, .. }))
+            .map(|e| (e.pe, e.at_ns))
+            .collect();
+        let mut rxmits = log.events.iter().filter(|e| matches!(e.kind, EventKind::Retransmit { .. }));
+        assert!(rxmits.all(|e| ctl.contains(&(e.pe, e.at_ns))), "{name}: a retransmit outside a step");
+    }
 }
 
 /// Recorded once: with both recorders on and the trace ring unwrapped,

@@ -12,6 +12,7 @@ use chare_kernel::prelude::*;
 use ck_apps::baseline::{kernel_pingpong, raw_jacobi, raw_pingpong};
 use ck_apps::spec::Spec;
 use ck_apps::{jacobi, mmr, puzzle, tablefill, tsp};
+use ck_trace::{utilization_profile, RunTrace};
 use multicomputer::{Cost, MachinePreset, SimConfig, SimTime};
 
 use crate::runner::run_spec;
@@ -637,17 +638,11 @@ pub fn fig6(scale: Scale) -> Table {
         ["slice", "random mean%", "random max%", "acwn mean%", "acwn max%"],
     );
     let profile = |strategy: BalanceStrategy| {
-        let prog = queens.with_balance(strategy).build();
-        let mut cfg = SimConfig::preset(npes, MachinePreset::NcubeLike);
-        cfg.trace = true;
-        let rep = prog.run_sim(cfg);
-        let sim = rep.sim.as_ref().expect("sim detail");
-        multicomputer::utilization_profile(
-            &sim.timeline,
-            npes,
-            rep.time_ns,
-            BUCKETS,
-        )
+        let prog = queens.with_balance(strategy).build().with_tracing(TraceConfig);
+        let preset = MachinePreset::NcubeLike;
+        let rep = prog.run_sim(SimConfig::preset(npes, preset));
+        let run = RunTrace::from_report(&rep, &preset.cost_model()).expect("a traced run");
+        utilization_profile(&run.spans, npes, run.end_ns, BUCKETS)
     };
     let rnd = profile(BalanceStrategy::Random);
     let acwn = profile(BalanceStrategy::acwn());

@@ -22,12 +22,11 @@ use crate::table::Table;
 const NPES: usize = 16;
 const PRESET: MachinePreset = MachinePreset::NcubeLike;
 
-/// Run one app with both kernel event tracing and simulator span
-/// tracing enabled, and join the two into a [`RunTrace`].
+/// Run one app on the simulator with kernel event tracing on, and
+/// analyze it as a [`RunTrace`].
 fn traced_run(case: &Spec) -> (CkReport, RunTrace) {
     let prog = case.build().with_tracing(TraceConfig);
-    let cfg = SimConfig::preset(NPES, PRESET).with_trace();
-    let rep = prog.run_sim(cfg);
+    let rep = prog.run_sim(SimConfig::preset(NPES, PRESET));
     let run = RunTrace::from_report(&rep, &PRESET.cost_model())
         .expect("traced simulator run must yield a RunTrace");
     (rep, run)
@@ -123,6 +122,66 @@ pub fn export_trace(case: &Spec) -> String {
 mod tests {
     use super::*;
     use crate::experiments::case;
+    use chare_kernel::proc::ProcConfig;
+    use chare_kernel::trace::{entry_label, EventKind};
+    use multicomputer::StepKind;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// On the simulator an entry begins exactly at its step's start, so
+    /// the entry profile is what pairing each `EntryBegin` with the user
+    /// span of the same PE and start gives, and every span has a label.
+    #[test]
+    fn simulator_entries_join_the_span_they_start() {
+        for case in standard_suite(Scale::Quick) {
+            let (_, run) = traced_run(&case);
+            let begins: HashMap<(u32, u64), String> = (run.events.iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::EntryBegin { what, ep } => {
+                        Some(((e.pe.0, e.at_ns), entry_label(what, ep)))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let mut want: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+            for s in run.spans.iter().filter(|s| s.kind == StepKind::User) {
+                let label = begins.get(&(s.pe.0, s.start_ns)).cloned();
+                let row = want.entry(label.unwrap_or_else(|| "user:?".into())).or_default();
+                *row = (row.0 + 1, row.1 + (s.end_ns - s.start_ns));
+            }
+            let got: BTreeMap<String, (u64, u64)> =
+                run.entry_breakdown().into_iter().map(|r| (r.label, (r.count, r.total_ns))).collect();
+            assert_eq!(got, want, "{}", case.app.name);
+            assert!(!got.contains_key("user:?"), "{}", case.app.name);
+        }
+    }
+
+    /// Threads and procs trace too: one user span per entry run, each
+    /// labelled with its entry although it begins after its step does,
+    /// and no dispatch, which only the simulator charges, whatever cost
+    /// model the caller hands the analysis.
+    #[test]
+    fn real_backends_trace_one_labelled_span_per_entry() {
+        // Worker re-invocations of this test binary route through the
+        // harness, so the hook must run before any procs run spawns.
+        ck_apps::spec::worker_hook();
+        const SPEC: &str = "fib:n=16,grain=9";
+        const NAME: &str = "trace_view::tests::real_backends_trace_one_labelled_span_per_entry";
+        let prog = Spec::parse(SPEC).unwrap().build().with_tracing(TraceConfig);
+        let threads = prog.run_threads(2);
+        let procs = prog.run_procs(&ProcConfig::for_test(2, SPEC, NAME));
+        for (backend, rep) in [("threads", threads), ("procs", procs)] {
+            assert!(!rep.timed_out && rep.proc.as_ref().is_none_or(|p| p.aborted.is_none()), "{backend}");
+            let run = RunTrace::from_report(&rep, &PRESET.cost_model()).expect("a traced run");
+            let user = run.spans.iter().filter(|s| s.kind == StepKind::User).count() as u64;
+            assert_eq!(user, rep.total().entries_executed, "{backend}");
+            let (work, dispatch, control, idle) = run.attribution().fractions();
+            assert!((work + dispatch + control + idle - 1.0).abs() < 1e-9, "{backend}");
+            assert_eq!(dispatch, 0.0, "{backend}");
+            let rows = run.entry_breakdown();
+            assert!(rows.iter().all(|r| r.label != "user:?"), "{backend}: {rows:?}");
+            assert_eq!(rows.iter().map(|r| r.count).sum::<u64>(), user, "{backend}");
+        }
+    }
 
     #[test]
     fn table_p_rows_sum_to_100_percent() {

@@ -41,18 +41,11 @@ pub fn export(trace: &RunTrace) -> String {
         );
     }
 
-    for span in &trace.spans {
+    for (span, label) in trace.spans.iter().zip(&labels) {
         let dur = span.end_ns.saturating_sub(span.start_ns);
         let (name, cat) = match span.kind {
-            StepKind::User => (
-                labels
-                    .get(&(span.pe.0, span.start_ns))
-                    .map(String::as_str)
-                    .unwrap_or("user")
-                    .to_string(),
-                "user",
-            ),
-            StepKind::Control => ("control".to_string(), "control"),
+            StepKind::User => (label.as_deref().unwrap_or("user"), "user"),
+            StepKind::Control => ("control", "control"),
         };
         push(
             format!(
@@ -61,7 +54,7 @@ pub fn export(trace: &RunTrace) -> String {
                 span.pe.index(),
                 micros(span.start_ns),
                 micros(dur),
-                escape(&name),
+                escape(name),
                 cat,
             ),
             &mut out,
@@ -190,7 +183,6 @@ mod tests {
             npes: 0,
             end_ns: 0,
             dispatch_ns: 0,
-            ctl_dispatch_ns: 0,
             spans: vec![],
             events: vec![],
             dropped: 0,

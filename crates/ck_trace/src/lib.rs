@@ -2,11 +2,13 @@
 //!
 //! A miniature of *Projections*, the performance-analysis tool that grew
 //! out of the Chare Kernel ecosystem. The kernel's event log
-//! ([`chare_kernel::trace`]) tells us *what* each PE did (entry begins
-//! and ends, message sends and receives, seed-balancing decisions,
-//! retransmits, queue depths); the simulator's span timeline tells us
-//! *when* and for *how long*. This crate joins the two into the views
-//! Projections is known for:
+//! ([`chare_kernel::trace`]) tells us *when* and for *how long* each PE
+//! was busy (one `Step` event per scheduling step or alarm) and *what*
+//! it did (entry begins and ends, message sends and receives,
+//! seed-balancing decisions, retransmits, queue depths). This crate
+//! turns the steps into execution spans ([`TraceSpan`]) and joins the
+//! rest to them, on any backend, into the views Projections is known
+//! for:
 //!
 //! * [`RunTrace::attribution`] — where did the PE-seconds go? work vs.
 //!   scheduler dispatch vs. runtime control traffic vs. idle;
@@ -18,7 +20,9 @@
 //! * [`RunTrace::critical_path`] — a lower bound on achievable
 //!   completion time, for "how much faster could this possibly get";
 //! * [`RunTrace::to_chrome_trace`] — Chrome trace-event JSON loadable in
-//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
+//! * [`utilization_profile`] — per-PE busy fraction over time, the
+//!   utilization graph.
 //!
 //! All analyses are pure functions of a [`RunTrace`], which is extracted
 //! from a finished [`CkReport`] with [`RunTrace::from_report`].
@@ -27,31 +31,32 @@ use std::collections::HashMap;
 
 use chare_kernel::trace::{entry_label, EventKind, TraceEvent, TRACE_CAP};
 use chare_kernel::CkReport;
-use multicomputer::{CostModel, StepKind, TraceSpan};
+use multicomputer::{CostModel, StepKind};
 
 pub mod json_lint;
 pub mod timeline;
+pub mod trace;
 
 mod chrome;
 
 pub use timeline::{IntervalRow, TimeProfile};
+pub use trace::{utilization_profile, TraceSpan};
 
-/// Everything the analyzer needs from one finished run: the kernel event
-/// log joined with the simulator's execution-span timeline.
+/// Everything the analyzer needs from one finished traced run: its
+/// execution spans and the rest of its kernel event log.
 #[derive(Clone, Debug)]
 pub struct RunTrace {
     /// PEs in the run.
     pub npes: usize,
-    /// Completion time, simulated ns.
+    /// Completion time, ns (simulated, or wall on a real backend).
     pub end_ns: u64,
     /// Scheduler dispatch overhead charged per user step (from the cost
-    /// model), used to split span time into work vs. dispatch.
+    /// model on the simulator, 0 on a real backend), used to split span
+    /// time into work vs. dispatch.
     pub dispatch_ns: u64,
-    /// Dispatch overhead of control-only steps.
-    pub ctl_dispatch_ns: u64,
-    /// Execution spans from the simulator (`SimConfig::with_trace`).
+    /// One span per `Step` event, in start order on each PE.
     pub spans: Vec<TraceSpan>,
-    /// Kernel events (`ProgramBuilder::tracing`).
+    /// Every other kernel event, time-ordered.
     pub events: Vec<TraceEvent>,
     /// Events lost to ring-buffer overflow.
     pub dropped: u64,
@@ -210,20 +215,31 @@ impl CriticalPath {
 }
 
 impl RunTrace {
-    /// Extract a `RunTrace` from a finished simulator run. Requires both
-    /// kernel tracing (`ProgramBuilder::tracing`) and simulator span
-    /// tracing (`SimConfig::with_trace`); returns `None` if either is
-    /// missing or the run was not simulated.
+    /// Extract a `RunTrace` from a finished run that traced
+    /// (`ProgramBuilder::tracing`) on any backend, or `None` if it did
+    /// not. `cost` is the simulator's cost model; only the simulator
+    /// charges dispatch, so on the thread and process backends the
+    /// dispatch split is zero whatever `cost` says.
     pub fn from_report(report: &CkReport, cost: &CostModel) -> Option<RunTrace> {
         let log = report.trace.as_ref()?;
-        let sim = report.sim.as_ref()?;
+        let (mut spans, mut events) = (Vec::new(), Vec::new());
+        for ev in &log.events {
+            match ev.kind {
+                EventKind::Step { user, span_ns } => spans.push(TraceSpan {
+                    pe: ev.pe,
+                    start_ns: ev.at_ns,
+                    end_ns: ev.at_ns + span_ns,
+                    kind: if user { StepKind::User } else { StepKind::Control },
+                }),
+                _ => events.push(*ev),
+            }
+        }
         Some(RunTrace {
             npes: log.npes,
-            end_ns: sim.end_time.as_nanos(),
-            dispatch_ns: cost.dispatch.as_nanos(),
-            ctl_dispatch_ns: cost.ctl_dispatch.as_nanos(),
-            spans: sim.timeline.clone(),
-            events: log.events.clone(),
+            end_ns: report.time_ns,
+            dispatch_ns: report.sim.as_ref().map_or(0, |_| cost.dispatch.as_nanos()),
+            spans,
+            events,
             dropped: log.dropped,
         })
     }
@@ -259,14 +275,35 @@ impl RunTrace {
         Attribution { per_pe, total }
     }
 
-    /// Join `EntryBegin` events to user spans. On the simulator a
-    /// handler's `now_ns()` equals the span's start, so `(pe, start_ns)`
-    /// is the join key.
-    fn entry_labels(&self) -> HashMap<(u32, u64), String> {
-        let mut labels = HashMap::new();
+    /// The entry each span ran, by span index. A user step runs one
+    /// entry, which begins inside it: at its start on the simulator,
+    /// after it on a real backend. A PE's `EntryBegin`s and user spans
+    /// are both in time order, so one walk per PE gives each begin the
+    /// first unlabelled span that contains it (zero-length spans may
+    /// share a start). A span whose own begin a wrapped ring lost is
+    /// passed over when the next span also starts by the begin's stamp.
+    fn entry_labels(&self) -> Vec<Option<String>> {
+        let mut user_spans = vec![Vec::new(); self.npes];
+        for (i, span) in self.spans.iter().enumerate() {
+            if let (StepKind::User, Some(own)) = (span.kind, user_spans.get_mut(span.pe.index())) {
+                own.push(i);
+            }
+        }
+        let (mut next, mut labels) = (vec![0; self.npes], vec![None; self.spans.len()]);
         for ev in &self.events {
-            if let EventKind::EntryBegin { what, ep } = ev.kind {
-                labels.insert((ev.pe.0, ev.at_ns), entry_label(what, ep));
+            let (EventKind::EntryBegin { what, ep }, Some(own)) = (ev.kind, user_spans.get(ev.pe.index()))
+            else {
+                continue;
+            };
+            let (k, span) = (&mut next[ev.pe.index()], |j: usize| own.get(j).map(|&i| &self.spans[i]));
+            while span(*k).is_some_and(|s| s.start_ns < ev.at_ns)
+                && span(*k + 1).is_some_and(|s| s.start_ns <= ev.at_ns)
+            {
+                *k += 1;
+            }
+            if span(*k).is_some_and(|s| s.start_ns <= ev.at_ns && ev.at_ns <= s.end_ns) {
+                labels[own[*k]] = Some(entry_label(what, ep));
+                *k += 1;
             }
         }
         labels
@@ -277,15 +314,12 @@ impl RunTrace {
     pub fn entry_breakdown(&self) -> Vec<EntryRow> {
         let labels = self.entry_labels();
         let mut rows: HashMap<String, EntryRow> = HashMap::new();
-        for span in &self.spans {
+        for (span, label) in self.spans.iter().zip(labels) {
             if span.kind != StepKind::User {
                 continue;
             }
             let dur = span.end_ns.saturating_sub(span.start_ns);
-            let label = labels
-                .get(&(span.pe.0, span.start_ns))
-                .cloned()
-                .unwrap_or_else(|| "user:?".to_string());
+            let label = label.unwrap_or_else(|| "user:?".to_string());
             let row = rows.entry(label.clone()).or_insert(EntryRow {
                 label,
                 count: 0,
@@ -449,7 +483,6 @@ mod tests {
             npes: 2,
             end_ns: 4000,
             dispatch_ns: 100,
-            ctl_dispatch_ns: 20,
             spans: vec![
                 span(0, 0, 1000, StepKind::User),
                 span(0, 1000, 2000, StepKind::User),
@@ -539,6 +572,34 @@ mod tests {
             assert_eq!(r.total_ns, 1000);
             assert_eq!(r.mean_ns(), 1000);
         }
+    }
+
+    /// The labels `entry_breakdown` gives `spans`, in span order.
+    fn labels_of(spans: Vec<TraceSpan>, events: Vec<TraceEvent>) -> Vec<Option<String>> {
+        RunTrace { spans, events, ..synthetic() }.entry_labels()
+    }
+
+    #[test]
+    fn a_begin_labels_the_span_it_falls_in() {
+        let create = || begin(EntryWhat::Create(ChareKind(1)), None);
+        let chare = || begin(EntryWhat::Chare(0), Some(EpId(4)));
+        let user = |start, end| span(0, start, end, StepKind::User);
+        let label = |l: &str| Some(l.to_string());
+        // A real backend: each entry begins after its step does.
+        let spans = vec![user(100, 300), user(300, 350), user(400, 900)];
+        let events = vec![ev(0, 120, create()), ev(0, 310, chare()), ev(0, 400, chare())];
+        let want = vec![label("create:k1"), label("chare:ep4"), label("chare:ep4")];
+        assert_eq!(labels_of(spans, events), want);
+        // Zero-length steps sharing a start take their begins in order.
+        let spans = vec![user(50, 50), user(50, 50), user(50, 80)];
+        let events = vec![ev(0, 50, create()), ev(0, 50, chare()), ev(0, 50, create())];
+        let want = vec![label("create:k1"), label("chare:ep4"), label("create:k1")];
+        assert_eq!(labels_of(spans, events), want);
+        // A wrapped ring lost the first span's begin; the simulator's
+        // next span starts where it ended, and keeps its own label.
+        let spans = vec![user(0, 1000), user(1000, 2000), user(2000, 2500)];
+        let events = vec![ev(0, 1000, chare()), ev(0, 2000, create())];
+        assert_eq!(labels_of(spans, events), vec![None, label("chare:ep4"), label("create:k1")]);
     }
 
     #[test]

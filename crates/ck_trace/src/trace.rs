@@ -1,25 +1,22 @@
-//! Execution tracing and utilization profiles — a miniature of the
-//! *Projections* performance-analysis tool that grew out of the Chare
-//! Kernel ecosystem.
+//! Execution spans and utilization profiles — the "utilization graph"
+//! view *Projections* is known for.
 //!
-//! With [`SimConfig::with_trace`](crate::sim::SimConfig::with_trace) the
-//! simulator records one [`TraceSpan`] per executed step; this module
-//! turns the span list into a bucketed per-PE utilization profile — the
-//! "utilization graph" view Projections is known for.
+//! [`RunTrace::from_report`](crate::RunTrace::from_report) turns each
+//! `Step` event of a traced run into one [`TraceSpan`]; this module
+//! turns a span list into a bucketed per-PE utilization profile.
 
-use crate::pe::Pe;
-use crate::program::StepKind;
+use multicomputer::{Pe, StepKind};
 
 /// One executed step on one PE.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Executing PE.
     pub pe: Pe,
-    /// Start of the step, simulated ns.
+    /// Start of the step, ns (simulated, or elapsed on a real backend).
     pub start_ns: u64,
-    /// End of the step (start + dispatch + charged work).
+    /// End of the step: start + dispatch + what the step took.
     pub end_ns: u64,
-    /// What ran.
+    /// What ran: an alarm handler counts as a control step.
     pub kind: StepKind,
 }
 

@@ -41,6 +41,11 @@
 //! by handlers; on the thread backend, real time is the cost and charges
 //! are ignored.
 //!
+//! The machine layer records no telemetry: a node that wants to know
+//! where its PE's time went reads the clock and the charges through its
+//! [`program::NetCtx`] (the Chare Kernel's probe records each step as
+//! one event).
+//!
 //! ## Combining on the real backends
 //!
 //! Both real backends — the thread machine here and the process machine
@@ -70,7 +75,6 @@ pub mod stats;
 pub mod thread;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use cost::{CostModel, MachinePreset};
 pub use fault::{FaultClass, FaultPlan, FaultRng, FaultStats, LinkOutage, PeFault};
@@ -81,5 +85,4 @@ pub use stats::{imbalance, BacklogSummary};
 #[cfg(feature = "threads")]
 pub use thread::{ThreadConfig, ThreadMachine, ThreadReport};
 pub use time::{Cost, SimTime};
-pub use trace::{utilization_profile, TraceSpan};
 pub use topology::Topology;

@@ -36,7 +36,6 @@ use crate::cost::CostModel;
 use crate::fault::{FaultPlan, FaultState, FaultStats, LinkVerdict};
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, StepKind};
-use crate::trace::TraceSpan;
 use crate::stats::BacklogSummary;
 use crate::time::{Cost, SimTime};
 use crate::topology::Topology;
@@ -56,9 +55,6 @@ pub struct SimConfig {
     /// Safety valve: abort after this many events (defaults to
     /// `u64::MAX`).
     pub max_events: u64,
-    /// Record one [`TraceSpan`] per executed step (for utilization
-    /// profiles — the mini-Projections view).
-    pub trace: bool,
     /// Seeded fault plan; `None` (the default) leaves the network
     /// perfect and costs nothing.
     pub fault: Option<FaultPlan>,
@@ -75,7 +71,6 @@ impl SimConfig {
             cost,
             sample_interval: None,
             max_events: u64::MAX,
-            trace: false,
             fault: None,
         }
     }
@@ -92,9 +87,11 @@ impl SimConfig {
         self
     }
 
-    /// Enable execution-span tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
+    /// Does nothing: the machine records no telemetry (a traced
+    /// program's kernel records its steps). Kept only because the frozen
+    /// `benchmark/` crate still calls it.
+    #[doc(hidden)]
+    pub fn with_trace(self) -> Self {
         self
     }
 
@@ -160,8 +157,6 @@ pub struct SimReport<N> {
     /// Backlog samples (streaming per-instant aggregates) if sampling
     /// was enabled. O(samples) memory regardless of machine size.
     pub samples: Vec<BacklogSummary>,
-    /// Execution spans, if tracing was enabled.
-    pub timeline: Vec<TraceSpan>,
     /// Set if the run was cut short by a safety valve rather than ending
     /// by `stop` or quiescence.
     pub aborted: Option<AbortReason>,
@@ -320,7 +315,6 @@ pub struct SimMachine<N: NodeProgram> {
     /// Backlog samples, folded online into per-instant aggregates —
     /// never a per-PE vector, so memory is O(samples) at any scale.
     samples: Vec<BacklogSummary>,
-    timeline: Vec<TraceSpan>,
     fault: Option<FaultState>,
     aborted: Option<AbortReason>,
 }
@@ -354,7 +348,6 @@ impl<N: NodeProgram> SimMachine<N> {
             result: None,
             stopped: false,
             samples: Vec::new(),
-            timeline: Vec::new(),
         }
     }
 
@@ -589,16 +582,6 @@ impl<N: NodeProgram> SimMachine<N> {
                         None => ctx.charged,
                     };
                     let end = now + cost;
-                    if self.cfg.trace {
-                        if let Some(kind) = ran {
-                            self.timeline.push(TraceSpan {
-                                pe,
-                                start_ns: now.as_nanos(),
-                                end_ns: end.as_nanos(),
-                                kind,
-                            });
-                        }
-                    }
                     self.finish(pe, ctx, end, cost);
                     if self.stopped {
                         now = end;
@@ -665,7 +648,6 @@ impl<N: NodeProgram> SimMachine<N> {
             events: self.events,
             quiesced: !self.stopped && self.aborted.is_none(),
             samples: self.samples,
-            timeline: self.timeline,
             aborted: self.aborted,
             faults: self.fault.map(|fs| fs.stats),
         }
