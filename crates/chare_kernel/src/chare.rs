@@ -57,13 +57,12 @@ pub trait ChareInit: Chare + Sized {
 /// Panics with the expected type name if the body has a different type —
 /// which indicates an entry-point numbering bug in the application.
 pub fn cast<M: Message>(msg: MsgBody) -> M {
-    match msg.downcast::<M>() {
-        Ok(b) => *b,
-        Err(_) => panic!(
+    msg.take::<M>().unwrap_or_else(|_| {
+        panic!(
             "entry point received a message of the wrong type (expected {})",
             std::any::type_name::<M>()
-        ),
-    }
+        )
+    })
 }
 
 #[cfg(test)]
@@ -72,14 +71,14 @@ mod tests {
 
     #[test]
     fn cast_roundtrip() {
-        let body: MsgBody = Box::new(42u64);
+        let body = MsgBody::new(42u64);
         assert_eq!(cast::<u64>(body), 42);
     }
 
     #[test]
     #[should_panic(expected = "expected u32")]
     fn cast_wrong_type_panics() {
-        let body: MsgBody = Box::new(42u64);
+        let body = MsgBody::new(42u64);
         let _ = cast::<u32>(body);
     }
 }

@@ -14,7 +14,7 @@ use multicomputer::{Cost, NetCtx, Pe};
 
 use crate::boc::Branch;
 use crate::chare::ChareInit;
-use crate::envelope::{Seed, SysMsg};
+use crate::envelope::{MsgBody, Seed, SysMsg};
 use crate::ids::{Boc, BocId, ChareId, EpId, Kind, Notify, WoId};
 use crate::msg::Message;
 use crate::node::CkNode;
@@ -117,7 +117,7 @@ impl<'a> Ctx<'a> {
     /// [`Ctx::create`] with an explicit scheduling priority.
     pub fn create_prio<C: ChareInit>(&mut self, kind: Kind<C>, seed: C::Seed, prio: Priority) {
         let (kind, bytes) = (kind.id, seed.bytes());
-        let seed = Seed { kind, body: Box::new(seed), bytes, prio };
+        let seed = Seed { kind, body: MsgBody::new(seed), bytes, prio };
         self.node.create(self.net, None, seed);
     }
 
@@ -135,7 +135,7 @@ impl<'a> Ctx<'a> {
         prio: Priority,
     ) {
         let (kind, bytes) = (kind.id, seed.bytes());
-        let seed = Seed { kind, body: Box::new(seed), bytes, prio };
+        let seed = Seed { kind, body: MsgBody::new(seed), bytes, prio };
         self.node.create(self.net, Some(pe), seed);
     }
 
@@ -148,7 +148,7 @@ impl<'a> Ctx<'a> {
     pub fn send_prio<M: Message>(&mut self, target: ChareId, ep: EpId, msg: M, prio: Priority) {
         let bytes = msg.bytes();
         let to = target.pe;
-        self.port().post(to, SysMsg::ChareMsg { target, ep, body: Box::new(msg), bytes, prio });
+        self.port().post(to, SysMsg::ChareMsg { target, ep, body: MsgBody::new(msg), bytes, prio });
     }
 
     /// Destroy the executing chare after this entry method returns.
@@ -182,7 +182,7 @@ impl<'a> Ctx<'a> {
     ) {
         let bytes = msg.bytes();
         self.port()
-            .post(pe, SysMsg::BranchMsg { boc: boc.id, ep, body: Box::new(msg), bytes, prio });
+            .post(pe, SysMsg::BranchMsg { boc: boc.id, ep, body: MsgBody::new(msg), bytes, prio });
     }
 
     /// Send a copy of `msg` to entry point `ep` of every branch of
@@ -201,7 +201,7 @@ impl<'a> Ctx<'a> {
             Arc::new(move || SysMsg::BranchMsg {
                 boc: boc_id,
                 ep,
-                body: Box::new(msg.clone()),
+                body: MsgBody::new(msg.clone()),
                 bytes,
                 prio: Priority::None,
             }),
@@ -247,7 +247,7 @@ impl<'a> Ctx<'a> {
     /// Fold `delta` into this PE's partial of accumulator `acc`.
     /// No communication happens until a collect.
     pub fn acc_add<A: Accum>(&mut self, acc: Acc<A>, delta: A::V) {
-        self.node.shared.acc_add(acc.id, Box::new(delta));
+        self.node.shared.acc_add(acc.id, MsgBody::new(delta));
     }
 
     /// Collect accumulator `acc` across all PEs: every PE's partial is
@@ -263,7 +263,7 @@ impl<'a> Ctx<'a> {
     /// is dropped (someone already knew better).
     pub fn mono_update<M: Mono>(&mut self, mono: MonoVar<M>, value: M::V) {
         let mut s = self.node.strata(self.net);
-        s.shared.mono_update(&mut s.port, mono.id, Box::new(value));
+        s.shared.mono_update(&mut s.port, mono.id, MsgBody::new(value));
     }
 
     /// Read this PE's current value of monotonic variable `mono`. May
@@ -294,7 +294,7 @@ impl<'a> Ctx<'a> {
         let op = SysMsg::TablePut {
             table: table.id,
             key,
-            value: Box::new(value),
+            value: MsgBody::new(value),
             bytes: std::mem::size_of::<V>() as u32,
             notify,
         };

@@ -13,9 +13,7 @@ use multicomputer::Pe;
 use crate::ids::{AccId, BocId, ChareId, ChareKind, EpId, MonoId, Notify, TableId, WoId};
 use crate::priority::Priority;
 
-/// An owned, untyped message body (same shape as the machine layer's
-/// payload, kept separate so kernel code reads clearly).
-pub type MsgBody = Box<dyn Any + Send>;
+pub use crate::body::{MsgBody, INLINE_BYTES};
 
 /// Fixed per-envelope header size charged to the network cost model,
 /// approximating the C kernel's envelope struct.
@@ -367,17 +365,17 @@ mod tests {
                 local: 0,
             },
             ep: EpId(0),
-            body: Box::new(1u32),
+            body: MsgBody::new(1u32),
             bytes: 4,
             prio: Priority::None,
         };
         assert!(m.counted());
-        let seed = Seed { kind: ChareKind(0), body: Box::new(()), bytes: 0, prio: Priority::None };
+        let seed = Seed { kind: ChareKind(0), body: MsgBody::new(()), bytes: 0, prio: Priority::None };
         let n = SysMsg::NewChare { seed, hops: 0 };
         assert!(n.counted());
         assert!(SysMsg::MonoUpdate {
             mono: MonoId(0),
-            value: Box::new(1u32)
+            value: MsgBody::new(1u32)
         }
         .counted());
     }
@@ -390,7 +388,7 @@ mod tests {
                 local: 0,
             },
             ep: EpId(0),
-            body: Box::new(0u64),
+            body: MsgBody::new(0u64),
             bytes: 100,
             prio: Priority::None,
         };

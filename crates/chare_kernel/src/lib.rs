@@ -54,6 +54,7 @@
 #[doc(hidden)]
 pub mod alloc_watch;
 pub mod balance;
+mod body;
 pub mod bcast;
 pub mod boc;
 pub mod chare;

@@ -314,11 +314,9 @@ impl CkNode {
                 // A copied `fn` pointer: no refcount write per creation.
                 let create = self.reg.chares[seed.kind.0 as usize].create;
                 let mut ctx = Ctx::new(self, net, Current::Chare(id));
-                let obj = create(seed.body, &mut ctx);
-                if ctx.destroy_requested {
-                    self.free_slots.push(slot);
-                } else {
-                    self.chares[slot as usize] = Some(obj);
+                match create(seed.body, &mut ctx) {
+                    Some(obj) => self.chares[slot as usize] = Some(obj),
+                    None => self.free_slots.push(slot),
                 }
             }
             WorkItem::ChareMsg { local, ep, body } => {
@@ -468,7 +466,7 @@ mod tests {
     use super::*;
     use crate::balance::BalanceStrategy;
     use crate::bcast::BroadcastMode;
-    use crate::envelope::PLACED;
+    use crate::envelope::{MsgBody, PLACED};
     use crate::ids::{ChareKind, Notify};
     use crate::queueing::QueueingStrategy;
     use crate::reliable::{RedirectSeed, ReliableConfig};
@@ -497,7 +495,7 @@ mod tests {
 
     /// A seed declaring `bytes` of constructor argument.
     fn seed(bytes: u32) -> Seed {
-        Seed { kind: ChareKind(0), body: Box::new(()), bytes, prio: Priority::None }
+        Seed { kind: ChareKind(0), body: MsgBody::new(()), bytes, prio: Priority::None }
     }
 
     #[test]
@@ -508,7 +506,7 @@ mod tests {
         assert_eq!(node.counters.user_sent, 0);
         node.strata(&mut net)
             .port
-            .post(Pe(2), SysMsg::MonoUpdate { mono: crate::ids::MonoId(0), value: Box::new(1u64) });
+            .post(Pe(2), SysMsg::MonoUpdate { mono: crate::ids::MonoId(0), value: MsgBody::new(1u64) });
         assert_eq!(node.counters.user_sent, 1);
         assert_eq!(net.dests(), vec![Pe(1), Pe(2)]);
     }
@@ -519,8 +517,8 @@ mod tests {
         let mut net = MockNet::new(Pe(0), 4);
         let chare = ChareId { pe: Pe(3), local: 7 };
         let mut port = node.strata(&mut net).port;
-        port.notify(Notify::Chare(chare, crate::ids::EpId(1)), Box::new(()), 0);
-        port.notify(Notify::Branch(BocId(0), Pe(2), crate::ids::EpId(1)), Box::new(()), 0);
+        port.notify(Notify::Chare(chare, crate::ids::EpId(1)), MsgBody::new(()), 0);
+        port.notify(Notify::Branch(BocId(0), Pe(2), crate::ids::EpId(1)), MsgBody::new(()), 0);
         assert_eq!(net.dests(), vec![Pe(3), Pe(2)]);
         // Both notifications are user traffic.
         assert_eq!(node.counters.user_sent, 2);

@@ -10,8 +10,13 @@
 //! rate of simulated traffic. The pool recycles them through
 //! thread-local free lists (one exact-size list for envelope boxes —
 //! the quick-fit "quick list" — and capacity-classed lists for wire
-//! buffers), so steady-state message traffic performs no heap
-//! allocation at all.
+//! buffers), so in steady state an envelope costs no heap allocation.
+//! A message body of at most
+//! [`INLINE_BYTES`](crate::envelope::INLINE_BYTES) bytes rides inside
+//! its envelope ([`MsgBody`](crate::envelope::MsgBody)), so a small
+//! seed or reply costs none either; a larger body, and the buffer of a
+//! `Vec` or `String` body, is still one heap block the receiving PE
+//! frees.
 //!
 //! Pooling is **invisible to simulated results**: the same values flow
 //! through the same code paths, only the host allocations differ.
@@ -28,7 +33,7 @@ use multicomputer::Payload;
 
 use crate::envelope::SysMsg;
 
-/// Most free envelope boxes kept per thread (~64 B each).
+/// Most free envelope boxes kept per thread (120 B each).
 const ENVELOPE_KEEP: usize = 8192;
 /// Most free wire buffers kept per thread, per size class.
 const BATCH_KEEP: usize = 512;

@@ -388,7 +388,7 @@ fn collect(
     let mut result: Option<Payload> = None;
     if let Some((rank, bytes)) = run.result {
         let mut r = WireReader::new(&bytes);
-        result = Some(prog.registry().wire.decode_body(&mut r));
+        result = Some(prog.registry().wire.decode_body(&mut r).into_any());
         r.finish().map_err(|e| ProcAbortReason::Protocol {
             rank,
             error: format!("exit result: {e}"),

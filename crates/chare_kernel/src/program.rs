@@ -25,7 +25,7 @@ use crate::balance::{BalanceStrategy, SeedManager};
 use crate::bcast::BroadcastMode;
 use crate::boc::BranchInit;
 use crate::chare::ChareInit;
-use crate::envelope::SysMsg;
+use crate::envelope::{MsgBody, SysMsg};
 use crate::ids::{Boc, BocId, ChareKind, Kind, RoId};
 use crate::metrics::{MetricsConfig, MetricsLog};
 use crate::msg::Message;
@@ -184,7 +184,7 @@ impl ProgramBuilder {
             make_seed: Box::new(move || {
                 let s = seed.clone();
                 let bytes = s.bytes();
-                (Box::new(s), bytes)
+                (MsgBody::new(s), bytes)
             }),
         });
     }

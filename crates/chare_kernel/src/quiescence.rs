@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use multicomputer::Pe;
 
-use crate::envelope::SysMsg;
+use crate::envelope::{MsgBody, SysMsg};
 use crate::ids::Notify;
 use crate::msg::Message;
 use crate::shared::QuiescenceMsg;
@@ -156,7 +156,7 @@ pub(crate) fn handle(qd: &mut Option<QdCoordinator>, port: &mut Port, busy: bool
         QdAction::Declare(notifies) => {
             port.counters.qd_declares += 1;
             for n in notifies {
-                port.notify(n, Box::new(QuiescenceMsg), QuiescenceMsg.bytes());
+                port.notify(n, MsgBody::new(QuiescenceMsg), QuiescenceMsg.bytes());
             }
         }
     }

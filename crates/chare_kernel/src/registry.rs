@@ -27,7 +27,7 @@ use crate::ids::ChareKind;
 use crate::msg::Message;
 use crate::shared::{AccResult, Accum, Mono, TableGot};
 
-type CreateChareFn = fn(MsgBody, &mut Ctx) -> Box<dyn Chare>;
+type CreateChareFn = fn(MsgBody, &mut Ctx) -> Option<Box<dyn Chare>>;
 type CreateBranchFn = Box<dyn Fn(&mut Ctx) -> Box<dyn BranchObj> + Send + Sync>;
 type InitValFn = fn() -> MsgBody;
 type CombineFn = fn(&mut MsgBody, MsgBody);
@@ -42,7 +42,8 @@ pub(crate) struct ChareEntry {
     /// Type name, for diagnostics.
     #[allow(dead_code)]
     pub name: &'static str,
-    /// Constructs the chare from its (type-erased) seed.
+    /// Constructs the chare from its (type-erased) seed: `None` when the
+    /// constructor destroyed it, which is then never boxed.
     pub create: CreateChareFn,
 }
 
@@ -52,9 +53,10 @@ impl ChareEntry {
             name: std::any::type_name::<C>(),
             create: |seed, ctx| {
                 let seed = seed
-                    .downcast::<C::Seed>()
+                    .take::<C::Seed>()
                     .unwrap_or_else(|_| panic!("wrong seed type for {}", std::any::type_name::<C>()));
-                Box::new(C::create(*seed, ctx))
+                let chare = C::create(seed, ctx);
+                (!ctx.destroy_requested).then(|| Box::new(chare) as Box<dyn Chare>)
             },
         }
     }
@@ -91,21 +93,23 @@ pub(crate) struct AccEntry {
 impl AccEntry {
     pub(crate) fn of<A: Accum>() -> Self {
         AccEntry {
-            init: || Box::new(A::identity()),
+            init: || MsgBody::new(A::identity()),
             combine: |into, from| {
                 let into = into
                     .downcast_mut::<A::V>()
                     .expect("accumulator value type mismatch");
-                let from = *from
-                    .downcast::<A::V>().expect("accumulator part type mismatch");
+                let from = from
+                    .take::<A::V>()
+                    .unwrap_or_else(|_| panic!("accumulator part type mismatch"));
                 A::combine(into, from);
             },
             wrap_result: |total| {
-                let value = *total
-                    .downcast::<A::V>().expect("accumulator total type mismatch");
+                let value = total
+                    .take::<A::V>()
+                    .unwrap_or_else(|_| panic!("accumulator total type mismatch"));
                 let msg = AccResult { value };
                 let bytes = msg.bytes();
-                (Box::new(msg) as MsgBody, bytes)
+                (MsgBody::new(msg), bytes)
             },
         }
     }
@@ -123,7 +127,7 @@ pub(crate) struct MonoEntry {
 impl MonoEntry {
     pub(crate) fn of<M: Mono>() -> Self {
         MonoEntry {
-            init: || Box::new(M::identity()),
+            init: || MsgBody::new(M::identity()),
             better: |new, cur| {
                 let new = new.downcast_ref::<M::V>().expect("mono type mismatch");
                 let cur = cur.downcast_ref::<M::V>().expect("mono type mismatch");
@@ -136,7 +140,7 @@ impl MonoEntry {
                     .clone();
                 std::sync::Arc::new(move || SysMsg::MonoUpdate {
                     mono: id,
-                    value: Box::new(v.clone()),
+                    value: MsgBody::new(v.clone()),
                 })
             },
         }
@@ -160,7 +164,7 @@ impl TableEntry {
                 });
                 let got = TableGot { key, value };
                 let bytes = got.bytes();
-                (Box::new(got) as MsgBody, bytes)
+                (MsgBody::new(got), bytes)
             },
         }
     }

@@ -568,7 +568,7 @@ mod tests {
     use std::hash::{Hash, Hasher};
 
     use super::*;
-    use crate::envelope::Seed;
+    use crate::envelope::{MsgBody, Seed};
     use crate::ids::{ChareKind, WoId};
     use crate::priority::Priority;
 
@@ -1051,7 +1051,7 @@ mod tests {
     /// balanceable seed of chare kind `id`.
     fn message(id: u32, seed: bool, hops: u32) -> SysMsg {
         if seed {
-            let seed = Seed { kind: ChareKind(id), body: Box::new(()), bytes: 0, prio: Priority::None };
+            let seed = Seed { kind: ChareKind(id), body: MsgBody::new(()), bytes: 0, prio: Priority::None };
             SysMsg::NewChare { seed, hops }
         } else {
             SysMsg::WoAck { wo: WoId(id.into()) }

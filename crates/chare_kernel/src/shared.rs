@@ -471,7 +471,7 @@ impl SharedVars {
                 if ent.0 == 0 {
                     let (_, notify) = self.wo_pending.remove(&wo).expect("wo state");
                     let msg = WoReady { id: wo };
-                    port.notify(notify, Box::new(msg), msg.bytes());
+                    port.notify(notify, MsgBody::new(msg), msg.bytes());
                 }
             }
             _ => unreachable!("not a shared-variable message"),
@@ -502,7 +502,7 @@ impl SharedVars {
 fn table_ack(port: &mut Port, notify: Option<Notify>, key: u64, existed: bool) {
     if let Some(n) = notify {
         let ack = TableAck { key, existed };
-        port.notify(n, Box::new(ack), ack.bytes());
+        port.notify(n, MsgBody::new(ack), ack.bytes());
     }
 }
 

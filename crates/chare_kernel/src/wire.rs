@@ -2,10 +2,11 @@
 //! boundaries.
 //!
 //! The simulator and thread backends move [`SysMsg`] envelopes between
-//! PEs as in-memory boxes: message bodies stay `Box<dyn Any>` and never
-//! need a byte representation. The multi-process backend
-//! ([`proc`](crate::proc)) cannot do that — every envelope crossing a
-//! socket must become bytes and come back — so this module defines:
+//! PEs as in-memory boxes: message bodies stay type-erased [`MsgBody`]
+//! values and never need a byte representation. The multi-process
+//! backend ([`proc`](crate::proc)) cannot do that — every envelope
+//! crossing a socket must become bytes and come back — so this module
+//! defines:
 //!
 //! * [`Wire`] — a small explicit codec trait (`encode` into a byte
 //!   vector, `decode` from a [`WireReader`]), implemented for the
@@ -21,7 +22,7 @@
 //!   `BalanceStrategy` (travels as its spec-grammar text) and
 //!   `Histogram` (only its occupied buckets travel);
 //! * a **wire table** inside the program `Registry`: message *bodies*
-//!   are type-erased (`Box<dyn Any>`), so each concrete body type a
+//!   are type-erased ([`MsgBody`]), so each concrete body type a
 //!   program sends between PEs must be registered up front with
 //!   [`ProgramBuilder::wire`](crate::program::ProgramBuilder::wire).
 //!   Registration order assigns each type a small integer tag; because
@@ -715,7 +716,7 @@ impl WireTable {
             encode: Box::new(|v, out| {
                 v.downcast_ref::<T>().expect("tag/type mismatch").encode(out);
             }),
-            decode: Box::new(|r| Box::new(T::decode(r))),
+            decode: Box::new(|r| MsgBody::new(T::decode(r))),
             decode_shared: Box::new(|r| Arc::new(T::decode(r))),
         });
     }
@@ -770,7 +771,7 @@ impl WireTable {
         })
     }
 
-    /// Decode a `tag + bytes` body back into a boxed value.
+    /// Decode a `tag + bytes` body back into a value.
     pub(crate) fn decode_body(&self, r: &mut WireReader) -> MsgBody {
         (self.tagged(r).decode)(r)
     }
@@ -848,7 +849,7 @@ crate::wire_struct!(Seed in Frame<'_> { kind, bytes, prio, body });
 /// A message body: its wire-table tag, then its bytes.
 impl WireIn<Frame<'_>> for MsgBody {
     fn encode_in(&self, cx: &Frame<'_>, out: &mut Vec<u8>) {
-        cx.reg.wire.encode_body("a kernel envelope", &**self, out);
+        cx.reg.wire.encode_body("a kernel envelope", self.as_any(), out);
     }
     fn decode_in(cx: &Frame<'_>, r: &mut WireReader) -> Self {
         cx.reg.wire.decode_body(r)
@@ -1061,7 +1062,7 @@ pub(crate) mod tests {
                     local: 7,
                 },
                 ep: EpId(3),
-                body: Box::new(42u64),
+                body: MsgBody::new(42u64),
                 bytes: 8,
                 prio: prio.clone(),
             };
@@ -1076,7 +1077,7 @@ pub(crate) mod tests {
                     assert_eq!(target, ChareId { pe: Pe(2), local: 7 });
                     assert_eq!(ep, EpId(3));
                     assert_eq!(bytes, 8);
-                    assert_eq!(*body.downcast::<u64>().unwrap(), 42);
+                    assert_eq!(body.take::<u64>().unwrap(), 42);
                     assert_eq!(p.int_key(), prio.int_key());
                 }
                 ref _other => panic!("wrong variant"),
@@ -1093,7 +1094,7 @@ pub(crate) mod tests {
             bytes: 16,
             gen: Arc::new(|| SysMsg::MonoUpdate {
                 mono: MonoId(0),
-                value: Box::new(99u64),
+                value: MsgBody::new(99u64),
             }),
         };
         match roundtrip_sys(&reg, &sys) {
@@ -1111,7 +1112,7 @@ pub(crate) mod tests {
                     match gen() {
                         SysMsg::MonoUpdate { mono, value } => {
                             assert_eq!(mono, MonoId(0));
-                            assert_eq!(*value.downcast::<u64>().unwrap(), 99);
+                            assert_eq!(value.take::<u64>().unwrap(), 99);
                         }
                         ref _other => panic!("wrong inner"),
                     }
@@ -1221,7 +1222,7 @@ pub(crate) mod tests {
         let reg = test_registry();
         let sys = SysMsg::MonoUpdate {
             mono: MonoId(0),
-            value: Box::new(Opaque),
+            value: MsgBody::new(Opaque),
         };
         encoded(&reg, &sys);
     }
@@ -1240,7 +1241,7 @@ pub(crate) mod tests {
     fn every_envelope_keeps_its_layout() {
         let reg = test_registry();
         let chare = || Notify::Chare(ChareId { pe: Pe(1), local: 2 }, EpId(3));
-        let body = || -> MsgBody { Box::new(7u8) };
+        let body = || MsgBody::new(7u8);
         let cases: Vec<(SysMsg, &str)> = vec![
             (SysMsg::Batch(vec![SysMsg::WorkNack]), "00 01000000 12"),
             (
@@ -1377,7 +1378,7 @@ pub(crate) mod tests {
         );
         let rel_ack = tag_of(SysMsg::RelAck { seqs: Vec::new() });
         let batch = tag_of(SysMsg::Batch(Vec::new()));
-        let mono = tag_of(SysMsg::MonoUpdate { mono: MonoId(0), value: Box::new(()) });
+        let mono = tag_of(SysMsg::MonoUpdate { mono: MonoId(0), value: MsgBody::new(()) });
         for (what, wanted, bytes) in [
             ("RelAck seqs", prefix, frame(&[rel_ack])),
             ("Batch count", prefix, frame(&[batch])),

@@ -17,8 +17,11 @@
 //! zero-heavy random bytes addresses every codec in the table, and
 //! wherever the decoder stops short of the end, the bytes before that
 //! point are one well-formed frame carrying a value of that type.
+//!
+//! The same watching allocator holds a simulated run to a budget of heap
+//! blocks (the last test): message bodies travel inside their envelopes.
 
-use chare_kernel::alloc_watch::{largest_alloc, Watching};
+use chare_kernel::alloc_watch::{allocations, largest_alloc, Watching};
 use chare_kernel::envelope::{Seed, SysMsg};
 use chare_kernel::prelude::*;
 use ck_apps::registry::APPS;
@@ -44,8 +47,8 @@ fn encoded(prog: &Program, sys: &SysMsg) -> Vec<u8> {
 fn templates(prog: &Program) -> [Vec<u8>; 2] {
     let target = ChareId { pe: Pe(1), local: 3 };
     let (ep, bytes, prio) = (EpId(2), 16, Priority::None);
-    let msg = SysMsg::ChareMsg { target, ep, body: Box::new(()), bytes, prio };
-    let seed = Seed { kind: ChareKind(0), body: Box::new(()), bytes, prio: Priority::Int(-4) };
+    let msg = SysMsg::ChareMsg { target, ep, body: MsgBody::new(()), bytes, prio };
+    let seed = Seed { kind: ChareKind(0), body: MsgBody::new(()), bytes, prio: Priority::Int(-4) };
     [encoded(prog, &msg), encoded(prog, &SysMsg::NewChare { seed, hops: 1 })]
 }
 
@@ -169,4 +172,20 @@ proptest! {
             }
         }
     }
+}
+
+/// A small message body travels inside its pooled envelope, and a chare
+/// its constructor destroys is never boxed, so once the envelope pools
+/// are warm a fib run allocates fewer heap blocks than it creates chares
+/// (half of them leaves).
+#[test]
+fn a_warm_fib_run_allocates_fewer_blocks_than_it_creates_chares() {
+    let prog = Spec::parse("fib:n=20,grain=8").expect("a registry spec").build();
+    let run = || prog.run_sim_preset(4, MachinePreset::NcubeLike);
+    run();
+    let mut report = None;
+    let blocks = allocations(|| report = Some(run()));
+    let chares = report.expect("the run finished").total().chares_created;
+    assert_eq!(chares, 1220);
+    assert!(blocks < chares, "{blocks} heap blocks for {chares} chares");
 }
