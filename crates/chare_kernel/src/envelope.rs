@@ -394,4 +394,18 @@ mod tests {
         };
         assert_eq!(m.wire_bytes(), ENVELOPE_HEADER + 16 + 100 + 1);
     }
+
+    /// What one message occupies on its way through a PE: a boxed envelope,
+    /// a scheduler queue slot, a seed, and the machine's packet around the
+    /// box. Each is moved at least once per message, so a size that grows
+    /// here costs every message; change the figure only on purpose.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_message_keeps_its_footprint() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<SysMsg>(), 120);
+        assert_eq!(size_of::<WorkItem>(), 104);
+        assert_eq!(size_of::<Seed>(), 104);
+        assert_eq!(size_of::<multicomputer::Packet>(), 40);
+    }
 }

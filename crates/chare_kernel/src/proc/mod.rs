@@ -60,9 +60,8 @@
 //! message travels as the same `RelData`/`RelAck` frames the simulator's
 //! fault experiments use, now encoded to bytes. Small messages to one
 //! destination coalesce into single writes ([`ProcConfig::batch_bytes`]
-//! / [`ProcConfig::batch_frames`]; a buffer below both is written out
-//! before its PE blocks and at the latest every 16 scheduling steps),
-//! and the deterministic
+//! / [`ProcConfig::batch_frames`], by the flush rule both real backends
+//! share, [`multicomputer::real`]), and the deterministic
 //! [`LossConfig`] shim can drop or reorder frames per directed link so
 //! retransmit, send-window and seed-redirect logic run against real —
 //! but seeded, hence reproducible — socket faults.
@@ -130,11 +129,9 @@ pub struct ProcConfig {
     /// stopped itself.
     pub watchdog: Duration,
     /// Flush a destination's coalescing buffer once it holds this many
-    /// bytes. Below the thresholds a buffer is written out before its
-    /// PE blocks for lack of work, after an alarm handler, and at the
-    /// latest every [`FLUSH_EVERY_STEPS`](multicomputer::FLUSH_EVERY_STEPS)
-    /// scheduling steps — so a lone message leaves before its sender
-    /// sleeps, and waits at most 16 steps of a busy one.
+    /// encoded bytes. When a buffer below the thresholds leaves is the
+    /// rule of [`multicomputer::real`]; the worker also flushes after an
+    /// alarm handler.
     pub batch_bytes: usize,
     /// Flush a destination's coalescing buffer once it holds this many
     /// frames ([`BATCH_PACKETS`](multicomputer::BATCH_PACKETS) by default).

@@ -15,7 +15,7 @@
 //!
 //! ## Who does what on the data path
 //!
-//! * **Send** (PE thread). [`ProcCtx::send`] encodes the envelope
+//! * **Send** (PE thread). [`Mesh::hold`] encodes the envelope
 //!   straight into the destination's coalescing buffer through the one
 //!   framing routine ([`frame`]); only the loss shim, which may park a
 //!   frame, makes it an owned body first.
@@ -32,24 +32,23 @@
 //!   encoded envelope ends the worker the way a length prefix the
 //!   splitter refuses does ([`bad_frame`]).
 //!
-//! ## When coalescing buffers flush
+//! ## Coalescing
 //!
-//! A destination's buffer is written out when it reaches
-//! `batch_bytes`/`batch_frames`, after an alarm handler, every
-//! [`FLUSH_EVERY_STEPS`] scheduler steps, and — the one ordering
-//! obligation — **before the PE blocks**: the idle branch flushes every
-//! buffer before it waits, so no message is ever held by a sleeping
-//! sender. A busy PE delays a buffered message by at most
-//! `FLUSH_EVERY_STEPS` steps.
+//! The worker's [`NetCtx`] is `multicomputer::real::RealCtx` over a
+//! [`Mesh`], so when a held frame leaves is that module's rule, the
+//! thread backend's too. Two things are this backend's own. A frame is
+//! encoded as it is held, not when it leaves: the byte cap
+//! (`batch_bytes`) counts encoded bytes and a push is one `write_all`.
+//! And the loop flushes every buffer after an alarm handler as well as
+//! before it blocks, so a retransmission does not wait for later steps.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind,
-    FLUSH_EVERY_STEPS};
+use multicomputer::real::{Link, RealCtx};
+use multicomputer::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind};
 
 use crate::envelope::SysMsg;
 use crate::node::CkNode;
@@ -106,125 +105,41 @@ enum Ev {
     Ctl(io::Result<CtlMsg>),
 }
 
-/// Write half of one peer link, with its coalescing buffer.
-struct PeerOut {
-    stream: Stream,
-    buf: Vec<u8>,
-    frames: usize,
-    batch_bytes: usize,
-    batch_frames: usize,
-}
-
-impl PeerOut {
-    fn new(stream: Stream, batch_bytes: usize, batch_frames: usize) -> Self {
-        PeerOut {
-            stream,
-            buf: Vec::new(),
-            frames: 0,
-            batch_bytes: batch_bytes.max(1),
-            batch_frames: batch_frames.max(1),
-        }
-    }
-
-    /// Frame `body` into the coalescing buffer; write the buffer out if
-    /// that reached a batching threshold.
-    fn push(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
-        frame(&mut self.buf, body);
-        self.frames += 1;
-        if self.buf.len() >= self.batch_bytes || self.frames >= self.batch_frames {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            // A write to a dead peer fails with EPIPE; that is teardown
-            // noise (the parent detects the death), not our problem.
-            let _ = self.stream.write_all(&self.buf);
-            self.buf.clear();
-            self.frames = 0;
-        }
-    }
-}
-
-/// The worker's [`NetCtx`]: encodes remote sends onto the mesh, queues
-/// self-sends locally, and implements real alarm deadlines.
-struct ProcCtx {
-    me: Pe,
-    npes: usize,
-    start: Instant,
+/// A worker PE's [`Link`]: the data mesh with one coalescing buffer of
+/// encoded frames per peer, the loss shim, and what a handler asked of
+/// the machine.
+struct Mesh {
     reg: Arc<Registry>,
-    peers: Vec<Option<PeerOut>>,
-    local: VecDeque<Packet>,
+    /// Write half of each peer link (`None` for this PE).
+    links: Vec<Option<Stream>>,
+    /// Frames held for each peer, encoded.
+    bufs: Box<[Vec<u8>]>,
+    shim: Option<LossShim>,
     stopped: bool,
     result: Option<Payload>,
     alarm_at: Option<u64>,
-    /// Scheduler steps since the last [`flush_all`](Self::flush_all).
-    unflushed_steps: u32,
-    shim: Option<LossShim>,
-    /// The node's [`NodeProgram::stamps`]: if false, no send or arrival
-    /// reads the clock, and frames carry a `sent_ns` of 0.
-    stamps: bool,
 }
 
-impl ProcCtx {
-    /// Write out every destination's coalescing buffer.
-    fn flush_all(&mut self) {
-        for peer in self.peers.iter_mut().flatten() {
-            peer.flush();
-        }
-        self.unflushed_steps = 0;
-    }
-
-    /// A scheduler step ended: flush if `FLUSH_EVERY_STEPS` have passed
-    /// since the last flush.
-    fn step_done(&mut self) {
-        self.unflushed_steps += 1;
-        if self.unflushed_steps >= FLUSH_EVERY_STEPS {
-            self.flush_all();
-        }
-    }
-
-    fn alarm_due(&self) -> bool {
-        self.alarm_at.is_some_and(|t| self.now_ns() >= t)
+impl Mesh {
+    fn new(reg: Arc<Registry>, links: Vec<Option<Stream>>, shim: Option<LossShim>) -> Self {
+        let bufs = links.iter().map(|_| Vec::new()).collect();
+        Mesh { reg, links, bufs, shim, stopped: false, result: None, alarm_at: None }
     }
 }
 
-impl NetCtx for ProcCtx {
-    fn me(&self) -> Pe {
-        self.me
-    }
-    fn num_pes(&self) -> usize {
-        self.npes
-    }
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-    fn send(&mut self, to: Pe, bytes: u32, payload: Payload) {
-        assert!(to.index() < self.npes, "send to PE out of range");
-        let now = if self.stamps { self.now_ns() } else { 0 };
-        if to == self.me {
-            self.local.push_back(Packet {
-                from: self.me,
-                bytes,
-                at_ns: now,
-                sent_ns: now,
-                payload,
-            });
-            return;
-        }
+impl Link for Mesh {
+    fn hold(&mut self, to: Pe, pkt: Packet) -> usize {
         // Every kernel egress payload is a SysMsg (a retransmission is
         // a fresh `RelData` around the same slot); encode it. Frame
         // body: [sent_ns][declared bytes][sys].
+        let Packet { bytes, sent_ns, payload, .. } = pkt;
         let sys = payload.downcast::<SysMsg>().unwrap_or_else(|_| {
             panic!("procs backend can only ship kernel SysMsg payloads across PEs")
         });
-        let Some(peer) = self.peers[to.index()].as_mut() else {
-            return; // peer already torn down; late sends are benign
-        };
-        let reg = &self.reg;
+        let (reg, buf) = (&self.reg, &mut self.bufs[to.index()]);
+        let before = buf.len();
         let body = |out: &mut Vec<u8>| {
-            out.extend_from_slice(&now.to_le_bytes());
+            out.extend_from_slice(&sent_ns.to_le_bytes());
             out.extend_from_slice(&bytes.to_le_bytes());
             encode_frame(reg, &sys, out);
         };
@@ -234,14 +149,21 @@ impl NetCtx for ProcCtx {
                 let mut owned = Vec::with_capacity(bytes as usize + 16);
                 body(&mut owned);
                 for released in shim.outgoing(to.0, owned) {
-                    peer.push(|out| out.extend_from_slice(&released));
+                    frame(buf, |out| out.extend_from_slice(&released));
                 }
             }
-            None => peer.push(body),
+            None => frame(buf, body),
         }
+        buf.len() - before
     }
-    fn charge(&mut self, _cost: Cost) {
-        // Real work takes real time, as on the thread backend.
+    fn push(&mut self, to: Pe) {
+        let buf = &mut self.bufs[to.index()];
+        if let Some(link) = self.links[to.index()].as_mut() {
+            // A write to a dead peer fails with EPIPE; that is teardown
+            // noise (the parent detects the death), not our problem.
+            let _ = link.write_all(buf);
+        }
+        buf.clear();
     }
     fn stop(&mut self) {
         self.stopped = true;
@@ -249,14 +171,17 @@ impl NetCtx for ProcCtx {
     fn deposit(&mut self, result: Payload) {
         self.result = Some(result);
     }
-    fn set_alarm(&mut self, after: Cost) {
-        self.alarm_at = Some(self.now_ns().saturating_add(after.as_nanos().max(1)));
+    fn set_alarm(&mut self, at_ns: u64) {
+        self.alarm_at = Some(at_ns);
     }
 }
 
+/// The worker's [`NetCtx`]: the shared send side over the data mesh.
+type ProcCtx = RealCtx<Mesh>;
+
 /// Deliver queued self-sends (produced by the handler that just ran).
 fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    while let Some(pkt) = ctx.local.pop_front() {
+    while let Some(pkt) = ctx.pop_local() {
         node.incoming(pkt);
     }
 }
@@ -268,8 +193,8 @@ fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mu
     for body in chunk.frames() {
         let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
         let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-        let sys = decode_frame(&ctx.reg, &body[12..])
-            .unwrap_or_else(|e| bad_frame(ctx.me.0, from, &e.to_string()));
+        let sys = decode_frame(&ctx.link.reg, &body[12..])
+            .unwrap_or_else(|e| bad_frame(ctx.me().0, from, &e.to_string()));
         node.incoming(Packet {
             from: Pe(from),
             bytes,
@@ -409,12 +334,10 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
     // -- reader threads and scheduler channel -----------------------------
     let reg = Arc::clone(prog.registry());
     let (tx, rx): (Sender<Ev>, Receiver<Ev>) = mpsc::channel();
-    let mut peers: Vec<Option<PeerOut>> = (0..npes).map(|_| None).collect();
-    for (j, link) in links.into_iter().enumerate() {
+    for (j, link) in links.iter().enumerate() {
         let Some(link) = link else { continue };
         let read_half = link.try_clone().expect("clone mesh stream");
         spawn_data_reader(rank, j as u32, read_half, tx.clone());
-        peers[j] = Some(PeerOut::new(link, opts.batch_bytes, opts.batch_frames));
     }
     let ctl_read = ctl.try_clone().expect("clone control stream");
     spawn_ctl_reader(rank, ctl_read, move |(_, msg)| tx.send(Ev::Ctl(msg)).is_ok());
@@ -423,20 +346,10 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
 
     // -- node construction -------------------------------------------------
     let mut node = prog.factory(opts.topology.clone(), 0, 0).build(Pe(rank), npes);
-    let mut ctx = ProcCtx {
-        me: Pe(rank),
-        npes,
-        start: Instant::now(),
-        reg,
-        peers,
-        local: VecDeque::new(),
-        stopped: false,
-        result: None,
-        alarm_at: None,
-        unflushed_steps: 0,
-        shim: opts.loss.map(|l| LossShim::new(l, rank, npes)),
-        stamps: node.stamps(),
-    };
+    let mesh = Mesh::new(reg, links, opts.loss.map(|l| LossShim::new(l, rank, npes)));
+    let (frames, bytes) = (opts.batch_frames, opts.batch_bytes);
+    let mut ctx = RealCtx::with_link(Pe(rank), npes, Instant::now(), mesh, frames, bytes);
+    ctx.stamps = node.stamps();
 
     // -- wait for Start (stashing any early peer frames) -------------------
     let mut pending: Vec<Ev> = Vec::new();
@@ -462,7 +375,7 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
     }
 
     // -- scheduler loop ----------------------------------------------------
-    while !ctx.stopped && !halted {
+    while !ctx.link.stopped && !halted {
         // Drain arrivals first so priorities act on everything available.
         while let Ok(ev) = rx.try_recv() {
             handle_ev(ev, &mut node, &mut ctx, &mut halted);
@@ -470,8 +383,8 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
         if halted {
             break;
         }
-        if ctx.alarm_due() {
-            ctx.alarm_at = None;
+        if ctx.link.alarm_at.is_some_and(|t| ctx.now_ns() >= t) {
+            ctx.link.alarm_at = None;
             node.alarm(&mut ctx);
             deliver_local(&mut node, &mut ctx);
             ctx.flush_all();
@@ -490,7 +403,7 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
             // may be waiting for what it still holds.
             ctx.flush_all();
             let mut wait = IDLE_PARK;
-            if let Some(t) = ctx.alarm_at {
+            if let Some(t) = ctx.link.alarm_at {
                 wait = wait.min(Duration::from_nanos(t.saturating_sub(ctx.now_ns())));
             }
             match rx.recv_timeout(wait) {
@@ -517,10 +430,10 @@ fn report(
     // parent's Halt so the Final exchange stays ordered. Reader threads
     // keep draining peer sockets throughout, so no peer can block on a
     // full pipe while this handshake completes.
-    if ctx.stopped && !halted {
-        let result = ctx.result.take().map(|p| {
+    if ctx.link.stopped && !halted {
+        let result = ctx.link.result.take().map(|p| {
             let mut out = Vec::new();
-            ctx.reg.wire.encode_body("exit result", &*p, &mut out);
+            ctx.link.reg.wire.encode_body("exit result", &*p, &mut out);
             out
         });
         let _ = send_ctl(&mut ctl, &CtlMsg::Stopped { result });
@@ -569,16 +482,16 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             // Hang with every socket closed: the parent must notice the
             // disconnect, not an exit status.
             ctl.shutdown();
-            for peer in ctx.peers.iter().flatten() {
-                peer.stream.shutdown();
+            for link in ctx.link.links.iter().flatten() {
+                link.shutdown();
             }
             std::thread::sleep(Duration::from_secs(600));
             std::process::exit(0);
         }
         CrashMode::BadLen(len) => {
-            for peer in ctx.peers.iter_mut().flatten() {
-                peer.flush(); // the prefix must land on a frame boundary
-                let _ = peer.stream.write_all(&len.to_le_bytes());
+            ctx.flush_all(); // the prefix must land on a frame boundary
+            for link in ctx.link.links.iter_mut().flatten() {
+                let _ = link.write_all(&len.to_le_bytes());
             }
         }
         CrashMode::BadCtl => {
@@ -591,21 +504,23 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
         }
         CrashMode::BadBody => write_peers(ctx, |b| b.push(0xff)), // no such `SysMsg` tag
         CrashMode::Nest(depth) => {
-            let reg = Arc::clone(&ctx.reg);
+            let reg = Arc::clone(&ctx.link.reg);
             write_peers(ctx, |b| reldata_nest(&reg, depth, b));
         }
     }
 }
 
-/// Write every peer, at once, one data frame with a valid header and
-/// the envelope bytes `envelope` appends.
-fn write_peers(ctx: &mut ProcCtx, envelope: impl Fn(&mut Vec<u8>)) {
-    for peer in ctx.peers.iter_mut().flatten() {
-        peer.push(|b| {
-            b.extend_from_slice(&[0; 12]); // [sent_ns][bytes]
-            envelope(b);
-        });
-        peer.flush();
+/// Write every peer, at once, behind what it holds, one data frame with
+/// a valid header and the envelope bytes `envelope` appends.
+fn write_peers(ctx: &mut ProcCtx, envelope: impl FnOnce(&mut Vec<u8>)) {
+    ctx.flush_all();
+    let mut bytes = Vec::new();
+    frame(&mut bytes, |b| {
+        b.extend_from_slice(&[0; 12]); // [sent_ns][bytes]
+        envelope(b);
+    });
+    for link in ctx.link.links.iter_mut().flatten() {
+        let _ = link.write_all(&bytes);
     }
 }
 
@@ -615,6 +530,7 @@ mod tests {
     use crate::proc::{ProcOpts, ProcTransport};
     use crate::program::RunOpts;
     use crate::reliable::ReliableConfig;
+    use multicomputer::FLUSH_EVERY_STEPS;
     use std::os::unix::net::UnixStream;
 
     /// PE 0 of an `npes` machine whose every outgoing link is one end of
@@ -624,28 +540,16 @@ mod tests {
         batch_bytes: usize,
         batch_frames: usize,
     ) -> (ProcCtx, Vec<Option<UnixStream>>) {
-        let mut peers = vec![None];
+        let mut links = vec![None];
         let mut far_ends = vec![None];
         for _ in 1..npes {
             let (near, far) = UnixStream::pair().expect("socketpair");
             far.set_nonblocking(true).expect("nonblocking far end");
-            peers.push(Some(PeerOut::new(Stream::Uds(near), batch_bytes, batch_frames)));
+            links.push(Some(Stream::Uds(near)));
             far_ends.push(Some(far));
         }
-        let ctx = ProcCtx {
-            me: Pe(0),
-            npes,
-            start: Instant::now(),
-            reg: Arc::new(Registry::new()),
-            peers,
-            local: VecDeque::new(),
-            stopped: false,
-            result: None,
-            alarm_at: None,
-            unflushed_steps: 0,
-            shim: None,
-            stamps: true,
-        };
+        let mesh = Mesh::new(Arc::new(Registry::new()), links, None);
+        let ctx = RealCtx::with_link(Pe(0), npes, Instant::now(), mesh, batch_frames, batch_bytes);
         (ctx, far_ends)
     }
 
@@ -667,7 +571,9 @@ mod tests {
     }
 
     fn buffered(ctx: &ProcCtx) -> Vec<usize> {
-        ctx.peers.iter().flatten().map(|p| p.buf.len()).collect()
+        let mesh = &ctx.link;
+        let held = mesh.links.iter().zip(mesh.bufs.iter());
+        held.filter(|(link, _)| link.is_some()).map(|(_, buf)| buf.len()).collect()
     }
 
     #[test]

@@ -39,9 +39,6 @@ type WrapResultFn = fn(MsgBody) -> (MsgBody, u32);
 
 /// A registered chare type.
 pub(crate) struct ChareEntry {
-    /// Type name, for diagnostics.
-    #[allow(dead_code)]
-    pub name: &'static str,
     /// Constructs the chare from its (type-erased) seed: `None` when the
     /// constructor destroyed it, which is then never boxed.
     pub create: CreateChareFn,
@@ -50,7 +47,6 @@ pub(crate) struct ChareEntry {
 impl ChareEntry {
     pub(crate) fn of<C: ChareInit>() -> Self {
         ChareEntry {
-            name: std::any::type_name::<C>(),
             create: |seed, ctx| {
                 let seed = seed
                     .take::<C::Seed>()
@@ -64,9 +60,6 @@ impl ChareEntry {
 
 /// A registered branch-office chare type plus its configuration.
 pub(crate) struct BocEntry {
-    /// Type name, for diagnostics.
-    #[allow(dead_code)]
-    pub name: &'static str,
     /// Constructs this PE's branch at boot.
     pub create: CreateBranchFn,
 }
@@ -74,7 +67,6 @@ pub(crate) struct BocEntry {
 impl BocEntry {
     pub(crate) fn of<B: BranchInit>(cfg: B::Cfg) -> Self {
         BocEntry {
-            name: std::any::type_name::<B>(),
             create: Box::new(move |ctx| Box::new(B::create(cfg.clone(), ctx))),
         }
     }

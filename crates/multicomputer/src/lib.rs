@@ -18,7 +18,8 @@
 //!   up to 256 PEs on a laptop;
 //! * [`thread`] — a real-parallel backend ([`thread::ThreadMachine`]) with
 //!   one OS thread per PE and a shared-memory inbox per PE, standing in
-//!   for the shared-memory ports and used for wall-clock benchmarks.
+//!   for the shared-memory ports and used for wall-clock benchmarks;
+//! * [`real`] — the send side both real backends share.
 //!
 //! The runtime built on top (the `chare_kernel` crate) is written against
 //! the [`program::NodeProgram`] / [`program::NetCtx`] interface and runs
@@ -49,11 +50,11 @@
 //! ## Combining on the real backends
 //!
 //! Both real backends — the thread machine here and the process machine
-//! in `chare_kernel::proc` — hold a PE's remote sends in one buffer per
-//! destination and send a buffer whole. They share one flush rule: a
-//! buffer leaves at [`BATCH_PACKETS`] messages, every
-//! [`FLUSH_EVERY_STEPS`] scheduler steps, and always before its PE waits
-//! for work. Each backend's module doc has its remaining triggers.
+//! in `chare_kernel::proc` — use one [`NetCtx`],
+//! [`real::RealCtx`], and supply only a [`real::Link`]: how a packet
+//! reaches another PE. `RealCtx` holds a PE's remote sends per
+//! destination and pushes each destination's packets whole, by the one
+//! rule in the [`real`] module doc.
 
 /// A real backend's PE sends everything it holds for other PEs at least
 /// this often, in scheduler steps: a busy sender delays a held message by
@@ -69,6 +70,7 @@ pub mod cost;
 pub mod fault;
 pub mod pe;
 pub mod program;
+pub mod real;
 pub mod sim;
 pub mod stats;
 #[cfg(feature = "threads")]

@@ -39,35 +39,22 @@
 //! publish no data themselves (the mutex does that), so they are
 //! `Relaxed` around those fences.
 //!
-//! # Send side: combining
+//! # Send side: hungry
 //!
-//! Every push costs a lock, a `SeqCst` fence and the inbox's cache line
-//! moving between cores, so a sender combines. It keeps one reused buffer
-//! per destination, and a destination's buffer is pushed:
-//!
-//! * (a) when it reaches [`BATCH_PACKETS`] packets;
-//! * (b) when its owner is *hungry*, checked at the send and again at the
-//!   end of every step for each destination holding packets;
-//! * (c) every [`FLUSH_EVERY_STEPS`] steps, with every other buffer;
-//! * (d) always before this PE idles, with every other buffer.
-//!
-//! The owner publishes `hungry` when it enters `idle` and clears it when
-//! it leaves, so a PE with no work waits at most for the end of one
-//! sender step. The flag shares the inbox's cache line. A busy owner
-//! writes that line only when it drains mail, at most once per push, so
-//! the read on every send misses at most once per push; and a sender
-//! that finds the owner hungry is about to push, so it needs the line
-//! anyway. (On a line of its own the flag measured no faster end to end
-//! and added about 100 ns to a ring hop, docs/PERF.md.)
-//!
-//! What bounds a hold: (c) bounds it by [`FLUSH_EVERY_STEPS`] steps of a
-//! busy sender, and (d) means an idle PE holds nothing. Those two alone
-//! guarantee that every packet leaves; hungry is only a hint, and a stale
-//! read of it only delays a packet within that bound. Combining adds no
-//! ordering obligation: every push still ends with the waker's half of
-//! the handshake above, and a sender's buffer keeps its packets in send
-//! order. A stop drops held packets exactly as it drops packets already
-//! queued in an inbox.
+//! A sender holds remote packets per destination and pushes them by the
+//! rule in [`crate::real`]; this backend's [`Link`] is a `Vec<Packet>` per
+//! destination, capped at [`BATCH_PACKETS`] packets and never by bytes.
+//! Its one trigger of its own is *hungry*: the owner publishes it when it
+//! enters `idle` and clears it when it leaves, so a PE with no work waits
+//! at most for the end of one sender step. The flag shares the inbox's
+//! cache line. A busy owner writes that line only when it drains mail, at
+//! most once per push, so the read on every send misses at most once per
+//! push; and a sender that finds the owner hungry is about to push, so it
+//! needs the line anyway. (On a line of its own the flag measured no
+//! faster end to end and added about 100 ns to a ring hop, docs/PERF.md.)
+//! Combining adds no ordering obligation: every push still ends with the
+//! waker's half of the handshake above. A stop drops held packets exactly
+//! as it drops packets already queued in an inbox.
 //!
 //! Unlike the simulator, the thread machine cannot observe global
 //! quiescence for free; programs end by calling [`NetCtx::stop`] (the
@@ -76,7 +63,6 @@
 //! deadline ([`ThreadConfig::watchdog`]) guards tests and benchmarks
 //! against programs that never stop.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
@@ -84,8 +70,8 @@ use std::time::{Duration, Instant};
 
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload};
-use crate::time::Cost;
-use crate::{BATCH_PACKETS, FLUSH_EVERY_STEPS};
+use crate::real::{Link, RealCtx};
+use crate::BATCH_PACKETS;
 
 /// Configuration of the thread-parallel machine.
 #[derive(Clone, Debug)]
@@ -262,93 +248,23 @@ impl Shared {
     }
 }
 
-struct ThreadCtx {
-    me: Pe,
+/// A PE's [`Link`] on this machine: the inboxes, and one reused buffer
+/// per destination of the packets not yet pushed (its own stays empty).
+struct Inboxes {
     shared: Arc<Shared>,
-    /// Self-sends: never leave this thread.
-    loopback: VecDeque<Packet>,
-    /// Remote sends not yet pushed, one reused buffer per destination
-    /// (this PE's own stays empty).
     held: Box<[Vec<Packet>]>,
-    /// Steps since the last [`flush_all`](Self::flush_all).
-    unflushed_steps: u32,
-    /// The node's [`NodeProgram::stamps`], read once before boot.
-    stamps: bool,
 }
 
-impl ThreadCtx {
-    fn new(me: Pe, shared: Arc<Shared>) -> Self {
-        let held = shared.inboxes.iter().map(|_| Vec::new()).collect();
-        ThreadCtx {
-            me,
-            shared,
-            loopback: VecDeque::new(),
-            held,
-            unflushed_steps: 0,
-            stamps: true,
-        }
+impl Link for Inboxes {
+    fn hold(&mut self, to: Pe, pkt: Packet) -> usize {
+        self.held[to.index()].push(pkt);
+        0
     }
-
-    /// Push every destination's held packets: triggers (c) and (d).
-    fn flush_all(&mut self) {
-        for (held, inbox) in self.held.iter_mut().zip(self.shared.inboxes.iter()) {
-            if !held.is_empty() {
-                inbox.push(held);
-            }
-        }
-        self.unflushed_steps = 0;
+    fn push(&mut self, to: Pe) {
+        self.shared.inboxes[to.index()].push(&mut self.held[to.index()]);
     }
-
-    /// A step ended: push what a hungry PE is waiting for (b), and
-    /// everything every `FLUSH_EVERY_STEPS` steps (c).
-    fn step_done(&mut self) {
-        self.unflushed_steps += 1;
-        if self.unflushed_steps >= FLUSH_EVERY_STEPS {
-            self.flush_all();
-            return;
-        }
-        for (held, inbox) in self.held.iter_mut().zip(self.shared.inboxes.iter()) {
-            if !held.is_empty() && inbox.hungry() {
-                inbox.push(held);
-            }
-        }
-    }
-}
-
-impl NetCtx for ThreadCtx {
-    fn me(&self) -> Pe {
-        self.me
-    }
-    fn num_pes(&self) -> usize {
-        self.shared.inboxes.len()
-    }
-    fn now_ns(&self) -> u64 {
-        self.shared.start.elapsed().as_nanos() as u64
-    }
-    fn send(&mut self, to: Pe, bytes: u32, payload: Payload) {
-        assert!(to.index() < self.num_pes(), "send to PE out of range");
-        let now = if self.stamps { self.now_ns() } else { 0 };
-        let pkt = Packet {
-            from: self.me,
-            bytes,
-            // The arrival time of a remote packet is stamped by the
-            // receiver when it drains; a loopback packet keeps this one.
-            at_ns: now,
-            sent_ns: now,
-            payload,
-        };
-        if to == self.me {
-            self.loopback.push_back(pkt);
-            return;
-        }
-        let (inbox, held) = (&self.shared.inboxes[to.index()], &mut self.held[to.index()]);
-        held.push(pkt);
-        if held.len() >= BATCH_PACKETS || inbox.hungry() {
-            inbox.push(held);
-        }
-    }
-    fn charge(&mut self, _cost: Cost) {
-        // Real work takes real time on this backend.
+    fn hungry(&self, to: Pe) -> bool {
+        self.shared.inboxes[to.index()].hungry()
     }
     fn stop(&mut self) {
         self.shared.halt();
@@ -358,9 +274,19 @@ impl NetCtx for ThreadCtx {
     }
 }
 
+type ThreadCtx = RealCtx<Inboxes>;
+
+impl ThreadCtx {
+    fn new(me: Pe, shared: Arc<Shared>) -> Self {
+        let (npes, start) = (shared.inboxes.len(), shared.start);
+        let held = (0..npes).map(|_| Vec::new()).collect();
+        RealCtx::with_link(me, npes, start, Inboxes { shared, held }, BATCH_PACKETS, usize::MAX)
+    }
+}
+
 fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> N {
-    let shared = Arc::clone(&ctx.shared);
-    let inbox = &shared.inboxes[ctx.me.index()];
+    let shared = Arc::clone(&ctx.link.shared);
+    let inbox = &shared.inboxes[ctx.me().index()];
     inbox
         .owner
         .set(std::thread::current())
@@ -379,7 +305,7 @@ fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> N {
                 node.incoming(pkt);
             }
         }
-        while let Some(pkt) = ctx.loopback.pop_front() {
+        while let Some(pkt) = ctx.pop_local() {
             node.incoming(pkt);
         }
         if node.has_work() {
@@ -459,6 +385,7 @@ impl ThreadMachine {
 mod tests {
     use super::*;
     use crate::program::{FnFactory, StepKind};
+    use crate::FLUSH_EVERY_STEPS;
     use std::collections::VecDeque;
 
     /// Token ring: passes a counter around all PEs `laps` times, then
@@ -693,13 +620,13 @@ mod tests {
         let shared = Arc::new(Shared::new(1));
         let mut ctx = ThreadCtx::new(Pe::ZERO, Arc::clone(&shared));
         ctx.send(Pe::ZERO, 8, Box::new(7u64));
-        assert_eq!(ctx.loopback.len(), 1);
         let inbox = &shared.inboxes[0];
         assert!(!inbox.has_mail.load(Ordering::Relaxed));
         let queue = inbox.queue.lock().unwrap();
         assert_eq!((queue.len(), queue.capacity()), (0, 0));
         drop(queue);
-        assert!(ctx.held[0].is_empty());
+        assert!(ctx.link.held[0].is_empty());
+        assert!(ctx.pop_local().is_some_and(|pkt| pkt.from == Pe::ZERO));
 
         let mut rep = ThreadMachine::run(ThreadConfig::new(1), &relay(20_000));
         assert!(!rep.timed_out);
