@@ -20,7 +20,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use multicomputer::Payload;
 
@@ -265,7 +265,7 @@ fn go_ready(
 }
 
 /// Move every control stream's read side to its reader thread, then
-/// broadcast `Start`.
+/// broadcast `Start` with this moment as the run's one clock origin.
 fn start(fleet: &mut Fleet) -> Result<Receiver<CtlEvent>, ProcAbortReason> {
     let (tx, rx) = mpsc::channel();
     for (rank, ctl) in fleet.ctl.iter().enumerate() {
@@ -275,7 +275,8 @@ fn start(fleet: &mut Fleet) -> Result<Receiver<CtlEvent>, ProcAbortReason> {
         let reader = spawn_ctl_reader(rank as u32, read_half, move |ev| tx.send(ev).is_ok());
         fleet.readers.push(reader);
     }
-    fleet.broadcast("Start", &CtlMsg::Start)?;
+    let epoch = SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default();
+    fleet.broadcast("Start", &CtlMsg::Start { epoch_ns: epoch.as_nanos() as u64 })?;
     Ok(rx)
 }
 

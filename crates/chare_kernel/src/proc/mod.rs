@@ -41,7 +41,8 @@
 //! and `bal=` included) before it builds its node. Every rank is sent
 //! the same `Go`, framed once. The workers wire a full
 //! data mesh (worker *i* connects to every *j < i*); after `Ready` from
-//! all, the parent broadcasts `Start`. A worker whose node calls
+//! all, the parent broadcasts `Start{epoch_ns}`, the one clock origin
+//! every worker's PE counts from. A worker whose node calls
 //! `CkExit` reports `Stopped{result}`; the parent broadcasts `Halt`, collects a
 //! `Final{end_ns, shard}` from every worker, reaps the children, hands
 //! the shards to the merge the other backends' runs end in, and joins

@@ -364,8 +364,10 @@ pub(crate) enum CtlMsg {
     Go(Box<Go>),
     /// Worker → parent: data mesh wired, ready to start.
     Ready,
-    /// Parent → worker: boot the node and run.
-    Start,
+    /// Parent → worker: boot the node and run, counting time from
+    /// `epoch_ns` (nanoseconds since the Unix epoch, read once by the
+    /// parent), so every PE of the run reads one clock.
+    Start { epoch_ns: u64 },
     /// Worker → parent: my node stopped the machine; `result` is the
     /// wire-encoded `exit` payload, if one was deposited here (a body
     /// only the program's wire table can decode, hence still bytes).
@@ -373,8 +375,8 @@ pub(crate) enum CtlMsg {
     /// Parent → worker: stop scheduling and report.
     Halt,
     /// Worker → parent: final report. Boxed, like `Go`, because it is
-    /// wide (two histograms) and a worker's scheduler channel moves a
-    /// `CtlMsg`-sized slot per data chunk.
+    /// wide (two histograms) and the parent's supervisor channel moves a
+    /// `CtlMsg`-sized slot per event.
     Final(Box<Final>),
 }
 
@@ -404,7 +406,7 @@ pub(crate) struct Final {
 crate::wire_struct!(Hello { rank, fingerprint, data_addr });
 crate::wire_struct!(Go { peers, opts });
 crate::wire_struct!(Final { end_ns, shard });
-crate::wire_enum!(CtlMsg { Hello(hello), Go(go), Ready, Start, Stopped { result }, Halt, Final(last) });
+crate::wire_enum!(CtlMsg { Hello(hello), Go(go), Ready, Start { epoch_ns }, Stopped { result }, Halt, Final(last) });
 
 /// Decode one control-frame body. Anything but exactly one well-formed
 /// message is `InvalidData`.
@@ -716,7 +718,7 @@ mod tests {
                 opts: full_opts(),
             })),
             CtlMsg::Ready,
-            CtlMsg::Start,
+            CtlMsg::Start { epoch_ns: 1_700_000_000_000_000_000 },
             CtlMsg::Stopped {
                 result: Some(vec![1, 2, 3]),
             },

@@ -3,51 +3,47 @@
 //! [`maybe_worker`] is the divert point every `run_procs`-capable binary
 //! calls first. In the parent it returns immediately; in a re-invoked
 //! worker (`CK_PE_RANK` set) it builds the program from `CK_SPEC`,
-//! performs the socket [`handshake`], wires the data [`mesh`], runs the
-//! same scheduler loop the thread backend runs — plus alarm deadlines,
-//! outgoing-frame encoding, per-destination batching and the loss shim —
-//! [`report`]s and exits the process.
+//! performs the socket [`handshake`], wires the data [`mesh`], runs its
+//! PE, [`report`]s and exits the process.
 //!
-//! The loop mirrors `multicomputer::thread::pe_loop` deliberately: drain
-//! arrivals, fire a due alarm, step the node, and block when idle. What
-//! the thread backend does with inbox pushes, this file does with
-//! encoded frames over the data mesh.
+//! The PE loop, its inbox and the flush rule are
+//! `multicomputer::real`'s, the thread backend's too: the worker's
+//! [`NetCtx`] is a `RealCtx` over a [`Mesh`], and the PE thread calls its
+//! `turn` until the run is over. What this file adds is the rest of a
+//! process:
 //!
-//! ## Who does what on the data path
-//!
-//! * **Send** (PE thread). [`Mesh::hold`] encodes the envelope
+//! * **Encoding** (PE thread). [`Mesh::hold`] encodes the envelope
 //!   straight into the destination's coalescing buffer through the one
-//!   framing routine ([`frame`]); only the loss shim, which may park a
-//!   frame, makes it an owned body first.
-//! * **Split** (one reader thread per peer). A [`Splitter`] turns each
-//!   `read` into one [`Chunk`] of whole, still-encoded frames, checking
-//!   every length prefix before anything is allocated for it. It knows
+//!   framing routine ([`frame`]), so the byte cap (`batch_bytes`) counts
+//!   encoded bytes and a push is one `write_all`; only the loss shim,
+//!   which may park a frame, makes it an owned body first.
+//! * **Splitting** (one reader thread per peer). A [`Splitter`] turns
+//!   each `read` into one [`Chunk`] of whole, still-encoded frames,
+//!   checking every length prefix before anything is allocated for it,
+//!   and the reader pushes `(from, chunk)` into the PE's inbox. It knows
 //!   nothing of the wire table.
-//! * **Decode** (PE thread). [`deliver_chunk`] stamps one arrival time
-//!   per chunk (a node that does not [stamp](NodeProgram::stamps) gets
-//!   0 here, and its frames carry a `sent_ns` of 0, so the wire format
-//!   is the same either way), decodes each `SysMsg` out of the chunk
-//!   and boxes it with [`pool::payload`], so the envelope is allocated
-//!   on the thread whose pool `reclaim`s it. A body that is not an
-//!   encoded envelope ends the worker the way a length prefix the
-//!   splitter refuses does ([`bad_frame`]).
-//!
-//! ## Coalescing
-//!
-//! The worker's [`NetCtx`] is `multicomputer::real::RealCtx` over a
-//! [`Mesh`], so when a held frame leaves is that module's rule, the
-//! thread backend's too. Two things are this backend's own. A frame is
-//! encoded as it is held, not when it leaves: the byte cap
-//! (`batch_bytes`) counts encoded bytes and a push is one `write_all`.
-//! And the loop flushes every buffer after an alarm handler as well as
-//! before it blocks, so a retransmission does not wait for later steps.
+//! * **Decoding** (PE thread). [`Mesh::open`] decodes each `SysMsg` out
+//!   of a chunk, stamped with the turn's one arrival time, and boxes it
+//!   with [`pool::payload`], so the envelope is allocated on the thread
+//!   whose pool `reclaim`s it. A body that is not an encoded envelope
+//!   ends the worker the way a length prefix the splitter refuses does
+//!   ([`bad_frame`]).
+//! * **Control** (one reader thread). The parent's messages become flags
+//!   in [`Arrivals`], each followed by the waker's half of the inbox's
+//!   park/wake handshake: `Start` sets the clock origin every PE of the
+//!   run counts from, `Halt` ends the loop, and a control socket that
+//!   closes or carries garbage halts it too and is acted on by the PE
+//!   thread after its loop ([`EXIT_CTL_LOST`]). A `Halt` before `Start`
+//!   ends the worker without booting its node.
+//! * **Crash hooks** ([`maybe_crash`]), counted in user steps, for the
+//!   teardown tests.
 
 use std::io::{self, Read, Write};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use multicomputer::real::{Link, RealCtx};
+use multicomputer::real::{Inbox, Link, RealCtx};
 use multicomputer::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, StepKind};
 
 use crate::envelope::SysMsg;
@@ -62,11 +58,6 @@ use super::transport::{frame, recv_ctl, send_ctl, spawn_ctl_reader, Chunk, CtlMs
     Listener, Splitter, Stream};
 use super::{CrashHook, CrashMode, ENV_ADDR, ENV_RANK, ENV_SPEC, EXIT_BAD_FRAME, EXIT_CTL_LOST,
     HANDSHAKE_TIMEOUT};
-
-/// Backstop on an idle PE's wait. Everything that ends idleness arrives
-/// on the scheduler channel and a pending alarm shortens the wait to
-/// its deadline, so this only bounds the damage of a lost event.
-const IDLE_PARK: Duration = Duration::from_secs(1);
 
 /// Divert into the worker loop when this process is a `run_procs`
 /// worker; a no-op otherwise.
@@ -96,38 +87,62 @@ pub fn maybe_worker(build: impl FnOnce(&str) -> Program) {
     run_worker(rank, prog, &addr);
 }
 
-/// Events multiplexed onto the worker's single scheduler channel.
-enum Ev {
+/// What the reader threads hand the PE thread: peer frames in the inbox,
+/// the parent's word as flags.
+#[derive(Default)]
+struct Arrivals {
     /// Whole data-mesh frames from a peer PE, still encoded.
-    Chunk { from: u32, chunk: Chunk },
-    /// From the parent: `Start`, `Halt`, or the error that closed the
-    /// control socket — the run is over then, one way or another.
-    Ctl(io::Result<CtlMsg>),
+    inbox: Inbox<(u32, Chunk)>,
+    /// `Start`'s epoch: nanoseconds since the Unix epoch.
+    epoch: OnceLock<u64>,
+    /// `Halt`, or the control socket's end.
+    halt: AtomicBool,
+    /// The control socket closed or carried a message that does not decode.
+    lost: AtomicBool,
+}
+
+impl Arrivals {
+    /// Park until `ready()` or until `within` has passed; whether it is.
+    fn wait_until(&self, ready: impl Fn() -> bool, within: Duration) -> bool {
+        let deadline = Instant::now() + within;
+        while !ready() && Instant::now() < deadline {
+            self.inbox.wait(&ready, false, deadline.saturating_duration_since(Instant::now()));
+        }
+        ready()
+    }
+
+    fn halted(&self) -> bool {
+        self.halt.load(Ordering::Acquire)
+    }
 }
 
 /// A worker PE's [`Link`]: the data mesh with one coalescing buffer of
-/// encoded frames per peer, the loss shim, and what a handler asked of
-/// the machine.
+/// encoded frames per peer, the loss shim, the inbox and flags the
+/// readers fill, and what a handler asked of the machine.
 struct Mesh {
+    me: u32,
     reg: Arc<Registry>,
     /// Write half of each peer link (`None` for this PE).
     links: Vec<Option<Stream>>,
     /// Frames held for each peer, encoded.
     bufs: Box<[Vec<u8>]>,
     shim: Option<LossShim>,
-    stopped: bool,
+    arrivals: Arc<Arrivals>,
+    /// This PE's node stopped the machine.
+    stopped_here: bool,
     result: Option<Payload>,
-    alarm_at: Option<u64>,
 }
 
 impl Mesh {
-    fn new(reg: Arc<Registry>, links: Vec<Option<Stream>>, shim: Option<LossShim>) -> Self {
+    fn new(me: u32, reg: Arc<Registry>, links: Vec<Option<Stream>>, shim: Option<LossShim>) -> Self {
         let bufs = links.iter().map(|_| Vec::new()).collect();
-        Mesh { reg, links, bufs, shim, stopped: false, result: None, alarm_at: None }
+        let arrivals = Arc::default();
+        Mesh { me, reg, links, bufs, shim, arrivals, stopped_here: false, result: None }
     }
 }
 
 impl Link for Mesh {
+    type Mail = (u32, Chunk);
     fn hold(&mut self, to: Pe, pkt: Packet) -> usize {
         // Every kernel egress payload is a SysMsg (a retransmission is
         // a fresh `RelData` around the same slot); encode it. Frame
@@ -166,60 +181,45 @@ impl Link for Mesh {
         buf.clear();
     }
     fn stop(&mut self) {
-        self.stopped = true;
+        self.stopped_here = true;
     }
     fn deposit(&mut self, result: Payload) {
         self.result = Some(result);
     }
-    fn set_alarm(&mut self, at_ns: u64) {
-        self.alarm_at = Some(at_ns);
+    fn stopped(&self) -> bool {
+        self.stopped_here || self.arrivals.halted()
+    }
+    fn inbox(&self) -> &Inbox<(u32, Chunk)> {
+        &self.arrivals.inbox
+    }
+    /// Decode every frame of `chunk` and hand it to the node.
+    fn open(&mut self, (from, chunk): (u32, Chunk), at_ns: u64, node: &mut impl NodeProgram) {
+        for body in chunk.frames() {
+            let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
+            let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+            let sys = decode_frame(&self.reg, &body[12..])
+                .unwrap_or_else(|e| bad_frame(self.me, from, &e.to_string()));
+            let (from, payload) = (Pe(from), pool::payload(sys));
+            node.incoming(Packet { from, bytes, at_ns, sent_ns, payload });
+        }
     }
 }
 
 /// The worker's [`NetCtx`]: the shared send side over the data mesh.
 type ProcCtx = RealCtx<Mesh>;
 
-/// Deliver queued self-sends (produced by the handler that just ran).
-fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    while let Some(pkt) = ctx.pop_local() {
-        node.incoming(pkt);
-    }
-}
-
-/// Decode every frame of `chunk` and hand it to the node. One arrival
-/// stamp covers the chunk: its frames came out of one `read`.
-fn deliver_chunk(from: u32, chunk: &Chunk, node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    let now = if ctx.stamps { ctx.now_ns() } else { 0 };
-    for body in chunk.frames() {
-        let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-        let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-        let sys = decode_frame(&ctx.link.reg, &body[12..])
-            .unwrap_or_else(|e| bad_frame(ctx.me().0, from, &e.to_string()));
-        node.incoming(Packet {
-            from: Pe(from),
-            bytes,
-            at_ns: now,
-            // Clocks are per-process; clamp so cross-PE latency
-            // metrics never underflow on skew.
-            sent_ns: sent_ns.min(now),
-            payload: pool::payload(sys),
-        });
-    }
-}
-
 /// Start the read side of the link from PE `from` to PE `me`.
-fn spawn_data_reader(me: u32, from: u32, stream: Stream, tx: Sender<Ev>) {
+fn spawn_data_reader(me: u32, from: u32, mut stream: Stream, arrivals: Arc<Arrivals>) {
     std::thread::Builder::new()
         .name(format!("ck-mesh-{from}"))
         .spawn(move || {
-            let mut stream = stream;
             let mut splitter = Splitter::new();
+            let mut batch = Vec::new();
             loop {
                 match splitter.read_chunk(&mut stream) {
                     Ok(Some(chunk)) => {
-                        if tx.send(Ev::Chunk { from, chunk }).is_err() {
-                            break;
-                        }
+                        batch.push((from, chunk));
+                        arrivals.inbox.push(&mut batch);
                     }
                     // The stream can no longer be cut into frames.
                     Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -232,6 +232,26 @@ fn spawn_data_reader(me: u32, from: u32, stream: Stream, tx: Sender<Ev>) {
             }
         })
         .expect("spawn mesh reader");
+}
+
+/// Start the read side of the control socket: each message becomes a
+/// flag of `arrivals`, and then the PE thread is woken.
+fn spawn_ctl_flags(rank: u32, stream: Stream, arrivals: Arc<Arrivals>) {
+    spawn_ctl_reader(rank, stream, move |(_, msg)| {
+        match msg {
+            Ok(CtlMsg::Start { epoch_ns }) => {
+                let _ = arrivals.epoch.set(epoch_ns);
+            }
+            Ok(CtlMsg::Halt) => arrivals.halt.store(true, Ordering::Release),
+            Ok(_) => {} // unexpected but harmless
+            Err(_) => {
+                arrivals.lost.store(true, Ordering::Relaxed);
+                arrivals.halt.store(true, Ordering::Release);
+            }
+        }
+        arrivals.inbox.wake_if_parked();
+        true
+    });
 }
 
 /// The control handshake up to `Go`: connect to the parent, bind the
@@ -331,123 +351,65 @@ fn run_worker(rank: u32, prog: Program, addr: &str) -> ! {
     let mut crash = opts.crash.filter(|hook| hook.rank == rank);
     let links = mesh(rank, listener, &peers);
 
-    // -- reader threads and scheduler channel -----------------------------
-    let reg = Arc::clone(prog.registry());
-    let (tx, rx): (Sender<Ev>, Receiver<Ev>) = mpsc::channel();
-    for (j, link) in links.iter().enumerate() {
+    let mut node = prog.factory(opts.topology.clone(), 0, 0).build(Pe(rank), npes);
+    let shim = opts.loss.map(|l| LossShim::new(l, rank, npes));
+    let mesh = Mesh::new(rank, Arc::clone(prog.registry()), links, shim);
+    let arrivals = Arc::clone(&mesh.arrivals);
+    for (j, link) in mesh.links.iter().enumerate() {
         let Some(link) = link else { continue };
         let read_half = link.try_clone().expect("clone mesh stream");
-        spawn_data_reader(rank, j as u32, read_half, tx.clone());
+        spawn_data_reader(rank, j as u32, read_half, Arc::clone(&arrivals));
     }
-    let ctl_read = ctl.try_clone().expect("clone control stream");
-    spawn_ctl_reader(rank, ctl_read, move |(_, msg)| tx.send(Ev::Ctl(msg)).is_ok());
-
+    spawn_ctl_flags(rank, ctl.try_clone().expect("clone control stream"), Arc::clone(&arrivals));
     send_ctl(&mut ctl, &CtlMsg::Ready).unwrap_or_else(|e| panic!("worker {rank}: Ready: {e}"));
 
-    // -- node construction -------------------------------------------------
-    let mut node = prog.factory(opts.topology.clone(), 0, 0).build(Pe(rank), npes);
-    let mesh = Mesh::new(reg, links, opts.loss.map(|l| LossShim::new(l, rank, npes)));
     let (frames, bytes) = (opts.batch_frames, opts.batch_bytes);
     let mut ctx = RealCtx::with_link(Pe(rank), npes, Instant::now(), mesh, frames, bytes);
-    ctx.stamps = node.stamps();
-
-    // -- wait for Start (stashing any early peer frames) -------------------
-    let mut pending: Vec<Ev> = Vec::new();
-    let mut halted = false;
-    while !halted {
-        match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
-            Ok(Ev::Ctl(Ok(CtlMsg::Start))) => break,
-            Ok(ev @ Ev::Ctl(_)) => handle_ev(ev, &mut node, &mut ctx, &mut halted),
-            Ok(ev) => pending.push(ev),
-            Err(_) => panic!("worker {rank}: no Start within handshake deadline"),
-        }
-    }
-
-    let mut user_steps: u64 = 0;
-    if !halted {
-        ctx.start = Instant::now();
+    let started = || arrivals.epoch.get().is_some() || arrivals.halted();
+    assert!(
+        arrivals.wait_until(started, HANDSHAKE_TIMEOUT),
+        "worker {rank}: no Start within handshake deadline"
+    );
+    if let Some(&epoch_ns) = arrivals.epoch.get() {
+        // Count from the parent's `Start` on this process's monotonic
+        // clock (from now, if the epoch lies ahead or out of reach).
+        let since = SystemTime::now().duration_since(UNIX_EPOCH + Duration::from_nanos(epoch_ns));
+        ctx.start = Instant::now().checked_sub(since.unwrap_or_default()).unwrap_or(ctx.start);
+        ctx.stamps = node.stamps();
         node.boot(&mut ctx);
-        deliver_local(&mut node, &mut ctx);
-        ctx.flush_all();
-        for ev in pending.drain(..) {
-            handle_ev(ev, &mut node, &mut ctx, &mut halted);
-        }
     }
-
-    // -- scheduler loop ----------------------------------------------------
-    while !ctx.link.stopped && !halted {
-        // Drain arrivals first so priorities act on everything available.
-        while let Ok(ev) = rx.try_recv() {
-            handle_ev(ev, &mut node, &mut ctx, &mut halted);
-        }
-        if halted {
-            break;
-        }
-        if ctx.link.alarm_at.is_some_and(|t| ctx.now_ns() >= t) {
-            ctx.link.alarm_at = None;
-            node.alarm(&mut ctx);
-            deliver_local(&mut node, &mut ctx);
-            ctx.flush_all();
-            continue;
-        }
-        if node.has_work() {
-            let kind = node.step(&mut ctx);
-            deliver_local(&mut node, &mut ctx);
-            ctx.step_done();
-            if kind == Some(StepKind::User) {
-                user_steps += 1;
-                maybe_crash(&mut crash, user_steps, &mut ctx, &ctl);
-            }
-        } else {
-            // Flush before block: whoever this PE is about to wait for
-            // may be waiting for what it still holds.
-            ctx.flush_all();
-            let mut wait = IDLE_PARK;
-            if let Some(t) = ctx.link.alarm_at {
-                wait = wait.min(Duration::from_nanos(t.saturating_sub(ctx.now_ns())));
-            }
-            match rx.recv_timeout(wait) {
-                Ok(ev) => handle_ev(ev, &mut node, &mut ctx, &mut halted),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+    let mut user_steps: u64 = 0;
+    while !ctx.link.stopped() {
+        if ctx.turn(&mut node, false) == Some(StepKind::User) {
+            user_steps += 1;
+            maybe_crash(&mut crash, user_steps, &mut ctx, &ctl);
         }
     }
     ctx.flush_all();
-    report(ctl, &rx, ctx, node, halted)
+    report(ctl, ctx, node)
 }
 
 /// Teardown: say `Stopped` if this node stopped the machine, wait for
 /// the parent's `Halt`, send `Final`, exit.
-fn report(
-    mut ctl: Stream,
-    rx: &Receiver<Ev>,
-    mut ctx: ProcCtx,
-    node: CkNode,
-    halted: bool,
-) -> ! {
+fn report(mut ctl: Stream, mut ctx: ProcCtx, node: CkNode) -> ! {
+    let arrivals = Arc::clone(&ctx.link.arrivals);
     // Local stop: report it (with any exit result), then wait for the
     // parent's Halt so the Final exchange stays ordered. Reader threads
     // keep draining peer sockets throughout, so no peer can block on a
-    // full pipe while this handshake completes.
-    if ctx.link.stopped && !halted {
+    // full pipe while this handshake completes. A parent stuck past the
+    // deadline gets the report anyway.
+    if !arrivals.halted() {
         let result = ctx.link.result.take().map(|p| {
             let mut out = Vec::new();
             ctx.link.reg.wire.encode_body("exit result", &*p, &mut out);
             out
         });
         let _ = send_ctl(&mut ctl, &CtlMsg::Stopped { result });
-        loop {
-            match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
-                Ok(Ev::Ctl(Ok(CtlMsg::Halt))) => break,
-                Ok(Ev::Ctl(Err(_))) => std::process::exit(EXIT_CTL_LOST),
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => break, // parent stuck; report anyway
-                Err(RecvTimeoutError::Disconnected) => std::process::exit(EXIT_CTL_LOST),
-            }
-        }
+        arrivals.wait_until(|| arrivals.halted(), HANDSHAKE_TIMEOUT);
     }
-
+    if arrivals.lost.load(Ordering::Relaxed) {
+        std::process::exit(EXIT_CTL_LOST);
+    }
     let last = Final { end_ns: ctx.now_ns(), shard: node.into_shard() };
     let _ = send_ctl(&mut ctl, &CtlMsg::Final(Box::new(last)));
     std::process::exit(0);
@@ -458,15 +420,6 @@ fn report(
 fn bad_frame(me: u32, from: u32, error: &str) -> ! {
     eprintln!("worker {me}: link from PE {from} is corrupt: {error}");
     std::process::exit(EXIT_BAD_FRAME);
-}
-
-fn handle_ev(ev: Ev, node: &mut impl NodeProgram, ctx: &mut ProcCtx, halted: &mut bool) {
-    match ev {
-        Ev::Chunk { from, chunk } => deliver_chunk(from, &chunk, node, ctx),
-        Ev::Ctl(Ok(CtlMsg::Halt)) => *halted = true,
-        Ev::Ctl(Ok(_)) => {} // unexpected but harmless
-        Ev::Ctl(Err(_)) => std::process::exit(EXIT_CTL_LOST),
-    }
 }
 
 /// Fire the crash-injection hook once its step count is reached.
@@ -548,7 +501,7 @@ mod tests {
             links.push(Some(Stream::Uds(near)));
             far_ends.push(Some(far));
         }
-        let mesh = Mesh::new(Arc::new(Registry::new()), links, None);
+        let mesh = Mesh::new(0, Arc::new(Registry::new()), links, None);
         let ctx = RealCtx::with_link(Pe(0), npes, Instant::now(), mesh, batch_frames, batch_bytes);
         (ctx, far_ends)
     }
@@ -690,6 +643,16 @@ mod tests {
         }
     }
 
+    /// Hand `chunk` to PE 0 the way its reader does, halt it, and run the
+    /// one turn that delivers what waits, self-sends included.
+    fn turn_over(ctx: &mut ProcCtx, chunk: Chunk) -> Sink {
+        ctx.link.arrivals.inbox.push(&mut vec![(0, chunk)]);
+        ctx.link.arrivals.halt.store(true, Ordering::Release);
+        let mut node = Sink::default();
+        assert_eq!(ctx.turn(&mut node, false), None, "a halted PE does not step");
+        node
+    }
+
     #[test]
     fn a_chunk_decodes_into_packets_with_one_arrival_stamp() {
         let (mut ctx, mut far) = ctx_over_socketpairs(2, 16 * 1024, 64);
@@ -699,8 +662,7 @@ mod tests {
         ctx.flush_all();
         let chunk = arrived(far[1].as_mut().expect("link 0 -> 1")).expect("five frames");
 
-        let mut node = Sink::default();
-        deliver_chunk(0, &chunk, &mut node, &mut ctx);
+        let node = turn_over(&mut ctx, chunk);
         let waves: Vec<u64> = node
             .0
             .iter()
@@ -726,9 +688,7 @@ mod tests {
         ctx.flush_all();
         let chunk = arrived(far[1].as_mut().expect("link 0 -> 1")).expect("one frame");
 
-        let mut node = Sink::default();
-        deliver_chunk(0, &chunk, &mut node, &mut ctx);
-        deliver_local(&mut node, &mut ctx);
+        let node = turn_over(&mut ctx, chunk);
         assert_eq!(node.0.len(), 2, "the remote frame and the self-send");
         for pkt in &node.0 {
             assert_eq!((pkt.at_ns, pkt.sent_ns), (0, 0));

@@ -1328,7 +1328,7 @@ pub(crate) mod tests {
             (CtlMsg::Hello(hello), "00 01000000 0200000000000000 01000000 62"),
             (CtlMsg::Go(Box::new(go)), "01 01000000 01000000 61 0200000000000000 02 0100000000000000 0100000000000000 00 00 00 05000000 6c6f63616c 00 00 fecaed5e00000000 00 00 00"),
             (CtlMsg::Ready, "02"),
-            (CtlMsg::Start, "03"),
+            (CtlMsg::Start { epoch_ns: 0x0102_0304_0506_0708 }, "03 0807060504030201"),
             (CtlMsg::Stopped { result: Some(vec![9]) }, "04 01 01000000 09"),
             (CtlMsg::Halt, "05"),
         ] {

@@ -19,7 +19,8 @@
 //! * [`thread`] — a real-parallel backend ([`thread::ThreadMachine`]) with
 //!   one OS thread per PE and a shared-memory inbox per PE, standing in
 //!   for the shared-memory ports and used for wall-clock benchmarks;
-//! * [`real`] — the send side both real backends share.
+//! * [`real`] — what both real backends share: the send side, the inbox
+//!   and the PE loop.
 //!
 //! The runtime built on top (the `chare_kernel` crate) is written against
 //! the [`program::NodeProgram`] / [`program::NetCtx`] interface and runs
@@ -47,14 +48,16 @@
 //! [`program::NetCtx`] (the Chare Kernel's probe records each step as
 //! one event).
 //!
-//! ## Combining on the real backends
+//! ## The real backends
 //!
 //! Both real backends — the thread machine here and the process machine
 //! in `chare_kernel::proc` — use one [`NetCtx`],
 //! [`real::RealCtx`], and supply only a [`real::Link`]: how a packet
-//! reaches another PE. `RealCtx` holds a PE's remote sends per
-//! destination and pushes each destination's packets whole, by the one
-//! rule in the [`real`] module doc.
+//! reaches another PE and what waits in a PE's [`real::Inbox`]. `RealCtx`
+//! runs the PE loop (`RealCtx::turn`: take the inbox, deliver self-sends,
+//! run a due alarm or one step, or flush and idle), holds a PE's remote
+//! sends per destination and pushes each destination's packets whole, by
+//! the one rule in the [`real`] module doc.
 
 /// A real backend's PE sends everything it holds for other PEs at least
 /// this often, in scheduler steps: a busy sender delays a held message by

@@ -1,12 +1,56 @@
-//! The send side both real backends share: one [`NetCtx`], one flush rule.
+//! What both real backends share: one [`NetCtx`], one flush rule, one
+//! inbox and one PE loop.
 //!
 //! The thread machine ([`crate::thread`]) and the process machine
 //! (`chare_kernel::proc`) differ only in how a packet reaches another PE:
 //! an inbox in shared memory, or an encoded frame on a socket. Each says
 //! that much as a [`Link`], and [`RealCtx`] does the rest the same way on
-//! both — the clock, the loopback queue for self-sends, and when a held
-//! packet leaves. This is the paper's thin machine layer, retargeted per
-//! port while the kernel above it stays one program.
+//! both — the clock, the loopback queue for self-sends, when a held
+//! packet leaves, the alarm, and the scheduler turn that drives the node.
+//! This is the paper's thin machine layer, retargeted per port while the
+//! kernel above it stays one program.
+//!
+//! # The PE loop
+//!
+//! A backend boots its node and then calls [`RealCtx::turn`] until
+//! [`Link::stopped`]. A turn:
+//!
+//! 1. takes everything waiting in the PE's [`Inbox`] under one lock, reads
+//!    the clock once for the whole take (only if the node
+//!    [stamps](NodeProgram::stamps); 0 otherwise), and hands it to the
+//!    node through [`Link::open`]; then it delivers the self-sends, so
+//!    priorities act on everything available;
+//! 2. returns if the link now reports a stop;
+//! 3. runs the alarm if its deadline has passed, and pushes everything
+//!    held after it, or else runs one step;
+//! 4. with nothing to do, pushes everything held (rule (d) below) and
+//!    idles on the inbox until mail arrives, the stop flag is set, or the
+//!    alarm's deadline passes, whichever is first.
+//!
+//! # The inbox and the park/wake handshake
+//!
+//! An [`Inbox`] is a `Mutex<Vec<T>>` that senders append whole batches
+//! to, a `has_mail` hint written under the lock, and two flags of the
+//! owner's: `parked` and `hungry`. A take swaps the whole vector for the
+//! owner's empty one, and is skipped while the hint is clear, so an empty
+//! turn stays off the lock. An idle owner spins on the hint for a bounded
+//! number of turns if the backend asks it to, and then parks.
+//!
+//! The one ordering obligation is the park/wake handshake, a Dekker
+//! pattern over two flags. The owner publishes `parked`, issues a
+//! `SeqCst` fence, re-checks what rouses it (`has_mail` and the stop
+//! flag), and only then parks. A waker writes what the owner re-checks
+//! (a push sets `has_mail` under the lock; a stop sets the stop flag),
+//! issues a `SeqCst` fence, and only then reads `parked`. Whichever
+//! fence comes second in the single total order sees the other side's
+//! write: either the owner finds the mail and does not park, or the
+//! waker finds `parked` and unparks it. The flags publish no data
+//! themselves (the mutex does that), so they are `Relaxed` around those
+//! fences, except that `parked` is stored with `Release` and loaded with
+//! `Acquire`: the owner registers its thread handle when it first parks,
+//! and a waker that sees `parked` must see the handle too. A park also
+//! ends at its timeout: the alarm's deadline, or [`IDLE_PARK`], which
+//! only bounds the damage of a lost wake-up.
 //!
 //! # When held packets leave
 //!
@@ -20,26 +64,45 @@
 //!   send and again at the end of every step for each destination that
 //!   holds something;
 //! * (c) every [`FLUSH_EVERY_STEPS`] steps, with every other destination;
-//! * (d) at [`RealCtx::flush_all`], which a backend calls before its PE
-//!   waits for work, so an idle PE holds nothing.
+//! * (d) at [`RealCtx::flush_all`], which a turn calls before its PE
+//!   waits for work and after an alarm, so an idle PE holds nothing and
+//!   a retransmission does not wait for later steps.
 //!
 //! (c) bounds a hold by [`FLUSH_EVERY_STEPS`] steps of a busy sender and
 //! (d) empties an idle one, so every packet leaves; hungry is only a hint,
 //! and a stale read of it delays a packet within that bound. A self-send
-//! is never held: it waits in the loopback queue until the backend's loop
-//! takes it with [`RealCtx::pop_local`].
+//! is never held: it waits in the loopback queue for the next turn.
 
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crate::pe::Pe;
-use crate::program::{NetCtx, Packet, Payload};
+use crate::program::{NetCtx, NodeProgram, Packet, Payload, StepKind};
 use crate::time::Cost;
 use crate::FLUSH_EVERY_STEPS;
 
+/// Turns an idle PE spins on its mail hint before parking (≈10 ns each):
+/// about the time a futex wake and reschedule would cost, so a reply
+/// that is already on its way is met without a syscall on either side.
+const SPIN_TURNS: u32 = 2_000;
+
+/// Backstop on a park. Every event that ends idleness (a push, a stop)
+/// unparks the PE and an alarm shortens the park to its deadline, so this
+/// only bounds the damage of a lost wake-up, and is long enough that one
+/// would show in the tests and the ledger.
+pub const IDLE_PARK: Duration = Duration::from_secs(1);
+
 /// What a real backend supplies to [`RealCtx`]: where held packets wait,
-/// how they leave, and the machine-wide effects of a handler.
+/// how they leave, where arrivals wait, and the machine-wide effects of a
+/// handler.
 pub trait Link {
+    /// What this backend's [`Inbox`] carries: packets, or frames still to
+    /// decode.
+    type Mail: Send;
+
     /// Keep `pkt` for PE `to` (never this PE) until the next
     /// [`push`](Link::push) to `to`. Returns the bytes it adds toward the
     /// `max_bytes` cap.
@@ -60,9 +123,105 @@ pub trait Link {
     /// [`NetCtx::deposit`].
     fn deposit(&mut self, result: Payload);
 
-    /// [`NetCtx::set_alarm`], as a deadline on this context's clock.
-    /// Default: ignored.
-    fn set_alarm(&mut self, _at_ns: u64) {}
+    /// Whether this PE's run is over, by a stop here or elsewhere. The
+    /// flag behind it must rouse a parked owner of [`inbox`](Link::inbox)
+    /// by the handshake in the module doc.
+    fn stopped(&self) -> bool;
+
+    /// This PE's inbox.
+    fn inbox(&self) -> &Inbox<Self::Mail>;
+
+    /// Hand what `mail` carries to `node`, each packet stamped as arrived
+    /// at `at_ns`.
+    fn open(&mut self, mail: Self::Mail, at_ns: u64, node: &mut impl NodeProgram);
+}
+
+/// One PE's mailbox. Cache-line aligned (two lines, for the adjacent-line
+/// prefetcher) so senders to neighbouring PEs do not false-share.
+#[repr(align(128))]
+pub struct Inbox<T> {
+    pub(crate) queue: Mutex<Vec<T>>,
+    /// Hint that `queue` is non-empty; written under the queue lock, read
+    /// without it so an empty take and the idle spin stay off the lock.
+    pub(crate) has_mail: AtomicBool,
+    /// Published by the owner before it parks (see the module doc).
+    parked: AtomicBool,
+    /// Set by the owner while it is in [`idle`](Inbox::idle): a hint,
+    /// never an obligation, which a backend's [`Link::hungry`] may read.
+    pub(crate) hungry: AtomicBool,
+    /// The owning PE thread, registered when it first parks.
+    owner: OnceLock<Thread>,
+}
+
+impl<T> Default for Inbox<T> {
+    fn default() -> Self {
+        let (queue, owner, flag) = (Mutex::default(), OnceLock::new(), AtomicBool::default);
+        Inbox { queue, has_mail: flag(), parked: flag(), hungry: flag(), owner }
+    }
+}
+
+impl<T> Inbox<T> {
+    /// Append the whole of `batch`, leaving it empty with its allocation
+    /// kept for the next batch, then wake the owner if it is parked.
+    pub fn push(&self, batch: &mut Vec<T>) {
+        {
+            let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
+            queue.append(batch);
+            self.has_mail.store(true, Ordering::Relaxed);
+        }
+        self.wake_if_parked();
+    }
+
+    /// The waker's half of the handshake; the caller has already written
+    /// what the owner re-checks (`has_mail` or a stop flag).
+    pub fn wake_if_parked(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Acquire) {
+            self.owner.get().expect("owner registers before parking").unpark();
+        }
+    }
+
+    /// Move everything queued into `batch` (which must be empty; its
+    /// allocation is handed to the senders). True if there was anything.
+    pub(crate) fn take(&self, batch: &mut Vec<T>) -> bool {
+        if !self.has_mail.load(Ordering::Relaxed) {
+            return false;
+        }
+        let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
+        std::mem::swap(&mut *queue, batch);
+        self.has_mail.store(false, Ordering::Relaxed);
+        true
+    }
+
+    /// Wait (owner only), hungry all the while, until there may be mail,
+    /// `stopped()`, or `timeout` has passed.
+    fn idle(&self, stopped: impl Fn() -> bool, spin: bool, timeout: Duration) {
+        self.hungry.store(true, Ordering::Relaxed);
+        self.wait(|| self.has_mail.load(Ordering::Relaxed) || stopped(), spin, timeout);
+        self.hungry.store(false, Ordering::Relaxed);
+    }
+
+    /// The owner's half of the handshake: spin on `roused` if `spin`, then
+    /// park unless it holds, for at most `timeout`. It may return early;
+    /// `roused` must read only flags whose writers then call
+    /// [`wake_if_parked`](Inbox::wake_if_parked).
+    pub fn wait(&self, roused: impl Fn() -> bool, spin: bool, timeout: Duration) {
+        if spin {
+            for _ in 0..SPIN_TURNS {
+                if roused() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        self.owner.get_or_init(std::thread::current);
+        self.parked.store(true, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if !roused() {
+            std::thread::park_timeout(timeout);
+        }
+        self.parked.store(false, Ordering::Relaxed);
+    }
 }
 
 /// What one destination holds, as the caps count it.
@@ -73,16 +232,20 @@ struct Held {
 }
 
 /// A real backend's [`NetCtx`] for one PE: everything but the [`Link`].
-pub struct RealCtx<L> {
+pub struct RealCtx<L: Link> {
     me: Pe,
     /// The instant [`NetCtx::now_ns`] counts from.
     pub start: Instant,
     /// The node's [`stamps`](crate::NodeProgram::stamps): if false, no
-    /// send reads the clock and packets carry 0.
+    /// send or take reads the clock and packets carry 0.
     pub stamps: bool,
     /// The backend's half.
     pub link: L,
     loopback: VecDeque<Packet>,
+    /// The last take from the inbox, emptied as it is opened.
+    mail: Vec<L::Mail>,
+    /// When the alarm is due, on this context's clock.
+    alarm_at: Option<u64>,
     /// Per PE of the machine, this one's included.
     held: Box<[Held]>,
     max_packets: usize,
@@ -103,6 +266,8 @@ impl<L: Link> RealCtx<L> {
             stamps: true,
             link,
             loopback: VecDeque::new(),
+            mail: Vec::new(),
+            alarm_at: None,
             held: vec![Held::default(); npes].into(),
             max_packets,
             max_bytes,
@@ -143,6 +308,39 @@ impl<L: Link> RealCtx<L> {
     /// The oldest self-send not yet delivered.
     pub fn pop_local(&mut self) -> Option<Packet> {
         self.loopback.pop_front()
+    }
+
+    /// One turn of the PE loop (module doc), spinning before a park if
+    /// `spin`. Returns what the step ran, if the turn stepped.
+    pub fn turn(&mut self, node: &mut impl NodeProgram, spin: bool) -> Option<StepKind> {
+        if self.link.inbox().take(&mut self.mail) {
+            let now = if self.stamps { self.now_ns() } else { 0 };
+            for mail in self.mail.drain(..) {
+                self.link.open(mail, now, node);
+            }
+        }
+        while let Some(pkt) = self.pop_local() {
+            node.incoming(pkt);
+        }
+        if self.link.stopped() {
+            return None;
+        }
+        if self.alarm_at.is_some_and(|at| self.now_ns() >= at) {
+            self.alarm_at = None;
+            node.alarm(self);
+            self.flush_all();
+            return None;
+        }
+        if node.has_work() {
+            let kind = node.step(self);
+            self.step_done();
+            return kind;
+        }
+        self.flush_all();
+        let due = |at: u64| Duration::from_nanos(at.saturating_sub(self.now_ns()));
+        let timeout = self.alarm_at.map_or(IDLE_PARK, |at| due(at).min(IDLE_PARK));
+        self.link.inbox().idle(|| self.link.stopped(), spin, timeout);
+        None
     }
 }
 
@@ -186,8 +384,7 @@ impl<L: Link> NetCtx for RealCtx<L> {
         self.link.deposit(result);
     }
     fn set_alarm(&mut self, after: Cost) {
-        let at = self.now_ns().saturating_add(after.as_nanos().max(1));
-        self.link.set_alarm(at);
+        self.alarm_at = Some(self.now_ns().saturating_add(after.as_nanos().max(1)));
     }
 }
 
@@ -197,15 +394,20 @@ mod tests {
 
     /// Records each push as (destination, packets it carried); `bytes`
     /// is what each hold claims, and `hungry` which PEs say they wait.
+    /// Mail is packets, opened as they are; `stopped` is what the link
+    /// reports.
     #[derive(Default)]
     struct Tape {
         held: Vec<Vec<Packet>>,
         pushes: Vec<(usize, usize)>,
         bytes: usize,
         hungry: Vec<bool>,
+        inbox: Inbox<Packet>,
+        stopped: bool,
     }
 
     impl Link for Tape {
+        type Mail = Packet;
         fn hold(&mut self, to: Pe, pkt: Packet) -> usize {
             self.held[to.index()].push(pkt);
             self.bytes
@@ -219,6 +421,16 @@ mod tests {
         }
         fn stop(&mut self) {}
         fn deposit(&mut self, _result: Payload) {}
+        fn stopped(&self) -> bool {
+            self.stopped
+        }
+        fn inbox(&self) -> &Inbox<Packet> {
+            &self.inbox
+        }
+        fn open(&mut self, mut pkt: Packet, at_ns: u64, node: &mut impl NodeProgram) {
+            pkt.at_ns = at_ns;
+            node.incoming(pkt);
+        }
     }
 
     /// PE 0 of `npes`, capped at `max_packets` and `max_bytes`, each hold
@@ -336,5 +548,146 @@ mod tests {
         assert!(ctx.pop_local().is_some_and(|pkt| pkt.from == Pe::ZERO));
         assert!(ctx.pop_local().is_some());
         assert!(ctx.pop_local().is_none());
+    }
+
+    fn parcel(from: usize, payload: Payload) -> Packet {
+        Packet {
+            from: Pe::from(from),
+            bytes: 8,
+            at_ns: 0,
+            sent_ns: 0,
+            payload,
+        }
+    }
+
+    #[test]
+    fn inbox_keeps_every_packet_once_and_in_sender_order() {
+        const PRODUCERS: usize = 4;
+        const EACH: u64 = 5_000;
+        let inbox = Inbox::default();
+        inbox
+            .owner
+            .set(std::thread::current())
+            .expect("fresh inbox");
+        let mut next = [0u64; PRODUCERS];
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let inbox = &inbox;
+                s.spawn(move || {
+                    // Batches of one to seven packets, as combining sends them.
+                    let mut batch = Vec::new();
+                    for i in 0..EACH {
+                        batch.push(parcel(p, Box::new(i)));
+                        if batch.len() > (p + i as usize) % 7 || i == EACH - 1 {
+                            inbox.push(&mut batch);
+                            assert!(batch.is_empty(), "a push takes the whole batch");
+                        }
+                    }
+                });
+            }
+            // The consumer is the owner: it takes as the PE loop does,
+            // parking in between, so the wake path is exercised too.
+            let mut batch = Vec::new();
+            let mut got = 0;
+            while got < PRODUCERS as u64 * EACH {
+                if !inbox.take(&mut batch) {
+                    inbox.idle(|| false, false, IDLE_PARK);
+                    continue;
+                }
+                for pkt in batch.drain(..) {
+                    let i = *pkt.payload.downcast::<u64>().expect("payload type");
+                    assert_eq!(i, next[pkt.from.index()], "lost, duplicated or reordered");
+                    next[pkt.from.index()] += 1;
+                    got += 1;
+                }
+            }
+        });
+        assert_eq!(next, [EACH; PRODUCERS]);
+        assert!(!inbox.take(&mut Vec::new()), "nothing beyond what was sent");
+    }
+
+    #[test]
+    fn dropping_an_inbox_frees_what_is_still_queued() {
+        let token = std::sync::Arc::new(());
+        let inbox = Inbox::default();
+        for _ in 0..100 {
+            inbox.push(&mut vec![parcel(1, Box::new(std::sync::Arc::clone(&token)))]);
+        }
+        assert_eq!(std::sync::Arc::strong_count(&token), 101);
+        drop(inbox);
+        assert_eq!(std::sync::Arc::strong_count(&token), 1);
+    }
+
+    /// Logs what a turn hands it; each packet is one step of work, and
+    /// the alarm sends PE 1 one packet.
+    #[derive(Default)]
+    struct Log {
+        seen: Vec<String>,
+        queued: usize,
+    }
+
+    impl NodeProgram for Log {
+        fn boot(&mut self, _net: &mut dyn NetCtx) {}
+        fn incoming(&mut self, pkt: Packet) {
+            self.seen.push(format!("from {}", pkt.from.index()));
+            self.queued += 1;
+        }
+        fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
+            self.queued -= 1;
+            self.seen.push("step".into());
+            Some(StepKind::User)
+        }
+        fn has_work(&self) -> bool {
+            self.queued > 0
+        }
+        fn alarm(&mut self, net: &mut dyn NetCtx) {
+            self.seen.push("alarm".into());
+            net.send(Pe::from(1), 8, Box::new(()));
+        }
+    }
+
+    #[test]
+    fn a_turn_opens_the_inbox_then_self_sends_and_runs_a_due_alarm_before_a_step() {
+        let mut ctx = ctx(2, 64, usize::MAX, 0);
+        let mut node = Log::default();
+        ctx.link.inbox.push(&mut vec![parcel(1, Box::new(()))]);
+        send(&mut ctx, 0);
+        ctx.set_alarm(Cost::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(ctx.turn(&mut node, false), None, "the alarm, not a step");
+        assert_eq!(node.seen, ["from 1", "from 0", "alarm"]);
+        assert_eq!(pushes(&mut ctx), [(1, 1)], "what the alarm sent left after it");
+        assert_eq!(ctx.turn(&mut node, false), Some(StepKind::User));
+        assert_eq!(ctx.turn(&mut node, false), Some(StepKind::User));
+        assert_eq!(node.seen[3..], ["step", "step"], "an alarm fires once");
+    }
+
+    #[test]
+    fn a_stop_ends_the_turn_once_the_mail_is_delivered() {
+        let mut ctx = ctx(2, 64, usize::MAX, 0);
+        let mut node = Log::default();
+        ctx.link.inbox.push(&mut vec![parcel(1, Box::new(()))]);
+        send(&mut ctx, 0);
+        ctx.link.stopped = true;
+        assert_eq!(ctx.turn(&mut node, false), None);
+        assert_eq!(node.seen, ["from 1", "from 0"], "delivered, not stepped");
+    }
+
+    #[test]
+    fn an_idle_turn_pushes_what_is_held_and_wakes_at_the_alarm() {
+        const AFTER: Duration = Duration::from_millis(20);
+        let mut ctx = ctx(2, 64, usize::MAX, 0);
+        let mut node = Log::default();
+        send(&mut ctx, 1);
+        ctx.set_alarm(Cost::millis(20));
+        let began = Instant::now();
+        while node.seen.is_empty() {
+            assert_eq!(ctx.turn(&mut node, false), None);
+        }
+        let waited = began.elapsed();
+        assert_eq!(node.seen, ["alarm"]);
+        assert_eq!(pushes(&mut ctx), [(1, 1), (1, 1)], "(d) before the wait, then the alarm's");
+        assert!(waited >= AFTER, "the alarm ran {waited:?} after it was set");
+        assert!(waited < IDLE_PARK / 2, "woken by the deadline, not the backstop: {waited:?}");
     }
 }

@@ -2,75 +2,50 @@
 //!
 //! This is the stand-in for the paper's shared-memory ports (Sequent
 //! Symmetry, Encore Multimax): every PE is an OS thread, the
-//! interconnect is one inbox per PE in shared memory, and wall-clock
-//! time is the metric. The same [`NodeProgram`] that runs on the
-//! simulator runs here unchanged — the machine-independence the paper
+//! interconnect is one [`Inbox`] of packets per PE in shared memory, and
+//! wall-clock time is the metric. The same [`NodeProgram`] that runs on
+//! the simulator runs here unchanged — the machine-independence the paper
 //! demonstrates by porting one kernel across machines.
 //!
-//! # Inbox protocol
+//! Everything but the [`Link`] is [`crate::real`]'s: the PE loop, the
+//! inbox and its park/wake handshake, and the flush rule. This backend's
+//! `Link`, `Inboxes`, holds a `Vec<Packet>` per destination, capped at
+//! [`BATCH_PACKETS`] packets and never by bytes, and pushes it whole into
+//! the destination's inbox: one short critical section, and a syscall
+//! only if the owner has parked. A self-send never touches shared memory.
+//! An idle PE spins before it parks, provided every PE can have a core to
+//! itself (`npes <= available_parallelism()`).
 //!
-//! * **Send to another PE**: hold the packet in the sender's buffer for
-//!   that destination (see "Send side" below). A buffer leaves whole: it
-//!   is appended to the destination's `Mutex<Vec<Packet>>` under one
-//!   lock, and then the owner is woken *only if it has published that it
-//!   is parked*. The common push is a short critical section and no
-//!   syscall.
-//! * **Send to self**: push onto a `VecDeque` private to the sending
-//!   thread; shared memory is never touched.
-//! * **Receive**: once per loop turn the owner swaps the whole shared
-//!   vector for an empty reused one (one lock per batch, skipped while
-//!   the `has_mail` hint is clear) and stamps the batch's arrival time
-//!   with a single clock read. Stamps are telemetry: a PE whose node
-//!   does not [stamp](NodeProgram::stamps) reads the clock neither here
-//!   nor per send, and its packets carry 0.
-//! * **Idle**: a PE with neither work nor mail spins on the hint for a
-//!   bounded number of turns, provided every PE can have a core to itself
-//!   (`npes <= available_parallelism()`), and then parks.
+//! # Hungry
 //!
-//! The one ordering obligation is the park/wake handshake, a Dekker
-//! pattern over two flags. The owner publishes `parked`, issues a
-//! `SeqCst` fence, re-checks `has_mail` (and the stop flag), and only
-//! then parks. A sender pushes (setting `has_mail` under the lock),
-//! issues a `SeqCst` fence, and only then reads `parked`. Whichever
-//! fence comes second in the single total order sees the other side's
-//! write: either the owner finds the mail and does not park, or the
-//! sender finds `parked` and unparks it. [`NetCtx::stop`] follows the
-//! sender's half with the stop flag in place of the push. The flags
-//! publish no data themselves (the mutex does that), so they are
-//! `Relaxed` around those fences.
-//!
-//! # Send side: hungry
-//!
-//! A sender holds remote packets per destination and pushes them by the
-//! rule in [`crate::real`]; this backend's [`Link`] is a `Vec<Packet>` per
-//! destination, capped at [`BATCH_PACKETS`] packets and never by bytes.
-//! Its one trigger of its own is *hungry*: the owner publishes it when it
-//! enters `idle` and clears it when it leaves, so a PE with no work waits
+//! The one flush trigger of this backend's own is *hungry*: an owner
+//! publishes it while it idles on its inbox, so a PE with no work waits
 //! at most for the end of one sender step. The flag shares the inbox's
-//! cache line. A busy owner writes that line only when it drains mail, at
+//! cache line. A busy owner writes that line only when it takes mail, at
 //! most once per push, so the read on every send misses at most once per
 //! push; and a sender that finds the owner hungry is about to push, so it
 //! needs the line anyway. (On a line of its own the flag measured no
 //! faster end to end and added about 100 ns to a ring hop, docs/PERF.md.)
 //! Combining adds no ordering obligation: every push still ends with the
-//! waker's half of the handshake above. A stop drops held packets exactly
-//! as it drops packets already queued in an inbox.
+//! waker's half of the handshake. A stop drops held packets exactly as it
+//! drops packets already queued in an inbox.
 //!
 //! Unlike the simulator, the thread machine cannot observe global
-//! quiescence for free; programs end by calling [`NetCtx::stop`] (the
+//! quiescence for free; programs end by calling
+//! [`NetCtx::stop`](crate::program::NetCtx::stop) (the
 //! kernel's `CkExit`, possibly triggered by its quiescence-detection
 //! module), which unparks every PE and the launching thread. A watchdog
 //! deadline ([`ThreadConfig::watchdog`]) guards tests and benchmarks
 //! against programs that never stop.
 
-use std::sync::atomic::{fence, AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::pe::Pe;
-use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload};
-use crate::real::{Link, RealCtx};
+use crate::program::{NodeFactory, NodeProgram, Packet, Payload};
+use crate::real::{Inbox, Link, RealCtx};
 use crate::BATCH_PACKETS;
 
 /// Configuration of the thread-parallel machine.
@@ -124,106 +99,11 @@ impl<N> ThreadReport<N> {
     }
 }
 
-/// Turns an idle PE spins on its mail hint before parking (≈10 ns each):
-/// about the time a futex wake and reschedule would cost, so a reply
-/// that is already on its way is met without a syscall on either side.
-const SPIN_TURNS: u32 = 2_000;
-
-/// Backstop on a park. Every event that ends idleness (a push, a stop)
-/// unparks the PE, so this only bounds the damage of a lost wake-up, and
-/// is long enough that one would show in the tests and the ledger.
-const IDLE_PARK: Duration = Duration::from_secs(1);
-
-/// One PE's mailbox. Cache-line aligned (two lines, for the adjacent-line
-/// prefetcher) so senders to neighbouring PEs do not false-share.
-#[derive(Default)]
-#[repr(align(128))]
-struct Inbox {
-    queue: Mutex<Vec<Packet>>,
-    /// Hint that `queue` is non-empty; written under the queue lock, read
-    /// without it so an empty drain and the idle spin stay off the lock.
-    has_mail: AtomicBool,
-    /// Published by the owner before it parks (see the module doc).
-    parked: AtomicBool,
-    /// Set by the owner while it is in `idle`; read by senders on every
-    /// send (see "Send side" in the module doc).
-    hungry: AtomicBool,
-    /// The owning PE thread, registered before it first publishes `parked`.
-    owner: OnceLock<Thread>,
-}
-
-impl Inbox {
-    /// Append the whole of `batch`, leaving it empty with its allocation
-    /// kept for the next batch, then wake the owner if it is parked.
-    fn push(&self, batch: &mut Vec<Packet>) {
-        {
-            let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
-            queue.append(batch);
-            self.has_mail.store(true, Ordering::Relaxed);
-        }
-        self.wake_if_parked();
-    }
-
-    /// Whether the owner is idle: a hint, never an obligation.
-    fn hungry(&self) -> bool {
-        self.hungry.load(Ordering::Relaxed)
-    }
-
-    /// The waker's half of the handshake; the caller has already written
-    /// what the owner re-checks (`has_mail` or the stop flag).
-    fn wake_if_parked(&self) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            self.owner.get().expect("owner registers before parking").unpark();
-        }
-    }
-
-    /// Move everything queued into `batch` (which must be empty; its
-    /// allocation is handed to the senders). True if there was anything.
-    fn take(&self, batch: &mut Vec<Packet>) -> bool {
-        if !self.has_mail.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut queue = self.queue.lock().expect("a PE panicked holding an inbox");
-        std::mem::swap(&mut *queue, batch);
-        self.has_mail.store(false, Ordering::Relaxed);
-        true
-    }
-
-    /// Wait (owner only) until there may be mail or `stop` is set, hungry
-    /// all the while.
-    fn idle(&self, stop: &AtomicBool, spin: bool) {
-        self.hungry.store(true, Ordering::Relaxed);
-        self.wait(stop, spin);
-        self.hungry.store(false, Ordering::Relaxed);
-    }
-
-    /// Spin on the hints if `spin`, then park: the owner's half of the
-    /// handshake.
-    fn wait(&self, stop: &AtomicBool, spin: bool) {
-        let roused = || self.has_mail.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed);
-        if spin {
-            for _ in 0..SPIN_TURNS {
-                if roused() {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.parked.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if !roused() {
-            std::thread::park_timeout(IDLE_PARK);
-        }
-        self.parked.store(false, Ordering::Relaxed);
-    }
-}
-
 struct Shared {
     stop: AtomicBool,
     result: Mutex<Option<Payload>>,
     start: Instant,
-    inboxes: Box<[Inbox]>,
+    inboxes: Box<[Inbox<Packet>]>,
     /// The thread that called [`ThreadMachine::run`], parked until stop.
     launcher: Thread,
 }
@@ -251,11 +131,13 @@ impl Shared {
 /// A PE's [`Link`] on this machine: the inboxes, and one reused buffer
 /// per destination of the packets not yet pushed (its own stays empty).
 struct Inboxes {
+    me: usize,
     shared: Arc<Shared>,
     held: Box<[Vec<Packet>]>,
 }
 
 impl Link for Inboxes {
+    type Mail = Packet;
     fn hold(&mut self, to: Pe, pkt: Packet) -> usize {
         self.held[to.index()].push(pkt);
         0
@@ -264,13 +146,23 @@ impl Link for Inboxes {
         self.shared.inboxes[to.index()].push(&mut self.held[to.index()]);
     }
     fn hungry(&self, to: Pe) -> bool {
-        self.shared.inboxes[to.index()].hungry()
+        self.shared.inboxes[to.index()].hungry.load(Ordering::Relaxed)
     }
     fn stop(&mut self) {
         self.shared.halt();
     }
     fn deposit(&mut self, result: Payload) {
         *self.shared.result.lock().expect("a PE panicked mid-deposit") = Some(result);
+    }
+    fn stopped(&self) -> bool {
+        self.shared.stop.load(Ordering::Acquire)
+    }
+    fn inbox(&self) -> &Inbox<Packet> {
+        &self.shared.inboxes[self.me]
+    }
+    fn open(&mut self, mut pkt: Packet, at_ns: u64, node: &mut impl NodeProgram) {
+        pkt.at_ns = at_ns;
+        node.incoming(pkt);
     }
 }
 
@@ -280,42 +172,16 @@ impl ThreadCtx {
     fn new(me: Pe, shared: Arc<Shared>) -> Self {
         let (npes, start) = (shared.inboxes.len(), shared.start);
         let held = (0..npes).map(|_| Vec::new()).collect();
-        RealCtx::with_link(me, npes, start, Inboxes { shared, held }, BATCH_PACKETS, usize::MAX)
+        let link = Inboxes { me: me.index(), shared, held };
+        RealCtx::with_link(me, npes, start, link, BATCH_PACKETS, usize::MAX)
     }
 }
 
 fn pe_loop<N: NodeProgram>(mut node: N, mut ctx: ThreadCtx, spin: bool) -> N {
-    let shared = Arc::clone(&ctx.link.shared);
-    let inbox = &shared.inboxes[ctx.me().index()];
-    inbox
-        .owner
-        .set(std::thread::current())
-        .expect("one thread per inbox");
-    let mut batch = Vec::new();
     ctx.stamps = node.stamps();
     node.boot(&mut ctx);
-    while !shared.stop.load(Ordering::Acquire) {
-        // Drain arrivals first so priorities act on everything available.
-        if inbox.take(&mut batch) {
-            if ctx.stamps {
-                let now = ctx.now_ns();
-                batch.iter_mut().for_each(|pkt| pkt.at_ns = now);
-            }
-            for pkt in batch.drain(..) {
-                node.incoming(pkt);
-            }
-        }
-        while let Some(pkt) = ctx.pop_local() {
-            node.incoming(pkt);
-        }
-        if node.has_work() {
-            let _ = node.step(&mut ctx);
-            ctx.step_done();
-        } else {
-            // No packet is ever held by an idle PE.
-            ctx.flush_all();
-            inbox.idle(&shared.stop, spin);
-        }
+    while !ctx.link.stopped() {
+        ctx.turn(&mut node, spin);
     }
     node
 }
@@ -325,8 +191,8 @@ pub struct ThreadMachine;
 
 impl ThreadMachine {
     /// Run `factory`'s node program on `cfg.npes` OS threads until a
-    /// handler calls [`NetCtx::stop`] or the watchdog fires, and hand the
-    /// nodes back.
+    /// handler calls [`NetCtx::stop`](crate::program::NetCtx::stop) or the
+    /// watchdog fires, and hand the nodes back.
     pub fn run<F>(cfg: ThreadConfig, factory: &F) -> ThreadReport<F::Node>
     where
         F: NodeFactory,
@@ -384,7 +250,9 @@ impl ThreadMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{FnFactory, StepKind};
+    use crate::program::{FnFactory, NetCtx, StepKind};
+    use crate::real::IDLE_PARK;
+    use crate::time::Cost;
     use crate::FLUSH_EVERY_STEPS;
     use std::collections::VecDeque;
 
@@ -480,75 +348,6 @@ mod tests {
         assert!(rep.result.is_none());
     }
 
-    fn parcel(from: usize, payload: Payload) -> Packet {
-        Packet {
-            from: Pe::from(from),
-            bytes: 8,
-            at_ns: 0,
-            sent_ns: 0,
-            payload,
-        }
-    }
-
-    #[test]
-    fn inbox_keeps_every_packet_once_and_in_sender_order() {
-        const PRODUCERS: usize = 4;
-        const EACH: u64 = 5_000;
-        let inbox = Inbox::default();
-        inbox
-            .owner
-            .set(std::thread::current())
-            .expect("fresh inbox");
-        let stop = AtomicBool::new(false);
-        let mut next = [0u64; PRODUCERS];
-        std::thread::scope(|s| {
-            for p in 0..PRODUCERS {
-                let inbox = &inbox;
-                s.spawn(move || {
-                    // Batches of one to seven packets, as combining sends them.
-                    let mut batch = Vec::new();
-                    for i in 0..EACH {
-                        batch.push(parcel(p, Box::new(i)));
-                        if batch.len() > (p + i as usize) % 7 || i == EACH - 1 {
-                            inbox.push(&mut batch);
-                            assert!(batch.is_empty(), "a push takes the whole batch");
-                        }
-                    }
-                });
-            }
-            // The consumer is the owner: it drains as the PE loop does,
-            // parking in between, so the wake path is exercised too.
-            let mut batch = Vec::new();
-            let mut got = 0;
-            while got < PRODUCERS as u64 * EACH {
-                if !inbox.take(&mut batch) {
-                    inbox.idle(&stop, false);
-                    continue;
-                }
-                for pkt in batch.drain(..) {
-                    let i = *pkt.payload.downcast::<u64>().expect("payload type");
-                    assert_eq!(i, next[pkt.from.index()], "lost, duplicated or reordered");
-                    next[pkt.from.index()] += 1;
-                    got += 1;
-                }
-            }
-        });
-        assert_eq!(next, [EACH; PRODUCERS]);
-        assert!(!inbox.take(&mut Vec::new()), "nothing beyond what was sent");
-    }
-
-    #[test]
-    fn dropping_an_inbox_frees_what_is_still_queued() {
-        let token = Arc::new(());
-        let inbox = Inbox::default();
-        for _ in 0..100 {
-            inbox.push(&mut vec![parcel(1, Box::new(Arc::clone(&token)))]);
-        }
-        assert_eq!(Arc::strong_count(&token), 101);
-        drop(inbox);
-        assert_eq!(Arc::strong_count(&token), 1);
-    }
-
     /// A ring hands one token round, so every hop depends on the wake of
     /// the one before: a lost wake-up costs a whole [`IDLE_PARK`], and a
     /// score of them would push the run past the bound.
@@ -613,6 +412,31 @@ mod tests {
             "stop took {:?} to reach parked PEs",
             rep.wall
         );
+    }
+
+    #[test]
+    fn an_alarm_fires_on_threads() {
+        /// Sets a 1 ms alarm at boot and stops the machine when it fires.
+        struct Wake;
+        impl NodeProgram for Wake {
+            fn boot(&mut self, net: &mut dyn NetCtx) {
+                net.set_alarm(Cost::millis(1));
+            }
+            fn incoming(&mut self, _pkt: Packet) {}
+            fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
+                None
+            }
+            fn has_work(&self) -> bool {
+                false
+            }
+            fn alarm(&mut self, net: &mut dyn NetCtx) {
+                net.stop();
+            }
+        }
+        let cfg = ThreadConfig::new(1).with_watchdog(Duration::from_secs(5));
+        let rep = ThreadMachine::run(cfg, &FnFactory(|_, _| Wake));
+        assert!(!rep.timed_out, "the alarm never fired");
+        assert!(rep.wall < IDLE_PARK / 2, "the alarm waited for the backstop: {:?}", rep.wall);
     }
 
     #[test]

@@ -395,3 +395,47 @@ fn a_recording_run_measures_message_latency_on_both_real_backends() {
         assert!(latency.sum > 0, "{backend}: every latency read 0, so nothing was stamped");
     }
 }
+
+#[test]
+fn no_procs_message_arrives_before_it_was_sent() {
+    // Every worker counts from the parent's `Start`, so a send stamp and
+    // an arrival stamp compare across processes. Links are FIFO, and
+    // combining, reliable delivery and loss are off, so the k-th envelope
+    // PE q posts to PE p is the k-th that p receives from q, if it
+    // arrives before the stop; each PE's events are in the order it
+    // recorded them.
+    spec::worker_hook();
+    let spec_str = "fib:n=16,grain=8";
+    let prog = spec::build_spec(spec_str).with_tracing(TraceConfig);
+    assert!(!prog.opts().combining && prog.opts().reliable.is_none());
+    let test_name = "no_procs_message_arrives_before_it_was_sent";
+    let rep = prog.run_procs(&ProcConfig::for_test(2, spec_str, test_name));
+    let detail = rep.proc.as_ref().expect("detail");
+    assert!(detail.aborted.is_none(), "{:?}", detail.aborted);
+    let trace = rep.trace.as_ref().expect("traced");
+    assert_eq!(trace.dropped, 0, "the ring wrapped");
+    for (p, q) in [(Pe(0), Pe(1)), (Pe(1), Pe(0))] {
+        let sent: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|ev| ev.pe == q && matches!(ev.kind, EventKind::MsgSend { to, .. } if to == p))
+            .map(|ev| ev.at_ns)
+            .collect();
+        let recv: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|ev| ev.pe == p && matches!(ev.kind, EventKind::MsgRecv { from, .. } if from == q))
+            .map(|ev| ev.at_ns)
+            .collect();
+        assert!(!recv.is_empty(), "{p} got nothing from {q}");
+        assert!(recv.len() <= sent.len(), "{q} -> {p}: {} sent, {} received", sent.len(), recv.len());
+        let early: Vec<u64> = sent.iter().zip(&recv).filter(|(s, r)| r < s).map(|(s, r)| s - r).collect();
+        assert!(
+            early.is_empty(),
+            "{} of {} arrivals at {p} from {q} are stamped before their send, by up to {} ns",
+            early.len(),
+            recv.len(),
+            early.iter().max().unwrap()
+        );
+    }
+}
